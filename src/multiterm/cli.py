@@ -164,7 +164,7 @@ def cmd_simulate(args) -> int:
                    + [mismatch, mismatch, str(seed)])
         else:
             report = simulate(code, delta, scenario.default_D, trials=trials,
-                              seed=seed, rule=args.rule, jobs=args.jobs)
+                              seed=seed, rule=args.rule)
             lo, hi = report.ci(report.mismatch_count)
             row = ([scenario.name, str(n)] + [repr(r) for r in rates]
                    + [repr(r) for r in aux]
@@ -227,7 +227,6 @@ def make_parser() -> argparse.ArgumentParser:
     sim.add_argument("--exact", action="store_true",
                      help="total enumeration instead of Monte Carlo")
     sim.add_argument("--rule", choices=("crng", "map"), default="crng")
-    sim.add_argument("--jobs", type=int, default=1)
     sim.add_argument("--out", default=None)
     sim.set_defaults(func=cmd_simulate)
 

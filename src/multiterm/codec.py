@@ -34,7 +34,7 @@ from .network import (
     build_joint,
     w_name,
 )
-from .probability import RATIONAL, JointPmf, marginalize
+from .probability import RATIONAL, JointPmf, block_extend, block_products, marginalize
 
 _EXACT_BUDGET = 1 << 24
 
@@ -126,6 +126,7 @@ class CodeInstance:
         self._joint = build_joint(self.config, self.source, self.channels, None)
         self._decoder_cache: dict = {}
         self._encoder_cache: dict = {}
+        self._class_indexes: dict = {}
 
     # -- rates ------------------------------------------------------------------------
 
@@ -159,18 +160,10 @@ class CodeInstance:
         """
         cell = tuple(cell)
         ch = self.channels[cell]
-        per_letter = [ch.row((x,)) for x in x_block]
-        names = [n for n, _ in ch.outputs]
         items = []
-        for combo in itertools.product(*(row.items() for row in per_letter)):
-            p = None
-            for _, pl in combo:
-                p = pl if p is None else p * pl
-            letters = [out for out, _ in combo]
-            blocks = {}
-            for pos, name in enumerate(names):
-                enc = cell[pos]
-                blocks[enc] = tuple(letter[pos] for letter in letters)
+        for letters, p in block_products([ch.row((x,)).items() for x in x_block]):
+            blocks = {enc: tuple(letter[pos] for letter in letters)
+                      for pos, enc in enumerate(cell)}
             items.append((blocks, p))
         return items
 
@@ -200,50 +193,67 @@ class CodeInstance:
 
     # -- decoder -------------------------------------------------------------------------
 
-    def _posterior_letter(self, j):
-        """Single-letter model conditional of W_{I_j} given the side info."""
-        ij = tuple(self.config.codewords_to[j])
-        names = [w_name(i) for i in ij]
-        y = self.config.side_info.get(j)
-        keep = names + ([y] if y else [])
-        return ij, y, marginalize(self._joint, keep)
+    def _class_index(self, j):
+        """Decoder j's letter weights and its candidate blocks by class.
+
+        Built on the first decode of decoder j and kept.  Candidates are the
+        W_{I_j}-blocks whose letters all have positive single-letter mass and
+        which meet the f constraints, in product order of those letters (the
+        order in which they first occur in the model joint); `classes` maps
+        the g values on I_j to their candidates, as dicts encoder->block.
+        `weights[y]` maps each letter to its model probability jointly with
+        the side-information letter y (y is None without side information).
+        """
+        index = self._class_indexes.get(j)
+        if index is None:
+            ij = tuple(self.config.codewords_to[j])
+            y = self.config.side_info.get(j)
+            names = [w_name(i) for i in ij]
+            law = marginalize(self._joint, names + ([y] if y else []))
+            rows = [((key[:-1], key[-1]) if y else (key, None), p) for key, p in law.items()]
+            letters = list(dict.fromkeys(w for (w, _), p in rows if p > 0))
+            weights = {}
+            for (w, yv), p in rows:
+                weights.setdefault(yv, {})[w] = p
+            # one entry per encoder block, shared by every candidate holding it
+            entries = {}   # (encoder, block) -> (block, f meets c, g value)
+            classes = {}
+            for block_letters in itertools.product(letters, repeat=self.n):
+                parts = []
+                for pos, i in enumerate(ij):
+                    block = tuple(letter[pos] for letter in block_letters)
+                    if (i, block) not in entries:
+                        v = self.block_to_int(i, block)
+                        entries[i, block] = (block, self.f[i](v) == self.c[i], self.g[i](v))
+                    parts.append(entries[i, block])
+                if all(meets for _, meets, _ in parts):
+                    classes.setdefault(tuple(g for _, _, g in parts), []).append(
+                        {i: block for i, (block, _, _) in zip(ij, parts)})
+            index = self._class_indexes[j] = (weights, classes)
+        return index
 
     def decoder_class_law(self, j, m: Mapping, y_block):
         """Posterior over W_{I_j}-blocks restricted to the (f, g) classes.
 
         The model posterior factorizes across letters (everything is
-        memoryless), so candidates come from the product of per-letter
-        conditional supports given the observed side-information letters.
+        memoryless), so a candidate's weight is the product of its letters'
+        model probabilities jointly with the observed side-information
+        letters.  Only the candidates of the class that `m` names are weighted.
         """
         ij = tuple(self.config.codewords_to[j])
         key = (j, tuple(m[i] for i in ij), tuple(y_block) if y_block is not None else None)
         if key not in self._decoder_cache:
-            ij, y, letter = self._posterior_letter(j)
-            if y is not None:
-                rows = {}
-                for k, p in letter.items():
-                    if p > 0:
-                        rows.setdefault(k[-1], []).append((k[:-1], p))
-                per_letter = [rows.get(yv, []) for yv in y_block]
+            weights, classes = self._class_index(j)
+            if y_block is None:
+                tables = [weights[None]] * self.n
             else:
-                row = [(k, p) for k, p in letter.items() if p > 0]
-                per_letter = [row] * self.n
-            items = []
-            if all(per_letter):
-                for combo in itertools.product(*per_letter):
-                    p = None
-                    for _, pl in combo:
-                        p = pl if p is None else p * pl
-                    blocks = {}
-                    for pos, i in enumerate(ij):
-                        blocks[i] = tuple(letter_key[pos] for letter_key, _ in combo)
-                    items.append((blocks, p))
-            pred = lambda blocks: all(
-                self.f[i](self.block_to_int(i, blocks[i])) == self.c[i]
-                and self.g[i](self.block_to_int(i, blocks[i])) == m[i]
-                for i in ij)
+                tables = [weights.get(yv, {}) for yv in y_block]
+            base = [(blocks, math.prod(t.get(letter, 0) for t, letter in
+                                       zip(tables, zip(*(blocks[i] for i in ij)))))
+                    for blocks in classes.get(key[1], ())]
             try:
-                law = crng_law(items, pred)
+                # the index holds only blocks that meet this class's constraints
+                law = crng_law(base, lambda blocks: True)
             except EmptySupportError:
                 law = None
             self._decoder_cache[key] = law
@@ -257,17 +267,9 @@ class CodeInstance:
         out = {}
         for k in self.config.reproductions.get(j, ()):
             rep = self.reproducers[k]
-            z = []
-            for l in range(self.n):
-                args = []
-                for a in rep.args:
-                    if a.startswith("W"):
-                        enc = _encoder_of_wvar(a, self.config)
-                        args.append(w_blocks[enc][l])
-                    else:
-                        args.append(y_block[l])
-                z.append(rep(tuple(args)))
-            out[k] = tuple(z)
+            arg_blocks = [w_blocks[_encoder_of_wvar(a, self.config)] if a.startswith("W")
+                          else y_block for a in rep.args]
+            out[k] = tuple(rep(args) for args in zip(*arg_blocks))
         return out
 
     def decode(self, j, m: Mapping, y_block, seed, rule: str = "crng"):
@@ -280,9 +282,6 @@ class CodeInstance:
         else:
             raise ConfigurationError("unknown decode rule %r" % (rule,))
         return w_hat, self.reproduce(j, w_hat, y_block)
-
-    def decode_map(self, j, m: Mapping, y_block):
-        return self.decode(j, m, y_block, seed=None, rule="map")
 
 
 def _encoder_of_wvar(var: str, config: NetworkConfig):
@@ -327,13 +326,29 @@ class ExactError:
         }
 
 
-def _source_blocks(source: JointPmf, n: int):
-    support = [(k, p) for k, p in source.items() if p > 0]
-    for combo in itertools.product(support, repeat=n):
-        p = None
-        for _, pl in combo:
-            p = pl if p is None else p * pl
-        yield tuple(k for k, _ in combo), p
+class _BalancedSum:
+    """Exact sum of many Fractions, added in a balanced binary tree.
+
+    The oracle's terms have unrelated denominators, so a running total's
+    denominator grows with each term and a left-to-right sum takes time
+    quadratic in the number of terms.  Here only partial sums of equal term
+    counts are added together, and at most log2(terms) partial sums are kept.
+    """
+
+    def __init__(self):
+        self._partials: list = []   # _partials[i]: sum of 2^i terms, or None
+
+    def add(self, term):
+        for level, partial in enumerate(self._partials):
+            if partial is None:
+                self._partials[level] = term
+                return
+            term = partial + term
+            self._partials[level] = None
+        self._partials.append(term)
+
+    def total(self) -> Fraction:
+        return sum((p for p in self._partials if p is not None), Fraction(0))
 
 
 def _transpose(source: JointPmf, letters) -> dict:
@@ -347,18 +362,19 @@ def exact_error(code: CodeInstance, delta: float, D: Mapping,
 
     Averages over the source blocks, every encoder draw, and every decoder
     draw; encoder aborts count as errors for the mismatch and for every
-    distortion exceedance.  Requires rational-mode inputs.
+    distortion exceedance.  Each decoder class is summarized once per call
+    (:func:`_class_summary`).  Requires rational-mode inputs.
     """
     if code.source.mode != RATIONAL:
         raise ConfigurationError("exact_error requires rational-mode source/channels")
-    if _lossless_fast_path_applies(code):
-        return _exact_error_lossless(code, delta, D, rule)
     _check_budget(code)
     cfg = code.config
-    mismatch = Fraction(0)
-    exceed = {k: Fraction(0) for k in cfg.reproduction_ids}
+    bounds = {k: float(D[k]) + delta for k in cfg.reproduction_ids}
+    mismatch = _BalancedSum()
+    exceed = {k: _BalancedSum() for k in cfg.reproduction_ids}
     abort_mass = Fraction(0)
-    for letters, p_src in _source_blocks(code.source, code.n):
+    summaries: dict = {}
+    for letters, p_src in block_extend(code.source, code.n).enumerate_blocks():
         blocks = _transpose(code.source, letters)
         cell_laws = []
         try:
@@ -381,175 +397,68 @@ def exact_error(code: CodeInstance, delta: float, D: Mapping,
             m = {i: code.g[i](code.block_to_int(i, w_blocks[i])) for i in cfg.encoders}
             p_all_match = Fraction(1)
             for j in cfg.decoders:
+                ij = cfg.codewords_to[j]
                 y = cfg.side_info.get(j)
                 y_block = blocks[y] if y else None
-                law = code.decoder_class_law(j, m, y_block)
-                p_match, exceed_j = _decoder_contributions(
-                    code, j, law, w_blocks, blocks, delta, D, rule)
-                p_all_match *= p_match
-                for k, v in exceed_j.items():
-                    exceed[k] += weight * v
-            mismatch += weight * (1 - p_all_match)
-    mismatch += abort_mass
+                key = (j, tuple(m[i] for i in ij), y_block)
+                if key not in summaries:
+                    summaries[key] = _class_summary(code, j, m, y_block, rule)
+                match, scale, reproduced = summaries[key]
+                p_all_match *= match.get(tuple(w_blocks[i] for i in ij), 0)
+                for k, masses in reproduced.items():
+                    distortion = cfg.distortions[k]
+                    hits = sum(mass for z, mass in masses
+                               if distortion.block(blocks, blocks, z) > bounds[k])
+                    if hits:
+                        exceed[k].add(weight * Fraction(hits, scale))
+            if p_all_match != 1:
+                mismatch.add(weight * (1 - p_all_match))
+    mismatch.add(abort_mass)
     for k in exceed:
-        exceed[k] += abort_mass
+        exceed[k].add(abort_mass)
+    mismatch = mismatch.total()
+    exceed = {k: acc.total() for k, acc in exceed.items()}
     return ExactError(mismatch, exceed, abort_mass)
 
 
-def _decoder_contributions(code, j, law, w_blocks, blocks, delta, D, rule):
-    cfg = code.config
-    ij = tuple(cfg.codewords_to[j])
-    y = cfg.side_info.get(j)
-    y_block = blocks[y] if y else None
-    truth = {i: w_blocks[i] for i in ij}
+def _class_summary(code: CodeInstance, j, m: Mapping, y_block, rule: str):
+    """What the oracle needs from one decoder class, under one decode rule.
 
+    Returns (match, scale, reproduced): `match` maps each candidate (its
+    blocks in I_j order) to the probability that the decoder outputs it;
+    `reproduced[k]` lists each distinct reproduced block with its
+    probability as an integer numerator over the common denominator `scale`,
+    so that the oracle sums them as integers.  The MAP rule outputs its pick
+    with probability one.
+    """
+    ij = tuple(code.config.codewords_to[j])
+    law = code.decoder_class_law(j, m, y_block)
     if rule == "map":
-        est = map_estimate(law, ij)
-        p_match = Fraction(1 if est == truth else 0)
-        z = code.reproduce(j, est, y_block)
-        exceed_j = {}
-        for k in cfg.reproductions.get(j, ()):
-            d = cfg.distortions[k].block(blocks, blocks, z[k])
-            exceed_j[k] = Fraction(1 if d > float(D[k]) + delta else 0)
-        return p_match, exceed_j
-
-    p_match = Fraction(0)
-    exceed_j = {k: Fraction(0) for k in cfg.reproductions.get(j, ())}
+        law = [(map_estimate(law, ij), Fraction(1))]
+    scale = math.lcm(*(p.denominator for _, p in law))
+    match = {}
+    masses = {k: {} for k in code.config.reproductions.get(j, ())}
     for cand, p in law:
-        if cand == truth:
-            p_match += p
+        match[tuple(cand[i] for i in ij)] = p
         z = code.reproduce(j, cand, y_block)
-        for k in cfg.reproductions.get(j, ()):
-            d = cfg.distortions[k].block(blocks, blocks, z[k])
-            if d > float(D[k]) + delta:
-                exceed_j[k] += p
-    return p_match, exceed_j
+        numerator = p.numerator * (scale // p.denominator)
+        for k, by_block in masses.items():
+            by_block[z[k]] = by_block.get(z[k], 0) + numerator
+    return match, scale, {k: list(by_block.items()) for k, by_block in masses.items()}
 
 
 def _check_budget(code: CodeInstance):
-    src = len([1 for _, p in code.source.items() if p > 0])
-    states = src ** code.n
-    for cell in code.config.sharing:
-        ch = code.channels[tuple(cell)]
-        out = 1
-        for _, a in ch.outputs:
-            out *= a.size
-        states *= out ** code.n
+    """Refuse an exact enumeration that exceeds the budget, before it starts.
+
+    The count is the number of positive-probability (W, source) letters of
+    the model joint raised to n.  It bounds the source blocks times their
+    encoder draws, and each decoder's candidate blocks.
+    """
+    letters = sum(1 for _, p in code.model_joint().items() if p > 0)
+    states = letters ** code.n
     if states > _EXACT_BUDGET:
         raise BudgetExceededError(
             "exact enumeration needs %d joint states (budget %d)" % (states, _EXACT_BUDGET))
-
-
-# -- lossless fast path ------------------------------------------------------------------
-
-
-def _lossless_fast_path_applies(code: CodeInstance) -> bool:
-    """Syndrome-style codes: injectively deterministic channels, trivial f,
-    identity reproducers and block-mismatch distortions."""
-    cfg = code.config
-    for cell in cfg.sharing:
-        ch = code.channels[tuple(cell)]
-        outs = []
-        for row in ch.rows.values():
-            support = [o for o, p in row.items() if p > 0]
-            if len(support) != 1:
-                return False
-            outs.append(support[0])
-        if len(set(outs)) != len(outs):
-            return False
-    if any(code.f[i].image_size != 1 for i in cfg.encoders):
-        return False
-    for j in cfg.decoders:
-        for k in cfg.reproductions.get(j, ()):
-            rep = code.reproducers[k]
-            if len(rep.args) != 1 or not rep.args[0].startswith("W"):
-                return False
-            if any(rep((s,)) != s for s in rep.out_alphabet.symbols):
-                return False
-            if cfg.distortions[k].kind != "block":
-                return False
-    return True
-
-
-def _exact_error_lossless(code: CodeInstance, delta, D, rule) -> ExactError:
-    """Closed-form accounting over syndrome classes for lossless codes.
-
-    One pass groups source blocks by decoder class and accumulates per-class
-    mass sums; the error terms then need only O(1) lookups per block.
-    """
-    cfg = code.config
-    n = code.n
-    if len(cfg.decoders) != 1:
-        raise BudgetExceededError("fast path covers the single-decoder case")
-    j = cfg.decoders[0]
-    ij = tuple(cfg.codewords_to[j])
-    y_var = cfg.side_info.get(j)
-
-    det_map = {}
-    for cell in cfg.sharing:
-        ch = code.channels[tuple(cell)]
-        x_var = ch.inputs[0][0]
-        for key, row in ch.rows.items():
-            out = next(o for o, p in row.items() if p > 0)
-            det_map[(tuple(cell), key)] = out
-
-    src_support = [(k, p) for k, p in code.source.items() if p > 0]
-    class_total: dict = {}
-    class_sq: dict = {}
-    class_match: dict = {}
-    entries = []
-    for letters, p_src in _source_blocks(code.source, n):
-        blocks = _transpose(code.source, letters)
-        w_blocks = {}
-        for cell in cfg.sharing:
-            ch = code.channels[tuple(cell)]
-            x_var = ch.inputs[0][0]
-            outs = [det_map[(tuple(cell), (x,))] for x in blocks[x_var]]
-            for pos, i in enumerate(cell):
-                w_blocks[i] = tuple(out[pos] for out in outs)
-        m_key = tuple(code.g[i](code.block_to_int(i, w_blocks[i])) for i in ij)
-        y_block = blocks[y_var] if y_var else None
-        cls = (m_key, y_block)
-        class_total[cls] = class_total.get(cls, Fraction(0)) + p_src
-        class_sq[cls] = class_sq.get(cls, Fraction(0)) + p_src * p_src
-        for k in cfg.reproductions.get(j, ()):
-            rep = code.reproducers[k]
-            enc = _encoder_of_wvar(rep.args[0], cfg)
-            key = (cls, k, w_blocks[enc])
-            class_match[key] = class_match.get(key, Fraction(0)) + p_src
-        entries.append((p_src, w_blocks, cls))
-
-    # posterior of the truth within its class equals p_src / class mass
-    # because the deterministic channels make W a relabeling of the source
-    mismatch = Fraction(0)
-    exceed = {k: Fraction(0) for k in cfg.reproduction_ids}
-    if rule == "map":
-        best: dict = {}
-        for p_src, w_blocks, cls in entries:
-            key_blocks = tuple(w_blocks[i] for i in ij)
-            cur = best.get(cls)
-            if cur is None or p_src > cur[0] or (p_src == cur[0] and key_blocks < cur[1]):
-                best[cls] = (p_src, key_blocks)
-        for p_src, w_blocks, cls in entries:
-            key_blocks = tuple(w_blocks[i] for i in ij)
-            if best[cls][1] != key_blocks:
-                mismatch += p_src
-                for k in cfg.reproductions.get(j, ()):
-                    rep = code.reproducers[k]
-                    enc = _encoder_of_wvar(rep.args[0], cfg)
-                    pos = ij.index(enc)
-                    if best[cls][1][pos] != w_blocks[enc]:
-                        exceed[k] += p_src
-    else:
-        for p_src, w_blocks, cls in entries:
-            total = class_total[cls]
-            mismatch += p_src * (1 - p_src / total)
-            for k in cfg.reproductions.get(j, ()):
-                rep = code.reproducers[k]
-                enc = _encoder_of_wvar(rep.args[0], cfg)
-                agree = class_match[(cls, k, w_blocks[enc])]
-                exceed[k] += p_src * (1 - agree / total)
-    return ExactError(mismatch, exceed, Fraction(0))
 
 
 # -- Monte Carlo simulation ----------------------------------------------------------------
@@ -587,12 +496,11 @@ def _trial_seed(seed, trial: int) -> np.random.SeedSequence:
 
 
 def simulate(code: CodeInstance, delta: float, D: Mapping, trials: int,
-             seed: int, rule: str = "crng", jobs: int = 1) -> SimReport:
+             seed: int, rule: str = "crng") -> SimReport:
     """Monte Carlo estimate of the exact-oracle quantities.
 
     Per-trial randomness derives from (seed, trial index), so the report is
-    deterministic in `seed` and any trial schedule (the `jobs` hint only
-    chunks the loop; the reduction is order-independent).
+    deterministic in `seed`.
     """
     counters = dict(mismatch=0, enc_abort=0, dec_abort=0)
     exceed = {k: 0 for k in code.config.reproduction_ids}

@@ -325,9 +325,28 @@ class BlockSource:
 
     def enumerate_blocks(self):
         """All positive-probability blocks with their probabilities."""
-        support = self.base.support()
-        for letters in itertools.product(support, repeat=self.n):
-            yield letters, self.prob(letters)
+        support = [(k, p) for k, p in self.base.items() if p > 0]
+        return block_products([support] * self.n)
+
+
+def block_products(rows: Sequence):
+    """Weighted blocks of a product of per-letter laws, in itertools.product order.
+
+    `rows[l]` lists the (letter, weight) pairs of position l (at least one
+    position).  Yields (letters, product of their weights); every prefix
+    product is formed once and shared by the blocks that extend it, and the
+    last position is generated lazily.
+    """
+    blocks = [((x,), p) for x, p in rows[0]]
+    if len(rows) == 1:
+        yield from blocks
+        return
+    for row in rows[1:-1]:
+        blocks = [(letters + (x,), p * q) for letters, p in blocks for x, q in row]
+    last = rows[-1]
+    for letters, p in blocks:
+        for x, q in last:
+            yield letters + (x,), p * q
 
 
 def block_extend(pmf: JointPmf, n: int) -> BlockSource:

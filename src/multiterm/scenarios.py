@@ -105,12 +105,9 @@ class Scenario:
         return make_ensemble(kind, dom, size, q=self.q)
 
     def _pick_constraint(self, ens, func, seed):
-        rng = np.random.default_rng(seed)
         if ens.image_size == 1:
             return func(0)
-        if ens.kind in ("linear", "sparse-linear"):
-            return int(rng.integers(0, ens.image_size))
-        return int(rng.integers(0, ens.image_size))
+        return int(np.random.default_rng(seed).integers(0, ens.image_size))
 
 
 # -- built-in scenarios ------------------------------------------------------------------

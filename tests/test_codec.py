@@ -3,10 +3,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chisquare
 
 from multiterm.codec import (
     CodeInstance,
+    _check_budget,
     crng_law,
     crng_sample,
     exact_error,
@@ -17,13 +20,14 @@ from multiterm.codec import (
 from multiterm.errors import (
     BudgetExceededError,
     ConfigurationError,
+    DecoderAbort,
     EmptySupportError,
     EncoderAbort,
 )
 from multiterm.hashing import BinningEnsemble, identity_linear, make_ensemble
-from multiterm.network import NetworkConfig, identity_channel
-from multiterm.probability import Alphabet, JointPmf, dsbs
-from multiterm.scenarios import build_scenario
+from multiterm.network import NetworkConfig, identity_channel, w_name
+from multiterm.probability import Alphabet, JointPmf, dsbs, marginalize
+from multiterm.scenarios import build_scenario, scenario_names
 
 B = Alphabet((0, 1))
 
@@ -213,6 +217,59 @@ def test_decode_with_perfect_side_info_is_point_mass():
     assert law[0][0] == {1: (1, 0)}
 
 
+def _product_and_filter_law(code, j, m, y_block):
+    """The decoder law built per class: the product of the per-letter posterior
+    supports given the side-information letters, filtered by the (f, g)
+    constraints; None for an empty class."""
+    ij = tuple(code.config.codewords_to[j])
+    y = code.config.side_info.get(j)
+    letter = marginalize(code.model_joint(), [w_name(i) for i in ij] + ([y] if y else []))
+    if y is not None:
+        rows = {}
+        for k, p in letter.items():
+            if p > 0:
+                rows.setdefault(k[-1], []).append((k[:-1], p))
+        per_letter = [rows.get(yv, []) for yv in y_block]
+    else:
+        per_letter = [[(k, p) for k, p in letter.items() if p > 0]] * code.n
+    items = []
+    for combo in itertools.product(*per_letter):
+        p = Fraction(1)
+        for _, pl in combo:
+            p *= pl
+        items.append(({i: tuple(key[pos] for key, _ in combo) for pos, i in enumerate(ij)}, p))
+    try:
+        return crng_law(items, lambda blocks: all(
+            code.f[i](code.block_to_int(i, blocks[i])) == code.c[i]
+            and code.g[i](code.block_to_int(i, blocks[i])) == m[i] for i in ij))
+    except EmptySupportError:
+        return None
+
+
+@settings(max_examples=50, deadline=None)
+@given(name=st.sampled_from(scenario_names()), n=st.integers(1, 3),
+       seed=st.integers(0, 2 ** 16))
+def test_class_indexed_law_matches_product_and_filter(name, n, seed):
+    """Every class of a random code: same (blocks, probability) list, same order."""
+    code = build_scenario(name).make_code(n, seed=seed)
+    cfg = code.config
+    for j in cfg.decoders:
+        ij = tuple(cfg.codewords_to[j])
+        y = cfg.side_info.get(j)
+        y_blocks = [None]
+        if y:
+            y_blocks = list(itertools.product(code.source.alphabet(y).symbols, repeat=n))
+        for values in itertools.product(*(range(code.g[i].image_size) for i in ij)):
+            m = dict(zip(ij, values))
+            for y_block in y_blocks:
+                expected = _product_and_filter_law(code, j, m, y_block)
+                try:
+                    law = code.decoder_class_law(j, m, y_block)
+                except DecoderAbort:
+                    law = None
+                assert law == expected
+
+
 def test_map_estimate_lexicographic_tie_break():
     law = [({1: (1, 1)}, Fraction(1, 2)), ({1: (0, 1)}, Fraction(1, 2))]
     assert map_estimate(law, (1,)) == {1: (0, 1)}
@@ -254,24 +311,58 @@ def test_exact_error_matches_hand_computation_n1():
     assert result.exceed[1] == 0
 
 
-def test_exact_error_matches_full_enumeration_n2():
-    """Fast syndrome path agrees with the generic nested enumeration."""
+def _lossless_class_sums(code, rule):
+    """Slepian-Wolf error probabilities from the closed-form class sums.
+
+    W is X, so the decoder class of a source block is its pair of g values
+    and the posterior of the truth within its class is p / class total; the
+    MAP rule picks the most probable block of each class (ties toward the
+    lexicographically smallest).
+    """
+    blocks = {}
+    for x1 in itertools.product((0, 1), repeat=code.n):
+        for x2 in itertools.product((0, 1), repeat=code.n):
+            p = Fraction(1)
+            for a, b in zip(x1, x2):
+                p *= code.source.prob((a, b))
+            blocks[(x1, x2)] = p
+    total, agree, best = {}, {}, {}
+    cls_of = {x: (code.g[1](code.block_to_int(1, x[0])), code.g[2](code.block_to_int(2, x[1])))
+              for x in blocks}
+    for x, p in sorted(blocks.items()):
+        cls = cls_of[x]
+        total[cls] = total.get(cls, Fraction(0)) + p
+        for pos in (0, 1):
+            key = (cls, pos, x[pos])
+            agree[key] = agree.get(key, Fraction(0)) + p
+        if cls not in best or p > blocks[best[cls]]:
+            best[cls] = x
+    mismatch = Fraction(0)
+    exceed = {1: Fraction(0), 2: Fraction(0)}
+    for x, p in blocks.items():
+        cls = cls_of[x]
+        if rule == "crng":
+            mismatch += p * (1 - p / total[cls])
+            for pos in (0, 1):
+                exceed[pos + 1] += p * (1 - agree[(cls, pos, x[pos])] / total[cls])
+        else:
+            mismatch += p * (best[cls] != x)
+            for pos in (0, 1):
+                exceed[pos + 1] += p * (best[cls][pos] != x[pos])
+    return mismatch, exceed
+
+
+def test_exact_error_matches_lossless_class_sums():
+    """The general oracle on a lossless code equals the closed-form class sums."""
     scenario = build_scenario("slepian-wolf")
-    code = scenario.make_code(2, seed=3)
-    fast = exact_error(code, delta=0.5, D=scenario.default_D)
-    # generic path: force it by wrapping a reproducer table (per-letter kind)
-    from multiterm.codec import _lossless_fast_path_applies
-    assert _lossless_fast_path_applies(code)
-    # recompute with the general enumerator by bypassing the fast path
-    import multiterm.codec as codec_mod
-    orig = codec_mod._lossless_fast_path_applies
-    codec_mod._lossless_fast_path_applies = lambda c: False
-    try:
-        slow = exact_error(code, delta=0.5, D=scenario.default_D)
-    finally:
-        codec_mod._lossless_fast_path_applies = orig
-    assert slow.mismatch == fast.mismatch
-    assert slow.exceed == fast.exceed
+    for n in (2, 3, 4):
+        code = scenario.make_code(n, seed=3)
+        for rule in ("crng", "map"):
+            result = exact_error(code, delta=0.5, D=scenario.default_D, rule=rule)
+            mismatch, exceed = _lossless_class_sums(code, rule)
+            assert result.mismatch == mismatch
+            assert result.exceed == exceed
+            assert result.encoder_abort == 0
 
 
 def test_exact_error_monotone_in_codeword_count():
@@ -510,10 +601,18 @@ def test_sw_vectorized_helper_agrees_with_exact_oracle():
 
 
 def test_exact_error_budget_guard():
+    # 4 source letters, each through two binary symmetric channels: 16 states
     scenario = build_scenario("berger-tung-binary")
     code = scenario.make_code(13, seed=0)
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(BudgetExceededError, match=str(16 ** 13)):
         exact_error(code, 0.01, scenario.default_D)
+
+
+def test_budget_counts_positive_probability_states():
+    # identity channels: 4 positive (W, X) letters, so 4^8 states fit
+    scenario = build_scenario("slepian-wolf")
+    code = scenario.make_code(8, seed=17)
+    _check_budget(code)
 
 
 def test_exact_error_requires_rational_mode():
