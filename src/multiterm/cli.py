@@ -144,6 +144,9 @@ def cmd_simulate(args) -> int:
     trials = args.trials if args.trials is not None else int(run.get("trials", 1000))
     delta = args.delta if args.delta is not None else run.get("delta")
     if delta is None:
+        if not scenario.config.distortions:
+            raise ConfigurationError(
+                "scenario %r defines no distortions; give --delta" % (scenario.name,))
         delta = 0.01 * max(d.bound for d in scenario.config.distortions.values())
     delta = float(delta)
     ks = list(scenario.config.reproduction_ids)

@@ -119,8 +119,7 @@ class CodeInstance:
             if i not in self.c:
                 raise ConfigurationError("missing constraint value for encoder %r" % (i,))
             c = self.c[i]
-            if self.f[i].kind != "compose" and not (
-                    isinstance(c, (int, np.integer)) and 0 <= c < self.f[i].image_size):
+            if not (isinstance(c, (int, np.integer)) and 0 <= c < self.f[i].image_size):
                 raise ConfigurationError(
                     "constraint value %r for encoder %r outside the f image" % (c, i))
         self._joint = build_joint(self.config, self.source, self.channels, None)
@@ -367,6 +366,8 @@ def exact_error(code: CodeInstance, delta: float, D: Mapping,
     """
     if code.source.mode != RATIONAL:
         raise ConfigurationError("exact_error requires rational-mode source/channels")
+    if rule not in ("crng", "map"):
+        raise ConfigurationError("unknown decode rule %r" % (rule,))
     _check_budget(code)
     cfg = code.config
     bounds = {k: float(D[k]) + delta for k in cfg.reproduction_ids}

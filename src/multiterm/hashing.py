@@ -203,22 +203,29 @@ class SparseLinearEnsemble(HashEnsemble):
         self.image_size = q ** m
         if self.image_size > (1 << 16):
             raise BudgetExceededError("sparse ensemble image too large to profile")
-        self._supports = list(itertools.combinations(range(m), column_weight))
         self._profile = self._collision_profile()
         self.alpha = Fraction(1)
         self.beta = self._measure_beta(self.alpha)
 
+    def _column_options(self) -> list:
+        """Every column the ensemble draws from, each support with each nonzero fill."""
+        options = []
+        for support in itertools.combinations(range(self.m), self.column_weight):
+            for values in itertools.product(range(1, self.q), repeat=self.column_weight):
+                col = [0] * self.m
+                for r, v in zip(support, values):
+                    col[r] = v
+                options.append(tuple(col))
+        return options
+
     def _column_distribution(self):
         """Pmf of one column's contribution for an active difference digit."""
-        count = len(self._supports) * (self.q - 1) ** self.column_weight
-        p = Fraction(1, count)
+        options = self._column_options()
+        p = Fraction(1, len(options))
         dist = {}
-        for support in self._supports:
-            for values in itertools.product(range(1, self.q), repeat=self.column_weight):
-                vec = [0] * self.m
-                for r, v in zip(support, values):
-                    vec[r] = v
-                dist[gfq.encode(vec, self.q)] = dist.get(gfq.encode(vec, self.q), Fraction(0)) + p
+        for col in options:
+            key = gfq.encode(col, self.q)
+            dist[key] = dist.get(key, Fraction(0)) + p
         return dist
 
     def _collision_profile(self):
@@ -270,20 +277,14 @@ class SparseLinearEnsemble(HashEnsemble):
                             matrix=rows, q=self.q, n=self.n)
 
     def function_count(self) -> int:
-        per_col = len(self._supports) * (self.q - 1) ** self.column_weight
-        return per_col ** self.n
+        return len(self._column_options()) ** self.n
 
     def enumerate_functions(self):
-        if self.function_count() > _ENUM_BUDGET:
-            raise BudgetExceededError("too large to exhaust: %d matrices" % self.function_count())
-        options = []
-        for support in self._supports:
-            for values in itertools.product(range(1, self.q), repeat=self.column_weight):
-                col = [0] * self.m
-                for r, v in zip(support, values):
-                    col[r] = v
-                options.append(tuple(col))
-        p = Fraction(1, len(options) ** self.n)
+        options = self._column_options()
+        count = len(options) ** self.n
+        if count > _ENUM_BUDGET:
+            raise BudgetExceededError("too large to exhaust: %d matrices" % count)
+        p = Fraction(1, count)
         for cols in itertools.product(options, repeat=self.n):
             rows = tuple(tuple(cols[j][r] for j in range(self.n)) for r in range(self.m))
             yield HashFunction("sparse-linear", self.domain_size, self.image_size,
@@ -337,11 +338,7 @@ class ComposedEnsemble(HashEnsemble):
     def enumerate_functions(self):
         if self.function_count() > _ENUM_BUDGET:
             raise BudgetExceededError("too large to exhaust: %d functions" % self.function_count())
-        for combo in itertools.product(*(list(p.enumerate_functions()) for p in self.parts)):
-            funcs = tuple(f for f, _ in combo)
-            prob = Fraction(1)
-            for _, pr in combo:
-                prob *= pr
+        for funcs, prob in _function_products(self.parts):
             yield HashFunction("compose", self.domain_size, self.image_size,
                                parts=funcs), prob
 
@@ -403,21 +400,18 @@ def collision_mass(ens: HashEnsemble, anchor: int, alpha) -> Fraction:
 def verify_hash_property(ens: HashEnsemble, alpha, beta) -> bool:
     """Exhaustively check the collision-mass bound at (alpha, beta).
 
+    The bound holds when :func:`measure_beta` at alpha is at most beta.
+    """
+    return measure_beta(ens, alpha) <= Fraction(beta)
+
+
+def measure_beta(ens: HashEnsemble, alpha) -> Fraction:
+    """Smallest beta for which the ensemble satisfies the bound at alpha.
+
     Shift-invariant and pair-constant ensembles need only one anchor; the
     generic quadratic sweep is limited by a pair budget and raises
     :class:`BudgetExceededError` beyond it.
     """
-    alpha, beta = Fraction(alpha), Fraction(beta)
-    if ens.pair_constant or ens.shift_invariant:
-        return collision_mass(ens, 0, alpha) <= beta
-    if ens.domain_size ** 2 > _PAIRWISE_BUDGET:
-        raise BudgetExceededError(
-            "too large to exhaust: %d^2 collision pairs" % ens.domain_size)
-    return all(collision_mass(ens, w, alpha) <= beta for w in range(ens.domain_size))
-
-
-def measure_beta(ens: HashEnsemble, alpha) -> Fraction:
-    """Smallest beta for which the ensemble satisfies the bound at alpha."""
     alpha = Fraction(alpha)
     if ens.pair_constant or ens.shift_invariant:
         return collision_mass(ens, 0, alpha)
@@ -430,6 +424,45 @@ def measure_beta(ens: HashEnsemble, alpha) -> Fraction:
 # -- joint-ensemble lemmas: balanced coloring and collision resistance -------------------
 
 
+def _function_products(ensembles: Sequence[HashEnsemble]):
+    """Yield (one function per ensemble, product of their probabilities).
+
+    The tuples come in ``itertools.product`` order over each ensemble's own
+    enumeration.
+    """
+    for combo in itertools.product(*(list(e.enumerate_functions()) for e in ensembles)):
+        prob = combo[0][1]
+        for _, p in combo[1:]:
+            prob *= p
+        yield tuple(f for f, _ in combo), prob
+
+
+def _joint_expectation(ensembles: Sequence[HashEnsemble], value, budget: int,
+                       samples: int, seed: int):
+    """E[value(functions)] over independent draws from each ensemble.
+
+    When the joint function count is within `budget` this is the exact
+    :class:`Fraction` expectation.  Otherwise it is the list of `value` at
+    `samples` seeded draws: draw k takes ensemble i's seed from
+    ``SeedSequence(seed).spawn(samples)[k].spawn(len(ensembles))[i]``.
+    """
+    count = 1
+    for ens in ensembles:
+        count *= ens.function_count()
+    if count <= budget:
+        total = Fraction(0)
+        for funcs, prob in _function_products(ensembles):
+            v = value(funcs)
+            if v:
+                total += prob * v
+        return total
+    values = []
+    for child in np.random.SeedSequence(seed).spawn(samples):
+        funcs = [e.sample_function(s) for e, s in zip(ensembles, child.spawn(len(ensembles)))]
+        values.append(value(funcs))
+    return values
+
+
 def _group_params(ensembles: Sequence[HashEnsemble], subset) -> tuple:
     alpha = Fraction(1)
     beta_plus = Fraction(1)
@@ -439,14 +472,33 @@ def _group_params(ensembles: Sequence[HashEnsemble], subset) -> tuple:
     return alpha, beta_plus - 1
 
 
-def _projections(T, subset, total):
-    """proj_{subset}(T) and the fiber map subset-key -> complement rows."""
-    comp = [i for i in range(total) if i not in subset]
-    fibers: dict = {}
+def _nonempty_subsets(ensembles: Sequence[HashEnsemble]):
+    """Yield (I', I minus I', (alpha, beta) of I', (alpha, beta) of I minus I', |C_I'|).
+
+    I' runs over the nonempty subsets of the ensemble indices I.
+    """
+    nI = len(ensembles)
+    for size in range(1, nI + 1):
+        for sub in itertools.combinations(range(nI), size):
+            comp = tuple(i for i in range(nI) if i not in sub)
+            image = 1
+            for i in sub:
+                image *= ensembles[i].image_size
+            yield (sub, comp, _group_params(ensembles, sub),
+                   _group_params(ensembles, comp), image)
+
+
+def _max_fiber(T, weight, key):
+    """Heaviest fiber of T: the largest total weight of points that agree on `key`.
+
+    `key` lists coordinates; the empty key gives the weight of all of T, the
+    full key the heaviest single point.
+    """
+    sums: dict = {}
     for w in T:
-        key = tuple(w[i] for i in subset)
-        fibers.setdefault(key, []).append(tuple(w[i] for i in comp))
-    return fibers
+        k = tuple(w[i] for i in key)
+        sums[k] = sums.get(k, 0) + weight(w)
+    return max(sums.values(), default=0)
 
 
 def _joint_deviation(funcs, T, Q, qT, image_total, nI) -> Fraction:
@@ -464,11 +516,13 @@ def verify_mbcp(ensembles: Sequence[HashEnsemble], Q: dict, T: set,
                 seed: int = 0) -> Report:
     """Check the balanced-coloring bound for a joint ensemble.
 
-    Exhaustible ensembles get the exact expectation of the bin-mass
-    deviation (LHS); the bound involves a square root, so the comparison is
-    LHS^2 <= RHS^2 in exact rationals.  Beyond the budget the LHS is a Monte
-    Carlo estimate with its standard error recorded, and the assertion
-    weakens to bound >= estimate - 3*SE.
+    The bound is sqrt(alpha_I - 1 + sum over nonempty I' of
+    alpha_{I minus I'} (beta_I' + 1) |C_I'| Qbar_I' / Q(T)), where Qbar_I'
+    is the heaviest Q-fiber of T keyed on the I' coordinates (max_w Q(w) at
+    I' = I).  Exhaustible ensembles get the exact expectation of the
+    bin-mass deviation (LHS), compared as LHS^2 <= RHS^2 in exact rationals.
+    Beyond the budget the LHS is a Monte Carlo estimate with its standard
+    error recorded, and the assertion weakens to bound >= estimate - 3*SE.
     """
     report = Report("mbcp")
     nI = len(ensembles)
@@ -478,42 +532,23 @@ def verify_mbcp(ensembles: Sequence[HashEnsemble], Q: dict, T: set,
     if qT <= 0:
         raise ConfigurationError("Q must put positive mass on T")
     image_total = 1
-    count = 1
     for ens in ensembles:
         image_total *= ens.image_size
-        count *= ens.function_count()
 
     rhs_sq = _group_params(ensembles, range(nI))[0] - 1
-    for size in range(1, nI + 1):
-        for subset in itertools.combinations(range(nI), size):
-            comp = tuple(i for i in range(nI) if i not in subset)
-            a_comp, _ = _group_params(ensembles, comp)
-            _, b_sub = _group_params(ensembles, subset)
-            img_sub = Fraction(1)
-            for i in subset:
-                img_sub *= ensembles[i].image_size
-            rhs_sq += a_comp * (b_sub + 1) * img_sub * _qbar(Q, T, comp, nI) / qT
+    for sub, _, (_, b_sub), (a_comp, _), image in _nonempty_subsets(ensembles):
+        qbar = _max_fiber(T, lambda w: Q.get(w, Fraction(0)), sub)
+        rhs_sq += a_comp * (b_sub + 1) * image * qbar / qT
 
-    if count <= budget:
-        lhs = Fraction(0)
-        for combo in itertools.product(*(list(e.enumerate_functions())
-                                         for e in ensembles)):
-            prob = Fraction(1)
-            funcs = []
-            for f, pr in combo:
-                prob *= pr
-                funcs.append(f)
-            lhs += prob * _joint_deviation(funcs, T, Q, qT, image_total, nI)
+    lhs = _joint_expectation(
+        ensembles, lambda funcs: _joint_deviation(funcs, T, Q, qT, image_total, nI),
+        budget, samples, seed)
+    if isinstance(lhs, Fraction):
         report.add("balanced-coloring bound", lhs * lhs <= rhs_sq,
                    lhs=lhs, rhs=rhs_sq, detail="exact; compared as lhs^2 <= rhs^2")
         return report
 
-    root = np.random.SeedSequence(seed)
-    values = []
-    for child in root.spawn(samples):
-        funcs = [e.sample_function(s)
-                 for e, s in zip(ensembles, child.spawn(len(ensembles)))]
-        values.append(float(_joint_deviation(funcs, T, Q, qT, image_total, nI)))
+    values = [float(v) for v in lhs]
     estimate = float(np.mean(values))
     se = float(np.std(values, ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
     bound = math.sqrt(float(rhs_sq))
@@ -523,31 +558,16 @@ def verify_mbcp(ensembles: Sequence[HashEnsemble], Q: dict, T: set,
     return report
 
 
-def _qbar(Q, T, subset, total) -> Fraction:
-    """Worst-case fiber Q-mass along the subset coordinates.
-
-    The endpoints follow the lemma's convention: the empty subset gives the
-    full mass Q(T), the full set gives the single heaviest row.
-    """
-    if not subset:
-        return sum(Q.get(w, Fraction(0)) for w in T)
-    if len(subset) == total:
-        return max(Q.get(w, Fraction(0)) for w in T)
-    comp = tuple(i for i in range(total) if i not in subset)
-    sums: dict = {}
-    for w in T:
-        key = tuple(w[i] for i in comp)
-        sums[key] = sums.get(key, Fraction(0)) + Q.get(w, Fraction(0))
-    return max(sums.values())
-
-
 def verify_mcrp(ensembles: Sequence[HashEnsemble], T: set, anchor: tuple,
                 budget: int = _ENUM_BUDGET, samples: int = 2000,
                 seed: int = 0) -> Report:
     """Check the collision-resistance bound for a joint ensemble.
 
-    LHS is the probability that some member of T other than the anchor lands
-    in the anchor's joint bin: exact for exhaustible ensembles, otherwise a
+    The bound is beta_I + sum over nonempty I' of alpha_I'
+    (beta_{I minus I'} + 1) Obar_I' / |C_I'|, where Obar_I' is the largest
+    number of points of T that agree on the coordinates outside I'.  LHS is
+    the probability that some member of T other than the anchor lands in
+    the anchor's joint bin: exact for exhaustible ensembles, otherwise a
     Monte Carlo estimate with SE recorded and the assertion weakened to
     bound >= estimate - 3*SE.
     """
@@ -556,9 +576,6 @@ def verify_mcrp(ensembles: Sequence[HashEnsemble], T: set, anchor: tuple,
     anchor = tuple(anchor)
     T = [tuple(w) for w in sorted(T)]
     competitors = [w for w in T if w != anchor]
-    count = 1
-    for ens in ensembles:
-        count *= ens.function_count()
 
     def collides(funcs) -> bool:
         target = tuple(funcs[i](anchor[i]) for i in range(nI))
@@ -566,58 +583,21 @@ def verify_mcrp(ensembles: Sequence[HashEnsemble], T: set, anchor: tuple,
                    for w in competitors)
 
     rhs = _group_params(ensembles, range(nI))[1]
-    for size in range(1, nI + 1):
-        for subset in itertools.combinations(range(nI), size):
-            comp = tuple(i for i in range(nI) if i not in subset)
-            a_sub, _ = _group_params(ensembles, subset)
-            _, b_comp = _group_params(ensembles, comp)
-            img_sub = Fraction(1)
-            for i in subset:
-                img_sub *= ensembles[i].image_size
-            rhs += a_sub * (b_comp + 1) * _obar(T, subset, nI) / img_sub
+    for _, comp, (a_sub, _), (_, b_comp), image in _nonempty_subsets(ensembles):
+        rhs += a_sub * (b_comp + 1) * _max_fiber(T, lambda w: 1, comp) / image
 
-    if count <= budget:
-        lhs = Fraction(0)
-        for combo in itertools.product(*(list(e.enumerate_functions())
-                                         for e in ensembles)):
-            prob = Fraction(1)
-            funcs = []
-            for f, pr in combo:
-                prob *= pr
-                funcs.append(f)
-            if collides(funcs):
-                lhs += prob
+    lhs = _joint_expectation(ensembles, collides, budget, samples, seed)
+    if isinstance(lhs, Fraction):
         report.add("collision-resistance bound", lhs <= rhs, lhs=lhs, rhs=rhs,
                    detail="exact")
         return report
 
-    root = np.random.SeedSequence(seed)
-    hits = 0
-    for child in root.spawn(samples):
-        funcs = [e.sample_function(s)
-                 for e, s in zip(ensembles, child.spawn(len(ensembles)))]
-        if collides(funcs):
-            hits += 1
-    estimate = hits / samples
+    estimate = sum(lhs) / samples
     se = math.sqrt(max(estimate * (1 - estimate), 1e-12) / samples)
     report.add("collision-resistance bound", float(rhs) >= estimate - 3 * se,
                lhs=estimate, rhs=rhs,
                detail="Monte Carlo over %d draws, SE %.3g" % (samples, se))
     return report
-
-
-def _obar(T, subset, total) -> Fraction:
-    """Worst-case fiber cardinality of T along the subset coordinates."""
-    if len(subset) == total:
-        return Fraction(len(T))
-    if not subset:
-        return Fraction(1)
-    comp = tuple(i for i in range(total) if i not in subset)
-    counts: dict = {}
-    for w in T:
-        key = tuple(w[i] for i in comp)
-        counts[key] = counts.get(key, 0) + 1
-    return Fraction(max(counts.values()))
 
 
 # -- a product-difference elementary inequality ------------------------------------------

@@ -67,12 +67,6 @@ class ConditionalPmf:
         zero = Fraction(0) if self.mode == RATIONAL else 0.0
         return self.rows[tuple(in_key)].get(tuple(out_key), zero)
 
-    def to_double(self) -> "ConditionalPmf":
-        if self.mode != RATIONAL:
-            return self
-        rows = {k: {o: float(p) for o, p in row.items()} for k, row in self.rows.items()}
-        return ConditionalPmf(self.inputs, self.outputs, rows, mode="double")
-
 
 def identity_channel(in_name: str, out_name_: str, alphabet: Alphabet,
                      mode=RATIONAL) -> ConditionalPmf:
@@ -112,11 +106,6 @@ class Reproducer:
 
 def identity_reproducer(var: str, alphabet: Alphabet) -> Reproducer:
     return Reproducer((var,), {(s,): s for s in alphabet.symbols}, alphabet)
-
-
-def reproducer_from_fn(args, alphabets, fn, out_alphabet: Alphabet) -> Reproducer:
-    table = {key: fn(*key) for key in itertools.product(*(a.symbols for a in alphabets))}
-    return Reproducer(tuple(args), table, out_alphabet)
 
 
 class DistortionMeasure:
@@ -210,12 +199,6 @@ class NetworkConfig:
     @property
     def reproduction_ids(self) -> tuple:
         return tuple(k for j in self.decoders for k in self.reproductions.get(j, ()))
-
-    def decoder_of(self, k):
-        for j in self.decoders:
-            if k in self.reproductions.get(j, ()):
-                return j
-        raise ConfigurationError("reproduction %r not assigned to any decoder" % (k,))
 
     def cell_of(self, i):
         for cell in self.sharing:

@@ -97,14 +97,6 @@ class JointPmf:
 
     # -- construction helpers -------------------------------------------------
 
-    @classmethod
-    def from_function(cls, variables, fn, mode=RATIONAL) -> "JointPmf":
-        """Tabulate ``fn(symbol_tuple)`` over the full product alphabet."""
-        table = {}
-        for key in itertools.product(*(alph.symbols for _, alph in variables)):
-            table[key] = fn(key)
-        return cls(variables, table, mode=mode)
-
     def _check_support(self):
         for key in self._table:
             for sym, (name, alph) in zip(key, self.variables):
@@ -313,15 +305,6 @@ class BlockSource:
         for letter in block:
             p *= self.base.prob(letter)
         return p
-
-    def log2_prob(self, block: Sequence[tuple]) -> float:
-        total = 0.0
-        for letter in block:
-            p = self.base.prob(letter)
-            if p == 0:
-                return float("-inf")
-            total += np.log2(float(p))
-        return total
 
     def enumerate_blocks(self):
         """All positive-probability blocks with their probabilities."""

@@ -14,7 +14,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Optional
+from typing import Mapping
 
 from .errors import ConfigurationError
 from .information import cond_entropy
@@ -62,10 +62,6 @@ class RegionSpec:
             if Fraction(value) < 0:
                 raise ConfigurationError("negative entropy bound for %s" % (term,))
 
-    def missing_terms(self) -> list:
-        return sorted((t for t in required_terms(self.which, self.config)
-                       if t not in self.entropies), key=lambda t: t.render())
-
 
 def _decoder_terms(config: NetworkConfig):
     """(j, I'_j, sup-term) triples of the sum-rate family."""
@@ -87,61 +83,9 @@ def _cell_x_name(config: NetworkConfig, cell) -> str:
     return "X%s" % label
 
 
-def required_terms(which: str, config: NetworkConfig,
-                   x_names: Optional[Mapping] = None) -> set:
+def required_terms(which: str, config: NetworkConfig) -> set:
     """Entropy terms the chosen definition needs, as a set."""
-    x_of = dict(x_names or {})
-    for cell in config.sharing:
-        x_of.setdefault(tuple(cell), _cell_x_name(config, cell))
-    terms: set = set()
-    if which in (DSC_IT, DSC_CRNG, MDC_CRNG):
-        for _, _, term in _decoder_terms(config):
-            terms.add(term)
-        if which in (DSC_IT, DSC_CRNG):
-            for i in config.encoders:
-                x = x_of[tuple(config.cell_of(i))]
-                terms.add(EntropyTerm(INF, (w_name(i),), (x,)))
-        if which == MDC_CRNG:
-            for cell in config.sharing:
-                x = x_of[tuple(cell)]
-                for size in range(1, len(cell) + 1):
-                    for sub in itertools.combinations(cell, size):
-                        terms.add(EntropyTerm(
-                            INF, tuple(w_name(i) for i in sub), (x,)))
-        return terms
-    # Jana-Blahut families: single decoder, singleton cells
-    _require_jb_shape(config)
-    j = config.decoders[0]
-    y = config.side_info.get(j)
-    given_y = (y,) if y else ()
-    i0 = tuple(config.lossless)
-    others = tuple(i for i in config.encoders if i not in i0)
-    x_single = {i: x_of[tuple(config.cell_of(i))] for i in config.encoders}
-    for i in others:
-        terms.add(EntropyTerm(INF, (w_name(i),), (x_single[i],)))
-    if which == JB_IT:
-        for size in range(1, len(i0) + 1):
-            for a in itertools.combinations(i0, size):
-                rest = tuple(x_single[i] for i in i0 if i not in a)
-                terms.add(EntropyTerm(
-                    SUP, tuple(x_single[i] for i in a),
-                    tuple(w_name(i) for i in others) + rest + given_y))
-        for size in range(1, len(others) + 1):
-            for b in itertools.combinations(others, size):
-                rest = tuple(w_name(i) for i in others if i not in b)
-                terms.add(EntropyTerm(
-                    SUP, tuple(w_name(i) for i in b), rest + given_y))
-        return terms
-    # JB_CRNG
-    for size in range(1, len(config.encoders) + 1):
-        for sub in itertools.combinations(config.encoders, size):
-            a = tuple(i for i in sub if i in i0)
-            b = tuple(i for i in sub if i not in i0)
-            left = tuple(w_name(i) for i in b) + tuple(x_single[i] for i in a)
-            given = (tuple(w_name(i) for i in others if i not in b)
-                     + tuple(x_single[i] for i in i0 if i not in a) + given_y)
-            terms.add(EntropyTerm(SUP, left, given))
-    return terms
+    return _raw_system(which, config).entropy_terms()
 
 
 def _require_jb_shape(config: NetworkConfig):
@@ -158,21 +102,22 @@ def build_system(spec: RegionSpec, bind: bool = True) -> LinIneqSystem:
     rational values from ``spec.entropies``; a missing term raises a
     configuration error naming it.
     """
-    config = spec.config
-    which = spec.which
-    x_of = {tuple(cell): _cell_x_name(config, cell) for cell in config.sharing}
-
-    if which in (DSC_IT, DSC_CRNG, MDC_CRNG):
-        system = _build_unified(which, config, x_of)
-    else:
-        system = _build_jb(which, config, x_of)
+    system = _raw_system(spec.which, spec.config)
     if bind:
-        missing = spec.missing_terms()
+        missing = sorted(system.entropy_terms() - set(spec.entropies), key=lambda t: t.render())
         if missing:
             raise ConfigurationError(
                 "missing entropy terms: %s" % ", ".join(t.render() for t in missing))
         system = system.bind(spec.entropies)
     return system.canonicalize()
+
+
+def _raw_system(which: str, config: NetworkConfig) -> LinIneqSystem:
+    """The definition's inequality family as emitted: unbound, not canonicalized."""
+    x_of = {tuple(cell): _cell_x_name(config, cell) for cell in config.sharing}
+    if which in (DSC_IT, DSC_CRNG, MDC_CRNG):
+        return _build_unified(which, config, x_of)
+    return _build_jb(which, config, x_of)
 
 
 def _build_unified(which, config, x_of) -> LinIneqSystem:

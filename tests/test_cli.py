@@ -22,6 +22,13 @@ def test_unknown_scenario_exit_code():
     assert run(["region", "no-such-scenario"]) == 2
 
 
+def test_simulate_without_distortions_needs_delta(capsys):
+    for name in ("example1-dsc2", "example2-dsc3", "example3-mdc2", "example5-dsi2"):
+        assert run(["simulate", name, "--n", "2", "--trials", "5"]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and name in err and "--delta" in err
+
+
 def test_builtin_scenario_topologies_match_their_problems():
     sw = build_scenario("slepian-wolf")
     assert sw.config.sharing == ((1,), (2,)) and sw.config.decoders == (1,)

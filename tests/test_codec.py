@@ -615,6 +615,13 @@ def test_budget_counts_positive_probability_states():
     _check_budget(code)
 
 
+def test_exact_error_rejects_unknown_rule():
+    scenario = build_scenario("wyner-ziv-binary")
+    code = scenario.make_code(2, seed=1)
+    with pytest.raises(ConfigurationError, match="unknown decode rule 'bogus'"):
+        exact_error(code, 0.01, scenario.default_D, rule="bogus")
+
+
 def test_exact_error_requires_rational_mode():
     scenario = build_scenario("wyner-ziv-binary")
     code = scenario.make_code(2, seed=1)

@@ -1,4 +1,5 @@
 import itertools
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -180,11 +181,27 @@ def test_matrix_serialization_round_trip():
 
 
 def test_mbcp_uniform_binning_whole_space():
+    # E sum_c |Q(c) - 1/2| = E|k - 2|/2 = 3/8 for k ~ Bin(4, 1/2) points in bin 0;
+    # the bound is (beta + 1) |C| max_w Q(w) / Q(T) = 2 * 1/4
     ens = [BinningEnsemble(4, 2)]
     Q = {(w,): Fraction(1, 4) for w in range(4)}
     T = {(w,) for w in range(4)}
     report = verify_mbcp(ens, Q, T)
+    check = report.checks[0]
+    assert check.lhs == Fraction(3, 8)
+    assert check.rhs == Fraction(1, 2)
     assert report.all_passed
+
+
+def test_mbcp_fails_for_understated_parameters():
+    # every point lands in bin 0, yet the ensemble claims (1, 0): lhs^2 = 1 > 1/2
+    ens = BinningEnsemble(4, 2, weights=[1, 0])
+    ens.alpha = Fraction(1)
+    Q = {(w,): Fraction(1, 4) for w in range(4)}
+    report = verify_mbcp([ens], Q, set(Q))
+    check = report.checks[0]
+    assert check.lhs == 1 and check.rhs == Fraction(1, 2)
+    assert not check.passed
 
 
 def test_mbcp_single_bin_has_zero_deviation():
@@ -249,6 +266,23 @@ def test_mcrp_monte_carlo_fallback_reports_se():
     check = report.checks[0]
     assert "Monte Carlo" in check.detail
     assert check.passed
+
+
+@pytest.mark.parametrize("s", range(3))
+def test_joint_checks_monte_carlo_agrees_with_exact(s):
+    rng = np.random.default_rng((42, s))
+    ens = [BinningEnsemble(4, 2), LinearEnsemble(2, 2, 1)]
+    universe = list(itertools.product(range(4), range(4)))
+    T = {universe[i] for i in rng.choice(len(universe), size=8, replace=False)}
+    Q = {w: Fraction(int(rng.integers(1, 9)), 8) for w in T}
+    anchor = sorted(T)[int(rng.integers(0, len(T)))]
+    for check in (lambda **kw: verify_mbcp(ens, Q, T, **kw),
+                  lambda **kw: verify_mcrp(ens, T, anchor, **kw)):
+        exact = check().checks[0]
+        drawn = check(budget=0, samples=2000, seed=s).checks[0]
+        assert exact.detail.startswith("exact") and "Monte Carlo" in drawn.detail
+        se = float(re.search(r"SE (\S+)", drawn.detail).group(1))
+        assert abs(drawn.lhs - float(exact.lhs)) <= 4 * se
 
 
 def test_product_difference_inequality_sweep():
