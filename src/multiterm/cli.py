@@ -115,7 +115,8 @@ def cmd_region(args) -> int:
             handle.write(json.dumps(sidecar, sort_keys=True) + "\n")
     _write_manifest(args.out, {
         "command": "region", "scenario": scenario.name,
-        "definition": args.definition, "config_hash": _scenario_hash(scenario)})
+        "definition": args.definition, "precision_bits": args.precision_bits,
+        "eliminate_aux": args.eliminate_aux, "config_hash": _scenario_hash(scenario)})
     return EXIT_OK
 
 

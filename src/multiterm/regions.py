@@ -21,7 +21,8 @@ from .information import cond_entropy
 from .linineq import INF, SUP, EntropyTerm, LinConst, LinIneqSystem
 from .network import NetworkConfig, w_name
 from .probability import JointPmf
-from .simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, feasible_point, solve_lp
+# solve_lp stays bound here: perfbench/tracing.py wraps regions.solve_lp.
+from .simplex import feasible_point, implied, solve_lp
 
 DSC_IT = "dsc-it"
 DSC_CRNG = "dsc-crng"
@@ -267,23 +268,25 @@ def _require_numeric(system: LinIneqSystem):
 def remove_redundant(system: LinIneqSystem) -> LinIneqSystem:
     """Minimal subsystem defining the same polyhedron.
 
-    Every dropped inequality is certified implied by the remaining ones via
-    an exact LP (minimize its left side subject to the rest).  An infeasible
-    system is returned canonicalized with its infeasibility marker set.
+    Every dropped inequality is certified implied by the remaining ones, and
+    the system certified nonempty first, by :func:`simplex.implied` on the
+    dual LP: exact rationals, so which rows are kept is a mathematical fact
+    and not a tolerance.  An infeasible system is returned canonicalized with
+    its infeasibility marker set.
     """
     _require_numeric(system)
     system = system.canonicalize()
     if system.infeasible:
         return system
     rows = system.dense_rows()
-    if feasible_point(rows, len(system.vars)) is None:
-        out = LinIneqSystem(system.vars, system.ineqs, infeasible=True)
-        return out
+    dim = len(system.vars)
+    if _empty(rows, dim):
+        return LinIneqSystem(system.vars, system.ineqs, infeasible=True)
     keep = list(range(len(rows)))
     for idx in list(keep):
         others = [rows[k] for k in keep if k != idx]
         coeffs, const = rows[idx]
-        if _implied(coeffs, const, others, len(system.vars)):
+        if implied(coeffs, const, others, dim):
             keep.remove(idx)
     out = LinIneqSystem(system.vars)
     for k in keep:
@@ -291,16 +294,9 @@ def remove_redundant(system: LinIneqSystem) -> LinIneqSystem:
     return out.canonicalize()
 
 
-def _implied(coeffs, const, rows, dim) -> bool:
-    if not rows:
-        result = solve_lp(coeffs, [])
-        return result.status == OPTIMAL and result.value >= const
-    result = solve_lp(coeffs, rows)
-    if result.status == UNBOUNDED:
-        return False
-    if result.status == INFEASIBLE:
-        return True
-    return result.value >= const
+def _empty(rows, dim) -> bool:
+    """True iff no point satisfies every row (exact, on the dual)."""
+    return implied([0] * dim, 1, rows, dim)
 
 
 def member(system: LinIneqSystem, point: Mapping[str, object]) -> bool:
@@ -320,7 +316,11 @@ def member(system: LinIneqSystem, point: Mapping[str, object]) -> bool:
 
 
 def contains(outer: LinIneqSystem, inner: LinIneqSystem) -> bool:
-    """True iff every point of `inner` satisfies `outer` (LP-certified)."""
+    """True iff every point of `inner` satisfies `outer`.
+
+    Decided exactly on the dual (:func:`simplex.implied`): `inner` is first
+    certified nonempty, then each row of `outer` implied by its rows.
+    """
     _require_numeric(outer)
     _require_numeric(inner)
     if set(outer.vars) != set(inner.vars):
@@ -330,17 +330,12 @@ def contains(outer: LinIneqSystem, inner: LinIneqSystem) -> bool:
     # reorder inner columns to outer's variable order
     perm = [inner.vars.index(v) for v in outer.vars]
     inner_rows = [([co[p] for p in perm], ct) for co, ct in inner_rows_raw]
-    if inner.infeasible or feasible_point(inner_rows, len(outer.vars)) is None:
+    dim = len(outer.vars)
+    if inner.infeasible or _empty(inner_rows, dim):
         return True
     if outer.infeasible:
         return False
-    for coeffs, const in outer.dense_rows():
-        result = solve_lp(coeffs, inner_rows)
-        if result.status == UNBOUNDED:
-            return False
-        if result.status == OPTIMAL and result.value < const:
-            return False
-    return True
+    return all(implied(coeffs, const, inner_rows, dim) for coeffs, const in outer.dense_rows())
 
 
 def polyhedra_equal(a: LinIneqSystem, b: LinIneqSystem) -> bool:
@@ -392,7 +387,7 @@ def _iis(rows, renders, dim):
     active = list(range(len(rows)))
     for idx in list(active):
         trial = [k for k in active if k != idx]
-        if feasible_point([rows[k] for k in trial], dim) is None:
+        if _empty([rows[k] for k in trial], dim):
             active = trial
     return [renders[k] for k in active]
 

@@ -5,6 +5,16 @@ redundancy removal, membership/containment queries, and auxiliary-rate
 feasibility.  Floating-point LP is unsound for those certificates, so every
 pivot here is performed in :class:`fractions.Fraction` arithmetic.  Problem
 sizes in this package are tiny (tens of rows), so a full tableau is fine.
+
+Yes/no questions ("does A x >= b imply a.x >= c?", "is A x >= b empty?")
+are decided by :func:`implied` on the dual, max b.y s.t. A^T y = a, y >= 0.
+By Farkas' lemma and strong duality its answer equals the primal one, and
+it is as exact, because both are solved in rationals.  The dual has one
+equality row per variable and one column per inequality, so on a system of
+d variables and m rows it pivots a d x (m + d) tableau where the primal
+form (free variables split in two, one surplus and one artificial column
+per row) pivots an m x (2d + 2m) one.  :func:`solve_lp` and
+:func:`feasible_point` stay for callers that need the primal point.
 """
 
 from __future__ import annotations
@@ -26,16 +36,19 @@ class LpResult:
 
 
 def _pivot(tableau, cost, basis, row, col):
-    piv = tableau[row][col]
-    inv = Fraction(1) / piv
+    inv = Fraction(1) / tableau[row][col]
     tableau[row] = [v * inv for v in tableau[row]]
-    for r in range(len(tableau)):
-        if r != row and tableau[r][col] != 0:
-            factor = tableau[r][col]
-            tableau[r] = [a - factor * b for a, b in zip(tableau[r], tableau[row])]
-    if cost[col] != 0:
-        factor = cost[col]
-        cost[:] = [a - factor * b for a, b in zip(cost, tableau[row])]
+    # subtract multiples of the pivot row only where it is nonzero
+    nonzero = [(j, v) for j, v in enumerate(tableau[row]) if v]
+    for r, target in enumerate(tableau):
+        factor = target[col]
+        if r != row and factor != 0:
+            for j, v in nonzero:
+                target[j] -= factor * v
+    factor = cost[col]
+    if factor != 0:
+        for j, v in nonzero:
+            cost[j] -= factor * v
     basis[row] = col
 
 
@@ -141,6 +154,31 @@ def solve_lp(objective: Sequence, ge_rows: Sequence[tuple]) -> LpResult:
         return LpResult(status)
     x = [z[i] - z[d + i] for i in range(d)]
     return LpResult(OPTIMAL, value, x)
+
+
+def _dual_solve(coeffs: Sequence, ge_rows: Sequence[tuple], dim: int):
+    """(status, value, y) of min -b.y s.t. A^T y = coeffs, y >= 0."""
+    if len(coeffs) != dim or any(len(co) != dim for co, _ in ge_rows):
+        raise ValueError("row arity differs from dimension %d" % dim)
+    columns = [[Fraction(co[i]) for co, _ in ge_rows] for i in range(dim)]
+    return _standard_form_solve(columns, [Fraction(v) for v in coeffs],
+                                [-Fraction(ct) for _, ct in ge_rows])
+
+
+def implied(coeffs: Sequence, const, ge_rows: Sequence[tuple], dim: int) -> bool:
+    """True iff every x with coeffs_k . x >= const_k for all rows has coeffs . x >= const.
+
+    Decided on the dual max b.y s.t. A^T y = coeffs, y >= 0.  An unbounded
+    dual means the rows are empty (the implication holds vacuously); an
+    optimal one attains max b.y = min coeffs . x over the rows.  An
+    infeasible dual means coeffs . x is unbounded below, which answers False
+    only when the rows are nonempty: callers guarantee that.  Emptiness is
+    ``implied([0] * dim, 1, ge_rows, dim)``, whose dual is feasible at y = 0.
+    """
+    status, value, _ = _dual_solve(coeffs, ge_rows, dim)
+    if status == UNBOUNDED:
+        return True
+    return status == OPTIMAL and -value >= const
 
 
 def feasible_point(ge_rows: Sequence[tuple], dim: int) -> Optional[list]:

@@ -96,8 +96,13 @@ def test_region_to_file_and_sidecar(tmp_path):
     assert "R_1 + R_2 >=" in text
     binding = open(out + ".binding.json").read()
     assert "Hsup" in binding
-    manifest = open(out + ".manifest.jsonl").read()
-    assert json.loads(manifest)["command"] == "region"
+    assert run(["region", "slepian-wolf", "--definition", "dsc-crng",
+                "--precision-bits", "20", "--out", out]) == 0
+    records = [json.loads(line) for line in open(out + ".manifest.jsonl")]
+    assert [r["command"] for r in records] == ["region", "region"]
+    # two runs that emit different systems leave different records
+    assert [(r["precision_bits"], r["eliminate_aux"]) for r in records] == [
+        (40, True), (20, False)]
 
 
 def test_region_golden_example1(tmp_path):

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from multiterm.errors import ConfigurationError
 from multiterm.linineq import INF, SUP, EntropyTerm, LinIneqSystem, fme_eliminate
-from multiterm.network import NetworkConfig, build_joint
+from multiterm.network import NetworkConfig, bsc_channel, build_joint
 from multiterm.probability import Alphabet, JointPmf
 from multiterm.regions import (
     DSC_CRNG,
@@ -206,6 +207,29 @@ def test_remove_redundant_flags_infeasible():
     sys.add({"R": -1}, -1)
     out = remove_redundant(sys)
     assert out.infeasible
+
+
+def test_five_encoder_real_entropy_elimination_keeps_every_row():
+    """k = 5 dsc-crng from a random source through binary symmetric channels:
+    the 31 sum-rate rows are all facets, and the eliminated system equals the
+    dsc-it region.  Primal-form LPs made this instance about 20 times slower."""
+    rng = np.random.default_rng(0)
+    enc = (1, 2, 3, 4, 5)
+    cfg = NetworkConfig(encoders=enc, sharing=tuple((i,) for i in enc), decoders=(1,),
+                        codewords_to={1: enc}, reproductions={1: ()}, side_info={1: None})
+    keys = list(itertools.product((0, 1), repeat=len(enc)))
+    weights = [int(w) for w in rng.integers(1, 20, size=len(keys))]
+    src = JointPmf([("X%d" % i, B2) for i in enc],
+                   {key: Fraction(w, sum(weights)) for key, w in zip(keys, weights)})
+    channels = {(i,): bsc_channel("X%d" % i, "W%d" % i, Fraction(int(rng.integers(1, 20)), 50))
+                for i in enc}
+    joint = build_joint(cfg, src, channels)
+    crng = build_system(RegionSpec(DSC_CRNG, cfg, binding_from_pmf(DSC_CRNG, cfg, joint).values))
+    it = build_system(RegionSpec(DSC_IT, cfg, binding_from_pmf(DSC_IT, cfg, joint).values))
+    eliminated = fme_eliminate(crng, [aux_var(i) for i in enc])
+    reduced = remove_redundant(eliminated)
+    assert len(eliminated.ineqs) == len(reduced.ineqs) == 31
+    assert polyhedra_equal(reduced, it)
 
 
 def test_member_contains_slepian_wolf_numbers():
