@@ -4,9 +4,11 @@ exact error oracles, and Monte Carlo simulation.
 The encoder of a sharing cell draws the cell's auxiliary blocks from the
 channel conditional restricted to the hash constraints f_i(w_i) = c_i and
 renormalized; the decoder draws candidate blocks from the model posterior
-restricted to all (f, g) constraints.  Everything is enumerated explicitly
-(alias tables over the restricted support), so exactness is provable at desk
-scale; there is no MCMC.
+restricted to all (f, g) constraints.  Both draw from one class index per
+encoder set (its f-admissible blocks by g value, shared by an encoder cell
+and a decoder that sees the same codewords), each hash evaluated once per
+block.  Everything is enumerated explicitly, so exactness is provable at
+desk scale; there is no MCMC.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from .network import (
     build_joint,
     w_name,
 )
-from .probability import RATIONAL, JointPmf, block_extend, block_products, marginalize
+from .probability import RATIONAL, JointPmf, block_extend, marginalize
 
 _EXACT_BUDGET = 1 << 24
 
@@ -123,9 +125,10 @@ class CodeInstance:
                 raise ConfigurationError(
                     "constraint value %r for encoder %r outside the f image" % (c, i))
         self._joint = build_joint(self.config, self.source, self.channels, None)
-        self._decoder_cache: dict = {}
-        self._encoder_cache: dict = {}
+        self._hash_values: dict = {}   # (encoder, block) -> (f meets c, g value)
         self._class_indexes: dict = {}
+        self._posteriors: dict = {}
+        self._laws: dict = {}
 
     # -- rates ------------------------------------------------------------------------
 
@@ -137,9 +140,6 @@ class CodeInstance:
 
     # -- block encoding helpers ---------------------------------------------------------
 
-    def w_alphabet(self, i):
-        return self._w_alph[w_name(i)]
-
     def block_to_int(self, i, block) -> int:
         alph = self._w_alph[w_name(i)]
         value = 0
@@ -150,86 +150,91 @@ class CodeInstance:
     def model_joint(self) -> JointPmf:
         return self._joint
 
+    def _hashes(self, i, block):
+        """(f_i meets c_i, g_i value) of a W_i-block; each hash runs once per block."""
+        values = self._hash_values.get((i, block))
+        if values is None:
+            v = self.block_to_int(i, block)
+            values = self._hash_values[i, block] = (self.f[i](v) == self.c[i], self.g[i](v))
+        return values
+
+    # -- the constrained draw shared by encoders and decoders ----------------------------
+
+    def _class_index(self, S):
+        """The f-admissible W_S-blocks of encoder set S, by their g values on S.
+
+        Built on first use and kept; an encoder cell and a decoder with
+        I_j = S share it.  Candidates are the W_S-blocks whose letters all
+        have positive single-letter mass, in product order of those letters
+        (the order in which they first occur in the model joint); each is
+        (blocks, letters): a dict encoder->block and its per-position
+        W_S-letters.
+        """
+        classes = self._class_indexes.get(S)
+        if classes is None:
+            law = marginalize(self._joint, [w_name(i) for i in S])
+            letters = [w for w, p in law.items() if p > 0]
+            classes = self._class_indexes[S] = {}
+            for block_letters in itertools.product(letters, repeat=self.n):
+                blocks = [tuple(letter[pos] for letter in block_letters)
+                          for pos in range(len(S))]
+                hashes = [self._hashes(i, block) for i, block in zip(S, blocks)]
+                if all(meets for meets, _ in hashes):
+                    classes.setdefault(tuple(g for _, g in hashes), []).append(
+                        (dict(zip(S, blocks)), block_letters))
+        return classes
+
+    def _law(self, key, weigh, abort, message):
+        """The cached law `key` = (side, cell or decoder, ...): `weigh()`
+        renormalized; an empty law raises `abort(message % key[1])`."""
+        if key not in self._laws:
+            try:
+                # weigh() returns only admissible candidates of positive weight
+                self._laws[key] = crng_law(weigh(), lambda blocks: True)
+            except EmptySupportError:
+                self._laws[key] = None
+        law = self._laws[key]
+        if law is None:
+            raise abort(message % (key[1],))
+        return law
+
     # -- encoder -------------------------------------------------------------------------
 
     def cell_base_law(self, cell, x_block):
-        """Unconstrained law of the cell's W-blocks given its source block.
-
-        Items are dicts encoder->block; probabilities multiply per letter.
-        """
+        """Encoder weighting step: the cell's f-admissible W-blocks of every
+        class with their positive weights under the channel rows of x_block."""
         cell = tuple(cell)
         ch = self.channels[cell]
-        items = []
-        for letters, p in block_products([ch.row((x,)).items() for x in x_block]):
-            blocks = {enc: tuple(letter[pos] for letter in letters)
-                      for pos, enc in enumerate(cell)}
-            items.append((blocks, p))
-        return items
+        candidates = itertools.chain.from_iterable(self._class_index(cell).values())
+        return _weigh(candidates, [ch.row((x,)) for x in x_block])
 
     def cell_constrained_law(self, cell, x_block):
-        """Encoder CRNG law: cell base law restricted to f_i(w_i) = c_i."""
+        """Encoder CRNG law: channel law restricted to f_i(w_i) = c_i."""
         cell = tuple(cell)
-        key = (cell, tuple(x_block))
-        if key not in self._encoder_cache:
-            base = self.cell_base_law(cell, x_block)
-            pred = lambda blocks: all(
-                self.f[i](self.block_to_int(i, blocks[i])) == self.c[i] for i in cell)
-            try:
-                law = crng_law(base, pred)
-            except EmptySupportError:
-                law = None
-            self._encoder_cache[key] = law
-        law = self._encoder_cache[key]
-        if law is None:
-            raise EncoderAbort("cell %r: no admissible block for its constraints" % (cell,))
-        return law
+        return self._law(("encoder", cell, tuple(x_block)),
+                         lambda: self.cell_base_law(cell, x_block), EncoderAbort,
+                         "cell %r: no admissible block for its constraints")
 
     def encode(self, cell, x_block, seed):
         """Joint draw for one sharing cell: (blocks by encoder, codewords)."""
         blocks = sample_from_law(self.cell_constrained_law(cell, x_block), seed)
-        m = {i: self.g[i](self.block_to_int(i, blocks[i])) for i in cell}
-        return blocks, m
+        return blocks, {i: self._hashes(i, blocks[i])[1] for i in cell}
 
     # -- decoder -------------------------------------------------------------------------
 
-    def _class_index(self, j):
-        """Decoder j's letter weights and its candidate blocks by class.
-
-        Built on the first decode of decoder j and kept.  Candidates are the
-        W_{I_j}-blocks whose letters all have positive single-letter mass and
-        which meet the f constraints, in product order of those letters (the
-        order in which they first occur in the model joint); `classes` maps
-        the g values on I_j to their candidates, as dicts encoder->block.
-        `weights[y]` maps each letter to its model probability jointly with
-        the side-information letter y (y is None without side information).
-        """
-        index = self._class_indexes.get(j)
-        if index is None:
-            ij = tuple(self.config.codewords_to[j])
+    def _posterior_weights(self, j):
+        """`weights[y][w]`: model probability of the W_{I_j}-letter w jointly
+        with decoder j's side-information letter y (None without side
+        information).  Computed once per decoder."""
+        weights = self._posteriors.get(j)
+        if weights is None:
             y = self.config.side_info.get(j)
-            names = [w_name(i) for i in ij]
-            law = marginalize(self._joint, names + ([y] if y else []))
-            rows = [((key[:-1], key[-1]) if y else (key, None), p) for key, p in law.items()]
-            letters = list(dict.fromkeys(w for (w, _), p in rows if p > 0))
-            weights = {}
-            for (w, yv), p in rows:
+            names = [w_name(i) for i in self.config.codewords_to[j]]
+            weights = self._posteriors[j] = {}
+            for key, p in marginalize(self._joint, names + ([y] if y else [])).items():
+                w, yv = (key[:-1], key[-1]) if y else (key, None)
                 weights.setdefault(yv, {})[w] = p
-            # one entry per encoder block, shared by every candidate holding it
-            entries = {}   # (encoder, block) -> (block, f meets c, g value)
-            classes = {}
-            for block_letters in itertools.product(letters, repeat=self.n):
-                parts = []
-                for pos, i in enumerate(ij):
-                    block = tuple(letter[pos] for letter in block_letters)
-                    if (i, block) not in entries:
-                        v = self.block_to_int(i, block)
-                        entries[i, block] = (block, self.f[i](v) == self.c[i], self.g[i](v))
-                    parts.append(entries[i, block])
-                if all(meets for _, meets, _ in parts):
-                    classes.setdefault(tuple(g for _, _, g in parts), []).append(
-                        {i: block for i, (block, _, _) in zip(ij, parts)})
-            index = self._class_indexes[j] = (weights, classes)
-        return index
+        return weights
 
     def decoder_class_law(self, j, m: Mapping, y_block):
         """Posterior over W_{I_j}-blocks restricted to the (f, g) classes.
@@ -240,26 +245,16 @@ class CodeInstance:
         letters.  Only the candidates of the class that `m` names are weighted.
         """
         ij = tuple(self.config.codewords_to[j])
-        key = (j, tuple(m[i] for i in ij), tuple(y_block) if y_block is not None else None)
-        if key not in self._decoder_cache:
-            weights, classes = self._class_index(j)
-            if y_block is None:
-                tables = [weights[None]] * self.n
-            else:
-                tables = [weights.get(yv, {}) for yv in y_block]
-            base = [(blocks, math.prod(t.get(letter, 0) for t, letter in
-                                       zip(tables, zip(*(blocks[i] for i in ij)))))
-                    for blocks in classes.get(key[1], ())]
-            try:
-                # the index holds only blocks that meet this class's constraints
-                law = crng_law(base, lambda blocks: True)
-            except EmptySupportError:
-                law = None
-            self._decoder_cache[key] = law
-        law = self._decoder_cache[key]
-        if law is None:
-            raise DecoderAbort("decoder %r: empty posterior class" % (j,))
-        return law
+        values = tuple(m[i] for i in ij)
+        weights = self._posterior_weights(j)
+        if y_block is None:
+            tables = [weights[None]] * self.n
+        else:
+            y_block = tuple(y_block)
+            tables = [weights.get(yv, {}) for yv in y_block]
+        return self._law(("decoder", j, values, y_block),
+                         lambda: _weigh(self._class_index(ij).get(values, ()), tables),
+                         DecoderAbort, "decoder %r: empty posterior class")
 
     def reproduce(self, j, w_blocks: Mapping, y_block):
         """Apply the decoder's reproducers per letter."""
@@ -290,6 +285,24 @@ def _encoder_of_wvar(var: str, config: NetworkConfig):
     raise ConfigurationError("unknown codeword variable %r" % (var,))
 
 
+def _weigh(candidates, tables):
+    """Each (blocks, letters) candidate with the product of its letters'
+    weights, `tables[pos]` mapping a letter at position pos to its weight.
+
+    A candidate is dropped at its first letter of zero weight.
+    """
+    weighted = []
+    for blocks, letters in candidates:
+        p = 1
+        for table, letter in zip(tables, letters):
+            p *= table.get(letter, 0)
+            if not p:
+                break
+        else:
+            weighted.append((blocks, p))
+    return weighted
+
+
 def map_estimate(law, ij):
     """Deterministic argmax of the restricted posterior.
 
@@ -297,15 +310,7 @@ def map_estimate(law, ij):
     order, then letter order).
     """
     ij = tuple(ij)
-
-    def lex_key(blocks):
-        return tuple(tuple(blocks[i]) for i in ij)
-
-    best = None
-    for blocks, p in sorted(law, key=lambda item: lex_key(item[0])):
-        if best is None or p > best[1]:
-            best = (blocks, p)
-    return best[0]
+    return min(law, key=lambda item: (-item[1], tuple(tuple(item[0][i]) for i in ij)))[0]
 
 
 # -- exact error oracle ---------------------------------------------------------------
@@ -316,13 +321,6 @@ class ExactError:
     mismatch: Fraction
     exceed: dict
     encoder_abort: Fraction
-
-    def as_floats(self) -> dict:
-        return {
-            "mismatch": float(self.mismatch),
-            "encoder_abort": float(self.encoder_abort),
-            **{"exceed_%s" % k: float(v) for k, v in self.exceed.items()},
-        }
 
 
 class _BalancedSum:
@@ -395,7 +393,7 @@ def exact_error(code: CodeInstance, delta: float, D: Mapping,
             weight = p_src * p_w
             if weight == 0:
                 continue
-            m = {i: code.g[i](code.block_to_int(i, w_blocks[i])) for i in cfg.encoders}
+            m = {i: code._hashes(i, w_blocks[i])[1] for i in cfg.encoders}
             p_all_match = Fraction(1)
             for j in cfg.decoders:
                 ij = cfg.codewords_to[j]
@@ -481,9 +479,6 @@ class SimReport:
 
     def exceed_freq(self, k) -> float:
         return self.exceed_counts[k] / self.trials
-
-    def mean_distortion(self, k) -> float:
-        return self.distortion_sums[k] / self.trials
 
     def ci(self, count: int, z: float = 3.0) -> tuple:
         """Normal-approximation z-sigma interval for a count/trials frequency."""

@@ -29,9 +29,5 @@ class DecoderAbort(EmptySupportError):
     """Decoder-side constrained draw found no admissible block."""
 
 
-class InfeasibleSystemError(RuntimeError):
-    """A linear inequality system has no solution."""
-
-
 class PreconditionError(ValueError):
     """An input violates a stated precondition (e.g. a required Markov chain)."""

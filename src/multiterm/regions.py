@@ -250,10 +250,18 @@ def binding_from_pmf(which: str, config: NetworkConfig, joint: JointPmf,
     in the recorded direction so that downstream algebra is exact.
     """
     dense = joint.to_double()
+    entropies = {}   # H(S) by the set S: a marginal does not depend on the order of S
+
+    def h(names):
+        key = frozenset(names)
+        if key not in entropies:
+            entropies[key] = cond_entropy(dense, list(names), []).bits
+        return entropies[key]
+
     values = {}
     for term in required_terms(which, config):
-        h = cond_entropy(dense, list(term.left), list(term.given)).bits
-        values[term] = round_entropy(h, precision_bits, direction)
+        bits = max(h(term.left + term.given) - h(term.given), 0.0) if term.given else h(term.left)
+        values[term] = round_entropy(bits, precision_bits, direction)
     return Binding(values, direction, precision_bits)
 
 

@@ -24,7 +24,7 @@ from multiterm.errors import (
     EmptySupportError,
     EncoderAbort,
 )
-from multiterm.hashing import BinningEnsemble, identity_linear, make_ensemble
+from multiterm.hashing import BinningEnsemble, HashFunction, identity_linear, make_ensemble
 from multiterm.network import NetworkConfig, identity_channel, w_name
 from multiterm.probability import Alphabet, JointPmf, dsbs, marginalize
 from multiterm.scenarios import build_scenario, scenario_names
@@ -246,13 +246,45 @@ def _product_and_filter_law(code, j, m, y_block):
         return None
 
 
+def _channel_product_law(code, cell, x_block):
+    """The encoder law built per source block: the product of the channel rows
+    of the x letters, filtered by the f constraints; None when empty."""
+    ch = code.channels[cell]
+    items = []
+    for combo in itertools.product(*(ch.row((x,)).items() for x in x_block)):
+        p = Fraction(1)
+        for _, pl in combo:
+            p *= pl
+        items.append(({i: tuple(key[pos] for key, _ in combo) for pos, i in enumerate(cell)}, p))
+    try:
+        return crng_law(items, lambda blocks: all(
+            code.f[i](code.block_to_int(i, blocks[i])) == code.c[i] for i in cell))
+    except EmptySupportError:
+        return None
+
+
+def _as_mapping(law, ij):
+    return None if law is None else {tuple(blocks[i] for i in ij): p for blocks, p in law}
+
+
 @settings(max_examples=50, deadline=None)
 @given(name=st.sampled_from(scenario_names()), n=st.integers(1, 3),
        seed=st.integers(0, 2 ** 16))
 def test_class_indexed_law_matches_product_and_filter(name, n, seed):
-    """Every class of a random code: same (blocks, probability) list, same order."""
+    """Every encoder law of a random code equals the filtered channel product
+    as a mapping; every decoder class gives the same (blocks, probability)
+    list, in the same order."""
     code = build_scenario(name).make_code(n, seed=seed)
     cfg = code.config
+    for cell in map(tuple, cfg.sharing):
+        _, x_alph = code.channels[cell].inputs[0]
+        for x_block in itertools.product(x_alph.symbols, repeat=n):
+            expected = _channel_product_law(code, cell, x_block)
+            try:
+                law = code.cell_constrained_law(cell, x_block)
+            except EncoderAbort:
+                law = None
+            assert _as_mapping(law, cell) == _as_mapping(expected, cell)
     for j in cfg.decoders:
         ij = tuple(cfg.codewords_to[j])
         y = cfg.side_info.get(j)
@@ -268,6 +300,26 @@ def test_class_indexed_law_matches_product_and_filter(name, n, seed):
                 except DecoderAbort:
                     law = None
                 assert law == expected
+
+
+@pytest.mark.parametrize("name", ["slepian-wolf", "wyner-ziv-binary",
+                                  "heegard-berger-two-decoders"])
+def test_each_hash_runs_once_per_block(name, monkeypatch):
+    """Encoders, decoders and the oracle share one hash evaluation per W-block."""
+    scenario = build_scenario(name)
+    code = scenario.make_code(2, seed=4)
+    calls = {}
+    original = HashFunction.__call__
+
+    def counting(self, w):
+        calls[id(self), w] = calls.get((id(self), w), 0) + 1
+        return original(self, w)
+    monkeypatch.setattr(HashFunction, "__call__", counting)
+    for rule in ("crng", "map"):
+        exact_error(code, 0.01, scenario.default_D, rule=rule)
+    simulate(code, 0.01, scenario.default_D, trials=50, seed=1)
+    assert calls
+    assert max(calls.values()) == 1
 
 
 def test_map_estimate_lexicographic_tie_break():
