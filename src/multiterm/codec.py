@@ -39,6 +39,7 @@ from .network import (
 from .probability import RATIONAL, JointPmf, block_extend, marginalize
 
 _EXACT_BUDGET = 1 << 24
+_INDEX_BUDGET = 1 << 20     # W_S-blocks scanned by one class index (4 letters at n = 10)
 
 
 # -- generic constrained-random draws -----------------------------------------------
@@ -168,12 +169,18 @@ class CodeInstance:
         have positive single-letter mass, in product order of those letters
         (the order in which they first occur in the model joint); each is
         (blocks, letters): a dict encoder->block and its per-position
-        W_S-letters.
+        W_S-letters.  An index that would scan more than ``_INDEX_BUDGET``
+        blocks raises :class:`BudgetExceededError` before the scan.
         """
         classes = self._class_indexes.get(S)
         if classes is None:
             law = marginalize(self._joint, [w_name(i) for i in S])
             letters = [w for w, p in law.items() if p > 0]
+            if len(letters) ** self.n > _INDEX_BUDGET:
+                raise BudgetExceededError(
+                    "class index of encoders %r needs %d letters ^ n=%d = %d blocks "
+                    "(budget %d)" % (S, len(letters), self.n, len(letters) ** self.n,
+                                     _INDEX_BUDGET))
             classes = self._class_indexes[S] = {}
             for block_letters in itertools.product(letters, repeat=self.n):
                 blocks = [tuple(letter[pos] for letter in block_letters)

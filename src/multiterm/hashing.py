@@ -84,6 +84,25 @@ class HashEnsemble:
     def function_count(self) -> int:
         raise NotImplementedError
 
+    def point_law(self, points):
+        """The law of the ensemble's values at the distinct domain elements
+        `points`, in integers.
+
+        Returns (values, weights, denominator): `values` has one row per
+        distinct value tuple (f(p) for p in points), as integer labels that
+        agree exactly where the hash values agree; row r has probability
+        weights[r] / denominator.  This base version folds
+        :meth:`enumerate_functions` by value tuple.
+        """
+        folded: dict = {}
+        for f, p in self.enumerate_functions():
+            key = tuple(f(w) for w in points)
+            folded[key] = folded.get(key, 0) + p
+        denominator = math.lcm(*(p.denominator for p in folded.values()))
+        weights = [p.numerator * (denominator // p.denominator) for p in folded.values()]
+        return (_label_rows(folded, len(points)), _int_array(weights, denominator),
+                denominator)
+
     def describe(self) -> str:
         return "%s(domain=%d, image=%d)" % (self.kind, self.domain_size, self.image_size)
 
@@ -135,6 +154,21 @@ class BinningEnsemble(HashEnsemble):
             for c in table:
                 p *= self.weights[c]
             yield HashFunction("binning", self.domain_size, self.image_size, table=table), p
+
+    def point_law(self, points):
+        """Each point's bin drawn independently: one row per assignment of
+        positive-weight bins to the points, weighted by the product of the
+        bin weights over the common denominator of those weights."""
+        bins = [c for c, w in enumerate(self.weights) if w]
+        scale = math.lcm(*(self.weights[c].denominator for c in bins))
+        nums = [self.weights[c].numerator * (scale // self.weights[c].denominator)
+                for c in bins]
+        denominator = scale ** len(points)
+        weights, nums = _int_array([1], denominator), _int_array(nums, denominator)
+        for _ in points:
+            weights = np.multiply.outer(weights, nums).ravel()
+        grid = np.indices((len(bins),) * len(points)).reshape(len(points), -1).T
+        return np.array(bins, dtype=np.int64)[grid], weights, denominator
 
 
 class LinearEnsemble(HashEnsemble):
@@ -336,11 +370,16 @@ class ComposedEnsemble(HashEnsemble):
         return total
 
     def enumerate_functions(self):
+        """Yield one function per part, in ``itertools.product`` order over
+        the parts' enumerations, with the product of their probabilities."""
         if self.function_count() > _ENUM_BUDGET:
             raise BudgetExceededError("too large to exhaust: %d functions" % self.function_count())
-        for funcs, prob in _function_products(self.parts):
+        for combo in itertools.product(*(list(p.enumerate_functions()) for p in self.parts)):
+            prob = combo[0][1]
+            for _, p in combo[1:]:
+                prob *= p
             yield HashFunction("compose", self.domain_size, self.image_size,
-                               parts=funcs), prob
+                               parts=tuple(f for f, _ in combo)), prob
 
 
 def _seed_entropy(seed):
@@ -424,43 +463,73 @@ def measure_beta(ens: HashEnsemble, alpha) -> Fraction:
 # -- joint-ensemble lemmas: balanced coloring and collision resistance -------------------
 
 
-def _function_products(ensembles: Sequence[HashEnsemble]):
-    """Yield (one function per ensemble, product of their probabilities).
+def _int_array(values, bound: int):
+    """`values` as int64 when every magnitude they take part in stays below
+    `bound` < 2^63, otherwise as Python integers (object dtype)."""
+    return np.array(values, dtype=np.int64 if bound < 1 << 63 else object)
 
-    The tuples come in ``itertools.product`` order over each ensemble's own
-    enumeration.
+
+def _label_rows(rows, width: int):
+    """Integer matrix of hash-value rows, one label per distinct value.
+
+    Labels are shared by every row and column, so two entries are equal
+    exactly when their values are; composed ensembles give tuple values.
     """
-    for combo in itertools.product(*(list(e.enumerate_functions()) for e in ensembles)):
-        prob = combo[0][1]
-        for _, p in combo[1:]:
-            prob *= p
-        yield tuple(f for f, _ in combo), prob
+    labels: dict = {}
+    return np.array([[labels.setdefault(v, len(labels)) for v in row] for row in rows],
+                    dtype=np.int64).reshape(-1, width)
 
 
-def _joint_expectation(ensembles: Sequence[HashEnsemble], value, budget: int,
-                       samples: int, seed: int):
-    """E[value(functions)] over independent draws from each ensemble.
+def _joint_expectation(ensembles: Sequence[HashEnsemble], points, value, scale: int,
+                       budget: int, samples: int, seed: int):
+    """E[value] / scale over independent draws from each ensemble.
 
-    When the joint function count is within `budget` this is the exact
-    :class:`Fraction` expectation.  Otherwise it is the list of `value` at
-    `samples` seeded draws: draw k takes ensemble i's seed from
+    Ensemble i is seen only at the distinct i-th coordinates of `points`.
+    Its functions become rows of an integer matrix of their values there;
+    the rows of all ensembles combine into `keys` (one row per joint
+    function, one column per point, equal exactly where two points share a
+    joint bin), and ``value(keys)`` gives one integer per row.
+
+    When the joint function count is within `budget` the result is the exact
+    :class:`Fraction`: the rows are the Cartesian product of the ensembles'
+    :meth:`HashEnsemble.point_law` rows, weighted by the product of their
+    integer weights, and the weighted sum is divided once by the product of
+    the denominators times `scale`.  Otherwise it is the list of value / scale
+    (correctly rounded floats) at `samples` seeded draws: draw k takes
+    ensemble i's seed from
     ``SeedSequence(seed).spawn(samples)[k].spawn(len(ensembles))[i]``.
     """
-    count = 1
-    for ens in ensembles:
-        count *= ens.function_count()
-    if count <= budget:
-        total = Fraction(0)
-        for funcs, prob in _function_products(ensembles):
-            v = value(funcs)
-            if v:
-                total += prob * v
-        return total
-    values = []
+    coords = [sorted({w[i] for w in points}) for i in range(len(ensembles))]
+    if math.prod(e.function_count() for e in ensembles) <= budget:
+        laws = [e.point_law(c) for e, c in zip(ensembles, coords)]
+        denominator = math.prod(d for _, _, d in laws)
+        grid = np.indices([len(w) for _, w, _ in laws]).reshape(len(laws), -1)
+        weights = _int_array([1], denominator)
+        for (_, w, _), rows in zip(laws, grid):
+            weights = weights * w.astype(weights.dtype)[rows]
+        values = value(_joint_keys(ensembles, [v[rows] for (v, _, _), rows in zip(laws, grid)],
+                                   coords, points))
+        if denominator * int(np.abs(values).max(initial=0)) >= 1 << 63:
+            weights, values = weights.astype(object), values.astype(object)
+        return Fraction(int(weights @ values), denominator * scale)
+    rows: list = [[] for _ in ensembles]
     for child in np.random.SeedSequence(seed).spawn(samples):
-        funcs = [e.sample_function(s) for e, s in zip(ensembles, child.spawn(len(ensembles)))]
-        values.append(value(funcs))
-    return values
+        for i, (e, s) in enumerate(zip(ensembles, child.spawn(len(ensembles)))):
+            f = e.sample_function(s)
+            rows[i].append(tuple(f(w) for w in coords[i]))
+    matrices = [_label_rows(r, len(c)) for r, c in zip(rows, coords)]
+    return [int(v) / scale for v in value(_joint_keys(ensembles, matrices, coords, points))]
+
+
+def _joint_keys(ensembles, matrices, coords, points):
+    """Joint bin of each point under each row: the per-ensemble values at
+    the point's coordinates, in mixed radix over the image sizes."""
+    dtype = np.int64 if math.prod(e.image_size for e in ensembles) < 1 << 63 else object
+    keys = np.zeros((len(matrices[0]), len(points)), dtype=dtype)
+    for i, (e, m, c) in enumerate(zip(ensembles, matrices, coords)):
+        column = {w: k for k, w in enumerate(c)}
+        keys = keys * e.image_size + m[:, [column[w[i]] for w in points]].astype(dtype)
+    return keys
 
 
 def _group_params(ensembles: Sequence[HashEnsemble], subset) -> tuple:
@@ -501,14 +570,22 @@ def _max_fiber(T, weight, key):
     return max(sums.values(), default=0)
 
 
-def _joint_deviation(funcs, T, Q, qT, image_total, nI) -> Fraction:
-    bins: dict = {}
-    for w in T:
-        c = tuple(funcs[i](w[i]) for i in range(nI))
-        bins[c] = bins.get(c, Fraction(0)) + Q.get(w, Fraction(0))
-    uniform = Fraction(1, image_total)
-    deviation = sum(abs(mass / qT - uniform) for mass in bins.values())
-    return deviation + (image_total - len(bins)) * uniform
+def _bin_deviation(keys, q, qT: int, image_total: int):
+    """Per row, the sum over all joint bins c of |mass_c |C| - Q(T)|.
+
+    `keys` holds each point's joint bin (rows x points), `q` the points'
+    integer Q numerators, summing to `qT`; an empty bin counts as Q(T).
+    """
+    order = np.argsort(keys, axis=1, kind="stable")
+    ordered = np.take_along_axis(keys, order, axis=1)
+    cum = np.cumsum(q[order], axis=1)
+    last = np.ones(keys.shape, dtype=bool)      # last point of its bin, in key order
+    last[:, :-1] = ordered[:, 1:] != ordered[:, :-1]
+    ends = np.where(last, cum, 0)
+    before = np.zeros_like(ends)                # cumulative mass of the earlier bins
+    before[:, 1:] = np.maximum.accumulate(ends, axis=1)[:, :-1]
+    deviation = np.where(last, abs((cum - before) * image_total - qT), 0).sum(axis=1)
+    return deviation + (image_total - last.sum(axis=1)).astype(q.dtype) * qT
 
 
 def verify_mbcp(ensembles: Sequence[HashEnsemble], Q: dict, T: set,
@@ -519,8 +596,12 @@ def verify_mbcp(ensembles: Sequence[HashEnsemble], Q: dict, T: set,
     The bound is sqrt(alpha_I - 1 + sum over nonempty I' of
     alpha_{I minus I'} (beta_I' + 1) |C_I'| Qbar_I' / Q(T)), where Qbar_I'
     is the heaviest Q-fiber of T keyed on the I' coordinates (max_w Q(w) at
-    I' = I).  Exhaustible ensembles get the exact expectation of the
-    bin-mass deviation (LHS), compared as LHS^2 <= RHS^2 in exact rationals.
+    I' = I).  The LHS is the expected bin-mass deviation
+    sum_c |Q(c)/Q(T) - 1/|C||, computed per joint function as
+    sum_c |mass_c |C| - Q(T)| over Q's integer numerators (an empty bin
+    counting Q(T)).  Exhaustible ensembles get its exact expectation from
+    each ensemble's :meth:`HashEnsemble.point_law` at T's coordinates, not
+    from the whole ensembles, compared as LHS^2 <= RHS^2 in exact rationals.
     Beyond the budget the LHS is a Monte Carlo estimate with its standard
     error recorded, and the assertion weakens to bound >= estimate - 3*SE.
     """
@@ -540,17 +621,19 @@ def verify_mbcp(ensembles: Sequence[HashEnsemble], Q: dict, T: set,
         qbar = _max_fiber(T, lambda w: Q.get(w, Fraction(0)), sub)
         rhs_sq += a_comp * (b_sub + 1) * image * qbar / qT
 
+    scale = math.lcm(*(Q.get(w, Fraction(0)).denominator for w in T))
+    q_total = int(qT * scale)
+    q = _int_array([int(Q.get(w, 0) * scale) for w in T], 2 * q_total * image_total)
     lhs = _joint_expectation(
-        ensembles, lambda funcs: _joint_deviation(funcs, T, Q, qT, image_total, nI),
-        budget, samples, seed)
+        ensembles, T, lambda keys: _bin_deviation(keys, q, q_total, image_total),
+        q_total * image_total, budget, samples, seed)
     if isinstance(lhs, Fraction):
         report.add("balanced-coloring bound", lhs * lhs <= rhs_sq,
                    lhs=lhs, rhs=rhs_sq, detail="exact; compared as lhs^2 <= rhs^2")
         return report
 
-    values = [float(v) for v in lhs]
-    estimate = float(np.mean(values))
-    se = float(np.std(values, ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
+    estimate = float(np.mean(lhs))
+    se = float(np.std(lhs, ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
     bound = math.sqrt(float(rhs_sq))
     report.add("balanced-coloring bound", bound >= estimate - 3 * se,
                lhs=estimate, rhs=bound,
@@ -567,26 +650,25 @@ def verify_mcrp(ensembles: Sequence[HashEnsemble], T: set, anchor: tuple,
     (beta_{I minus I'} + 1) Obar_I' / |C_I'|, where Obar_I' is the largest
     number of points of T that agree on the coordinates outside I'.  LHS is
     the probability that some member of T other than the anchor lands in
-    the anchor's joint bin: exact for exhaustible ensembles, otherwise a
-    Monte Carlo estimate with SE recorded and the assertion weakened to
-    bound >= estimate - 3*SE.
+    the anchor's joint bin.  For exhaustible ensembles it is exact, summed
+    over the joint rows of each ensemble's :meth:`HashEnsemble.point_law`
+    at the coordinates of T and the anchor, not over the whole ensembles;
+    otherwise it is a Monte Carlo estimate with SE recorded and the
+    assertion weakened to bound >= estimate - 3*SE.
     """
     report = Report("mcrp")
     nI = len(ensembles)
     anchor = tuple(anchor)
     T = [tuple(w) for w in sorted(T)]
     competitors = [w for w in T if w != anchor]
-
-    def collides(funcs) -> bool:
-        target = tuple(funcs[i](anchor[i]) for i in range(nI))
-        return any(tuple(funcs[i](w[i]) for i in range(nI)) == target
-                   for w in competitors)
-
     rhs = _group_params(ensembles, range(nI))[1]
     for _, comp, (a_sub, _), (_, b_comp), image in _nonempty_subsets(ensembles):
         rhs += a_sub * (b_comp + 1) * _max_fiber(T, lambda w: 1, comp) / image
 
-    lhs = _joint_expectation(ensembles, collides, budget, samples, seed)
+    lhs = _joint_expectation(
+        ensembles, competitors + [anchor],
+        lambda keys: (keys[:, :-1] == keys[:, -1:]).any(axis=1).astype(np.int64),
+        1, budget, samples, seed)
     if isinstance(lhs, Fraction):
         report.add("collision-resistance bound", lhs <= rhs, lhs=lhs, rhs=rhs,
                    detail="exact")

@@ -1,5 +1,6 @@
 import json
 import os
+import time
 from fractions import Fraction
 
 from multiterm.cli import _decimal_string, main
@@ -159,6 +160,16 @@ def test_simulate_exact_mode(tmp_path):
 
 def test_simulate_exact_budget_exit_code():
     assert run(["simulate", "berger-tung-binary", "--n", "13", "--exact"]) == 3
+
+
+def test_simulate_class_index_budget_refuses_early(capsys):
+    # the slepian-wolf decoder index would scan 4^11 joint W-blocks
+    t0 = time.perf_counter()
+    assert run(["simulate", "slepian-wolf", "--n", "11", "--trials", "10"]) == 3
+    assert time.perf_counter() - t0 < 1.0
+    err = capsys.readouterr().err
+    assert "budget exceeded" in err and "4 letters" in err and "n=11" in err
+    assert str(4 ** 11) in err
 
 
 def test_env_seed_override(tmp_path, monkeypatch):

@@ -1,9 +1,12 @@
 import itertools
+import math
 import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from multiterm import gfq
 from multiterm.errors import BudgetExceededError, ConfigurationError
@@ -11,6 +14,9 @@ from multiterm.hashing import (
     BinningEnsemble,
     LinearEnsemble,
     SparseLinearEnsemble,
+    _group_params,
+    _max_fiber,
+    _nonempty_subsets,
     compose,
     identity_linear,
     make_ensemble,
@@ -283,6 +289,164 @@ def test_joint_checks_monte_carlo_agrees_with_exact(s):
         assert exact.detail.startswith("exact") and "Monte Carlo" in drawn.detail
         se = float(re.search(r"SE (\S+)", drawn.detail).group(1))
         assert abs(drawn.lhs - float(exact.lhs)) <= 4 * se
+
+
+# -- the whole-ensemble reference for the joint checks -----------------------------------
+#
+# The checks once enumerated every joint function with its Fraction
+# probability and evaluated the hashes at every point; that path is kept
+# here, whole, as the reference the point-law computation must reproduce.
+
+
+def _function_products(ensembles):
+    for combo in itertools.product(*(list(e.enumerate_functions()) for e in ensembles)):
+        prob = combo[0][1]
+        for _, p in combo[1:]:
+            prob *= p
+        yield tuple(f for f, _ in combo), prob
+
+
+def _reference_expectation(ensembles, value, budget, samples, seed):
+    count = 1
+    for ens in ensembles:
+        count *= ens.function_count()
+    if count <= budget:
+        total = Fraction(0)
+        for funcs, prob in _function_products(ensembles):
+            v = value(funcs)
+            if v:
+                total += prob * v
+        return total
+    values = []
+    for child in np.random.SeedSequence(seed).spawn(samples):
+        funcs = [e.sample_function(s) for e, s in zip(ensembles, child.spawn(len(ensembles)))]
+        values.append(value(funcs))
+    return values
+
+
+def _joint_deviation(funcs, T, Q, qT, image_total, nI):
+    bins = {}
+    for w in T:
+        c = tuple(funcs[i](w[i]) for i in range(nI))
+        bins[c] = bins.get(c, Fraction(0)) + Q.get(w, Fraction(0))
+    uniform = Fraction(1, image_total)
+    deviation = sum(abs(mass / qT - uniform) for mass in bins.values())
+    return deviation + (image_total - len(bins)) * uniform
+
+
+def _reference_mbcp(ensembles, Q, T, budget, samples, seed):
+    nI = len(ensembles)
+    T = [tuple(w) for w in sorted(T)]
+    Q = {tuple(w): Fraction(q) for w, q in Q.items()}
+    qT = sum(Q.get(w, Fraction(0)) for w in T)
+    image_total = math.prod(e.image_size for e in ensembles)
+    rhs_sq = _group_params(ensembles, range(nI))[0] - 1
+    for sub, _, (_, b_sub), (a_comp, _), image in _nonempty_subsets(ensembles):
+        qbar = _max_fiber(T, lambda w: Q.get(w, Fraction(0)), sub)
+        rhs_sq += a_comp * (b_sub + 1) * image * qbar / qT
+    lhs = _reference_expectation(
+        ensembles, lambda funcs: _joint_deviation(funcs, T, Q, qT, image_total, nI),
+        budget, samples, seed)
+    if isinstance(lhs, Fraction):
+        return ("balanced-coloring bound", lhs * lhs <= rhs_sq, lhs, rhs_sq,
+                "exact; compared as lhs^2 <= rhs^2")
+    values = [float(v) for v in lhs]
+    estimate = float(np.mean(values))
+    se = float(np.std(values, ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
+    bound = math.sqrt(float(rhs_sq))
+    return ("balanced-coloring bound", bound >= estimate - 3 * se, estimate, bound,
+            "Monte Carlo over %d draws, SE %.3g" % (samples, se))
+
+
+def _reference_mcrp(ensembles, T, anchor, budget, samples, seed):
+    nI = len(ensembles)
+    anchor = tuple(anchor)
+    T = [tuple(w) for w in sorted(T)]
+    competitors = [w for w in T if w != anchor]
+
+    def collides(funcs):
+        target = tuple(funcs[i](anchor[i]) for i in range(nI))
+        return any(tuple(funcs[i](w[i]) for i in range(nI)) == target
+                   for w in competitors)
+
+    rhs = _group_params(ensembles, range(nI))[1]
+    for _, comp, (a_sub, _), (_, b_comp), image in _nonempty_subsets(ensembles):
+        rhs += a_sub * (b_comp + 1) * _max_fiber(T, lambda w: 1, comp) / image
+    lhs = _reference_expectation(ensembles, collides, budget, samples, seed)
+    if isinstance(lhs, Fraction):
+        return ("collision-resistance bound", lhs <= rhs, lhs, rhs, "exact")
+    estimate = sum(lhs) / samples
+    se = math.sqrt(max(estimate * (1 - estimate), 1e-12) / samples)
+    return ("collision-resistance bound", float(rhs) >= estimate - 3 * se, estimate, rhs,
+            "Monte Carlo over %d draws, SE %.3g" % (samples, se))
+
+
+_BIG_PRIME = (1 << 61) - 1   # three points of one skewed binning: a denominator > 2^63
+
+
+def _ensemble_pool(skew):
+    return {
+        "binning-3-2": BinningEnsemble(3, 2),
+        "binning-4-2": BinningEnsemble(4, 2),
+        # a zero-weight bin, and a denominator near 2^61
+        "skewed-3-3": BinningEnsemble(3, 3, weights=[Fraction(skew, _BIG_PRIME),
+                                                     1 - Fraction(skew, _BIG_PRIME), 0]),
+        "skewed-2-3": BinningEnsemble(2, 3, weights=[0, Fraction(1, 3), Fraction(2, 3)]),
+        "linear-2-2-1": LinearEnsemble(2, 2, 1),
+        "linear-2-2-2": LinearEnsemble(2, 2, 2),
+        "sparse-2-2-2": SparseLinearEnsemble(2, 2, 2, column_weight=1),
+        "sparse-3-1-2": SparseLinearEnsemble(3, 1, 2, column_weight=1),
+        "compose": compose(BinningEnsemble(4, 2), LinearEnsemble(2, 2, 1)),
+    }
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), skew=st.integers(1, _BIG_PRIME - 1),
+       names=st.lists(st.sampled_from(sorted(_ensemble_pool(1))), min_size=1, max_size=3),
+       exact=st.booleans(), seed=st.integers(0, 1000))
+def test_joint_checks_match_whole_ensemble_reference(data, skew, names, exact, seed):
+    pool = _ensemble_pool(skew)
+    ensembles = [pool[name] for name in names]
+    assume(math.prod(e.function_count() for e in ensembles) <= 3000)
+    point = st.tuples(*(st.integers(0, e.domain_size - 1) for e in ensembles))
+    T = data.draw(st.sets(point, min_size=1, max_size=6))
+    anchor = data.draw(st.sampled_from(sorted(T)) | point)   # maybe outside T
+    denominators = st.sampled_from([1, 3, 8, _BIG_PRIME])
+    Q = {w: Fraction(data.draw(st.integers(0, 9)), data.draw(denominators)) for w in T}
+    assume(sum(Q.values()) > 0)
+    budget, samples = (1 << 20, 2000) if exact else (0, 25)
+
+    mbcp = verify_mbcp(ensembles, Q, T, budget=budget, samples=samples, seed=seed).checks[0]
+    mcrp = verify_mcrp(ensembles, T, anchor, budget=budget, samples=samples,
+                       seed=seed).checks[0]
+    for check, reference in ((mbcp, _reference_mbcp(ensembles, Q, T, budget, samples, seed)),
+                             (mcrp, _reference_mcrp(ensembles, T, anchor, budget, samples,
+                                                    seed))):
+        got = (check.name, check.passed, check.lhs, check.rhs, check.detail)
+        assert got == reference
+        assert [type(v) for v in got] == [type(v) for v in reference]
+        assert check.detail.startswith("exact") == exact
+
+
+def test_joint_checks_never_enumerate_binning(monkeypatch):
+    """Binning enters the joint checks through its point law alone."""
+    calls = []
+    original = BinningEnsemble.enumerate_functions
+
+    def counting(self):
+        calls.append(self)
+        return original(self)
+    monkeypatch.setattr(BinningEnsemble, "enumerate_functions", counting)
+    universe = list(itertools.product(range(4), range(4)))
+    T = set(universe[::3])
+    Q = {w: Fraction(1 + sum(w), 8) for w in T}
+    for ens in ([BinningEnsemble(8, 4)], [BinningEnsemble(4, 2), BinningEnsemble(4, 2)],
+                [BinningEnsemble(4, 2), LinearEnsemble(2, 2, 1)]):
+        T1 = {w[:len(ens)] for w in T}
+        assert verify_mcrp(ens, T1, min(T1)).checks[0].detail == "exact"
+        assert verify_mbcp(ens, {w[:len(ens)]: q for w, q in Q.items()}, T1
+                           ).checks[0].detail.startswith("exact")
+    assert calls == []
 
 
 def test_product_difference_inequality_sweep():
