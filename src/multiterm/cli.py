@@ -108,7 +108,7 @@ def cmd_region(args) -> int:
             "scenario": scenario.name,
             "definition": args.definition,
             "precision_bits": args.precision_bits,
-            "rounding": binding.direction,
+            "rounding": "floor",
             "entropies": {term.render(): str(value) for term, value in binding.items()},
         }
         with open(args.out + ".binding.json", "a") as handle:

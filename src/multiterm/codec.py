@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
@@ -28,15 +28,16 @@ from .errors import (
     EncoderAbort,
     EmptySupportError,
 )
-from .hashing import HashEnsemble, HashFunction
+from .hashing import HashFunction
 from .network import (
     ConditionalPmf,
     NetworkConfig,
     Reproducer,
     build_joint,
+    w_alphabets,
     w_name,
 )
-from .probability import RATIONAL, JointPmf, block_extend, marginalize
+from .probability import RATIONAL, JointPmf, block_extend, marginalize, sample
 
 _EXACT_BUDGET = 1 << 24
 _INDEX_BUDGET = 1 << 20     # W_S-blocks scanned by one class index (4 letters at n = 10)
@@ -102,17 +103,11 @@ class CodeInstance:
     f: Mapping[object, HashFunction]
     g: Mapping[object, HashFunction]
     c: Mapping[object, object]
-    f_ens: Mapping[object, HashEnsemble] = field(default_factory=dict)
-    g_ens: Mapping[object, HashEnsemble] = field(default_factory=dict)
 
     def __post_init__(self):
-        self._w_alph = {}
-        for cell in self.config.sharing:
-            ch = self.channels[tuple(cell)]
-            for name, alph in ch.outputs:
-                self._w_alph[name] = alph
+        self._w_alph = w_alphabets(self.config, self.channels)
         for i in self.config.encoders:
-            dom = self._w_alph[w_name(i)].size ** self.n
+            dom = self._w_alph[i].size ** self.n
             for fam, label in ((self.f, "f"), (self.g, "g")):
                 if i not in fam:
                     raise ConfigurationError("missing %s function for encoder %r" % (label, i))
@@ -142,7 +137,7 @@ class CodeInstance:
     # -- block encoding helpers ---------------------------------------------------------
 
     def block_to_int(self, i, block) -> int:
-        alph = self._w_alph[w_name(i)]
+        alph = self._w_alph[i]
         value = 0
         for sym in block:
             value = value * alph.size + alph.index(sym)
@@ -526,12 +521,7 @@ def _run_trial(code, delta, D, seed, trial, rule, counters, exceed, dist_sums):
     cfg = code.config
     root = _trial_seed(seed, trial)
     src_seed, enc_seed, dec_seed = root.spawn(3)
-    rng = np.random.default_rng(src_seed)
-    support = [k for k, p in code.source.items() if p > 0]
-    probs = np.array([float(p) for k, p in code.source.items() if p > 0])
-    probs = probs / probs.sum()
-    idx = rng.choice(len(support), size=code.n, p=probs)
-    letters = tuple(support[i] for i in idx)
+    letters = sample(block_extend(code.source, code.n), src_seed)[0]
     blocks = _transpose(code.source, letters)
 
     w_blocks = {}

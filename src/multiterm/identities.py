@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ConfigurationError, PreconditionError
+from .errors import ConfigurationError, PreconditionError, UnsupportedConditionError
 from .information import cond_entropy, cond_mutual_info, entropy, mutual_info
 from .network import ConditionalPmf, apply_conditional
 from .probability import (
@@ -213,7 +213,7 @@ def _conditional_from(pmf: JointPmf, out: list, given: list) -> ConditionalPmf:
         try:
             cond = condition(joint, out, dict(zip(given, key)))
             rows[key] = {out_key: p for out_key, p in cond.items()}
-        except Exception:
+        except UnsupportedConditionError:
             first = tuple(a.symbols[0] for _, a in out_vars)
             rows[key] = {first: one}
     return ConditionalPmf(in_vars, out_vars, rows, mode=pmf.mode)

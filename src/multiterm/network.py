@@ -234,6 +234,17 @@ def apply_conditional(pmf: JointPmf, cond: ConditionalPmf) -> JointPmf:
     return JointPmf(variables, table, mode=pmf.mode, _validated=True)
 
 
+def w_alphabets(config: NetworkConfig, channels: Mapping[tuple, ConditionalPmf]) -> dict:
+    """Encoder i -> alphabet of W_i, read from the outputs of the cell channels."""
+    outputs = {}
+    for cell in config.sharing:
+        outputs.update(channels[tuple(cell)].outputs)
+    for i in config.encoders:
+        if w_name(i) not in outputs:
+            raise ConfigurationError("no channel output for encoder %r" % (i,))
+    return {i: outputs[w_name(i)] for i in config.encoders}
+
+
 def build_joint(config: NetworkConfig, source: JointPmf,
                 channels: Mapping[tuple, ConditionalPmf],
                 reproducers: Optional[Mapping[object, Reproducer]] = None) -> JointPmf:
@@ -269,13 +280,8 @@ def build_joint(config: NetworkConfig, source: JointPmf,
                     "alphabet mismatch on channel input %r" % (name,))
         cell_channels[key] = ch
 
-    w_vars = []
-    w_alph = {}
-    for cell in config.sharing:
-        for name, alph in cell_channels[tuple(cell)].outputs:
-            w_alph[name] = alph
-    for i in config.encoders:
-        w_vars.append((w_name(i), w_alph[w_name(i)]))
+    w_alph = w_alphabets(config, cell_channels)
+    w_vars = [(w_name(i), w_alph[i]) for i in config.encoders]
 
     z_vars = []
     z_ids = () if skip_z else config.reproduction_ids

@@ -206,10 +206,9 @@ def _build_jb(which, config, x_of) -> LinIneqSystem:
 
 @dataclass
 class Binding:
-    """Rounded entropy values plus the recorded rounding direction."""
+    """Entropy values rounded down to denominator 2**precision_bits."""
 
     values: dict
-    direction: str
     precision_bits: int
 
     def __getitem__(self, term):
@@ -228,26 +227,19 @@ class Binding:
         return iter(self.values)
 
 
-def round_entropy(bits: float, precision_bits: int = PRECISION_BITS,
-                  direction: str = "floor") -> Fraction:
+def round_entropy(bits: float, precision_bits: int = PRECISION_BITS) -> Fraction:
+    """`bits` rounded down to a multiple of 2**-precision_bits, at least 0."""
     scale = 1 << precision_bits
-    if direction == "floor":
-        value = Fraction(math.floor(bits * scale), scale)
-    elif direction == "ceil":
-        value = Fraction(math.ceil(bits * scale), scale)
-    else:
-        raise ConfigurationError("rounding direction must be floor or ceil")
-    return max(value, Fraction(0))
+    return max(Fraction(math.floor(bits * scale), scale), Fraction(0))
 
 
 def binding_from_pmf(which: str, config: NetworkConfig, joint: JointPmf,
-                     precision_bits: int = PRECISION_BITS,
-                     direction: str = "floor") -> Binding:
+                     precision_bits: int = PRECISION_BITS) -> Binding:
     """Bind every required entropy term from a single-letter joint law.
 
     Sup- and inf-rates coincide with the Shannon conditional entropy for
-    memoryless sources; values are rounded to denominator 2**precision_bits
-    in the recorded direction so that downstream algebra is exact.
+    memoryless sources; values are rounded down to denominator
+    2**precision_bits so that downstream algebra is exact.
     """
     dense = joint.to_double()
     entropies = {}   # H(S) by the set S: a marginal does not depend on the order of S
@@ -261,8 +253,8 @@ def binding_from_pmf(which: str, config: NetworkConfig, joint: JointPmf,
     values = {}
     for term in required_terms(which, config):
         bits = max(h(term.left + term.given) - h(term.given), 0.0) if term.given else h(term.left)
-        values[term] = round_entropy(bits, precision_bits, direction)
-    return Binding(values, direction, precision_bits)
+        values[term] = round_entropy(bits, precision_bits)
+    return Binding(values, precision_bits)
 
 
 # -- polyhedral queries -----------------------------------------------------------------
@@ -363,8 +355,13 @@ class Infeasible:
 def find_aux_rates(spec: RegionSpec, rates: Mapping[object, object]):
     """Auxiliary rates r_i satisfying the chosen definition at fixed R.
 
-    Returns a dict encoder->Fraction on success, else an :class:`Infeasible`
-    carrying an irreducible infeasible subset of the violated inequalities.
+    Substitutes R into every row and solves the rows over the auxiliary
+    rates alone (:func:`simplex.feasible_point`, exact, on the dual).  A
+    definition without auxiliary rates gives rows over no variables, so the
+    same path decides plain membership of R.  Returns a dict
+    encoder->Fraction on success (empty without auxiliary rates), else an
+    :class:`Infeasible` carrying an irreducible infeasible subset: dropping
+    any one of its rows leaves rows that some auxiliary rates satisfy.
     """
     system = build_system(spec)
     r_values = {rate_var(i): Fraction(rates[i]) for i in spec.config.encoders}
@@ -372,9 +369,6 @@ def find_aux_rates(spec: RegionSpec, rates: Mapping[object, object]):
         if v < 0:
             raise ConfigurationError("rates must be nonnegative")
     aux_vars = [v for v in system.vars if v.startswith("r_")]
-    if not aux_vars:
-        ok = member(system, r_values)
-        return {} if ok else Infeasible(_irreducible_subset(system, r_values))
     rows = []
     renders = []
     for ineq in system.ineqs:
@@ -399,11 +393,3 @@ def _iis(rows, renders, dim):
             active = trial
     return [renders[k] for k in active]
 
-
-def _irreducible_subset(system, point):
-    violated = []
-    for ineq in system.ineqs:
-        lhs = sum((c * Fraction(point[v]) for v, c in ineq.coeffs), Fraction(0))
-        if lhs < ineq.const.value():
-            violated.append(system._render_row(ineq))
-    return violated

@@ -30,7 +30,7 @@ from .network import (
     hamming_distortion,
     identity_channel,
     identity_reproducer,
-    w_name,
+    w_alphabets,
 )
 from .probability import Alphabet, JointPmf, dsbs
 
@@ -52,47 +52,35 @@ class Scenario:
 
     def make_code(self, n: int, rates: Optional[Mapping] = None,
                   aux_rates: Optional[Mapping] = None, seed: int = 0,
-                  kinds: Optional[Mapping] = None,
-                  g_overrides: Optional[Mapping] = None,
-                  f_overrides: Optional[Mapping] = None) -> CodeInstance:
+                  g_overrides: Optional[Mapping] = None) -> CodeInstance:
         """Realize one code: sample hash functions and constraint values.
 
         Image sizes realize the target rates as round(2^(rate*n)); linear
         kinds additionally require power-of-q sizes and fall back to binning
-        otherwise.  `g_overrides`/`f_overrides` pin specific functions
-        (e.g. a known-good matrix) instead of sampling.
+        otherwise.  `g_overrides` pins specific codeword functions (e.g. a
+        known-good matrix) instead of sampling.
         """
         rates = {**self.default_rates, **(rates or {})}
         aux_rates = {**self.default_aux_rates, **(aux_rates or {})}
-        kinds = {**self.code_kinds, **(kinds or {})}
         g_overrides = dict(g_overrides or {})
-        f_overrides = dict(f_overrides or {})
+        w_alph = w_alphabets(self.config, self.channels)
         root = np.random.SeedSequence(seed)
-        f, g, c, f_ens, g_ens = {}, {}, {}, {}, {}
+        f, g, c = {}, {}, {}
         per_encoder = root.spawn(len(self.config.encoders))
         for enc_seed, i in zip(per_encoder, self.config.encoders):
-            w_alph = self._w_alphabet(i)
-            dom = w_alph.size ** n
+            dom = w_alph[i].size ** n
             g_size = realized_size(float(rates.get(i, 0.0)), n)
             f_size = realized_size(float(aux_rates.get(i, 0.0)), n)
-            kind = kinds.get(i, "binning")
+            kind = self.code_kinds.get(i, "binning")
             f_seed, g_seed, c_seed = enc_seed.spawn(3)
-            f_ens[i] = self._ensemble(kind, dom, f_size)
-            g_ens[i] = self._ensemble(kind, dom, g_size)
-            f[i] = f_overrides.get(i, f_ens[i].sample_function(f_seed))
-            g[i] = g_overrides.get(i, g_ens[i].sample_function(g_seed))
-            c[i] = self._pick_constraint(f_ens[i], f[i], c_seed)
+            f_ens = self._ensemble(kind, dom, f_size)
+            g_ens = self._ensemble(kind, dom, g_size)
+            f[i] = f_ens.sample_function(f_seed)
+            g[i] = g_overrides.get(i, g_ens.sample_function(g_seed))
+            c[i] = self._pick_constraint(f_ens, f[i], c_seed)
         return CodeInstance(
             n=n, config=self.config, source=self.source, channels=self.channels,
-            reproducers=self.reproducers, f=f, g=g, c=c, f_ens=f_ens, g_ens=g_ens)
-
-    def _w_alphabet(self, i) -> Alphabet:
-        for cell in self.config.sharing:
-            ch = self.channels[tuple(cell)]
-            for name, alph in ch.outputs:
-                if name == w_name(i):
-                    return alph
-        raise ConfigurationError("no channel output for encoder %r" % (i,))
+            reproducers=self.reproducers, f=f, g=g, c=c)
 
     def _ensemble(self, kind: str, dom: int, size: int):
         if kind in ("linear", "sparse-linear"):

@@ -6,15 +6,16 @@ feasibility.  Floating-point LP is unsound for those certificates, so every
 pivot here is performed in :class:`fractions.Fraction` arithmetic.  Problem
 sizes in this package are tiny (tens of rows), so a full tableau is fine.
 
-Yes/no questions ("does A x >= b imply a.x >= c?", "is A x >= b empty?")
-are decided by :func:`implied` on the dual, max b.y s.t. A^T y = a, y >= 0.
-By Farkas' lemma and strong duality its answer equals the primal one, and
-it is as exact, because both are solved in rationals.  The dual has one
-equality row per variable and one column per inequality, so on a system of
-d variables and m rows it pivots a d x (m + d) tableau where the primal
-form (free variables split in two, one surplus and one artificial column
-per row) pivots an m x (2d + 2m) one.  :func:`solve_lp` and
-:func:`feasible_point` stay for callers that need the primal point.
+Every LP min c.x s.t. A x >= b over free x is solved on its dual,
+max b.y s.t. A^T y = c, y >= 0: one equality row per variable and one
+column per inequality, so a system of d variables and m rows pivots a
+d x (m + d) tableau.  By Farkas' lemma and strong duality the answers agree,
+and both are exact because both are in rationals.  Yes/no questions ("does
+A x >= b imply a.x >= c?", "is A x >= b empty?") are decided by
+:func:`implied`.  :func:`solve_lp` also recovers the primal point: the
+optimal dual basis names one tight row per kept coordinate, and x solves
+those rows, A_B x = b_B, with the coordinates whose dual rows were dropped
+as redundant fixed to 0.
 """
 
 from __future__ import annotations
@@ -73,7 +74,12 @@ def _run_simplex(tableau, cost, basis):
 
 
 def _standard_form_solve(A, b, c):
-    """min c.z  s.t.  A z = b, z >= 0 (all entries Fractions)."""
+    """min c.z  s.t.  A z = b, z >= 0 (all entries Fractions).
+
+    Returns (status, value, z, basis, kept): on OPTIMAL, `kept` lists the
+    rows of A left after dropping redundant ones and `basis[r]` is the
+    column basic in row `kept[r]`; otherwise only the status is set.
+    """
     m = len(A)
     n = len(c)
     tableau = []
@@ -95,7 +101,7 @@ def _standard_form_solve(A, b, c):
         cost[n + i] = Fraction(0)
     _run_simplex(tableau, cost, basis)
     if -cost[-1] > 0:
-        return INFEASIBLE, None, None
+        return INFEASIBLE, None, None, None, None
 
     # drive leftover artificials out of the basis; drop redundant rows
     keep_rows = []
@@ -115,54 +121,53 @@ def _standard_form_solve(A, b, c):
             factor = cost2[basis[r]]
             cost2 = [a - factor * bb for a, bb in zip(cost2, row)]
     if not _run_simplex(tableau, cost2, basis):
-        return UNBOUNDED, None, None
+        return UNBOUNDED, None, None, None, None
     z = [Fraction(0)] * n
     for r, bvar in enumerate(basis):
         z[bvar] = tableau[r][-1]
-    return OPTIMAL, -cost2[-1], z
-
-
-def solve_lp(objective: Sequence, ge_rows: Sequence[tuple]) -> LpResult:
-    """Minimize objective . x over free x subject to coeffs . x >= const.
-
-    `ge_rows` is a sequence of (coefficient list, constant) pairs.  Free
-    variables are split into positive parts; a surplus variable per row turns
-    the inequalities into equalities.
-    """
-    d = len(objective)
-    rows = [(list(co), Fraction(ct)) for co, ct in ge_rows]
-    m = len(rows)
-    # z = (u_1..u_d, v_1..v_d, s_1..s_m), x = u - v, A x - s = b
-    A = []
-    b = []
-    for r, (co, ct) in enumerate(rows):
-        if len(co) != d:
-            raise ValueError("row arity %d != %d" % (len(co), d))
-        row = [Fraction(v) for v in co] + [-Fraction(v) for v in co] + [Fraction(0)] * m
-        row[2 * d + r] = Fraction(-1)
-        A.append(row)
-        b.append(ct)
-    c = [Fraction(v) for v in objective] + [-Fraction(v) for v in objective] \
-        + [Fraction(0)] * m
-    if not A:
-        # unconstrained: bounded only if objective is identically zero
-        if any(v != 0 for v in objective):
-            return LpResult(UNBOUNDED)
-        return LpResult(OPTIMAL, Fraction(0), [Fraction(0)] * d)
-    status, value, z = _standard_form_solve(A, b, c)
-    if status != OPTIMAL:
-        return LpResult(status)
-    x = [z[i] - z[d + i] for i in range(d)]
-    return LpResult(OPTIMAL, value, x)
+    return OPTIMAL, -cost2[-1], z, basis, keep_rows
 
 
 def _dual_solve(coeffs: Sequence, ge_rows: Sequence[tuple], dim: int):
-    """(status, value, y) of min -b.y s.t. A^T y = coeffs, y >= 0."""
+    """:func:`_standard_form_solve` of min -b.y s.t. A^T y = coeffs, y >= 0.
+
+    Its dual rows are the coordinates of x and its columns the rows of A.
+    """
     if len(coeffs) != dim or any(len(co) != dim for co, _ in ge_rows):
         raise ValueError("row arity differs from dimension %d" % dim)
     columns = [[Fraction(co[i]) for co, _ in ge_rows] for i in range(dim)]
     return _standard_form_solve(columns, [Fraction(v) for v in coeffs],
                                 [-Fraction(ct) for _, ct in ge_rows])
+
+
+def solve_lp(objective: Sequence, ge_rows: Sequence[tuple]) -> LpResult:
+    """Minimize objective . x over free x subject to coeffs . x >= const.
+
+    `ge_rows` is a sequence of (coefficient list, constant) pairs.  Solved
+    on the dual: an optimal dual gives the optimum, with x from the tight
+    rows of its basis; an unbounded dual means the rows are empty; an
+    infeasible dual means the rows are empty or the objective is unbounded
+    below, told apart by the emptiness test of :func:`implied`.
+    """
+    d = len(objective)
+    status, value, _, basis, kept = _dual_solve(objective, ge_rows, d)
+    if status == UNBOUNDED:
+        return LpResult(INFEASIBLE)
+    if status == INFEASIBLE:
+        return LpResult(INFEASIBLE if implied([0] * d, 1, ge_rows, d) else UNBOUNDED)
+    # A_B x = b_B on the kept coordinates by Gauss-Jordan pivots: A_B is the
+    # transposed dual basis matrix, so it is invertible
+    tight = [[Fraction(ge_rows[k][0][i]) for i in kept] + [Fraction(ge_rows[k][1])]
+             for k in basis]
+    no_cost = [Fraction(0)] * (len(kept) + 1)
+    cols = [None] * len(kept)
+    for col in range(len(kept)):
+        row = next(r for r in range(len(kept)) if cols[r] is None and tight[r][col] != 0)
+        _pivot(tight, no_cost, cols, row, col)
+    x = [Fraction(0)] * d
+    for r, col in enumerate(cols):
+        x[kept[col]] = tight[r][-1]
+    return LpResult(OPTIMAL, -value, x)
 
 
 def implied(coeffs: Sequence, const, ge_rows: Sequence[tuple], dim: int) -> bool:
@@ -175,7 +180,7 @@ def implied(coeffs: Sequence, const, ge_rows: Sequence[tuple], dim: int) -> bool
     only when the rows are nonempty: callers guarantee that.  Emptiness is
     ``implied([0] * dim, 1, ge_rows, dim)``, whose dual is feasible at y = 0.
     """
-    status, value, _ = _dual_solve(coeffs, ge_rows, dim)
+    status, value = _dual_solve(coeffs, ge_rows, dim)[:2]
     if status == UNBOUNDED:
         return True
     return status == OPTIMAL and -value >= const
@@ -183,9 +188,4 @@ def implied(coeffs: Sequence, const, ge_rows: Sequence[tuple], dim: int) -> bool
 
 def feasible_point(ge_rows: Sequence[tuple], dim: int) -> Optional[list]:
     """A point satisfying all rows, or None when the system is infeasible."""
-    result = solve_lp([Fraction(0)] * dim, ge_rows)
-    if result.status == INFEASIBLE:
-        return None
-    if result.x is not None:
-        return result.x
-    return None
+    return solve_lp([Fraction(0)] * dim, ge_rows).x

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from multiterm import identities
 from multiterm.errors import ConfigurationError, PreconditionError
 from multiterm.identities import (
     EXAMPLES,
@@ -73,3 +74,16 @@ def test_heegard_berger_reconstruction_properties():
     for j in (1, 2):
         margin = ["W0", "W%d" % j, "X", "Y%d" % j, "Z%d" % j]
         assert marginalize(pmf, margin) == marginalize(rebuilt, margin)
+
+
+def test_heegard_berger_reconstruction_propagates_configuration_errors(monkeypatch):
+    """Only a zero-probability condition becomes a point-mass row; any other
+    error from `condition` reaches the caller."""
+    pmf = random_example_pmf("heegard-berger", np.random.default_rng(11), mode=RATIONAL)
+
+    def broken(*args, **kwargs):
+        raise ConfigurationError("broken condition")
+
+    monkeypatch.setattr(identities, "condition", broken)
+    with pytest.raises(ConfigurationError, match="broken condition"):
+        reconstruct_heegard_berger(pmf)

@@ -28,6 +28,7 @@ from multiterm.regions import (
     required_terms,
     round_entropy,
 )
+from multiterm.scenarios import build_scenario
 from multiterm.simplex import feasible_point
 
 B2 = Alphabet((0, 1))
@@ -299,6 +300,31 @@ def test_find_aux_rates_slepian_wolf_specialization():
     assert not isinstance(find_aux_rates(spec, {1: 1, 2: Fraction(6, 10)}), Infeasible)
     assert isinstance(find_aux_rates(spec, {1: Fraction(6, 10), 2: Fraction(6, 10)}),
                       Infeasible)
+
+
+@pytest.mark.parametrize("which", [DSC_IT, JB_IT, DSC_CRNG])
+def test_find_aux_rates_infeasible_subset_is_irreducible(which):
+    """Slepian-Wolf rates (1/8, 1/8) violate several rows at zero auxiliary
+    rates; the certificate is infeasible and every row of it is needed."""
+    sc = build_scenario("slepian-wolf")
+    joint = build_joint(sc.config, sc.source, sc.channels, None)
+    spec = RegionSpec(which, sc.config, binding_from_pmf(which, sc.config, joint).values)
+    rates = {1: Fraction(1, 8), 2: Fraction(1, 8)}
+    got = find_aux_rates(spec, rates)
+    assert isinstance(got, Infeasible)
+
+    system = build_system(spec)
+    aux = [v for v in system.vars if v.startswith("r_")]
+    fixed = {rate_var(i): v for i, v in rates.items()}
+    rows = {system._render_row(iq): (
+        [iq.coeff_map().get(v, Fraction(0)) for v in aux],
+        iq.const.value() - sum(c * fixed[v] for v, c in iq.coeffs if v in fixed))
+        for iq in system.ineqs}
+    assert sum(ct > 0 for _, ct in rows.values()) >= 2
+    subset = [rows[r] for r in got.violated]
+    assert feasible_point(subset, len(aux)) is None
+    for k in range(len(subset)):
+        assert feasible_point(subset[:k] + subset[k + 1:], len(aux)) is not None
 
 
 def test_dsc_feasibility_transfers_to_mdc():

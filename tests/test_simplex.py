@@ -9,7 +9,9 @@ from multiterm.simplex import (
     INFEASIBLE,
     OPTIMAL,
     UNBOUNDED,
+    LpResult,
     _dual_solve,
+    _standard_form_solve,
     feasible_point,
     implied,
     solve_lp,
@@ -18,6 +20,34 @@ from multiterm.simplex import (
 
 def F(v):
     return Fraction(v)
+
+
+def primal_solve_lp(objective, ge_rows):
+    """Reference: min objective . x s.t. A x >= b in primal standard form.
+
+    Free variables are split into positive parts, x = u - v, and a surplus
+    variable per row turns the inequalities into equalities, A x - s = b.
+    An m-row system pivots an m x (2d + 2m) tableau; `solve_lp` solves the
+    same LP on its d-row dual.
+    """
+    d = len(objective)
+    m = len(ge_rows)
+    A, b = [], []
+    for r, (co, ct) in enumerate(ge_rows):
+        row = [F(v) for v in co] + [-F(v) for v in co] + [F(0)] * m
+        row[2 * d + r] = F(-1)
+        A.append(row)
+        b.append(F(ct))
+    c = [F(v) for v in objective] + [-F(v) for v in objective] + [F(0)] * m
+    if not A:
+        # unconstrained: bounded only if objective is identically zero
+        if any(v != 0 for v in objective):
+            return LpResult(UNBOUNDED)
+        return LpResult(OPTIMAL, F(0), [F(0)] * d)
+    status, value, z = _standard_form_solve(A, b, c)[:3]
+    if status != OPTIMAL:
+        return LpResult(status)
+    return LpResult(OPTIMAL, value, [z[i] - z[d + i] for i in range(d)])
 
 
 def test_simple_bounded():
@@ -117,17 +147,46 @@ def test_implied_agrees_with_primal(case):
     multipliers y >= 0, A^T y = coeffs, b.y >= const."""
     dim, raw, coeffs, const = case
     rows = [([F(v) for v in co], F(ct)) for co, ct in raw]
-    empty = solve_lp([F(0)] * dim, rows).status == INFEASIBLE
+    empty = primal_solve_lp([F(0)] * dim, rows).status == INFEASIBLE
     assert implied([0] * dim, 1, rows, dim) == empty
     if empty:
         return  # callers test emptiness first: then both LPs may be infeasible
-    primal = solve_lp([F(v) for v in coeffs], rows)
+    primal = primal_solve_lp([F(v) for v in coeffs], rows)
     expected = primal.status == OPTIMAL and primal.value >= const
     assert implied(coeffs, const, rows, dim) == expected
     if expected:
-        status, _, y = _dual_solve(coeffs, rows, dim)
+        status, _, y = _dual_solve(coeffs, rows, dim)[:3]
         assert status == OPTIMAL and len(y) == len(rows)
         assert all(v >= 0 for v in y)
         for i in range(dim):
             assert sum(v * co[i] for v, (co, _) in zip(y, rows)) == coeffs[i]
         assert sum(v * ct for v, (_, ct) in zip(y, rows)) >= const
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=implication_cases().map(lambda case: case[:3]))
+@example(case=(0, [([], 1)], []))                                # dim 0, empty
+@example(case=(0, [([], 0), ([], -1)], []))                      # dim 0, optimal
+@example(case=(2, [], [1, 0]))                                   # no rows, unbounded
+@example(case=(2, [], [0, 0]))                                   # no rows, optimal
+@example(case=(1, [([1], 1), ([-1], 0)], [1]))                   # empty
+@example(case=(1, [([1], 0)], [-1]))                             # unbounded below
+@example(case=(2, [([1, 0], 0)] * 3 + [([0, 1], 0)] * 3, [1, 1]))  # degenerate
+@example(case=(3, [([1, 2, 0], 1), ([2, 4, 0], 3)], [1, 2, 0]))  # rank 1, optimal
+@example(case=(3, [([1, 2, 0], 1), ([2, 4, 0], 3)], [1, 2, 1]))  # rank 1, unbounded
+@example(case=(2, [([1, 1], 1), ([-1, -1], -3), ([1, 1], 2)], [2, 2]))  # rank 1, ties
+def test_solve_lp_matches_primal_reference(case):
+    """The dual `solve_lp` has the primal reference's status and value; its
+    x satisfies every row exactly and attains the value.  On a tie x may be
+    another optimal vertex than the reference's."""
+    dim, raw, objective = case
+    rows = [([F(v) for v in co], F(ct)) for co, ct in raw]
+    got = solve_lp(objective, rows)
+    ref = primal_solve_lp(objective, rows)
+    assert (got.status, got.value) == (ref.status, ref.value)
+    if got.status != OPTIMAL:
+        assert got.x is None
+        return
+    assert all(sum(a * v for a, v in zip(co, got.x)) >= ct for co, ct in rows)
+    assert sum(a * v for a, v in zip(objective, got.x)) == got.value
+    assert feasible_point(rows, dim) is not None
