@@ -10,6 +10,7 @@ version, resolved seed, and a hash of the scenario content.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import os
@@ -87,6 +88,20 @@ def _decimal_string(value: Fraction) -> str:
     return "%s%s.%s" % (sign, text[:-shift], text[-shift:])
 
 
+@contextlib.contextmanager
+def _unlimited_int_digits():
+    """Lift the interpreter's int-to-str digit limit inside the block only."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 # -- region ---------------------------------------------------------------------------
 
 
@@ -157,11 +172,10 @@ def cmd_simulate(args) -> int:
         rates = [code.rate(i) for i in scenario.config.encoders]
         aux = [code.aux_rate(i) for i in scenario.config.encoders]
         if args.exact:
-            if hasattr(sys, "set_int_max_str_digits"):
-                sys.set_int_max_str_digits(1_000_000)  # large-block rationals
             result = exact_error(code, delta, scenario.default_D, rule=args.rule)
-            mismatch = _decimal_string(result.mismatch)
-            exceeds = [_decimal_string(result.exceed[k]) for k in ks]
+            with _unlimited_int_digits():   # large-block rationals
+                mismatch = _decimal_string(result.mismatch)
+                exceeds = [_decimal_string(result.exceed[k]) for k in ks]
             row = ([scenario.name, str(n)] + [repr(r) for r in rates]
                    + [repr(r) for r in aux]
                    + [repr(delta), "0", mismatch] + exceeds

@@ -9,6 +9,13 @@ encoder set (its f-admissible blocks by g value, shared by an encoder cell
 and a decoder that sees the same codewords), each hash evaluated once per
 block.  Everything is enumerated explicitly, so exactness is provable at
 desk scale; there is no MCMC.
+
+Every constrained law is held in integers: each channel row and each
+posterior table is scaled once per code to integer weights (by the lcm of its
+denominators, a factor shared by every candidate of a law, so it cancels),
+and a law is its candidates with integer weights plus their integer total.
+Draws divide each weight by the total once; the exact oracle forms one
+Fraction per distinct denominator.
 """
 
 from __future__ import annotations
@@ -37,7 +44,7 @@ from .network import (
     w_alphabets,
     w_name,
 )
-from .probability import RATIONAL, JointPmf, block_extend, marginalize, sample
+from .probability import RATIONAL, JointPmf, block_extend, block_products, marginalize, sample
 
 _EXACT_BUDGET = 1 << 24
 _INDEX_BUDGET = 1 << 20     # W_S-blocks scanned by one class index (4 letters at n = 10)
@@ -60,17 +67,33 @@ def crng_law(base, constraint):
     return [(item, p / total) for item, p in kept]
 
 
+def law_floats(law) -> np.ndarray:
+    """The probabilities of `law` = (items, total) as floats, `weight / total`
+    each.  For integer weights this is int true division, which rounds
+    correctly: each entry equals ``float(Fraction(weight, total))``."""
+    items, total = law
+    return np.array([w / total for _, w in items], dtype=float)
+
+
 def sample_from_law(law, seed):
+    """One draw from `law` = (items, total): (item, weight) pairs and their sum."""
     rng = np.random.default_rng(seed)
-    probs = np.array([float(p) for _, p in law], dtype=float)
+    probs = law_floats(law)
     probs = probs / probs.sum()
-    idx = int(rng.choice(len(law), p=probs))
-    return law[idx][0]
+    items, _ = law
+    return items[int(rng.choice(len(items), p=probs))][0]
 
 
 def crng_sample(base, constraint, seed):
     """One draw from the constrained, renormalized distribution."""
-    return sample_from_law(crng_law(base, constraint), seed)
+    return sample_from_law((crng_law(base, constraint), 1), seed)
+
+
+def _integer_weights(table: Mapping) -> tuple:
+    """A table of rational weights scaled to integers by the lcm of its
+    denominators: (integer table, scale)."""
+    scale = math.lcm(*(p.denominator for p in table.values()))
+    return {key: p.numerator * (scale // p.denominator) for key, p in table.items()}, scale
 
 
 # -- code instances ------------------------------------------------------------------
@@ -120,11 +143,31 @@ class CodeInstance:
             if not (isinstance(c, (int, np.integer)) and 0 <= c < self.f[i].image_size):
                 raise ConfigurationError(
                     "constraint value %r for encoder %r outside the f image" % (c, i))
+        if self.source.mode != RATIONAL:
+            raise ConfigurationError("a code needs rational-mode source and channels")
         self._joint = build_joint(self.config, self.source, self.channels, None)
+        self._reproduction_args = self._resolve_reproducers()
         self._hash_values: dict = {}   # (encoder, block) -> (f meets c, g value)
         self._class_indexes: dict = {}
-        self._posteriors: dict = {}
+        self._channel_rows: dict = {}  # (cell, x letter) -> integer channel row
+        self._posteriors: dict = {}    # decoder -> y letter -> integer posterior table
         self._laws: dict = {}
+
+    def _resolve_reproducers(self) -> dict:
+        """Decoder j -> [(k, table of reproducer k, per argument the encoder
+        whose block it reads, or None for the side information)]."""
+        encoder_of = {w_name(i): i for i in self.config.encoders}
+        resolved = {j: [] for j in self.config.decoders}
+        for j in self.config.decoders:
+            for k in self.config.reproductions.get(j, ()):
+                rep = self.reproducers.get(k)
+                if rep is None:
+                    raise ConfigurationError("missing reproducer for reproduction %r" % (k,))
+                for arg in rep.args:
+                    if arg.startswith("W") and arg not in encoder_of:
+                        raise ConfigurationError("unknown codeword variable %r" % (arg,))
+                resolved[j].append((k, rep.table, [encoder_of.get(a) for a in rep.args]))
+        return resolved
 
     # -- rates ------------------------------------------------------------------------
 
@@ -187,14 +230,13 @@ class CodeInstance:
         return classes
 
     def _law(self, key, weigh, abort, message):
-        """The cached law `key` = (side, cell or decoder, ...): `weigh()`
-        renormalized; an empty law raises `abort(message % key[1])`."""
+        """The cached law `key` = (side, cell or decoder, ...): (items, total),
+        the admissible candidates of positive integer weight that `weigh()`
+        returns and the sum of their weights; an empty law raises
+        `abort(message % key[1])`."""
         if key not in self._laws:
-            try:
-                # weigh() returns only admissible candidates of positive weight
-                self._laws[key] = crng_law(weigh(), lambda blocks: True)
-            except EmptySupportError:
-                self._laws[key] = None
+            items = weigh()
+            self._laws[key] = (items, sum(w for _, w in items)) if items else None
         law = self._laws[key]
         if law is None:
             raise abort(message % (key[1],))
@@ -202,16 +244,25 @@ class CodeInstance:
 
     # -- encoder -------------------------------------------------------------------------
 
+    def _channel_row(self, cell, x):
+        """The channel row of cell for input letter x in integer weights."""
+        row = self._channel_rows.get((cell, x))
+        if row is None:
+            row = self._channel_rows[cell, x] = _integer_weights(
+                self.channels[cell].row((x,)))[0]
+        return row
+
     def cell_base_law(self, cell, x_block):
         """Encoder weighting step: the cell's f-admissible W-blocks of every
-        class with their positive weights under the channel rows of x_block."""
+        class with their positive integer weights under the channel rows of
+        x_block (each row scaled by its own lcm)."""
         cell = tuple(cell)
-        ch = self.channels[cell]
         candidates = itertools.chain.from_iterable(self._class_index(cell).values())
-        return _weigh(candidates, [ch.row((x,)) for x in x_block])
+        return _weigh(candidates, [self._channel_row(cell, x) for x in x_block])
 
     def cell_constrained_law(self, cell, x_block):
-        """Encoder CRNG law: channel law restricted to f_i(w_i) = c_i."""
+        """Encoder CRNG law: channel law restricted to f_i(w_i) = c_i, as
+        (items, total); the probability of a block is weight / total."""
         cell = tuple(cell)
         return self._law(("encoder", cell, tuple(x_block)),
                          lambda: self.cell_base_law(cell, x_block), EncoderAbort,
@@ -227,24 +278,28 @@ class CodeInstance:
     def _posterior_weights(self, j):
         """`weights[y][w]`: model probability of the W_{I_j}-letter w jointly
         with decoder j's side-information letter y (None without side
-        information).  Computed once per decoder."""
+        information), each table scaled to integers by its own lcm.
+        Computed once per decoder."""
         weights = self._posteriors.get(j)
         if weights is None:
             y = self.config.side_info.get(j)
             names = [w_name(i) for i in self.config.codewords_to[j]]
-            weights = self._posteriors[j] = {}
+            tables: dict = {}
             for key, p in marginalize(self._joint, names + ([y] if y else [])).items():
                 w, yv = (key[:-1], key[-1]) if y else (key, None)
-                weights.setdefault(yv, {})[w] = p
+                tables.setdefault(yv, {})[w] = p
+            weights = self._posteriors[j] = {
+                yv: _integer_weights(table)[0] for yv, table in tables.items()}
         return weights
 
     def decoder_class_law(self, j, m: Mapping, y_block):
-        """Posterior over W_{I_j}-blocks restricted to the (f, g) classes.
+        """Posterior over W_{I_j}-blocks restricted to the (f, g) classes, as
+        (items, total); the probability of a candidate is weight / total.
 
         The model posterior factorizes across letters (everything is
         memoryless), so a candidate's weight is the product of its letters'
-        model probabilities jointly with the observed side-information
-        letters.  Only the candidates of the class that `m` names are weighted.
+        model weights jointly with the observed side-information letters.
+        Only the candidates of the class that `m` names are weighted.
         """
         ij = tuple(self.config.codewords_to[j])
         values = tuple(m[i] for i in ij)
@@ -261,11 +316,9 @@ class CodeInstance:
     def reproduce(self, j, w_blocks: Mapping, y_block):
         """Apply the decoder's reproducers per letter."""
         out = {}
-        for k in self.config.reproductions.get(j, ()):
-            rep = self.reproducers[k]
-            arg_blocks = [w_blocks[_encoder_of_wvar(a, self.config)] if a.startswith("W")
-                          else y_block for a in rep.args]
-            out[k] = tuple(rep(args) for args in zip(*arg_blocks))
+        for k, table, sources in self._reproduction_args[j]:
+            arg_blocks = [y_block if i is None else w_blocks[i] for i in sources]
+            out[k] = tuple(map(table.__getitem__, zip(*arg_blocks)))
         return out
 
     def decode(self, j, m: Mapping, y_block, seed, rule: str = "crng"):
@@ -274,17 +327,10 @@ class CodeInstance:
         if rule == "crng":
             w_hat = sample_from_law(law, seed)
         elif rule == "map":
-            w_hat = map_estimate(law, self.config.codewords_to[j])
+            w_hat = map_estimate(law[0], self.config.codewords_to[j])
         else:
             raise ConfigurationError("unknown decode rule %r" % (rule,))
         return w_hat, self.reproduce(j, w_hat, y_block)
-
-
-def _encoder_of_wvar(var: str, config: NetworkConfig):
-    for i in config.encoders:
-        if w_name(i) == var:
-            return i
-    raise ConfigurationError("unknown codeword variable %r" % (var,))
 
 
 def _weigh(candidates, tables):
@@ -306,7 +352,8 @@ def _weigh(candidates, tables):
 
 
 def map_estimate(law, ij):
-    """Deterministic argmax of the restricted posterior.
+    """Deterministic argmax of the restricted posterior, given as its
+    (blocks, weight) items.
 
     Ties break toward the lexicographically smallest block tuple (encoder
     order, then letter order).
@@ -361,8 +408,18 @@ def exact_error(code: CodeInstance, delta: float, D: Mapping,
 
     Averages over the source blocks, every encoder draw, and every decoder
     draw; encoder aborts count as errors for the mismatch and for every
-    distortion exceedance.  Each decoder class is summarized once per call
-    (:func:`_class_summary`).  Requires rational-mode inputs.
+    distortion exceedance.  Requires rational-mode inputs.
+
+    The sums run in integers.  A source block's weight is an integer over
+    D^n (D the lcm of the source law's denominators), each encoder draw an
+    integer over its cell's law total.  Within a source block the encoder
+    draws are grouped by the decoder classes they reach (each class
+    summarized once per call, :func:`_class_summary`), and the distortion
+    hits are counted once per group.  Each group's numerators are added to
+    the running numerator of their denominator: D^n times the cell totals
+    times the class totals for the mismatch, times only the decoder's own
+    class total for an exceedance.  One Fraction is formed per distinct
+    denominator at the end.
     """
     if code.source.mode != RATIONAL:
         raise ConfigurationError("exact_error requires rational-mode source/channels")
@@ -371,81 +428,111 @@ def exact_error(code: CodeInstance, delta: float, D: Mapping,
     _check_budget(code)
     cfg = code.config
     bounds = {k: float(D[k]) + delta for k in cfg.reproduction_ids}
-    mismatch = _BalancedSum()
-    exceed = {k: _BalancedSum() for k in cfg.reproduction_ids}
-    abort_mass = Fraction(0)
+    cells = [(cell, code.channels[cell].inputs[0][0]) for cell in cfg.sharing]
+    decoders = [(j, tuple(cfg.codewords_to[j]), cfg.side_info.get(j)) for j in cfg.decoders]
+    source_row, source_scale = _integer_weights(dict(code.source.items()))
+    source_row = [(letter, w) for letter, w in source_row.items() if w]
+    block_scale = source_scale ** code.n
+    mismatch: dict = {}    # denominator -> numerator
+    exceed: dict = {k: {} for k in cfg.reproduction_ids}
+    abort = 0
     summaries: dict = {}
-    for letters, p_src in block_extend(code.source, code.n).enumerate_blocks():
+    for letters, p_src in block_products([source_row] * code.n):
         blocks = _transpose(code.source, letters)
-        cell_laws = []
         try:
-            for cell in cfg.sharing:
-                ch = code.channels[tuple(cell)]
-                x_var = ch.inputs[0][0]
-                cell_laws.append(code.cell_constrained_law(cell, blocks[x_var]))
+            cell_laws = [code.cell_constrained_law(cell, blocks[x_var]) for cell, x_var in cells]
         except EncoderAbort:
-            abort_mass += p_src
+            abort += p_src
             continue
-        for combo in itertools.product(*cell_laws):
+        scale = block_scale
+        for _, total in cell_laws:
+            scale *= total
+        groups: dict = {}   # decoder classes -> [sum of weights, sum of weight * prod match]
+        for combo in itertools.product(*(items for items, _ in cell_laws)):
             w_blocks = {}
-            p_w = Fraction(1)
-            for cell_blocks, p in combo:
+            weight = p_src
+            for cell_blocks, w in combo:
                 w_blocks.update(cell_blocks)
-                p_w *= p
-            weight = p_src * p_w
-            if weight == 0:
-                continue
-            m = {i: code._hashes(i, w_blocks[i])[1] for i in cfg.encoders}
-            p_all_match = Fraction(1)
-            for j in cfg.decoders:
-                ij = cfg.codewords_to[j]
-                y = cfg.side_info.get(j)
+                weight *= w
+            classes = []
+            matched = weight
+            for j, ij, y in decoders:
                 y_block = blocks[y] if y else None
-                key = (j, tuple(m[i] for i in ij), y_block)
-                if key not in summaries:
-                    summaries[key] = _class_summary(code, j, m, y_block, rule)
-                match, scale, reproduced = summaries[key]
-                p_all_match *= match.get(tuple(w_blocks[i] for i in ij), 0)
-                for k, masses in reproduced.items():
-                    distortion = cfg.distortions[k]
-                    hits = sum(mass for z, mass in masses
-                               if distortion.block(blocks, blocks, z) > bounds[k])
-                    if hits:
-                        exceed[k].add(weight * Fraction(hits, scale))
-            if p_all_match != 1:
-                mismatch.add(weight * (1 - p_all_match))
-    mismatch.add(abort_mass)
-    for k in exceed:
-        exceed[k].add(abort_mass)
-    mismatch = mismatch.total()
-    exceed = {k: acc.total() for k, acc in exceed.items()}
-    return ExactError(mismatch, exceed, abort_mass)
+                key = (j, tuple(code._hashes(i, w_blocks[i])[1] for i in ij), y_block)
+                summary = summaries.get(key)
+                if summary is None:
+                    summary = summaries[key] = _class_summary(code, j, key[1], y_block, rule)
+                matched *= summary[0].get(tuple(w_blocks[i] for i in ij), 0)
+                classes.append(key)
+            group = groups.setdefault(tuple(classes), [0, 0])
+            group[0] += weight
+            group[1] += matched
+        hits_of: dict = {}   # decoder class -> [(k, hits)]
+        for classes, (weight, matched) in groups.items():
+            total = 1
+            for key in classes:
+                total *= summaries[key][1]
+            if weight * total != matched:
+                _add(mismatch, scale * total, weight * total - matched)
+            for key in classes:
+                hits = hits_of.get(key)
+                if hits is None:
+                    hits = hits_of[key] = _hits(cfg, blocks, summaries[key][2], bounds)
+                for k, count in hits:
+                    _add(exceed[k], scale * summaries[key][1], weight * count)
+    for numerators in [mismatch, *exceed.values()]:
+        _add(numerators, block_scale, abort)
+    return ExactError(_fraction_sum(mismatch),
+                      {k: _fraction_sum(numerators) for k, numerators in exceed.items()},
+                      Fraction(abort, block_scale))
 
 
-def _class_summary(code: CodeInstance, j, m: Mapping, y_block, rule: str):
+def _add(numerators: dict, denominator: int, numerator: int):
+    numerators[denominator] = numerators.get(denominator, 0) + numerator
+
+
+def _fraction_sum(numerators: dict) -> Fraction:
+    """The exact sum of numerator/denominator over a denominator -> numerator dict."""
+    acc = _BalancedSum()
+    for denominator, numerator in numerators.items():
+        acc.add(Fraction(numerator, denominator))
+    return acc.total()
+
+
+def _hits(cfg, blocks, reproduced, bounds) -> list:
+    """(k, summed weight of the reproductions whose distortion from the source
+    blocks exceeds D_k + delta) for each reproduction of a decoder class."""
+    hits = []
+    for k, masses in reproduced.items():
+        distortion = cfg.distortions[k]
+        count = sum(mass for z, mass in masses if distortion.block(blocks, blocks, z) > bounds[k])
+        if count:
+            hits.append((k, count))
+    return hits
+
+
+def _class_summary(code: CodeInstance, j, values: tuple, y_block, rule: str):
     """What the oracle needs from one decoder class, under one decode rule.
 
-    Returns (match, scale, reproduced): `match` maps each candidate (its
-    blocks in I_j order) to the probability that the decoder outputs it;
-    `reproduced[k]` lists each distinct reproduced block with its
-    probability as an integer numerator over the common denominator `scale`,
-    so that the oracle sums them as integers.  The MAP rule outputs its pick
-    with probability one.
+    `values` are the codewords of I_j.  Returns (match, total, reproduced):
+    `match` maps each candidate (its blocks in I_j order) to the integer
+    weight with which the decoder outputs it, out of `total`, the class
+    total; `reproduced[k]` lists each distinct reproduced block with its
+    summed weight out of the same total.  The MAP rule outputs its pick with
+    weight 1 out of 1.
     """
     ij = tuple(code.config.codewords_to[j])
-    law = code.decoder_class_law(j, m, y_block)
+    items, total = code.decoder_class_law(j, dict(zip(ij, values)), y_block)
     if rule == "map":
-        law = [(map_estimate(law, ij), Fraction(1))]
-    scale = math.lcm(*(p.denominator for _, p in law))
+        items, total = [(map_estimate(items, ij), 1)], 1
     match = {}
     masses = {k: {} for k in code.config.reproductions.get(j, ())}
-    for cand, p in law:
-        match[tuple(cand[i] for i in ij)] = p
+    for cand, w in items:
+        match[tuple(cand[i] for i in ij)] = w
         z = code.reproduce(j, cand, y_block)
-        numerator = p.numerator * (scale // p.denominator)
         for k, by_block in masses.items():
-            by_block[z[k]] = by_block.get(z[k], 0) + numerator
-    return match, scale, {k: list(by_block.items()) for k, by_block in masses.items()}
+            by_block[z[k]] = by_block.get(z[k], 0) + w
+    return match, total, {k: list(by_block.items()) for k, by_block in masses.items()}
 
 
 def _check_budget(code: CodeInstance):

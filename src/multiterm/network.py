@@ -97,11 +97,13 @@ class Reproducer:
     table: Mapping[tuple, object]
     out_alphabet: Alphabet
 
+    def __post_init__(self):
+        for z in self.table.values():
+            if z not in self.out_alphabet.symbols:
+                raise ConfigurationError("reproducer output %r outside alphabet" % (z,))
+
     def __call__(self, key: tuple):
-        z = self.table[tuple(key)]
-        if z not in self.out_alphabet.symbols:
-            raise ConfigurationError("reproducer output %r outside alphabet" % (z,))
-        return z
+        return self.table[tuple(key)]
 
 
 def identity_reproducer(var: str, alphabet: Alphabet) -> Reproducer:

@@ -201,7 +201,8 @@ def test_criterion_6_crng_sampler_law():
             direct[bits] = p
     total = sum(direct.values())
     direct = {k: p / total for k, p in direct.items()}
-    law = {blocks[1]: p for blocks, p in code.cell_constrained_law((1,), x_block)}
+    items, total = code.cell_constrained_law((1,), x_block)
+    law = {blocks[1]: Fraction(w, total) for blocks, w in items}
     ok = ok and _tv_zero(direct.items(), law.items())
 
     # decoder class law on the two-source lossless pair at n = 4 (4^4 states)
@@ -224,15 +225,15 @@ def test_criterion_6_crng_sampler_law():
                 direct[(w1, w2)] = p
     total = sum(direct.values())
     direct = {k: p / total for k, p in direct.items()}
-    law = {(blocks[1], blocks[2]): p
-           for blocks, p in sw_code.decoder_class_law(1, m, None)}
+    items, total = sw_code.decoder_class_law(1, m, None)
+    law = {(blocks[1], blocks[2]): Fraction(w, total) for blocks, w in items}
     ok = ok and _tv_zero(direct.items(), law.items())
 
     # shared-source cell at n = 6 (4^6 = 4096 joint states)
     mdc = build_scenario("mdc-two-descriptions")
     mdc_code = mdc.make_code(6, aux_rates={1: 1.0 / 6.0, 2: 0.0}, seed=4)
     x_block = (0, 1, 1, 0, 1, 0)
-    law = mdc_code.cell_constrained_law((1, 2), x_block)
+    items, law_total = mdc_code.cell_constrained_law((1, 2), x_block)
     ch = mdc.channels[(1, 2)]
     direct = {}
     for w1 in itertools.product((0, 1), repeat=6):
@@ -245,7 +246,7 @@ def test_criterion_6_crng_sampler_law():
                 direct[(w1, w2)] = p
     total = sum(direct.values())
     direct = {k: p / total for k, p in direct.items()}
-    got = {(blocks[1], blocks[2]): p for blocks, p in law}
+    got = {(blocks[1], blocks[2]): Fraction(w, law_total) for blocks, w in items}
     ok = ok and _tv_zero(direct.items(), got.items())
 
     # Monte Carlo goodness of fit on three double-mode instances

@@ -1,5 +1,6 @@
 import json
 import os
+import sys
 import time
 from fractions import Fraction
 
@@ -156,6 +157,24 @@ def test_simulate_exact_mode(tmp_path):
     mismatch = rows[1].split(",")[8]
     # exact decimal string parses back to a rational
     assert float(mismatch) >= 0
+
+
+def test_simulate_exact_restores_int_digit_limit(capsys):
+    """The exact values may have more digits than the interpreter's int-to-str
+    limit allows; it is lifted while they are formatted, then restored."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        assert run(["simulate", "slepian-wolf", "--n", "6", "--exact", "--seed", "9"]) == 0
+        assert sys.get_int_max_str_digits() == 640
+    finally:
+        sys.set_int_max_str_digits(limit)
+    rows = capsys.readouterr().out.splitlines()
+    assert len(rows) == 2
+    fields = rows[1].split(",")
+    assert max(len(field) for field in fields) > 640
+    for field in fields[8:11]:
+        assert 0 <= Fraction(field) <= 1
 
 
 def test_simulate_exact_budget_exit_code():

@@ -13,6 +13,7 @@ from multiterm.codec import (
     crng_law,
     crng_sample,
     exact_error,
+    law_floats,
     map_estimate,
     realized_size,
     simulate,
@@ -26,10 +27,16 @@ from multiterm.errors import (
 )
 from multiterm.hashing import BinningEnsemble, HashFunction, identity_linear, make_ensemble
 from multiterm.network import NetworkConfig, identity_channel, w_name
-from multiterm.probability import Alphabet, JointPmf, dsbs, marginalize
+from multiterm.probability import Alphabet, JointPmf, block_extend, dsbs, marginalize
 from multiterm.scenarios import build_scenario, scenario_names
 
 B = Alphabet((0, 1))
+
+
+def fraction_law(law):
+    """An integer law (items, total) as (blocks, probability) pairs."""
+    items, total = law
+    return [(blocks, Fraction(w, total)) for blocks, w in items]
 
 
 # -- constrained draws ------------------------------------------------------------
@@ -82,6 +89,17 @@ def test_crng_sample_matches_restricted_law_chi_square():
     assert chisquare(observed, expected).pvalue > 0.001
 
 
+def test_law_floats_round_integer_weights_correctly():
+    """Large integer weights are divided as ints: each probability equals
+    float(Fraction(w, total)), where float(w) / float(total) rounds twice."""
+    items = [("a", 1371754781240904731), ("b", 1273952213221885462),
+             ("c", 1434151720124362380)]
+    total = sum(w for _, w in items)
+    expected = [float(Fraction(w, total)) for _, w in items]
+    assert list(law_floats((items, total))) == expected
+    assert [float(w) / float(total) for _, w in items] != expected
+
+
 def test_crng_sample_deterministic_in_seed():
     base = [(w, Fraction(1, 8)) for w in range(8)]
     a = crng_sample(base, lambda w: w % 2 == 0, seed=42)
@@ -109,7 +127,7 @@ def test_unconstrained_when_f_image_is_one():
     # |C_i| = 1 means the constrained law equals the channel law
     scenario = build_scenario("wyner-ziv-binary")
     code = scenario.make_code(2, aux_rates={1: 0.0}, seed=1)
-    law = code.cell_constrained_law((1,), (0, 1))
+    law = fraction_law(code.cell_constrained_law((1,), (0, 1)))
     ch = scenario.channels[(1,)]
     expect = {}
     for w1 in (0, 1):
@@ -134,7 +152,8 @@ def test_encoder_constrained_law_matches_direct_formula():
         if code.f[1](w_int) == code.c[1]:
             numer[bits] = p
     total = sum(numer.values())
-    law = dict((blocks[1], p) for blocks, p in code.cell_constrained_law((1,), x_block))
+    law = dict((blocks[1], p)
+               for blocks, p in fraction_law(code.cell_constrained_law((1,), x_block)))
     assert law == {bits: p / total for bits, p in numer.items()}
 
 
@@ -183,7 +202,7 @@ def test_decoder_law_matches_posterior_formula():
     _, m2 = code.encode((2,), x2, seed=0)
     m = {**m1, **m2}
     law = dict((tuple(blocks[i] for i in (1, 2)), p)
-               for blocks, p in code.decoder_class_law(1, m, None))
+               for blocks, p in fraction_law(code.decoder_class_law(1, m, None)))
     # direct: product posterior restricted to the class
     base = dsbs(Fraction(11, 100))
     numer = {}
@@ -212,9 +231,8 @@ def test_decode_with_perfect_side_info_is_point_mass():
     f = BinningEnsemble(4, 1).sample_function(1)
     code = CodeInstance(n=n, config=cfg, source=src, channels=channels,
                         reproducers={}, f={1: f}, g={1: g}, c={1: f(0)})
-    law = code.decoder_class_law(1, {1: g(0)}, (1, 0))
-    assert len(law) == 1
-    assert law[0][0] == {1: (1, 0)}
+    law = fraction_law(code.decoder_class_law(1, {1: g(0)}, (1, 0)))
+    assert law == [({1: (1, 0)}, 1)]
 
 
 def _product_and_filter_law(code, j, m, y_block):
@@ -281,7 +299,7 @@ def test_class_indexed_law_matches_product_and_filter(name, n, seed):
         for x_block in itertools.product(x_alph.symbols, repeat=n):
             expected = _channel_product_law(code, cell, x_block)
             try:
-                law = code.cell_constrained_law(cell, x_block)
+                law = fraction_law(code.cell_constrained_law(cell, x_block))
             except EncoderAbort:
                 law = None
             assert _as_mapping(law, cell) == _as_mapping(expected, cell)
@@ -296,7 +314,7 @@ def test_class_indexed_law_matches_product_and_filter(name, n, seed):
             for y_block in y_blocks:
                 expected = _product_and_filter_law(code, j, m, y_block)
                 try:
-                    law = code.decoder_class_law(j, m, y_block)
+                    law = fraction_law(code.decoder_class_law(j, m, y_block))
                 except DecoderAbort:
                     law = None
                 assert law == expected
@@ -333,6 +351,78 @@ def test_map_agrees_with_most_probable():
 
 
 # -- exact oracle and simulation -------------------------------------------------------
+
+
+SIMULATING = [name for name in scenario_names() if build_scenario(name).config.distortions]
+
+
+def _reference_exact_error(code, delta, D, rule):
+    """The exact oracle in Fraction arithmetic, term by term, on the
+    product-and-filter laws: (mismatch, exceed, encoder_abort)."""
+    cfg = code.config
+    bounds = {k: float(D[k]) + delta for k in cfg.reproduction_ids}
+    encoder_laws, decoder_laws = {}, {}
+    mismatch = abort = Fraction(0)
+    exceed = {k: Fraction(0) for k in cfg.reproduction_ids}
+    for letters, p_src in block_extend(code.source, code.n).enumerate_blocks():
+        blocks = {name: tuple(letter[pos] for letter in letters)
+                  for pos, name in enumerate(code.source.names)}
+        cell_laws = []
+        for cell in cfg.sharing:
+            key = (cell, blocks[code.channels[cell].inputs[0][0]])
+            if key not in encoder_laws:
+                encoder_laws[key] = _channel_product_law(code, *key)
+            cell_laws.append(encoder_laws[key])
+        if None in cell_laws:
+            abort += p_src
+            continue
+        for combo in itertools.product(*cell_laws):
+            w_blocks, weight = {}, p_src
+            for cell_blocks, p in combo:
+                w_blocks.update(cell_blocks)
+                weight *= p
+            p_all_match = Fraction(1)
+            for j in cfg.decoders:
+                ij = tuple(cfg.codewords_to[j])
+                y = cfg.side_info.get(j)
+                y_block = blocks[y] if y else None
+                m = {i: code.g[i](code.block_to_int(i, w_blocks[i])) for i in ij}
+                key = (j, tuple(m.values()), y_block)
+                if key not in decoder_laws:
+                    decoder_laws[key] = _product_and_filter_law(code, j, m, y_block)
+                law = decoder_laws[key]
+                if rule == "map":
+                    law = [(map_estimate(law, ij), Fraction(1))]
+                p_all_match *= sum((p for cand, p in law
+                                    if all(cand[i] == w_blocks[i] for i in ij)), Fraction(0))
+                for k in cfg.reproductions.get(j, ()):
+                    rep = code.reproducers[k]
+                    for cand, p in law:
+                        named = {w_name(i): cand[i] for i in ij}
+                        if y:
+                            named[y] = y_block
+                        z = tuple(rep(args) for args in zip(*(named[a] for a in rep.args)))
+                        if cfg.distortions[k].block(blocks, blocks, z) > bounds[k]:
+                            exceed[k] += weight * p
+            mismatch += weight * (1 - p_all_match)
+    return mismatch + abort, {k: v + abort for k, v in exceed.items()}, abort
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(SIMULATING), n=st.integers(1, 3), seed=st.integers(0, 2 ** 16),
+       rule=st.sampled_from(["crng", "map"]), aux=st.sampled_from([None, 0.5, 1.0]))
+def test_integer_oracle_matches_fraction_reference(name, n, seed, rule, aux):
+    """The integer oracle equals the Fraction reference as Fractions; larger
+    auxiliary rates make encoder aborts common."""
+    scenario = build_scenario(name)
+    aux_rates = None if aux is None else {i: aux for i in scenario.config.encoders}
+    code = scenario.make_code(n, aux_rates=aux_rates, seed=seed)
+    delta = 0.01 * max(d.bound for d in scenario.config.distortions.values())
+    result = exact_error(code, delta, scenario.default_D, rule=rule)
+    values = [result.mismatch, result.encoder_abort, *result.exceed.values()]
+    assert all(type(v) is Fraction for v in values)
+    assert (result.mismatch, result.exceed, result.encoder_abort) == \
+        _reference_exact_error(code, delta, scenario.default_D, rule)
 
 
 def test_exact_error_injective_code_is_zero():
@@ -488,6 +578,29 @@ def test_simulate_deterministic_in_seed():
     assert (a.mismatch_count, a.exceed_counts) == (b.mismatch_count, b.exceed_counts)
 
 
+# (mismatch, exceed, encoder aborts, decoder aborts, distortion sums) of
+# simulate(make_code(3, seed=9), 0.01 * max bound, trials=200, seed=9)
+PINNED_REPORTS = {
+    "wyner-ziv-binary": (45, {1: 104}, 0, 0, {1: 45.66666666666671}),
+    "heegard-berger-two-decoders": (93, {1: 88, 2: 101}, 0, 0,
+                                    {1: 38.66666666666667, 2: 45.00000000000003}),
+    "mdc-two-descriptions": (123, {1: 126, 2: 122, 12: 24}, 0, 0,
+                             {1: 62.66666666666675, 2: 53.333333333333364,
+                              12: 45.33333333333335}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_REPORTS))
+def test_seeded_monte_carlo_reports_are_pinned(name):
+    """Seeded Monte Carlo reports stay equal to the recorded ones, floats included."""
+    scenario = build_scenario(name)
+    code = scenario.make_code(3, seed=9)
+    delta = 0.01 * max(d.bound for d in scenario.config.distortions.values())
+    r = simulate(code, delta, scenario.default_D, trials=200, seed=9)
+    assert (r.mismatch_count, r.exceed_counts, r.encoder_abort_count,
+            r.decoder_abort_count, r.distortion_sums) == PINNED_REPORTS[name]
+
+
 def test_crng_error_at_most_twice_map_error():
     for name, seed in (("slepian-wolf", 3), ("wyner-ziv-binary", 5),
                        ("mdc-two-descriptions", 5)):
@@ -544,14 +657,14 @@ def test_end_to_end_law_matches_monolithic_enumeration():
             if p_src == 0:
                 continue
             try:
-                enc_law = code.cell_constrained_law((1,), x)
+                enc_law = fraction_law(code.cell_constrained_law((1,), x))
             except EncoderAbort:
                 via_code[("abort", x, y)] = p_src
                 continue
             for blocks, p_w in enc_law:
                 w = blocks[1]
                 m = code.g[1](code.block_to_int(1, w))
-                dec_law = code.decoder_class_law(1, {1: m}, y)
+                dec_law = fraction_law(code.decoder_class_law(1, {1: m}, y))
                 for cand, p_hat in dec_law:
                     w_hat = cand[1]
                     z = code.reproduce(1, cand, y)[1]

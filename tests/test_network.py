@@ -105,6 +105,11 @@ def test_build_joint_missing_reproducer_error():
         build_joint(cfg, src, channels, {})
 
 
+def test_reproducer_table_checked_when_built():
+    with pytest.raises(ConfigurationError, match="reproducer output 2 outside alphabet"):
+        Reproducer(("W1",), {(0,): 0, (1,): 2}, B)
+
+
 def test_mdc_cell_markov_conditions():
     # shared-source cell with two outputs must satisfy the cell-level chain
     src = JointPmf([("X12", B)], {(0,): Fraction(1, 2), (1,): Fraction(1, 2)})
