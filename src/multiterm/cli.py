@@ -46,9 +46,24 @@ def _resolved_seed(cli_seed):
 
 
 def _scenario_hash(scenario) -> str:
-    blob = repr((scenario.name, sorted(scenario.source.items()),
-                 scenario.config.encoders, scenario.config.decoders)).encode()
+    """Hash of every scenario field that shapes a run (all but the description),
+    through value reprs only: no repr of a plain object, which shows an address."""
+    channels = {cell: (ch.inputs, ch.outputs, ch.rows) for cell, ch in scenario.channels.items()}
+    blob = repr((scenario.name, scenario.source.variables, sorted(scenario.source.items()),
+                 scenario.config, channels, scenario.reproducers, scenario.code_kinds,
+                 scenario.q, scenario.default_rates, scenario.default_aux_rates,
+                 scenario.default_D, scenario.run_defaults)).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
+
+
+def _positive_int(value, where) -> int:
+    """`value` as a positive int, else a configuration error naming it and `where`."""
+    try:
+        if int(value) > 0:
+            return int(value)
+    except (TypeError, ValueError):
+        pass
+    raise ConfigurationError("%s: %r is not a positive integer" % (where, value))
 
 
 def _write_manifest(out_path, payload: dict):
@@ -154,10 +169,11 @@ def cmd_simulate(args) -> int:
     seed = args.seed if args.seed is not None else int(run.get("seed", 0))
     seed = _resolved_seed(seed)
     if args.n:
-        ns = [int(v) for v in args.n.split(",")]
+        ns = [_positive_int(v, "--n") for v in args.n.split(",")]
     else:
-        ns = [int(v) for v in run.get("n", [2, 4])]
-    trials = args.trials if args.trials is not None else int(run.get("trials", 1000))
+        ns = [_positive_int(v, "run.n") for v in run.get("n", [2, 4])]
+    trials = (_positive_int(args.trials, "--trials") if args.trials is not None
+              else _positive_int(run.get("trials", 1000), "run.trials"))
     delta = args.delta if args.delta is not None else run.get("delta")
     if delta is None:
         if not scenario.config.distortions:

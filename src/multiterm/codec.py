@@ -505,7 +505,7 @@ def _hits(cfg, blocks, reproduced, bounds) -> list:
     hits = []
     for k, masses in reproduced.items():
         distortion = cfg.distortions[k]
-        count = sum(mass for z, mass in masses if distortion.block(blocks, blocks, z) > bounds[k])
+        count = sum(mass for z, mass in masses if distortion.block(blocks, z) > bounds[k])
         if count:
             hits.append((k, count))
     return hits
@@ -646,7 +646,7 @@ def _run_trial(code, delta, D, seed, trial, rule, counters, exceed, dist_sums):
         if any(w_hat[i] != w_blocks[i] for i in cfg.codewords_to[j]):
             mismatched = True
         for k in cfg.reproductions.get(j, ()):
-            d = cfg.distortions[k].block(blocks, blocks, z[k])
+            d = cfg.distortions[k].block(blocks, z[k])
             dist_sums[k] += d
             if d > float(D[k]) + delta:
                 exceed[k] += 1

@@ -4,15 +4,17 @@ The topology mirrors the unified multi-terminal setting: encoders indexed by
 ``I`` are grouped into sharing cells (every encoder in one cell observes the
 same source variable), each decoder ``j`` receives the codewords of the subset
 ``I_j`` plus its own side information, and reproduction indices ``K`` are
-partitioned across decoders.
+partitioned across decoders.  A `DistortionMeasure` is plain data, a source
+variable and one of two kinds, scored directly on whole blocks.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Mapping, Optional
+from typing import ClassVar, Mapping, Optional
 
 from .errors import ConfigurationError
 from .probability import RATIONAL, Alphabet, JointPmf
@@ -110,51 +112,36 @@ def identity_reproducer(var: str, alphabet: Alphabet) -> Reproducer:
     return Reproducer((var,), {(s,): s for s in alphabet.symbols}, alphabet)
 
 
+@dataclass(frozen=True)
 class DistortionMeasure:
-    """Bounded distortion, either averaged per letter or evaluated per block.
+    """Distortion of a reproduced block from the block of one source variable.
 
-    Per-letter measures receive single-letter assignments and are averaged
-    over the block; block measures (used for lossless targets, where the
-    distortion is the block-mismatch indicator) receive whole blocks.
+    `kind` is ``"hamming"``, the fraction of letters that differ, or
+    ``"block-mismatch"``, the indicator that the blocks differ anywhere
+    (realizes lossless targets).  Both take values in [0, `bound`].
     """
 
-    def __init__(self, fn: Callable, bound: float, kind: str = "per-letter"):
-        if kind not in ("per-letter", "block"):
-            raise ConfigurationError("unknown distortion kind %r" % (kind,))
-        if not bound < float("inf"):
-            raise ConfigurationError("distortion bound must be finite")
-        self.fn = fn
-        self.bound = float(bound)
-        self.kind = kind
+    source: str
+    kind: str = "hamming"
+    bound: ClassVar[float] = 1.0
 
-    def letter(self, x: Mapping, y: Mapping, z) -> float:
-        d = float(self.fn(x, y, z))
-        if d < 0 or d > self.bound + 1e-12:
-            raise ConfigurationError("distortion value %r outside [0, bound]" % (d,))
-        return d
+    def __post_init__(self):
+        if self.kind not in ("hamming", "block-mismatch"):
+            raise ConfigurationError("unknown distortion kind %r" % (self.kind,))
 
-    def block(self, x_blocks: Mapping[str, tuple], y_blocks: Mapping[str, tuple],
-              z_block: tuple) -> float:
-        n = len(z_block)
-        if self.kind == "block":
-            return float(self.fn(x_blocks, y_blocks, z_block))
-        total = 0.0
-        for l in range(n):
-            x = {name: blk[l] for name, blk in x_blocks.items()}
-            y = {name: blk[l] for name, blk in y_blocks.items()}
-            total += self.letter(x, y, z_block[l])
-        return total / n
+    def block(self, x_blocks: Mapping[str, tuple], z_block: tuple) -> float:
+        x_block = x_blocks[self.source]
+        if self.kind == "hamming":
+            return sum(map(operator.ne, x_block, z_block)) / len(z_block)
+        return 0.0 if x_block == z_block else 1.0
 
 
 def hamming_distortion(source_var: str) -> DistortionMeasure:
-    return DistortionMeasure(lambda x, y, z: 0.0 if x[source_var] == z else 1.0, 1.0)
+    return DistortionMeasure(source_var, "hamming")
 
 
 def block_mismatch_distortion(source_var: str) -> DistortionMeasure:
-    """Indicator of a block-level mismatch; realizes lossless targets."""
-    return DistortionMeasure(
-        lambda xb, yb, zb: 0.0 if tuple(xb[source_var]) == tuple(zb) else 1.0,
-        1.0, kind="block")
+    return DistortionMeasure(source_var, "block-mismatch")
 
 
 @dataclass

@@ -96,21 +96,18 @@ def _require_jb_shape(config: NetworkConfig):
         raise ConfigurationError("Jana-Blahut regions assume singleton sharing cells")
 
 
-def build_system(spec: RegionSpec, bind: bool = True) -> LinIneqSystem:
+def build_system(spec: RegionSpec) -> LinIneqSystem:
     """Emit the inequality family of the chosen definition.
 
-    With ``bind=True`` (default) the entropy terms are substituted by their
-    rational values from ``spec.entropies``; a missing term raises a
-    configuration error naming it.
+    The entropy terms are substituted by their rational values from
+    ``spec.entropies``; a missing term raises a configuration error naming it.
     """
     system = _raw_system(spec.which, spec.config)
-    if bind:
-        missing = sorted(system.entropy_terms() - set(spec.entropies), key=lambda t: t.render())
-        if missing:
-            raise ConfigurationError(
-                "missing entropy terms: %s" % ", ".join(t.render() for t in missing))
-        system = system.bind(spec.entropies)
-    return system.canonicalize()
+    missing = sorted(system.entropy_terms() - set(spec.entropies), key=lambda t: t.render())
+    if missing:
+        raise ConfigurationError(
+            "missing entropy terms: %s" % ", ".join(t.render() for t in missing))
+    return system.bind(spec.entropies).canonicalize()
 
 
 def _raw_system(which: str, config: NetworkConfig) -> LinIneqSystem:

@@ -23,6 +23,7 @@ from .errors import ConfigurationError
 from .hashing import make_ensemble
 from .network import (
     ConditionalPmf,
+    DistortionMeasure,
     NetworkConfig,
     Reproducer,
     block_mismatch_distortion,
@@ -51,18 +52,15 @@ class Scenario:
     run_defaults: dict = field(default_factory=dict)  # n list, trials, seed, delta
 
     def make_code(self, n: int, rates: Optional[Mapping] = None,
-                  aux_rates: Optional[Mapping] = None, seed: int = 0,
-                  g_overrides: Optional[Mapping] = None) -> CodeInstance:
+                  aux_rates: Optional[Mapping] = None, seed: int = 0) -> CodeInstance:
         """Realize one code: sample hash functions and constraint values.
 
         Image sizes realize the target rates as round(2^(rate*n)); linear
         kinds additionally require power-of-q sizes and fall back to binning
-        otherwise.  `g_overrides` pins specific codeword functions (e.g. a
-        known-good matrix) instead of sampling.
+        otherwise.
         """
         rates = {**self.default_rates, **(rates or {})}
         aux_rates = {**self.default_aux_rates, **(aux_rates or {})}
-        g_overrides = dict(g_overrides or {})
         w_alph = w_alphabets(self.config, self.channels)
         root = np.random.SeedSequence(seed)
         f, g, c = {}, {}, {}
@@ -76,7 +74,7 @@ class Scenario:
             f_ens = self._ensemble(kind, dom, f_size)
             g_ens = self._ensemble(kind, dom, g_size)
             f[i] = f_ens.sample_function(f_seed)
-            g[i] = g_overrides.get(i, g_ens.sample_function(g_seed))
+            g[i] = g_ens.sample_function(g_seed)
             c[i] = self._pick_constraint(f_ens, f[i], c_seed)
         return CodeInstance(
             n=n, config=self.config, source=self.source, channels=self.channels,
@@ -400,13 +398,10 @@ def scenario_from_dict(data: dict) -> Scenario:
     distortions = {}
     for k, spec in topo.get("distortions", {}).items():
         k = _ident(k)
-        kind = spec.get("kind", "hamming")
-        if kind == "hamming":
-            distortions[k] = hamming_distortion(spec["source"])
-        elif kind == "block-mismatch":
-            distortions[k] = block_mismatch_distortion(spec["source"])
-        else:
-            raise ConfigurationError("topology.distortions[%r]: unknown kind %r" % (k, kind))
+        try:
+            distortions[k] = DistortionMeasure(spec["source"], spec.get("kind", "hamming"))
+        except ConfigurationError as exc:
+            raise ConfigurationError("topology.distortions[%r]: %s" % (k, exc)) from None
 
     config = NetworkConfig(
         encoders=tuple(_ident(i) for i in topo["encoders"]),

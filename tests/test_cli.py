@@ -4,6 +4,8 @@ import sys
 import time
 from fractions import Fraction
 
+import pytest
+
 from multiterm.cli import _decimal_string, main
 from multiterm.scenarios import build_scenario, load_scenario, scenario_names
 
@@ -294,3 +296,75 @@ def test_scenario_with_table_reproducer_and_block_distortion(tmp_path):
     from multiterm.codec import exact_error
     result = exact_error(code, 0.5, scenario.default_D)
     assert 0 <= float(result.mismatch) <= 1
+
+
+def tiny_scenario_data():
+    """A one-encoder scenario file: a uniform bit over a binary symmetric channel."""
+    return {
+        "name": "tiny",
+        "topology": {
+            "encoders": [1], "sharing": [[1]], "decoders": [1],
+            "codewords_to": {"1": [1]}, "reproductions": {"1": [1]},
+            "side_info": {"1": None},
+            "distortions": {"1": {"kind": "hamming", "source": "X1"}},
+        },
+        "source": {"variables": [["X1", [0, 1]]],
+                   "table": [[[0], "1/2"], [[1], "1/2"]]},
+        "channels": [{"cell": [1], "input": "X1", "outputs": [["W1", [0, 1]]],
+                      "rows": [[[0], [[[0], "9/10"], [[1], "1/10"]]],
+                               [[1], [[[0], "1/10"], [[1], "9/10"]]]]}],
+        "reproducers": {"1": {"args": ["W1"], "identity": True, "alphabet": [0, 1]}},
+        "code": {"rates": {"1": 1.0}},
+        "run": {"n": [1], "trials": 5, "D": {"1": "0.2"}},
+    }
+
+
+def _config_hash(tmp_path, name, data):
+    path = tmp_path / (name + ".json")
+    path.write_text(json.dumps(data))
+    out = str(tmp_path / (name + ".csv"))
+    assert run(["simulate", str(path), "--out", out]) == 0
+    return json.loads(open(out + ".manifest.jsonl").read().splitlines()[-1])["config_hash"]
+
+
+def test_config_hash_covers_the_whole_scenario(tmp_path):
+    base = tiny_scenario_data()
+    row = json.loads(json.dumps(base))
+    row["channels"][0]["rows"][0] = [[0], [[[0], "4/5"], [[1], "1/5"]]]
+    rates = json.loads(json.dumps(base))
+    rates["code"]["rates"] = {"1": 0.5}
+    kind = json.loads(json.dumps(base))
+    kind["topology"]["distortions"]["1"]["kind"] = "block-mismatch"
+    first = _config_hash(tmp_path, "base", base)
+    assert _config_hash(tmp_path, "base", base) == first   # same file, second run
+    hashes = [first] + [_config_hash(tmp_path, name, data) for name, data in
+                        (("row", row), ("rates", rates), ("kind", kind))]
+    assert len(set(hashes)) == 4
+
+
+@pytest.mark.parametrize("flags, run_section, bad", [
+    (["--n", "2,x"], {}, "--n: 'x'"),
+    (["--n", "0"], {}, "--n: '0'"),
+    (["--trials", "0"], {}, "--trials: 0"),
+    (["--trials", "-3"], {}, "--trials: -3"),
+    ([], {"n": [2, 0]}, "run.n: 0"),
+    ([], {"trials": -3}, "run.trials: -3"),
+])
+def test_simulate_rejects_bad_block_lengths_and_trials(tmp_path, capsys, flags, run_section, bad):
+    data = tiny_scenario_data()
+    data["run"].update(run_section)
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(data))
+    assert run(["simulate", str(path)] + flags) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and bad in err
+
+
+def test_scenario_file_unknown_distortion_kind_is_a_config_error(tmp_path, capsys):
+    data = tiny_scenario_data()
+    data["topology"]["distortions"]["1"]["kind"] = "squared"
+    path = tmp_path / "squared.json"
+    path.write_text(json.dumps(data))
+    assert run(["simulate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "topology.distortions[1]" in err and "'squared'" in err

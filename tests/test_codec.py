@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 from fractions import Fraction
 
@@ -26,11 +27,16 @@ from multiterm.errors import (
     EncoderAbort,
 )
 from multiterm.hashing import BinningEnsemble, HashFunction, identity_linear, make_ensemble
-from multiterm.network import NetworkConfig, identity_channel, w_name
+from multiterm.network import NetworkConfig, hamming_distortion, identity_channel, w_name
 from multiterm.probability import Alphabet, JointPmf, block_extend, dsbs, marginalize
 from multiterm.scenarios import build_scenario, scenario_names
 
 B = Alphabet((0, 1))
+
+
+def with_g(code, g):
+    """The same code with the codeword functions `g` pinned instead of sampled."""
+    return dataclasses.replace(code, g={**code.g, **g})
 
 
 def fraction_law(law):
@@ -184,8 +190,7 @@ def test_decode_injective_code_recovers_truth():
     scenario, code = small_sw_code(n=2, rates={1: 1.0, 2: 1.0}, seed=17)
     # identity g on both encoders makes (f, g) injective
     ident = identity_linear(2, 2)
-    code = scenario.make_code(2, rates={1: 1.0, 2: 1.0}, seed=17,
-                              g_overrides={1: ident, 2: ident})
+    code = with_g(scenario.make_code(2, rates={1: 1.0, 2: 1.0}, seed=17), {1: ident, 2: ident})
     x1, x2 = (0, 1), (1, 1)
     _, m1 = code.encode((1,), x1, seed=0)
     _, m2 = code.encode((2,), x2, seed=0)
@@ -402,7 +407,7 @@ def _reference_exact_error(code, delta, D, rule):
                         if y:
                             named[y] = y_block
                         z = tuple(rep(args) for args in zip(*(named[a] for a in rep.args)))
-                        if cfg.distortions[k].block(blocks, blocks, z) > bounds[k]:
+                        if cfg.distortions[k].block(blocks, z) > bounds[k]:
                             exceed[k] += weight * p
             mismatch += weight * (1 - p_all_match)
     return mismatch + abort, {k: v + abort for k, v in exceed.items()}, abort
@@ -428,8 +433,7 @@ def test_integer_oracle_matches_fraction_reference(name, n, seed, rule, aux):
 def test_exact_error_injective_code_is_zero():
     scenario = build_scenario("slepian-wolf")
     ident = identity_linear(2, 2)
-    code = scenario.make_code(2, rates={1: 1.0, 2: 1.0}, seed=0,
-                              g_overrides={1: ident, 2: ident})
+    code = with_g(scenario.make_code(2, rates={1: 1.0, 2: 1.0}, seed=0), {1: ident, 2: ident})
     result = exact_error(code, delta=0.5, D=scenario.default_D)
     assert result.mismatch == 0
     assert all(v == 0 for v in result.exceed.values())
@@ -441,8 +445,7 @@ def test_exact_error_matches_hand_computation_n1():
     scenario = build_scenario("slepian-wolf")
     ident = identity_linear(2, 1)
     const = BinningEnsemble(2, 1).sample_function(0)
-    code = scenario.make_code(1, rates={1: 1.0, 2: 0.0}, seed=0,
-                              g_overrides={1: ident, 2: const})
+    code = with_g(scenario.make_code(1, rates={1: 1.0, 2: 0.0}, seed=0), {1: ident, 2: const})
     result = exact_error(code, delta=0.5, D=scenario.default_D)
     # hand computation: given x1, posterior over x2 is (89/100, 11/100);
     # the draw matches x2 with prob 0.89 when x2 = x1 (mass 89/100) etc.
@@ -515,8 +518,8 @@ def test_exact_error_monotone_in_codeword_count():
     for bits in (1, 2):
         ens = make_ensemble("linear", 4, 2 ** bits, q=2)
         g2 = ens.sample_function(7)
-        code = scenario.make_code(2, rates={1: 1.0, 2: bits / 2},
-                                  seed=0, g_overrides={1: ident2, 2: g2})
+        code = with_g(scenario.make_code(2, rates={1: 1.0, 2: bits / 2}, seed=0),
+                      {1: ident2, 2: g2})
         errs[bits] = exact_error(code, delta=0.5, D=scenario.default_D).mismatch
     # nested linear maps: the 2-bit map refines its first row's classes only
     # statistically; assert the coarser code is no better
@@ -538,11 +541,11 @@ def test_simulate_agrees_with_exact_within_3_sigma():
 
 
 def test_simulate_zero_distortion_never_exceeds():
-    from multiterm.network import DistortionMeasure
+    """A Hamming distortion is at most 1, so D = 1 is never exceeded."""
     scenario = build_scenario("wyner-ziv-binary")
-    scenario.config.distortions[1] = DistortionMeasure(lambda x, y, z: 0.0, 1.0)
+    scenario.config.distortions[1] = hamming_distortion("X1")
     code = scenario.make_code(2, seed=1)
-    report = simulate(code, delta=0.01, D={1: 0.0}, trials=500, seed=3)
+    report = simulate(code, delta=0.01, D={1: 1.0}, trials=500, seed=3)
     assert report.exceed_counts[1] == 0
 
 

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multiterm.errors import ConfigurationError
 from multiterm.network import (
@@ -158,12 +160,44 @@ def test_mdc_build_with_reproductions_satisfies_definitional_chains():
 
 def test_distortion_measures():
     d = hamming_distortion("X1")
-    assert d.block({"X1": (0, 1, 1)}, {}, (0, 1, 0)) == pytest.approx(1 / 3)
+    assert d.block({"X1": (0, 1, 1)}, (0, 1, 0)) == pytest.approx(1 / 3)
     blk = block_mismatch_distortion("X1")
-    assert blk.block({"X1": (0, 1)}, {}, (0, 1)) == 0.0
-    assert blk.block({"X1": (0, 1)}, {}, (1, 1)) == 1.0
+    assert blk.block({"X1": (0, 1)}, (0, 1)) == 0.0
+    assert blk.block({"X1": (0, 1)}, (1, 1)) == 1.0
+    assert d.bound == blk.bound == 1.0
     with pytest.raises(ConfigurationError):
-        DistortionMeasure(lambda x, y, z: 0.0, float("inf"))
+        DistortionMeasure("X1", "squared")
+
+
+def _per_letter_reference(source_var, kind, x_blocks, z_block):
+    """The callable form the data measures replaced: a block-kind function of
+    whole blocks, or a per-letter function averaged over the block."""
+    if kind == "block-mismatch":
+        fn = lambda xb, yb, zb: 0.0 if tuple(xb[source_var]) == tuple(zb) else 1.0
+        return float(fn(x_blocks, x_blocks, z_block))
+    fn = lambda x, y, z: 0.0 if x[source_var] == z else 1.0
+    n = len(z_block)
+    total = 0.0
+    for l in range(n):
+        x = {name: blk[l] for name, blk in x_blocks.items()}
+        total += float(fn(x, x, z_block[l]))
+    return total / n
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n=st.integers(1, 12), q=st.integers(2, 3),
+       kind=st.sampled_from(["hamming", "block-mismatch"]))
+def test_distortion_block_matches_per_letter_reference(data, n, q, kind):
+    letters = st.integers(0, q - 1)
+    x_blocks = {name: tuple(data.draw(st.lists(letters, min_size=n, max_size=n)))
+                for name in ("X1", "Y")}
+    # flip a random subset of letters, so that equal blocks are drawn too
+    flips = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    z_block = tuple((x + data.draw(st.integers(1, q - 1))) % q if flip else x
+                    for x, flip in zip(x_blocks["X1"], flips))
+    measure = DistortionMeasure("X1", kind)
+    assert measure.block(x_blocks, z_block) == \
+        _per_letter_reference("X1", kind, x_blocks, z_block)
 
 
 def test_apply_conditional_builds_product():
