@@ -219,7 +219,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_verify(args) -> int:
     seed = _resolved_seed(args.seed)
-    report = run_suite(args.suite, seeds=args.seeds, seed0=seed)
+    seeds = _positive_int(args.seeds, "--seeds")
+    report = run_suite(args.suite, seeds=seeds, seed0=seed)
     text = "\n".join(report.summary_lines()) + "\n"
     _emit(args.out, text)
     if args.out:

@@ -44,7 +44,7 @@ from .network import (
     w_alphabets,
     w_name,
 )
-from .probability import RATIONAL, JointPmf, block_extend, block_products, marginalize, sample
+from .probability import JointPmf, block_extend, block_products, marginalize, sample
 
 _EXACT_BUDGET = 1 << 24
 _INDEX_BUDGET = 1 << 20     # W_S-blocks scanned by one class index (4 letters at n = 10)
@@ -143,8 +143,6 @@ class CodeInstance:
             if not (isinstance(c, (int, np.integer)) and 0 <= c < self.f[i].image_size):
                 raise ConfigurationError(
                     "constraint value %r for encoder %r outside the f image" % (c, i))
-        if self.source.mode != RATIONAL:
-            raise ConfigurationError("a code needs rational-mode source and channels")
         self._joint = build_joint(self.config, self.source, self.channels, None)
         self._reproduction_args = self._resolve_reproducers()
         self._hash_values: dict = {}   # (encoder, block) -> (f meets c, g value)
@@ -408,7 +406,7 @@ def exact_error(code: CodeInstance, delta: float, D: Mapping,
 
     Averages over the source blocks, every encoder draw, and every decoder
     draw; encoder aborts count as errors for the mismatch and for every
-    distortion exceedance.  Requires rational-mode inputs.
+    distortion exceedance.
 
     The sums run in integers.  A source block's weight is an integer over
     D^n (D the lcm of the source law's denominators), each encoder draw an
@@ -421,8 +419,6 @@ def exact_error(code: CodeInstance, delta: float, D: Mapping,
     class total for an exceedance.  One Fraction is formed per distinct
     denominator at the end.
     """
-    if code.source.mode != RATIONAL:
-        raise ConfigurationError("exact_error requires rational-mode source/channels")
     if rule not in ("crng", "map"):
         raise ConfigurationError("unknown decode rule %r" % (rule,))
     _check_budget(code)

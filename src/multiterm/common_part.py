@@ -19,7 +19,6 @@ import numpy as np
 
 from .errors import ConfigurationError, PreconditionError
 from .probability import (
-    RATIONAL,
     Alphabet,
     JointPmf,
     check_markov,
@@ -76,11 +75,9 @@ def construct_common(pmf: JointPmf, x0: str = "X0", x1: str = "X1",
                      x2: str = "X2") -> CommonPartConstruction:
     """Build (xi1, xi2, shared atoms) realizing the common variable exactly.
 
-    Requires rational mode and the exact double-Markov condition; the error
-    names the first violated chain.
+    Requires the exact double-Markov condition; the error names the first
+    violated chain.
     """
-    if pmf.mode != RATIONAL:
-        raise ConfigurationError("construction requires a rational-mode pmf")
     if not check_markov(pmf, [x2], [x1], [x0], 0.0):
         raise PreconditionError("chain %s <-> %s <-> %s is violated" % (x2, x1, x0))
     if not check_markov(pmf, [x1], [x2], [x0], 0.0):
@@ -184,8 +181,7 @@ def random_double_markov(rng: np.random.Generator, u_size: int = 2,
                     total += w
     pairs = Alphabet(tuple(itertools.product(range(u_size), range(v_size))))
     table = {k: p / total for k, p in raw.items()}
-    return JointPmf([("X0", x0a), ("X1", pairs), ("X2", pairs)], table,
-                    mode=RATIONAL, _validated=True)
+    return JointPmf([("X0", x0a), ("X1", pairs), ("X2", pairs)], table, _validated=True)
 
 
 def random_violating(rng: np.random.Generator, sizes=(2, 2, 2)) -> JointPmf:
@@ -194,7 +190,7 @@ def random_violating(rng: np.random.Generator, sizes=(2, 2, 2)) -> JointPmf:
             ("X1", Alphabet(tuple(range(sizes[1])))),
             ("X2", Alphabet(tuple(range(sizes[2]))))]
     for _ in range(100):
-        pmf = random_pmf(rng, vars, mode=RATIONAL)
+        pmf = random_pmf(rng, vars)
         if not check_double_markov(pmf):
             return pmf
     raise RuntimeError("failed to draw a violating law in 100 attempts")

@@ -9,10 +9,6 @@ class UnsupportedConditionError(ValueError):
     """Conditioning on an event of probability zero."""
 
 
-class ModeMismatchError(ConfigurationError):
-    """Rational-mode and double-mode objects were mixed in one operation."""
-
-
 class BudgetExceededError(RuntimeError):
     """An exhaustive enumeration would exceed the declared compute budget."""
 

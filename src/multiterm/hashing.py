@@ -400,11 +400,10 @@ def identity_linear(q: int, n: int) -> HashFunction:
 
 
 def make_ensemble(kind: str, domain_size: int, image_size: int,
-                  q: Optional[int] = None, column_weight: Optional[int] = None,
-                  weights=None) -> HashEnsemble:
+                  q: Optional[int] = None) -> HashEnsemble:
     """Factory used by the codec/scenario layer."""
     if kind == "binning":
-        return BinningEnsemble(domain_size, image_size, weights=weights)
+        return BinningEnsemble(domain_size, image_size)
     if kind in ("linear", "sparse-linear"):
         if q is None:
             raise ConfigurationError("linear ensembles need the field size q")
@@ -416,7 +415,7 @@ def make_ensemble(kind: str, domain_size: int, image_size: int,
             raise ConfigurationError("image size %d is not a power of q=%d" % (image_size, q))
         if kind == "linear":
             return LinearEnsemble(q, n, m)
-        return SparseLinearEnsemble(q, n, m, column_weight)
+        return SparseLinearEnsemble(q, n, m)
     raise ConfigurationError("unknown ensemble kind %r" % (kind,))
 
 

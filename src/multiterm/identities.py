@@ -19,8 +19,6 @@ from .errors import ConfigurationError, PreconditionError, UnsupportedConditionE
 from .information import cond_entropy, cond_mutual_info, entropy, mutual_info
 from .network import ConditionalPmf, apply_conditional
 from .probability import (
-    DOUBLE,
-    RATIONAL,
     Alphabet,
     JointPmf,
     check_markov,
@@ -145,8 +143,8 @@ def _heegard_berger(pmf: JointPmf, tol: float) -> Report:
 
     The input law must factorize as source * channel * per-decoder
     reproducers; the rebuilt law forces W1 <-> (W0,X) <-> W2 and must agree
-    with the input on every (W0, W_j, X, Y_j, Z_j) margin, exactly in
-    rational mode.
+    with the input exactly on every (W0, W_j, X, Y_j, Z_j) margin, and each
+    decoder's classical bound expression must equal its rebuilt form.
     """
     report = Report("heegard-berger")
     for j, jc in ((1, 2), (2, 1)):
@@ -158,33 +156,24 @@ def _heegard_berger(pmf: JointPmf, tol: float) -> Report:
                     "(Y1,Y2) <-> X <-> (W0,W1,W2)")
 
     rebuilt = reconstruct_heegard_berger(pmf)
-    exact = pmf.mode == RATIONAL
-    ci = check_markov(rebuilt, ["W1"], ["W0", "X"], ["W2"],
-                      0.0 if exact else 1e-9)
+    ci = check_markov(rebuilt, ["W1"], ["W0", "X"], ["W2"], 0.0)
     report.add("conditional independence W1 <-> (W0,X) <-> W2", ci)
     for j in (1, 2):
         margin = ["W0", "W%d" % j, "X", "Y%d" % j, "Z%d" % j]
-        a = marginalize(pmf, margin)
-        b = marginalize(rebuilt, margin)
-        if exact:
-            same = a == b
-        else:
-            keys = set(dict(a.items())) | set(dict(b.items()))
-            same = all(abs(a.prob(k) - b.prob(k)) <= tol for k in keys)
-        report.add("margin (W0,W%d,X,Y%d,Z%d) preserved" % (j, j, j), same)
-    if not exact:
-        for j, jc in ((1, 2), (2, 1)):
-            classical = (
-                cond_mutual_info(pmf, ["X"], ["W0"], ["Y%d" % j]).bits
-                + cond_mutual_info(pmf, ["X"], ["W%d" % j], ["W0", "Y%d" % j]).bits
-                + cond_mutual_info(pmf, ["X"], ["W%d" % jc], ["W0", "Y%d" % jc]).bits)
-            rebuilt_form = (
-                cond_entropy(rebuilt, ["W0", "W%d" % j], ["Y%d" % j]).bits
-                + cond_entropy(rebuilt, ["W%d" % jc], ["W0", "Y%d" % jc]).bits
-                - cond_entropy(rebuilt, ["W0", "W1", "W2"], ["X"]).bits)
-            report.add("decoder-%d bound expressions agree" % j,
-                       abs(classical - rebuilt_form) <= tol,
-                       lhs=classical, rhs=rebuilt_form)
+        report.add("margin (W0,W%d,X,Y%d,Z%d) preserved" % (j, j, j),
+                   marginalize(pmf, margin) == marginalize(rebuilt, margin))
+    for j, jc in ((1, 2), (2, 1)):
+        classical = (
+            cond_mutual_info(pmf, ["X"], ["W0"], ["Y%d" % j]).bits
+            + cond_mutual_info(pmf, ["X"], ["W%d" % j], ["W0", "Y%d" % j]).bits
+            + cond_mutual_info(pmf, ["X"], ["W%d" % jc], ["W0", "Y%d" % jc]).bits)
+        rebuilt_form = (
+            cond_entropy(rebuilt, ["W0", "W%d" % j], ["Y%d" % j]).bits
+            + cond_entropy(rebuilt, ["W%d" % jc], ["W0", "Y%d" % jc]).bits
+            - cond_entropy(rebuilt, ["W0", "W1", "W2"], ["X"]).bits)
+        report.add("decoder-%d bound expressions agree" % j,
+                   abs(classical - rebuilt_form) <= tol,
+                   lhs=classical, rhs=rebuilt_form)
     return report
 
 
@@ -207,7 +196,6 @@ def _conditional_from(pmf: JointPmf, out: list, given: list) -> ConditionalPmf:
     joint = marginalize(pmf, given + out)
     out_vars = [(n, pmf.alphabet(n)) for n in out]
     in_vars = [(n, pmf.alphabet(n)) for n in given]
-    one = Fraction(1) if pmf.mode == RATIONAL else 1.0
     rows = {}
     for key in itertools.product(*(a.symbols for _, a in in_vars)):
         try:
@@ -215,78 +203,70 @@ def _conditional_from(pmf: JointPmf, out: list, given: list) -> ConditionalPmf:
             rows[key] = {out_key: p for out_key, p in cond.items()}
         except UnsupportedConditionError:
             first = tuple(a.symbols[0] for _, a in out_vars)
-            rows[key] = {first: one}
-    return ConditionalPmf(in_vars, out_vars, rows, mode=pmf.mode)
+            rows[key] = {first: Fraction(1)}
+    return ConditionalPmf(in_vars, out_vars, rows)
 
 
 # -- random law generators for the sweeps ---------------------------------------------
 
 
-def _random_channel(rng, in_vars, out_vars, mode=DOUBLE, denominator=720) -> ConditionalPmf:
+def _random_channel(rng, in_vars, out_vars, denominator=720) -> ConditionalPmf:
     rows = {}
     out_keys = list(itertools.product(*(a.symbols for _, a in out_vars)))
     for key in itertools.product(*(a.symbols for _, a in in_vars)):
-        if mode == DOUBLE:
-            w = rng.uniform(0.05, 1.0, size=len(out_keys))
-            w = w / w.sum()
-            rows[key] = dict(zip(out_keys, w))
-        else:
-            weights = [int(v) for v in rng.integers(1, denominator, size=len(out_keys))]
-            total = sum(weights)
-            rows[key] = {k: Fraction(v, total) for k, v in zip(out_keys, weights)}
-    return ConditionalPmf(in_vars, out_vars, rows, mode=mode)
+        weights = [int(v) for v in rng.integers(1, denominator, size=len(out_keys))]
+        total = sum(weights)
+        rows[key] = {k: Fraction(v, total) for k, v in zip(out_keys, weights)}
+    return ConditionalPmf(in_vars, out_vars, rows)
 
 
-def random_example_pmf(example: str, rng: np.random.Generator,
-                       mode: str = DOUBLE) -> JointPmf:
+def random_example_pmf(example: str, rng: np.random.Generator) -> JointPmf:
     """A random member of the example's Markov class (alphabets <= 3)."""
     b2 = Alphabet((0, 1))
     b3 = Alphabet((0, 1, 2))
     if example == "berger-tung":
-        t = random_pmf(rng, [("T", b2)], mode=mode)
-        x = random_pmf(rng, [("X1", b3), ("X2", b2)], mode=mode)
+        t = random_pmf(rng, [("T", b2)])
+        x = random_pmf(rng, [("X1", b3), ("X2", b2)])
         base = _independent_product(t, x)
         base = apply_conditional(base, _random_channel(
-            rng, [("X1", b3), ("T", b2)], [("W1", b2)], mode))
+            rng, [("X1", b3), ("T", b2)], [("W1", b2)]))
         return apply_conditional(base, _random_channel(
-            rng, [("X2", b2), ("T", b2)], [("W2", b3)], mode))
+            rng, [("X2", b2), ("T", b2)], [("W2", b3)]))
     if example == "el-gamal-cover":
-        t = random_pmf(rng, [("T", b2)], mode=mode)
-        x = random_pmf(rng, [("X", b3)], mode=mode)
+        t = random_pmf(rng, [("T", b2)])
+        x = random_pmf(rng, [("X", b3)])
         base = _independent_product(t, x)
         base = apply_conditional(base, _random_channel(
-            rng, [("X", b3), ("T", b2)], [("W1", b2), ("W2", b2)], mode))
+            rng, [("X", b3), ("T", b2)], [("W1", b2), ("W2", b2)]))
         base = apply_conditional(base, _random_channel(
-            rng, [("W1", b2), ("T", b2)], [("Z1", b2)], mode))
+            rng, [("W1", b2), ("T", b2)], [("Z1", b2)]))
         base = apply_conditional(base, _random_channel(
-            rng, [("W2", b2), ("T", b2)], [("Z2", b2)], mode))
+            rng, [("W2", b2), ("T", b2)], [("Z2", b2)]))
         return apply_conditional(base, _random_channel(
-            rng, [("W1", b2), ("W2", b2), ("T", b2)], [("Z12", b2)], mode))
+            rng, [("W1", b2), ("W2", b2), ("T", b2)], [("Z12", b2)]))
     if example == "zhang-berger":
-        x = random_pmf(rng, [("X", b3)], mode=mode)
+        x = random_pmf(rng, [("X", b3)])
         return apply_conditional(x, _random_channel(
-            rng, [("X", b3)], [("W0", b2), ("W1", b2), ("W2", b2)], mode))
+            rng, [("X", b3)], [("W0", b2), ("W1", b2), ("W2", b2)]))
     if example == "heegard-berger":
-        x = random_pmf(rng, [("X", b2)], mode=mode)
+        x = random_pmf(rng, [("X", b2)])
         base = apply_conditional(x, _random_channel(
-            rng, [("X", b2)], [("Y1", b2), ("Y2", b2)], mode))
+            rng, [("X", b2)], [("Y1", b2), ("Y2", b2)]))
         base = apply_conditional(base, _random_channel(
-            rng, [("X", b2)], [("W0", b2), ("W1", b2), ("W2", b2)], mode))
+            rng, [("X", b2)], [("W0", b2), ("W1", b2), ("W2", b2)]))
         base = apply_conditional(base, _random_channel(
-            rng, [("W0", b2), ("W1", b2), ("Y1", b2)], [("Z1", b2)], mode))
+            rng, [("W0", b2), ("W1", b2), ("Y1", b2)], [("Z1", b2)]))
         return apply_conditional(base, _random_channel(
-            rng, [("W0", b2), ("W2", b2), ("Y2", b2)], [("Z2", b2)], mode))
+            rng, [("W0", b2), ("W2", b2), ("Y2", b2)], [("Z2", b2)]))
     raise ConfigurationError("unknown example %r" % (example,))
 
 
 def _independent_product(a: JointPmf, b: JointPmf) -> JointPmf:
-    a.require_same_mode(b)
     table = {}
     for ka, pa in a.items():
         for kb, pb in b.items():
             table[ka + kb] = pa * pb
-    return JointPmf(list(a.variables) + list(b.variables), table,
-                    mode=a.mode, _validated=True)
+    return JointPmf(list(a.variables) + list(b.variables), table, _validated=True)
 
 
 def sweep_examples(seeds: int = 100, tol: float = 1e-9, seed0: int = 0) -> Report:
@@ -296,8 +276,7 @@ def sweep_examples(seeds: int = 100, tol: float = 1e-9, seed0: int = 0) -> Repor
         failures = 0
         for s in range(seeds):
             rng = np.random.default_rng((seed0, idx, s))
-            mode = RATIONAL if example == "heegard-berger" else DOUBLE
-            pmf = random_example_pmf(example, rng, mode=mode)
+            pmf = random_example_pmf(example, rng)
             sub = verify_example_identities(example, pmf, tol)
             if not sub.all_passed:
                 failures += 1

@@ -15,7 +15,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import ConfigurationError
-from .probability import BlockSource, JointPmf, marginalize
+from .probability import BlockSource, JointPmf
 from .reports import Report
 
 
@@ -33,12 +33,13 @@ def _plog(p: float) -> float:
 
 
 def entropy(pmf: JointPmf, vars: Optional[Iterable[str]] = None) -> EntropyValue:
-    """H(vars) in bits; defaults to the entropy of the full joint."""
-    if vars is not None:
-        pmf = marginalize(pmf, list(vars))
+    """H(vars) in bits; defaults to the entropy of the full joint.
+
+    Summed over the pmf's float marginal (:meth:`JointPmf.float_marginal`).
+    """
     total = 0.0
-    for _, p in pmf.items():
-        total -= _plog(float(p))
+    for p in pmf.float_marginal(pmf.names if vars is None else vars).values():
+        total -= _plog(p)
     return EntropyValue(max(total, 0.0))
 
 
@@ -125,15 +126,13 @@ def spectrum(src, vars: Sequence[str], given: Sequence[str] = (),
         n = src.n if isinstance(src, BlockSource) else 1
     vars = list(vars)
     given = list(given)
-    joint = marginalize(base, vars + given).to_double()
-    support = list(joint.items())
-    keys = [k for k, _ in support]
-    probs = np.array([p for _, p in support], dtype=float)
+    joint = base.float_marginal(vars + given)
+    keys = list(joint)
+    probs = np.array(list(joint.values()), dtype=float)
     probs = probs / probs.sum()
 
     if given:
-        gmarg = marginalize(joint, given)
-        gprob = {k: float(p) for k, p in gmarg.items()}
+        gprob = base.float_marginal(given)
         logp = np.array([
             math.log2(p / gprob[k[len(vars):]]) for k, p in zip(keys, probs)
         ])

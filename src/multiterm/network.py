@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import ClassVar, Mapping, Optional
 
 from .errors import ConfigurationError
-from .probability import RATIONAL, Alphabet, JointPmf
+from .probability import Alphabet, JointPmf
 
 
 def w_name(i) -> str:
@@ -32,26 +32,22 @@ class ConditionalPmf:
     """Conditional distribution of output variables given input variables.
 
     `rows` maps every input symbol tuple to a pmf over output symbol tuples;
-    each row must have total mass one (exactly in rational mode).
+    each row must have total mass exactly one.
     """
 
-    def __init__(self, inputs, outputs, rows, mode=RATIONAL):
+    def __init__(self, inputs, outputs, rows):
         self.inputs = tuple((n, a) for n, a in inputs)
         self.outputs = tuple((n, a) for n, a in outputs)
-        self.mode = mode
         self.rows = {}
         in_keys = set(itertools.product(*(a.symbols for _, a in self.inputs)))
         for key, row in rows.items():
             key = tuple(key)
             if key not in in_keys:
                 raise ConfigurationError("channel row key %r outside input alphabet" % (key,))
-            row = {tuple(o): (Fraction(p) if mode == RATIONAL else float(p))
-                   for o, p in row.items()}
+            row = {tuple(o): Fraction(p) for o, p in row.items()}
             total = sum(row.values())
-            if mode == RATIONAL and total != 1:
+            if total != 1:
                 raise ConfigurationError("channel row %r has mass %s" % (key, total))
-            if mode != RATIONAL and abs(total - 1.0) > 1e-12:
-                raise ConfigurationError("channel row %r has mass %r" % (key, total))
             for out in row:
                 for sym, (name, alph) in zip(out, self.outputs):
                     if sym not in alph.symbols:
@@ -65,25 +61,21 @@ class ConditionalPmf:
     def row(self, in_key: tuple) -> dict:
         return self.rows[tuple(in_key)]
 
-    def prob(self, out_key: tuple, in_key: tuple):
-        zero = Fraction(0) if self.mode == RATIONAL else 0.0
-        return self.rows[tuple(in_key)].get(tuple(out_key), zero)
+    def prob(self, out_key: tuple, in_key: tuple) -> Fraction:
+        return self.rows[tuple(in_key)].get(tuple(out_key), Fraction(0))
 
 
-def identity_channel(in_name: str, out_name_: str, alphabet: Alphabet,
-                     mode=RATIONAL) -> ConditionalPmf:
-    one = Fraction(1) if mode == RATIONAL else 1.0
-    rows = {(s,): {(s,): one} for s in alphabet.symbols}
-    return ConditionalPmf([(in_name, alphabet)], [(out_name_, alphabet)], rows, mode=mode)
+def identity_channel(in_name: str, out_name_: str, alphabet: Alphabet) -> ConditionalPmf:
+    rows = {(s,): {(s,): Fraction(1)} for s in alphabet.symbols}
+    return ConditionalPmf([(in_name, alphabet)], [(out_name_, alphabet)], rows)
 
 
-def bsc_channel(in_name: str, out_name_: str, p, mode=RATIONAL) -> ConditionalPmf:
+def bsc_channel(in_name: str, out_name_: str, p) -> ConditionalPmf:
     """Binary symmetric channel with crossover probability p."""
-    p = Fraction(p) if mode == RATIONAL else float(p)
-    one = Fraction(1) if mode == RATIONAL else 1.0
+    p = Fraction(p)
     b = Alphabet((0, 1))
-    rows = {(x,): {(x,): one - p, (1 - x,): p} for x in (0, 1)}
-    return ConditionalPmf([(in_name, b)], [(out_name_, b)], rows, mode=mode)
+    rows = {(x,): {(x,): 1 - p, (1 - x,): p} for x in (0, 1)}
+    return ConditionalPmf([(in_name, b)], [(out_name_, b)], rows)
 
 
 @dataclass(frozen=True)
@@ -202,8 +194,6 @@ def apply_conditional(pmf: JointPmf, cond: ConditionalPmf) -> JointPmf:
     The conditional's inputs must be variables of `pmf`; output names must be
     fresh.
     """
-    if cond.mode != pmf.mode:
-        raise ConfigurationError("conditional/pmf mode mismatch")
     positions = []
     for name, alph in cond.inputs:
         if name not in pmf.names:
@@ -218,9 +208,9 @@ def apply_conditional(pmf: JointPmf, cond: ConditionalPmf) -> JointPmf:
     for key, p in pmf.items():
         in_key = tuple(key[pos] for pos in positions)
         for out_key, q in cond.row(in_key).items():
-            table[key + out_key] = table.get(key + out_key, p * 0) + p * q
+            table[key + out_key] = table.get(key + out_key, 0) + p * q
     variables = list(pmf.variables) + list(cond.outputs)
-    return JointPmf(variables, table, mode=pmf.mode, _validated=True)
+    return JointPmf(variables, table, _validated=True)
 
 
 def w_alphabets(config: NetworkConfig, channels: Mapping[tuple, ConditionalPmf]) -> dict:
@@ -253,8 +243,6 @@ def build_joint(config: NetworkConfig, source: JointPmf,
         if key not in channels:
             raise ConfigurationError("missing channel for sharing cell %r" % (key,))
         ch = channels[key]
-        if ch.mode != source.mode:
-            raise ConfigurationError("channel/source mode mismatch for cell %r" % (key,))
         expected = tuple(w_name(i) for i in cell)
         if tuple(n for n, _ in ch.outputs) != expected:
             raise ConfigurationError(
@@ -281,11 +269,8 @@ def build_joint(config: NetworkConfig, source: JointPmf,
 
     variables = w_vars + list(source.variables) + z_vars
     src_names = source.names
-    one = Fraction(1) if source.mode == RATIONAL else 1.0
     table: dict = {}
     for src_key, p_src in source.items():
-        if p_src == 0 and source.mode != RATIONAL:
-            continue
         assign = dict(zip(src_names, src_key))
         cell_rows = []
         for cell in config.sharing:
@@ -304,5 +289,5 @@ def build_joint(config: NetworkConfig, source: JointPmf,
                 rep = reproducers[k]
                 full[z_name(k)] = rep(tuple(full[a] for a in rep.args))
             key = tuple(full[n] for n, _ in variables)
-            table[key] = table.get(key, p * 0) + p
-    return JointPmf(variables, table, mode=source.mode, _validated=True)
+            table[key] = table.get(key, 0) + p
+    return JointPmf(variables, table, _validated=True)

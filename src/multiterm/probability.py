@@ -1,33 +1,26 @@
 """Exact finite probability model: joint pmfs over named discrete variables.
 
-A :class:`JointPmf` carries its arithmetic mode: ``"rational"`` tables hold
-:class:`fractions.Fraction` entries and all mass/identity checks are exact;
-``"double"`` tables hold floats for Monte Carlo work.  Mixing modes in one
-operation is an error.  Zero-probability rows are kept only in rational mode
-(support-set semantics matter for constrained-random draws); double mode
-prunes entries below 1e-300.
+A :class:`JointPmf` table holds :class:`fractions.Fraction` entries, so every
+mass, marginal, conditional and Markov check is exact.  Zero-probability rows
+are kept (support-set semantics matter for constrained-random draws).  Floats
+appear only where an irrational quantity is evaluated: each pmf converts its
+positive entries to floats once, on first use, for entropies and spectra
+(:meth:`JointPmf.float_marginal`), and the samplers draw from float laws.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import (
-    ConfigurationError,
-    ModeMismatchError,
-    UnsupportedConditionError,
-)
+from .errors import ConfigurationError, UnsupportedConditionError
 
-RATIONAL = "rational"
-DOUBLE = "double"
-
-_MASS_TOL = 1e-12
-_PRUNE = 1e-300
+_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -63,14 +56,11 @@ class JointPmf:
     """
 
     def __init__(self, variables: Sequence[tuple], table: Mapping[tuple, object],
-                 mode: str = RATIONAL, _validated: bool = False):
+                 _validated: bool = False):
         names = [name for name, _ in variables]
         if len(set(names)) != len(names):
             raise ConfigurationError("duplicate variable names: %r" % (names,))
-        if mode not in (RATIONAL, DOUBLE):
-            raise ConfigurationError("unknown mode %r" % (mode,))
         self.variables = tuple((name, alph) for name, alph in variables)
-        self.mode = mode
         self._names = tuple(names)
         self._index = {name: k for k, name in enumerate(names)}
         cleaned = {}
@@ -79,18 +69,12 @@ class JointPmf:
             if len(key) != len(self.variables):
                 raise ConfigurationError(
                     "tuple arity %d does not match %d variables" % (len(key), len(self.variables)))
-            if mode == RATIONAL:
-                p = Fraction(p)
-                if p < 0:
-                    raise ConfigurationError("negative probability for %r" % (key,))
-                cleaned[key] = p
-            else:
-                p = float(p)
-                if p < 0:
-                    raise ConfigurationError("negative probability for %r" % (key,))
-                if p >= _PRUNE:
-                    cleaned[key] = p
+            p = Fraction(p)
+            if p < 0:
+                raise ConfigurationError("negative probability for %r" % (key,))
+            cleaned[key] = p
         self._table = cleaned
+        self._floats = None   # (key, float) per positive entry, filled on first use
         if not _validated:
             self._check_support()
             self._check_mass()
@@ -106,12 +90,8 @@ class JointPmf:
 
     def _check_mass(self):
         total = sum(self._table.values())
-        if self.mode == RATIONAL:
-            if total != 1:
-                raise ConfigurationError("total mass %s != 1" % (total,))
-        else:
-            if abs(total - 1.0) > _MASS_TOL:
-                raise ConfigurationError("total mass %r not within 1e-12 of 1" % (total,))
+        if total != 1:
+            raise ConfigurationError("total mass %s != 1" % (total,))
 
     # -- basic accessors -------------------------------------------------------
 
@@ -131,9 +111,8 @@ class JointPmf:
     def items(self):
         return self._table.items()
 
-    def prob(self, key: tuple):
-        zero = Fraction(0) if self.mode == RATIONAL else 0.0
-        return self._table.get(tuple(key), zero)
+    def prob(self, key: tuple) -> Fraction:
+        return self._table.get(tuple(key), _ZERO)
 
     def prob_of(self, assignment: Mapping[str, object]):
         """Probability of a full assignment given as a name->symbol mapping."""
@@ -141,32 +120,35 @@ class JointPmf:
         return self.prob(key)
 
     def support(self):
-        if self.mode == RATIONAL:
-            return [k for k, p in self._table.items() if p > 0]
-        return list(self._table)
+        return [k for k, p in self._table.items() if p > 0]
 
-    def to_double(self) -> "JointPmf":
-        if self.mode == DOUBLE:
-            return self
-        table = {k: float(p) for k, p in self._table.items() if p > 0}
-        return JointPmf(self.variables, table, mode=DOUBLE, _validated=True)
+    def float_marginal(self, names: Iterable[str]) -> dict:
+        """Float marginal on `names`: symbol tuple -> sum of the float
+        probabilities of the positive entries, added in table order.
 
-    def require_same_mode(self, other: "JointPmf"):
-        if self.mode != other.mode:
-            raise ModeMismatchError(
-                "cannot mix %s-mode and %s-mode pmfs" % (self.mode, other.mode))
+        The entries are converted to floats once per pmf, on first use.
+        Callers evaluate irrational quantities (entropies, log-probabilities)
+        from this; every exact check uses the Fraction table instead.
+        """
+        if self._floats is None:
+            self._floats = [(k, float(p)) for k, p in self._table.items() if p > 0]
+        positions = [self._var_pos(name) for name in names]
+        table: dict = {}
+        for key, p in self._floats:
+            sub = tuple(key[pos] for pos in positions)
+            table[sub] = table.get(sub, 0.0) + p
+        return table
 
     def __eq__(self, other):
         if not isinstance(other, JointPmf):
             return NotImplemented
-        if self.variables != other.variables or self.mode != other.mode:
+        if self.variables != other.variables:
             return False
         keys = set(self._table) | set(other._table)
         return all(self.prob(k) == other.prob(k) for k in keys)
 
     def __repr__(self):
-        return "JointPmf(%s; %d rows, %s)" % (
-            ",".join(self._names), len(self._table), self.mode)
+        return "JointPmf(%s; %d rows)" % (",".join(self._names), len(self._table))
 
 
 # -- core operations -----------------------------------------------------------
@@ -177,12 +159,11 @@ def marginalize(pmf: JointPmf, keep: Iterable[str]) -> JointPmf:
     keep = list(keep)
     positions = [pmf._var_pos(name) for name in keep]
     variables = [pmf.variables[p] for p in positions]
-    zero = Fraction(0) if pmf.mode == RATIONAL else 0.0
     table: dict = {}
     for key, p in pmf.items():
         sub = tuple(key[pos] for pos in positions)
-        table[sub] = table.get(sub, zero) + p
-    return JointPmf(variables, table, mode=pmf.mode, _validated=True)
+        table[sub] = table.get(sub, _ZERO) + p
+    return JointPmf(variables, table, _validated=True)
 
 
 def condition(pmf: JointPmf, target: Iterable[str],
@@ -197,21 +178,20 @@ def condition(pmf: JointPmf, target: Iterable[str],
         pmf._var_pos(name)
     tpos = [pmf._var_pos(name) for name in target]
     gpos = {pmf._var_pos(name): sym for name, sym in given.items()}
-    zero = Fraction(0) if pmf.mode == RATIONAL else 0.0
     table: dict = {}
-    mass = zero
+    mass = _ZERO
     for key, p in pmf.items():
         if any(key[pos] != sym for pos, sym in gpos.items()):
             continue
         mass += p
         sub = tuple(key[pos] for pos in tpos)
-        table[sub] = table.get(sub, zero) + p
+        table[sub] = table.get(sub, _ZERO) + p
     if mass == 0:
         raise UnsupportedConditionError(
             "unsupported condition: event %r has zero probability" % (dict(given),))
     table = {k: p / mass for k, p in table.items()}
     variables = [pmf.variables[p] for p in tpos]
-    return JointPmf(variables, table, mode=pmf.mode, _validated=True)
+    return JointPmf(variables, table, _validated=True)
 
 
 def merge_vars(pmf: JointPmf, new_name: str, parts: Sequence[str],
@@ -227,21 +207,20 @@ def merge_vars(pmf: JointPmf, new_name: str, parts: Sequence[str],
             if keep or k not in part_pos]
     symbols = tuple(itertools.product(*(pmf.variables[p][1].symbols for p in part_pos)))
     variables = [(new_name, Alphabet(symbols))] + [v for _, v in rest]
-    zero = Fraction(0) if pmf.mode == RATIONAL else 0.0
     table: dict = {}
     for key, p in pmf.items():
         merged = tuple(key[p] for p in part_pos)
         newkey = (merged,) + tuple(key[k] for k, _ in rest)
-        table[newkey] = table.get(newkey, zero) + p
-    return JointPmf(variables, table, mode=pmf.mode, _validated=True)
+        table[newkey] = table.get(newkey, _ZERO) + p
+    return JointPmf(variables, table, _validated=True)
 
 
 def check_markov(pmf: JointPmf, a: Iterable[str], b: Iterable[str],
                  c: Iterable[str], tol: float = 1e-12) -> bool:
     """True iff the chain A <-> B <-> C holds, i.e. I(A;C|B) <= tol.
 
-    In rational mode the conditional independence is first tested exactly via
-    the factorization mu(abc)*mu(b) == mu(ab)*mu(bc); the float conditional
+    The conditional independence is first tested exactly via the
+    factorization mu(abc)*mu(b) == mu(ab)*mu(bc); the float conditional
     mutual information is used as the general criterion.
     """
     a, b, c = list(a), list(b), list(c)
@@ -252,7 +231,7 @@ def check_markov(pmf: JointPmf, a: Iterable[str], b: Iterable[str],
             if name in seen:
                 raise ConfigurationError("variable %r appears in two blocks" % (name,))
             seen.add(name)
-    if pmf.mode == RATIONAL and _factorizes(pmf, a, b, c):
+    if _factorizes(pmf, a, b, c):
         return True
     from .information import cond_mutual_info
 
@@ -260,18 +239,25 @@ def check_markov(pmf: JointPmf, a: Iterable[str], b: Iterable[str],
 
 
 def _factorizes(pmf: JointPmf, a, b, c) -> bool:
-    abc = marginalize(pmf, a + b + c)
-    ab = {k: p for k, p in marginalize(pmf, a + b).items()}
-    bc = {k: p for k, p in marginalize(pmf, b + c).items()}
-    bm = {k: p for k, p in marginalize(pmf, b).items()}
-    la, lb = len(a), len(b)
-    for key, p in abc.items():
-        ka, kb, kc = key[:la], key[la:la + lb], key[la + lb:]
-        lhs = p * bm.get(kb, Fraction(0))
-        rhs = ab.get(ka + kb, Fraction(0)) * bc.get(kb + kc, Fraction(0))
-        if lhs != rhs:
-            return False
-    return True
+    """W(abc)*W(b) == W(ab)*W(bc) for every (a, b, c) in the table, where W is
+    the table scaled to integers by the lcm of its denominators: the exact
+    factorization test, with one scaling in place of Fraction products."""
+    scale = math.lcm(*(p.denominator for _, p in pmf.items()))
+    pa, pb, pc = ([pmf._var_pos(name) for name in group] for group in (a, b, c))
+    abc: dict = {}
+    ab: dict = {}
+    bc: dict = {}
+    bm: dict = {}
+    for key, p in pmf.items():
+        w = p.numerator * (scale // p.denominator)
+        ka = tuple(key[i] for i in pa)
+        kb = tuple(key[i] for i in pb)
+        kc = tuple(key[i] for i in pc)
+        abc[ka, kb, kc] = abc.get((ka, kb, kc), 0) + w
+        ab[ka, kb] = ab.get((ka, kb), 0) + w
+        bc[kb, kc] = bc.get((kb, kc), 0) + w
+        bm[kb] = bm.get(kb, 0) + w
+    return all(w * bm[kb] == ab[ka, kb] * bc[kb, kc] for (ka, kb, kc), w in abc.items())
 
 
 # -- memoryless block extension --------------------------------------------------
@@ -293,15 +279,10 @@ class BlockSource:
         if self.n < 1:
             raise ConfigurationError("block length must be >= 1")
 
-    @property
-    def mode(self) -> str:
-        return self.base.mode
-
-    def prob(self, block: Sequence[tuple]):
+    def prob(self, block: Sequence[tuple]) -> Fraction:
         if len(block) != self.n:
             raise ConfigurationError("block length %d != n=%d" % (len(block), self.n))
-        one = Fraction(1) if self.base.mode == RATIONAL else 1.0
-        p = one
+        p = Fraction(1)
         for letter in block:
             p *= self.base.prob(letter)
         return p
@@ -350,10 +331,9 @@ def sample(src: BlockSource, seed, count: int = 1) -> list:
 # -- convenience constructors ----------------------------------------------------
 
 
-def bernoulli(p, name: str = "X", mode: str = RATIONAL) -> JointPmf:
-    p = Fraction(p) if mode == RATIONAL else float(p)
-    one = Fraction(1) if mode == RATIONAL else 1.0
-    return JointPmf([(name, binary_alphabet())], {(0,): one - p, (1,): p}, mode=mode)
+def bernoulli(p, name: str = "X") -> JointPmf:
+    p = Fraction(p)
+    return JointPmf([(name, binary_alphabet())], {(0,): 1 - p, (1,): p})
 
 
 def uniform(variables) -> JointPmf:
@@ -362,41 +342,33 @@ def uniform(variables) -> JointPmf:
         total *= alph.size
     p = Fraction(1, total)
     table = {key: p for key in itertools.product(*(a.symbols for _, a in variables))}
-    return JointPmf(variables, table, mode=RATIONAL)
+    return JointPmf(variables, table)
 
 
 def point_mass(variables, key) -> JointPmf:
-    return JointPmf(variables, {tuple(key): Fraction(1)}, mode=RATIONAL)
+    return JointPmf(variables, {tuple(key): Fraction(1)})
 
 
-def dsbs(p, names=("X1", "X2"), mode: str = RATIONAL) -> JointPmf:
+def dsbs(p, names=("X1", "X2")) -> JointPmf:
     """Doubly symmetric binary source: X1 ~ Bern(1/2), X2 = X1 xor Bern(p)."""
     b = binary_alphabet()
-    if mode == RATIONAL:
-        p = Fraction(p)
-        half = Fraction(1, 2)
-    else:
-        p, half = float(p), 0.5
+    p = Fraction(p)
+    half = Fraction(1, 2)
     table = {}
     for x1 in (0, 1):
         for x2 in (0, 1):
             table[(x1, x2)] = half * (p if x1 != x2 else (1 - p))
-    return JointPmf([(names[0], b), (names[1], b)], table, mode=mode)
+    return JointPmf([(names[0], b), (names[1], b)], table)
 
 
-def random_pmf(rng: np.random.Generator, variables, mode: str = DOUBLE,
-               denominator: int = 720) -> JointPmf:
+def random_pmf(rng: np.random.Generator, variables, denominator: int = 720) -> JointPmf:
     """Random strictly positive pmf over the given variables.
 
-    Rational mode draws integer weights summing over a common denominator so
-    the table is exact; double mode normalizes uniform weights.
+    Draws integer weights in [1, denominator) and divides by their sum, so
+    the table is exact.
     """
     keys = list(itertools.product(*(a.symbols for _, a in variables)))
-    if mode == DOUBLE:
-        w = rng.uniform(0.05, 1.0, size=len(keys))
-        w = w / w.sum()
-        return JointPmf(variables, dict(zip(keys, w)), mode=DOUBLE)
     weights = [int(x) for x in rng.integers(1, denominator, size=len(keys))]
     total = sum(weights)
     table = {k: Fraction(w, total) for k, w in zip(keys, weights)}
-    return JointPmf(variables, table, mode=RATIONAL)
+    return JointPmf(variables, table)

@@ -238,13 +238,12 @@ def binding_from_pmf(which: str, config: NetworkConfig, joint: JointPmf,
     memoryless sources; values are rounded down to denominator
     2**precision_bits so that downstream algebra is exact.
     """
-    dense = joint.to_double()
     entropies = {}   # H(S) by the set S: a marginal does not depend on the order of S
 
     def h(names):
         key = frozenset(names)
         if key not in entropies:
-            entropies[key] = cond_entropy(dense, list(names), []).bits
+            entropies[key] = cond_entropy(joint, list(names), []).bits
         return entropies[key]
 
     values = {}

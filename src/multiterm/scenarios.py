@@ -379,60 +379,73 @@ def _symbols(raw) -> tuple:
     return tuple(tuple(s) if isinstance(s, list) else s for s in raw)
 
 
+def _field(section: dict, key: str, where: str):
+    """`section[key]`, else a configuration error naming `where` and the key."""
+    try:
+        return section[key]
+    except KeyError:
+        raise ConfigurationError("scenario file: %s has no key %r" % (where, key)) from None
+
+
 def scenario_from_dict(data: dict) -> Scenario:
     """Build a scenario from the documented JSON structure.
 
     Sections: topology, source, channels, reproducers, code, run.  See the
     README for the schema; errors name the offending section and key.
     """
-    try:
-        topo = data["topology"]
-        src = data["source"]
-    except KeyError as exc:
-        raise ConfigurationError("scenario file missing section %s" % exc) from None
+    topo = _field(data, "topology", "the top level")
+    src = _field(data, "source", "the top level")
 
-    variables = [(name, Alphabet(_symbols(al))) for name, al in src["variables"]]
-    table = {tuple(_symbols(k)): _frac(v) for k, v in src["table"]}
+    variables = [(name, Alphabet(_symbols(al)))
+                 for name, al in _field(src, "variables", "source")]
+    table = {tuple(_symbols(k)): _frac(v) for k, v in _field(src, "table", "source")}
     source = JointPmf(variables, table)
 
     distortions = {}
     for k, spec in topo.get("distortions", {}).items():
         k = _ident(k)
+        where = "topology.distortions[%r]" % (k,)
+        measured = _field(spec, "source", where)
         try:
-            distortions[k] = DistortionMeasure(spec["source"], spec.get("kind", "hamming"))
+            distortions[k] = DistortionMeasure(measured, spec.get("kind", "hamming"))
         except ConfigurationError as exc:
-            raise ConfigurationError("topology.distortions[%r]: %s" % (k, exc)) from None
+            raise ConfigurationError("%s: %s" % (where, exc)) from None
 
     config = NetworkConfig(
-        encoders=tuple(_ident(i) for i in topo["encoders"]),
-        sharing=tuple(tuple(_ident(i) for i in cell) for cell in topo["sharing"]),
-        decoders=tuple(_ident(j) for j in topo["decoders"]),
+        encoders=tuple(_ident(i) for i in _field(topo, "encoders", "topology")),
+        sharing=tuple(tuple(_ident(i) for i in cell)
+                      for cell in _field(topo, "sharing", "topology")),
+        decoders=tuple(_ident(j) for j in _field(topo, "decoders", "topology")),
         codewords_to={_ident(j): tuple(_ident(i) for i in ids)
-                      for j, ids in topo["codewords_to"].items()},
+                      for j, ids in _field(topo, "codewords_to", "topology").items()},
         reproductions={_ident(j): tuple(_ident(k) for k in ks)
-                       for j, ks in topo["reproductions"].items()},
-        side_info={_ident(j): y for j, y in topo["side_info"].items()},
+                       for j, ks in _field(topo, "reproductions", "topology").items()},
+        side_info={_ident(j): y for j, y in _field(topo, "side_info", "topology").items()},
         distortions=distortions,
         lossless=tuple(_ident(i) for i in topo.get("lossless", ())))
 
     channels = {}
-    for ch in data.get("channels", []):
-        cell = tuple(_ident(i) for i in ch["cell"])
-        inputs = [(ch["input"], source.alphabet(ch["input"]))]
-        outputs = [(name, Alphabet(_symbols(al))) for name, al in ch["outputs"]]
+    for idx, ch in enumerate(data.get("channels", [])):
+        where = "channels[%d]" % idx
+        cell = tuple(_ident(i) for i in _field(ch, "cell", where))
+        name = _field(ch, "input", where)
+        inputs = [(name, source.alphabet(name))]
+        outputs = [(out, Alphabet(_symbols(al))) for out, al in _field(ch, "outputs", where)]
         rows = {tuple(_symbols(key)): {tuple(_symbols(out)): _frac(p) for out, p in row}
-                for key, row in ch["rows"]}
+                for key, row in _field(ch, "rows", where)}
         channels[cell] = ConditionalPmf(inputs, outputs, rows)
 
     reproducers = {}
     for k, spec in data.get("reproducers", {}).items():
         k = _ident(k)
-        alph = Alphabet(_symbols(spec["alphabet"]))
+        where = "reproducers[%r]" % (k,)
+        alph = Alphabet(_symbols(_field(spec, "alphabet", where)))
+        args = _field(spec, "args", where)
         if spec.get("identity"):
-            reproducers[k] = identity_reproducer(spec["args"][0], alph)
+            reproducers[k] = identity_reproducer(args[0], alph)
         else:
-            table = {tuple(_symbols(key)): out for key, out in spec["table"]}
-            reproducers[k] = Reproducer(tuple(spec["args"]), table, alph)
+            table = {tuple(_symbols(key)): out for key, out in _field(spec, "table", where)}
+            reproducers[k] = Reproducer(tuple(args), table, alph)
 
     code = data.get("code", {})
     run = data.get("run", {})

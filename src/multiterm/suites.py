@@ -37,7 +37,7 @@ from .hashing import (
 )
 from .identities import sweep_examples
 from .information import kl_divergence, verify_spectral_lemmas
-from .probability import DOUBLE, Alphabet, JointPmf, random_pmf
+from .probability import Alphabet, JointPmf, random_pmf
 from .reports import Report
 from .scenarios import build_scenario
 
@@ -68,7 +68,7 @@ def suite_spectral(seeds: int = 50, seed0: int = 0) -> Report:
     failures = 0
     for s in range(seeds):
         rng = np.random.default_rng((seed0, s))
-        pmf = random_pmf(rng, [("U", b2), ("V", b3), ("V2", b2)], mode=DOUBLE)
+        pmf = random_pmf(rng, [("U", b2), ("V", b3), ("V2", b2)])
         if not verify_spectral_lemmas(pmf, tol=1e-10).all_passed:
             failures += 1
     report.add("single-letter identities on %d random laws" % seeds,
@@ -78,15 +78,15 @@ def suite_spectral(seeds: int = 50, seed0: int = 0) -> Report:
     det = JointPmf([("U", b2), ("V", b3)],
                    {(0, 0): Fraction(1, 3), (1, 1): Fraction(1, 3), (0, 2): Fraction(1, 3)})
     from .information import cond_entropy
-    h = cond_entropy(det.to_double(), ["U"], ["V"]).bits
+    h = cond_entropy(det, ["U"], ["V"]).bits
     report.add("H(U|V)=0 for deterministic U", abs(h) <= 1e-12, lhs=h, rhs=0.0)
 
     # divergence surrogate nonnegative on same-support pairs
     bad = 0
     for s in range(seeds):
         rng = np.random.default_rng((seed0, 1000 + s))
-        mu = random_pmf(rng, [("U", b3)], mode=DOUBLE)
-        nu = random_pmf(rng, [("U", b3)], mode=DOUBLE)
+        mu = random_pmf(rng, [("U", b3)])
+        nu = random_pmf(rng, [("U", b3)])
         if kl_divergence(mu, nu) < -1e-12:
             bad += 1
     report.add("E[log mu/nu] >= 0 on %d pairs" % seeds, bad == 0, lhs=bad, rhs=0)

@@ -34,7 +34,7 @@ from multiterm.identities import random_example_pmf, verify_example_identities
 from multiterm.information import entropy
 from multiterm.linineq import fme_eliminate
 from multiterm.network import NetworkConfig
-from multiterm.probability import DOUBLE, RATIONAL, bernoulli, dsbs
+from multiterm.probability import bernoulli, dsbs
 from multiterm.regions import (
     DSC_CRNG,
     DSC_IT,
@@ -122,10 +122,9 @@ def test_criterion_4_example_identity_sweeps():
     ok = True
     for idx, example in enumerate(("berger-tung", "el-gamal-cover",
                                    "zhang-berger", "heegard-berger")):
-        mode = RATIONAL if example == "heegard-berger" else DOUBLE
         for s in range(100):
             rng = np.random.default_rng((200, idx, s))
-            pmf = random_example_pmf(example, rng, mode=mode)
+            pmf = random_example_pmf(example, rng)
             report = verify_example_identities(example, pmf, tol=1e-9)
             ok = ok and report.all_passed
     _criterion(4, "100 random laws per example satisfy every identity",
@@ -249,7 +248,7 @@ def test_criterion_6_crng_sampler_law():
     got = {(blocks[1], blocks[2]): Fraction(w, law_total) for blocks, w in items}
     ok = ok and _tv_zero(direct.items(), got.items())
 
-    # Monte Carlo goodness of fit on three double-mode instances
+    # Monte Carlo goodness of fit on three float-weighted instances
     rng_root = np.random.SeedSequence(77)
     for inst, child in enumerate(rng_root.spawn(3)):
         rng = np.random.default_rng(child)

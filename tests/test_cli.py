@@ -368,3 +368,31 @@ def test_scenario_file_unknown_distortion_kind_is_a_config_error(tmp_path, capsy
     assert run(["simulate", str(path)]) == 2
     err = capsys.readouterr().err
     assert "topology.distortions[1]" in err and "'squared'" in err
+
+
+@pytest.mark.parametrize("path, named", [
+    (("topology", "distortions", "1", "source"), "topology.distortions[1] has no key 'source'"),
+    (("channels", 0, "rows"), "channels[0] has no key 'rows'"),
+    (("topology", "encoders"), "topology has no key 'encoders'"),
+    (("source", "table"), "source has no key 'table'"),
+    (("reproducers", "1", "alphabet"), "reproducers[1] has no key 'alphabet'"),
+], ids=["distortion-source", "channel-rows", "topology-encoders", "source-table",
+        "reproducer-alphabet"])
+def test_scenario_file_missing_key_is_a_config_error(tmp_path, capsys, path, named):
+    data = tiny_scenario_data()
+    section = data
+    for key in path[:-1]:
+        section = section[key]
+    del section[path[-1]]
+    scenario = tmp_path / "missing.json"
+    scenario.write_text(json.dumps(data))
+    assert run(["simulate", str(scenario)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and named in err
+
+
+@pytest.mark.parametrize("suite, seeds", [("mcrp", "0"), ("spectral", "-3")])
+def test_verify_rejects_non_positive_seeds(capsys, suite, seeds):
+    assert run(["verify", "--suite", suite, "--seeds", seeds]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "--seeds: %s" % seeds in err

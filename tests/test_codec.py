@@ -788,11 +788,3 @@ def test_exact_error_rejects_unknown_rule():
     code = scenario.make_code(2, seed=1)
     with pytest.raises(ConfigurationError, match="unknown decode rule 'bogus'"):
         exact_error(code, 0.01, scenario.default_D, rule="bogus")
-
-
-def test_exact_error_requires_rational_mode():
-    scenario = build_scenario("wyner-ziv-binary")
-    code = scenario.make_code(2, seed=1)
-    code.source = code.source.to_double()
-    with pytest.raises(ConfigurationError):
-        exact_error(code, 0.01, scenario.default_D)

@@ -68,10 +68,8 @@ def test_total_rate_projection_matches_closed_form():
     ext.add({"Rsum": -1, "R_0": 1, "R_1": 1, "R_2": 1}, 0)
     projected = remove_redundant(fme_eliminate(ext, ["R_0", "R_1", "R_2"]))
 
-    dense = joint.to_double()
-
     def h(left, given=()):
-        return round_entropy(cond_entropy(dense, list(left), list(given)).bits)
+        return round_entropy(cond_entropy(joint, list(left), list(given)).bits)
 
     expected = LinIneqSystem(["Rsum"])
     for j, jc in ((1, 2), (2, 1)):

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from multiterm.identities import (
     reconstruct_heegard_berger,
     verify_example_identities,
 )
-from multiterm.probability import DOUBLE, RATIONAL, check_markov, marginalize
+from multiterm.probability import check_markov, marginalize
 
 
 def test_unknown_example_rejected():
@@ -23,8 +25,7 @@ def test_unknown_example_rejected():
 def test_each_example_passes_on_class_members(example):
     for s in range(10):
         rng = np.random.default_rng((70, s))
-        mode = RATIONAL if example == "heegard-berger" else DOUBLE
-        pmf = random_example_pmf(example, rng, mode=mode)
+        pmf = random_example_pmf(example, rng)
         report = verify_example_identities(example, pmf, tol=1e-9)
         assert report.all_passed, [c.name for c in report.checks if not c.passed]
 
@@ -40,8 +41,8 @@ def test_degenerate_constant_auxiliary():
         newkey = list(key)
         newkey[pmf.names.index("W1")] = 0
         newkey = tuple(newkey)
-        table[newkey] = table.get(newkey, 0.0) + p
-    collapsed = JointPmf(pmf.variables, table, mode=DOUBLE)
+        table[newkey] = table.get(newkey, Fraction(0)) + p
+    collapsed = JointPmf(pmf.variables, table)
     report = verify_example_identities("berger-tung", collapsed, tol=1e-9)
     rate1 = next(c for c in report.checks if c.name == "rate-1 identity")
     assert rate1.passed and abs(rate1.lhs) < 1e-9
@@ -58,19 +59,19 @@ def test_precondition_error_names_chain():
         newkey = list(key)
         newkey[pmf.names.index("T")] = key[pmf.names.index("X2")]
         table_key = tuple(newkey)
-        table[table_key] = table.get(table_key, 0.0) + p
-    broken = JointPmf(pmf.variables, table, mode=DOUBLE)
+        table[table_key] = table.get(table_key, Fraction(0)) + p
+    broken = JointPmf(pmf.variables, table)
     with pytest.raises(PreconditionError, match="<->"):
         verify_example_identities("berger-tung", broken)
 
 
 def test_heegard_berger_reconstruction_properties():
     rng = np.random.default_rng(11)
-    pmf = random_example_pmf("heegard-berger", rng, mode=RATIONAL)
+    pmf = random_example_pmf("heegard-berger", rng)
     rebuilt = reconstruct_heegard_berger(pmf)
     # the forced chain holds exactly
     assert check_markov(rebuilt, ["W1"], ["W0", "X"], ["W2"], tol=0.0)
-    # margins agree exactly in rational mode
+    # margins agree exactly
     for j in (1, 2):
         margin = ["W0", "W%d" % j, "X", "Y%d" % j, "Z%d" % j]
         assert marginalize(pmf, margin) == marginalize(rebuilt, margin)
@@ -79,7 +80,7 @@ def test_heegard_berger_reconstruction_properties():
 def test_heegard_berger_reconstruction_propagates_configuration_errors(monkeypatch):
     """Only a zero-probability condition becomes a point-mass row; any other
     error from `condition` reaches the caller."""
-    pmf = random_example_pmf("heegard-berger", np.random.default_rng(11), mode=RATIONAL)
+    pmf = random_example_pmf("heegard-berger", np.random.default_rng(11))
 
     def broken(*args, **kwargs):
         raise ConfigurationError("broken condition")
@@ -87,3 +88,14 @@ def test_heegard_berger_reconstruction_propagates_configuration_errors(monkeypat
     monkeypatch.setattr(identities, "condition", broken)
     with pytest.raises(ConfigurationError, match="broken condition"):
         reconstruct_heegard_berger(pmf)
+
+
+def test_heegard_berger_report_checks_both_bound_expressions():
+    for s in range(5):
+        pmf = random_example_pmf("heegard-berger", np.random.default_rng((71, s)))
+        report = verify_example_identities("heegard-berger", pmf, tol=1e-9)
+        bounds = [c for c in report.checks if "bound expressions agree" in c.name]
+        assert [c.name for c in bounds] == ["decoder-1 bound expressions agree",
+                                            "decoder-2 bound expressions agree"]
+        assert report.all_passed
+        assert all(abs(c.lhs - c.rhs) <= 1e-9 for c in bounds)

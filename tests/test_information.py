@@ -1,8 +1,11 @@
+import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multiterm.errors import ConfigurationError
 from multiterm.information import (
@@ -64,7 +67,7 @@ def test_chain_rule_random_sweep():
     for s in range(100):
         rng = np.random.default_rng((10, s))
         pmf = random_pmf(rng, [("A", Alphabet((0, 1, 2))), ("B", Alphabet((0, 1))),
-                               ("C", Alphabet((0, 1)))], mode="double")
+                               ("C", Alphabet((0, 1)))])
         hab = entropy(pmf, ["A", "B"]).bits
         split = cond_entropy(pmf, ["A"], ["B"]).bits + entropy(pmf, ["B"]).bits
         assert abs(hab - split) <= 1e-12
@@ -75,10 +78,9 @@ def test_chain_rule_random_sweep():
 
 
 def test_chain_rule_log_free_rational():
-    # rational mode: the chain rule reduces to exact factorization of tables
+    # the chain rule reduces to exact factorization of tables
     rng = np.random.default_rng(6)
-    pmf = random_pmf(rng, [("A", Alphabet((0, 1))), ("B", Alphabet((0, 1, 2)))],
-                     mode="rational")
+    pmf = random_pmf(rng, [("A", Alphabet((0, 1))), ("B", Alphabet((0, 1, 2)))])
     b = marginalize(pmf, ["B"])
     for (a_sym, b_sym), p in pmf.items():
         # mu(a,b) = mu(b) * mu(a|b) exactly
@@ -91,7 +93,7 @@ def test_conditioning_never_increases_entropy():
     for s in range(50):
         rng = np.random.default_rng((11, s))
         pmf = random_pmf(rng, [("A", Alphabet((0, 1))), ("B", Alphabet((0, 1))),
-                               ("C", Alphabet((0, 1)))], mode="double")
+                               ("C", Alphabet((0, 1)))])
         assert (cond_entropy(pmf, ["A"], ["B", "C"]).bits
                 <= cond_entropy(pmf, ["A"], ["B"]).bits + 1e-12)
 
@@ -146,8 +148,8 @@ def test_spectrum_estimate_invariants():
 def test_divergence_surrogate_nonnegative():
     for s in range(50):
         rng = np.random.default_rng((12, s))
-        mu = random_pmf(rng, [("U", Alphabet((0, 1, 2)))], mode="double")
-        nu = random_pmf(rng, [("U", Alphabet((0, 1, 2)))], mode="double")
+        mu = random_pmf(rng, [("U", Alphabet((0, 1, 2)))])
+        nu = random_pmf(rng, [("U", Alphabet((0, 1, 2)))])
         assert kl_divergence(mu, nu) >= -1e-12
 
 
@@ -157,14 +159,58 @@ def test_verify_spectral_lemmas_deterministic_function():
     v3 = Alphabet((0, 1, 2))
     table = {(0, 0): Fraction(1, 3), (1, 1): Fraction(1, 3), (0, 2): Fraction(1, 3)}
     pmf = JointPmf([("U", b), ("V", v3)], table)
-    report = verify_spectral_lemmas(pmf.to_double())
+    report = verify_spectral_lemmas(pmf)
     assert report.all_passed
-    assert cond_entropy(pmf.to_double(), ["U"], ["V"]).bits == pytest.approx(0.0, abs=1e-12)
+    assert cond_entropy(pmf, ["U"], ["V"]).bits == pytest.approx(0.0, abs=1e-12)
 
 
 def test_verify_spectral_lemmas_random_sweep():
     for s in range(100):
         rng = np.random.default_rng((13, s))
         pmf = random_pmf(rng, [("U", Alphabet((0, 1))), ("V", Alphabet((0, 1, 2))),
-                               ("V2", Alphabet((0, 1)))], mode="double")
+                               ("V2", Alphabet((0, 1)))])
         assert verify_spectral_lemmas(pmf, tol=1e-10).all_passed
+
+
+def _reference_entropy(pmf, names):
+    """H(names) along the float path of the former double-mode pmfs: a float
+    table of the positive entries, then float marginal sums in table order."""
+    dense = {key: float(p) for key, p in pmf.items() if p > 0}
+    positions = [pmf.names.index(name) for name in names]
+    marginal = {}
+    for key, p in dense.items():
+        sub = tuple(key[pos] for pos in positions)
+        marginal[sub] = marginal.get(sub, 0.0) + p
+    total = 0.0
+    for p in marginal.values():
+        total -= 0.0 if p == 0.0 else p * math.log2(p)
+    return max(total, 0.0)
+
+
+@st.composite
+def rational_joints(draw):
+    """A joint law over 1-4 variables with integer weights (zeros included),
+    its rows in a drawn order."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    keys = list(itertools.product(*(range(size) for size in sizes)))
+    weights = draw(st.lists(st.integers(0, 10 ** 6), min_size=len(keys), max_size=len(keys)))
+    if not any(weights):
+        weights[0] = 1
+    order = draw(st.permutations(range(len(keys))))
+    total = sum(weights)
+    variables = [("V%d" % k, Alphabet(tuple(range(size)))) for k, size in enumerate(sizes)]
+    return JointPmf(variables, {keys[k]: Fraction(weights[k], total) for k in order})
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), pmf=rational_joints())
+def test_entropy_matches_float_table_reference_bit_for_bit(data, pmf):
+    names = data.draw(st.permutations(pmf.names))
+    split = data.draw(st.integers(1, len(names)))
+    a = list(names[:split])
+    b = list(names[split:data.draw(st.integers(split, len(names)))])
+    assert entropy(pmf).bits == _reference_entropy(pmf, pmf.names)
+    assert entropy(pmf, a).bits == _reference_entropy(pmf, a)
+    expected = (max(_reference_entropy(pmf, a + b) - _reference_entropy(pmf, b), 0.0)
+                if b else _reference_entropy(pmf, a))
+    assert cond_entropy(pmf, a, b).bits == expected

@@ -3,14 +3,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chisquare
 
-from multiterm.errors import (
-    ConfigurationError,
-    ModeMismatchError,
-    UnsupportedConditionError,
-)
+from multiterm.errors import ConfigurationError, UnsupportedConditionError
 from multiterm.probability import (
+    _factorizes,
     Alphabet,
     JointPmf,
     bernoulli,
@@ -98,7 +97,7 @@ def test_condition_zero_probability_event():
 def test_marginalize_then_condition_commutes_with_direct():
     rng = np.random.default_rng(3)
     vars = [("A", Alphabet((0, 1, 2))), ("B", B), ("C", B), ("D", B)]
-    pmf = random_pmf(rng, vars, mode="rational")
+    pmf = random_pmf(rng, vars)
     sub = marginalize(pmf, ["A", "B"])
     c1 = condition(sub, ["A"], {"B": 1})
     # direct: condition the full table then marginalize
@@ -144,15 +143,14 @@ def test_sample_point_mass_and_determinism():
 
 
 def test_sample_law_of_large_numbers():
-    src = block_extend(bernoulli(Fraction(11, 100), mode="double"), 1)
+    src = block_extend(bernoulli(Fraction(11, 100)), 1)
     blocks = sample(src, seed=1, count=100_000)
     freq = sum(b[0][0] for b in blocks) / 100_000
     assert abs(freq - 0.11) < 0.01
 
 
 def test_sample_chi_square_consistency():
-    base = random_pmf(np.random.default_rng(4), [("X", Alphabet((0, 1, 2, 3)))],
-                      mode="double")
+    base = random_pmf(np.random.default_rng(4), [("X", Alphabet((0, 1, 2, 3)))])
     blocks = sample(block_extend(base, 1), seed=2, count=100_000)
     counts = [0, 0, 0, 0]
     for b in blocks:
@@ -190,13 +188,6 @@ def test_check_markov_constructed_chain():
     assert check_markov(pmf, ["A"], ["B"], ["C"], tol=0.0)
 
 
-def test_mode_mixing_rejected():
-    r = dsbs(Fraction(11, 100))
-    d = r.to_double()
-    with pytest.raises(ModeMismatchError):
-        r.require_same_mode(d)
-
-
 def test_merge_vars_keep_and_consume():
     p = dsbs(Fraction(11, 100))
     consumed = merge_vars(p, "V", ("X1", "X2"))
@@ -205,3 +196,51 @@ def test_merge_vars_keep_and_consume():
     kept = merge_vars(p, "V", ("X1", "X2"), keep=True)
     assert set(kept.names) == {"V", "X1", "X2"}
     assert kept.prob(((0, 1), 0, 1)) == Fraction(11, 200)
+
+
+def _fraction_factorizes(pmf, a, b, c):
+    """The exact factorization test in Fraction arithmetic, kept as the reference."""
+    abc = marginalize(pmf, a + b + c)
+    ab = dict(marginalize(pmf, a + b).items())
+    bc = dict(marginalize(pmf, b + c).items())
+    bm = dict(marginalize(pmf, b).items())
+    la, lb = len(a), len(b)
+    for key, p in abc.items():
+        ka, kb, kc = key[:la], key[la:la + lb], key[la + lb:]
+        if p * bm.get(kb, Fraction(0)) != ab.get(ka + kb, Fraction(0)) * bc.get(kb + kc, Fraction(0)):
+            return False
+    return True
+
+
+def _weights(draw, size):
+    """`size` integer weights, zeros allowed, not all zero."""
+    weights = draw(st.lists(st.integers(0, 9), min_size=size, max_size=size))
+    if not any(weights):
+        weights[0] = 1
+    return weights
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), sizes=st.lists(st.integers(1, 3), min_size=3, max_size=3),
+       chain=st.booleans())
+def test_integer_factorizes_matches_fraction_reference(data, sizes, chain):
+    """On chains A -> B -> C (which factorize) and on generic laws, and for
+    every assignment of A, B, C to the blocks a, b, c or to none."""
+    keys = list(itertools.product(*(range(size) for size in sizes)))
+    if chain:
+        pa = _weights(data.draw, sizes[0])
+        pb = {x: _weights(data.draw, sizes[1]) for x in range(sizes[0])}
+        pc = {y: _weights(data.draw, sizes[2]) for y in range(sizes[1])}
+        raw = {(x, y, z): Fraction(pa[x] * pb[x][y] * pc[y][z], sum(pb[x]) * sum(pc[y]))
+               for x, y, z in keys}
+    else:
+        raw = dict(zip(keys, _weights(data.draw, len(keys))))
+    total = sum(raw.values())
+    pmf = JointPmf([(name, Alphabet(tuple(range(size))))
+                    for name, size in zip("ABC", sizes)],
+                   {key: Fraction(p) / total for key, p in raw.items()})
+    if chain:
+        assert _factorizes(pmf, ["A"], ["B"], ["C"])
+    blocks = data.draw(st.lists(st.sampled_from("abcx"), min_size=3, max_size=3))
+    a, b, c = ([name for name, blk in zip("ABC", blocks) if blk == g] for g in "abc")
+    assert _factorizes(pmf, a, b, c) == _fraction_factorizes(pmf, a, b, c)

@@ -360,7 +360,7 @@ def test_dsc_feasibility_transfers_to_mdc():
             # per-encoder inf terms share the cell source variable
             from multiterm.information import cond_entropy
             dsc_terms[t] = round_entropy(
-                cond_entropy(joint.to_double(), list(t.left), list(t.given)).bits)
+                cond_entropy(joint, list(t.left), list(t.given)).bits)
     dsc_spec = RegionSpec(DSC_CRNG, mdc_cfg, dsc_terms)
     mdc_spec = RegionSpec(MDC_CRNG, mdc_cfg, mdc_binding.values)
     rates = {1: Fraction(1), 2: Fraction(1)}
