@@ -30,7 +30,7 @@ from .regions import (
     remove_redundant,
 )
 from .scenarios import build_scenario, load_scenario, scenario_names
-from .suites import SUITES, run_suite
+from .suites import SUITES, UNSEEDED, run_suite
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -218,15 +218,20 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    seed = _resolved_seed(args.seed)
-    seeds = _positive_int(args.seeds, "--seeds")
+    unseeded = args.suite in UNSEEDED
+    if unseeded and (args.seeds is not None or args.seed is not None):
+        raise ConfigurationError(
+            "--suite %s runs fixed instances and takes no --seeds or --seed" % args.suite)
+    seed = _resolved_seed(0 if args.seed is None else args.seed)
+    seeds = 50 if args.seeds is None else _positive_int(args.seeds, "--seeds")
     report = run_suite(args.suite, seeds=seeds, seed0=seed)
     text = "\n".join(report.summary_lines()) + "\n"
     _emit(args.out, text)
     if args.out:
         with open(args.out + ".json", "a") as handle:
             handle.write(report.to_json() + "\n")
-    _write_manifest(args.out, {"command": "verify", "suite": args.suite, "seed": seed})
+    _write_manifest(args.out, {"command": "verify", "suite": args.suite,
+                               "seed": None if unseeded else seed})
     return EXIT_OK if report.all_passed else EXIT_VERIFY
 
 
@@ -267,9 +272,9 @@ def make_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify", help="run a lemma verification suite")
     ver.add_argument("--suite", choices=SUITES, required=True)
-    ver.add_argument("--seeds", type=int, default=50,
-                     help="instances per randomized sweep")
-    ver.add_argument("--seed", type=int, default=0)
+    ver.add_argument("--seeds", type=int, default=None,
+                     help="instances per randomized sweep (default 50)")
+    ver.add_argument("--seed", type=int, default=None, help="(default 0)")
     ver.add_argument("--out", default=None)
     ver.set_defaults(func=cmd_verify)
 

@@ -12,6 +12,7 @@ the auxiliary channels, the reproducers, and default code parameters; its
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Optional
@@ -387,82 +388,108 @@ def _field(section: dict, key: str, where: str):
         raise ConfigurationError("scenario file: %s has no key %r" % (where, key)) from None
 
 
+@contextmanager
+def _section(where: str):
+    """A value of the wrong type or shape inside `where` (a number for a list,
+    a list for a mapping, text for a probability) as a configuration error
+    naming `where`."""
+    try:
+        yield
+    except ConfigurationError:
+        raise
+    except (TypeError, ValueError, AttributeError, IndexError, ZeroDivisionError) as exc:
+        raise ConfigurationError(
+            "scenario file: %s has a malformed value (%s)" % (where, exc)) from None
+
+
 def scenario_from_dict(data: dict) -> Scenario:
     """Build a scenario from the documented JSON structure.
 
     Sections: topology, source, channels, reproducers, code, run.  See the
     README for the schema; errors name the offending section and key.
     """
-    topo = _field(data, "topology", "the top level")
-    src = _field(data, "source", "the top level")
+    with _section("the top level"):
+        topo = _field(data, "topology", "the top level")
+        src = _field(data, "source", "the top level")
 
-    variables = [(name, Alphabet(_symbols(al)))
-                 for name, al in _field(src, "variables", "source")]
-    table = {tuple(_symbols(k)): _frac(v) for k, v in _field(src, "table", "source")}
-    source = JointPmf(variables, table)
+    with _section("source"):
+        variables = [(name, Alphabet(_symbols(al)))
+                     for name, al in _field(src, "variables", "source")]
+        table = {tuple(_symbols(k)): _frac(v) for k, v in _field(src, "table", "source")}
+        source = JointPmf(variables, table)
 
     distortions = {}
-    for k, spec in topo.get("distortions", {}).items():
+    with _section("topology.distortions"):
+        distortion_specs = list(topo.get("distortions", {}).items())
+    for k, spec in distortion_specs:
         k = _ident(k)
         where = "topology.distortions[%r]" % (k,)
-        measured = _field(spec, "source", where)
-        try:
-            distortions[k] = DistortionMeasure(measured, spec.get("kind", "hamming"))
-        except ConfigurationError as exc:
-            raise ConfigurationError("%s: %s" % (where, exc)) from None
+        with _section(where):
+            measured = _field(spec, "source", where)
+            try:
+                distortions[k] = DistortionMeasure(measured, spec.get("kind", "hamming"))
+            except ConfigurationError as exc:
+                raise ConfigurationError("%s: %s" % (where, exc)) from None
 
-    config = NetworkConfig(
-        encoders=tuple(_ident(i) for i in _field(topo, "encoders", "topology")),
-        sharing=tuple(tuple(_ident(i) for i in cell)
-                      for cell in _field(topo, "sharing", "topology")),
-        decoders=tuple(_ident(j) for j in _field(topo, "decoders", "topology")),
-        codewords_to={_ident(j): tuple(_ident(i) for i in ids)
-                      for j, ids in _field(topo, "codewords_to", "topology").items()},
-        reproductions={_ident(j): tuple(_ident(k) for k in ks)
-                       for j, ks in _field(topo, "reproductions", "topology").items()},
-        side_info={_ident(j): y for j, y in _field(topo, "side_info", "topology").items()},
-        distortions=distortions,
-        lossless=tuple(_ident(i) for i in topo.get("lossless", ())))
+    with _section("topology"):
+        config = NetworkConfig(
+            encoders=tuple(_ident(i) for i in _field(topo, "encoders", "topology")),
+            sharing=tuple(tuple(_ident(i) for i in cell)
+                          for cell in _field(topo, "sharing", "topology")),
+            decoders=tuple(_ident(j) for j in _field(topo, "decoders", "topology")),
+            codewords_to={_ident(j): tuple(_ident(i) for i in ids)
+                          for j, ids in _field(topo, "codewords_to", "topology").items()},
+            reproductions={_ident(j): tuple(_ident(k) for k in ks)
+                           for j, ks in _field(topo, "reproductions", "topology").items()},
+            side_info={_ident(j): y for j, y in _field(topo, "side_info", "topology").items()},
+            distortions=distortions,
+            lossless=tuple(_ident(i) for i in topo.get("lossless", ())))
 
     channels = {}
-    for idx, ch in enumerate(data.get("channels", [])):
+    with _section("channels"):
+        channel_specs = list(enumerate(data.get("channels", [])))
+    for idx, ch in channel_specs:
         where = "channels[%d]" % idx
-        cell = tuple(_ident(i) for i in _field(ch, "cell", where))
-        name = _field(ch, "input", where)
-        inputs = [(name, source.alphabet(name))]
-        outputs = [(out, Alphabet(_symbols(al))) for out, al in _field(ch, "outputs", where)]
-        rows = {tuple(_symbols(key)): {tuple(_symbols(out)): _frac(p) for out, p in row}
-                for key, row in _field(ch, "rows", where)}
-        channels[cell] = ConditionalPmf(inputs, outputs, rows)
+        with _section(where):
+            cell = tuple(_ident(i) for i in _field(ch, "cell", where))
+            name = _field(ch, "input", where)
+            inputs = [(name, source.alphabet(name))]
+            outputs = [(out, Alphabet(_symbols(al))) for out, al in _field(ch, "outputs", where)]
+            rows = {tuple(_symbols(key)): {tuple(_symbols(out)): _frac(p) for out, p in row}
+                    for key, row in _field(ch, "rows", where)}
+            channels[cell] = ConditionalPmf(inputs, outputs, rows)
 
     reproducers = {}
-    for k, spec in data.get("reproducers", {}).items():
+    with _section("reproducers"):
+        reproducer_specs = list(data.get("reproducers", {}).items())
+    for k, spec in reproducer_specs:
         k = _ident(k)
         where = "reproducers[%r]" % (k,)
-        alph = Alphabet(_symbols(_field(spec, "alphabet", where)))
-        args = _field(spec, "args", where)
-        if spec.get("identity"):
-            reproducers[k] = identity_reproducer(args[0], alph)
-        else:
-            table = {tuple(_symbols(key)): out for key, out in _field(spec, "table", where)}
-            reproducers[k] = Reproducer(tuple(args), table, alph)
+        with _section(where):
+            alph = Alphabet(_symbols(_field(spec, "alphabet", where)))
+            args = _field(spec, "args", where)
+            if spec.get("identity"):
+                reproducers[k] = identity_reproducer(args[0], alph)
+            else:
+                table = {tuple(_symbols(key)): out for key, out in _field(spec, "table", where)}
+                reproducers[k] = Reproducer(tuple(args), table, alph)
 
-    code = data.get("code", {})
-    run = data.get("run", {})
-    run_defaults = {}
-    for key in ("n", "trials", "seed", "delta"):
-        if key in run:
-            run_defaults[key] = run[key]
+    with _section("run"):
+        run = data.get("run", {})
+        run_defaults = {key: run[key] for key in ("n", "trials", "seed", "delta") if key in run}
+        default_D = {_ident(k): float(_frac(v)) for k, v in run.get("D", {}).items()}
+    with _section("code"):
+        code = data.get("code", {})
+        code_kinds = {_ident(i): kind for i, kind in code.get("kinds", {}).items()}
+        default_rates = {_ident(i): float(v) for i, v in code.get("rates", {}).items()}
+        default_aux_rates = {_ident(i): float(v) for i, v in code.get("aux_rates", {}).items()}
+        q = int(code.get("q", 2))
     return Scenario(
         name=data.get("name", "custom"),
         description=data.get("description", ""),
         config=config, source=source, channels=channels, reproducers=reproducers,
-        default_D={_ident(k): float(_frac(v)) for k, v in run.get("D", {}).items()},
-        code_kinds={_ident(i): kind for i, kind in code.get("kinds", {}).items()},
-        default_rates={_ident(i): float(v) for i, v in code.get("rates", {}).items()},
-        default_aux_rates={_ident(i): float(v) for i, v in code.get("aux_rates", {}).items()},
-        q=int(code.get("q", 2)),
-        run_defaults=run_defaults)
+        default_D=default_D, code_kinds=code_kinds, default_rates=default_rates,
+        default_aux_rates=default_aux_rates, q=q, run_defaults=run_defaults)
 
 
 def load_scenario(name_or_path: str) -> Scenario:

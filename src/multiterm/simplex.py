@@ -1,32 +1,49 @@
 """Exact linear programming over the rationals.
 
-A small dense two-phase simplex with Bland's rule, used to certify
-redundancy removal, membership/containment queries, and auxiliary-rate
-feasibility.  Floating-point LP is unsound for those certificates, so every
-pivot here is performed in :class:`fractions.Fraction` arithmetic.  Problem
-sizes in this package are tiny (tens of rows), so a full tableau is fine.
+A small dense two-phase simplex, used to certify redundancy removal,
+membership/containment queries, and auxiliary-rate feasibility.
+Floating-point LP is unsound for those certificates, so every pivot here is
+exact.  Problem sizes in this package are tiny (tens of rows), so a full
+tableau is fine.
 
 Every LP min c.x s.t. A x >= b over free x is solved on its dual,
 max b.y s.t. A^T y = c, y >= 0: one equality row per variable and one
 column per inequality, so a system of d variables and m rows pivots a
 d x (m + d) tableau.  By Farkas' lemma and strong duality the answers agree,
-and both are exact because both are in rationals.  Yes/no questions ("does
-A x >= b imply a.x >= c?", "is A x >= b empty?") are decided by
-:func:`implied`.  :func:`solve_lp` also recovers the primal point: the
-optimal dual basis names one tight row per kept coordinate, and x solves
-those rows, A_B x = b_B, with the coordinates whose dual rows were dropped
-as redundant fixed to 0.
+and both are exact.  Yes/no questions ("does A x >= b imply a.x >= c?",
+"is A x >= b empty?") are decided by :func:`implied`.  :func:`solve_lp` also
+recovers the primal point: the optimal dual basis names one tight row per
+kept coordinate, and x solves those rows, A_B x = b_B, with the coordinates
+whose dual rows were dropped as redundant fixed to 0.
+
+The tableau holds Python integers.  Each equality row and the cost are
+scaled to integers once, by the lcm of their denominators; the tableau is
+then an integer matrix T over one positive common denominator D, the true
+tableau being T / D.  A pivot on T[r][c] replaces every other row by
+(T[r][c] T[i] - T[i][c] T[r]) / D, a division that is always exact, and
+sets D = T[r][c] (E. H. Bareiss, "Sylvester's identity and multistep
+integer-preserving Gaussian elimination", Math. Comp., 1968): D stays the
+absolute determinant of the basis and every entry is a minor of the scaled
+matrix, so entries stay small.  The entering column has the most negative reduced cost (Dantzig's
+rule); after a run of degenerate pivots the first negative column enters
+instead (Bland's rule) until a pivot moves the objective, so the method
+cannot cycle (R. G. Bland, "New finite pivoting rules for the simplex
+method", Math. Oper. Res., 1977).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Sequence
 
 OPTIMAL = "optimal"
 UNBOUNDED = "unbounded"
 INFEASIBLE = "infeasible"
+
+# consecutive degenerate pivots after which Bland's rule prices
+_DEGENERATE_RUN = 8
 
 
 @dataclass
@@ -36,45 +53,71 @@ class LpResult:
     x: Optional[list] = None
 
 
-def _pivot(tableau, cost, basis, row, col):
-    inv = Fraction(1) / tableau[row][col]
-    tableau[row] = [v * inv for v in tableau[row]]
-    # subtract multiples of the pivot row only where it is nonzero
-    nonzero = [(j, v) for j, v in enumerate(tableau[row]) if v]
-    for r, target in enumerate(tableau):
-        factor = target[col]
-        if r != row and factor != 0:
-            for j, v in nonzero:
-                target[j] -= factor * v
-    factor = cost[col]
-    if factor != 0:
-        for j, v in nonzero:
-            cost[j] -= factor * v
-    basis[row] = col
+def _scaled(values):
+    """(integers, scale): `values` (ints or Fractions) times the lcm of their
+    denominators."""
+    scale = lcm(*(v.denominator for v in values))
+    return [v.numerator * (scale // v.denominator) for v in values], scale
 
 
-def _run_simplex(tableau, cost, basis):
-    """Minimize; Bland's rule guarantees termination.  Returns True, or
-    False when the objective is unbounded below."""
-    ncols = len(cost) - 1
+def _pivot(rows, d, r, c):
+    """Integer-preserving pivot of `rows` on rows[r][c] at denominator d > 0.
+
+    Every row is an integer list whose true values are its entries over d.
+    Returns the new denominator, positive: a negative pivot first negates
+    every row and d.
+    """
+    p = rows[r][c]
+    if p < 0:
+        rows[:] = [[-v for v in row] for row in rows]
+        p, d = -p, -d
+    prow = rows[r]
+    for i, row in enumerate(rows):
+        if i == r:
+            continue
+        f = row[c]
+        if f:
+            rows[i] = [(p * a - f * b) // d for a, b in zip(row, prow)]
+        elif p != d:
+            rows[i] = [p * a // d for a in row]
+    return p
+
+
+def _minimize(rows, basis, d):
+    """Minimize over the tableau `rows`: constraint rows with their right-hand
+    side last, then the reduced-cost row, whose last entry is minus the
+    objective; `basis[r]` is the column basic in row r.
+
+    Returns (bounded, d): False when the objective is unbounded below.
+    """
+    ncols = len(rows[-1]) - 1
+    degenerate = 0
     while True:
-        enter = next((j for j in range(ncols) if cost[j] < 0), None)
-        if enter is None:
-            return True
+        cost = rows[-1]
+        negative = [j for j in range(ncols) if cost[j] < 0]
+        if not negative:
+            return True, d
+        if degenerate < _DEGENERATE_RUN:
+            enter = min(negative, key=cost.__getitem__)
+        else:
+            enter = negative[0]
+        # ratio test: least rhs / a over a > 0 by cross-multiplication, ties
+        # to the lowest basic column
         best = None
-        for r, row in enumerate(tableau):
+        for r, row in enumerate(rows[:-1]):
             a = row[enter]
-            if a > 0:
-                ratio = row[-1] / a
-                if best is None or ratio < best[0] or (ratio == best[0] and basis[r] < basis[best[1]]):
-                    best = (ratio, r)
+            if a > 0 and (best is None or row[-1] * best_a < best_rhs * a or (
+                    row[-1] * best_a == best_rhs * a and basis[r] < basis[best])):
+                best, best_rhs, best_a = r, row[-1], a
         if best is None:
-            return False
-        _pivot(tableau, cost, basis, best[1], enter)
+            return False, d
+        degenerate = degenerate + 1 if best_rhs == 0 else 0
+        d = _pivot(rows, d, best, enter)
+        basis[best] = enter
 
 
 def _standard_form_solve(A, b, c):
-    """min c.z  s.t.  A z = b, z >= 0 (all entries Fractions).
+    """min c.z  s.t.  A z = b, z >= 0 (entries ints or Fractions).
 
     Returns (status, value, z, basis, kept): on OPTIMAL, `kept` lists the
     rows of A left after dropping redundant ones and `basis[r]` is the
@@ -82,50 +125,46 @@ def _standard_form_solve(A, b, c):
     """
     m = len(A)
     n = len(c)
-    tableau = []
+    rows = []
     for i in range(m):
-        row = list(A[i]) + [Fraction(0)] * m + [b[i]]
-        if b[i] < 0:
-            row = [-v for v in row]
-        row[n + i] = Fraction(1)
-        tableau.append(row)
+        row = _scaled([*A[i], b[i]])[0]
+        rows.append([-v for v in row] if row[-1] < 0 else row)
+    # artificial columns are not stored: one that leaves the basis never re-enters
     basis = [n + i for i in range(m)]
 
     # phase 1: minimize the artificial sum, priced out against the basis
-    cost = [Fraction(0)] * (n + m + 1)
-    for j in range(n + m + 1):
-        cost[j] = (Fraction(1) if n <= j < n + m else Fraction(0)) - sum(
-            row[j] for row in tableau)
-    # artificial columns start basic with zero reduced cost
-    for i in range(m):
-        cost[n + i] = Fraction(0)
-    _run_simplex(tableau, cost, basis)
-    if -cost[-1] > 0:
+    rows.append([-sum(col) for col in zip(*rows)] if rows else [0] * (n + 1))
+    _, d = _minimize(rows, basis, 1)
+    if rows.pop()[-1] < 0:   # a positive artificial sum at the optimum
         return INFEASIBLE, None, None, None, None
 
     # drive leftover artificials out of the basis; drop redundant rows
     keep_rows = []
     for r in range(m):
         if basis[r] >= n:
-            col = next((j for j in range(n) if tableau[r][j] != 0), None)
+            col = next((j for j in range(n) if rows[r][j] != 0), None)
             if col is None:
                 continue
-            _pivot(tableau, cost, basis, r, col)
+            d = _pivot(rows, d, r, col)
+            basis[r] = col
         keep_rows.append(r)
-    tableau = [tableau[r][:n] + [tableau[r][-1]] for r in keep_rows]
+    rows = [rows[r] for r in keep_rows]
     basis = [basis[r] for r in keep_rows]
 
-    cost2 = list(c) + [Fraction(0)]
-    for r, row in enumerate(tableau):
-        if cost2[basis[r]] != 0:
-            factor = cost2[basis[r]]
-            cost2 = [a - factor * bb for a, bb in zip(cost2, row)]
-    if not _run_simplex(tableau, cost2, basis):
+    # phase 2: the scaled cost priced out against the basis, over d
+    c_int, scale = _scaled(c)
+    cost = [d * v for v in c_int] + [0]
+    for row, bvar in zip(rows, basis):
+        if c_int[bvar]:
+            cost = [a - c_int[bvar] * v for a, v in zip(cost, row)]
+    rows.append(cost)
+    bounded, d = _minimize(rows, basis, d)
+    if not bounded:
         return UNBOUNDED, None, None, None, None
     z = [Fraction(0)] * n
     for r, bvar in enumerate(basis):
-        z[bvar] = tableau[r][-1]
-    return OPTIMAL, -cost2[-1], z, basis, keep_rows
+        z[bvar] = Fraction(rows[r][-1], d)
+    return OPTIMAL, Fraction(-rows[-1][-1], d * scale), z, basis, keep_rows
 
 
 def _dual_solve(coeffs: Sequence, ge_rows: Sequence[tuple], dim: int):
@@ -135,9 +174,8 @@ def _dual_solve(coeffs: Sequence, ge_rows: Sequence[tuple], dim: int):
     """
     if len(coeffs) != dim or any(len(co) != dim for co, _ in ge_rows):
         raise ValueError("row arity differs from dimension %d" % dim)
-    columns = [[Fraction(co[i]) for co, _ in ge_rows] for i in range(dim)]
-    return _standard_form_solve(columns, [Fraction(v) for v in coeffs],
-                                [-Fraction(ct) for _, ct in ge_rows])
+    columns = [[co[i] for co, _ in ge_rows] for i in range(dim)]
+    return _standard_form_solve(columns, coeffs, [-ct for _, ct in ge_rows])
 
 
 def solve_lp(objective: Sequence, ge_rows: Sequence[tuple]) -> LpResult:
@@ -157,16 +195,17 @@ def solve_lp(objective: Sequence, ge_rows: Sequence[tuple]) -> LpResult:
         return LpResult(INFEASIBLE if implied([0] * d, 1, ge_rows, d) else UNBOUNDED)
     # A_B x = b_B on the kept coordinates by Gauss-Jordan pivots: A_B is the
     # transposed dual basis matrix, so it is invertible
-    tight = [[Fraction(ge_rows[k][0][i]) for i in kept] + [Fraction(ge_rows[k][1])]
+    tight = [_scaled([ge_rows[k][0][i] for i in kept] + [ge_rows[k][1]])[0]
              for k in basis]
-    no_cost = [Fraction(0)] * (len(kept) + 1)
+    den = 1
     cols = [None] * len(kept)
     for col in range(len(kept)):
         row = next(r for r in range(len(kept)) if cols[r] is None and tight[r][col] != 0)
-        _pivot(tight, no_cost, cols, row, col)
+        den = _pivot(tight, den, row, col)
+        cols[row] = col
     x = [Fraction(0)] * d
     for r, col in enumerate(cols):
-        x[kept[col]] = tight[r][-1]
+        x[kept[col]] = Fraction(tight[r][-1], den)
     return LpResult(OPTIMAL, -value, x)
 
 
@@ -188,4 +227,4 @@ def implied(coeffs: Sequence, const, ge_rows: Sequence[tuple], dim: int) -> bool
 
 def feasible_point(ge_rows: Sequence[tuple], dim: int) -> Optional[list]:
     """A point satisfying all rows, or None when the system is infeasible."""
-    return solve_lp([Fraction(0)] * dim, ge_rows).x
+    return solve_lp([0] * dim, ge_rows).x

@@ -42,6 +42,8 @@ from .reports import Report
 from .scenarios import build_scenario
 
 SUITES = ("spectral", "hash", "mbcp", "mcrp", "examples", "common", "decision")
+# suites of fixed instances (any draw uses a built-in seed): no sweep size or seed
+UNSEEDED = ("hash", "decision")
 
 
 def run_suite(name: str, seeds: int = 50, seed0: int = 0) -> Report:

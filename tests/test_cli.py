@@ -396,3 +396,38 @@ def test_verify_rejects_non_positive_seeds(capsys, suite, seeds):
     assert run(["verify", "--suite", suite, "--seeds", seeds]) == 2
     err = capsys.readouterr().err
     assert "configuration error" in err and "--seeds: %s" % seeds in err
+
+
+def _malformed(data, path, value):
+    section = data
+    for key in path[:-1]:
+        section = section[key]
+    section[path[-1]] = value
+    return data
+
+
+@pytest.mark.parametrize("path, value, named", [
+    (("source", "table"), 3, "source has a malformed value"),
+    (("source", "table", 0, 1), "abc", "source has a malformed value"),
+    (("channels",), {"x": 1}, "channels[0] has a malformed value"),
+    (("channels", 0, "rows", 0), [[0]], "channels[0] has a malformed value"),
+    (("topology", "encoders"), 1, "topology has a malformed value"),
+], ids=["table-number", "probability-text", "channels-mapping", "row-without-outputs",
+        "encoders-number"])
+def test_scenario_file_malformed_value_is_a_config_error(tmp_path, capsys, path, value, named):
+    scenario = tmp_path / "malformed.json"
+    scenario.write_text(json.dumps(_malformed(tiny_scenario_data(), path, value)))
+    assert run(["simulate", str(scenario)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and named in err
+
+
+@pytest.mark.parametrize("suite, flags", [
+    ("decision", ["--seeds", "3", "--seed", "5"]),
+    ("hash", ["--seed", "5"]),
+    ("hash", ["--seeds", "3"]),
+])
+def test_verify_rejects_seeds_for_fixed_suites(capsys, suite, flags):
+    assert run(["verify", "--suite", suite] + flags) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "takes no --seeds or --seed" in err

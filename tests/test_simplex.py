@@ -1,17 +1,19 @@
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
+from multiterm import regions, simplex
+from multiterm.linineq import LinIneqSystem
 from multiterm.simplex import (
     INFEASIBLE,
     OPTIMAL,
     UNBOUNDED,
     LpResult,
     _dual_solve,
-    _standard_form_solve,
     feasible_point,
     implied,
     solve_lp,
@@ -20,6 +22,115 @@ from multiterm.simplex import (
 
 def F(v):
     return Fraction(v)
+
+
+# -- the reference engine: a dense two-phase simplex in Fraction arithmetic with
+# -- Bland's rule, kept here so that the integer engine is checked against an
+# -- independent one
+
+def reference_pivot(tableau, cost, basis, row, col):
+    inv = Fraction(1) / tableau[row][col]
+    tableau[row] = [v * inv for v in tableau[row]]
+    # subtract multiples of the pivot row only where it is nonzero
+    nonzero = [(j, v) for j, v in enumerate(tableau[row]) if v]
+    for r, target in enumerate(tableau):
+        factor = target[col]
+        if r != row and factor != 0:
+            for j, v in nonzero:
+                target[j] -= factor * v
+    factor = cost[col]
+    if factor != 0:
+        for j, v in nonzero:
+            cost[j] -= factor * v
+    basis[row] = col
+
+
+def reference_run_simplex(tableau, cost, basis):
+    """Minimize; Bland's rule guarantees termination.  Returns True, or
+    False when the objective is unbounded below."""
+    ncols = len(cost) - 1
+    while True:
+        enter = next((j for j in range(ncols) if cost[j] < 0), None)
+        if enter is None:
+            return True
+        best = None
+        for r, row in enumerate(tableau):
+            a = row[enter]
+            if a > 0:
+                ratio = row[-1] / a
+                if best is None or ratio < best[0] or (ratio == best[0] and basis[r] < basis[best[1]]):
+                    best = (ratio, r)
+        if best is None:
+            return False
+        reference_pivot(tableau, cost, basis, best[1], enter)
+
+
+def reference_standard_form_solve(A, b, c):
+    """min c.z  s.t.  A z = b, z >= 0 (all entries Fractions).
+
+    Returns (status, value, z): z only on OPTIMAL.
+    """
+    m = len(A)
+    n = len(c)
+    tableau = []
+    for i in range(m):
+        row = list(A[i]) + [Fraction(0)] * m + [b[i]]
+        if b[i] < 0:
+            row = [-v for v in row]
+        row[n + i] = Fraction(1)
+        tableau.append(row)
+    basis = [n + i for i in range(m)]
+
+    # phase 1: minimize the artificial sum, priced out against the basis
+    cost = [Fraction(0)] * (n + m + 1)
+    for j in range(n + m + 1):
+        cost[j] = (Fraction(1) if n <= j < n + m else Fraction(0)) - sum(
+            row[j] for row in tableau)
+    # artificial columns start basic with zero reduced cost
+    for i in range(m):
+        cost[n + i] = Fraction(0)
+    reference_run_simplex(tableau, cost, basis)
+    if -cost[-1] > 0:
+        return INFEASIBLE, None, None
+
+    # drive leftover artificials out of the basis; drop redundant rows
+    keep_rows = []
+    for r in range(m):
+        if basis[r] >= n:
+            col = next((j for j in range(n) if tableau[r][j] != 0), None)
+            if col is None:
+                continue
+            reference_pivot(tableau, cost, basis, r, col)
+        keep_rows.append(r)
+    tableau = [tableau[r][:n] + [tableau[r][-1]] for r in keep_rows]
+    basis = [basis[r] for r in keep_rows]
+
+    cost2 = list(c) + [Fraction(0)]
+    for r, row in enumerate(tableau):
+        if cost2[basis[r]] != 0:
+            factor = cost2[basis[r]]
+            cost2 = [a - factor * bb for a, bb in zip(cost2, row)]
+    if not reference_run_simplex(tableau, cost2, basis):
+        return UNBOUNDED, None, None
+    z = [Fraction(0)] * n
+    for r, bvar in enumerate(basis):
+        z[bvar] = tableau[r][-1]
+    return OPTIMAL, -cost2[-1], z
+
+
+def reference_dual_solve(coeffs, ge_rows, dim):
+    """The reference's min -b.y s.t. A^T y = coeffs, y >= 0."""
+    columns = [[F(co[i]) for co, _ in ge_rows] for i in range(dim)]
+    return reference_standard_form_solve(columns, [F(v) for v in coeffs],
+                                         [-F(ct) for _, ct in ge_rows])
+
+
+def reference_implied(coeffs, const, ge_rows, dim):
+    """`implied` decided by the reference engine."""
+    status, value = reference_dual_solve(coeffs, ge_rows, dim)[:2]
+    if status == UNBOUNDED:
+        return True
+    return status == OPTIMAL and -value >= const
 
 
 def primal_solve_lp(objective, ge_rows):
@@ -44,7 +155,7 @@ def primal_solve_lp(objective, ge_rows):
         if any(v != 0 for v in objective):
             return LpResult(UNBOUNDED)
         return LpResult(OPTIMAL, F(0), [F(0)] * d)
-    status, value, z = _standard_form_solve(A, b, c)[:3]
+    status, value, z = reference_standard_form_solve(A, b, c)
     if status != OPTIMAL:
         return LpResult(status)
     return LpResult(OPTIMAL, value, [z[i] - z[d + i] for i in range(d)])
@@ -190,3 +301,115 @@ def test_solve_lp_matches_primal_reference(case):
     assert all(sum(a * v for a, v in zip(co, got.x)) >= ct for co, ct in rows)
     assert sum(a * v for a, v in zip(objective, got.x)) == got.value
     assert feasible_point(rows, dim) is not None
+
+
+@st.composite
+def dyadic_cases(draw):
+    """(dim, rows, coeffs, const) with integer or dyadic entries whose
+    denominators reach 2**40, the precision entropies are bound at."""
+    dim = draw(st.integers(0, 4))
+    small = st.one_of(st.integers(-3, 3),
+                      st.builds(Fraction, st.integers(-7, 7), st.sampled_from([2, 4, 8])))
+    dyadic = st.one_of(st.integers(-4, 4),
+                       st.builds(lambda n, k: Fraction(n, 1 << k),
+                                 st.integers(-(3 << 40), 3 << 40), st.integers(0, 40)))
+    vec = st.lists(small, min_size=dim, max_size=dim)
+    rows = draw(st.lists(st.tuples(vec, dyadic), max_size=8))
+    if rows:
+        rows += draw(st.lists(st.sampled_from(rows), max_size=2))
+    coeffs = draw(st.one_of(st.just([0] * dim), vec))
+    return dim, rows, coeffs, draw(dyadic)
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=dyadic_cases())
+@example(case=(1, [([1], Fraction(1, 2 ** 40))], [1], Fraction(1, 2 ** 40)))   # tight
+@example(case=(2, [([1, 0], Fraction(3, 2 ** 40)), ([0, 1], Fraction(-1, 2 ** 39)),
+                   ([-1, -1], Fraction(-5, 2 ** 40))], [1, 1], Fraction(1, 2 ** 40)))
+def test_integer_engine_matches_reference_dual(case):
+    """The integer tableau gives the reference's dual status and optimum, so
+    `implied` and the emptiness test answer as the reference does."""
+    dim, rows, coeffs, const = case
+    status, value = _dual_solve(coeffs, rows, dim)[:2]
+    assert (status, value) == reference_dual_solve(coeffs, rows, dim)[:2]
+    assert implied(coeffs, const, rows, dim) == reference_implied(coeffs, const, rows, dim)
+    assert implied([0] * dim, 1, rows, dim) == reference_implied([0] * dim, 1, rows, dim)
+
+
+def test_bland_fallback_ends_beales_cycle(monkeypatch):
+    """E. M. L. Beale's 1955 example, min -3/4 x4 + 20 x5 - 1/2 x6 + 6 x7 s.t.
+    1/4 x4 - 8 x5 - x6 + 9 x7 <= 0, 1/2 x4 - 12 x5 - 1/2 x6 + 3 x7 <= 0,
+    x6 <= 1, x >= 0, cycles from its slack basis under Dantzig's rule with
+    ties to the lowest basic column.  Scaled to integers (rows by 4, 2, 1, cost
+    by 4), the slack basis has determinant 8, so the tableau is 8 times the
+    textbook one.  The fallback to Bland's rule reaches the optimum -5/4 at
+    x4 = x6 = 1 within a few pivots."""
+    rows = [[2, -64, -8, 72, 8, 0, 0, 0],
+            [4, -96, -4, 24, 0, 8, 0, 0],
+            [0, 0, 8, 0, 0, 0, 8, 8],
+            [-24, 640, -16, 192, 0, 0, 0, 0]]
+    basis = [4, 5, 6]
+    pivots = []
+    pivot = simplex._pivot
+
+    def capped(*args):
+        pivots.append(args[2:])
+        if len(pivots) > 100:
+            raise AssertionError("no optimum within 100 pivots")
+        return pivot(*args)
+
+    monkeypatch.setattr(simplex, "_pivot", capped)
+    bounded, d = simplex._minimize(rows, basis, 8)
+    assert bounded
+    assert Fraction(-rows[-1][-1], 4 * d) == Fraction(-5, 4)
+    x = [Fraction(0)] * 7
+    for row, col in zip(rows, basis):
+        x[col] = Fraction(row[-1], d)
+    assert x[0] == x[2] == 1 and x[1] == x[3] == 0
+
+
+@st.composite
+def region_systems(draw):
+    """Two small numeric systems over the same variables, with repeated and
+    scaled rows and dyadic constants."""
+    names = ["a", "b", "c"][:draw(st.integers(1, 3))]
+    const = st.one_of(st.integers(-3, 3),
+                      st.builds(lambda n, k: Fraction(n, 1 << k),
+                                st.integers(-(1 << 41), 1 << 41), st.integers(0, 40)))
+    row = st.tuples(st.lists(st.integers(-2, 2), min_size=len(names), max_size=len(names)),
+                    const)
+
+    def system(raw):
+        out = LinIneqSystem(names)
+        for co, ct in raw:
+            out.add(dict(zip(names, co)), ct)
+        return out
+
+    first = draw(st.lists(row, min_size=1, max_size=7))
+    first += draw(st.lists(st.sampled_from(first).map(lambda r: ([2 * v for v in r[0]], r[1])),
+                           max_size=2))
+    return system(first), system(draw(st.lists(row, max_size=6)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(pair=region_systems())
+def test_region_queries_match_reference_engine(pair):
+    """`remove_redundant` keeps the same rows, and `contains` gives the same
+    verdicts, with the reference engine patched in: every `implied` call
+    answers as the reference's."""
+    a, b = pair
+
+    def run(decide):
+        calls = []
+
+        def recording(*args):
+            calls.append(decide(*args))
+            return calls[-1]
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(regions, "implied", recording)
+            out = (regions.remove_redundant(a).render(), regions.contains(a, b),
+                   regions.contains(b, a))
+        return out, calls
+
+    assert run(implied) == run(reference_implied)
