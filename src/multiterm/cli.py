@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import hashlib
 import json
 import os
@@ -29,7 +30,7 @@ from .regions import (
     build_system,
     remove_redundant,
 )
-from .scenarios import build_scenario, load_scenario, scenario_names
+from .scenarios import build_scenario, load_scenario, positive_int, scenario_names
 from .suites import SUITES, UNSEEDED, run_suite
 
 EXIT_OK = 0
@@ -54,16 +55,6 @@ def _scenario_hash(scenario) -> str:
                  scenario.q, scenario.default_rates, scenario.default_aux_rates,
                  scenario.default_D, scenario.run_defaults)).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
-
-
-def _positive_int(value, where) -> int:
-    """`value` as a positive int, else a configuration error naming it and `where`."""
-    try:
-        if int(value) > 0:
-            return int(value)
-    except (TypeError, ValueError):
-        pass
-    raise ConfigurationError("%s: %r is not a positive integer" % (where, value))
 
 
 def _write_manifest(out_path, payload: dict):
@@ -166,21 +157,17 @@ def _csv_header(scenario, ks) -> str:
 def cmd_simulate(args) -> int:
     scenario = load_scenario(args.scenario)
     run = scenario.run_defaults
-    seed = args.seed if args.seed is not None else int(run.get("seed", 0))
-    seed = _resolved_seed(seed)
-    if args.n:
-        ns = [_positive_int(v, "--n") for v in args.n.split(",")]
-    else:
-        ns = [_positive_int(v, "run.n") for v in run.get("n", [2, 4])]
-    trials = (_positive_int(args.trials, "--trials") if args.trials is not None
-              else _positive_int(run.get("trials", 1000), "run.trials"))
+    seed = _resolved_seed(args.seed if args.seed is not None else run.get("seed", 0))
+    ns = ([positive_int(v, "--n") for v in args.n.split(",")] if args.n
+          else run.get("n", [2, 4]))
+    trials = (positive_int(args.trials, "--trials") if args.trials is not None
+              else run.get("trials", 1000))
     delta = args.delta if args.delta is not None else run.get("delta")
     if delta is None:
         if not scenario.config.distortions:
             raise ConfigurationError(
                 "scenario %r defines no distortions; give --delta" % (scenario.name,))
         delta = 0.01 * max(d.bound for d in scenario.config.distortions.values())
-    delta = float(delta)
     ks = list(scenario.config.reproduction_ids)
     lines = [_csv_header(scenario, ks)]
     for n in ns:
@@ -223,7 +210,7 @@ def cmd_verify(args) -> int:
         raise ConfigurationError(
             "--suite %s runs fixed instances and takes no --seeds or --seed" % args.suite)
     seed = _resolved_seed(0 if args.seed is None else args.seed)
-    seeds = 50 if args.seeds is None else _positive_int(args.seeds, "--seeds")
+    seeds = 50 if args.seeds is None else positive_int(args.seeds, "--seeds")
     report = run_suite(args.suite, seeds=seeds, seed0=seed)
     text = "\n".join(report.summary_lines()) + "\n"
     _emit(args.out, text)
@@ -283,9 +270,14 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The parser `main` uses: built on its first call, not at import, and shared by
+# every later call (a build costs about a millisecond and leaves reference
+# cycles to the garbage collector).
+_parser = functools.cache(make_parser)
+
+
 def main(argv=None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except BudgetExceededError as exc:

@@ -44,7 +44,7 @@ from .network import (
     w_alphabets,
     w_name,
 )
-from .probability import JointPmf, block_extend, block_products, marginalize, sample
+from .probability import JointPmf, block_products, marginalize, sample
 
 _EXACT_BUDGET = 1 << 24
 _INDEX_BUDGET = 1 << 20     # W_S-blocks scanned by one class index (4 letters at n = 10)
@@ -84,16 +84,17 @@ def sample_from_law(law, seed):
     return items[int(rng.choice(len(items), p=probs))][0]
 
 
-def crng_sample(base, constraint, seed):
-    """One draw from the constrained, renormalized distribution."""
-    return sample_from_law((crng_law(base, constraint), 1), seed)
-
-
 def _integer_weights(table: Mapping) -> tuple:
     """A table of rational weights scaled to integers by the lcm of its
     denominators: (integer table, scale)."""
     scale = math.lcm(*(p.denominator for p in table.values()))
     return {key: p.numerator * (scale // p.denominator) for key, p in table.items()}, scale
+
+
+def _transpose(names, letters) -> dict:
+    """A block given as its letters (one symbol tuple per position, aligned
+    with `names`) as one block per name."""
+    return dict(zip(names, zip(*letters)))
 
 
 # -- code instances ------------------------------------------------------------------
@@ -219,12 +220,11 @@ class CodeInstance:
                                      _INDEX_BUDGET))
             classes = self._class_indexes[S] = {}
             for block_letters in itertools.product(letters, repeat=self.n):
-                blocks = [tuple(letter[pos] for letter in block_letters)
-                          for pos in range(len(S))]
-                hashes = [self._hashes(i, block) for i, block in zip(S, blocks)]
+                blocks = _transpose(S, block_letters)
+                hashes = [self._hashes(i, block) for i, block in blocks.items()]
                 if all(meets for meets, _ in hashes):
                     classes.setdefault(tuple(g for _, g in hashes), []).append(
-                        (dict(zip(S, blocks)), block_letters))
+                        (blocks, block_letters))
         return classes
 
     def _law(self, key, weigh, abort, message):
@@ -395,11 +395,6 @@ class _BalancedSum:
         return sum((p for p in self._partials if p is not None), Fraction(0))
 
 
-def _transpose(source: JointPmf, letters) -> dict:
-    return {name: tuple(letter[pos] for letter in letters)
-            for pos, name in enumerate(source.names)}
-
-
 def exact_error(code: CodeInstance, delta: float, D: Mapping,
                 rule: str = "crng") -> ExactError:
     """Exact error probabilities by total enumeration.
@@ -434,7 +429,7 @@ def exact_error(code: CodeInstance, delta: float, D: Mapping,
     abort = 0
     summaries: dict = {}
     for letters, p_src in block_products([source_row] * code.n):
-        blocks = _transpose(code.source, letters)
+        blocks = _transpose(code.source.names, letters)
         try:
             cell_laws = [code.cell_constrained_law(cell, blocks[x_var]) for cell, x_var in cells]
         except EncoderAbort:
@@ -565,10 +560,10 @@ class SimReport:
     def exceed_freq(self, k) -> float:
         return self.exceed_counts[k] / self.trials
 
-    def ci(self, count: int, z: float = 3.0) -> tuple:
-        """Normal-approximation z-sigma interval for a count/trials frequency."""
+    def ci(self, count: int) -> tuple:
+        """Normal-approximation 3-sigma interval for a count/trials frequency."""
         p = count / self.trials
-        half = z * math.sqrt(max(p * (1 - p), 1e-12) / self.trials)
+        half = 3.0 * math.sqrt(max(p * (1 - p), 1e-12) / self.trials)
         return (max(0.0, p - half), min(1.0, p + half))
 
 
@@ -604,8 +599,8 @@ def _run_trial(code, delta, D, seed, trial, rule, counters, exceed, dist_sums):
     cfg = code.config
     root = _trial_seed(seed, trial)
     src_seed, enc_seed, dec_seed = root.spawn(3)
-    letters = sample(block_extend(code.source, code.n), src_seed)[0]
-    blocks = _transpose(code.source, letters)
+    letters = sample(code.source, code.n, src_seed)[0]
+    blocks = _transpose(code.source.names, letters)
 
     w_blocks = {}
     m = {}

@@ -29,23 +29,23 @@ from .probability import (
 from .reports import Report
 
 
-def check_double_markov(pmf: JointPmf, x0: str = "X0", x1: str = "X1",
-                        x2: str = "X2", tol: float = 1e-12) -> bool:
-    """True iff both chains X2 <-> X1 <-> X0 and X1 <-> X2 <-> X0 hold."""
-    return (check_markov(pmf, [x2], [x1], [x0], tol)
-            and check_markov(pmf, [x1], [x2], [x0], tol))
+def check_double_markov(pmf: JointPmf) -> bool:
+    """True iff both chains X2 <-> X1 <-> X0 and X1 <-> X2 <-> X0 hold
+    (each conditional mutual information at most 1e-12 bits)."""
+    return (check_markov(pmf, ["X2"], ["X1"], ["X0"], 1e-12)
+            and check_markov(pmf, ["X1"], ["X2"], ["X0"], 1e-12))
 
 
 @dataclass
 class CommonPartConstruction:
     """Interval partitions and the induced synchronized generators.
 
-    `partitions[(side, x)]` lists (start, end, x0-label) with rational
-    endpoints tiling [0,1]; `atoms` are the common-refinement cells of every
-    endpoint, each carrying its width as the shared variable's probability.
+    `partitions[(side, x)]` lists (start, end, X0-label) with rational
+    endpoints tiling [0,1] for the observation X_side = x; `atoms` are the
+    common-refinement cells of every endpoint, each carrying its width as the
+    shared variable's probability.
     """
 
-    variables: tuple                # (x0, x1, x2) names
     partitions: dict                # (side index, symbol) -> list of intervals
     atoms: tuple                    # ((start, end), ...) covering [0,1]
 
@@ -62,36 +62,28 @@ class CommonPartConstruction:
         start, end = self.atoms[atom_index]
         return end - start
 
-    def dump(self) -> str:
-        """Table form: side, symbol, interval start, interval end, label."""
-        lines = []
-        for (side, x), intervals in sorted(self.partitions.items(), key=repr):
-            for lo, hi, label in intervals:
-                lines.append("%d\t%r\t%s\t%s\t%r" % (side, x, lo, hi, label))
-        return "\n".join(lines) + "\n"
 
-
-def construct_common(pmf: JointPmf, x0: str = "X0", x1: str = "X1",
-                     x2: str = "X2") -> CommonPartConstruction:
-    """Build (xi1, xi2, shared atoms) realizing the common variable exactly.
+def construct_common(pmf: JointPmf) -> CommonPartConstruction:
+    """Build (xi1, xi2, shared atoms) realizing the common variable X0 of the
+    observations X1 and X2 exactly.
 
     Requires the exact double-Markov condition; the error names the first
     violated chain.
     """
-    if not check_markov(pmf, [x2], [x1], [x0], 0.0):
-        raise PreconditionError("chain %s <-> %s <-> %s is violated" % (x2, x1, x0))
-    if not check_markov(pmf, [x1], [x2], [x0], 0.0):
-        raise PreconditionError("chain %s <-> %s <-> %s is violated" % (x1, x2, x0))
+    if not check_markov(pmf, ["X2"], ["X1"], ["X0"], 0.0):
+        raise PreconditionError("chain X2 <-> X1 <-> X0 is violated")
+    if not check_markov(pmf, ["X1"], ["X2"], ["X0"], 0.0):
+        raise PreconditionError("chain X1 <-> X2 <-> X0 is violated")
 
-    x0_alph = pmf.alphabet(x0)
+    x0_alph = pmf.alphabet("X0")
     partitions = {}
     endpoints = {Fraction(0), Fraction(1)}
-    for side, var in ((1, x1), (2, x2)):
+    for side, var in ((1, "X1"), (2, "X2")):
         marg = marginalize(pmf, [var])
         for (sym,), p in marg.items():
             if p == 0:
                 continue
-            cond = condition(pmf, [x0], {var: sym})
+            cond = condition(pmf, ["X0"], {var: sym})
             intervals = []
             at = Fraction(0)
             for label in x0_alph.symbols:
@@ -104,14 +96,13 @@ def construct_common(pmf: JointPmf, x0: str = "X0", x1: str = "X1",
             partitions[(side, sym)] = intervals
     cut = sorted(endpoints)
     atoms = tuple((lo, hi) for lo, hi in zip(cut, cut[1:]) if hi > lo)
-    return CommonPartConstruction((x0, x1, x2), partitions, atoms)
+    return CommonPartConstruction(partitions, atoms)
 
 
 def verify_construction(pmf: JointPmf, built: CommonPartConstruction) -> Report:
     """Exact checks: synchronization, law preservation, independence."""
-    x0, x1, x2 = built.variables
     report = Report("common-randomness")
-    pair = marginalize(pmf, [x1, x2])
+    pair = marginalize(pmf, ["X1", "X2"])
 
     synchronized = True
     for (s1, s2), p in pair.items():
@@ -123,11 +114,9 @@ def verify_construction(pmf: JointPmf, built: CommonPartConstruction) -> Report:
     report.add("xi1 == xi2 with probability 1", synchronized)
 
     # reconstructed joint (X0hat, X1, X2) must equal the input law entry-wise
-    target = marginalize(pmf, [x0, x1, x2])
+    target = marginalize(pmf, ["X0", "X1", "X2"])
     ok = True
-    for key in itertools.product(pmf.alphabet(x0).symbols,
-                                 pmf.alphabet(x1).symbols,
-                                 pmf.alphabet(x2).symbols):
+    for key in itertools.product(*(pmf.alphabet(name).symbols for name in ("X0", "X1", "X2"))):
         label, s1, s2 = key
         p_pair = pair.prob((s1, s2))
         mass = Fraction(0)
@@ -148,19 +137,17 @@ def verify_construction(pmf: JointPmf, built: CommonPartConstruction) -> Report:
 # -- instance generators for sweeps -------------------------------------------------
 
 
-def random_double_markov(rng: np.random.Generator, u_size: int = 2,
-                         v_size: int = 2, x0_size: int = 3) -> JointPmf:
+def random_double_markov(rng: np.random.Generator) -> JointPmf:
     """A random law satisfying both chains, via a shared component.
 
     X_i = (U, V_i) with V1, V2 conditionally independent given U, and X0
     drawn from a random conditional given U alone; then X0 is conditionally
-    independent of everything else given either observation.
+    independent of everything else given either observation.  U and V_i are
+    bits and X0 has three symbols.
     """
-    u = Alphabet(tuple(range(u_size)))
-    v = Alphabet(tuple(range(v_size)))
+    u_size, v_size, x0_size = 2, 2, 3
     x0a = Alphabet(tuple(range(x0_size)))
     denom = 120
-    table = {}
     u_w = [int(x) for x in rng.integers(1, denom, size=u_size)]
     x0_rows = {us: [int(x) for x in rng.integers(1, denom, size=x0_size)]
                for us in range(u_size)}
@@ -184,11 +171,10 @@ def random_double_markov(rng: np.random.Generator, u_size: int = 2,
     return JointPmf([("X0", x0a), ("X1", pairs), ("X2", pairs)], table, _validated=True)
 
 
-def random_violating(rng: np.random.Generator, sizes=(2, 2, 2)) -> JointPmf:
-    """A generic random joint law; rejection-samples until a chain fails."""
-    vars = [("X0", Alphabet(tuple(range(sizes[0])))),
-            ("X1", Alphabet(tuple(range(sizes[1])))),
-            ("X2", Alphabet(tuple(range(sizes[2]))))]
+def random_violating(rng: np.random.Generator) -> JointPmf:
+    """A generic random joint law of three bits; rejection-samples until a
+    chain fails."""
+    vars = [(name, Alphabet((0, 1))) for name in ("X0", "X1", "X2")]
     for _ in range(100):
         pmf = random_pmf(rng, vars)
         if not check_double_markov(pmf):

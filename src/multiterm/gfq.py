@@ -49,32 +49,3 @@ def matvec(rows: Sequence[Sequence[int]], vector: Sequence[int], q: int) -> tupl
 
 def add(u: Sequence[int], v: Sequence[int], q: int) -> tuple:
     return tuple((a + b) % q for a, b in zip(u, v))
-
-
-def sub(u: Sequence[int], v: Sequence[int], q: int) -> tuple:
-    return tuple((a - b) % q for a, b in zip(u, v))
-
-
-def dump_matrix(rows: Sequence[Sequence[int]], q: int) -> str:
-    """Text form: one header line ``q m n`` then the row-major coefficients."""
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    flat = " ".join(str(v % q) for row in rows for v in row)
-    return "%d %d %d\n%s\n" % (q, m, n, flat)
-
-
-def load_matrix(text: str):
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ConfigurationError("empty matrix text")
-    header = lines[0].split()
-    if len(header) != 3:
-        raise ConfigurationError("matrix header must be 'q m n'")
-    q, m, n = (int(v) for v in header)
-    require_prime(q)
-    values = " ".join(lines[1:]).split()
-    if len(values) != m * n:
-        raise ConfigurationError("expected %d coefficients, got %d" % (m * n, len(values)))
-    flat = [int(v) % q for v in values]
-    rows = tuple(tuple(flat[r * n:(r + 1) * n]) for r in range(m))
-    return rows, q

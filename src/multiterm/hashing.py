@@ -51,11 +51,6 @@ class HashFunction:
             return tuple(part(w) for part in self.parts)
         raise ConfigurationError("unknown hash kind %r" % (self.kind,))
 
-    def dump(self) -> str:
-        if self.matrix is None:
-            raise ConfigurationError("only matrix-backed functions serialize")
-        return gfq.dump_matrix(self.matrix, self.q)
-
 
 class HashEnsemble:
     """Base class; subclasses fill in collision probabilities and sampling."""
@@ -390,13 +385,6 @@ def _seed_entropy(seed):
 
 def compose(*parts: HashEnsemble) -> ComposedEnsemble:
     return ComposedEnsemble(*parts)
-
-
-def identity_linear(q: int, n: int) -> HashFunction:
-    """The identity matrix as a member of the full linear ensemble."""
-    gfq.require_prime(q)
-    rows = tuple(tuple(1 if r == c else 0 for c in range(n)) for r in range(n))
-    return HashFunction("linear", q ** n, q ** n, matrix=rows, q=q, n=n)
 
 
 def make_ensemble(kind: str, domain_size: int, image_size: int,

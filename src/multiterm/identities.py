@@ -210,11 +210,12 @@ def _conditional_from(pmf: JointPmf, out: list, given: list) -> ConditionalPmf:
 # -- random law generators for the sweeps ---------------------------------------------
 
 
-def _random_channel(rng, in_vars, out_vars, denominator=720) -> ConditionalPmf:
+def _random_channel(rng, in_vars, out_vars) -> ConditionalPmf:
+    """Random strictly positive rows: integer weights in [1, 720) over their sum."""
     rows = {}
     out_keys = list(itertools.product(*(a.symbols for _, a in out_vars)))
     for key in itertools.product(*(a.symbols for _, a in in_vars)):
-        weights = [int(v) for v in rng.integers(1, denominator, size=len(out_keys))]
+        weights = [int(v) for v in rng.integers(1, 720, size=len(out_keys))]
         total = sum(weights)
         rows[key] = {k: Fraction(v, total) for k, v in zip(out_keys, weights)}
     return ConditionalPmf(in_vars, out_vars, rows)

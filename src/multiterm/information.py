@@ -15,7 +15,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import ConfigurationError
-from .probability import BlockSource, JointPmf
+from .probability import JointPmf
 from .reports import Report
 
 
@@ -82,12 +82,15 @@ def cond_mutual_info(pmf: JointPmf, a: Iterable[str], b: Iterable[str],
 # -- empirical information spectrum ------------------------------------------------
 
 
+QUANTILE_LEVELS = (0.01, 0.05, 0.5, 0.95, 0.99)
+
+
 @dataclass
 class SpectrumEstimate:
     """Empirical distribution of the normalized self-information.
 
     `values` holds per-sample (1/n) log2 1/mu(U^n) (conditional when `given`
-    was nonempty); `quantiles` maps requested quantile levels to values.
+    was nonempty); `quantiles` maps each of :data:`QUANTILE_LEVELS` to its value.
     """
 
     n: int
@@ -99,40 +102,29 @@ class SpectrumEstimate:
     def mean(self) -> float:
         return float(np.mean(self.values))
 
-    def width(self, lo: float = 0.01, hi: float = 0.99) -> float:
-        return float(np.quantile(self.values, hi) - np.quantile(self.values, lo))
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "samples": self.samples,
-            "mean": self.mean,
-            "quantiles": {str(q): v for q, v in self.quantiles.items()},
-        }
+    def width(self) -> float:
+        """The distance between the 0.01 and 0.99 quantiles of the values."""
+        return float(np.quantile(self.values, 0.99) - np.quantile(self.values, 0.01))
 
 
-def spectrum(src, vars: Sequence[str], given: Sequence[str] = (),
-             n: Optional[int] = None, samples: int = 1000, seed=0,
-             quantile_levels: Sequence[float] = (0.01, 0.05, 0.5, 0.95, 0.99),
-             ) -> SpectrumEstimate:
-    """Monte Carlo estimate of the spectrum of (1/n) log2 1/mu(vars | given).
+def spectrum(pmf: JointPmf, vars: Sequence[str], given: Sequence[str] = (),
+             n: int = 1, samples: int = 1000, seed=0) -> SpectrumEstimate:
+    """Monte Carlo estimate of the spectrum of (1/n) log2 1/mu(vars | given)
+    over n-letter blocks of the per-letter law `pmf`.
 
-    `src` is a BlockSource or a per-letter JointPmf; `n` overrides the block
-    length.  Sampling never enumerates blocks: letters are drawn i.i.d. and
-    per-letter log-probabilities are accumulated.
+    Sampling never enumerates blocks: letters are drawn i.i.d. and
+    per-letter log-probabilities are accumulated.  The estimate records the
+    quantiles at :data:`QUANTILE_LEVELS`.
     """
-    base = src.base if isinstance(src, BlockSource) else src
-    if n is None:
-        n = src.n if isinstance(src, BlockSource) else 1
     vars = list(vars)
     given = list(given)
-    joint = base.float_marginal(vars + given)
+    joint = pmf.float_marginal(vars + given)
     keys = list(joint)
     probs = np.array(list(joint.values()), dtype=float)
     probs = probs / probs.sum()
 
     if given:
-        gprob = base.float_marginal(given)
+        gprob = pmf.float_marginal(given)
         logp = np.array([
             math.log2(p / gprob[k[len(vars):]]) for k, p in zip(keys, probs)
         ])
@@ -142,7 +134,7 @@ def spectrum(src, vars: Sequence[str], given: Sequence[str] = (),
     rng = np.random.default_rng(seed)
     draws = rng.choice(len(keys), size=(samples, n), p=probs)
     values = -logp[draws].sum(axis=1) / n
-    quantiles = {q: float(np.quantile(values, q)) for q in quantile_levels}
+    quantiles = {q: float(np.quantile(values, q)) for q in QUANTILE_LEVELS}
     return SpectrumEstimate(n=n, samples=samples, values=values, quantiles=quantiles)
 
 

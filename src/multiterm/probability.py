@@ -114,11 +114,6 @@ class JointPmf:
     def prob(self, key: tuple) -> Fraction:
         return self._table.get(tuple(key), _ZERO)
 
-    def prob_of(self, assignment: Mapping[str, object]):
-        """Probability of a full assignment given as a name->symbol mapping."""
-        key = tuple(assignment[name] for name in self._names)
-        return self.prob(key)
-
     def support(self):
         return [k for k, p in self._table.items() if p > 0]
 
@@ -128,7 +123,8 @@ class JointPmf:
 
         The entries are converted to floats once per pmf, on first use.
         Callers evaluate irrational quantities (entropies, log-probabilities)
-        from this; every exact check uses the Fraction table instead.
+        and draw samples from this; every exact check uses the Fraction table
+        instead.
         """
         if self._floats is None:
             self._floats = [(k, float(p)) for k, p in self._table.items() if p > 0]
@@ -260,37 +256,7 @@ def _factorizes(pmf: JointPmf, a, b, c) -> bool:
     return all(w * bm[kb] == ab[ka, kb] * bc[kb, kc] for (ka, kb, kc), w in abc.items())
 
 
-# -- memoryless block extension --------------------------------------------------
-
-
-@dataclass
-class BlockSource:
-    """Lazily evaluated n-fold product of a per-letter pmf.
-
-    A block is a tuple of n letters; each letter is a symbol tuple aligned
-    with the base variable order.  The full block table is never materialized
-    unless explicitly enumerated.
-    """
-
-    base: JointPmf
-    n: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ConfigurationError("block length must be >= 1")
-
-    def prob(self, block: Sequence[tuple]) -> Fraction:
-        if len(block) != self.n:
-            raise ConfigurationError("block length %d != n=%d" % (len(block), self.n))
-        p = Fraction(1)
-        for letter in block:
-            p *= self.base.prob(letter)
-        return p
-
-    def enumerate_blocks(self):
-        """All positive-probability blocks with their probabilities."""
-        support = [(k, p) for k, p in self.base.items() if p > 0]
-        return block_products([support] * self.n)
+# -- blocks of a memoryless source ------------------------------------------------
 
 
 def block_products(rows: Sequence):
@@ -313,27 +279,18 @@ def block_products(rows: Sequence):
             yield letters + (x,), p * q
 
 
-def block_extend(pmf: JointPmf, n: int) -> BlockSource:
-    """Memoryless n-letter extension of a per-letter pmf."""
-    return BlockSource(pmf, n)
-
-
-def sample(src: BlockSource, seed, count: int = 1) -> list:
-    """Draw `count` i.i.d. blocks; identical seed gives identical output."""
-    rng = np.random.default_rng(seed)
-    support = list(src.base.support())
-    probs = np.array([float(src.base.prob(k)) for k in support], dtype=float)
+def sample(pmf: JointPmf, n: int, seed, count: int = 1) -> list:
+    """Draw `count` i.i.d. blocks of n letters of `pmf`, each letter a symbol
+    tuple; identical seed gives identical output."""
+    law = pmf.float_marginal(pmf.names)
+    support = list(law)
+    probs = np.array(list(law.values()), dtype=float)
     probs = probs / probs.sum()
-    idx = rng.choice(len(support), size=(count, src.n), p=probs)
+    idx = np.random.default_rng(seed).choice(len(support), size=(count, n), p=probs)
     return [tuple(support[j] for j in row) for row in idx]
 
 
 # -- convenience constructors ----------------------------------------------------
-
-
-def bernoulli(p, name: str = "X") -> JointPmf:
-    p = Fraction(p)
-    return JointPmf([(name, binary_alphabet())], {(0,): 1 - p, (1,): p})
 
 
 def uniform(variables) -> JointPmf:
@@ -345,11 +302,7 @@ def uniform(variables) -> JointPmf:
     return JointPmf(variables, table)
 
 
-def point_mass(variables, key) -> JointPmf:
-    return JointPmf(variables, {tuple(key): Fraction(1)})
-
-
-def dsbs(p, names=("X1", "X2")) -> JointPmf:
+def dsbs(p) -> JointPmf:
     """Doubly symmetric binary source: X1 ~ Bern(1/2), X2 = X1 xor Bern(p)."""
     b = binary_alphabet()
     p = Fraction(p)
@@ -358,7 +311,7 @@ def dsbs(p, names=("X1", "X2")) -> JointPmf:
     for x1 in (0, 1):
         for x2 in (0, 1):
             table[(x1, x2)] = half * (p if x1 != x2 else (1 - p))
-    return JointPmf([(names[0], b), (names[1], b)], table)
+    return JointPmf([("X1", b), ("X2", b)], table)
 
 
 def random_pmf(rng: np.random.Generator, variables, denominator: int = 720) -> JointPmf:

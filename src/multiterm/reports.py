@@ -45,9 +45,6 @@ class Report:
         self.checks.append(result)
         return result
 
-    def extend(self, other: "Report"):
-        self.checks.extend(other.checks)
-
     @property
     def all_passed(self) -> bool:
         return all(c.passed for c in self.checks)
@@ -59,8 +56,8 @@ class Report:
             "checks": [c.to_dict() for c in self.checks],
         }
 
-    def to_json(self, indent=None) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), sort_keys=True)
 
     def summary_lines(self):
         for c in self.checks:

@@ -76,7 +76,7 @@ class Scenario:
             g_ens = self._ensemble(kind, dom, g_size)
             f[i] = f_ens.sample_function(f_seed)
             g[i] = g_ens.sample_function(g_seed)
-            c[i] = self._pick_constraint(f_ens, f[i], c_seed)
+            c[i] = int(np.random.default_rng(c_seed).integers(0, f_ens.image_size))
         return CodeInstance(
             n=n, config=self.config, source=self.source, channels=self.channels,
             reproducers=self.reproducers, f=f, g=g, c=c)
@@ -90,11 +90,6 @@ class Scenario:
             if not (is_power(dom) and is_power(size)):
                 kind = "binning"
         return make_ensemble(kind, dom, size, q=self.q)
-
-    def _pick_constraint(self, ens, func, seed):
-        if ens.image_size == 1:
-            return func(0)
-        return int(np.random.default_rng(seed).integers(0, ens.image_size))
 
 
 # -- built-in scenarios ------------------------------------------------------------------
@@ -380,6 +375,23 @@ def _symbols(raw) -> tuple:
     return tuple(tuple(s) if isinstance(s, list) else s for s in raw)
 
 
+def positive_int(value, where) -> int:
+    """`value` as a positive int, else a configuration error naming it and `where`."""
+    try:
+        if int(value) > 0:
+            return int(value)
+    except (TypeError, ValueError):
+        pass
+    raise ConfigurationError("%s: %r is not a positive integer" % (where, value))
+
+
+def _nonnegative(value, what: str):
+    """`value`, a number, or a ValueError naming `what` when it is negative."""
+    if value < 0:
+        raise ValueError("%s is negative: %r" % (what, value))
+    return value
+
+
 def _field(section: dict, key: str, where: str):
     """`section[key]`, else a configuration error naming `where` and the key."""
     try:
@@ -476,13 +488,24 @@ def scenario_from_dict(data: dict) -> Scenario:
 
     with _section("run"):
         run = data.get("run", {})
-        run_defaults = {key: run[key] for key in ("n", "trials", "seed", "delta") if key in run}
-        default_D = {_ident(k): float(_frac(v)) for k, v in run.get("D", {}).items()}
+        run_defaults = {}
+        if "n" in run:
+            run_defaults["n"] = [positive_int(v, "run.n") for v in run["n"]]
+        if "trials" in run:
+            run_defaults["trials"] = positive_int(run["trials"], "run.trials")
+        if "seed" in run:
+            run_defaults["seed"] = _nonnegative(int(run["seed"]), "seed")
+        if "delta" in run:
+            run_defaults["delta"] = float(run["delta"])
+        default_D = {_ident(k): _nonnegative(float(_frac(v)), "D[%s]" % k)
+                     for k, v in run.get("D", {}).items()}
     with _section("code"):
         code = data.get("code", {})
         code_kinds = {_ident(i): kind for i, kind in code.get("kinds", {}).items()}
-        default_rates = {_ident(i): float(v) for i, v in code.get("rates", {}).items()}
-        default_aux_rates = {_ident(i): float(v) for i, v in code.get("aux_rates", {}).items()}
+        default_rates = {_ident(i): _nonnegative(float(v), "rate of encoder %s" % i)
+                         for i, v in code.get("rates", {}).items()}
+        default_aux_rates = {_ident(i): _nonnegative(float(v), "auxiliary rate of encoder %s" % i)
+                             for i, v in code.get("aux_rates", {}).items()}
         q = int(code.get("q", 2))
     return Scenario(
         name=data.get("name", "custom"),

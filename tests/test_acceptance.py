@@ -34,7 +34,7 @@ from multiterm.identities import random_example_pmf, verify_example_identities
 from multiterm.information import entropy
 from multiterm.linineq import fme_eliminate
 from multiterm.network import NetworkConfig
-from multiterm.probability import bernoulli, dsbs
+from multiterm.probability import Alphabet, JointPmf, dsbs
 from multiterm.regions import (
     DSC_CRNG,
     DSC_IT,
@@ -110,7 +110,8 @@ def test_criterion_2_thm1_equivalence():
 
 def test_criterion_3_entropy_values():
     t0 = time.time()
-    h1 = entropy(bernoulli(Fraction(11, 100))).bits
+    bern = JointPmf([("X", Alphabet((0, 1)))], {(0,): Fraction(89, 100), (1,): Fraction(11, 100)})
+    h1 = entropy(bern).bits
     h2 = entropy(dsbs(Fraction(11, 100))).bits
     ok = abs(h1 - 0.49991) <= 1e-4 and abs(h2 - 1.49991) <= 1e-4
     _criterion(3, "H(Bern(0.11)) and the doubly-symmetric sum-rate bound",

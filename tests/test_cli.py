@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import sys
@@ -412,14 +413,35 @@ def _malformed(data, path, value):
     (("channels",), {"x": 1}, "channels[0] has a malformed value"),
     (("channels", 0, "rows", 0), [[0]], "channels[0] has a malformed value"),
     (("topology", "encoders"), 1, "topology has a malformed value"),
+    (("run", "seed"), "x", "run has a malformed value"),
+    (("run", "seed"), -1, "run has a malformed value (seed is negative"),
+    (("run", "delta"), "x", "run has a malformed value"),
+    (("run", "D", "1"), "-1/10", "run has a malformed value (D[1] is negative"),
+    (("code", "rates", "1"), -0.5, "code has a malformed value (rate of encoder 1 is negative"),
+    (("code", "aux_rates"), {"1": -0.25}, "code has a malformed value (auxiliary rate"),
 ], ids=["table-number", "probability-text", "channels-mapping", "row-without-outputs",
-        "encoders-number"])
+        "encoders-number", "seed-text", "negative-seed", "delta-text", "negative-D", "negative-rate",
+        "negative-aux-rate"])
 def test_scenario_file_malformed_value_is_a_config_error(tmp_path, capsys, path, value, named):
     scenario = tmp_path / "malformed.json"
     scenario.write_text(json.dumps(_malformed(tiny_scenario_data(), path, value)))
     assert run(["simulate", str(scenario)]) == 2
     err = capsys.readouterr().err
     assert "configuration error" in err and named in err
+
+
+def test_main_builds_its_parser_once(monkeypatch, capsys):
+    parsers = []
+    parse_args = argparse.ArgumentParser.parse_args
+
+    def recording(self, *args, **kwargs):
+        parsers.append(self)
+        return parse_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", recording)
+    assert main(["scenario-list"]) == 0
+    assert main(["scenario-list"]) == 0
+    assert len(parsers) == 2 and parsers[0] is parsers[1]
 
 
 @pytest.mark.parametrize("suite, flags", [

@@ -12,11 +12,11 @@ from multiterm.codec import (
     CodeInstance,
     _check_budget,
     crng_law,
-    crng_sample,
     exact_error,
     law_floats,
     map_estimate,
     realized_size,
+    sample_from_law,
     simulate,
 )
 from multiterm.errors import (
@@ -26,9 +26,9 @@ from multiterm.errors import (
     EmptySupportError,
     EncoderAbort,
 )
-from multiterm.hashing import BinningEnsemble, HashFunction, identity_linear, make_ensemble
+from multiterm.hashing import BinningEnsemble, HashFunction, make_ensemble
 from multiterm.network import NetworkConfig, hamming_distortion, identity_channel, w_name
-from multiterm.probability import Alphabet, JointPmf, block_extend, dsbs, marginalize
+from multiterm.probability import Alphabet, JointPmf, block_products, dsbs, marginalize
 from multiterm.scenarios import build_scenario, scenario_names
 
 B = Alphabet((0, 1))
@@ -37,6 +37,17 @@ B = Alphabet((0, 1))
 def with_g(code, g):
     """The same code with the codeword functions `g` pinned instead of sampled."""
     return dataclasses.replace(code, g={**code.g, **g})
+
+
+def identity_linear(q, n):
+    """The identity matrix as a member of the full linear ensemble."""
+    rows = tuple(tuple(int(r == c) for c in range(n)) for r in range(n))
+    return HashFunction("linear", q ** n, q ** n, matrix=rows, q=q, n=n)
+
+
+def crng_sample(base, constraint, seed):
+    """One draw from the constrained, renormalized distribution."""
+    return sample_from_law((crng_law(base, constraint), 1), seed)
 
 
 def fraction_law(law):
@@ -369,7 +380,8 @@ def _reference_exact_error(code, delta, D, rule):
     encoder_laws, decoder_laws = {}, {}
     mismatch = abort = Fraction(0)
     exceed = {k: Fraction(0) for k in cfg.reproduction_ids}
-    for letters, p_src in block_extend(code.source, code.n).enumerate_blocks():
+    support = [(letter, p) for letter, p in code.source.items() if p > 0]
+    for letters, p_src in block_products([support] * code.n):
         blocks = {name: tuple(letter[pos] for letter in letters)
                   for pos, name in enumerate(code.source.names)}
         cell_laws = []

@@ -71,14 +71,3 @@ def test_sweep_random_instances():
     for s in range(25):
         rng = np.random.default_rng((61, s))
         assert not check_double_markov(random_violating(rng))
-
-
-def test_dump_table_format():
-    table = {(x, x, x): Fraction(1, 2) for x in (0, 1)}
-    pmf = JointPmf([("X0", B), ("X1", B), ("X2", B)], table)
-    built = construct_common(pmf)
-    text = built.dump()
-    # one line per interval: side, symbol, start, end, label
-    for line in text.strip().splitlines():
-        fields = line.split("\t")
-        assert len(fields) == 5

@@ -18,7 +18,6 @@ from multiterm.hashing import (
     _max_fiber,
     _nonempty_subsets,
     compose,
-    identity_linear,
     make_ensemble,
     measure_beta,
     product_difference_gap,
@@ -152,12 +151,6 @@ def test_sparse_measured_parameters_hold():
     assert measure_beta(ens, ens.alpha) == ens.beta
 
 
-def test_identity_linear_member():
-    f = identity_linear(2, 4)
-    for w in range(16):
-        assert f(w) == w
-
-
 def test_make_ensemble_validation():
     with pytest.raises(ConfigurationError):
         make_ensemble("linear", 12, 4, q=2)  # 12 is not a power of 2
@@ -172,15 +165,6 @@ def test_budget_error_on_huge_nonuniform_sweep():
     ens = Weird(1 << 12, 7)
     with pytest.raises(BudgetExceededError, match="too large to exhaust"):
         verify_hash_property(ens, 1, 0)
-
-
-def test_matrix_serialization_round_trip():
-    ens = LinearEnsemble(3, 4, 2)
-    f = ens.sample_function(12)
-    text = f.dump()
-    rows, q = gfq.load_matrix(text)
-    assert rows == f.matrix and q == 3
-    assert gfq.dump_matrix(rows, q) == text  # byte-exact round trip
 
 
 # -- joint-ensemble lemma checks -------------------------------------------------------

@@ -1,0 +1,29 @@
+"""The package needs only numpy at run time: scipy is a test-only dependency."""
+
+import os
+import subprocess
+import sys
+
+import multiterm
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(multiterm.__file__)))
+
+PROBE = """
+import importlib, pkgutil, sys
+import multiterm
+names = [m.name for m in pkgutil.iter_modules(multiterm.__path__)]
+for name in names:
+    importlib.import_module("multiterm." + name)
+print(len(names), sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_no_multiterm_module_imports_scipy():
+    """Every module, imported in a fresh interpreter, leaves scipy unloaded."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    out = subprocess.run([sys.executable, "-c", PROBE], env=env, capture_output=True,
+                         text=True, check=True).stdout.split(" ", 1)
+    modules = [f for f in os.listdir(os.path.join(SRC, "multiterm"))
+               if f.endswith(".py") and f != "__init__.py"]
+    assert int(out[0]) == len(modules)
+    assert out[1].strip() == "[]"

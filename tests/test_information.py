@@ -19,11 +19,8 @@ from multiterm.information import (
 from multiterm.probability import (
     Alphabet,
     JointPmf,
-    bernoulli,
-    block_extend,
     dsbs,
     marginalize,
-    point_mass,
     random_pmf,
     uniform,
 )
@@ -32,14 +29,23 @@ from multiterm.probability import (
 H_011 = 0.4999159581645280
 
 
+def bernoulli(p):
+    """The law of one bit X with P(X = 1) = p."""
+    return JointPmf([("X", Alphabet((0, 1)))], {(0,): 1 - p, (1,): p})
+
+
+def point_mass(symbol):
+    """The law of one bit X that always equals `symbol`."""
+    return JointPmf([("X", Alphabet((0, 1)))], {(symbol,): Fraction(1)})
+
+
 def test_entropy_uniform_eight():
     p = uniform([("X", Alphabet(tuple(range(8))))])
     assert entropy(p).bits == pytest.approx(3.0, abs=1e-12)
 
 
 def test_entropy_point_mass():
-    p = point_mass([("X", Alphabet((0, 1)))], (1,))
-    assert entropy(p).bits == 0.0
+    assert entropy(point_mass(1)).bits == 0.0
 
 
 def test_entropy_bernoulli_011():
@@ -99,14 +105,12 @@ def test_conditioning_never_increases_entropy():
 
 
 def test_spectrum_uniform_is_flat():
-    est = spectrum(block_extend(bernoulli(Fraction(1, 2)), 8), ["X"], n=8,
-                   samples=500, seed=0)
+    est = spectrum(bernoulli(Fraction(1, 2)), ["X"], n=8, samples=500, seed=0)
     assert np.allclose(est.values, 1.0)
 
 
 def test_spectrum_point_mass_zero():
-    est = spectrum(point_mass([("X", Alphabet((0, 1)))], (0,)), ["X"], n=50,
-                   samples=200, seed=0)
+    est = spectrum(point_mass(0), ["X"], n=50, samples=200, seed=0)
     assert np.allclose(est.values, 0.0)
 
 
@@ -141,8 +145,7 @@ def test_spectrum_estimate_invariants():
     levels = sorted(est.quantiles)
     assert all(est.quantiles[a] <= est.quantiles[b]
                for a, b in zip(levels, levels[1:]))
-    d = est.to_dict()
-    assert d["n"] == 100 and d["samples"] == 500
+    assert est.n == 100 and est.samples == 500
 
 
 def test_divergence_surrogate_nonnegative():

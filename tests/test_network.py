@@ -68,9 +68,10 @@ def test_build_joint_matches_hand_built_table():
                 p_src = src.prob((x, y))
                 p_w = Fraction(9, 10) if w == x else Fraction(1, 10)
                 key = {"W1": w, "X1": x, "Y": y, "Z1": w}
-                assert joint.prob_of(key) == p_src * p_w
+                assert joint.prob(tuple(key[name] for name in joint.names)) == p_src * p_w
     # z != w rows carry zero mass
-    assert joint.prob_of({"W1": 0, "X1": 0, "Y": 0, "Z1": 1}) == 0
+    key = {"W1": 0, "X1": 0, "Y": 0, "Z1": 1}
+    assert joint.prob(tuple(key[name] for name in joint.names)) == 0
 
 
 def test_build_joint_markov_conditions():

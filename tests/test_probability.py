@@ -12,20 +12,23 @@ from multiterm.probability import (
     _factorizes,
     Alphabet,
     JointPmf,
-    bernoulli,
-    block_extend,
+    block_products,
     check_markov,
     condition,
     dsbs,
     marginalize,
     merge_vars,
-    point_mass,
     random_pmf,
     sample,
     uniform,
 )
 
 B = Alphabet((0, 1))
+
+
+def bernoulli(p):
+    """The law of one bit X with P(X = 1) = p."""
+    return JointPmf([("X", B)], {(0,): 1 - p, (1,): p})
 
 
 def test_alphabet_invariants():
@@ -89,7 +92,7 @@ def test_condition_dsbs_value():
 
 
 def test_condition_zero_probability_event():
-    p = point_mass([("X1", B), ("X2", B)], (0, 0))
+    p = JointPmf([("X1", B), ("X2", B)], {(0, 0): Fraction(1)})
     with pytest.raises(UnsupportedConditionError):
         condition(p, ["X2"], {"X1": 1})
 
@@ -106,52 +109,38 @@ def test_marginalize_then_condition_commutes_with_direct():
         assert c1.prob((a,)) == c2.prob((a,))
 
 
-def test_block_extend_products():
-    src = block_extend(bernoulli(Fraction(1, 2)), 3)
-    assert src.prob(((0,), (1,), (0,))) == Fraction(1, 8)
-    one = block_extend(dsbs(Fraction(11, 100)), 1)
-    for key, p in dsbs(Fraction(11, 100)).items():
-        assert one.prob((key,)) == p
-
-
-def test_block_extend_dsbs_pair():
-    src = block_extend(dsbs(Fraction(11, 100)), 2)
-    p = src.prob(((0, 0), (0, 1)))
-    assert p == Fraction(89, 200) * Fraction(11, 200)
-
-
 def test_block_extend_exhaustive_small():
-    # full block table against per-letter products (16-bit budget)
+    # block_products over the full block table against per-letter products
     base = dsbs(Fraction(1, 4))
-    src = block_extend(base, 3)
+    blocks = list(block_products([list(base.items())] * 3))
+    assert [letters for letters, _ in blocks] == \
+        list(itertools.product(list(dict(base.items())), repeat=3))
     total = Fraction(0)
-    for letters in itertools.product(list(dict(base.items())), repeat=3):
+    for letters, p in blocks:
         expect = Fraction(1)
         for letter in letters:
             expect *= base.prob(letter)
-        assert src.prob(letters) == expect
+        assert p == expect
         total += expect
     assert total == 1
 
 
 def test_sample_point_mass_and_determinism():
-    forced = point_mass([("X", B)], (1,))
-    src = block_extend(forced, 4)
-    blocks = sample(src, seed=11, count=3)
+    forced = JointPmf([("X", B)], {(1,): Fraction(1)})
+    blocks = sample(forced, 4, seed=11, count=3)
     assert all(b == ((1,),) * 4 for b in blocks)
-    assert sample(src, seed=5, count=2) == sample(src, seed=5, count=2)
+    assert sample(forced, 4, seed=5, count=2) == sample(forced, 4, seed=5, count=2)
 
 
 def test_sample_law_of_large_numbers():
-    src = block_extend(bernoulli(Fraction(11, 100)), 1)
-    blocks = sample(src, seed=1, count=100_000)
+    blocks = sample(bernoulli(Fraction(11, 100)), 1, seed=1, count=100_000)
     freq = sum(b[0][0] for b in blocks) / 100_000
     assert abs(freq - 0.11) < 0.01
 
 
 def test_sample_chi_square_consistency():
     base = random_pmf(np.random.default_rng(4), [("X", Alphabet((0, 1, 2, 3)))])
-    blocks = sample(block_extend(base, 1), seed=2, count=100_000)
+    blocks = sample(base, 1, seed=2, count=100_000)
     counts = [0, 0, 0, 0]
     for b in blocks:
         counts[b[0][0]] += 1
@@ -244,3 +233,31 @@ def test_integer_factorizes_matches_fraction_reference(data, sizes, chain):
     blocks = data.draw(st.lists(st.sampled_from("abcx"), min_size=3, max_size=3))
     a, b, c = ([name for name, blk in zip("ABC", blocks) if blk == g] for g in "abc")
     assert _factorizes(pmf, a, b, c) == _fraction_factorizes(pmf, a, b, c)
+
+
+def _reference_sample(pmf, n, seed, count):
+    """The block sampler as formed from the exact table, kept as the
+    reference: the support in table order and float(prob(key)) per key."""
+    rng = np.random.default_rng(seed)
+    support = list(pmf.support())
+    probs = np.array([float(pmf.prob(k)) for k in support], dtype=float)
+    probs = probs / probs.sum()
+    idx = rng.choice(len(support), size=(count, n), p=probs)
+    return [tuple(support[j] for j in row) for row in idx]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), sizes=st.lists(st.integers(1, 3), min_size=1, max_size=3),
+       n=st.integers(1, 5), seed=st.integers(0, 2 ** 32 - 1), count=st.integers(1, 4))
+def test_sample_matches_reference_formula(data, sizes, n, seed, count):
+    """Random exact pmfs with zero entries, their table in shuffled order."""
+    keys = list(itertools.product(*(range(size) for size in sizes)))
+    weights = data.draw(st.lists(st.integers(0, 1000), min_size=len(keys),
+                                 max_size=len(keys)))
+    if not any(weights):
+        weights[0] = 1
+    order = data.draw(st.permutations(range(len(keys))))
+    total = sum(weights)
+    pmf = JointPmf([(name, Alphabet(tuple(range(size)))) for name, size in zip("ABC", sizes)],
+                   {keys[k]: Fraction(weights[k], total) for k in order})
+    assert sample(pmf, n, seed, count) == _reference_sample(pmf, n, seed, count)
