@@ -30,7 +30,7 @@ from .regions import (
     build_system,
     remove_redundant,
 )
-from .scenarios import build_scenario, load_scenario, positive_int, scenario_names
+from .scenarios import build_scenario, load_scenario, positive_int, scenario_names, seed_value
 from .suites import SUITES, UNSEEDED, run_suite
 
 EXIT_OK = 0
@@ -39,11 +39,14 @@ EXIT_BUDGET = 3
 EXIT_VERIFY = 4
 
 
-def _resolved_seed(cli_seed):
+def _resolved_seed(cli_seed) -> int:
+    """MULTITERM_SEED when set, else `cli_seed`, as a non-negative int."""
     env = os.environ.get("MULTITERM_SEED")
-    if env is not None:
-        return int(env)
-    return cli_seed
+    where, value = ("MULTITERM_SEED", env) if env is not None else ("--seed", cli_seed)
+    try:
+        return seed_value(value)
+    except ValueError as exc:
+        raise ConfigurationError("%s: %s" % (where, exc)) from None
 
 
 def _scenario_hash(scenario) -> str:

@@ -45,6 +45,7 @@ from .network import (
     w_name,
 )
 from .probability import JointPmf, block_products, marginalize, sample
+from .rational import integer_scaled
 
 _EXACT_BUDGET = 1 << 24
 _INDEX_BUDGET = 1 << 20     # W_S-blocks scanned by one class index (4 letters at n = 10)
@@ -87,8 +88,8 @@ def sample_from_law(law, seed):
 def _integer_weights(table: Mapping) -> tuple:
     """A table of rational weights scaled to integers by the lcm of its
     denominators: (integer table, scale)."""
-    scale = math.lcm(*(p.denominator for p in table.values()))
-    return {key: p.numerator * (scale // p.denominator) for key, p in table.items()}, scale
+    weights, scale = integer_scaled(list(table.values()))
+    return dict(zip(table, weights)), scale
 
 
 def _transpose(names, letters) -> dict:

@@ -31,9 +31,10 @@ from .reports import Report
 
 def check_double_markov(pmf: JointPmf) -> bool:
     """True iff both chains X2 <-> X1 <-> X0 and X1 <-> X2 <-> X0 hold
-    (each conditional mutual information at most 1e-12 bits)."""
-    return (check_markov(pmf, ["X2"], ["X1"], ["X0"], 1e-12)
-            and check_markov(pmf, ["X1"], ["X2"], ["X0"], 1e-12))
+    exactly (:func:`check_markov`, the same test :func:`construct_common`
+    requires)."""
+    return (check_markov(pmf, ["X2"], ["X1"], ["X0"])
+            and check_markov(pmf, ["X1"], ["X2"], ["X0"]))
 
 
 @dataclass
@@ -70,9 +71,9 @@ def construct_common(pmf: JointPmf) -> CommonPartConstruction:
     Requires the exact double-Markov condition; the error names the first
     violated chain.
     """
-    if not check_markov(pmf, ["X2"], ["X1"], ["X0"], 0.0):
+    if not check_markov(pmf, ["X2"], ["X1"], ["X0"]):
         raise PreconditionError("chain X2 <-> X1 <-> X0 is violated")
-    if not check_markov(pmf, ["X1"], ["X2"], ["X0"], 0.0):
+    if not check_markov(pmf, ["X1"], ["X2"], ["X0"]):
         raise PreconditionError("chain X1 <-> X2 <-> X0 is violated")
 
     x0_alph = pmf.alphabet("X0")

@@ -22,6 +22,7 @@ import numpy as np
 
 from . import gfq
 from .errors import BudgetExceededError, ConfigurationError
+from .rational import integer_scaled
 from .reports import Report
 
 _ENUM_BUDGET = 1 << 20
@@ -93,8 +94,7 @@ class HashEnsemble:
         for f, p in self.enumerate_functions():
             key = tuple(f(w) for w in points)
             folded[key] = folded.get(key, 0) + p
-        denominator = math.lcm(*(p.denominator for p in folded.values()))
-        weights = [p.numerator * (denominator // p.denominator) for p in folded.values()]
+        weights, denominator = integer_scaled(list(folded.values()))
         return (_label_rows(folded, len(points)), _int_array(weights, denominator),
                 denominator)
 
@@ -142,8 +142,7 @@ class BinningEnsemble(HashEnsemble):
         return self.image_size ** self.domain_size
 
     def enumerate_functions(self):
-        if self.function_count() > _ENUM_BUDGET:
-            raise BudgetExceededError("too large to exhaust: %d functions" % self.function_count())
+        _check_count(self.function_count(), "functions")
         for table in itertools.product(range(self.image_size), repeat=self.domain_size):
             p = Fraction(1)
             for c in table:
@@ -155,9 +154,7 @@ class BinningEnsemble(HashEnsemble):
         positive-weight bins to the points, weighted by the product of the
         bin weights over the common denominator of those weights."""
         bins = [c for c, w in enumerate(self.weights) if w]
-        scale = math.lcm(*(self.weights[c].denominator for c in bins))
-        nums = [self.weights[c].numerator * (scale // self.weights[c].denominator)
-                for c in bins]
+        nums, scale = integer_scaled([self.weights[c] for c in bins])
         denominator = scale ** len(points)
         weights, nums = _int_array([1], denominator), _int_array(nums, denominator)
         for _ in points:
@@ -198,8 +195,7 @@ class LinearEnsemble(HashEnsemble):
         return self.q ** (self.m * self.n)
 
     def enumerate_functions(self):
-        if self.function_count() > _ENUM_BUDGET:
-            raise BudgetExceededError("too large to exhaust: %d matrices" % self.function_count())
+        _check_count(self.function_count(), "matrices")
         p = Fraction(1, self.function_count())
         for flat in itertools.product(range(self.q), repeat=self.m * self.n):
             rows = tuple(tuple(flat[r * self.n:(r + 1) * self.n]) for r in range(self.m))
@@ -311,8 +307,7 @@ class SparseLinearEnsemble(HashEnsemble):
     def enumerate_functions(self):
         options = self._column_options()
         count = len(options) ** self.n
-        if count > _ENUM_BUDGET:
-            raise BudgetExceededError("too large to exhaust: %d matrices" % count)
+        _check_count(count, "matrices")
         p = Fraction(1, count)
         for cols in itertools.product(options, repeat=self.n):
             rows = tuple(tuple(cols[j][r] for j in range(self.n)) for r in range(self.m))
@@ -367,14 +362,22 @@ class ComposedEnsemble(HashEnsemble):
     def enumerate_functions(self):
         """Yield one function per part, in ``itertools.product`` order over
         the parts' enumerations, with the product of their probabilities."""
-        if self.function_count() > _ENUM_BUDGET:
-            raise BudgetExceededError("too large to exhaust: %d functions" % self.function_count())
+        _check_count(self.function_count(), "functions")
         for combo in itertools.product(*(list(p.enumerate_functions()) for p in self.parts)):
             prob = combo[0][1]
             for _, p in combo[1:]:
                 prob *= p
             yield HashFunction("compose", self.domain_size, self.image_size,
                                parts=tuple(f for f, _ in combo)), prob
+
+
+def _check_count(count: int, what: str):
+    """Refuse to enumerate more than the budget of `what`, naming `count` in
+    decimal up to 64 bits and by its bit length beyond (a decimal string of
+    64^16384 exceeds the interpreter's int-to-str digit limit)."""
+    if count > _ENUM_BUDGET:
+        text = str(count) if count.bit_length() <= 64 else "at least 2^%d" % (count.bit_length() - 1)
+        raise BudgetExceededError("too large to exhaust: %s %s" % (text, what))
 
 
 def _seed_entropy(seed):
@@ -467,45 +470,30 @@ def _label_rows(rows, width: int):
                     dtype=np.int64).reshape(-1, width)
 
 
-def _joint_expectation(ensembles: Sequence[HashEnsemble], points, value, scale: int,
-                       budget: int, samples: int, seed: int):
-    """E[value] / scale over independent draws from each ensemble.
+def _joint_expectation(ensembles: Sequence[HashEnsemble], points, value, scale: int) -> Fraction:
+    """E[value] / scale over independent draws from each ensemble, as a Fraction.
 
-    Ensemble i is seen only at the distinct i-th coordinates of `points`.
-    Its functions become rows of an integer matrix of their values there;
-    the rows of all ensembles combine into `keys` (one row per joint
-    function, one column per point, equal exactly where two points share a
-    joint bin), and ``value(keys)`` gives one integer per row.
-
-    When the joint function count is within `budget` the result is the exact
-    :class:`Fraction`: the rows are the Cartesian product of the ensembles'
-    :meth:`HashEnsemble.point_law` rows, weighted by the product of their
-    integer weights, and the weighted sum is divided once by the product of
-    the denominators times `scale`.  Otherwise it is the list of value / scale
-    (correctly rounded floats) at `samples` seeded draws: draw k takes
-    ensemble i's seed from
-    ``SeedSequence(seed).spawn(samples)[k].spawn(len(ensembles))[i]``.
+    Ensemble i is seen only through its :meth:`HashEnsemble.point_law` at the
+    distinct i-th coordinates of `points`.  The joint rows, the Cartesian
+    product of the point-law rows weighted by the product of their integer
+    weights, combine into `keys` (one row per joint function, one column per
+    point, equal exactly where two points share a joint bin); ``value(keys)``
+    gives one integer per row.  More joint functions than the enumeration
+    budget raise :class:`BudgetExceededError` before any point law is built.
     """
+    _check_count(math.prod(e.function_count() for e in ensembles), "joint functions")
     coords = [sorted({w[i] for w in points}) for i in range(len(ensembles))]
-    if math.prod(e.function_count() for e in ensembles) <= budget:
-        laws = [e.point_law(c) for e, c in zip(ensembles, coords)]
-        denominator = math.prod(d for _, _, d in laws)
-        grid = np.indices([len(w) for _, w, _ in laws]).reshape(len(laws), -1)
-        weights = _int_array([1], denominator)
-        for (_, w, _), rows in zip(laws, grid):
-            weights = weights * w.astype(weights.dtype)[rows]
-        values = value(_joint_keys(ensembles, [v[rows] for (v, _, _), rows in zip(laws, grid)],
-                                   coords, points))
-        if denominator * int(np.abs(values).max(initial=0)) >= 1 << 63:
-            weights, values = weights.astype(object), values.astype(object)
-        return Fraction(int(weights @ values), denominator * scale)
-    rows: list = [[] for _ in ensembles]
-    for child in np.random.SeedSequence(seed).spawn(samples):
-        for i, (e, s) in enumerate(zip(ensembles, child.spawn(len(ensembles)))):
-            f = e.sample_function(s)
-            rows[i].append(tuple(f(w) for w in coords[i]))
-    matrices = [_label_rows(r, len(c)) for r, c in zip(rows, coords)]
-    return [int(v) / scale for v in value(_joint_keys(ensembles, matrices, coords, points))]
+    laws = [e.point_law(c) for e, c in zip(ensembles, coords)]
+    denominator = math.prod(d for _, _, d in laws)
+    grid = np.indices([len(w) for _, w, _ in laws]).reshape(len(laws), -1)
+    weights = _int_array([1], denominator)
+    for (_, w, _), rows in zip(laws, grid):
+        weights = weights * w.astype(weights.dtype)[rows]
+    values = value(_joint_keys(ensembles, [v[rows] for (v, _, _), rows in zip(laws, grid)],
+                               coords, points))
+    if denominator * int(np.abs(values).max(initial=0)) >= 1 << 63:
+        weights, values = weights.astype(object), values.astype(object)
+    return Fraction(int(weights @ values), denominator * scale)
 
 
 def _joint_keys(ensembles, matrices, coords, points):
@@ -575,10 +563,8 @@ def _bin_deviation(keys, q, qT: int, image_total: int):
     return deviation + (image_total - last.sum(axis=1)).astype(q.dtype) * qT
 
 
-def verify_mbcp(ensembles: Sequence[HashEnsemble], Q: dict, T: set,
-                budget: int = _ENUM_BUDGET, samples: int = 2000,
-                seed: int = 0) -> Report:
-    """Check the balanced-coloring bound for a joint ensemble.
+def verify_mbcp(ensembles: Sequence[HashEnsemble], Q: dict, T: set) -> Report:
+    """Check the balanced-coloring bound for a joint ensemble, exactly.
 
     The bound is sqrt(alpha_I - 1 + sum over nonempty I' of
     alpha_{I minus I'} (beta_I' + 1) |C_I'| Qbar_I' / Q(T)), where Qbar_I'
@@ -586,11 +572,10 @@ def verify_mbcp(ensembles: Sequence[HashEnsemble], Q: dict, T: set,
     I' = I).  The LHS is the expected bin-mass deviation
     sum_c |Q(c)/Q(T) - 1/|C||, computed per joint function as
     sum_c |mass_c |C| - Q(T)| over Q's integer numerators (an empty bin
-    counting Q(T)).  Exhaustible ensembles get its exact expectation from
-    each ensemble's :meth:`HashEnsemble.point_law` at T's coordinates, not
-    from the whole ensembles, compared as LHS^2 <= RHS^2 in exact rationals.
-    Beyond the budget the LHS is a Monte Carlo estimate with its standard
-    error recorded, and the assertion weakens to bound >= estimate - 3*SE.
+    counting Q(T)).  Its exact expectation comes from each ensemble's
+    :meth:`HashEnsemble.point_law` at T's coordinates, not from the whole
+    ensembles, compared as LHS^2 <= RHS^2 in exact rationals.  Ensembles
+    beyond the enumeration budget raise :class:`BudgetExceededError`.
     """
     report = Report("mbcp")
     nI = len(ensembles)
@@ -608,40 +593,28 @@ def verify_mbcp(ensembles: Sequence[HashEnsemble], Q: dict, T: set,
         qbar = _max_fiber(T, lambda w: Q.get(w, Fraction(0)), sub)
         rhs_sq += a_comp * (b_sub + 1) * image * qbar / qT
 
-    scale = math.lcm(*(Q.get(w, Fraction(0)).denominator for w in T))
+    q, scale = integer_scaled([Q.get(w, Fraction(0)) for w in T])
     q_total = int(qT * scale)
-    q = _int_array([int(Q.get(w, 0) * scale) for w in T], 2 * q_total * image_total)
+    q = _int_array(q, 2 * q_total * image_total)
     lhs = _joint_expectation(
         ensembles, T, lambda keys: _bin_deviation(keys, q, q_total, image_total),
-        q_total * image_total, budget, samples, seed)
-    if isinstance(lhs, Fraction):
-        report.add("balanced-coloring bound", lhs * lhs <= rhs_sq,
-                   lhs=lhs, rhs=rhs_sq, detail="exact; compared as lhs^2 <= rhs^2")
-        return report
-
-    estimate = float(np.mean(lhs))
-    se = float(np.std(lhs, ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
-    bound = math.sqrt(float(rhs_sq))
-    report.add("balanced-coloring bound", bound >= estimate - 3 * se,
-               lhs=estimate, rhs=bound,
-               detail="Monte Carlo over %d draws, SE %.3g" % (samples, se))
+        q_total * image_total)
+    report.add("balanced-coloring bound", lhs * lhs <= rhs_sq,
+               lhs=lhs, rhs=rhs_sq, detail="exact; compared as lhs^2 <= rhs^2")
     return report
 
 
-def verify_mcrp(ensembles: Sequence[HashEnsemble], T: set, anchor: tuple,
-                budget: int = _ENUM_BUDGET, samples: int = 2000,
-                seed: int = 0) -> Report:
-    """Check the collision-resistance bound for a joint ensemble.
+def verify_mcrp(ensembles: Sequence[HashEnsemble], T: set, anchor: tuple) -> Report:
+    """Check the collision-resistance bound for a joint ensemble, exactly.
 
     The bound is beta_I + sum over nonempty I' of alpha_I'
     (beta_{I minus I'} + 1) Obar_I' / |C_I'|, where Obar_I' is the largest
     number of points of T that agree on the coordinates outside I'.  LHS is
     the probability that some member of T other than the anchor lands in
-    the anchor's joint bin.  For exhaustible ensembles it is exact, summed
-    over the joint rows of each ensemble's :meth:`HashEnsemble.point_law`
-    at the coordinates of T and the anchor, not over the whole ensembles;
-    otherwise it is a Monte Carlo estimate with SE recorded and the
-    assertion weakened to bound >= estimate - 3*SE.
+    the anchor's joint bin, exact, summed over the joint rows of each
+    ensemble's :meth:`HashEnsemble.point_law` at the coordinates of T and
+    the anchor, not over the whole ensembles.  Ensembles beyond the
+    enumeration budget raise :class:`BudgetExceededError`.
     """
     report = Report("mcrp")
     nI = len(ensembles)
@@ -654,18 +627,8 @@ def verify_mcrp(ensembles: Sequence[HashEnsemble], T: set, anchor: tuple,
 
     lhs = _joint_expectation(
         ensembles, competitors + [anchor],
-        lambda keys: (keys[:, :-1] == keys[:, -1:]).any(axis=1).astype(np.int64),
-        1, budget, samples, seed)
-    if isinstance(lhs, Fraction):
-        report.add("collision-resistance bound", lhs <= rhs, lhs=lhs, rhs=rhs,
-                   detail="exact")
-        return report
-
-    estimate = sum(lhs) / samples
-    se = math.sqrt(max(estimate * (1 - estimate), 1e-12) / samples)
-    report.add("collision-resistance bound", float(rhs) >= estimate - 3 * se,
-               lhs=estimate, rhs=rhs,
-               detail="Monte Carlo over %d draws, SE %.3g" % (samples, se))
+        lambda keys: (keys[:, :-1] == keys[:, -1:]).any(axis=1).astype(np.int64), 1)
+    report.add("collision-resistance bound", lhs <= rhs, lhs=lhs, rhs=rhs, detail="exact")
     return report
 
 

@@ -31,79 +31,78 @@ from .reports import Report
 
 EXAMPLES = ("berger-tung", "el-gamal-cover", "zhang-berger", "heegard-berger")
 
+# slack of the float entropy identities; every Markov precondition is exact
+IDENTITY_TOL = 1e-9
 
-def verify_example_identities(example: str, pmf: JointPmf, tol: float = 1e-9) -> Report:
+
+def verify_example_identities(example: str, pmf: JointPmf) -> Report:
     """Dispatch to one example's identity checks.
 
-    The pmf must satisfy the example's Markov class; a violated chain raises
-    :class:`PreconditionError` naming it.
+    The pmf must satisfy the example's Markov class exactly; a violated chain
+    raises :class:`PreconditionError` naming it.
     """
-    if example == "berger-tung":
-        return _berger_tung(pmf, tol)
-    if example == "el-gamal-cover":
-        return _el_gamal_cover(pmf, tol)
-    if example == "zhang-berger":
-        return _zhang_berger(pmf, tol)
-    if example == "heegard-berger":
-        return _heegard_berger(pmf, tol)
-    raise ConfigurationError("unknown example %r (known: %s)" % (example, ", ".join(EXAMPLES)))
+    verifier = {"berger-tung": _berger_tung, "el-gamal-cover": _el_gamal_cover,
+                "zhang-berger": _zhang_berger, "heegard-berger": _heegard_berger}.get(example)
+    if verifier is None:
+        raise ConfigurationError("unknown example %r (known: %s)" % (example, ", ".join(EXAMPLES)))
+    return verifier(pmf)
 
 
-def _require_markov(pmf, a, b, c, tol, label):
-    if not check_markov(pmf, a, b, c, tol):
+def _require_markov(pmf, a, b, c, label):
+    if not check_markov(pmf, a, b, c):
         raise PreconditionError("required Markov chain violated: %s" % label)
 
 
-def _berger_tung(pmf: JointPmf, tol: float) -> Report:
+def _berger_tung(pmf: JointPmf) -> Report:
     """H(W_i|W_ic,T) - H(W_i|X_i,T) = I(X_i;W_i|W_ic,T) and the sum form."""
     report = Report("berger-tung")
     for i, ic in ((1, 2), (2, 1)):
         _require_markov(pmf, ["W%d" % ic, "X%d" % ic], ["X%d" % i, "T"], ["W%d" % i],
-                        max(tol, 1e-9), "(W%d,X%d) <-> (X%d,T) <-> W%d" % (ic, ic, i, i))
-    _require_markov(pmf, ["X1", "X2"], [], ["T"], max(tol, 1e-9),
-                    "T independent of (X1,X2)")
+                        "(W%d,X%d) <-> (X%d,T) <-> W%d" % (ic, ic, i, i))
+    _require_markov(pmf, ["X1", "X2"], [], ["T"], "T independent of (X1,X2)")
     for i, ic in ((1, 2), (2, 1)):
         lhs = (cond_entropy(pmf, ["W%d" % i], ["W%d" % ic, "T"]).bits
                - cond_entropy(pmf, ["W%d" % i], ["X%d" % i, "T"]).bits)
         rhs = cond_mutual_info(pmf, ["X%d" % i], ["W%d" % i], ["W%d" % ic, "T"]).bits
-        report.add("rate-%d identity" % i, abs(lhs - rhs) <= tol, lhs=lhs, rhs=rhs)
+        report.add("rate-%d identity" % i, abs(lhs - rhs) <= IDENTITY_TOL, lhs=lhs, rhs=rhs)
     lhs = (cond_entropy(pmf, ["W1", "W2"], ["T"]).bits
            - cond_entropy(pmf, ["W1"], ["X1", "T"]).bits
            - cond_entropy(pmf, ["W2"], ["X2", "T"]).bits)
     rhs = cond_mutual_info(pmf, ["X1", "X2"], ["W1", "W2"], ["T"]).bits
-    report.add("sum-rate identity", abs(lhs - rhs) <= tol, lhs=lhs, rhs=rhs)
+    report.add("sum-rate identity", abs(lhs - rhs) <= IDENTITY_TOL, lhs=lhs, rhs=rhs)
     return report
 
 
-def _el_gamal_cover(pmf: JointPmf, tol: float) -> Report:
+def _el_gamal_cover(pmf: JointPmf) -> Report:
     """Bound expressions dominate the classical two-description forms."""
     report = Report("el-gamal-cover")
     for i, ic in ((1, 2), (2, 1)):
         _require_markov(
             pmf, ["W%d" % ic, "X", "Z12", "Z%d" % ic], ["W%d" % i, "T"], ["Z%d" % i],
-            max(tol, 1e-9),
             "(W%d,X,Z12,Z%d) <-> (W%d,T) <-> Z%d" % (ic, ic, i, i))
     _require_markov(pmf, ["X", "Z1", "Z2"], ["W1", "W2", "T"], ["Z12"],
-                    max(tol, 1e-9), "(X,Z1,Z2) <-> (W1,W2,T) <-> Z12")
+                    "(X,Z1,Z2) <-> (W1,W2,T) <-> Z12")
     for i in (1, 2):
         lhs = (cond_entropy(pmf, ["W%d" % i], ["T"]).bits
                - cond_entropy(pmf, ["W%d" % i], ["X", "T"]).bits)
         mid = cond_mutual_info(pmf, ["X"], ["W%d" % i, "Z%d" % i], ["T"]).bits
         low = cond_mutual_info(pmf, ["X"], ["Z%d" % i], ["T"]).bits
-        report.add("rate-%d equals I(X;W,Z|T)" % i, abs(lhs - mid) <= tol, lhs=lhs, rhs=mid)
-        report.add("rate-%d dominates I(X;Z|T)" % i, lhs >= low - tol, lhs=lhs, rhs=low)
+        report.add("rate-%d equals I(X;W,Z|T)" % i, abs(lhs - mid) <= IDENTITY_TOL,
+                   lhs=lhs, rhs=mid)
+        report.add("rate-%d dominates I(X;Z|T)" % i, lhs >= low - IDENTITY_TOL, lhs=lhs, rhs=low)
     pair = (cond_entropy(pmf, ["W1"], ["T"]).bits + cond_entropy(pmf, ["W2"], ["T"]).bits)
     ident = (cond_mutual_info(pmf, ["W1", "Z1"], ["W2", "Z2"], ["T"]).bits
              + cond_entropy(pmf, ["W1", "W2"], ["T"]).bits)
-    report.add("sum decomposition identity", abs(pair - ident) <= tol, lhs=pair, rhs=ident)
+    report.add("sum decomposition identity", abs(pair - ident) <= IDENTITY_TOL,
+               lhs=pair, rhs=ident)
     lhs = pair - cond_entropy(pmf, ["W1", "W2"], ["X", "T"]).bits
     rhs = (cond_mutual_info(pmf, ["Z1"], ["Z2"], ["T"]).bits
            + cond_mutual_info(pmf, ["X"], ["Z1", "Z2", "Z12"], ["T"]).bits)
-    report.add("sum-rate dominates classical form", lhs >= rhs - tol, lhs=lhs, rhs=rhs)
+    report.add("sum-rate dominates classical form", lhs >= rhs - IDENTITY_TOL, lhs=lhs, rhs=rhs)
     return report
 
 
-def _zhang_berger(pmf: JointPmf, tol: float) -> Report:
+def _zhang_berger(pmf: JointPmf) -> Report:
     """Substituting W <-> W' preserves the bound values in both directions."""
     report = Report("zhang-berger")
     # forward direction: identities on (X, W0, W1, W2); these hold for any
@@ -112,14 +111,14 @@ def _zhang_berger(pmf: JointPmf, tol: float) -> Report:
         lhs = (entropy(pmf, ["W0", "W%d" % i]).bits
                - cond_entropy(pmf, ["W0", "W%d" % i], ["X"]).bits)
         rhs = mutual_info(pmf, ["X"], ["W0", "W%d" % i]).bits
-        report.add("forward rate-%d" % i, abs(lhs - rhs) <= tol, lhs=lhs, rhs=rhs)
+        report.add("forward rate-%d" % i, abs(lhs - rhs) <= IDENTITY_TOL, lhs=lhs, rhs=rhs)
     lhs = (entropy(pmf, ["W0", "W1"]).bits + entropy(pmf, ["W0", "W2"]).bits
            - cond_entropy(pmf, ["W0"], ["X"]).bits
            - cond_entropy(pmf, ["W0", "W1", "W2"], ["X"]).bits)
     rhs = (cond_mutual_info(pmf, ["X"], ["W1", "W2"], ["W0"]).bits
            + 2 * mutual_info(pmf, ["X"], ["W0"]).bits
            + cond_mutual_info(pmf, ["W1"], ["W2"], ["W0"]).bits)
-    report.add("forward sum-rate", abs(lhs - rhs) <= tol, lhs=lhs, rhs=rhs)
+    report.add("forward sum-rate", abs(lhs - rhs) <= IDENTITY_TOL, lhs=lhs, rhs=rhs)
 
     # reverse direction: W0 := W'0, W_i := (W'0, W'_i) as composite variables
     merged = merge_vars(merge_vars(pmf, "V1", ("W0", "W1"), keep=True),
@@ -128,17 +127,17 @@ def _zhang_berger(pmf: JointPmf, tol: float) -> Report:
         lhs = mutual_info(pmf, ["X"], ["W0", "W%d" % i]).bits
         rhs = (entropy(merged, ["V%d" % i]).bits
                - cond_entropy(merged, ["V%d" % i], ["X"]).bits)
-        report.add("reverse rate-%d" % i, abs(lhs - rhs) <= tol, lhs=lhs, rhs=rhs)
+        report.add("reverse rate-%d" % i, abs(lhs - rhs) <= IDENTITY_TOL, lhs=lhs, rhs=rhs)
     # feasibility of dropping the common codeword: H(W0|W_i) - H(W0|X) <= 0
     for i in (1, 2):
         slack = (cond_entropy(merged, ["W0"], ["V%d" % i]).bits
                  - cond_entropy(merged, ["W0"], ["X"]).bits)
-        report.add("reverse zero-rate condition (branch %d)" % i, slack <= tol,
+        report.add("reverse zero-rate condition (branch %d)" % i, slack <= IDENTITY_TOL,
                    lhs=slack, rhs=0.0)
     return report
 
 
-def _heegard_berger(pmf: JointPmf, tol: float) -> Report:
+def _heegard_berger(pmf: JointPmf) -> Report:
     """Reconstruction with a conditionally independent pair preserves margins.
 
     The input law must factorize as source * channel * per-decoder
@@ -150,13 +149,13 @@ def _heegard_berger(pmf: JointPmf, tol: float) -> Report:
     for j, jc in ((1, 2), (2, 1)):
         _require_markov(
             pmf, ["W%d" % jc, "X", "Y%d" % jc, "Z%d" % jc],
-            ["W0", "W%d" % j, "Y%d" % j], ["Z%d" % j], 1e-9,
+            ["W0", "W%d" % j, "Y%d" % j], ["Z%d" % j],
             "(W%d,X,Y%d,Z%d) <-> (W0,W%d,Y%d) <-> Z%d" % (jc, jc, jc, j, j, j))
-    _require_markov(pmf, ["Y1", "Y2"], ["X"], ["W0", "W1", "W2"], 1e-9,
+    _require_markov(pmf, ["Y1", "Y2"], ["X"], ["W0", "W1", "W2"],
                     "(Y1,Y2) <-> X <-> (W0,W1,W2)")
 
     rebuilt = reconstruct_heegard_berger(pmf)
-    ci = check_markov(rebuilt, ["W1"], ["W0", "X"], ["W2"], 0.0)
+    ci = check_markov(rebuilt, ["W1"], ["W0", "X"], ["W2"])
     report.add("conditional independence W1 <-> (W0,X) <-> W2", ci)
     for j in (1, 2):
         margin = ["W0", "W%d" % j, "X", "Y%d" % j, "Z%d" % j]
@@ -172,7 +171,7 @@ def _heegard_berger(pmf: JointPmf, tol: float) -> Report:
             + cond_entropy(rebuilt, ["W%d" % jc], ["W0", "Y%d" % jc]).bits
             - cond_entropy(rebuilt, ["W0", "W1", "W2"], ["X"]).bits)
         report.add("decoder-%d bound expressions agree" % j,
-                   abs(classical - rebuilt_form) <= tol,
+                   abs(classical - rebuilt_form) <= IDENTITY_TOL,
                    lhs=classical, rhs=rebuilt_form)
     return report
 
@@ -270,7 +269,7 @@ def _independent_product(a: JointPmf, b: JointPmf) -> JointPmf:
     return JointPmf(list(a.variables) + list(b.variables), table, _validated=True)
 
 
-def sweep_examples(seeds: int = 100, tol: float = 1e-9, seed0: int = 0) -> Report:
+def sweep_examples(seeds: int = 100, seed0: int = 0) -> Report:
     """Identity sweep across all four examples with fresh random laws."""
     report = Report("example-identities")
     for idx, example in enumerate(EXAMPLES):
@@ -278,7 +277,7 @@ def sweep_examples(seeds: int = 100, tol: float = 1e-9, seed0: int = 0) -> Repor
         for s in range(seeds):
             rng = np.random.default_rng((seed0, idx, s))
             pmf = random_example_pmf(example, rng)
-            sub = verify_example_identities(example, pmf, tol)
+            sub = verify_example_identities(example, pmf)
             if not sub.all_passed:
                 failures += 1
         report.add("%s sweep (%d laws)" % (example, seeds), failures == 0,

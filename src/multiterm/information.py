@@ -1,22 +1,26 @@
-"""Shannon quantities on joint pmfs and empirical information spectra.
+"""Shannon quantities on joint pmfs and the single-letter spectral checks.
 
 All values are in bits (log base 2), matching the 2^(-n*gamma) form of the
-bounds the hash and decoding checks use.  Spectral quantities exist here only
-as Monte Carlo estimators with recorded quantiles: the defining limits are
-asymptotic and not computable, so nothing in this module claims one.
+bounds the hash and decoding checks use.  The spectral sup- and inf-entropy
+rates are asymptotic limits and not computable; for a memoryless source they
+collapse to single-letter entropies, and only those identities are checked
+here.  Entropies are irrational, so they are floats summed from
+:meth:`JointPmf.float_marginal` and compared at the fixed tolerance
+:data:`SPECTRAL_TOL`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
-
-import numpy as np
+from typing import Iterable, Optional
 
 from .errors import ConfigurationError
 from .probability import JointPmf
 from .reports import Report
+
+# slack of the float entropy comparisons in verify_spectral_lemmas
+SPECTRAL_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -79,65 +83,6 @@ def cond_mutual_info(pmf: JointPmf, a: Iterable[str], b: Iterable[str],
     return EntropyValue(max(value, 0.0))
 
 
-# -- empirical information spectrum ------------------------------------------------
-
-
-QUANTILE_LEVELS = (0.01, 0.05, 0.5, 0.95, 0.99)
-
-
-@dataclass
-class SpectrumEstimate:
-    """Empirical distribution of the normalized self-information.
-
-    `values` holds per-sample (1/n) log2 1/mu(U^n) (conditional when `given`
-    was nonempty); `quantiles` maps each of :data:`QUANTILE_LEVELS` to its value.
-    """
-
-    n: int
-    samples: int
-    values: np.ndarray
-    quantiles: dict
-
-    @property
-    def mean(self) -> float:
-        return float(np.mean(self.values))
-
-    def width(self) -> float:
-        """The distance between the 0.01 and 0.99 quantiles of the values."""
-        return float(np.quantile(self.values, 0.99) - np.quantile(self.values, 0.01))
-
-
-def spectrum(pmf: JointPmf, vars: Sequence[str], given: Sequence[str] = (),
-             n: int = 1, samples: int = 1000, seed=0) -> SpectrumEstimate:
-    """Monte Carlo estimate of the spectrum of (1/n) log2 1/mu(vars | given)
-    over n-letter blocks of the per-letter law `pmf`.
-
-    Sampling never enumerates blocks: letters are drawn i.i.d. and
-    per-letter log-probabilities are accumulated.  The estimate records the
-    quantiles at :data:`QUANTILE_LEVELS`.
-    """
-    vars = list(vars)
-    given = list(given)
-    joint = pmf.float_marginal(vars + given)
-    keys = list(joint)
-    probs = np.array(list(joint.values()), dtype=float)
-    probs = probs / probs.sum()
-
-    if given:
-        gprob = pmf.float_marginal(given)
-        logp = np.array([
-            math.log2(p / gprob[k[len(vars):]]) for k, p in zip(keys, probs)
-        ])
-    else:
-        logp = np.log2(probs)
-
-    rng = np.random.default_rng(seed)
-    draws = rng.choice(len(keys), size=(samples, n), p=probs)
-    values = -logp[draws].sum(axis=1) / n
-    quantiles = {q: float(np.quantile(values, q)) for q in QUANTILE_LEVELS}
-    return SpectrumEstimate(n=n, samples=samples, values=values, quantiles=quantiles)
-
-
 # -- single-letter checks of the spectral toolbox ----------------------------------
 
 
@@ -155,13 +100,14 @@ def kl_divergence(pmf: JointPmf, other: JointPmf) -> float:
     return total
 
 
-def verify_spectral_lemmas(pmf: JointPmf, tol: float = 1e-10) -> Report:
+def verify_spectral_lemmas(pmf: JointPmf) -> Report:
     """Check the single-letter specializations of the spectral toolbox.
 
     For a stationary memoryless source the sup- and inf-entropy rates both
     collapse to H, so the lemma inequalities become exact entropy identities:
     nonnegativity, the chain rule, conditioning reduction, the cardinality
-    bound, and H(U|V)=0 for U a function of V.
+    bound, and H(U|V)=0 for U a function of V.  Each float comparison
+    allows :data:`SPECTRAL_TOL`.
     """
     if len(pmf.names) > 5:
         raise ConfigurationError("spectral lemma check limited to <= 5 variables")
@@ -171,10 +117,11 @@ def verify_spectral_lemmas(pmf: JointPmf, tol: float = 1e-10) -> Report:
     for name in names:
         rest = [v for v in names if v != name]
         h = cond_entropy(pmf, [name], rest).bits
-        report.add("nonneg H(%s|%s)" % (name, ",".join(rest)), h >= -tol, lhs=h, rhs=0.0)
+        report.add("nonneg H(%s|%s)" % (name, ",".join(rest)), h >= -SPECTRAL_TOL,
+                   lhs=h, rhs=0.0)
         hmax = math.log2(pmf.alphabet(name).size)
         hu = entropy(pmf, [name]).bits
-        report.add("cardinality H(%s)<=log|alphabet|" % name, hu <= hmax + tol,
+        report.add("cardinality H(%s)<=log|alphabet|" % name, hu <= hmax + SPECTRAL_TOL,
                    lhs=hu, rhs=hmax)
 
     # chain rule H(U,U'|V) = H(U'|U,V) + H(U|V) over all ordered splits
@@ -185,7 +132,7 @@ def verify_spectral_lemmas(pmf: JointPmf, tol: float = 1e-10) -> Report:
             v = [x for x in names if x not in (u, u2)]
             lhs = cond_entropy(pmf, [u, u2], v).bits
             rhs = cond_entropy(pmf, [u2], [u] + v).bits + cond_entropy(pmf, [u], v).bits
-            report.add("chain H(%s,%s|.)" % (u, u2), abs(lhs - rhs) <= tol,
+            report.add("chain H(%s,%s|.)" % (u, u2), abs(lhs - rhs) <= SPECTRAL_TOL,
                        lhs=lhs, rhs=rhs)
 
     # conditioning on more never increases entropy
@@ -198,5 +145,5 @@ def verify_spectral_lemmas(pmf: JointPmf, tol: float = 1e-10) -> Report:
             lhs = cond_entropy(pmf, [u], v).bits
             rhs = cond_entropy(pmf, [u], v + extra).bits
             report.add("conditioning H(%s|%s)>=H(%s|%s)" % (u, ",".join(v), u, ",".join(v + extra)),
-                       lhs >= rhs - tol, lhs=lhs, rhs=rhs)
+                       lhs >= rhs - SPECTRAL_TOL, lhs=lhs, rhs=rhs)
     return report

@@ -17,6 +17,7 @@ from math import gcd
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import ConfigurationError
+from .rational import integer_scaled
 
 
 # -- entropy terms ---------------------------------------------------------------
@@ -226,15 +227,8 @@ class LinIneqSystem:
         coeffs = [c for _, c in ineq.coeffs]
         if not coeffs:
             return ineq
-        denom_lcm = 1
-        for c in coeffs:
-            denom_lcm = denom_lcm * c.denominator // gcd(denom_lcm, c.denominator)
-        nums = [int(c * denom_lcm) for c in coeffs]
-        g = 0
-        for v in nums:
-            g = gcd(g, abs(v))
-        factor = Fraction(denom_lcm, g)
-        return ineq.scaled(factor)
+        nums, denom_lcm = integer_scaled(coeffs)
+        return ineq.scaled(Fraction(denom_lcm, gcd(*nums)))
 
     def canonicalize(self) -> "LinIneqSystem":
         """Integer gcd-1 coefficients, duplicate collapse, deterministic order.

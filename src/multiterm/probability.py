@@ -4,14 +4,13 @@ A :class:`JointPmf` table holds :class:`fractions.Fraction` entries, so every
 mass, marginal, conditional and Markov check is exact.  Zero-probability rows
 are kept (support-set semantics matter for constrained-random draws).  Floats
 appear only where an irrational quantity is evaluated: each pmf converts its
-positive entries to floats once, on first use, for entropies and spectra
+positive entries to floats once, on first use, for entropies
 (:meth:`JointPmf.float_marginal`), and the samplers draw from float laws.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -19,6 +18,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, UnsupportedConditionError
+from .rational import integer_scaled
 
 _ZERO = Fraction(0)
 
@@ -212,13 +212,9 @@ def merge_vars(pmf: JointPmf, new_name: str, parts: Sequence[str],
 
 
 def check_markov(pmf: JointPmf, a: Iterable[str], b: Iterable[str],
-                 c: Iterable[str], tol: float = 1e-12) -> bool:
-    """True iff the chain A <-> B <-> C holds, i.e. I(A;C|B) <= tol.
-
-    The conditional independence is first tested exactly via the
-    factorization mu(abc)*mu(b) == mu(ab)*mu(bc); the float conditional
-    mutual information is used as the general criterion.
-    """
+                 c: Iterable[str]) -> bool:
+    """True iff the chain A <-> B <-> C holds: the exact factorization
+    mu(abc) mu(b) == mu(ab) mu(bc) at every (a, b, c)."""
     a, b, c = list(a), list(b), list(c)
     seen: set = set()
     for group in (a, b, c):
@@ -227,25 +223,21 @@ def check_markov(pmf: JointPmf, a: Iterable[str], b: Iterable[str],
             if name in seen:
                 raise ConfigurationError("variable %r appears in two blocks" % (name,))
             seen.add(name)
-    if _factorizes(pmf, a, b, c):
-        return True
-    from .information import cond_mutual_info
-
-    return cond_mutual_info(pmf, a, c, b).bits <= tol
+    return _factorizes(pmf, a, b, c)
 
 
 def _factorizes(pmf: JointPmf, a, b, c) -> bool:
     """W(abc)*W(b) == W(ab)*W(bc) for every (a, b, c) in the table, where W is
     the table scaled to integers by the lcm of its denominators: the exact
     factorization test, with one scaling in place of Fraction products."""
-    scale = math.lcm(*(p.denominator for _, p in pmf.items()))
+    items = list(pmf.items())
+    weights = integer_scaled([p for _, p in items])[0]
     pa, pb, pc = ([pmf._var_pos(name) for name in group] for group in (a, b, c))
     abc: dict = {}
     ab: dict = {}
     bc: dict = {}
     bm: dict = {}
-    for key, p in pmf.items():
-        w = p.numerator * (scale // p.denominator)
+    for (key, _), w in zip(items, weights):
         ka = tuple(key[i] for i in pa)
         kb = tuple(key[i] for i in pb)
         kc = tuple(key[i] for i in pc)

@@ -392,6 +392,11 @@ def _nonnegative(value, what: str):
     return value
 
 
+def seed_value(value) -> int:
+    """`value` as a seed: a non-negative int, else a ValueError."""
+    return _nonnegative(int(value), "seed")
+
+
 def _field(section: dict, key: str, where: str):
     """`section[key]`, else a configuration error naming `where` and the key."""
     try:
@@ -494,7 +499,7 @@ def scenario_from_dict(data: dict) -> Scenario:
         if "trials" in run:
             run_defaults["trials"] = positive_int(run["trials"], "run.trials")
         if "seed" in run:
-            run_defaults["seed"] = _nonnegative(int(run["seed"]), "seed")
+            run_defaults["seed"] = seed_value(run["seed"])
         if "delta" in run:
             run_defaults["delta"] = float(run["delta"])
         default_D = {_ident(k): _nonnegative(float(_frac(v)), "D[%s]" % k)

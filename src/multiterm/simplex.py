@@ -35,8 +35,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Optional, Sequence
+
+from .rational import integer_scaled
 
 OPTIMAL = "optimal"
 UNBOUNDED = "unbounded"
@@ -51,13 +52,6 @@ class LpResult:
     status: str
     value: Optional[Fraction] = None
     x: Optional[list] = None
-
-
-def _scaled(values):
-    """(integers, scale): `values` (ints or Fractions) times the lcm of their
-    denominators."""
-    scale = lcm(*(v.denominator for v in values))
-    return [v.numerator * (scale // v.denominator) for v in values], scale
 
 
 def _pivot(rows, d, r, c):
@@ -127,7 +121,7 @@ def _standard_form_solve(A, b, c):
     n = len(c)
     rows = []
     for i in range(m):
-        row = _scaled([*A[i], b[i]])[0]
+        row = integer_scaled([*A[i], b[i]])[0]
         rows.append([-v for v in row] if row[-1] < 0 else row)
     # artificial columns are not stored: one that leaves the basis never re-enters
     basis = [n + i for i in range(m)]
@@ -152,7 +146,7 @@ def _standard_form_solve(A, b, c):
     basis = [basis[r] for r in keep_rows]
 
     # phase 2: the scaled cost priced out against the basis, over d
-    c_int, scale = _scaled(c)
+    c_int, scale = integer_scaled(c)
     cost = [d * v for v in c_int] + [0]
     for row, bvar in zip(rows, basis):
         if c_int[bvar]:
@@ -195,7 +189,7 @@ def solve_lp(objective: Sequence, ge_rows: Sequence[tuple]) -> LpResult:
         return LpResult(INFEASIBLE if implied([0] * d, 1, ge_rows, d) else UNBOUNDED)
     # A_B x = b_B on the kept coordinates by Gauss-Jordan pivots: A_B is the
     # transposed dual basis matrix, so it is invertible
-    tight = [_scaled([ge_rows[k][0][i] for i in kept] + [ge_rows[k][1]])[0]
+    tight = [integer_scaled([ge_rows[k][0][i] for i in kept] + [ge_rows[k][1]])[0]
              for k in basis]
     den = 1
     cols = [None] * len(kept)

@@ -71,7 +71,7 @@ def suite_spectral(seeds: int = 50, seed0: int = 0) -> Report:
     for s in range(seeds):
         rng = np.random.default_rng((seed0, s))
         pmf = random_pmf(rng, [("U", b2), ("V", b3), ("V2", b2)])
-        if not verify_spectral_lemmas(pmf, tol=1e-10).all_passed:
+        if not verify_spectral_lemmas(pmf).all_passed:
             failures += 1
     report.add("single-letter identities on %d random laws" % seeds,
                failures == 0, lhs=failures, rhs=0)
@@ -196,7 +196,7 @@ def suite_mcrp(instances: int = 50, seed0: int = 0) -> Report:
 
 
 def suite_examples(seeds: int = 100, seed0: int = 0) -> Report:
-    return sweep_examples(seeds=seeds, tol=1e-9, seed0=seed0)
+    return sweep_examples(seeds=seeds, seed0=seed0)
 
 
 def suite_common(instances: int = 50, seed0: int = 0) -> Report:

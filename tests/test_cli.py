@@ -453,3 +453,21 @@ def test_verify_rejects_seeds_for_fixed_suites(capsys, suite, flags):
     assert run(["verify", "--suite", suite] + flags) == 2
     err = capsys.readouterr().err
     assert "configuration error" in err and "takes no --seeds or --seed" in err
+
+
+@pytest.mark.parametrize("argv, env, named", [
+    (["simulate", "wyner-ziv-binary", "--n", "1", "--trials", "5", "--seed", "-1"], None,
+     "--seed"),
+    (["verify", "--suite", "mbcp", "--seed", "-3"], None, "--seed"),
+    (["simulate", "wyner-ziv-binary", "--n", "1", "--trials", "5"], "x", "MULTITERM_SEED"),
+    (["simulate", "wyner-ziv-binary", "--n", "1", "--trials", "5"], "-2", "MULTITERM_SEED"),
+    (["verify", "--suite", "mcrp", "--seeds", "2"], "x", "MULTITERM_SEED"),
+])
+def test_bad_seed_is_a_config_error(capsys, monkeypatch, argv, env, named):
+    if env is None:
+        monkeypatch.delenv("MULTITERM_SEED", raising=False)
+    else:
+        monkeypatch.setenv("MULTITERM_SEED", env)
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and named in err

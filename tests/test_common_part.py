@@ -44,6 +44,21 @@ def test_xor_violates_double_markov():
         construct_common(pmf)
 
 
+@pytest.mark.parametrize("digits", [9, 12, 15])
+def test_perturbed_double_markov_law_is_refused(digits):
+    # moving 10^-digits of mass between two entries breaks both chains; a
+    # float conditional mutual information of that size rounds to zero
+    pmf = random_double_markov(np.random.default_rng(0))
+    table = dict(pmf.items())
+    first, second = sorted(table)[:2]
+    table[first] -= Fraction(1, 10 ** digits)
+    table[second] += Fraction(1, 10 ** digits)
+    perturbed = JointPmf(pmf.variables, table)
+    assert not check_double_markov(perturbed)
+    with pytest.raises(PreconditionError, match="is violated"):
+        construct_common(perturbed)
+
+
 def test_identical_variables_identity_partition():
     table = {(x, x, x): Fraction(1, 2) for x in (0, 1)}
     pmf = JointPmf([("X0", B), ("X1", B), ("X2", B)], table)

@@ -1,6 +1,6 @@
 import itertools
 import math
-import re
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -238,41 +238,32 @@ def test_mcrp_two_ensembles_random_instances():
         assert verify_mcrp(ens, T, anchor).all_passed
 
 
-def test_mbcp_monte_carlo_fallback_reports_se():
-    # 16 elements into 4 bins: 4^16 functions, far beyond exhaustion
-    ens = [BinningEnsemble(16, 4)]
-    Q = {(w,): Fraction(1, 16) for w in range(16)}
-    T = {(w,) for w in range(16)}
-    report = verify_mbcp(ens, Q, T, samples=400, seed=5)
-    check = report.checks[0]
-    assert "Monte Carlo" in check.detail
-    assert check.passed
-
-
-def test_mcrp_monte_carlo_fallback_reports_se():
+@pytest.mark.parametrize("check", ["mbcp", "mcrp"])
+def test_joint_checks_refuse_huge_ensembles_early(check):
+    # 2^14 elements into 64 bins: 64^16384 functions, a count of about 29,600
+    # decimal digits; refused before any point law is built, in a message
+    # that prints
     ens = [BinningEnsemble(1 << 14, 64)]
     T = {(w,) for w in range(0, 1 << 14, 1 << 9)}
-    report = verify_mcrp(ens, T, (0,), samples=400, seed=6)
-    check = report.checks[0]
-    assert "Monte Carlo" in check.detail
-    assert check.passed
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError, match=r"at least 2\^98304 joint functions"):
+        if check == "mbcp":
+            verify_mbcp(ens, {w: Fraction(1, len(T)) for w in T}, T)
+        else:
+            verify_mcrp(ens, T, (0,))
+    assert time.perf_counter() - start < 0.1
 
 
-@pytest.mark.parametrize("s", range(3))
-def test_joint_checks_monte_carlo_agrees_with_exact(s):
-    rng = np.random.default_rng((42, s))
-    ens = [BinningEnsemble(4, 2), LinearEnsemble(2, 2, 1)]
-    universe = list(itertools.product(range(4), range(4)))
-    T = {universe[i] for i in rng.choice(len(universe), size=8, replace=False)}
-    Q = {w: Fraction(int(rng.integers(1, 9)), 8) for w in T}
-    anchor = sorted(T)[int(rng.integers(0, len(T)))]
-    for check in (lambda **kw: verify_mbcp(ens, Q, T, **kw),
-                  lambda **kw: verify_mcrp(ens, T, anchor, **kw)):
-        exact = check().checks[0]
-        drawn = check(budget=0, samples=2000, seed=s).checks[0]
-        assert exact.detail.startswith("exact") and "Monte Carlo" in drawn.detail
-        se = float(re.search(r"SE (\S+)", drawn.detail).group(1))
-        assert abs(drawn.lhs - float(exact.lhs)) <= 4 * se
+@pytest.mark.parametrize("ensemble", [
+    BinningEnsemble(1 << 14, 64),
+    compose(BinningEnsemble(1 << 14, 64), BinningEnsemble(1 << 14, 2)),
+    LinearEnsemble(2, 200, 100),
+    SparseLinearEnsemble(2, 400, 4, column_weight=2),
+], ids=["binning", "compose", "linear", "sparse-linear"])
+def test_enumeration_budget_message_prints_huge_counts(ensemble):
+    bits = ensemble.function_count().bit_length() - 1
+    with pytest.raises(BudgetExceededError, match=r"too large to exhaust: at least 2\^%d " % bits):
+        next(ensemble.enumerate_functions())
 
 
 # -- the whole-ensemble reference for the joint checks -----------------------------------
@@ -290,22 +281,13 @@ def _function_products(ensembles):
         yield tuple(f for f, _ in combo), prob
 
 
-def _reference_expectation(ensembles, value, budget, samples, seed):
-    count = 1
-    for ens in ensembles:
-        count *= ens.function_count()
-    if count <= budget:
-        total = Fraction(0)
-        for funcs, prob in _function_products(ensembles):
-            v = value(funcs)
-            if v:
-                total += prob * v
-        return total
-    values = []
-    for child in np.random.SeedSequence(seed).spawn(samples):
-        funcs = [e.sample_function(s) for e, s in zip(ensembles, child.spawn(len(ensembles)))]
-        values.append(value(funcs))
-    return values
+def _reference_expectation(ensembles, value):
+    total = Fraction(0)
+    for funcs, prob in _function_products(ensembles):
+        v = value(funcs)
+        if v:
+            total += prob * v
+    return total
 
 
 def _joint_deviation(funcs, T, Q, qT, image_total, nI):
@@ -318,7 +300,7 @@ def _joint_deviation(funcs, T, Q, qT, image_total, nI):
     return deviation + (image_total - len(bins)) * uniform
 
 
-def _reference_mbcp(ensembles, Q, T, budget, samples, seed):
+def _reference_mbcp(ensembles, Q, T):
     nI = len(ensembles)
     T = [tuple(w) for w in sorted(T)]
     Q = {tuple(w): Fraction(q) for w, q in Q.items()}
@@ -329,20 +311,12 @@ def _reference_mbcp(ensembles, Q, T, budget, samples, seed):
         qbar = _max_fiber(T, lambda w: Q.get(w, Fraction(0)), sub)
         rhs_sq += a_comp * (b_sub + 1) * image * qbar / qT
     lhs = _reference_expectation(
-        ensembles, lambda funcs: _joint_deviation(funcs, T, Q, qT, image_total, nI),
-        budget, samples, seed)
-    if isinstance(lhs, Fraction):
-        return ("balanced-coloring bound", lhs * lhs <= rhs_sq, lhs, rhs_sq,
-                "exact; compared as lhs^2 <= rhs^2")
-    values = [float(v) for v in lhs]
-    estimate = float(np.mean(values))
-    se = float(np.std(values, ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
-    bound = math.sqrt(float(rhs_sq))
-    return ("balanced-coloring bound", bound >= estimate - 3 * se, estimate, bound,
-            "Monte Carlo over %d draws, SE %.3g" % (samples, se))
+        ensembles, lambda funcs: _joint_deviation(funcs, T, Q, qT, image_total, nI))
+    return ("balanced-coloring bound", lhs * lhs <= rhs_sq, lhs, rhs_sq,
+            "exact; compared as lhs^2 <= rhs^2")
 
 
-def _reference_mcrp(ensembles, T, anchor, budget, samples, seed):
+def _reference_mcrp(ensembles, T, anchor):
     nI = len(ensembles)
     anchor = tuple(anchor)
     T = [tuple(w) for w in sorted(T)]
@@ -356,13 +330,8 @@ def _reference_mcrp(ensembles, T, anchor, budget, samples, seed):
     rhs = _group_params(ensembles, range(nI))[1]
     for _, comp, (a_sub, _), (_, b_comp), image in _nonempty_subsets(ensembles):
         rhs += a_sub * (b_comp + 1) * _max_fiber(T, lambda w: 1, comp) / image
-    lhs = _reference_expectation(ensembles, collides, budget, samples, seed)
-    if isinstance(lhs, Fraction):
-        return ("collision-resistance bound", lhs <= rhs, lhs, rhs, "exact")
-    estimate = sum(lhs) / samples
-    se = math.sqrt(max(estimate * (1 - estimate), 1e-12) / samples)
-    return ("collision-resistance bound", float(rhs) >= estimate - 3 * se, estimate, rhs,
-            "Monte Carlo over %d draws, SE %.3g" % (samples, se))
+    lhs = _reference_expectation(ensembles, collides)
+    return ("collision-resistance bound", lhs <= rhs, lhs, rhs, "exact")
 
 
 _BIG_PRIME = (1 << 61) - 1   # three points of one skewed binning: a denominator > 2^63
@@ -386,9 +355,8 @@ def _ensemble_pool(skew):
 
 @settings(max_examples=80, deadline=None)
 @given(data=st.data(), skew=st.integers(1, _BIG_PRIME - 1),
-       names=st.lists(st.sampled_from(sorted(_ensemble_pool(1))), min_size=1, max_size=3),
-       exact=st.booleans(), seed=st.integers(0, 1000))
-def test_joint_checks_match_whole_ensemble_reference(data, skew, names, exact, seed):
+       names=st.lists(st.sampled_from(sorted(_ensemble_pool(1))), min_size=1, max_size=3))
+def test_joint_checks_match_whole_ensemble_reference(data, skew, names):
     pool = _ensemble_pool(skew)
     ensembles = [pool[name] for name in names]
     assume(math.prod(e.function_count() for e in ensembles) <= 3000)
@@ -398,18 +366,14 @@ def test_joint_checks_match_whole_ensemble_reference(data, skew, names, exact, s
     denominators = st.sampled_from([1, 3, 8, _BIG_PRIME])
     Q = {w: Fraction(data.draw(st.integers(0, 9)), data.draw(denominators)) for w in T}
     assume(sum(Q.values()) > 0)
-    budget, samples = (1 << 20, 2000) if exact else (0, 25)
 
-    mbcp = verify_mbcp(ensembles, Q, T, budget=budget, samples=samples, seed=seed).checks[0]
-    mcrp = verify_mcrp(ensembles, T, anchor, budget=budget, samples=samples,
-                       seed=seed).checks[0]
-    for check, reference in ((mbcp, _reference_mbcp(ensembles, Q, T, budget, samples, seed)),
-                             (mcrp, _reference_mcrp(ensembles, T, anchor, budget, samples,
-                                                    seed))):
+    mbcp = verify_mbcp(ensembles, Q, T).checks[0]
+    mcrp = verify_mcrp(ensembles, T, anchor).checks[0]
+    for check, reference in ((mbcp, _reference_mbcp(ensembles, Q, T)),
+                             (mcrp, _reference_mcrp(ensembles, T, anchor))):
         got = (check.name, check.passed, check.lhs, check.rhs, check.detail)
         assert got == reference
         assert [type(v) for v in got] == [type(v) for v in reference]
-        assert check.detail.startswith("exact") == exact
 
 
 def test_joint_checks_never_enumerate_binning(monkeypatch):
