@@ -116,7 +116,7 @@ def _unlimited_int_digits():
 
 def cmd_region(args) -> int:
     scenario = load_scenario(args.scenario)
-    joint = build_joint(scenario.config, scenario.source, scenario.channels, None)
+    joint = build_joint(scenario.config, scenario.source, scenario.channels)
     binding = binding_from_pmf(args.definition, scenario.config, joint,
                                precision_bits=args.precision_bits)
     spec = RegionSpec(args.definition, scenario.config, dict(binding.items()))

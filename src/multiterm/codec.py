@@ -10,10 +10,11 @@ and a decoder that sees the same codewords), each hash evaluated once per
 block.  Everything is enumerated explicitly, so exactness is provable at
 desk scale; there is no MCMC.
 
-Every constrained law is held in integers: each channel row and each
-posterior table is scaled once per code to integer weights (by the lcm of its
-denominators, a factor shared by every candidate of a law, so it cancels),
-and a law is its candidates with integer weights plus their integer total.
+Every constrained law is held in integers: each (W_S, observed letter) table
+of the model joint over (W, source) is scaled once per code to integer weights
+(by the lcm of its denominators, a factor shared by every candidate of a law,
+so it cancels), and a law is its candidates with integer weights plus their
+integer total.
 Draws divide each weight by the total once; the exact oracle forms one
 Fraction per distinct denominator.
 """
@@ -145,12 +146,11 @@ class CodeInstance:
             if not (isinstance(c, (int, np.integer)) and 0 <= c < self.f[i].image_size):
                 raise ConfigurationError(
                     "constraint value %r for encoder %r outside the f image" % (c, i))
-        self._joint = build_joint(self.config, self.source, self.channels, None)
+        self._joint = build_joint(self.config, self.source, self.channels)
         self._reproduction_args = self._resolve_reproducers()
         self._hash_values: dict = {}   # (encoder, block) -> (f meets c, g value)
         self._class_indexes: dict = {}
-        self._channel_rows: dict = {}  # (cell, x letter) -> integer channel row
-        self._posteriors: dict = {}    # decoder -> y letter -> integer posterior table
+        self._weights: dict = {}       # (S, observed) -> observed letter -> integer table
         self._laws: dict = {}
 
     def _resolve_reproducers(self) -> dict:
@@ -207,18 +207,24 @@ class CodeInstance:
         have positive single-letter mass, in product order of those letters
         (the order in which they first occur in the model joint); each is
         (blocks, letters): a dict encoder->block and its per-position
-        W_S-letters.  An index that would scan more than ``_INDEX_BUDGET``
-        blocks raises :class:`BudgetExceededError` before the scan.
+        W_S-letters.  The first index built checks the size of every index
+        the code needs (each sharing cell, then each I_j): one that would scan
+        more than ``_INDEX_BUDGET`` blocks raises :class:`BudgetExceededError`.
         """
         classes = self._class_indexes.get(S)
         if classes is None:
-            law = marginalize(self._joint, [w_name(i) for i in S])
-            letters = [w for w, p in law.items() if p > 0]
-            if len(letters) ** self.n > _INDEX_BUDGET:
-                raise BudgetExceededError(
-                    "class index of encoders %r needs %d letters ^ n=%d = %d blocks "
-                    "(budget %d)" % (S, len(letters), self.n, len(letters) ** self.n,
-                                     _INDEX_BUDGET))
+            needed = [S]
+            if not self._class_indexes:
+                needed[:0] = [*self.config.sharing, *(
+                    tuple(self.config.codewords_to[j]) for j in self.config.decoders)]
+            for T in needed:
+                law = marginalize(self._joint, [w_name(i) for i in T])
+                letters = [w for w, p in law.items() if p > 0]
+                if len(letters) ** self.n > _INDEX_BUDGET:
+                    raise BudgetExceededError(
+                        "class index of encoders %r needs %d letters ^ n=%d = %d blocks "
+                        "(budget %d)" % (T, len(letters), self.n, len(letters) ** self.n,
+                                         _INDEX_BUDGET))
             classes = self._class_indexes[S] = {}
             for block_letters in itertools.product(letters, repeat=self.n):
                 blocks = _transpose(S, block_letters)
@@ -227,6 +233,28 @@ class CodeInstance:
                     classes.setdefault(tuple(g for _, g in hashes), []).append(
                         (blocks, block_letters))
         return classes
+
+    def _tables(self, S, given, block) -> list:
+        """Per position of `block`, the integer weights of the W_S-letters
+        jointly with that position's letter of the observed variable `given`
+        in the model joint, or the W_S marginal n times when `given` is None.
+
+        Each observed letter's table is scaled to integers by its own lcm;
+        the tables are built once per (S, given).  At an observed letter of
+        zero mass every W_S-letter weighs 0.
+        """
+        tables = self._weights.get((S, given))
+        if tables is None:
+            names = [w_name(i) for i in S] + ([given] if given else [])
+            by_letter: dict = {}
+            for key, p in marginalize(self._joint, names).items():
+                w, v = (key[:-1], key[-1]) if given else (key, None)
+                by_letter.setdefault(v, {})[w] = p
+            tables = self._weights[S, given] = {
+                v: _integer_weights(table)[0] for v, table in by_letter.items()}
+        if given is None:
+            return [tables[None]] * self.n
+        return [tables.get(v, {}) for v in block]
 
     def _law(self, key, weigh, abort, message):
         """The cached law `key` = (side, cell or decoder, ...): (items, total),
@@ -243,21 +271,16 @@ class CodeInstance:
 
     # -- encoder -------------------------------------------------------------------------
 
-    def _channel_row(self, cell, x):
-        """The channel row of cell for input letter x in integer weights."""
-        row = self._channel_rows.get((cell, x))
-        if row is None:
-            row = self._channel_rows[cell, x] = _integer_weights(
-                self.channels[cell].row((x,)))[0]
-        return row
-
     def cell_base_law(self, cell, x_block):
         """Encoder weighting step: the cell's f-admissible W-blocks of every
-        class with their positive integer weights under the channel rows of
-        x_block (each row scaled by its own lcm)."""
+        class with their positive integer weights jointly with x_block: the
+        channel-row products times P(x_l) per position, which cancels in the
+        law.  An x_block with a letter of zero source mass gets no candidates
+        (EncoderAbort); no drawn or enumerated source block has one."""
         cell = tuple(cell)
         candidates = itertools.chain.from_iterable(self._class_index(cell).values())
-        return _weigh(candidates, [self._channel_row(cell, x) for x in x_block])
+        x_var = self.channels[cell].inputs[0][0]
+        return _weigh(candidates, self._tables(cell, x_var, x_block))
 
     def cell_constrained_law(self, cell, x_block):
         """Encoder CRNG law: channel law restricted to f_i(w_i) = c_i, as
@@ -274,23 +297,6 @@ class CodeInstance:
 
     # -- decoder -------------------------------------------------------------------------
 
-    def _posterior_weights(self, j):
-        """`weights[y][w]`: model probability of the W_{I_j}-letter w jointly
-        with decoder j's side-information letter y (None without side
-        information), each table scaled to integers by its own lcm.
-        Computed once per decoder."""
-        weights = self._posteriors.get(j)
-        if weights is None:
-            y = self.config.side_info.get(j)
-            names = [w_name(i) for i in self.config.codewords_to[j]]
-            tables: dict = {}
-            for key, p in marginalize(self._joint, names + ([y] if y else [])).items():
-                w, yv = (key[:-1], key[-1]) if y else (key, None)
-                tables.setdefault(yv, {})[w] = p
-            weights = self._posteriors[j] = {
-                yv: _integer_weights(table)[0] for yv, table in tables.items()}
-        return weights
-
     def decoder_class_law(self, j, m: Mapping, y_block):
         """Posterior over W_{I_j}-blocks restricted to the (f, g) classes, as
         (items, total); the probability of a candidate is weight / total.
@@ -302,14 +308,11 @@ class CodeInstance:
         """
         ij = tuple(self.config.codewords_to[j])
         values = tuple(m[i] for i in ij)
-        weights = self._posterior_weights(j)
-        if y_block is None:
-            tables = [weights[None]] * self.n
-        else:
+        if y_block is not None:
             y_block = tuple(y_block)
-            tables = [weights.get(yv, {}) for yv in y_block]
         return self._law(("decoder", j, values, y_block),
-                         lambda: _weigh(self._class_index(ij).get(values, ()), tables),
+                         lambda: _weigh(self._class_index(ij).get(values, ()),
+                                        self._tables(ij, self.config.side_info.get(j), y_block)),
                          DecoderAbort, "decoder %r: empty posterior class")
 
     def reproduce(self, j, w_blocks: Mapping, y_block):
@@ -579,27 +582,21 @@ def simulate(code: CodeInstance, delta: float, D: Mapping, trials: int,
     Per-trial randomness derives from (seed, trial index), so the report is
     deterministic in `seed`.
     """
-    counters = dict(mismatch=0, enc_abort=0, dec_abort=0)
-    exceed = {k: 0 for k in code.config.reproduction_ids}
-    dist_sums = {k: 0.0 for k in code.config.reproduction_ids}
-
+    ks = code.config.reproduction_ids
+    report = SimReport(trials=trials, mismatch_count=0, exceed_counts={k: 0 for k in ks},
+                       encoder_abort_count=0, decoder_abort_count=0,
+                       distortion_sums={k: 0.0 for k in ks}, seed=seed)
+    bounds = {k: float(D[k]) + delta for k in ks}
     for trial in range(trials):
-        _run_trial(code, delta, D, seed, trial, rule, counters, exceed, dist_sums)
-    return SimReport(
-        trials=trials,
-        mismatch_count=counters["mismatch"],
-        exceed_counts=exceed,
-        encoder_abort_count=counters["enc_abort"],
-        decoder_abort_count=counters["dec_abort"],
-        distortion_sums=dist_sums,
-        seed=seed,
-    )
+        _run_trial(code, bounds, _trial_seed(seed, trial), rule, report)
+    return report
 
 
-def _run_trial(code, delta, D, seed, trial, rule, counters, exceed, dist_sums):
+def _run_trial(code, bounds, trial_seed, rule, report):
+    """One trial from `trial_seed`, counted into `report`; bounds[k] = D_k + delta."""
     cfg = code.config
-    root = _trial_seed(seed, trial)
-    src_seed, enc_seed, dec_seed = root.spawn(3)
+    exceed, dist_sums = report.exceed_counts, report.distortion_sums
+    src_seed, enc_seed, dec_seed = trial_seed.spawn(3)
     letters = sample(code.source, code.n, src_seed)[0]
     blocks = _transpose(code.source.names, letters)
 
@@ -608,14 +605,13 @@ def _run_trial(code, delta, D, seed, trial, rule, counters, exceed, dist_sums):
     cell_seeds = enc_seed.spawn(len(cfg.sharing))
     try:
         for pos, cell in enumerate(cfg.sharing):
-            ch = code.channels[tuple(cell)]
-            x_var = ch.inputs[0][0]
+            x_var = code.channels[cell].inputs[0][0]
             cell_blocks, cell_m = code.encode(cell, blocks[x_var], cell_seeds[pos])
             w_blocks.update(cell_blocks)
             m.update(cell_m)
     except EncoderAbort:
-        counters["enc_abort"] += 1
-        counters["mismatch"] += 1
+        report.encoder_abort_count += 1
+        report.mismatch_count += 1
         for k in exceed:
             exceed[k] += 1
             dist_sums[k] += cfg.distortions[k].bound
@@ -629,7 +625,7 @@ def _run_trial(code, delta, D, seed, trial, rule, counters, exceed, dist_sums):
         try:
             w_hat, z = code.decode(j, m, y_block, decoder_seeds[pos], rule=rule)
         except DecoderAbort:
-            counters["dec_abort"] += 1
+            report.decoder_abort_count += 1
             mismatched = True
             for k in cfg.reproductions.get(j, ()):
                 exceed[k] += 1
@@ -640,7 +636,7 @@ def _run_trial(code, delta, D, seed, trial, rule, counters, exceed, dist_sums):
         for k in cfg.reproductions.get(j, ()):
             d = cfg.distortions[k].block(blocks, z[k])
             dist_sums[k] += d
-            if d > float(D[k]) + delta:
+            if d > bounds[k]:
                 exceed[k] += 1
     if mismatched:
-        counters["mismatch"] += 1
+        report.mismatch_count += 1

@@ -114,12 +114,13 @@ class BinningEnsemble(HashEnsemble):
         self.domain_size = domain_size
         self.image_size = bins
         if weights is None:
-            self.weights = tuple(Fraction(1, bins) for _ in range(bins))
+            self.weights = (Fraction(1, bins),) * bins
         else:
             self.weights = tuple(Fraction(w) for w in weights)
             if len(self.weights) != bins or sum(self.weights) != 1:
                 raise ConfigurationError("bin weights must be a pmf over the bins")
-        self._pair = sum(w * w for w in self.weights)
+        nums, scale = integer_scaled(self.weights)
+        self._pair = Fraction(sum(v * v for v in nums), scale * scale)
         self.alpha = Fraction(1)
         self.beta = Fraction(0)
         if self._pair > Fraction(1, bins):
@@ -154,6 +155,7 @@ class BinningEnsemble(HashEnsemble):
         positive-weight bins to the points, weighted by the product of the
         bin weights over the common denominator of those weights."""
         bins = [c for c, w in enumerate(self.weights) if w]
+        _check_count(len(bins) ** len(points), "point-law rows")
         nums, scale = integer_scaled([self.weights[c] for c in bins])
         denominator = scale ** len(points)
         weights, nums = _int_array([1], denominator), _int_array(nums, denominator)
@@ -478,12 +480,13 @@ def _joint_expectation(ensembles: Sequence[HashEnsemble], points, value, scale: 
     product of the point-law rows weighted by the product of their integer
     weights, combine into `keys` (one row per joint function, one column per
     point, equal exactly where two points share a joint bin); ``value(keys)``
-    gives one integer per row.  More joint functions than the enumeration
-    budget raise :class:`BudgetExceededError` before any point law is built.
+    gives one integer per row.  More joint rows than the enumeration budget
+    raise :class:`BudgetExceededError` before the rows are built (a point law
+    too large to build is refused by the ensemble itself).
     """
-    _check_count(math.prod(e.function_count() for e in ensembles), "joint functions")
     coords = [sorted({w[i] for w in points}) for i in range(len(ensembles))]
     laws = [e.point_law(c) for e, c in zip(ensembles, coords)]
+    _check_count(math.prod(len(w) for _, w, _ in laws), "joint point-law rows")
     denominator = math.prod(d for _, _, d in laws)
     grid = np.indices([len(w) for _, w, _ in laws]).reshape(len(laws), -1)
     weights = _int_array([1], denominator)
@@ -574,7 +577,7 @@ def verify_mbcp(ensembles: Sequence[HashEnsemble], Q: dict, T: set) -> Report:
     sum_c |mass_c |C| - Q(T)| over Q's integer numerators (an empty bin
     counting Q(T)).  Its exact expectation comes from each ensemble's
     :meth:`HashEnsemble.point_law` at T's coordinates, not from the whole
-    ensembles, compared as LHS^2 <= RHS^2 in exact rationals.  Ensembles
+    ensembles, compared as LHS^2 <= RHS^2 in exact rationals.  Joint rows
     beyond the enumeration budget raise :class:`BudgetExceededError`.
     """
     report = Report("mbcp")
@@ -613,7 +616,7 @@ def verify_mcrp(ensembles: Sequence[HashEnsemble], T: set, anchor: tuple) -> Rep
     the probability that some member of T other than the anchor lands in
     the anchor's joint bin, exact, summed over the joint rows of each
     ensemble's :meth:`HashEnsemble.point_law` at the coordinates of T and
-    the anchor, not over the whole ensembles.  Ensembles beyond the
+    the anchor, not over the whole ensembles.  Joint rows beyond the
     enumeration budget raise :class:`BudgetExceededError`.
     """
     report = Report("mcrp")

@@ -61,14 +61,14 @@ def _berger_tung(pmf: JointPmf) -> Report:
                         "(W%d,X%d) <-> (X%d,T) <-> W%d" % (ic, ic, i, i))
     _require_markov(pmf, ["X1", "X2"], [], ["T"], "T independent of (X1,X2)")
     for i, ic in ((1, 2), (2, 1)):
-        lhs = (cond_entropy(pmf, ["W%d" % i], ["W%d" % ic, "T"]).bits
-               - cond_entropy(pmf, ["W%d" % i], ["X%d" % i, "T"]).bits)
-        rhs = cond_mutual_info(pmf, ["X%d" % i], ["W%d" % i], ["W%d" % ic, "T"]).bits
+        lhs = (cond_entropy(pmf, ["W%d" % i], ["W%d" % ic, "T"])
+               - cond_entropy(pmf, ["W%d" % i], ["X%d" % i, "T"]))
+        rhs = cond_mutual_info(pmf, ["X%d" % i], ["W%d" % i], ["W%d" % ic, "T"])
         report.add("rate-%d identity" % i, abs(lhs - rhs) <= IDENTITY_TOL, lhs=lhs, rhs=rhs)
-    lhs = (cond_entropy(pmf, ["W1", "W2"], ["T"]).bits
-           - cond_entropy(pmf, ["W1"], ["X1", "T"]).bits
-           - cond_entropy(pmf, ["W2"], ["X2", "T"]).bits)
-    rhs = cond_mutual_info(pmf, ["X1", "X2"], ["W1", "W2"], ["T"]).bits
+    lhs = (cond_entropy(pmf, ["W1", "W2"], ["T"])
+           - cond_entropy(pmf, ["W1"], ["X1", "T"])
+           - cond_entropy(pmf, ["W2"], ["X2", "T"]))
+    rhs = cond_mutual_info(pmf, ["X1", "X2"], ["W1", "W2"], ["T"])
     report.add("sum-rate identity", abs(lhs - rhs) <= IDENTITY_TOL, lhs=lhs, rhs=rhs)
     return report
 
@@ -83,21 +83,21 @@ def _el_gamal_cover(pmf: JointPmf) -> Report:
     _require_markov(pmf, ["X", "Z1", "Z2"], ["W1", "W2", "T"], ["Z12"],
                     "(X,Z1,Z2) <-> (W1,W2,T) <-> Z12")
     for i in (1, 2):
-        lhs = (cond_entropy(pmf, ["W%d" % i], ["T"]).bits
-               - cond_entropy(pmf, ["W%d" % i], ["X", "T"]).bits)
-        mid = cond_mutual_info(pmf, ["X"], ["W%d" % i, "Z%d" % i], ["T"]).bits
-        low = cond_mutual_info(pmf, ["X"], ["Z%d" % i], ["T"]).bits
+        lhs = (cond_entropy(pmf, ["W%d" % i], ["T"])
+               - cond_entropy(pmf, ["W%d" % i], ["X", "T"]))
+        mid = cond_mutual_info(pmf, ["X"], ["W%d" % i, "Z%d" % i], ["T"])
+        low = cond_mutual_info(pmf, ["X"], ["Z%d" % i], ["T"])
         report.add("rate-%d equals I(X;W,Z|T)" % i, abs(lhs - mid) <= IDENTITY_TOL,
                    lhs=lhs, rhs=mid)
         report.add("rate-%d dominates I(X;Z|T)" % i, lhs >= low - IDENTITY_TOL, lhs=lhs, rhs=low)
-    pair = (cond_entropy(pmf, ["W1"], ["T"]).bits + cond_entropy(pmf, ["W2"], ["T"]).bits)
-    ident = (cond_mutual_info(pmf, ["W1", "Z1"], ["W2", "Z2"], ["T"]).bits
-             + cond_entropy(pmf, ["W1", "W2"], ["T"]).bits)
+    pair = (cond_entropy(pmf, ["W1"], ["T"]) + cond_entropy(pmf, ["W2"], ["T"]))
+    ident = (cond_mutual_info(pmf, ["W1", "Z1"], ["W2", "Z2"], ["T"])
+             + cond_entropy(pmf, ["W1", "W2"], ["T"]))
     report.add("sum decomposition identity", abs(pair - ident) <= IDENTITY_TOL,
                lhs=pair, rhs=ident)
-    lhs = pair - cond_entropy(pmf, ["W1", "W2"], ["X", "T"]).bits
-    rhs = (cond_mutual_info(pmf, ["Z1"], ["Z2"], ["T"]).bits
-           + cond_mutual_info(pmf, ["X"], ["Z1", "Z2", "Z12"], ["T"]).bits)
+    lhs = pair - cond_entropy(pmf, ["W1", "W2"], ["X", "T"])
+    rhs = (cond_mutual_info(pmf, ["Z1"], ["Z2"], ["T"])
+           + cond_mutual_info(pmf, ["X"], ["Z1", "Z2", "Z12"], ["T"]))
     report.add("sum-rate dominates classical form", lhs >= rhs - IDENTITY_TOL, lhs=lhs, rhs=rhs)
     return report
 
@@ -108,30 +108,30 @@ def _zhang_berger(pmf: JointPmf) -> Report:
     # forward direction: identities on (X, W0, W1, W2); these hold for any
     # joint law, no Markov precondition needed
     for i in (1, 2):
-        lhs = (entropy(pmf, ["W0", "W%d" % i]).bits
-               - cond_entropy(pmf, ["W0", "W%d" % i], ["X"]).bits)
-        rhs = mutual_info(pmf, ["X"], ["W0", "W%d" % i]).bits
+        lhs = (entropy(pmf, ["W0", "W%d" % i])
+               - cond_entropy(pmf, ["W0", "W%d" % i], ["X"]))
+        rhs = mutual_info(pmf, ["X"], ["W0", "W%d" % i])
         report.add("forward rate-%d" % i, abs(lhs - rhs) <= IDENTITY_TOL, lhs=lhs, rhs=rhs)
-    lhs = (entropy(pmf, ["W0", "W1"]).bits + entropy(pmf, ["W0", "W2"]).bits
-           - cond_entropy(pmf, ["W0"], ["X"]).bits
-           - cond_entropy(pmf, ["W0", "W1", "W2"], ["X"]).bits)
-    rhs = (cond_mutual_info(pmf, ["X"], ["W1", "W2"], ["W0"]).bits
-           + 2 * mutual_info(pmf, ["X"], ["W0"]).bits
-           + cond_mutual_info(pmf, ["W1"], ["W2"], ["W0"]).bits)
+    lhs = (entropy(pmf, ["W0", "W1"]) + entropy(pmf, ["W0", "W2"])
+           - cond_entropy(pmf, ["W0"], ["X"])
+           - cond_entropy(pmf, ["W0", "W1", "W2"], ["X"]))
+    rhs = (cond_mutual_info(pmf, ["X"], ["W1", "W2"], ["W0"])
+           + 2 * mutual_info(pmf, ["X"], ["W0"])
+           + cond_mutual_info(pmf, ["W1"], ["W2"], ["W0"]))
     report.add("forward sum-rate", abs(lhs - rhs) <= IDENTITY_TOL, lhs=lhs, rhs=rhs)
 
     # reverse direction: W0 := W'0, W_i := (W'0, W'_i) as composite variables
     merged = merge_vars(merge_vars(pmf, "V1", ("W0", "W1"), keep=True),
                         "V2", ("W0", "W2"), keep=True)
     for i in (1, 2):
-        lhs = mutual_info(pmf, ["X"], ["W0", "W%d" % i]).bits
-        rhs = (entropy(merged, ["V%d" % i]).bits
-               - cond_entropy(merged, ["V%d" % i], ["X"]).bits)
+        lhs = mutual_info(pmf, ["X"], ["W0", "W%d" % i])
+        rhs = (entropy(merged, ["V%d" % i])
+               - cond_entropy(merged, ["V%d" % i], ["X"]))
         report.add("reverse rate-%d" % i, abs(lhs - rhs) <= IDENTITY_TOL, lhs=lhs, rhs=rhs)
     # feasibility of dropping the common codeword: H(W0|W_i) - H(W0|X) <= 0
     for i in (1, 2):
-        slack = (cond_entropy(merged, ["W0"], ["V%d" % i]).bits
-                 - cond_entropy(merged, ["W0"], ["X"]).bits)
+        slack = (cond_entropy(merged, ["W0"], ["V%d" % i])
+                 - cond_entropy(merged, ["W0"], ["X"]))
         report.add("reverse zero-rate condition (branch %d)" % i, slack <= IDENTITY_TOL,
                    lhs=slack, rhs=0.0)
     return report
@@ -163,13 +163,13 @@ def _heegard_berger(pmf: JointPmf) -> Report:
                    marginalize(pmf, margin) == marginalize(rebuilt, margin))
     for j, jc in ((1, 2), (2, 1)):
         classical = (
-            cond_mutual_info(pmf, ["X"], ["W0"], ["Y%d" % j]).bits
-            + cond_mutual_info(pmf, ["X"], ["W%d" % j], ["W0", "Y%d" % j]).bits
-            + cond_mutual_info(pmf, ["X"], ["W%d" % jc], ["W0", "Y%d" % jc]).bits)
+            cond_mutual_info(pmf, ["X"], ["W0"], ["Y%d" % j])
+            + cond_mutual_info(pmf, ["X"], ["W%d" % j], ["W0", "Y%d" % j])
+            + cond_mutual_info(pmf, ["X"], ["W%d" % jc], ["W0", "Y%d" % jc]))
         rebuilt_form = (
-            cond_entropy(rebuilt, ["W0", "W%d" % j], ["Y%d" % j]).bits
-            + cond_entropy(rebuilt, ["W%d" % jc], ["W0", "Y%d" % jc]).bits
-            - cond_entropy(rebuilt, ["W0", "W1", "W2"], ["X"]).bits)
+            cond_entropy(rebuilt, ["W0", "W%d" % j], ["Y%d" % j])
+            + cond_entropy(rebuilt, ["W%d" % jc], ["W0", "Y%d" % jc])
+            - cond_entropy(rebuilt, ["W0", "W1", "W2"], ["X"]))
         report.add("decoder-%d bound expressions agree" % j,
                    abs(classical - rebuilt_form) <= IDENTITY_TOL,
                    lhs=classical, rhs=rebuilt_form)

@@ -14,7 +14,7 @@ import itertools
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import ClassVar, Mapping, Optional
+from typing import ClassVar, Mapping
 
 from .errors import ConfigurationError
 from .probability import Alphabet, JointPmf
@@ -22,10 +22,6 @@ from .probability import Alphabet, JointPmf
 
 def w_name(i) -> str:
     return "W%s" % (i,)
-
-
-def z_name(k) -> str:
-    return "Z%s" % (k,)
 
 
 class ConditionalPmf:
@@ -95,9 +91,6 @@ class Reproducer:
         for z in self.table.values():
             if z not in self.out_alphabet.symbols:
                 raise ConfigurationError("reproducer output %r outside alphabet" % (z,))
-
-    def __call__(self, key: tuple):
-        return self.table[tuple(key)]
 
 
 def identity_reproducer(var: str, alphabet: Alphabet) -> Reproducer:
@@ -225,18 +218,10 @@ def w_alphabets(config: NetworkConfig, channels: Mapping[tuple, ConditionalPmf])
 
 
 def build_joint(config: NetworkConfig, source: JointPmf,
-                channels: Mapping[tuple, ConditionalPmf],
-                reproducers: Optional[Mapping[object, Reproducer]] = None) -> JointPmf:
-    """Assemble the single-letter joint law over (W_I, source vars, Z_K).
-
-    The output factorizes as the product of the source law, one channel
-    conditional per sharing cell, and point masses putting each Z_k equal to
-    its reproducer applied to (W_{I_j}, Y_j).  Passing ``reproducers=None``
-    omits the Z variables entirely (enough for entropy binding); a dict must
-    cover every reproduction index.
+                channels: Mapping[tuple, ConditionalPmf]) -> JointPmf:
+    """Assemble the single-letter joint law over (W_I, source vars): the
+    product of the source law and one channel conditional per sharing cell.
     """
-    skip_z = reproducers is None
-    reproducers = dict(reproducers or {})
     cell_channels = {}
     for cell in config.sharing:
         key = tuple(cell)
@@ -259,19 +244,9 @@ def build_joint(config: NetworkConfig, source: JointPmf,
 
     w_alph = w_alphabets(config, cell_channels)
     w_vars = [(w_name(i), w_alph[i]) for i in config.encoders]
-
-    z_vars = []
-    z_ids = () if skip_z else config.reproduction_ids
-    for k in z_ids:
-        if k not in reproducers:
-            raise ConfigurationError("missing reproducer for reproduction %r" % (k,))
-        z_vars.append((z_name(k), reproducers[k].out_alphabet))
-
-    variables = w_vars + list(source.variables) + z_vars
-    src_names = source.names
     table: dict = {}
     for src_key, p_src in source.items():
-        assign = dict(zip(src_names, src_key))
+        assign = dict(zip(source.names, src_key))
         cell_rows = []
         for cell in config.sharing:
             ch = cell_channels[tuple(cell)]
@@ -283,11 +258,6 @@ def build_joint(config: NetworkConfig, source: JointPmf,
             for (names, _), (out_key, p_w) in zip(cell_rows, combo):
                 p = p * p_w
                 w_assign.update(zip(names, out_key))
-            full = dict(assign)
-            full.update(w_assign)
-            for k in z_ids:
-                rep = reproducers[k]
-                full[z_name(k)] = rep(tuple(full[a] for a in rep.args))
-            key = tuple(full[n] for n, _ in variables)
+            key = tuple(w_assign[n] for n, _ in w_vars) + src_key
             table[key] = table.get(key, 0) + p
-    return JointPmf(variables, table, _validated=True)
+    return JointPmf(w_vars + list(source.variables), table, _validated=True)

@@ -285,15 +285,6 @@ def sample(pmf: JointPmf, n: int, seed, count: int = 1) -> list:
 # -- convenience constructors ----------------------------------------------------
 
 
-def uniform(variables) -> JointPmf:
-    total = 1
-    for _, alph in variables:
-        total *= alph.size
-    p = Fraction(1, total)
-    table = {key: p for key in itertools.product(*(a.symbols for _, a in variables))}
-    return JointPmf(variables, table)
-
-
 def dsbs(p) -> JointPmf:
     """Doubly symmetric binary source: X1 ~ Bern(1/2), X2 = X1 xor Bern(p)."""
     b = binary_alphabet()

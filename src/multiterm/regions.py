@@ -243,7 +243,7 @@ def binding_from_pmf(which: str, config: NetworkConfig, joint: JointPmf,
     def h(names):
         key = frozenset(names)
         if key not in entropies:
-            entropies[key] = cond_entropy(joint, list(names), []).bits
+            entropies[key] = cond_entropy(joint, list(names), [])
         return entropies[key]
 
     values = {}

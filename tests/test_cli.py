@@ -132,7 +132,7 @@ def test_jb_lossless_family_matches_sw():
     from multiterm.network import build_joint
     from multiterm.regions import JB_CRNG, RegionSpec, binding_from_pmf, build_system
     sc = build_scenario("slepian-wolf")
-    joint = build_joint(sc.config, sc.source, sc.channels, None)
+    joint = build_joint(sc.config, sc.source, sc.channels)
     jb = build_system(RegionSpec(JB_CRNG, sc.config,
                                  binding_from_pmf(JB_CRNG, sc.config, joint).values))
     assert set(jb.vars) == {"R_1", "R_2"}  # no auxiliaries survive all-lossless
@@ -192,6 +192,18 @@ def test_simulate_class_index_budget_refuses_early(capsys):
     err = capsys.readouterr().err
     assert "budget exceeded" in err and "4 letters" in err and "n=11" in err
     assert str(4 ** 11) in err
+
+
+def test_simulate_refuses_the_decoder_index_before_any_encoder_scan(capsys):
+    # at n = 20 each encoder index holds 2^20 blocks, within the budget, and
+    # the decoder index 4^20; the decoder index is refused before either
+    # encoder index is scanned
+    t0 = time.perf_counter()
+    assert run(["simulate", "slepian-wolf", "--n", "20", "--trials", "10"]) == 3
+    assert time.perf_counter() - t0 < 5.0
+    err = capsys.readouterr().err
+    assert "class index of encoders (1, 2) needs 4 letters ^ n=20" in err
+    assert str(4 ** 20) in err
 
 
 def test_env_seed_override(tmp_path, monkeypatch):

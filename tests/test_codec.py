@@ -418,7 +418,8 @@ def _reference_exact_error(code, delta, D, rule):
                         named = {w_name(i): cand[i] for i in ij}
                         if y:
                             named[y] = y_block
-                        z = tuple(rep(args) for args in zip(*(named[a] for a in rep.args)))
+                        z = tuple(map(rep.table.__getitem__,
+                                      zip(*(named[a] for a in rep.args))))
                         if cfg.distortions[k].block(blocks, z) > bounds[k]:
                             exceed[k] += weight * p
             mismatch += weight * (1 - p_all_match)

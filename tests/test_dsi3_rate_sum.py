@@ -58,7 +58,7 @@ def broadcast_instance():
 
 def test_total_rate_projection_matches_closed_form():
     cfg, src, channels = broadcast_instance()
-    joint = build_joint(cfg, src, channels, None)
+    joint = build_joint(cfg, src, channels)
     binding = binding_from_pmf(MDC_CRNG, cfg, joint)
     system = build_system(RegionSpec(MDC_CRNG, cfg, binding.values))
     over_rates = fme_eliminate(system, ["r_0", "r_1", "r_2"])
@@ -69,7 +69,7 @@ def test_total_rate_projection_matches_closed_form():
     projected = remove_redundant(fme_eliminate(ext, ["R_0", "R_1", "R_2"]))
 
     def h(left, given=()):
-        return round_entropy(cond_entropy(joint, list(left), list(given)).bits)
+        return round_entropy(cond_entropy(joint, list(left), list(given)))
 
     expected = LinIneqSystem(["Rsum"])
     for j, jc in ((1, 2), (2, 1)):

@@ -21,7 +21,7 @@ GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 def _binding(name, which):
     scenario = build_scenario(name)
-    joint = build_joint(scenario.config, scenario.source, scenario.channels, None)
+    joint = build_joint(scenario.config, scenario.source, scenario.channels)
     return binding_from_pmf(which, scenario.config, joint).values
 
 

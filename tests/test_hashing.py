@@ -240,18 +240,24 @@ def test_mcrp_two_ensembles_random_instances():
 
 @pytest.mark.parametrize("check", ["mbcp", "mcrp"])
 def test_joint_checks_refuse_huge_ensembles_early(check):
-    # 2^14 elements into 64 bins: 64^16384 functions, a count of about 29,600
-    # decimal digits; refused before any point law is built, in a message
-    # that prints
+    # 2^14 elements into 64 bins, read at 32 points: a point law of 64^32
+    # rows, refused before any row is built, in a message that prints
     ens = [BinningEnsemble(1 << 14, 64)]
     T = {(w,) for w in range(0, 1 << 14, 1 << 9)}
     start = time.perf_counter()
-    with pytest.raises(BudgetExceededError, match=r"at least 2\^98304 joint functions"):
+    with pytest.raises(BudgetExceededError, match=r"at least 2\^192 point-law rows"):
         if check == "mbcp":
             verify_mbcp(ens, {w: Fraction(1, len(T)) for w in T}, T)
         else:
             verify_mcrp(ens, T, (0,))
     assert time.perf_counter() - start < 0.1
+
+
+def test_joint_checks_read_point_laws_of_huge_ensembles():
+    # 2^32 binning functions, but the point law at two points has 4 rows
+    report = verify_mcrp([BinningEnsemble(32, 2)], {(0,), (1,)}, (0,))
+    assert report.all_passed
+    assert (report.checks[0].lhs, report.checks[0].rhs) == (Fraction(1, 2), 1)
 
 
 @pytest.mark.parametrize("ensemble", [

@@ -70,14 +70,14 @@ def test_branch_rows_redundant_at_zero_common_rate():
 
     binding = {}
     for term in required_terms(MDC_CRNG, config):
-        h = cond_entropy(joint, resolve(term.left), resolve(term.given)).bits
+        h = cond_entropy(joint, resolve(term.left), resolve(term.given))
         binding[term] = round_entropy(h)
     system = build_system(RegionSpec(MDC_CRNG, config, binding))
     eliminated = fme_eliminate(system, ["r_0", "r_1", "r_2"])
 
     # the zero-rate condition holds: H(W0 | W_i) = 0 for both branches
     for p in ("P1", "P2"):
-        assert cond_entropy(joint, ["V0"], [p]).bits < 1e-9
+        assert cond_entropy(joint, ["V0"], [p]) < 1e-9
 
     # pin R_0 = 0 and minimize
     pinned = LinIneqSystem(eliminated.vars, eliminated.ineqs)
@@ -89,7 +89,7 @@ def test_branch_rows_redundant_at_zero_common_rate():
     direct = LinIneqSystem(["R_0", "R_1", "R_2"])
 
     def h(left, given=()):
-        return round_entropy(cond_entropy(joint, list(left), list(given)).bits)
+        return round_entropy(cond_entropy(joint, list(left), list(given)))
 
     for i, p in ((1, "P1"), (2, "P2")):
         direct.add({"R_%d" % i: 1}, h([p]) - h([p], ["X"]))

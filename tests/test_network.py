@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -15,11 +16,16 @@ from multiterm.network import (
     bsc_channel,
     build_joint,
     hamming_distortion,
-    identity_reproducer,
 )
-from multiterm.probability import Alphabet, JointPmf, check_markov, marginalize, uniform
+from multiterm.probability import Alphabet, JointPmf, check_markov
 
 B = Alphabet((0, 1))
+
+
+def uniform(variables):
+    """The uniform law over the product of the variables' alphabets."""
+    keys = list(itertools.product(*(a.symbols for _, a in variables)))
+    return JointPmf(variables, {key: Fraction(1, len(keys)) for key in keys})
 
 
 def test_config_partition_invariants():
@@ -54,58 +60,35 @@ def wyner_ziv_pieces():
         encoders=(1,), sharing=((1,),), decoders=(1,),
         codewords_to={1: (1,)}, reproductions={1: (1,)}, side_info={1: "Y"})
     channels = {(1,): bsc_channel("X1", "W1", Fraction(1, 10))}
-    reproducers = {1: identity_reproducer("W1", B)}
-    return cfg, src, channels, reproducers
+    return cfg, src, channels
 
 
 def test_build_joint_matches_hand_built_table():
-    cfg, src, channels, reproducers = wyner_ziv_pieces()
-    joint = build_joint(cfg, src, channels, reproducers)
+    cfg, src, channels = wyner_ziv_pieces()
+    joint = build_joint(cfg, src, channels)
     # independent construction of the same law
     for w in (0, 1):
         for x in (0, 1):
             for y in (0, 1):
                 p_src = src.prob((x, y))
                 p_w = Fraction(9, 10) if w == x else Fraction(1, 10)
-                key = {"W1": w, "X1": x, "Y": y, "Z1": w}
+                key = {"W1": w, "X1": x, "Y": y}
                 assert joint.prob(tuple(key[name] for name in joint.names)) == p_src * p_w
-    # z != w rows carry zero mass
-    key = {"W1": 0, "X1": 0, "Y": 0, "Z1": 1}
-    assert joint.prob(tuple(key[name] for name in joint.names)) == 0
 
 
 def test_build_joint_markov_conditions():
-    cfg, src, channels, reproducers = wyner_ziv_pieces()
-    joint = build_joint(cfg, src, channels, reproducers)
+    cfg, src, channels = wyner_ziv_pieces()
+    joint = build_joint(cfg, src, channels)
     # encoder condition: side info <-> source <-> auxiliary
     assert check_markov(joint, ["Y"], ["X1"], ["W1"])
-    # decoder condition: everything else <-> (W, Y) <-> Z
-    assert check_markov(joint, ["X1"], ["W1", "Y"], ["Z1"])
-
-
-def test_build_joint_constant_channel_z_from_y():
-    cfg, src, _, _ = wyner_ziv_pieces()
-    const = ConditionalPmf([("X1", B)], [("W1", B)],
-                           {(x,): {(0,): Fraction(1)} for x in (0, 1)})
-    rep = Reproducer(("W1", "Y"), {(w, y): y for w in (0, 1) for y in (0, 1)}, B)
-    joint = build_joint(cfg, src, {(1,): const}, {1: rep})
-    z_y = marginalize(joint, ["Z1", "Y"])
-    for y in (0, 1):
-        assert z_y.prob((y, y)) == marginalize(src, ["Y"]).prob((y,))
 
 
 def test_build_joint_alphabet_mismatch_error():
-    cfg, src, channels, reproducers = wyner_ziv_pieces()
+    cfg, src, _ = wyner_ziv_pieces()
     bad = {(1,): ConditionalPmf([("X1", Alphabet((0, 1, 2)))], [("W1", B)],
                                 {(s,): {(0,): Fraction(1)} for s in (0, 1, 2)})}
     with pytest.raises(ConfigurationError):
-        build_joint(cfg, src, bad, reproducers)
-
-
-def test_build_joint_missing_reproducer_error():
-    cfg, src, channels, _ = wyner_ziv_pieces()
-    with pytest.raises(ConfigurationError, match="missing reproducer"):
-        build_joint(cfg, src, channels, {})
+        build_joint(cfg, src, bad)
 
 
 def test_reproducer_table_checked_when_built():
@@ -129,34 +112,8 @@ def test_mdc_cell_markov_conditions():
                 row[(w1, w2)] = p1 * p2
         rows[(x,)] = row
     channels = {(1, 2): ConditionalPmf([("X12", B)], [("W1", B), ("W2", B)], rows)}
-    joint = build_joint(cfg, src, channels, None)
+    joint = build_joint(cfg, src, channels)
     assert check_markov(joint, [], ["X12"], ["W1", "W2"])
-
-
-def test_mdc_build_with_reproductions_satisfies_definitional_chains():
-    """Full cell/decoder Markov families hold on a built joint with Z."""
-    src = JointPmf([("X12", B)], {(0,): Fraction(2, 5), (1,): Fraction(3, 5)})
-    cfg = NetworkConfig(
-        encoders=(1, 2), sharing=((1, 2),), decoders=(1, 2),
-        codewords_to={1: (1,), 2: (1, 2)},
-        reproductions={1: (1,), 2: (2,)},
-        side_info={1: None, 2: None},
-        distortions={1: hamming_distortion("X12"), 2: hamming_distortion("X12")})
-    rows = {
-        (0,): {(0, 0): Fraction(1, 2), (0, 1): Fraction(1, 5),
-               (1, 0): Fraction(1, 5), (1, 1): Fraction(1, 10)},
-        (1,): {(0, 0): Fraction(1, 10), (0, 1): Fraction(1, 5),
-               (1, 0): Fraction(1, 5), (1, 1): Fraction(1, 2)},
-    }
-    channels = {(1, 2): ConditionalPmf([("X12", B)], [("W1", B), ("W2", B)], rows)}
-    reproducers = {1: identity_reproducer("W1", B),
-                   2: Reproducer(("W1", "W2"), {(a, b): a & b
-                                                for a in (0, 1) for b in (0, 1)}, B)}
-    joint = build_joint(cfg, src, channels, reproducers)
-    # cell chain: (nothing else) <-> X_S <-> W_S is trivial here; decoder
-    # chains carry the content
-    assert check_markov(joint, ["W2", "X12", "Z2"], ["W1"], ["Z1"])
-    assert check_markov(joint, ["X12", "Z1"], ["W1", "W2"], ["Z2"])
 
 
 def test_distortion_measures():

@@ -2,9 +2,12 @@
 
 A definition counts as used when its name appears in some module of
 `src/multiterm` or `perfbench` other than as its own definition: as a name,
-an attribute or a string (the benchmark tracer patches methods and functions
-by their names).  Tests do not count; the allow-list holds the region
-queries that tests use to certify results.
+as an attribute of a name bound to a `multiterm` module (``codec.simulate``,
+``multiterm.cli.main``), or as a string (the benchmark tracer patches methods
+and functions by their names).  An attribute of any other receiver does not
+count: ``rng.uniform`` is no use of a `multiterm` function ``uniform``.
+Tests do not count; the allow-list holds the region queries that tests use
+to certify results.
 """
 
 import ast
@@ -14,6 +17,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE = os.path.join(ROOT, "src", "multiterm")
 CALLERS = (PACKAGE, os.path.join(ROOT, "perfbench"))
 ALLOWED = {"find_aux_rates", "member"}
+SUBMODULES = {name[:-3] for name in os.listdir(PACKAGE) if name.endswith(".py")}
 
 
 def _modules():
@@ -25,12 +29,36 @@ def _modules():
                     yield path, ast.parse(handle.read(), path)
 
 
+def _module_names(tree) -> set:
+    """The names that `tree` binds to `multiterm` or one of its modules."""
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "multiterm":
+                    bound.add(alias.asname or "multiterm")
+        elif isinstance(node, ast.ImportFrom) and node.module in (None, "multiterm"):
+            # `from . import gfq` inside the package, `from multiterm import codec` outside
+            bound |= {alias.asname or alias.name for alias in node.names
+                      if alias.name in SUBMODULES}
+    return bound
+
+
+def _is_module(node, modules) -> bool:
+    """Whether `node` is a name, or a dotted name, of a `multiterm` module."""
+    if isinstance(node, ast.Name):
+        return node.id in modules
+    return (isinstance(node, ast.Attribute) and node.attr in SUBMODULES
+            and _is_module(node.value, modules))
+
+
 def _references(tree) -> set:
+    modules = _module_names(tree)
     names = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             names.add(node.id)
-        elif isinstance(node, ast.Attribute):
+        elif isinstance(node, ast.Attribute) and _is_module(node.value, modules):
             names.add(node.attr)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             names.add(node.value)

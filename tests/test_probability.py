@@ -20,10 +20,15 @@ from multiterm.probability import (
     merge_vars,
     random_pmf,
     sample,
-    uniform,
 )
 
 B = Alphabet((0, 1))
+
+
+def uniform(variables):
+    """The uniform law over the product of the variables' alphabets."""
+    keys = list(itertools.product(*(a.symbols for _, a in variables)))
+    return JointPmf(variables, {key: Fraction(1, len(keys)) for key in keys})
 
 
 def bernoulli(p):

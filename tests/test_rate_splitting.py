@@ -21,7 +21,7 @@ from multiterm.scenarios import build_scenario
 
 def test_rate_splitting_collapses_to_two_effective_rates():
     scenario = build_scenario("example2-dsc3")
-    joint = build_joint(scenario.config, scenario.source, scenario.channels, None)
+    joint = build_joint(scenario.config, scenario.source, scenario.channels)
     B = binding_from_pmf(DSC_CRNG, scenario.config, joint).values
 
     def S(left, given=()):

@@ -307,7 +307,7 @@ def test_find_aux_rates_infeasible_subset_is_irreducible(which):
     """Slepian-Wolf rates (1/8, 1/8) violate several rows at zero auxiliary
     rates; the certificate is infeasible and every row of it is needed."""
     sc = build_scenario("slepian-wolf")
-    joint = build_joint(sc.config, sc.source, sc.channels, None)
+    joint = build_joint(sc.config, sc.source, sc.channels)
     spec = RegionSpec(which, sc.config, binding_from_pmf(which, sc.config, joint).values)
     rates = {1: Fraction(1, 8), 2: Fraction(1, 8)}
     got = find_aux_rates(spec, rates)
@@ -349,7 +349,7 @@ def test_dsc_feasibility_transfers_to_mdc():
         rows[(x,)] = row
     from multiterm.network import ConditionalPmf
     channels = {(1, 2): ConditionalPmf([("X12", b)], [("W1", b), ("W2", b)], rows)}
-    joint = build_joint(mdc_cfg, src, channels, None)
+    joint = build_joint(mdc_cfg, src, channels)
     mdc_binding = binding_from_pmf(MDC_CRNG, mdc_cfg, joint)
     # the separate-encoder bounds per encoder i with the same joint
     dsc_terms = {}
@@ -360,7 +360,7 @@ def test_dsc_feasibility_transfers_to_mdc():
             # per-encoder inf terms share the cell source variable
             from multiterm.information import cond_entropy
             dsc_terms[t] = round_entropy(
-                cond_entropy(joint, list(t.left), list(t.given)).bits)
+                cond_entropy(joint, list(t.left), list(t.given)))
     dsc_spec = RegionSpec(DSC_CRNG, mdc_cfg, dsc_terms)
     mdc_spec = RegionSpec(MDC_CRNG, mdc_cfg, mdc_binding.values)
     rates = {1: Fraction(1), 2: Fraction(1)}
