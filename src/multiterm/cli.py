@@ -19,7 +19,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .codec import exact_error, simulate
+from .codec import check_index_budget, exact_error, simulate
 from .errors import BudgetExceededError, ConfigurationError
 from .linineq import fme_eliminate
 from .network import build_joint
@@ -153,7 +153,7 @@ def _csv_header(scenario, ks) -> str:
     cols += ["r_%s" % i for i in scenario.config.encoders]
     cols += ["delta", "trials", "mismatch_freq"]
     cols += ["exceed_freq_%s" % k for k in ks]
-    cols += ["ci_low", "ci_high", "seed"]
+    cols += ["ci_low", "ci_high", "seed", "enc_abort_freq", "dec_abort_freq"]
     return ",".join(cols)
 
 
@@ -173,7 +173,9 @@ def cmd_simulate(args) -> int:
         delta = 0.01 * max(d.bound for d in scenario.config.distortions.values())
     ks = list(scenario.config.reproduction_ids)
     lines = [_csv_header(scenario, ks)]
+    joint = build_joint(scenario.config, scenario.source, scenario.channels)
     for n in ns:
+        check_index_budget(scenario.config, joint, n)   # before any hash is sampled
         code = scenario.make_code(n, seed=seed)
         rates = [code.rate(i) for i in scenario.config.encoders]
         aux = [code.aux_rate(i) for i in scenario.config.encoders]
@@ -182,10 +184,11 @@ def cmd_simulate(args) -> int:
             with _unlimited_int_digits():   # large-block rationals
                 mismatch = _decimal_string(result.mismatch)
                 exceeds = [_decimal_string(result.exceed[k]) for k in ks]
+                aborts = [_decimal_string(result.encoder_abort), "0"]
             row = ([scenario.name, str(n)] + [repr(r) for r in rates]
                    + [repr(r) for r in aux]
                    + [repr(delta), "0", mismatch] + exceeds
-                   + [mismatch, mismatch, str(seed)])
+                   + [mismatch, mismatch, str(seed)] + aborts)
         else:
             report = simulate(code, delta, scenario.default_D, trials=trials,
                               seed=seed, rule=args.rule)
@@ -194,7 +197,9 @@ def cmd_simulate(args) -> int:
                    + [repr(r) for r in aux]
                    + [repr(delta), str(trials), repr(report.mismatch_freq)]
                    + [repr(report.exceed_freq(k)) for k in ks]
-                   + [repr(lo), repr(hi), str(seed)])
+                   + [repr(lo), repr(hi), str(seed)]
+                   + [repr(report.encoder_abort_count / trials),
+                      repr(report.decoder_abort_count / trials)])
         lines.append(",".join(row))
     _emit(args.out, "\n".join(lines) + "\n")
     _write_manifest(args.out, {

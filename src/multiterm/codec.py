@@ -4,26 +4,35 @@ exact error oracles, and Monte Carlo simulation.
 The encoder of a sharing cell draws the cell's auxiliary blocks from the
 channel conditional restricted to the hash constraints f_i(w_i) = c_i and
 renormalized; the decoder draws candidate blocks from the model posterior
-restricted to all (f, g) constraints.  Both draw from one class index per
-encoder set (its f-admissible blocks by g value, shared by an encoder cell
-and a decoder that sees the same codewords), each hash evaluated once per
-block.  Everything is enumerated explicitly, so exactness is provable at
-desk scale; there is no MCMC.
+restricted to all (f, g) constraints.  Everything is enumerated explicitly,
+so exactness is provable at desk scale; there is no MCMC.
 
-Every constrained law is held in integers: each (W_S, observed letter) table
-of the model joint over (W, source) is scaled once per code to integer weights
-(by the lcm of its denominators, a factor shared by every candidate of a law,
-so it cancels), and a law is its candidates with integer weights plus their
-integer total.
-Draws divide each weight by the total once; the exact oracle forms one
-Fraction per distinct denominator.
+Blocks are integer arrays.  A W_S-block (S a set of encoders) is a row of
+letter ids, one per position, into the positive-mass W_S letters of the model
+joint over (W, source).  Each encoder set has one class index, shared by an
+encoder cell and a decoder with I_j = S: the rows of its f-admissible blocks
+with their g-class ids, each hash evaluated once per W_i-block.  Every
+constrained law is in integers.  Each (observed letter, W_S letter) entry of
+the model joint is scaled once per code to an integer weight (by the lcm of
+that observed letter's denominators, a factor shared by every candidate of a
+law, so it cancels), which gives a dense table T; one kernel,
+:func:`_weights`, weighs candidate rows by the product over positions of
+T[observed letter, W_S letter].  A law is its candidates of positive weight
+with their integer total; draws divide each weight by the total once.
+
+The exact oracle applies the same kernel to many classes at once.  It works
+on batches of at most ``_ROW_CAP`` rows: source blocks, their encoder draws
+(a ragged product of each cell's positive draws), the decoder classes those
+reach, and the class candidates.  Numbers are int64 where a bound proves they
+fit and Python ints in object arrays otherwise; one Fraction is formed per
+distinct denominator.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
@@ -36,7 +45,7 @@ from .errors import (
     EncoderAbort,
     EmptySupportError,
 )
-from .hashing import HashFunction
+from .hashing import HashFunction, _int_array
 from .network import (
     ConditionalPmf,
     NetworkConfig,
@@ -50,6 +59,8 @@ from .rational import integer_scaled
 
 _EXACT_BUDGET = 1 << 24
 _INDEX_BUDGET = 1 << 20     # W_S-blocks scanned by one class index (4 letters at n = 10)
+_ROW_CAP = 1 << 15          # rows of one exact-oracle batch
+_INT64 = 1 << 63
 
 
 # -- generic constrained-random draws -----------------------------------------------
@@ -86,17 +97,67 @@ def sample_from_law(law, seed):
     return items[int(rng.choice(len(items), p=probs))][0]
 
 
-def _integer_weights(table: Mapping) -> tuple:
-    """A table of rational weights scaled to integers by the lcm of its
-    denominators: (integer table, scale)."""
-    weights, scale = integer_scaled(list(table.values()))
-    return dict(zip(table, weights)), scale
-
-
 def _transpose(names, letters) -> dict:
     """A block given as its letters (one symbol tuple per position, aligned
     with `names`) as one block per name."""
     return dict(zip(names, zip(*letters)))
+
+
+def _digits(ids, base: int, n: int, dtype=np.int64) -> np.ndarray:
+    """The n base-`base` digits of each id, most significant first: the
+    blocks numbered `ids` in product order, as rows of letter ids."""
+    out = np.empty((len(ids), n), dtype=dtype)
+    for pos in range(n):
+        out[:, pos] = ids // base ** (n - 1 - pos) % base
+    return out
+
+
+def _weights(table, observed, rows):
+    """The weighting kernel: for each block of `rows` (W_S letter ids,
+    positions on the last axis), the product over positions of
+    table[observed letter, W_S letter].  `observed` holds observed letter
+    ids and broadcasts against `rows`: one block for every row, or one per
+    row."""
+    return np.multiply.reduce(table[observed, rows], axis=-1)
+
+
+def _row_ids(rows) -> tuple:
+    """(ids, first): an id per row of the integer matrix `rows`, equal for
+    equal rows and numbered in sorted row order, and per id the index of its
+    first row."""
+    order = np.lexsort(rows.T[::-1])
+    ordered = rows[order]
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    ids = np.empty(len(rows), dtype=np.int64)
+    ids[order] = np.cumsum(new) - 1
+    return ids, order[new]
+
+
+def _object_array(values) -> np.ndarray:
+    """`values` as a 1-D object array (symbols may themselves be tuples)."""
+    out = np.empty(len(values), dtype=object)
+    for k, value in enumerate(values):
+        out[k] = value
+    return out
+
+
+def _positive_letters(joint: JointPmf, S) -> list:
+    """The W_S letters of positive mass in the model joint, in its order."""
+    return [w for w, p in marginalize(joint, [w_name(i) for i in S]).items() if p > 0]
+
+
+def check_index_budget(config: NetworkConfig, joint: JointPmf, n: int):
+    """Refuse a code whose class indexes would be too large, before any hash
+    is evaluated: each sharing cell's index, then each decoder's I_j index,
+    scans letters^n blocks (letters: the positive-mass W_S letters), and one
+    above ``_INDEX_BUDGET`` raises :class:`BudgetExceededError`."""
+    for S in [*config.sharing, *(tuple(config.codewords_to[j]) for j in config.decoders)]:
+        letters = len(_positive_letters(joint, S))
+        if letters ** n > _INDEX_BUDGET:
+            raise BudgetExceededError(
+                "class index of encoders %r needs %d letters ^ n=%d = %d blocks "
+                "(budget %d)" % (S, letters, n, letters ** n, _INDEX_BUDGET))
 
 
 # -- code instances ------------------------------------------------------------------
@@ -110,6 +171,30 @@ def realized_size(rate: float, n: int) -> int:
     the target at small n.
     """
     return max(1, round(2 ** (rate * n)))
+
+
+@dataclass
+class _ClassIndex:
+    """The f-admissible W_S-blocks of an encoder set S, by their g values on S.
+
+    `rows[r]` holds the letter ids (into `letters`) of admissible block r.
+    Rows run class by class, the classes in the order of their first block
+    in product order, and in product order within a class.  `cls[r]` is the
+    class of row r; class c holds rows bounds[c]:bounds[c + 1]; `lookup`
+    maps the g values on S to their class; `row_of` maps a block's
+    product-order number to its row, or -1 when it is not admissible;
+    `symbols[e][l]` is encoder S[e]'s symbol in letter l; and `blocks` holds
+    the rows that a law has held, as blocks by encoder (symbol tuples).
+    """
+
+    letters: list
+    symbols: list
+    rows: np.ndarray
+    cls: np.ndarray
+    bounds: np.ndarray
+    lookup: dict
+    row_of: np.ndarray
+    blocks: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -148,9 +233,9 @@ class CodeInstance:
                     "constraint value %r for encoder %r outside the f image" % (c, i))
         self._joint = build_joint(self.config, self.source, self.channels)
         self._reproduction_args = self._resolve_reproducers()
-        self._hash_values: dict = {}   # (encoder, block) -> (f meets c, g value)
-        self._class_indexes: dict = {}
-        self._weights: dict = {}       # (S, observed) -> observed letter -> integer table
+        self._hashed_blocks: dict = {}   # encoder -> its hash values per W_i-block
+        self._class_indexes: dict = {}   # S -> _ClassIndex
+        self._tables: dict = {}          # (S, observed) -> (T, bound)
         self._laws: dict = {}
 
     def _resolve_reproducers(self) -> dict:
@@ -189,72 +274,139 @@ class CodeInstance:
     def model_joint(self) -> JointPmf:
         return self._joint
 
-    def _hashes(self, i, block):
-        """(f_i meets c_i, g_i value) of a W_i-block; each hash runs once per block."""
-        values = self._hash_values.get((i, block))
-        if values is None:
-            v = self.block_to_int(i, block)
-            values = self._hash_values[i, block] = (self.f[i](v) == self.c[i], self.g[i](v))
-        return values
+    def _hashed(self, i):
+        """Encoder i's hash values; each hash runs once per W_i-block.
+
+        Returns (digit, meets, gid, values): `digit` numbers the positive-mass
+        W_i symbols; for each block of them, numbered in product order by
+        those digits, `meets` says whether f_i meets c_i and `gid` is the
+        position of its g_i value in `values`.
+        """
+        hashed = self._hashed_blocks.get(i)
+        if hashed is None:
+            digit = {w: d for d, (w,) in enumerate(_positive_letters(self._joint, (i,)))}
+            f, g, c = self.f[i], self.g[i], self.c[i]
+            meets, gid, values = [], [], {}
+            for block, _ in block_products([[(w, 1) for w in digit]] * self.n):
+                v = self.block_to_int(i, block)
+                meets.append(f(v) == c)
+                gid.append(values.setdefault(g(v), len(values)))
+            hashed = self._hashed_blocks[i] = (
+                digit, np.array(meets, dtype=bool), np.array(gid, dtype=np.int64), list(values))
+        return hashed
+
+    def _g_value(self, i, block):
+        """The g_i value of a W_i-block given as its symbols."""
+        digit, _, gid, values = self._hashed(i)
+        number = 0
+        for w in block:
+            number = number * len(digit) + digit[w]
+        return values[gid[number]]
 
     # -- the constrained draw shared by encoders and decoders ----------------------------
 
-    def _class_index(self, S):
-        """The f-admissible W_S-blocks of encoder set S, by their g values on S.
+    def _index(self, S) -> _ClassIndex:
+        """The class index of encoder set S, built on first use and kept.
 
-        Built on first use and kept; an encoder cell and a decoder with
-        I_j = S share it.  Candidates are the W_S-blocks whose letters all
-        have positive single-letter mass, in product order of those letters
-        (the order in which they first occur in the model joint); each is
-        (blocks, letters): a dict encoder->block and its per-position
-        W_S-letters.  The first index built checks the size of every index
-        the code needs (each sharing cell, then each I_j): one that would scan
-        more than ``_INDEX_BUDGET`` blocks raises :class:`BudgetExceededError`.
+        The first index built checks the size of every index the code needs
+        (:func:`check_index_budget`).
         """
-        classes = self._class_indexes.get(S)
-        if classes is None:
-            needed = [S]
+        index = self._class_indexes.get(S)
+        if index is None:
             if not self._class_indexes:
-                needed[:0] = [*self.config.sharing, *(
-                    tuple(self.config.codewords_to[j]) for j in self.config.decoders)]
-            for T in needed:
-                law = marginalize(self._joint, [w_name(i) for i in T])
-                letters = [w for w, p in law.items() if p > 0]
-                if len(letters) ** self.n > _INDEX_BUDGET:
-                    raise BudgetExceededError(
-                        "class index of encoders %r needs %d letters ^ n=%d = %d blocks "
-                        "(budget %d)" % (T, len(letters), self.n, len(letters) ** self.n,
-                                         _INDEX_BUDGET))
-            classes = self._class_indexes[S] = {}
-            for block_letters in itertools.product(letters, repeat=self.n):
-                blocks = _transpose(S, block_letters)
-                hashes = [self._hashes(i, block) for i, block in blocks.items()]
-                if all(meets for meets, _ in hashes):
-                    classes.setdefault(tuple(g for _, g in hashes), []).append(
-                        (blocks, block_letters))
-        return classes
+                check_index_budget(self.config, self._joint, self.n)
+            index = self._class_indexes[S] = self._build_index(S)
+        return index
 
-    def _tables(self, S, given, block) -> list:
-        """Per position of `block`, the integer weights of the W_S-letters
-        jointly with that position's letter of the observed variable `given`
-        in the model joint, or the W_S marginal n times when `given` is None.
+    def _build_index(self, S) -> _ClassIndex:
+        letters = _positive_letters(self._joint, S)
+        n, size = self.n, len(letters)
+        digits = _digits(np.arange(size ** n), size, n, np.min_scalar_type(size - 1))
+        admissible = np.ones(size ** n, dtype=bool)
+        keys, values = [], []
+        for e, i in enumerate(S):
+            digit, meets, gid, g_values = self._hashed(i)
+            letter_digit = np.array([digit[letter[e]] for letter in letters])
+            number = np.zeros(size ** n, dtype=np.int64)
+            for pos in range(n):
+                number = number * len(digit) + letter_digit[digits[:, pos]]
+            admissible &= meets[number]
+            keys.append(gid[number])
+            values.append(g_values)
+        kept = np.flatnonzero(admissible)
+        classes = np.stack([key[kept] for key in keys], axis=1)
+        ids, first = _row_ids(classes)
+        order = np.argsort(first)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        cls = rank[ids]
+        by_class = np.argsort(cls, kind="stable")
+        kept, cls = kept[by_class], cls[by_class]
+        row_of = np.full(size ** n, -1, dtype=np.int64)
+        row_of[kept] = np.arange(len(kept))
+        keys = classes[first[order]]
+        lookup = dict(zip(zip(*(_object_array(values[e])[keys[:, e]].tolist()
+                                for e in range(len(S)))), range(len(order))))
+        return _ClassIndex(
+            letters=letters, symbols=[_object_array([w[e] for w in letters]) for e in range(len(S))],
+            rows=digits[kept], cls=cls, bounds=np.searchsorted(cls, np.arange(len(order) + 1)),
+            lookup=lookup, row_of=row_of)
 
-        Each observed letter's table is scaled to integers by its own lcm;
-        the tables are built once per (S, given).  At an observed letter of
-        zero mass every W_S-letter weighs 0.
+    def _table(self, S, given):
+        """The weighting table of encoder set S observing the variable `given`
+        (None for no observation): (T, bound).
+
+        T[v, l] is the model-joint weight of W_S letter l jointly with the
+        `given` letter of alphabet id v, each observed letter's row scaled to
+        integers by its own lcm (a row of zeros at an observed letter of zero
+        mass); without observation T is the W_S marginal, one row.  `bound`
+        bounds the weight of a block, the product of n entries; T is int64
+        when every sum of block weights over the index fits.
         """
-        tables = self._weights.get((S, given))
-        if tables is None:
+        table = self._tables.get((S, given))
+        if table is None:
+            column = {w: l for l, w in enumerate(self._index(S).letters)}
             names = [w_name(i) for i in S] + ([given] if given else [])
             by_letter: dict = {}
             for key, p in marginalize(self._joint, names).items():
                 w, v = (key[:-1], key[-1]) if given else (key, None)
-                by_letter.setdefault(v, {})[w] = p
-            tables = self._weights[S, given] = {
-                v: _integer_weights(table)[0] for v, table in by_letter.items()}
-        if given is None:
-            return [tables[None]] * self.n
-        return [tables.get(v, {}) for v in block]
+                if p:
+                    by_letter.setdefault(v, {})[column[w]] = p
+            rows = []
+            for v in (self._joint.alphabet(given).symbols if given else (None,)):
+                row = [0] * len(column)
+                weights = by_letter.get(v, {})
+                for l, x in zip(weights, integer_scaled(list(weights.values()))[0]):
+                    row[l] = x
+                rows.append(row)
+            bound = max(map(max, rows)) ** self.n
+            table = self._tables[S, given] = (
+                _int_array(rows, bound * len(column) ** self.n), bound)
+        return table
+
+    def _observed(self, var, block) -> np.ndarray:
+        """The alphabet ids of an observed block (all 0 without observation)."""
+        if var is None:
+            return np.zeros(self.n, dtype=np.intp)
+        alph = self._joint.alphabet(var)
+        return np.array([alph.index(v) for v in block], dtype=np.intp)
+
+    def _weighed(self, S, given, block, first, stop) -> list:
+        """The law items of the index rows first..stop-1 of S weighed at the
+        `given` block: (blocks by encoder, weight) for each row of positive
+        weight, in row order.  Each row's blocks are built once, when a law
+        first holds it."""
+        index = self._index(S)
+        table, _ = self._table(S, given)
+        weights = _weights(table, self._observed(given, block), index.rows[first:stop])
+        keep = np.flatnonzero(weights)
+        kept = weights[keep].tolist()
+        keep = (keep + first).tolist()
+        new = [r for r in keep if r not in index.blocks]
+        if new:
+            columns = [map(tuple, symbols[index.rows[new]].tolist()) for symbols in index.symbols]
+            index.blocks.update(zip(new, (dict(zip(S, blocks)) for blocks in zip(*columns))))
+        return list(zip(map(index.blocks.__getitem__, keep), kept))
 
     def _law(self, key, weigh, abort, message):
         """The cached law `key` = (side, cell or decoder, ...): (items, total),
@@ -278,9 +430,8 @@ class CodeInstance:
         law.  An x_block with a letter of zero source mass gets no candidates
         (EncoderAbort); no drawn or enumerated source block has one."""
         cell = tuple(cell)
-        candidates = itertools.chain.from_iterable(self._class_index(cell).values())
         x_var = self.channels[cell].inputs[0][0]
-        return _weigh(candidates, self._tables(cell, x_var, x_block))
+        return self._weighed(cell, x_var, x_block, 0, len(self._index(cell).rows))
 
     def cell_constrained_law(self, cell, x_block):
         """Encoder CRNG law: channel law restricted to f_i(w_i) = c_i, as
@@ -293,7 +444,7 @@ class CodeInstance:
     def encode(self, cell, x_block, seed):
         """Joint draw for one sharing cell: (blocks by encoder, codewords)."""
         blocks = sample_from_law(self.cell_constrained_law(cell, x_block), seed)
-        return blocks, {i: self._hashes(i, blocks[i])[1] for i in cell}
+        return blocks, {i: self._g_value(i, blocks[i]) for i in cell}
 
     # -- decoder -------------------------------------------------------------------------
 
@@ -311,9 +462,16 @@ class CodeInstance:
         if y_block is not None:
             y_block = tuple(y_block)
         return self._law(("decoder", j, values, y_block),
-                         lambda: _weigh(self._class_index(ij).get(values, ()),
-                                        self._tables(ij, self.config.side_info.get(j), y_block)),
+                         lambda: self._class_items(j, ij, values, y_block),
                          DecoderAbort, "decoder %r: empty posterior class")
+
+    def _class_items(self, j, ij, values, y_block) -> list:
+        index = self._index(ij)
+        c = index.lookup.get(values)
+        if c is None:
+            return []
+        return self._weighed(ij, self.config.side_info.get(j), y_block,
+                             index.bounds[c], index.bounds[c + 1])
 
     def reproduce(self, j, w_blocks: Mapping, y_block):
         """Apply the decoder's reproducers per letter."""
@@ -333,24 +491,6 @@ class CodeInstance:
         else:
             raise ConfigurationError("unknown decode rule %r" % (rule,))
         return w_hat, self.reproduce(j, w_hat, y_block)
-
-
-def _weigh(candidates, tables):
-    """Each (blocks, letters) candidate with the product of its letters'
-    weights, `tables[pos]` mapping a letter at position pos to its weight.
-
-    A candidate is dropped at its first letter of zero weight.
-    """
-    weighted = []
-    for blocks, letters in candidates:
-        p = 1
-        for table, letter in zip(tables, letters):
-            p *= table.get(letter, 0)
-            if not p:
-                break
-        else:
-            weighted.append((blocks, p))
-    return weighted
 
 
 def map_estimate(law, ij):
@@ -399,6 +539,337 @@ class _BalancedSum:
         return sum((p for p in self._partials if p is not None), Fraction(0))
 
 
+def _product(factors) -> tuple:
+    """The elementwise product of (integer array, bound) factors, as
+    (integer array, bound): int64 when the bound proves it fits, Python ints
+    in an object array otherwise."""
+    bound = math.prod(b for _, b in factors)
+    dtype = np.int64 if bound < _INT64 else object
+    out = factors[0][0].astype(dtype)
+    for values, _ in factors[1:]:
+        out = out * values.astype(dtype, copy=False)
+    return out, bound
+
+
+def _sum_at(where, count: int, values, bound) -> np.ndarray:
+    """The sums of `values` (each at most `bound`) into `count` groups, value
+    v into group where[v]: int64 when len(values) such terms fit."""
+    dtype = np.int64 if bound * len(values) < _INT64 else object
+    sums = np.zeros(count, dtype=dtype)
+    np.add.at(sums, where, values.astype(dtype, copy=False))
+    return sums
+
+
+def _sum_by(keys, values, bound) -> tuple:
+    """(distinct keys in sorted order, the sum of `values` over each)."""
+    distinct, where = np.unique(keys, return_inverse=True)
+    return distinct, _sum_at(where, len(distinct), values, bound)
+
+
+def _accumulate(numerators: dict, keys: list, denominators: list, values):
+    """Add each of `values` = (integers, bound) to the numerator of its
+    denominator.  The columns `keys` (small ints, one row per value) name
+    the denominator, the product of the (integers, bound) `denominators` at
+    that row, so that values are grouped without sorting large integers."""
+    where, first = _row_ids(np.stack(keys, axis=1))
+    sums = _sum_at(where, len(first), *values)
+    totals, _ = _product([(factor[first], bound) for factor, bound in denominators])
+    for denominator, total in zip(totals.tolist(), sums.tolist()):
+        if total:
+            _add(numerators, denominator, total)
+
+
+def _add(numerators: dict, denominator: int, numerator: int):
+    numerators[denominator] = numerators.get(denominator, 0) + numerator
+
+
+def _fraction_sum(numerators: dict, scale: int) -> Fraction:
+    """The exact sum of numerator / (denominator * scale) over a
+    denominator -> numerator dict."""
+    acc = _BalancedSum()
+    for denominator, numerator in numerators.items():
+        acc.add(Fraction(numerator, denominator * scale))
+    return acc.total()
+
+
+def _runs(lengths):
+    """Consecutive ranges [a, b) of runs whose lengths sum to at most
+    ``_ROW_CAP`` (a longer run is a range of its own)."""
+    ends = np.cumsum(lengths)
+    a = 0
+    while a < len(lengths):
+        b = int(np.searchsorted(ends, (ends[a - 1] if a else 0) + _ROW_CAP, side="right"))
+        b = max(b, a + 1)
+        yield a, b
+        a = b
+
+
+def _ragged(lengths) -> tuple:
+    """(owner, offset, starts) for runs of `lengths` laid end to end: each
+    element's run, its place in the run, and where each run starts."""
+    starts = np.cumsum(lengths) - lengths
+    owner = np.repeat(np.arange(len(lengths)), lengths)
+    return owner, np.arange(len(owner)) - starts[owner], starts
+
+
+def _exceeds(measure, differ, bound) -> np.ndarray:
+    """Per row of `differ` (where a reproduced block differs from its source
+    block, letter by letter), whether the distortion exceeds `bound`; the
+    floats are those of :meth:`DistortionMeasure.block`."""
+    if measure.kind == "hamming":
+        return np.count_nonzero(differ, axis=1) / differ.shape[1] > bound
+    return np.where(differ.any(axis=1), 1.0, 0.0) > bound
+
+
+class _Source:
+    """The source blocks of a code, numbered in product order of the
+    positive-mass source letters, with their integer weights."""
+
+    def __init__(self, code: CodeInstance):
+        support = [(letter, p) for letter, p in code.source.items() if p > 0]
+        self.pmf, self.n = code.source, code.n
+        self.letters = [letter for letter, _ in support]
+        weights, self.scale = integer_scaled([p for _, p in support])
+        self.bound = max(weights) ** code.n
+        self.weights = _int_array(weights, self.bound)
+        self.count = len(support) ** code.n
+
+    def ids(self, var) -> np.ndarray:
+        """Per source letter, the alphabet id of its `var` symbol (0 for no
+        variable)."""
+        if var is None:
+            return np.zeros(len(self.letters), dtype=np.intp)
+        pos, alph = self.pmf.names.index(var), self.pmf.alphabet(var)
+        return np.array([alph.index(letter[pos]) for letter in self.letters], dtype=np.intp)
+
+    def numbering(self, var) -> tuple:
+        """(number, symbols): the alphabet ids `symbols` of the `var` symbols
+        that occur, and `number`, which numbers the `var` blocks of source
+        blocks (rows of source letter ids) in product order of those."""
+        symbols, digit = np.unique(self.ids(var), return_inverse=True)
+        powers = len(symbols) ** np.arange(self.n - 1, -1, -1)
+        return (lambda digits: digit[digits] @ powers), symbols
+
+
+class _CellDraws:
+    """A sharing cell's encoder laws at every block of its input variable:
+    ragged arrays of each law's positive draws."""
+
+    def __init__(self, code: CodeInstance, cell, source: _Source):
+        x_var = code.channels[cell].inputs[0][0]
+        index = code._index(cell)
+        table, self.bound = code._table(cell, x_var)
+        self.rows = index.rows
+        self.number, symbols = source.numbering(x_var)
+        x_rows = symbols[_digits(np.arange(len(symbols) ** code.n), len(symbols), code.n)]
+        step = max(1, _ROW_CAP // max(1, len(index.rows)))
+        parts = []
+        for lo in range(0, len(x_rows), step):
+            w = _weights(table, x_rows[lo:lo + step, None, :], index.rows)
+            x, row = np.nonzero(w)
+            parts.append((row, w[x, row], w.sum(axis=1), np.bincount(x, minlength=len(w))))
+        self.letters = index.letters
+        self.row, self.weight, self.total, self.count = (
+            np.concatenate(part) for part in zip(*parts))
+        self.start = np.cumsum(self.count) - self.count
+        self.total_bound = self.bound * max(1, len(index.rows))
+
+
+class _Batch:
+    """Encoder draws of a range of source blocks: per source block its source
+    letter ids and the product of its cell law totals, with an id per
+    distinct product; per state (a source block with one positive draw per
+    cell) its source block, its weight, and each cell's drawn W-letter ids."""
+
+    def __init__(self, digits, scale, scale_id, block, weight, letters):
+        self.digits, self.scale, self.scale_id = digits, scale, scale_id
+        self.block, self.weight, self.letters = block, weight, letters
+
+
+def _batches(source: _Source, cells: list, lo: int, hi: int):
+    """(weight of the source blocks lo..hi-1 at which some cell's law is
+    empty, the batches of at most ``_ROW_CAP`` states of the others)."""
+    digits = _digits(np.arange(lo, hi), len(source.letters), source.n)
+    p = np.prod(source.weights[digits], axis=1)
+    x = [cell.number(digits) for cell in cells]
+    counts = np.prod([cell.count[u] for cell, u in zip(cells, x)], axis=0)
+    abort = sum(p[counts == 0].tolist())
+    scale = _product([(cell.total[u], cell.total_bound) for cell, u in zip(cells, x)])
+    scale_id = np.unique(scale[0], return_inverse=True)[1]
+    ends = np.cumsum(counts)
+
+    def states():
+        for s in range(0, int(ends[-1]), _ROW_CAP):
+            state = np.arange(s, min(s + _ROW_CAP, int(ends[-1])))
+            block = np.searchsorted(ends, state, side="right")
+            offset = state - (ends[block] - counts[block])
+            entries = []
+            for cell, u in zip(reversed(cells), reversed(x)):
+                per = cell.count[u[block]]
+                entries.append(cell.start[u[block]] + offset % per)
+                offset = offset // per
+            entries.reverse()
+            weight = _product([(p[block], source.bound)]
+                              + [(cell.weight[e], cell.bound) for cell, e in zip(cells, entries)])
+            yield _Batch(digits, scale, scale_id, block, weight,
+                         [cell.rows[cell.row[e]] for cell, e in zip(cells, entries)])
+    return abort, states()
+
+
+class _DecoderClasses:
+    """One decoder as the oracle reads it: the class of each state's true
+    W_{I_j}-blocks, that class's law given the state's side information, and
+    the distortion hits of the class's candidates."""
+
+    def __init__(self, code: CodeInstance, j, cells: list, source: _Source, rule, bounds):
+        cfg = code.config
+        self.rule = rule
+        ij = tuple(cfg.codewords_to[j])
+        self.index = index = code._index(ij)
+        y = cfg.side_info.get(j)
+        self.table, self.bound = code._table(ij, y)
+        self.total_bound = self.bound * max(1, len(index.rows))
+        self.y_ids = source.ids(y)
+        self.y_number, symbols = source.numbering(y)
+        self.y_count = len(symbols) ** code.n
+        self.powers = len(index.letters) ** np.arange(code.n - 1, -1, -1)
+        # the I_j letter of each combination of letters of the cells that hold I_j
+        letter_id = {w: l for l, w in enumerate(index.letters)}
+        self.parts = [c for c, cell in enumerate(cfg.sharing) if set(cell) & set(ij)]
+        sizes = [len(cells[c].letters) for c in self.parts]
+        self.strides = [math.prod(sizes[k + 1:]) for k in range(len(sizes))]
+        joined = []
+        for combo in itertools.product(*map(range, sizes)):
+            symbol = {}
+            for c, l in zip(self.parts, combo):
+                symbol.update(zip(cfg.sharing[c], cells[c].letters[l]))
+            joined.append(letter_id.get(tuple(symbol[i] for i in ij), -1))
+        self.project = np.array(joined, dtype=np.intp)
+        self.reproductions = [
+            self._reproduction(code, k, table, sources, ij, y, source, bounds[k])
+            for k, table, sources in code._reproduction_args[j]]
+        if rule == "map":
+            rank = []
+            for e in range(len(ij)):
+                order = {w: r for r, w in enumerate(sorted({w[e] for w in index.letters}))}
+                rank.append([order[w[e]] for w in index.letters])
+            self.rank = np.array(rank, dtype=np.int64).T   # (letter, encoder)
+
+    def _reproduction(self, code, k, table, sources, ij, y, source: _Source, bound):
+        """(k, measure, bound, x, z) of one reproduction: the distortion measure
+        and D_k + delta; x[s], the symbol id of the measured variable in
+        source letter s; z[v, l], the symbol id of the reproduction of I_j
+        letter l at side-information letter v (-1 at zero mass)."""
+        measure = code.config.distortions[k]
+        letters = self.index.letters
+        symbol_id: dict = {}
+        pos = source.pmf.names.index(measure.source)
+        x = np.array([symbol_id.setdefault(letter[pos], len(symbol_id))
+                      for letter in source.letters], dtype=np.int64)
+        y_symbols = code.model_joint().alphabet(y).symbols if y else (None,)
+        z = np.full(self.table.shape, -1, dtype=np.int64)
+        for v, l in zip(*np.nonzero(self.table)):
+            args = tuple(y_symbols[v] if i is None else letters[l][ij.index(i)] for i in sources)
+            z[v, l] = symbol_id.setdefault(table[args], len(symbol_id))
+        return k, measure, bound, x, z
+
+    def _classes(self, cls, observed):
+        """For consecutive ranges [a, b) of (class, observed block) entries,
+        their class candidates laid end to end: (a, b, owner, starts, row,
+        obs, weight), per candidate its entry (owner, from a), its row and
+        observed block and its weight, and where each entry's run starts."""
+        index = self.index
+        sizes = index.bounds[cls + 1] - index.bounds[cls]
+        for a, b in _runs(sizes):
+            owner, offset, starts = _ragged(sizes[a:b])
+            row = index.bounds[cls[a:b]][owner] + offset
+            obs = observed[a:b][owner]
+            yield a, b, owner, starts, row, obs, _weights(self.table, obs, index.rows[row])
+
+    def _pick(self, owner, starts, row, weight):
+        """Each entry's MAP pick: its largest weight, ties broken toward the
+        smallest symbol ranks (encoder order, then position order)."""
+        best = weight == np.maximum.reduceat(weight, starts)[owner]
+        digits = self.rank[self.index.rows[row]].transpose(0, 2, 1).reshape(len(row), -1)
+        return row[np.lexsort([*digits.T[::-1], ~best, owner])[starts]]
+
+    def states(self, batch: _Batch, exceed: dict) -> tuple:
+        """Per state of `batch`: the decoder's weight of its true blocks and
+        its class total, as (integers, bound) each, and an id per distinct
+        class total; the distortion hits of the states' classes are added to
+        `exceed`."""
+        index = self.index
+        cell_letters = sum(batch.letters[c].astype(np.int64) * stride
+                           for c, stride in zip(self.parts, self.strides))
+        letters = self.project[cell_letters]
+        row = index.row_of[letters @ self.powers]
+        cls = index.cls[row]
+        observed = self.y_ids[batch.digits]
+        y_block = self.y_number(batch.digits)
+        contexts, first, context = np.unique(cls * self.y_count + y_block[batch.block],
+                                             return_index=True, return_inverse=True)
+        # (source block, class) pairs: their summed state weights and context
+        width = len(index.bounds)
+        pairs, weight = _sum_by(batch.block * width + cls, *batch.weight)
+        weight = (weight, batch.weight[1] * len(batch.block))
+        pair_block, pair_cls = pairs // width, pairs % width
+        pair_context = np.searchsorted(contexts, pair_cls * self.y_count + y_block[pair_block])
+        pair_obs, pair_digits = observed[pair_block], batch.digits[pair_block]
+        scale = (batch.scale[0][pair_block], batch.scale[1])
+        scale_id = batch.scale_id[pair_block]
+
+        total = np.zeros(len(contexts), dtype=self.table.dtype)
+        pick = np.zeros(len(contexts), dtype=np.int64)
+        joins = [r for r in self.reproductions
+                 if self.rule == "crng" and r[1].kind == "block-mismatch"]
+        equal = {r[0]: np.zeros(len(pairs), dtype=self.table.dtype) for r in joins}
+        by_context = np.argsort(pair_context, kind="stable")
+        sorted_context = pair_context[by_context]
+        for a, b, owner, starts, crow, obs, w in self._classes(cls[first],
+                                                                observed[batch.block[first]]):
+            total[a:b] = np.add.reduceat(w, starts)
+            if self.rule == "map":
+                pick[a:b] = self._pick(owner, starts, crow, w)
+            lo, hi = np.searchsorted(sorted_context, [a, b])
+            chosen = by_context[lo:hi]
+            for k, _, _, x, z in joins:
+                # sorted join of (context, reproduced block) against (context, source block)
+                rank, _ = _row_ids(np.concatenate([z[obs, index.rows[crow]],
+                                                   x[pair_digits[chosen]]]))
+                keys, mass = _sum_by(owner * len(rank) + rank[:len(w)], w, self.bound)
+                query = (pair_context[chosen] - a) * len(rank) + rank[len(w):]
+                at = np.minimum(np.searchsorted(keys, query), len(keys) - 1)
+                equal[k][chosen] = np.where(keys[at] == query, mass[at], 0)
+
+        if self.rule == "map":
+            rows = index.rows[pick[pair_context]]
+            for k, measure, bound, x, z in self.reproductions:
+                hit = _exceeds(measure, x[pair_digits] != z[pair_obs, rows], bound)
+                _accumulate(exceed[k], [scale_id], [scale], _product([weight, (hit, 1)]))
+            ones = np.ones(len(row), dtype=np.int64)
+            return (row == pick[context], 1), (ones, 1), ones
+
+        class_total = total[pair_context]
+        hits = {k: (class_total - same) * (1.0 > bound) + same * (0.0 > bound)
+                for (k, _, bound, _, _), same in zip(joins, equal.values())}
+        counted = [r for r in self.reproductions if r[0] not in hits]
+        for k, *_ in counted:
+            hits[k] = np.zeros(len(pairs), dtype=self.table.dtype)
+        if counted:
+            for a, b, owner, starts, crow, obs, w in self._classes(pair_cls, pair_obs):
+                candidates = index.rows[crow]
+                for k, measure, bound, x, z in counted:
+                    hit = _exceeds(measure, x[pair_digits[a:b][owner]] != z[obs, candidates], bound)
+                    hits[k][a:b] = np.add.reduceat(np.where(hit, w, 0), starts)
+        total_id = np.unique(total, return_inverse=True)[1]
+        for k, *_ in self.reproductions:
+            _accumulate(exceed[k], [scale_id, total_id[pair_context]],
+                        [scale, (class_total, self.total_bound)],
+                        _product([weight, (hits[k], self.total_bound)]))
+        return ((_weights(self.table, observed[batch.block], letters), self.bound),
+                (total[context], self.total_bound), total_id[context])
+
+
 def exact_error(code: CodeInstance, delta: float, D: Mapping,
                 rule: str = "crng") -> ExactError:
     """Exact error probabilities by total enumeration.
@@ -407,127 +878,48 @@ def exact_error(code: CodeInstance, delta: float, D: Mapping,
     draw; encoder aborts count as errors for the mismatch and for every
     distortion exceedance.
 
-    The sums run in integers.  A source block's weight is an integer over
-    D^n (D the lcm of the source law's denominators), each encoder draw an
-    integer over its cell's law total.  Within a source block the encoder
-    draws are grouped by the decoder classes they reach (each class
-    summarized once per call, :func:`_class_summary`), and the distortion
-    hits are counted once per group.  Each group's numerators are added to
-    the running numerator of their denominator: D^n times the cell totals
-    times the class totals for the mismatch, times only the decoder's own
-    class total for an exceedance.  One Fraction is formed per distinct
-    denominator at the end.
+    The sums run in integers over S^n, S the lcm of the source law's
+    denominators.  A state is a source block with one positive draw per
+    cell; its weight is the source block weight times its draw weights, over
+    the cells' law totals.  The mismatch is 1 minus the probability that
+    every decoder outputs its true blocks: each state's weight times each
+    decoder's weight of the true blocks, over the cell totals times the
+    class totals.  An exceedance adds, per source block and decoder class,
+    the summed state weights times the class weight of the reproductions
+    that exceed D_k + delta, over the cell totals times the class total;
+    the MAP rule outputs its pick with weight 1 out of 1.  Numerators are
+    summed per distinct denominator, and one Fraction is formed for each.
     """
     if rule not in ("crng", "map"):
         raise ConfigurationError("unknown decode rule %r" % (rule,))
     _check_budget(code)
     cfg = code.config
     bounds = {k: float(D[k]) + delta for k in cfg.reproduction_ids}
-    cells = [(cell, code.channels[cell].inputs[0][0]) for cell in cfg.sharing]
-    decoders = [(j, tuple(cfg.codewords_to[j]), cfg.side_info.get(j)) for j in cfg.decoders]
-    source_row, source_scale = _integer_weights(dict(code.source.items()))
-    source_row = [(letter, w) for letter, w in source_row.items() if w]
-    block_scale = source_scale ** code.n
-    mismatch: dict = {}    # denominator -> numerator
+    source = _Source(code)
+    cells = [_CellDraws(code, cell, source) for cell in cfg.sharing]
+    decoders = [_DecoderClasses(code, j, cells, source, rule, bounds) for j in cfg.decoders]
+    matched: dict = {}    # denominator -> numerator of P(every decoder is right)
     exceed: dict = {k: {} for k in cfg.reproduction_ids}
-    abort = 0
-    summaries: dict = {}
-    for letters, p_src in block_products([source_row] * code.n):
-        blocks = _transpose(code.source.names, letters)
-        try:
-            cell_laws = [code.cell_constrained_law(cell, blocks[x_var]) for cell, x_var in cells]
-        except EncoderAbort:
-            abort += p_src
-            continue
-        scale = block_scale
-        for _, total in cell_laws:
-            scale *= total
-        groups: dict = {}   # decoder classes -> [sum of weights, sum of weight * prod match]
-        for combo in itertools.product(*(items for items, _ in cell_laws)):
-            w_blocks = {}
-            weight = p_src
-            for cell_blocks, w in combo:
-                w_blocks.update(cell_blocks)
-                weight *= w
-            classes = []
-            matched = weight
-            for j, ij, y in decoders:
-                y_block = blocks[y] if y else None
-                key = (j, tuple(code._hashes(i, w_blocks[i])[1] for i in ij), y_block)
-                summary = summaries.get(key)
-                if summary is None:
-                    summary = summaries[key] = _class_summary(code, j, key[1], y_block, rule)
-                matched *= summary[0].get(tuple(w_blocks[i] for i in ij), 0)
-                classes.append(key)
-            group = groups.setdefault(tuple(classes), [0, 0])
-            group[0] += weight
-            group[1] += matched
-        hits_of: dict = {}   # decoder class -> [(k, hits)]
-        for classes, (weight, matched) in groups.items():
-            total = 1
-            for key in classes:
-                total *= summaries[key][1]
-            if weight * total != matched:
-                _add(mismatch, scale * total, weight * total - matched)
-            for key in classes:
-                hits = hits_of.get(key)
-                if hits is None:
-                    hits = hits_of[key] = _hits(cfg, blocks, summaries[key][2], bounds)
-                for k, count in hits:
-                    _add(exceed[k], scale * summaries[key][1], weight * count)
-    for numerators in [mismatch, *exceed.values()]:
-        _add(numerators, block_scale, abort)
-    return ExactError(_fraction_sum(mismatch),
-                      {k: _fraction_sum(numerators) for k, numerators in exceed.items()},
-                      Fraction(abort, block_scale))
-
-
-def _add(numerators: dict, denominator: int, numerator: int):
-    numerators[denominator] = numerators.get(denominator, 0) + numerator
-
-
-def _fraction_sum(numerators: dict) -> Fraction:
-    """The exact sum of numerator/denominator over a denominator -> numerator dict."""
-    acc = _BalancedSum()
-    for denominator, numerator in numerators.items():
-        acc.add(Fraction(numerator, denominator))
-    return acc.total()
-
-
-def _hits(cfg, blocks, reproduced, bounds) -> list:
-    """(k, summed weight of the reproductions whose distortion from the source
-    blocks exceeds D_k + delta) for each reproduction of a decoder class."""
-    hits = []
-    for k, masses in reproduced.items():
-        distortion = cfg.distortions[k]
-        count = sum(mass for z, mass in masses if distortion.block(blocks, z) > bounds[k])
-        if count:
-            hits.append((k, count))
-    return hits
-
-
-def _class_summary(code: CodeInstance, j, values: tuple, y_block, rule: str):
-    """What the oracle needs from one decoder class, under one decode rule.
-
-    `values` are the codewords of I_j.  Returns (match, total, reproduced):
-    `match` maps each candidate (its blocks in I_j order) to the integer
-    weight with which the decoder outputs it, out of `total`, the class
-    total; `reproduced[k]` lists each distinct reproduced block with its
-    summed weight out of the same total.  The MAP rule outputs its pick with
-    weight 1 out of 1.
-    """
-    ij = tuple(code.config.codewords_to[j])
-    items, total = code.decoder_class_law(j, dict(zip(ij, values)), y_block)
-    if rule == "map":
-        items, total = [(map_estimate(items, ij), 1)], 1
-    match = {}
-    masses = {k: {} for k in code.config.reproductions.get(j, ())}
-    for cand, w in items:
-        match[tuple(cand[i] for i in ij)] = w
-        z = code.reproduce(j, cand, y_block)
-        for k, by_block in masses.items():
-            by_block[z[k]] = by_block.get(z[k], 0) + w
-    return match, total, {k: list(by_block.items()) for k, by_block in masses.items()}
+    aborted = 0
+    for lo in range(0, source.count, _ROW_CAP):
+        abort, batches = _batches(source, cells, lo, min(lo + _ROW_CAP, source.count))
+        aborted += abort
+        for batch in batches:
+            numerators = [batch.weight]
+            denominators = [(batch.scale[0][batch.block], batch.scale[1])]
+            keys = [batch.scale_id[batch.block]]
+            for decoder in decoders:
+                match, total, total_id = decoder.states(batch, exceed)
+                numerators.append(match)
+                denominators.append(total)
+                keys.append(total_id)
+            _accumulate(matched, keys, denominators, _product(numerators))
+    scale = source.scale ** code.n
+    for numerators in exceed.values():
+        _add(numerators, 1, aborted)
+    return ExactError(1 - _fraction_sum(matched, scale),
+                      {k: _fraction_sum(numerators, scale) for k, numerators in exceed.items()},
+                      Fraction(aborted, scale))
 
 
 def _check_budget(code: CodeInstance):

@@ -148,7 +148,7 @@ def test_simulate_csv_and_determinism(tmp_path):
     assert open(out_a).read() == open(out_b).read()
     header = open(out_a).read().splitlines()[0]
     assert header.startswith("scenario,n,R_1,R_2,r_1,r_2,delta,trials,mismatch_freq")
-    assert header.endswith("ci_low,ci_high,seed")
+    assert header.endswith("ci_low,ci_high,seed,enc_abort_freq,dec_abort_freq")
 
 
 def test_simulate_exact_mode(tmp_path):
@@ -196,11 +196,11 @@ def test_simulate_class_index_budget_refuses_early(capsys):
 
 def test_simulate_refuses_the_decoder_index_before_any_encoder_scan(capsys):
     # at n = 20 each encoder index holds 2^20 blocks, within the budget, and
-    # the decoder index 4^20; the decoder index is refused before either
-    # encoder index is scanned
+    # the decoder index 4^20; the decoder index is refused before any hash
+    # is sampled
     t0 = time.perf_counter()
     assert run(["simulate", "slepian-wolf", "--n", "20", "--trials", "10"]) == 3
-    assert time.perf_counter() - t0 < 5.0
+    assert time.perf_counter() - t0 < 1.0
     err = capsys.readouterr().err
     assert "class index of encoders (1, 2) needs 4 letters ^ n=20" in err
     assert str(4 ** 20) in err
@@ -330,6 +330,26 @@ def tiny_scenario_data():
         "code": {"rates": {"1": 1.0}},
         "run": {"n": [1], "trials": 5, "D": {"1": "0.2"}},
     }
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_simulate_reports_encoder_aborts(tmp_path, exact):
+    """With W = X and |C| = 2^n, the encoder aborts unless f(x) = c: the CSV
+    reports the abort frequency in its own column."""
+    data = tiny_scenario_data()
+    data["channels"][0]["rows"] = [[[0], [[[0], "1"]]], [[1], [[[1], "1"]]]]
+    data["code"]["aux_rates"] = {"1": 1.0}
+    path = tmp_path / "aborting.json"
+    path.write_text(json.dumps(data))
+    out = str(tmp_path / "aborting.csv")
+    args = ["simulate", str(path), "--n", "3", "--trials", "200", "--seed", "3", "--out", out]
+    assert run(args + (["--exact"] if exact else [])) == 0
+    header, row = open(out).read().splitlines()
+    fields = dict(zip(header.split(","), row.split(",")))
+    assert 0 < Fraction(fields["enc_abort_freq"]) < 1
+    assert Fraction(fields["dec_abort_freq"]) == 0
+    # an abort counts as a mismatch
+    assert Fraction(fields["mismatch_freq"]) >= Fraction(fields["enc_abort_freq"])
 
 
 def _config_hash(tmp_path, name, data):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chisquare
 
+from multiterm import codec
 from multiterm.codec import (
     CodeInstance,
     _check_budget,
@@ -439,6 +440,59 @@ def test_integer_oracle_matches_fraction_reference(name, n, seed, rule, aux):
     result = exact_error(code, delta, scenario.default_D, rule=rule)
     values = [result.mismatch, result.encoder_abort, *result.exceed.values()]
     assert all(type(v) is Fraction for v in values)
+    assert (result.mismatch, result.exceed, result.encoder_abort) == \
+        _reference_exact_error(code, delta, scenario.default_D, rule)
+
+
+def _simulating_codes(max_n):
+    for name in SIMULATING:
+        scenario = build_scenario(name)
+        delta = 0.01 * max(d.bound for d in scenario.config.distortions.values())
+        for n in range(1, max_n + 1):
+            for aux in (None, 1.0):
+                aux_rates = None if aux is None else {i: aux for i in scenario.config.encoders}
+                yield scenario, delta, scenario.make_code(n, aux_rates=aux_rates, seed=n)
+
+
+def test_batch_boundaries_neither_drop_nor_repeat_rows(monkeypatch):
+    """A row cap of 5 splits source blocks, encoder draws, decoder classes and
+    class candidates into many batches; every value stays the same."""
+    cases = [(scenario, delta, code, rule, exact_error(code, delta, scenario.default_D, rule))
+             for scenario, delta, code in _simulating_codes(3) for rule in ("crng", "map")]
+    monkeypatch.setattr(codec, "_ROW_CAP", 5)
+    for scenario, delta, code, rule, expected in cases:
+        fresh = dataclasses.replace(code)
+        assert exact_error(fresh, delta, scenario.default_D, rule) == expected
+
+
+def _large_denominator_source(source, seed):
+    """A positive law on the variables of `source` whose two halves have the
+    coprime denominators 2(2^31 - 1) and 2(2^31 - 19): scaled to integers,
+    one letter weighs about 2^61, so two letters' product passes 2^63."""
+    rng = np.random.default_rng(seed)
+    keys = list(itertools.product(*(alph.symbols for _, alph in source.variables)))
+    table = {}
+    for part, denominator in ((keys[:len(keys) // 2], (1 << 31) - 1),
+                              (keys[len(keys) // 2:], (1 << 31) - 19)):
+        weights = [int(w) for w in rng.integers(1 << 20, 1 << 28, size=len(part) - 1)]
+        weights.append(denominator - sum(weights))
+        table.update((key, Fraction(w, 2 * denominator)) for key, w in zip(part, weights))
+    return JointPmf(source.variables, table)
+
+
+@pytest.mark.parametrize("rule", ["crng", "map"])
+@pytest.mark.parametrize("name,n", [("slepian-wolf", 2), ("wyner-ziv-binary", 3),
+                                    ("heegard-berger-two-decoders", 2),
+                                    ("berger-tung-binary", 2)])
+def test_oracle_switches_to_python_ints_past_int64(name, n, rule):
+    """Source denominators near 2^31 push the oracle's block weights past
+    2^63, onto Python ints; the values still equal the Fraction reference."""
+    scenario = build_scenario(name)
+    scenario = dataclasses.replace(scenario, source=_large_denominator_source(scenario.source, n))
+    code = scenario.make_code(n, aux_rates={i: 0.5 for i in scenario.config.encoders}, seed=n)
+    assert codec._Source(code).weights.dtype == object
+    delta = 0.01 * max(d.bound for d in scenario.config.distortions.values())
+    result = exact_error(code, delta, scenario.default_D, rule=rule)
     assert (result.mismatch, result.exceed, result.encoder_abort) == \
         _reference_exact_error(code, delta, scenario.default_D, rule)
 
