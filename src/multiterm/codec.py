@@ -4,8 +4,9 @@ exact error oracles, and Monte Carlo simulation.
 The encoder of a sharing cell draws the cell's auxiliary blocks from the
 channel conditional restricted to the hash constraints f_i(w_i) = c_i and
 renormalized; the decoder draws candidate blocks from the model posterior
-restricted to all (f, g) constraints.  Everything is enumerated explicitly,
-so exactness is provable at desk scale; there is no MCMC.
+restricted to all (f, g) constraints, or picks the most probable one (MAP).
+Everything is enumerated explicitly, so exactness is provable at desk scale;
+there is no MCMC.
 
 Blocks are integer arrays.  A W_S-block (S a set of encoders) is a row of
 letter ids, one per position, into the positive-mass W_S letters of the model
@@ -26,13 +27,23 @@ on batches of at most ``_ROW_CAP`` rows: source blocks, their encoder draws
 reach, and the class candidates.  Numbers are int64 where a bound proves they
 fit and Python ints in object arrays otherwise; one Fraction is formed per
 distinct denominator.
+
+Monte Carlo samples the states that the oracle enumerates.  :func:`simulate`
+draws each trial's source block as a row of source letter ids, evaluates the
+cell laws at the distinct input blocks drawn (:func:`_cell_draws`), reaches
+each decoder's class through its index and the class law or MAP pick
+through :class:`_DecoderClasses`, and scores the reproductions through the
+oracle's tables.  The per-call methods of :class:`CodeInstance` (the laws,
+`encode`, `decode`) are one-trial calls of the same functions.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
@@ -54,12 +65,12 @@ from .network import (
     w_alphabets,
     w_name,
 )
-from .probability import JointPmf, block_products, marginalize, sample
+from .probability import JointPmf, marginalize, sample
 from .rational import integer_scaled
 
 _EXACT_BUDGET = 1 << 24
 _INDEX_BUDGET = 1 << 20     # W_S-blocks scanned by one class index (4 letters at n = 10)
-_ROW_CAP = 1 << 15          # rows of one exact-oracle batch
+_ROW_CAP = 1 << 15          # rows of one exact-oracle batch, trials of one Monte Carlo batch
 _INT64 = 1 << 63
 
 
@@ -97,10 +108,20 @@ def sample_from_law(law, seed):
     return items[int(rng.choice(len(items), p=probs))][0]
 
 
-def _transpose(names, letters) -> dict:
-    """A block given as its letters (one symbol tuple per position, aligned
-    with `names`) as one block per name."""
-    return dict(zip(names, zip(*letters)))
+def _split(row, weight, count, total) -> list:
+    """Ragged laws as a list of (items, total): law u holds the next count[u]
+    (row, weight) items and the total weight total[u], all Python ints."""
+    row, weight = row.tolist(), weight.tolist()
+    laws, start = [], 0
+    for size, law_total in zip(count.tolist(), total.tolist()):
+        laws.append((list(zip(row[start:start + size], weight[start:start + size])), law_total))
+        start += size
+    return laws
+
+
+def _check_rule(rule: str):
+    if rule not in ("crng", "map"):
+        raise ConfigurationError("unknown decode rule %r" % (rule,))
 
 
 def _digits(ids, base: int, n: int, dtype=np.int64) -> np.ndarray:
@@ -110,6 +131,16 @@ def _digits(ids, base: int, n: int, dtype=np.int64) -> np.ndarray:
     for pos in range(n):
         out[:, pos] = ids // base ** (n - 1 - pos) % base
     return out
+
+
+def _numbers(digits, base: int, symbol=None) -> np.ndarray:
+    """The inverse of :func:`_digits`: the product-order number of each row
+    of `digits`, read as base-`base` digits, most significant first, after
+    mapping each digit d to symbol[d] when `symbol` is given."""
+    number = np.zeros(len(digits), dtype=np.int64)
+    for column in digits.T:
+        number = number * base + (column if symbol is None else symbol[column])
+    return number
 
 
 def _weights(table, observed, rows):
@@ -182,9 +213,8 @@ class _ClassIndex:
     in product order, and in product order within a class.  `cls[r]` is the
     class of row r; class c holds rows bounds[c]:bounds[c + 1]; `lookup`
     maps the g values on S to their class; `row_of` maps a block's
-    product-order number to its row, or -1 when it is not admissible;
-    `symbols[e][l]` is encoder S[e]'s symbol in letter l; and `blocks` holds
-    the rows that a law has held, as blocks by encoder (symbol tuples).
+    product-order number to its row, or -1 when it is not admissible; and
+    `symbols[e][l]` is encoder S[e]'s symbol in letter l.
     """
 
     letters: list
@@ -194,7 +224,6 @@ class _ClassIndex:
     bounds: np.ndarray
     lookup: dict
     row_of: np.ndarray
-    blocks: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -236,7 +265,7 @@ class CodeInstance:
         self._hashed_blocks: dict = {}   # encoder -> its hash values per W_i-block
         self._class_indexes: dict = {}   # S -> _ClassIndex
         self._tables: dict = {}          # (S, observed) -> (T, bound)
-        self._laws: dict = {}
+        self._decoders: dict = {}        # j -> _DecoderClasses
 
     def _resolve_reproducers(self) -> dict:
         """Decoder j -> [(k, table of reproducer k, per argument the encoder
@@ -284,24 +313,19 @@ class CodeInstance:
         """
         hashed = self._hashed_blocks.get(i)
         if hashed is None:
-            digit = {w: d for d, (w,) in enumerate(_positive_letters(self._joint, (i,)))}
+            letters = [w for (w,) in _positive_letters(self._joint, (i,))]
+            alph, size = self._w_alph[i], len(letters)
+            # each block's hash input: its number in product order of the whole W_i alphabet
+            inputs = _numbers(_digits(np.arange(size ** self.n), size, self.n), alph.size,
+                              np.array([alph.index(w) for w in letters])).tolist()
             f, g, c = self.f[i], self.g[i], self.c[i]
-            meets, gid, values = [], [], {}
-            for block, _ in block_products([[(w, 1) for w in digit]] * self.n):
-                v = self.block_to_int(i, block)
-                meets.append(f(v) == c)
-                gid.append(values.setdefault(g(v), len(values)))
+            values: dict = {}
+            gid = [values.setdefault(g(v), len(values)) for v in inputs]
             hashed = self._hashed_blocks[i] = (
-                digit, np.array(meets, dtype=bool), np.array(gid, dtype=np.int64), list(values))
+                {w: d for d, w in enumerate(letters)},
+                np.array([f(v) == c for v in inputs], dtype=bool),
+                np.array(gid, dtype=np.int64), list(values))
         return hashed
-
-    def _g_value(self, i, block):
-        """The g_i value of a W_i-block given as its symbols."""
-        digit, _, gid, values = self._hashed(i)
-        number = 0
-        for w in block:
-            number = number * len(digit) + digit[w]
-        return values[gid[number]]
 
     # -- the constrained draw shared by encoders and decoders ----------------------------
 
@@ -323,16 +347,13 @@ class CodeInstance:
         n, size = self.n, len(letters)
         digits = _digits(np.arange(size ** n), size, n, np.min_scalar_type(size - 1))
         admissible = np.ones(size ** n, dtype=bool)
-        keys, values = [], []
+        keys, g_values = [], []
         for e, i in enumerate(S):
-            digit, meets, gid, g_values = self._hashed(i)
-            letter_digit = np.array([digit[letter[e]] for letter in letters])
-            number = np.zeros(size ** n, dtype=np.int64)
-            for pos in range(n):
-                number = number * len(digit) + letter_digit[digits[:, pos]]
+            digit, meets, gid, values = self._hashed(i)
+            number = _numbers(digits, len(digit), np.array([digit[w[e]] for w in letters]))
             admissible &= meets[number]
             keys.append(gid[number])
-            values.append(g_values)
+            g_values.append(_object_array(values))
         kept = np.flatnonzero(admissible)
         classes = np.stack([key[kept] for key in keys], axis=1)
         ids, first = _row_ids(classes)
@@ -345,8 +366,8 @@ class CodeInstance:
         row_of = np.full(size ** n, -1, dtype=np.int64)
         row_of[kept] = np.arange(len(kept))
         keys = classes[first[order]]
-        lookup = dict(zip(zip(*(_object_array(values[e])[keys[:, e]].tolist()
-                                for e in range(len(S)))), range(len(order))))
+        lookup = dict(zip(zip(*(g_values[e][keys[:, e]].tolist() for e in range(len(S)))),
+                          range(len(order))))
         return _ClassIndex(
             letters=letters, symbols=[_object_array([w[e] for w in letters]) for e in range(len(S))],
             rows=digits[kept], cls=cls, bounds=np.searchsorted(cls, np.arange(len(order) + 1)),
@@ -391,35 +412,14 @@ class CodeInstance:
         alph = self._joint.alphabet(var)
         return np.array([alph.index(v) for v in block], dtype=np.intp)
 
-    def _weighed(self, S, given, block, first, stop) -> list:
-        """The law items of the index rows first..stop-1 of S weighed at the
-        `given` block: (blocks by encoder, weight) for each row of positive
-        weight, in row order.  Each row's blocks are built once, when a law
-        first holds it."""
+    def _named(self, S, items) -> list:
+        """Law items over the index rows of S as items over blocks by encoder:
+        ({encoder: block}, weight) per (row, weight)."""
+        items = list(items)
         index = self._index(S)
-        table, _ = self._table(S, given)
-        weights = _weights(table, self._observed(given, block), index.rows[first:stop])
-        keep = np.flatnonzero(weights)
-        kept = weights[keep].tolist()
-        keep = (keep + first).tolist()
-        new = [r for r in keep if r not in index.blocks]
-        if new:
-            columns = [map(tuple, symbols[index.rows[new]].tolist()) for symbols in index.symbols]
-            index.blocks.update(zip(new, (dict(zip(S, blocks)) for blocks in zip(*columns))))
-        return list(zip(map(index.blocks.__getitem__, keep), kept))
-
-    def _law(self, key, weigh, abort, message):
-        """The cached law `key` = (side, cell or decoder, ...): (items, total),
-        the admissible candidates of positive integer weight that `weigh()`
-        returns and the sum of their weights; an empty law raises
-        `abort(message % key[1])`."""
-        if key not in self._laws:
-            items = weigh()
-            self._laws[key] = (items, sum(w for _, w in items)) if items else None
-        law = self._laws[key]
-        if law is None:
-            raise abort(message % (key[1],))
-        return law
+        rows = index.rows[[r for r, _ in items]]
+        columns = [map(tuple, symbols[rows].tolist()) for symbols in index.symbols]
+        return [(dict(zip(S, blocks)), w) for blocks, (_, w) in zip(zip(*columns), items)]
 
     # -- encoder -------------------------------------------------------------------------
 
@@ -431,22 +431,42 @@ class CodeInstance:
         (EncoderAbort); no drawn or enumerated source block has one."""
         cell = tuple(cell)
         x_var = self.channels[cell].inputs[0][0]
-        return self._weighed(cell, x_var, x_block, 0, len(self._index(cell).rows))
+        row, weight, _, _ = _cell_draws(self, cell, self._observed(x_var, x_block)[None])
+        return self._named(cell, zip(row.tolist(), weight.tolist()))
 
     def cell_constrained_law(self, cell, x_block):
         """Encoder CRNG law: channel law restricted to f_i(w_i) = c_i, as
         (items, total); the probability of a block is weight / total."""
-        cell = tuple(cell)
-        return self._law(("encoder", cell, tuple(x_block)),
-                         lambda: self.cell_base_law(cell, x_block), EncoderAbort,
-                         "cell %r: no admissible block for its constraints")
+        items = self.cell_base_law(cell, x_block)
+        if not items:
+            raise EncoderAbort("cell %r: no admissible block for its constraints" % (tuple(cell),))
+        return items, sum(w for _, w in items)
 
     def encode(self, cell, x_block, seed):
         """Joint draw for one sharing cell: (blocks by encoder, codewords)."""
         blocks = sample_from_law(self.cell_constrained_law(cell, x_block), seed)
-        return blocks, {i: self._g_value(i, blocks[i]) for i in cell}
+        return blocks, {i: self.g[i](self.block_to_int(i, blocks[i])) for i in cell}
 
     # -- decoder -------------------------------------------------------------------------
+
+    def _decoder(self, j) -> "_DecoderClasses":
+        """Decoder j's classes, reproductions and drawn class laws, built on
+        first use and kept."""
+        decoder = self._decoders.get(j)
+        if decoder is None:
+            decoder = self._decoders[j] = _DecoderClasses(self, j, _Source(self))
+        return decoder
+
+    def _decoder_at(self, j, m: Mapping, y_block, rule: str):
+        """Decoder j at the class that `m` names, given y_block (see
+        :meth:`_DecoderClasses.laws`); DecoderAbort when the class has no
+        candidate of positive weight."""
+        decoder = self._decoder(j)
+        c = decoder.index.lookup.get(tuple(m[i] for i in decoder.ij))
+        entry = (np.array([c]), self._observed(decoder.y, y_block)[None])
+        if c is None or not decoder.laws(*entry, "crng")[0][0]:
+            raise DecoderAbort("decoder %r: empty posterior class" % (j,))
+        return decoder.laws(*entry, rule)[0]
 
     def decoder_class_law(self, j, m: Mapping, y_block):
         """Posterior over W_{I_j}-blocks restricted to the (f, g) classes, as
@@ -457,21 +477,8 @@ class CodeInstance:
         model weights jointly with the observed side-information letters.
         Only the candidates of the class that `m` names are weighted.
         """
-        ij = tuple(self.config.codewords_to[j])
-        values = tuple(m[i] for i in ij)
-        if y_block is not None:
-            y_block = tuple(y_block)
-        return self._law(("decoder", j, values, y_block),
-                         lambda: self._class_items(j, ij, values, y_block),
-                         DecoderAbort, "decoder %r: empty posterior class")
-
-    def _class_items(self, j, ij, values, y_block) -> list:
-        index = self._index(ij)
-        c = index.lookup.get(values)
-        if c is None:
-            return []
-        return self._weighed(ij, self.config.side_info.get(j), y_block,
-                             index.bounds[c], index.bounds[c + 1])
+        items, total = self._decoder_at(j, m, y_block, "crng")
+        return self._named(self._decoder(j).ij, items), total
 
     def reproduce(self, j, w_blocks: Mapping, y_block):
         """Apply the decoder's reproducers per letter."""
@@ -482,26 +489,16 @@ class CodeInstance:
         return out
 
     def decode(self, j, m: Mapping, y_block, seed, rule: str = "crng"):
-        """Draw (or select) the decoder's block estimate and reproductions."""
-        law = self.decoder_class_law(j, m, y_block)
-        if rule == "crng":
-            w_hat = sample_from_law(law, seed)
-        elif rule == "map":
-            w_hat = map_estimate(law[0], self.config.codewords_to[j])
-        else:
-            raise ConfigurationError("unknown decode rule %r" % (rule,))
+        """Draw (or select) the decoder's block estimate and reproductions.
+
+        The MAP rule picks the most probable candidate; ties break toward the
+        lexicographically smallest blocks (encoder order, then letter order).
+        """
+        _check_rule(rule)
+        law = self._decoder_at(j, m, y_block, rule)
+        row = sample_from_law(law, seed) if rule == "crng" else law
+        w_hat = self._named(self._decoder(j).ij, [(row, None)])[0][0]
         return w_hat, self.reproduce(j, w_hat, y_block)
-
-
-def map_estimate(law, ij):
-    """Deterministic argmax of the restricted posterior, given as its
-    (blocks, weight) items.
-
-    Ties break toward the lexicographically smallest block tuple (encoder
-    order, then letter order).
-    """
-    ij = tuple(ij)
-    return min(law, key=lambda item: (-item[1], tuple(tuple(item[0][i]) for i in ij)))[0]
 
 
 # -- exact error oracle ---------------------------------------------------------------
@@ -512,31 +509,6 @@ class ExactError:
     mismatch: Fraction
     exceed: dict
     encoder_abort: Fraction
-
-
-class _BalancedSum:
-    """Exact sum of many Fractions, added in a balanced binary tree.
-
-    The oracle's terms have unrelated denominators, so a running total's
-    denominator grows with each term and a left-to-right sum takes time
-    quadratic in the number of terms.  Here only partial sums of equal term
-    counts are added together, and at most log2(terms) partial sums are kept.
-    """
-
-    def __init__(self):
-        self._partials: list = []   # _partials[i]: sum of 2^i terms, or None
-
-    def add(self, term):
-        for level, partial in enumerate(self._partials):
-            if partial is None:
-                self._partials[level] = term
-                return
-            term = partial + term
-            self._partials[level] = None
-        self._partials.append(term)
-
-    def total(self) -> Fraction:
-        return sum((p for p in self._partials if p is not None), Fraction(0))
 
 
 def _product(factors) -> tuple:
@@ -585,11 +557,18 @@ def _add(numerators: dict, denominator: int, numerator: int):
 
 def _fraction_sum(numerators: dict, scale: int) -> Fraction:
     """The exact sum of numerator / (denominator * scale) over a
-    denominator -> numerator dict."""
-    acc = _BalancedSum()
-    for denominator, numerator in numerators.items():
-        acc.add(Fraction(numerator, denominator * scale))
-    return acc.total()
+    denominator -> numerator dict.
+
+    The terms have unrelated denominators, so a running total's denominator
+    grows with each term and a left-to-right sum takes time quadratic in the
+    number of terms.  Here terms are added in pairs, level by level: a
+    balanced binary tree.
+    """
+    terms = [Fraction(numerator, denominator * scale)
+             for denominator, numerator in numerators.items()] or [Fraction(0)]
+    while len(terms) > 1:
+        terms = [a + b for a, b in zip(terms[::2], terms[1::2])] + terms[len(terms) & ~1:]
+    return terms[0]
 
 
 def _runs(lengths):
@@ -612,13 +591,14 @@ def _ragged(lengths) -> tuple:
     return owner, np.arange(len(owner)) - starts[owner], starts
 
 
-def _exceeds(measure, differ, bound) -> np.ndarray:
+def _distortion(measure, differ) -> np.ndarray:
     """Per row of `differ` (where a reproduced block differs from its source
-    block, letter by letter), whether the distortion exceeds `bound`; the
-    floats are those of :meth:`DistortionMeasure.block`."""
+    block, letter by letter), the distortion as a float: the fraction of
+    differing letters (hamming) or whether any letter differs
+    (block-mismatch)."""
     if measure.kind == "hamming":
-        return np.count_nonzero(differ, axis=1) / differ.shape[1] > bound
-    return np.where(differ.any(axis=1), 1.0, 0.0) > bound
+        return np.count_nonzero(differ, axis=1) / differ.shape[1]
+    return np.where(differ.any(axis=1), 1.0, 0.0)
 
 
 class _Source:
@@ -647,32 +627,38 @@ class _Source:
         that occur, and `number`, which numbers the `var` blocks of source
         blocks (rows of source letter ids) in product order of those."""
         symbols, digit = np.unique(self.ids(var), return_inverse=True)
-        powers = len(symbols) ** np.arange(self.n - 1, -1, -1)
-        return (lambda digits: digit[digits] @ powers), symbols
+        return (lambda digits: _numbers(digits, len(symbols), digit)), symbols
+
+
+def _cell_draws(code: CodeInstance, cell, x_rows) -> tuple:
+    """A sharing cell's encoder laws at the blocks `x_rows` of its input
+    variable (rows of alphabet ids), as ragged arrays of their positive
+    draws: (row, weight, count, total), per draw its index row and weight,
+    per block its number of draws and its total weight."""
+    table, _ = code._table(cell, code.channels[cell].inputs[0][0])
+    rows = code._index(cell).rows
+    step = max(1, _ROW_CAP // max(1, len(rows)))
+    parts = []
+    for lo in range(0, len(x_rows), step):
+        w = _weights(table, x_rows[lo:lo + step, None, :], rows)
+        x, row = np.nonzero(w)
+        parts.append((row, w[x, row], np.bincount(x, minlength=len(w)), w.sum(axis=1)))
+    return tuple(np.concatenate(part) for part in zip(*parts))
 
 
 class _CellDraws:
     """A sharing cell's encoder laws at every block of its input variable:
-    ragged arrays of each law's positive draws."""
+    the ragged arrays of :func:`_cell_draws`."""
 
     def __init__(self, code: CodeInstance, cell, source: _Source):
         x_var = code.channels[cell].inputs[0][0]
-        index = code._index(cell)
-        table, self.bound = code._table(cell, x_var)
-        self.rows = index.rows
+        _, self.bound = code._table(cell, x_var)
+        self.rows = code._index(cell).rows
         self.number, symbols = source.numbering(x_var)
         x_rows = symbols[_digits(np.arange(len(symbols) ** code.n), len(symbols), code.n)]
-        step = max(1, _ROW_CAP // max(1, len(index.rows)))
-        parts = []
-        for lo in range(0, len(x_rows), step):
-            w = _weights(table, x_rows[lo:lo + step, None, :], index.rows)
-            x, row = np.nonzero(w)
-            parts.append((row, w[x, row], w.sum(axis=1), np.bincount(x, minlength=len(w))))
-        self.letters = index.letters
-        self.row, self.weight, self.total, self.count = (
-            np.concatenate(part) for part in zip(*parts))
+        self.row, self.weight, self.count, self.total = _cell_draws(code, cell, x_rows)
         self.start = np.cumsum(self.count) - self.count
-        self.total_bound = self.bound * max(1, len(index.rows))
+        self.total_bound = self.bound * max(1, len(self.rows))
 
 
 class _Batch:
@@ -717,61 +703,74 @@ def _batches(source: _Source, cells: list, lo: int, hi: int):
 
 
 class _DecoderClasses:
-    """One decoder as the oracle reads it: the class of each state's true
-    W_{I_j}-blocks, that class's law given the state's side information, and
-    the distortion hits of the class's candidates."""
+    """One decoder as the oracle and Monte Carlo read it: the class of each
+    state's true W_{I_j}-blocks, that class's law given the state's side
+    information, and the reproductions of the class's candidates.  `drawn`
+    keeps, per (rule, class and side-information block), the class law or
+    MAP pick that Monte Carlo has drawn from."""
 
-    def __init__(self, code: CodeInstance, j, cells: list, source: _Source, rule, bounds):
+    def __init__(self, code: CodeInstance, j, source: _Source):
         cfg = code.config
-        self.rule = rule
-        ij = tuple(cfg.codewords_to[j])
+        self.ij = ij = tuple(cfg.codewords_to[j])
         self.index = index = code._index(ij)
-        y = cfg.side_info.get(j)
+        self.y = y = cfg.side_info.get(j)
         self.table, self.bound = code._table(ij, y)
         self.total_bound = self.bound * max(1, len(index.rows))
         self.y_ids = source.ids(y)
         self.y_number, symbols = source.numbering(y)
         self.y_count = len(symbols) ** code.n
-        self.powers = len(index.letters) ** np.arange(code.n - 1, -1, -1)
         # the I_j letter of each combination of letters of the cells that hold I_j
         letter_id = {w: l for l, w in enumerate(index.letters)}
         self.parts = [c for c, cell in enumerate(cfg.sharing) if set(cell) & set(ij)]
-        sizes = [len(cells[c].letters) for c in self.parts]
+        cell_letters = [code._index(cfg.sharing[c]).letters for c in self.parts]
+        sizes = [len(letters) for letters in cell_letters]
         self.strides = [math.prod(sizes[k + 1:]) for k in range(len(sizes))]
         joined = []
-        for combo in itertools.product(*map(range, sizes)):
+        for combo in itertools.product(*cell_letters):
             symbol = {}
-            for c, l in zip(self.parts, combo):
-                symbol.update(zip(cfg.sharing[c], cells[c].letters[l]))
+            for c, letter in zip(self.parts, combo):
+                symbol.update(zip(cfg.sharing[c], letter))
             joined.append(letter_id.get(tuple(symbol[i] for i in ij), -1))
         self.project = np.array(joined, dtype=np.intp)
-        self.reproductions = [
-            self._reproduction(code, k, table, sources, ij, y, source, bounds[k])
-            for k, table, sources in code._reproduction_args[j]]
-        if rule == "map":
-            rank = []
-            for e in range(len(ij)):
-                order = {w: r for r, w in enumerate(sorted({w[e] for w in index.letters}))}
-                rank.append([order[w[e]] for w in index.letters])
-            self.rank = np.array(rank, dtype=np.int64).T   # (letter, encoder)
+        self.reproductions = [self._reproduction(code, k, table, sources, source)
+                              for k, table, sources in code._reproduction_args[j]]
+        self.drawn: dict = {}
 
-    def _reproduction(self, code, k, table, sources, ij, y, source: _Source, bound):
-        """(k, measure, bound, x, z) of one reproduction: the distortion measure
-        and D_k + delta; x[s], the symbol id of the measured variable in
-        source letter s; z[v, l], the symbol id of the reproduction of I_j
-        letter l at side-information letter v (-1 at zero mass)."""
+    def _reproduction(self, code, k, table, sources, source: _Source):
+        """(k, measure, x, z) of one reproduction: its distortion measure;
+        x[s], the symbol id of the measured variable in source letter s; z[v, l],
+        the symbol id of the reproduction of I_j letter l at side-information
+        letter v (-1 at zero mass)."""
         measure = code.config.distortions[k]
         letters = self.index.letters
         symbol_id: dict = {}
         pos = source.pmf.names.index(measure.source)
         x = np.array([symbol_id.setdefault(letter[pos], len(symbol_id))
                       for letter in source.letters], dtype=np.int64)
-        y_symbols = code.model_joint().alphabet(y).symbols if y else (None,)
+        y_symbols = code.model_joint().alphabet(self.y).symbols if self.y else (None,)
         z = np.full(self.table.shape, -1, dtype=np.int64)
         for v, l in zip(*np.nonzero(self.table)):
-            args = tuple(y_symbols[v] if i is None else letters[l][ij.index(i)] for i in sources)
+            args = tuple(y_symbols[v] if i is None else letters[l][self.ij.index(i)]
+                         for i in sources)
             z[v, l] = symbol_id.setdefault(table[args], len(symbol_id))
-        return k, measure, bound, x, z
+        return k, measure, x, z
+
+    @functools.cached_property
+    def rank(self) -> np.ndarray:
+        """Per I_j letter and encoder, the rank of its symbol among that
+        encoder's symbols: the MAP tie-break order."""
+        columns = list(zip(*self.index.letters))
+        rank = [[sorted(set(column)).index(w) for w in column] for column in columns]
+        return np.array(rank, dtype=np.int64).T
+
+    def truth(self, cell_letters) -> tuple:
+        """(letters, row) of each state's true W_{I_j}-block, given each
+        cell's drawn blocks (`cell_letters[c]`, rows of its letter ids): the
+        block's letter ids and its index row."""
+        joined = sum(cell_letters[c].astype(np.int64) * stride
+                     for c, stride in zip(self.parts, self.strides))
+        letters = self.project[joined]
+        return letters, self.index.row_of[_numbers(letters, len(self.index.letters))]
 
     def _classes(self, cls, observed):
         """For consecutive ranges [a, b) of (class, observed block) entries,
@@ -793,16 +792,27 @@ class _DecoderClasses:
         digits = self.rank[self.index.rows[row]].transpose(0, 2, 1).reshape(len(row), -1)
         return row[np.lexsort([*digits.T[::-1], ~best, owner])[starts]]
 
-    def states(self, batch: _Batch, exceed: dict) -> tuple:
+    def laws(self, cls, observed, rule: str) -> list:
+        """Per entry (a class and an observed block of ids): under "crng" its
+        law over index rows, (items, total) with the (row, weight) items of
+        positive weight; under "map" its MAP pick."""
+        out = []
+        for a, b, owner, starts, row, _, weight in self._classes(cls, observed):
+            if rule == "map":
+                out += self._pick(owner, starts, row, weight).tolist()
+            else:
+                keep = np.flatnonzero(weight)
+                out += _split(row[keep], weight[keep], np.bincount(owner[keep], minlength=b - a),
+                              np.add.reduceat(weight, starts))
+        return out
+
+    def states(self, batch: _Batch, exceed: dict, rule: str, bounds: dict) -> tuple:
         """Per state of `batch`: the decoder's weight of its true blocks and
         its class total, as (integers, bound) each, and an id per distinct
-        class total; the distortion hits of the states' classes are added to
-        `exceed`."""
+        class total; the distortion hits (above bounds[k] = D_k + delta) of
+        the states' classes are added to `exceed`."""
         index = self.index
-        cell_letters = sum(batch.letters[c].astype(np.int64) * stride
-                           for c, stride in zip(self.parts, self.strides))
-        letters = self.project[cell_letters]
-        row = index.row_of[letters @ self.powers]
+        letters, row = self.truth(batch.letters)
         cls = index.cls[row]
         observed = self.y_ids[batch.digits]
         y_block = self.y_number(batch.digits)
@@ -820,19 +830,18 @@ class _DecoderClasses:
 
         total = np.zeros(len(contexts), dtype=self.table.dtype)
         pick = np.zeros(len(contexts), dtype=np.int64)
-        joins = [r for r in self.reproductions
-                 if self.rule == "crng" and r[1].kind == "block-mismatch"]
+        joins = [r for r in self.reproductions if rule == "crng" and r[1].kind == "block-mismatch"]
         equal = {r[0]: np.zeros(len(pairs), dtype=self.table.dtype) for r in joins}
         by_context = np.argsort(pair_context, kind="stable")
         sorted_context = pair_context[by_context]
         for a, b, owner, starts, crow, obs, w in self._classes(cls[first],
                                                                 observed[batch.block[first]]):
             total[a:b] = np.add.reduceat(w, starts)
-            if self.rule == "map":
+            if rule == "map":
                 pick[a:b] = self._pick(owner, starts, crow, w)
             lo, hi = np.searchsorted(sorted_context, [a, b])
             chosen = by_context[lo:hi]
-            for k, _, _, x, z in joins:
+            for k, _, x, z in joins:
                 # sorted join of (context, reproduced block) against (context, source block)
                 rank, _ = _row_ids(np.concatenate([z[obs, index.rows[crow]],
                                                    x[pair_digits[chosen]]]))
@@ -841,25 +850,26 @@ class _DecoderClasses:
                 at = np.minimum(np.searchsorted(keys, query), len(keys) - 1)
                 equal[k][chosen] = np.where(keys[at] == query, mass[at], 0)
 
-        if self.rule == "map":
+        if rule == "map":
             rows = index.rows[pick[pair_context]]
-            for k, measure, bound, x, z in self.reproductions:
-                hit = _exceeds(measure, x[pair_digits] != z[pair_obs, rows], bound)
+            for k, measure, x, z in self.reproductions:
+                hit = _distortion(measure, x[pair_digits] != z[pair_obs, rows]) > bounds[k]
                 _accumulate(exceed[k], [scale_id], [scale], _product([weight, (hit, 1)]))
             ones = np.ones(len(row), dtype=np.int64)
             return (row == pick[context], 1), (ones, 1), ones
 
         class_total = total[pair_context]
-        hits = {k: (class_total - same) * (1.0 > bound) + same * (0.0 > bound)
-                for (k, _, bound, _, _), same in zip(joins, equal.values())}
+        hits = {k: (class_total - same) * (1.0 > bounds[k]) + same * (0.0 > bounds[k])
+                for k, same in equal.items()}
         counted = [r for r in self.reproductions if r[0] not in hits]
         for k, *_ in counted:
             hits[k] = np.zeros(len(pairs), dtype=self.table.dtype)
         if counted:
             for a, b, owner, starts, crow, obs, w in self._classes(pair_cls, pair_obs):
                 candidates = index.rows[crow]
-                for k, measure, bound, x, z in counted:
-                    hit = _exceeds(measure, x[pair_digits[a:b][owner]] != z[obs, candidates], bound)
+                for k, measure, x, z in counted:
+                    differ = x[pair_digits[a:b][owner]] != z[obs, candidates]
+                    hit = _distortion(measure, differ) > bounds[k]
                     hits[k][a:b] = np.add.reduceat(np.where(hit, w, 0), starts)
         total_id = np.unique(total, return_inverse=True)[1]
         for k, *_ in self.reproductions:
@@ -890,14 +900,13 @@ def exact_error(code: CodeInstance, delta: float, D: Mapping,
     the MAP rule outputs its pick with weight 1 out of 1.  Numerators are
     summed per distinct denominator, and one Fraction is formed for each.
     """
-    if rule not in ("crng", "map"):
-        raise ConfigurationError("unknown decode rule %r" % (rule,))
+    _check_rule(rule)
     _check_budget(code)
     cfg = code.config
     bounds = {k: float(D[k]) + delta for k in cfg.reproduction_ids}
     source = _Source(code)
     cells = [_CellDraws(code, cell, source) for cell in cfg.sharing]
-    decoders = [_DecoderClasses(code, j, cells, source, rule, bounds) for j in cfg.decoders]
+    decoders = [code._decoder(j) for j in cfg.decoders]
     matched: dict = {}    # denominator -> numerator of P(every decoder is right)
     exceed: dict = {k: {} for k in cfg.reproduction_ids}
     aborted = 0
@@ -909,7 +918,7 @@ def exact_error(code: CodeInstance, delta: float, D: Mapping,
             denominators = [(batch.scale[0][batch.block], batch.scale[1])]
             keys = [batch.scale_id[batch.block]]
             for decoder in decoders:
-                match, total, total_id = decoder.states(batch, exceed)
+                match, total, total_id = decoder.states(batch, exceed, rule, bounds)
                 numerators.append(match)
                 denominators.append(total)
                 keys.append(total_id)
@@ -963,72 +972,83 @@ class SimReport:
         return (max(0.0, p - half), min(1.0, p + half))
 
 
-def _trial_seed(seed, trial: int) -> np.random.SeedSequence:
-    return np.random.SeedSequence((int(seed), int(trial)))
+def _trial_seed(seed, trial: int, *key) -> np.random.SeedSequence:
+    """The child at spawn key `key` of trial `trial`'s SeedSequence((seed,
+    trial)): (0,) draws the source block, (1, c) cell c and (2, d) decoder d,
+    as ``spawn(3)`` and then ``spawn`` per cell or decoder would number them."""
+    return np.random.SeedSequence((int(seed), int(trial)), spawn_key=key)
 
 
 def simulate(code: CodeInstance, delta: float, D: Mapping, trials: int,
              seed: int, rule: str = "crng") -> SimReport:
     """Monte Carlo estimate of the exact-oracle quantities.
 
-    Per-trial randomness derives from (seed, trial index), so the report is
-    deterministic in `seed`.
+    The trials run as batches of at most ``_ROW_CAP`` oracle states, drawn
+    instead of enumerated.  Trial t's source block, cell draws and decoder
+    draws are seeded by the children of SeedSequence((seed, t)), so the
+    report is deterministic in `seed`.  An encoder abort counts as an error
+    for the mismatch and for every exceedance, with distortion `bound`.  A
+    decoder's class holds the true blocks, which have positive weight, so
+    decoders never abort.
     """
+    _check_rule(rule)
     ks = code.config.reproduction_ids
     report = SimReport(trials=trials, mismatch_count=0, exceed_counts={k: 0 for k in ks},
                        encoder_abort_count=0, decoder_abort_count=0,
                        distortion_sums={k: 0.0 for k in ks}, seed=seed)
     bounds = {k: float(D[k]) + delta for k in ks}
-    for trial in range(trials):
-        _run_trial(code, bounds, _trial_seed(seed, trial), rule, report)
+    for lo in range(0, trials, _ROW_CAP):
+        _run_batch(code, bounds, seed, range(lo, min(lo + _ROW_CAP, trials)), rule, report)
     return report
 
 
-def _run_trial(code, bounds, trial_seed, rule, report):
-    """One trial from `trial_seed`, counted into `report`; bounds[k] = D_k + delta."""
-    cfg = code.config
-    exceed, dist_sums = report.exceed_counts, report.distortion_sums
-    src_seed, enc_seed, dec_seed = trial_seed.spawn(3)
-    letters = sample(code.source, code.n, src_seed)[0]
-    blocks = _transpose(code.source.names, letters)
+def _run_batch(code: CodeInstance, bounds: dict, seed, trials: range, rule: str,
+               report: SimReport):
+    """The trials `trials`, counted into `report`; bounds[k] = D_k + delta."""
+    cfg, n = code.config, code.n
+    source = _Source(code)
+    digits = np.array([sample(code.source, n, _trial_seed(seed, t, 0))[0] for t in trials],
+                      dtype=np.intp)
+    # each cell's drawn index row per trial, -1 where its law is empty
+    drawn = []
+    for c, cell in enumerate(cfg.sharing):
+        number, symbols = source.numbering(code.channels[cell].inputs[0][0])
+        blocks, law_of = np.unique(number(digits), return_inverse=True)
+        laws = _split(*_cell_draws(code, cell, symbols[_digits(blocks, len(symbols), n)]))
+        drawn.append(np.array([sample_from_law(laws[u], _trial_seed(seed, t, 1, c)) if laws[u][0]
+                               else -1 for t, u in zip(trials, law_of.tolist())], dtype=np.int64))
+    aborted = np.any([rows < 0 for rows in drawn], axis=0)
+    live = np.flatnonzero(~aborted)
+    digits = digits[live]
+    cell_letters = [code._index(cell).rows[rows[live]] for cell, rows in zip(cfg.sharing, drawn)]
+    live_trials = [trials[e] for e in live.tolist()]
 
-    w_blocks = {}
-    m = {}
-    cell_seeds = enc_seed.spawn(len(cfg.sharing))
-    try:
-        for pos, cell in enumerate(cfg.sharing):
-            x_var = code.channels[cell].inputs[0][0]
-            cell_blocks, cell_m = code.encode(cell, blocks[x_var], cell_seeds[pos])
-            w_blocks.update(cell_blocks)
-            m.update(cell_m)
-    except EncoderAbort:
-        report.encoder_abort_count += 1
-        report.mismatch_count += 1
-        for k in exceed:
-            exceed[k] += 1
-            dist_sums[k] += cfg.distortions[k].bound
-        return
-
-    mismatched = False
-    decoder_seeds = dec_seed.spawn(len(cfg.decoders))
+    mismatched = aborted.copy()
+    distortion = {k: np.full(len(trials), cfg.distortions[k].bound) for k in bounds}
     for pos, j in enumerate(cfg.decoders):
-        y = cfg.side_info.get(j)
-        y_block = blocks[y] if y else None
-        try:
-            w_hat, z = code.decode(j, m, y_block, decoder_seeds[pos], rule=rule)
-        except DecoderAbort:
-            report.decoder_abort_count += 1
-            mismatched = True
-            for k in cfg.reproductions.get(j, ()):
-                exceed[k] += 1
-                dist_sums[k] += cfg.distortions[k].bound
-            continue
-        if any(w_hat[i] != w_blocks[i] for i in cfg.codewords_to[j]):
-            mismatched = True
-        for k in cfg.reproductions.get(j, ()):
-            d = cfg.distortions[k].block(blocks, z[k])
-            dist_sums[k] += d
-            if d > bounds[k]:
-                exceed[k] += 1
-    if mismatched:
-        report.mismatch_count += 1
+        decoder = code._decoder(j)
+        _, row = decoder.truth(cell_letters)
+        cls = decoder.index.cls[row]
+        keys = (cls * decoder.y_count + decoder.y_number(digits)).tolist()
+        new = {key: e for e, key in enumerate(keys) if (rule, key) not in decoder.drawn}
+        at = np.array(list(new.values()), dtype=np.intp)
+        decoder.drawn.update(zip([(rule, key) for key in new],
+                                 decoder.laws(cls[at], decoder.y_ids[digits[at]], rule)))
+        laws = [decoder.drawn[rule, key] for key in keys]
+        if rule == "crng":
+            laws = [sample_from_law(law, _trial_seed(seed, t, 2, pos))
+                    for law, t in zip(laws, live_trials)]
+        picked = np.array(laws, dtype=np.int64)
+        mismatched[live] |= picked != row
+        observed = decoder.y_ids[digits]
+        for k, measure, x, z in decoder.reproductions:
+            reproduced = z[observed, decoder.index.rows[picked]]
+            distortion[k][live] = _distortion(measure, x[digits] != reproduced)
+
+    report.mismatch_count += int(np.count_nonzero(mismatched))
+    report.encoder_abort_count += int(np.count_nonzero(aborted))
+    for k, values in distortion.items():
+        report.exceed_counts[k] += int(np.count_nonzero(aborted | (values > bounds[k])))
+        # added one at a time, in trial order
+        report.distortion_sums[k] = functools.reduce(operator.add, values.tolist(),
+                                                     report.distortion_sums[k])

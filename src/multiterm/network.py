@@ -5,13 +5,12 @@ The topology mirrors the unified multi-terminal setting: encoders indexed by
 same source variable), each decoder ``j`` receives the codewords of the subset
 ``I_j`` plus its own side information, and reproduction indices ``K`` are
 partitioned across decoders.  A `DistortionMeasure` is plain data, a source
-variable and one of two kinds, scored directly on whole blocks.
+variable and one of two kinds; `codec` scores it on whole blocks.
 """
 
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import ClassVar, Mapping
@@ -113,12 +112,6 @@ class DistortionMeasure:
     def __post_init__(self):
         if self.kind not in ("hamming", "block-mismatch"):
             raise ConfigurationError("unknown distortion kind %r" % (self.kind,))
-
-    def block(self, x_blocks: Mapping[str, tuple], z_block: tuple) -> float:
-        x_block = x_blocks[self.source]
-        if self.kind == "hamming":
-            return sum(map(operator.ne, x_block, z_block)) / len(z_block)
-        return 0.0 if x_block == z_block else 1.0
 
 
 def hamming_distortion(source_var: str) -> DistortionMeasure:

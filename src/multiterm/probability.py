@@ -251,35 +251,11 @@ def _factorizes(pmf: JointPmf, a, b, c) -> bool:
 # -- blocks of a memoryless source ------------------------------------------------
 
 
-def block_products(rows: Sequence):
-    """Weighted blocks of a product of per-letter laws, in itertools.product order.
-
-    `rows[l]` lists the (letter, weight) pairs of position l (at least one
-    position).  Yields (letters, product of their weights); every prefix
-    product is formed once and shared by the blocks that extend it, and the
-    last position is generated lazily.
-    """
-    blocks = [((x,), p) for x, p in rows[0]]
-    if len(rows) == 1:
-        yield from blocks
-        return
-    for row in rows[1:-1]:
-        blocks = [(letters + (x,), p * q) for letters, p in blocks for x, q in row]
-    last = rows[-1]
-    for letters, p in blocks:
-        for x, q in last:
-            yield letters + (x,), p * q
-
-
-def sample(pmf: JointPmf, n: int, seed, count: int = 1) -> list:
-    """Draw `count` i.i.d. blocks of n letters of `pmf`, each letter a symbol
-    tuple; identical seed gives identical output."""
-    law = pmf.float_marginal(pmf.names)
-    support = list(law)
-    probs = np.array(list(law.values()), dtype=float)
-    probs = probs / probs.sum()
-    idx = np.random.default_rng(seed).choice(len(support), size=(count, n), p=probs)
-    return [tuple(support[j] for j in row) for row in idx]
+def sample(pmf: JointPmf, n: int, seed, count: int = 1) -> np.ndarray:
+    """Draw `count` i.i.d. blocks of n letters of `pmf`, as rows of letter
+    ids into ``pmf.support()``; identical seed gives identical output."""
+    probs = np.array(list(pmf.float_marginal(pmf.names).values()), dtype=float)
+    return np.random.default_rng(seed).choice(len(probs), size=(count, n), p=probs / probs.sum())
 
 
 # -- convenience constructors ----------------------------------------------------

@@ -1,5 +1,7 @@
 import dataclasses
 import itertools
+import math
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -11,11 +13,11 @@ from scipy.stats import chisquare
 from multiterm import codec
 from multiterm.codec import (
     CodeInstance,
+    SimReport,
     _check_budget,
     crng_law,
     exact_error,
     law_floats,
-    map_estimate,
     realized_size,
     sample_from_law,
     simulate,
@@ -28,8 +30,14 @@ from multiterm.errors import (
     EncoderAbort,
 )
 from multiterm.hashing import BinningEnsemble, HashFunction, make_ensemble
-from multiterm.network import NetworkConfig, hamming_distortion, identity_channel, w_name
-from multiterm.probability import Alphabet, JointPmf, block_products, dsbs, marginalize
+from multiterm.network import (
+    NetworkConfig,
+    hamming_distortion,
+    identity_channel,
+    identity_reproducer,
+    w_name,
+)
+from multiterm.probability import Alphabet, JointPmf, dsbs, marginalize, sample
 from multiterm.scenarios import build_scenario, scenario_names
 
 B = Alphabet((0, 1))
@@ -308,7 +316,7 @@ def _as_mapping(law, ij):
 def test_class_indexed_law_matches_product_and_filter(name, n, seed):
     """Every encoder law of a random code equals the filtered channel product
     as a mapping; every decoder class gives the same (blocks, probability)
-    list, in the same order."""
+    list, in the same order, and the MAP decoder picks its reference argmax."""
     code = build_scenario(name).make_code(n, seed=seed)
     cfg = code.config
     for cell in map(tuple, cfg.sharing):
@@ -332,9 +340,11 @@ def test_class_indexed_law_matches_product_and_filter(name, n, seed):
                 expected = _product_and_filter_law(code, j, m, y_block)
                 try:
                     law = fraction_law(code.decoder_class_law(j, m, y_block))
+                    w_hat, _ = code.decode(j, m, y_block, seed=0, rule="map")
                 except DecoderAbort:
-                    law = None
+                    law = w_hat = None
                 assert law == expected
+                assert w_hat == (None if expected is None else map_estimate(expected, ij))
 
 
 @pytest.mark.parametrize("name", ["slepian-wolf", "wyner-ziv-binary",
@@ -357,6 +367,15 @@ def test_each_hash_runs_once_per_block(name, monkeypatch):
     assert max(calls.values()) == 1
 
 
+def map_estimate(law, ij):
+    """The MAP tie-break reference: the argmax of a restricted posterior
+    given as its (blocks, weight) items, ties broken toward the
+    lexicographically smallest block tuple (encoder order, then letter
+    order)."""
+    ij = tuple(ij)
+    return min(law, key=lambda item: (-item[1], tuple(tuple(item[0][i]) for i in ij)))[0]
+
+
 def test_map_estimate_lexicographic_tie_break():
     law = [({1: (1, 1)}, Fraction(1, 2)), ({1: (0, 1)}, Fraction(1, 2))]
     assert map_estimate(law, (1,)) == {1: (0, 1)}
@@ -373,6 +392,15 @@ def test_map_agrees_with_most_probable():
 SIMULATING = [name for name in scenario_names() if build_scenario(name).config.distortions]
 
 
+def _block_distortion(measure, x_blocks, z_block) -> float:
+    """The distortion of `z_block` from the measured source block, letter by
+    letter: the fraction that differ (hamming) or whether any does."""
+    x_block = x_blocks[measure.source]
+    if measure.kind == "hamming":
+        return sum(map(operator.ne, x_block, z_block)) / len(z_block)
+    return 0.0 if x_block == z_block else 1.0
+
+
 def _reference_exact_error(code, delta, D, rule):
     """The exact oracle in Fraction arithmetic, term by term, on the
     product-and-filter laws: (mismatch, exceed, encoder_abort)."""
@@ -382,7 +410,9 @@ def _reference_exact_error(code, delta, D, rule):
     mismatch = abort = Fraction(0)
     exceed = {k: Fraction(0) for k in cfg.reproduction_ids}
     support = [(letter, p) for letter, p in code.source.items() if p > 0]
-    for letters, p_src in block_products([support] * code.n):
+    for combo in itertools.product(support, repeat=code.n):
+        letters = tuple(letter for letter, _ in combo)
+        p_src = math.prod((p for _, p in combo), start=Fraction(1))
         blocks = {name: tuple(letter[pos] for letter in letters)
                   for pos, name in enumerate(code.source.names)}
         cell_laws = []
@@ -421,7 +451,7 @@ def _reference_exact_error(code, delta, D, rule):
                             named[y] = y_block
                         z = tuple(map(rep.table.__getitem__,
                                       zip(*(named[a] for a in rep.args))))
-                        if cfg.distortions[k].block(blocks, z) > bounds[k]:
+                        if _block_distortion(cfg.distortions[k], blocks, z) > bounds[k]:
                             exceed[k] += weight * p
             mismatch += weight * (1 - p_all_match)
     return mismatch + abort, {k: v + abort for k, v in exceed.items()}, abort
@@ -648,6 +678,90 @@ def test_simulate_deterministic_in_seed():
     assert (a.mismatch_count, a.exceed_counts) == (b.mismatch_count, b.exceed_counts)
 
 
+def _run_trial(code, bounds, trial_seed, rule, report):
+    """One trial from `trial_seed`, counted into `report`, through the
+    one-trial calls `code.encode` and `code.decode`; bounds[k] = D_k + delta."""
+    cfg = code.config
+    exceed, dist_sums = report.exceed_counts, report.distortion_sums
+    src_seed, enc_seed, dec_seed = trial_seed.spawn(3)
+    support = code.source.support()
+    letters = [support[i] for i in sample(code.source, code.n, src_seed)[0]]
+    blocks = dict(zip(code.source.names, zip(*letters)))
+
+    w_blocks = {}
+    m = {}
+    cell_seeds = enc_seed.spawn(len(cfg.sharing))
+    try:
+        for pos, cell in enumerate(cfg.sharing):
+            x_var = code.channels[cell].inputs[0][0]
+            cell_blocks, cell_m = code.encode(cell, blocks[x_var], cell_seeds[pos])
+            w_blocks.update(cell_blocks)
+            m.update(cell_m)
+    except EncoderAbort:
+        report.encoder_abort_count += 1
+        report.mismatch_count += 1
+        for k in exceed:
+            exceed[k] += 1
+            dist_sums[k] += cfg.distortions[k].bound
+        return
+
+    mismatched = False
+    decoder_seeds = dec_seed.spawn(len(cfg.decoders))
+    for pos, j in enumerate(cfg.decoders):
+        y = cfg.side_info.get(j)
+        y_block = blocks[y] if y else None
+        try:
+            w_hat, z = code.decode(j, m, y_block, decoder_seeds[pos], rule=rule)
+        except DecoderAbort:
+            report.decoder_abort_count += 1
+            mismatched = True
+            for k in cfg.reproductions.get(j, ()):
+                exceed[k] += 1
+                dist_sums[k] += cfg.distortions[k].bound
+            continue
+        if any(w_hat[i] != w_blocks[i] for i in cfg.codewords_to[j]):
+            mismatched = True
+        for k in cfg.reproductions.get(j, ()):
+            d = _block_distortion(cfg.distortions[k], blocks, z[k])
+            dist_sums[k] += d
+            if d > bounds[k]:
+                exceed[k] += 1
+    if mismatched:
+        report.mismatch_count += 1
+
+
+def _reference_simulate(code, delta, D, trials, seed, rule):
+    """Monte Carlo one trial at a time, each trial seeded by the children of
+    SeedSequence((seed, trial)), as `simulate` seeds it."""
+    ks = code.config.reproduction_ids
+    report = SimReport(trials=trials, mismatch_count=0, exceed_counts={k: 0 for k in ks},
+                       encoder_abort_count=0, decoder_abort_count=0,
+                       distortion_sums={k: 0.0 for k in ks}, seed=seed)
+    bounds = {k: float(D[k]) + delta for k in ks}
+    for trial in range(trials):
+        _run_trial(code, bounds, np.random.SeedSequence((seed, trial)), rule, report)
+    return report
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(SIMULATING), n=st.integers(1, 3), code_seed=st.integers(0, 2 ** 16),
+       seeds=st.lists(st.integers(0, 2 ** 32 - 1), min_size=1, max_size=2),
+       trials=st.integers(1, 25), rule=st.sampled_from(["crng", "map"]),
+       aux=st.sampled_from([None, 0.5, 1.0]))
+def test_simulate_matches_per_trial_reference(name, n, code_seed, seeds, trials, rule, aux):
+    """The batched Monte Carlo equals the per-trial reference exactly: every
+    count and every distortion sum, with encoder aborts common at auxiliary
+    rate 1.  A second call on the same code reads the class laws the first
+    one kept."""
+    scenario = build_scenario(name)
+    aux_rates = None if aux is None else {i: aux for i in scenario.config.encoders}
+    code = scenario.make_code(n, aux_rates=aux_rates, seed=code_seed)
+    delta = 0.01 * max(d.bound for d in scenario.config.distortions.values())
+    for seed in seeds:
+        assert simulate(code, delta, scenario.default_D, trials, seed, rule) == \
+            _reference_simulate(code, delta, scenario.default_D, trials, seed, rule)
+
+
 # (mismatch, exceed, encoder aborts, decoder aborts, distortion sums) of
 # simulate(make_code(3, seed=9), 0.01 * max bound, trials=200, seed=9)
 PINNED_REPORTS = {
@@ -669,6 +783,22 @@ def test_seeded_monte_carlo_reports_are_pinned(name):
     r = simulate(code, delta, scenario.default_D, trials=200, seed=9)
     assert (r.mismatch_count, r.exceed_counts, r.encoder_abort_count,
             r.decoder_abort_count, r.distortion_sums) == PINNED_REPORTS[name]
+
+
+def test_simulate_batches_neither_drop_nor_repeat_trials(monkeypatch):
+    """A row cap of 3 splits the trials into many batches; every report
+    stays the same, distortion sums included."""
+    cases = []
+    for name in sorted(PINNED_REPORTS):
+        scenario = build_scenario(name)
+        code = scenario.make_code(3, aux_rates={i: 0.5 for i in scenario.config.encoders}, seed=9)
+        delta = 0.01 * max(d.bound for d in scenario.config.distortions.values())
+        for rule in ("crng", "map"):
+            args = (delta, scenario.default_D, 40, 9, rule)
+            cases.append((code, args, simulate(code, *args)))
+    monkeypatch.setattr(codec, "_ROW_CAP", 3)
+    for code, args, expected in cases:
+        assert simulate(dataclasses.replace(code), *args) == expected
 
 
 def test_crng_error_at_most_twice_map_error():
@@ -850,8 +980,37 @@ def test_budget_counts_positive_probability_states():
     _check_budget(code)
 
 
-def test_exact_error_rejects_unknown_rule():
-    scenario = build_scenario("wyner-ziv-binary")
-    code = scenario.make_code(2, seed=1)
+def _aborting_code():
+    """A 1-encoder code whose constraint value lies outside f's table: every
+    encoder law is empty, so no trial reaches a decoder."""
+    cfg = NetworkConfig(
+        encoders=(1,), sharing=((1,),), decoders=(1,),
+        codewords_to={1: (1,)}, reproductions={1: (1,)}, side_info={1: None},
+        distortions={1: hamming_distortion("X1")})
+    src = JointPmf([("X1", B)], {(0,): Fraction(1, 2), (1,): Fraction(1, 2)})
+    f = HashFunction("binning", 4, 2, table=(0, 0, 0, 0))
+    return CodeInstance(n=2, config=cfg, source=src,
+                        channels={(1,): identity_channel("X1", "W1", B)},
+                        reproducers={1: identity_reproducer("W1", B)}, f={1: f},
+                        g={1: BinningEnsemble(4, 2).sample_function(0)}, c={1: 1})
+
+
+def test_encoder_aborts_count_as_exceedances():
+    """An aborted trial exceeds every distortion bound, even D_k + delta
+    above the largest distortion, and adds the measure's bound to its sum."""
+    code = _aborting_code()
+    report = simulate(code, 0.01, {1: 1.0}, trials=20, seed=3)
+    assert report == _reference_simulate(code, 0.01, {1: 1.0}, 20, 3, "crng")
+    assert (report.mismatch_count, report.exceed_counts, report.distortion_sums) == \
+        (20, {1: 20}, {1: 20.0})
+
+
+@pytest.mark.parametrize("estimate", [exact_error, simulate], ids=["exact_error", "simulate"])
+def test_exact_error_rejects_unknown_rule(estimate):
+    """Both estimates refuse an unknown rule before any trial, even on a code
+    whose every trial aborts in its encoder."""
+    code = _aborting_code()
+    assert simulate(code, 0.01, {1: 0.1}, trials=20, seed=0).encoder_abort_count == 20
+    args = (code, 0.01, {1: 0.1}) + ((20, 0) if estimate is simulate else ())
     with pytest.raises(ConfigurationError, match="unknown decode rule 'bogus'"):
-        exact_error(code, 0.01, scenario.default_D, rule="bogus")
+        estimate(*args, rule="bogus")

@@ -12,7 +12,6 @@ from multiterm.probability import (
     _factorizes,
     Alphabet,
     JointPmf,
-    block_products,
     check_markov,
     condition,
     dsbs,
@@ -114,38 +113,28 @@ def test_marginalize_then_condition_commutes_with_direct():
         assert c1.prob((a,)) == c2.prob((a,))
 
 
-def test_block_extend_exhaustive_small():
-    # block_products over the full block table against per-letter products
-    base = dsbs(Fraction(1, 4))
-    blocks = list(block_products([list(base.items())] * 3))
-    assert [letters for letters, _ in blocks] == \
-        list(itertools.product(list(dict(base.items())), repeat=3))
-    total = Fraction(0)
-    for letters, p in blocks:
-        expect = Fraction(1)
-        for letter in letters:
-            expect *= base.prob(letter)
-        assert p == expect
-        total += expect
-    assert total == 1
+def letters(pmf, n, seed, count):
+    """`sample`'s blocks as their letters (symbol tuples)."""
+    support = pmf.support()
+    return [tuple(support[i] for i in row) for row in sample(pmf, n, seed, count)]
 
 
 def test_sample_point_mass_and_determinism():
     forced = JointPmf([("X", B)], {(1,): Fraction(1)})
-    blocks = sample(forced, 4, seed=11, count=3)
+    blocks = letters(forced, 4, seed=11, count=3)
     assert all(b == ((1,),) * 4 for b in blocks)
-    assert sample(forced, 4, seed=5, count=2) == sample(forced, 4, seed=5, count=2)
+    assert letters(forced, 4, seed=5, count=2) == letters(forced, 4, seed=5, count=2)
 
 
 def test_sample_law_of_large_numbers():
-    blocks = sample(bernoulli(Fraction(11, 100)), 1, seed=1, count=100_000)
+    blocks = letters(bernoulli(Fraction(11, 100)), 1, seed=1, count=100_000)
     freq = sum(b[0][0] for b in blocks) / 100_000
     assert abs(freq - 0.11) < 0.01
 
 
 def test_sample_chi_square_consistency():
     base = random_pmf(np.random.default_rng(4), [("X", Alphabet((0, 1, 2, 3)))])
-    blocks = sample(base, 1, seed=2, count=100_000)
+    blocks = letters(base, 1, seed=2, count=100_000)
     counts = [0, 0, 0, 0]
     for b in blocks:
         counts[b[0][0]] += 1
@@ -265,4 +254,4 @@ def test_sample_matches_reference_formula(data, sizes, n, seed, count):
     total = sum(weights)
     pmf = JointPmf([(name, Alphabet(tuple(range(size)))) for name, size in zip("ABC", sizes)],
                    {keys[k]: Fraction(weights[k], total) for k in order})
-    assert sample(pmf, n, seed, count) == _reference_sample(pmf, n, seed, count)
+    assert letters(pmf, n, seed, count) == _reference_sample(pmf, n, seed, count)
