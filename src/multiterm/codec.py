@@ -19,7 +19,7 @@ that observed letter's denominators, a factor shared by every candidate of a
 law, so it cancels), which gives a dense table T; one kernel,
 :func:`_weights`, weighs candidate rows by the product over positions of
 T[observed letter, W_S letter].  A law is its candidates of positive weight
-with their integer total; draws divide each weight by the total once.
+with their integer total.
 
 The exact oracle applies the same kernel to many classes at once.  It works
 on batches of at most ``_ROW_CAP`` rows: source blocks, their encoder draws
@@ -33,8 +33,10 @@ draws each trial's source block as a row of source letter ids, evaluates the
 cell laws at the distinct input blocks drawn (:func:`_cell_draws`), reaches
 each decoder's class through its index and the class law or MAP pick
 through :class:`_DecoderClasses`, and scores the reproductions through the
-oracle's tables.  The per-call methods of :class:`CodeInstance` (the laws,
-`encode`, `decode`) are one-trial calls of the same functions.
+oracle's tables.  A draw searches its law's cumulative table (built at most
+once per law and call) with one uniform of its trial's child seed.  The
+per-call methods of :class:`CodeInstance` (the laws, `encode`, `decode`)
+are one-trial calls of the same functions.
 """
 
 from __future__ import annotations
@@ -65,7 +67,7 @@ from .network import (
     w_alphabets,
     w_name,
 )
-from .probability import JointPmf, marginalize, sample
+from .probability import JointPmf, choice_table, draw, marginalize, sample
 from .rational import integer_scaled
 
 _EXACT_BUDGET = 1 << 24
@@ -91,37 +93,23 @@ def crng_law(base, constraint):
     return [(item, p / total) for item, p in kept]
 
 
-def law_floats(law) -> np.ndarray:
-    """The probabilities of `law` = (items, total) as floats, `weight / total`
-    each.  For integer weights this is int true division, which rounds
-    correctly: each entry equals ``float(Fraction(weight, total))``."""
-    items, total = law
-    return np.array([w / total for _, w in items], dtype=float)
-
-
-def sample_from_law(law, seed):
-    """One draw from `law` = (items, total): (item, weight) pairs and their sum."""
-    rng = np.random.default_rng(seed)
-    probs = law_floats(law)
-    probs = probs / probs.sum()
-    items, _ = law
-    return items[int(rng.choice(len(items), p=probs))][0]
-
-
 def _split(row, weight, count, total) -> list:
-    """Ragged laws as a list of (items, total): law u holds the next count[u]
-    (row, weight) items and the total weight total[u], all Python ints."""
-    row, weight = row.tolist(), weight.tolist()
-    laws, start = [], 0
-    for size, law_total in zip(count.tolist(), total.tolist()):
-        laws.append((list(zip(row[start:start + size], weight[start:start + size])), law_total))
-        start += size
-    return laws
+    """Ragged laws as (rows, weights, total) each: law u holds the next
+    count[u] entries of `row` and `weight`, of total weight total[u]."""
+    ends = np.cumsum(count).tolist()
+    return [(row[a:b], weight[a:b], t) for a, b, t in zip([0, *ends], ends, total.tolist())]
 
 
 def _check_rule(rule: str):
     if rule not in ("crng", "map"):
         raise ConfigurationError("unknown decode rule %r" % (rule,))
+
+
+def _bounds(D: Mapping, delta: float, ks) -> dict:
+    """bounds[k] = D_k + delta; a ConfigurationError unless 0 <= delta < inf."""
+    if not 0 <= delta < math.inf:
+        raise ConfigurationError("delta must be finite and non-negative, got %r" % (delta,))
+    return {k: float(D[k]) + delta for k in ks}
 
 
 def _digits(ids, base: int, n: int, dtype=np.int64) -> np.ndarray:
@@ -444,7 +432,8 @@ class CodeInstance:
 
     def encode(self, cell, x_block, seed):
         """Joint draw for one sharing cell: (blocks by encoder, codewords)."""
-        blocks = sample_from_law(self.cell_constrained_law(cell, x_block), seed)
+        items, total = self.cell_constrained_law(cell, x_block)
+        blocks = items[draw(choice_table([w for _, w in items], total), seed)][0]
         return blocks, {i: self.g[i](self.block_to_int(i, blocks[i])) for i in cell}
 
     # -- decoder -------------------------------------------------------------------------
@@ -464,7 +453,7 @@ class CodeInstance:
         decoder = self._decoder(j)
         c = decoder.index.lookup.get(tuple(m[i] for i in decoder.ij))
         entry = (np.array([c]), self._observed(decoder.y, y_block)[None])
-        if c is None or not decoder.laws(*entry, "crng")[0][0]:
+        if c is None or not len(decoder.laws(*entry, "crng")[0][0]):
             raise DecoderAbort("decoder %r: empty posterior class" % (j,))
         return decoder.laws(*entry, rule)[0]
 
@@ -477,8 +466,8 @@ class CodeInstance:
         model weights jointly with the observed side-information letters.
         Only the candidates of the class that `m` names are weighted.
         """
-        items, total = self._decoder_at(j, m, y_block, "crng")
-        return self._named(self._decoder(j).ij, items), total
+        rows, weights, total = self._decoder_at(j, m, y_block, "crng")
+        return self._named(self._decoder(j).ij, zip(rows.tolist(), weights.tolist())), total
 
     def reproduce(self, j, w_blocks: Mapping, y_block):
         """Apply the decoder's reproducers per letter."""
@@ -496,7 +485,7 @@ class CodeInstance:
         """
         _check_rule(rule)
         law = self._decoder_at(j, m, y_block, rule)
-        row = sample_from_law(law, seed) if rule == "crng" else law
+        row = law[0][draw(choice_table(*law[1:]), seed)] if rule == "crng" else law
         w_hat = self._named(self._decoder(j).ij, [(row, None)])[0][0]
         return w_hat, self.reproduce(j, w_hat, y_block)
 
@@ -706,8 +695,8 @@ class _DecoderClasses:
     """One decoder as the oracle and Monte Carlo read it: the class of each
     state's true W_{I_j}-blocks, that class's law given the state's side
     information, and the reproductions of the class's candidates.  `drawn`
-    keeps, per (rule, class and side-information block), the class law or
-    MAP pick that Monte Carlo has drawn from."""
+    keeps, per (rule, class and side-information block) that Monte Carlo has
+    drawn from, the class law as (index rows, choice table) or the MAP pick."""
 
     def __init__(self, code: CodeInstance, j, source: _Source):
         cfg = code.config
@@ -794,8 +783,8 @@ class _DecoderClasses:
 
     def laws(self, cls, observed, rule: str) -> list:
         """Per entry (a class and an observed block of ids): under "crng" its
-        law over index rows, (items, total) with the (row, weight) items of
-        positive weight; under "map" its MAP pick."""
+        law over index rows, (rows, weights, total) with the rows of positive
+        weight; under "map" its MAP pick."""
         out = []
         for a, b, owner, starts, row, _, weight in self._classes(cls, observed):
             if rule == "map":
@@ -903,7 +892,7 @@ def exact_error(code: CodeInstance, delta: float, D: Mapping,
     _check_rule(rule)
     _check_budget(code)
     cfg = code.config
-    bounds = {k: float(D[k]) + delta for k in cfg.reproduction_ids}
+    bounds = _bounds(D, delta, cfg.reproduction_ids)
     source = _Source(code)
     cells = [_CellDraws(code, cell, source) for cell in cfg.sharing]
     decoders = [code._decoder(j) for j in cfg.decoders]
@@ -950,6 +939,9 @@ def _check_budget(code: CodeInstance):
 
 @dataclass
 class SimReport:
+    """Counts of a Monte Carlo run; `decoder_abort_count` is 0 by construction
+    (a decoder's class holds the true blocks, which have positive weight)."""
+
     trials: int
     mismatch_count: int
     exceed_counts: dict
@@ -973,9 +965,9 @@ class SimReport:
 
 
 def _trial_seed(seed, trial: int, *key) -> np.random.SeedSequence:
-    """The child at spawn key `key` of trial `trial`'s SeedSequence((seed,
-    trial)): (0,) draws the source block, (1, c) cell c and (2, d) decoder d,
-    as ``spawn(3)`` and then ``spawn`` per cell or decoder would number them."""
+    """The child at spawn key `key` of SeedSequence((seed, trial)), numbered as
+    ``spawn(3)`` and then ``spawn`` per cell or decoder number them: the seed
+    of the uniforms of the source block (0,), cell c (1, c) or decoder d (2, d)."""
     return np.random.SeedSequence((int(seed), int(trial)), spawn_key=key)
 
 
@@ -996,7 +988,7 @@ def simulate(code: CodeInstance, delta: float, D: Mapping, trials: int,
     report = SimReport(trials=trials, mismatch_count=0, exceed_counts={k: 0 for k in ks},
                        encoder_abort_count=0, decoder_abort_count=0,
                        distortion_sums={k: 0.0 for k in ks}, seed=seed)
-    bounds = {k: float(D[k]) + delta for k in ks}
+    bounds = _bounds(D, delta, ks)
     for lo in range(0, trials, _ROW_CAP):
         _run_batch(code, bounds, seed, range(lo, min(lo + _ROW_CAP, trials)), rule, report)
     return report
@@ -1014,9 +1006,11 @@ def _run_batch(code: CodeInstance, bounds: dict, seed, trials: range, rule: str,
     for c, cell in enumerate(cfg.sharing):
         number, symbols = source.numbering(code.channels[cell].inputs[0][0])
         blocks, law_of = np.unique(number(digits), return_inverse=True)
-        laws = _split(*_cell_draws(code, cell, symbols[_digits(blocks, len(symbols), n)]))
-        drawn.append(np.array([sample_from_law(laws[u], _trial_seed(seed, t, 1, c)) if laws[u][0]
-                               else -1 for t, u in zip(trials, law_of.tolist())], dtype=np.int64))
+        laws = [(rows, choice_table(weights, total)) if len(rows) else None
+                for rows, weights, total in _split(*_cell_draws(
+                    code, cell, symbols[_digits(blocks, len(symbols), n)]))]
+        drawn.append(np.array([laws[u][0][draw(laws[u][1], _trial_seed(seed, t, 1, c))]
+                               if laws[u] else -1 for t, u in zip(trials, law_of.tolist())]))
     aborted = np.any([rows < 0 for rows in drawn], axis=0)
     live = np.flatnonzero(~aborted)
     digits = digits[live]
@@ -1032,12 +1026,13 @@ def _run_batch(code: CodeInstance, bounds: dict, seed, trials: range, rule: str,
         keys = (cls * decoder.y_count + decoder.y_number(digits)).tolist()
         new = {key: e for e, key in enumerate(keys) if (rule, key) not in decoder.drawn}
         at = np.array(list(new.values()), dtype=np.intp)
-        decoder.drawn.update(zip([(rule, key) for key in new],
-                                 decoder.laws(cls[at], decoder.y_ids[digits[at]], rule)))
+        laws = decoder.laws(cls[at], decoder.y_ids[digits[at]], rule)
+        decoder.drawn.update(zip([(rule, key) for key in new], laws if rule == "map" else [
+            (rows, choice_table(weights, total)) for rows, weights, total in laws]))
         laws = [decoder.drawn[rule, key] for key in keys]
         if rule == "crng":
-            laws = [sample_from_law(law, _trial_seed(seed, t, 2, pos))
-                    for law, t in zip(laws, live_trials)]
+            laws = [rows[draw(cdf, _trial_seed(seed, t, 2, pos))]
+                    for (rows, cdf), t in zip(laws, live_trials)]
         picked = np.array(laws, dtype=np.int64)
         mismatched[live] |= picked != row
         observed = decoder.y_ids[digits]

@@ -5,7 +5,8 @@ mass, marginal, conditional and Markov check is exact.  Zero-probability rows
 are kept (support-set semantics matter for constrained-random draws).  Floats
 appear only where an irrational quantity is evaluated: each pmf converts its
 positive entries to floats once, on first use, for entropies
-(:meth:`JointPmf.float_marginal`), and the samplers draw from float laws.
+(:meth:`JointPmf.float_marginal`), and every seeded draw searches the
+cumulative float table of an integer law (:func:`choice_table`, :func:`draw`).
 """
 
 from __future__ import annotations
@@ -75,6 +76,7 @@ class JointPmf:
             cleaned[key] = p
         self._table = cleaned
         self._floats = None   # (key, float) per positive entry, filled on first use
+        self._cdf = None      # choice table of the positive entries, filled by `sample`
         if not _validated:
             self._check_support()
             self._check_mass()
@@ -122,9 +124,8 @@ class JointPmf:
         probabilities of the positive entries, added in table order.
 
         The entries are converted to floats once per pmf, on first use.
-        Callers evaluate irrational quantities (entropies, log-probabilities)
-        and draw samples from this; every exact check uses the Fraction table
-        instead.
+        Callers evaluate irrational quantities (entropies) from this; every
+        exact check uses the Fraction table instead.
         """
         if self._floats is None:
             self._floats = [(k, float(p)) for k, p in self._table.items() if p > 0]
@@ -251,11 +252,30 @@ def _factorizes(pmf: JointPmf, a, b, c) -> bool:
 # -- blocks of a memoryless source ------------------------------------------------
 
 
+def choice_table(weights, total) -> np.ndarray:
+    """The cumulative table that ``Generator.choice(len(p), p=p / p.sum())``
+    searches, formed as it forms it, for p[k] = weights[k] / total rounded
+    once, as ``float(Fraction(w, total))``: numpy's float64 division rounds
+    integers from 2^53 on first, so larger totals are divided as Python ints."""
+    p = np.asarray(weights, dtype=np.int64 if total < 1 << 53 else object) / int(total)
+    p = p.astype(float)
+    cdf = (p / p.sum()).cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+def draw(cdf, seed, size=None):
+    """The indices ``default_rng(seed).choice(len(cdf), size, p=...)`` draws
+    from the :func:`choice_table` `cdf`: its uniforms, searched in `cdf`."""
+    return cdf.searchsorted(np.random.default_rng(seed).random(size), side="right")
+
+
 def sample(pmf: JointPmf, n: int, seed, count: int = 1) -> np.ndarray:
     """Draw `count` i.i.d. blocks of n letters of `pmf`, as rows of letter
-    ids into ``pmf.support()``; identical seed gives identical output."""
-    probs = np.array(list(pmf.float_marginal(pmf.names).values()), dtype=float)
-    return np.random.default_rng(seed).choice(len(probs), size=(count, n), p=probs / probs.sum())
+    ids into ``pmf.support()``, from a table built once per pmf."""
+    if pmf._cdf is None:
+        pmf._cdf = choice_table(*integer_scaled([p for _, p in pmf.items() if p > 0]))
+    return draw(pmf._cdf, seed, (count, n))
 
 
 # -- convenience constructors ----------------------------------------------------

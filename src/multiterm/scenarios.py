@@ -386,9 +386,9 @@ def positive_int(value, where) -> int:
 
 
 def _nonnegative(value, what: str):
-    """`value`, a number, or a ValueError naming `what` when it is negative."""
-    if value < 0:
-        raise ValueError("%s is negative: %r" % (what, value))
+    """`value`, a number, or a ValueError naming `what` unless 0 <= value < inf."""
+    if not 0 <= value < float("inf"):
+        raise ValueError("%s is negative or not finite: %r" % (what, value))
     return value
 
 
@@ -414,7 +414,7 @@ def _section(where: str):
         yield
     except ConfigurationError:
         raise
-    except (TypeError, ValueError, AttributeError, IndexError, ZeroDivisionError) as exc:
+    except (TypeError, ValueError, AttributeError, IndexError, ArithmeticError) as exc:
         raise ConfigurationError(
             "scenario file: %s has a malformed value (%s)" % (where, exc)) from None
 
@@ -501,7 +501,7 @@ def scenario_from_dict(data: dict) -> Scenario:
         if "seed" in run:
             run_defaults["seed"] = seed_value(run["seed"])
         if "delta" in run:
-            run_defaults["delta"] = float(run["delta"])
+            run_defaults["delta"] = _nonnegative(float(run["delta"]), "run.delta")
         default_D = {_ident(k): _nonnegative(float(_frac(v)), "D[%s]" % k)
                      for k, v in run.get("D", {}).items()}
     with _section("code"):

@@ -451,15 +451,32 @@ def _malformed(data, path, value):
     (("run", "D", "1"), "-1/10", "run has a malformed value (D[1] is negative"),
     (("code", "rates", "1"), -0.5, "code has a malformed value (rate of encoder 1 is negative"),
     (("code", "aux_rates"), {"1": -0.25}, "code has a malformed value (auxiliary rate"),
+    (("run", "delta"), float("nan"), "run has a malformed value (run.delta is negative or not"),
+    (("run", "delta"), -0.5, "run has a malformed value (run.delta is negative"),
+    (("run", "D", "1"), float("inf"), "run has a malformed value"),
+    (("code", "rates", "1"), float("nan"), "code has a malformed value (rate of encoder 1 is"),
+    (("code", "aux_rates"), {"1": float("nan")}, "code has a malformed value (auxiliary rate"),
 ], ids=["table-number", "probability-text", "channels-mapping", "row-without-outputs",
         "encoders-number", "seed-text", "negative-seed", "delta-text", "negative-D", "negative-rate",
-        "negative-aux-rate"])
+        "negative-aux-rate", "nan-delta", "negative-delta", "infinite-D", "nan-rate",
+        "nan-aux-rate"])
 def test_scenario_file_malformed_value_is_a_config_error(tmp_path, capsys, path, value, named):
     scenario = tmp_path / "malformed.json"
     scenario.write_text(json.dumps(_malformed(tiny_scenario_data(), path, value)))
     assert run(["simulate", str(scenario)]) == 2
     err = capsys.readouterr().err
     assert "configuration error" in err and named in err
+
+
+@pytest.mark.parametrize("delta", ["nan", "-1", "inf", "-0.001"])
+@pytest.mark.parametrize("mode", [["--trials", "5"], ["--exact"]], ids=["trials", "exact"])
+def test_simulate_rejects_negative_and_non_finite_delta(capsys, delta, mode):
+    """Every comparison with NaN is false, so a NaN delta would report no
+    exceedance at all; a negative one shifts every bound below D."""
+    assert run(["simulate", "slepian-wolf", "--n", "2", "--delta", delta] + mode) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "configuration error" in captured.err and "delta" in captured.err
 
 
 def test_main_builds_its_parser_once(monkeypatch, capsys):

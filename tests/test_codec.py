@@ -10,16 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chisquare
 
-from multiterm import codec
+from multiterm import codec, probability
 from multiterm.codec import (
     CodeInstance,
     SimReport,
     _check_budget,
     crng_law,
     exact_error,
-    law_floats,
     realized_size,
-    sample_from_law,
     simulate,
 )
 from multiterm.errors import (
@@ -37,7 +35,7 @@ from multiterm.network import (
     identity_reproducer,
     w_name,
 )
-from multiterm.probability import Alphabet, JointPmf, dsbs, marginalize, sample
+from multiterm.probability import Alphabet, JointPmf, choice_table, dsbs, marginalize
 from multiterm.scenarios import build_scenario, scenario_names
 
 B = Alphabet((0, 1))
@@ -54,9 +52,18 @@ def identity_linear(q, n):
     return HashFunction("linear", q ** n, q ** n, matrix=rows, q=q, n=n)
 
 
+def choice(law, seed):
+    """One item of `law` = (items, total), drawn by ``Generator.choice`` itself
+    on the probabilities float(Fraction(weight, total)): the reference for
+    the table search in `multiterm.probability.draw`."""
+    items, total = law
+    probs = np.array([float(Fraction(w, total)) for _, w in items])
+    return items[np.random.default_rng(seed).choice(len(items), p=probs / probs.sum())][0]
+
+
 def crng_sample(base, constraint, seed):
     """One draw from the constrained, renormalized distribution."""
-    return sample_from_law((crng_law(base, constraint), 1), seed)
+    return choice((crng_law(base, constraint), 1), seed)
 
 
 def fraction_law(law):
@@ -115,15 +122,23 @@ def test_crng_sample_matches_restricted_law_chi_square():
     assert chisquare(observed, expected).pvalue > 0.001
 
 
-def test_law_floats_round_integer_weights_correctly():
-    """Large integer weights are divided as ints: each probability equals
-    float(Fraction(w, total)), where float(w) / float(total) rounds twice."""
-    items = [("a", 1371754781240904731), ("b", 1273952213221885462),
-             ("c", 1434151720124362380)]
-    total = sum(w for _, w in items)
-    expected = [float(Fraction(w, total)) for _, w in items]
-    assert list(law_floats((items, total))) == expected
-    assert [float(w) / float(total) for _, w in items] != expected
+def test_choice_table_rounds_integer_weights_correctly():
+    """Large integer weights, as a list or an int64 array, are divided as
+    ints: the table is formed from float(Fraction(w, total)), and numpy's
+    float division of the int64 weights (rounding each operand first) gives
+    another table."""
+    weights = [1312494765889401333, 1849897281939139295, 145514431571737540]
+    total = sum(weights)
+
+    def table(probs):
+        p = np.array(probs, dtype=float)
+        cdf = (p / p.sum()).cumsum()
+        return cdf / cdf[-1]
+
+    expected = table([float(Fraction(w, total)) for w in weights])
+    for given in (weights, np.array(weights, dtype=np.int64)):
+        assert list(choice_table(given, total)) == list(expected)
+    assert list(table(np.array(weights, dtype=np.int64) / total)) != list(expected)
 
 
 def test_crng_sample_deterministic_in_seed():
@@ -678,25 +693,32 @@ def test_simulate_deterministic_in_seed():
     assert (a.mismatch_count, a.exceed_counts) == (b.mismatch_count, b.exceed_counts)
 
 
-def _run_trial(code, bounds, trial_seed, rule, report):
+def _run_trial(code, bounds, trial_seed, rule, report, laws):
     """One trial from `trial_seed`, counted into `report`, through the
-    one-trial calls `code.encode` and `code.decode`; bounds[k] = D_k + delta."""
+    one-trial laws `code.cell_constrained_law` and `code.decoder_class_law`,
+    each draw made by ``Generator.choice`` (:func:`choice`); bounds[k] = D_k
+    + delta.  The set `laws` gains a key per law the trial reads: (cell,
+    input block) for every cell and (decoder, class, side information) for
+    every decoder reached."""
     cfg = code.config
     exceed, dist_sums = report.exceed_counts, report.distortion_sums
     src_seed, enc_seed, dec_seed = trial_seed.spawn(3)
     support = code.source.support()
-    letters = [support[i] for i in sample(code.source, code.n, src_seed)[0]]
+    probs = np.array([float(code.source.prob(k)) for k in support])
+    letters = [support[i] for i in np.random.default_rng(src_seed).choice(
+        len(support), size=code.n, p=probs / probs.sum())]
     blocks = dict(zip(code.source.names, zip(*letters)))
 
     w_blocks = {}
     m = {}
     cell_seeds = enc_seed.spawn(len(cfg.sharing))
+    laws.update((cell, blocks[code.channels[cell].inputs[0][0]]) for cell in cfg.sharing)
     try:
         for pos, cell in enumerate(cfg.sharing):
             x_var = code.channels[cell].inputs[0][0]
-            cell_blocks, cell_m = code.encode(cell, blocks[x_var], cell_seeds[pos])
+            cell_blocks = choice(code.cell_constrained_law(cell, blocks[x_var]), cell_seeds[pos])
             w_blocks.update(cell_blocks)
-            m.update(cell_m)
+            m.update({i: code.g[i](code.block_to_int(i, cell_blocks[i])) for i in cell})
     except EncoderAbort:
         report.encoder_abort_count += 1
         report.mismatch_count += 1
@@ -710,8 +732,13 @@ def _run_trial(code, bounds, trial_seed, rule, report):
     for pos, j in enumerate(cfg.decoders):
         y = cfg.side_info.get(j)
         y_block = blocks[y] if y else None
+        laws.add((j, tuple(m[i] for i in cfg.codewords_to[j]), y_block))
         try:
-            w_hat, z = code.decode(j, m, y_block, decoder_seeds[pos], rule=rule)
+            if rule == "map":
+                w_hat, z = code.decode(j, m, y_block, decoder_seeds[pos], rule=rule)
+            else:
+                w_hat = choice(code.decoder_class_law(j, m, y_block), decoder_seeds[pos])
+                z = code.reproduce(j, w_hat, y_block)
         except DecoderAbort:
             report.decoder_abort_count += 1
             mismatched = True
@@ -730,16 +757,18 @@ def _run_trial(code, bounds, trial_seed, rule, report):
         report.mismatch_count += 1
 
 
-def _reference_simulate(code, delta, D, trials, seed, rule):
+def _reference_simulate(code, delta, D, trials, seed, rule, laws=None):
     """Monte Carlo one trial at a time, each trial seeded by the children of
-    SeedSequence((seed, trial)), as `simulate` seeds it."""
+    SeedSequence((seed, trial)), as `simulate` seeds it; `laws` gains the
+    keys of the laws read (see :func:`_run_trial`)."""
     ks = code.config.reproduction_ids
     report = SimReport(trials=trials, mismatch_count=0, exceed_counts={k: 0 for k in ks},
                        encoder_abort_count=0, decoder_abort_count=0,
                        distortion_sums={k: 0.0 for k in ks}, seed=seed)
     bounds = {k: float(D[k]) + delta for k in ks}
     for trial in range(trials):
-        _run_trial(code, bounds, np.random.SeedSequence((seed, trial)), rule, report)
+        _run_trial(code, bounds, np.random.SeedSequence((seed, trial)), rule, report,
+                   set() if laws is None else laws)
     return report
 
 
@@ -1014,3 +1043,63 @@ def test_exact_error_rejects_unknown_rule(estimate):
     args = (code, 0.01, {1: 0.1}) + ((20, 0) if estimate is simulate else ())
     with pytest.raises(ConfigurationError, match="unknown decode rule 'bogus'"):
         estimate(*args, rule="bogus")
+
+
+@pytest.mark.parametrize("delta", [math.nan, -1.0, math.inf, -1e-12])
+@pytest.mark.parametrize("estimate", [exact_error, simulate], ids=["exact_error", "simulate"])
+def test_negative_or_non_finite_delta_is_refused(estimate, delta):
+    """A NaN delta would count no exceedance at all (every comparison with NaN
+    is false), and a negative one moves every bound below D."""
+    scenario = build_scenario("slepian-wolf")
+    code = scenario.make_code(2, seed=1)
+    args = (code, delta, scenario.default_D) + ((5, 0) if estimate is simulate else ())
+    with pytest.raises(ConfigurationError, match="delta must be finite and non-negative"):
+        estimate(*args)
+
+
+class _NoChoice:
+    """A generator that offers only `random`: any other draw fails the test."""
+
+    def __init__(self, rng):
+        self.random = rng.random
+
+    def choice(self, *args, **kwargs):
+        raise AssertionError("Generator.choice called")
+
+
+@pytest.mark.parametrize("name", SIMULATING)
+def test_simulate_searches_one_table_per_law(name, monkeypatch):
+    """`simulate` draws with one uniform per trial child searched in a table,
+    never through ``Generator.choice``, and builds at most one table per
+    distinct law in a call (not one per draw); the source table is built
+    once per pmf.  Its reports stay the reference's."""
+    scenario = build_scenario(name)
+    code = scenario.make_code(2, seed=4)
+    delta = 0.01 * max(d.bound for d in scenario.config.distortions.values())
+    runs = []
+    for seed, rule in ((2, "crng"), (3, "crng"), (2, "map")):
+        laws: set = set()
+        runs.append((seed, rule, _reference_simulate(code, delta, scenario.default_D, 150, seed,
+                                                     rule, laws), len(laws)))
+    built = []
+
+    def counted(module):
+        def table(weights, total):
+            built.append(module)
+            return choice_table(weights, total)
+        return table
+
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: _NoChoice(default_rng(seed)))
+    monkeypatch.setattr(codec, "choice_table", counted("codec"))
+    monkeypatch.setattr(probability, "choice_table", counted("probability"))
+    # a source pmf whose table no earlier draw has built, and empty code caches
+    fresh = dataclasses.replace(code, source=JointPmf(code.source.variables,
+                                                      dict(code.source.items())))
+    sources = 0
+    for seed, rule, reference, laws in runs:
+        assert simulate(fresh, delta, scenario.default_D, 150, seed, rule) == reference
+        assert built.count("codec") <= laws
+        sources += built.count("probability")
+        del built[:]
+    assert sources == 1

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import chisquare
 
@@ -13,7 +13,9 @@ from multiterm.probability import (
     Alphabet,
     JointPmf,
     check_markov,
+    choice_table,
     condition,
+    draw,
     dsbs,
     marginalize,
     merge_vars,
@@ -255,3 +257,39 @@ def test_sample_matches_reference_formula(data, sizes, n, seed, count):
     pmf = JointPmf([(name, Alphabet(tuple(range(size)))) for name, size in zip("ABC", sizes)],
                    {keys[k]: Fraction(weights[k], total) for k in order})
     assert letters(pmf, n, seed, count) == _reference_sample(pmf, n, seed, count)
+
+
+def _seeds():
+    """Integer seeds and SeedSequences with spawn keys, as simulate's trial
+    children are."""
+    keyed = st.builds(lambda entropy, key: np.random.SeedSequence(entropy, spawn_key=key),
+                      st.tuples(st.integers(0, 2 ** 32 - 1), st.integers(0, 2 ** 16)),
+                      st.lists(st.integers(0, 3), max_size=2).map(tuple))
+    return st.integers(0, 2 ** 64 - 1) | keyed
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), top=st.sampled_from([1, 2 ** 20, 2 ** 52, 2 ** 61, 2 ** 80]),
+       size=st.sampled_from([None, 1, 7, (3, 4)]), seed=_seeds(), as_array=st.booleans())
+@example(data=None, top=5, size=None, seed=0, as_array=False)   # a single-item law
+@example(data=None, top=5, size=(2, 3), seed=np.random.SeedSequence((9, 4), spawn_key=(1, 0)),
+         as_array=True)
+def test_draw_matches_generator_choice(data, top, size, seed, as_array):
+    """`choice_table` is the table ``Generator.choice`` forms, and `draw` on
+    it returns the indices ``default_rng(seed).choice(len(p), size, p=p /
+    p.sum())`` returns, for p = float(Fraction(w, total)) of integer weights
+    up to 2^80 (numpy divides exactly only below 2^53), given as a list or
+    as an integer array."""
+    weights = [top] if data is None else data.draw(
+        st.lists(st.integers(0, top), min_size=1, max_size=12).filter(any))
+    total = sum(weights)
+    if as_array:
+        weights = np.array(weights, dtype=np.int64 if total < 1 << 63 else object)
+    probs = np.array([float(Fraction(int(w), total)) for w in weights])
+    expected = np.random.default_rng(seed).choice(len(probs), size, p=probs / probs.sum())
+    table = choice_table(weights, total)
+    cdf = (probs / probs.sum()).cumsum()   # as choice forms it from p = probs / probs.sum()
+    assert table.tolist() == (cdf / cdf[-1]).tolist()
+    got = draw(table, seed, size)
+    assert np.shape(got) == np.shape(expected)
+    assert np.array_equal(got, expected)
