@@ -34,9 +34,11 @@ cell laws at the distinct input blocks drawn (:func:`_cell_draws`), reaches
 each decoder's class through its index and the class law or MAP pick
 through :class:`_DecoderClasses`, and scores the reproductions through the
 oracle's tables.  A draw searches its law's cumulative table (built at most
-once per law and call) with one uniform of its trial's child seed.  The
-per-call methods of :class:`CodeInstance` (the laws, `encode`, `decode`)
-are one-trial calls of the same functions.
+once per law and call) with one uniform of its trial's child seed; the
+uniforms of every child of a batch come from one call of
+:func:`~multiterm.probability.trial_uniforms`.  The per-call methods of
+:class:`CodeInstance` (the laws, `encode`, `decode`) are one-trial calls of
+the same functions.
 """
 
 from __future__ import annotations
@@ -67,7 +69,7 @@ from .network import (
     w_alphabets,
     w_name,
 )
-from .probability import JointPmf, choice_table, draw, marginalize, sample
+from .probability import JointPmf, choice_table, draw, marginalize, support_table, trial_uniforms
 from .rational import integer_scaled
 
 _EXACT_BUDGET = 1 << 24
@@ -210,7 +212,7 @@ class _ClassIndex:
     rows: np.ndarray
     cls: np.ndarray
     bounds: np.ndarray
-    lookup: dict
+    keys: np.ndarray
     row_of: np.ndarray
 
 
@@ -335,13 +337,12 @@ class CodeInstance:
         n, size = self.n, len(letters)
         digits = _digits(np.arange(size ** n), size, n, np.min_scalar_type(size - 1))
         admissible = np.ones(size ** n, dtype=bool)
-        keys, g_values = [], []
+        keys = []
         for e, i in enumerate(S):
-            digit, meets, gid, values = self._hashed(i)
+            digit, meets, gid, _ = self._hashed(i)
             number = _numbers(digits, len(digit), np.array([digit[w[e]] for w in letters]))
             admissible &= meets[number]
             keys.append(gid[number])
-            g_values.append(_object_array(values))
         kept = np.flatnonzero(admissible)
         classes = np.stack([key[kept] for key in keys], axis=1)
         ids, first = _row_ids(classes)
@@ -353,13 +354,10 @@ class CodeInstance:
         kept, cls = kept[by_class], cls[by_class]
         row_of = np.full(size ** n, -1, dtype=np.int64)
         row_of[kept] = np.arange(len(kept))
-        keys = classes[first[order]]
-        lookup = dict(zip(zip(*(g_values[e][keys[:, e]].tolist() for e in range(len(S)))),
-                          range(len(order))))
         return _ClassIndex(
             letters=letters, symbols=[_object_array([w[e] for w in letters]) for e in range(len(S))],
             rows=digits[kept], cls=cls, bounds=np.searchsorted(cls, np.arange(len(order) + 1)),
-            lookup=lookup, row_of=row_of)
+            keys=classes[first[order]], row_of=row_of)
 
     def _table(self, S, given):
         """The weighting table of encoder set S observing the variable `given`
@@ -451,7 +449,9 @@ class CodeInstance:
         :meth:`_DecoderClasses.laws`); DecoderAbort when the class has no
         candidate of positive weight."""
         decoder = self._decoder(j)
-        c = decoder.index.lookup.get(tuple(m[i] for i in decoder.ij))
+        lookup = {tuple(self._hashed(i)[3][g] for i, g in zip(decoder.ij, key)): c
+                  for c, key in enumerate(decoder.index.keys.tolist())}
+        c = lookup.get(tuple(m[i] for i in decoder.ij))
         entry = (np.array([c]), self._observed(decoder.y, y_block)[None])
         if c is None or not len(decoder.laws(*entry, "crng")[0][0]):
             raise DecoderAbort("decoder %r: empty posterior class" % (j,))
@@ -964,24 +964,17 @@ class SimReport:
         return (max(0.0, p - half), min(1.0, p + half))
 
 
-def _trial_seed(seed, trial: int, *key) -> np.random.SeedSequence:
-    """The child at spawn key `key` of SeedSequence((seed, trial)), numbered as
-    ``spawn(3)`` and then ``spawn`` per cell or decoder number them: the seed
-    of the uniforms of the source block (0,), cell c (1, c) or decoder d (2, d)."""
-    return np.random.SeedSequence((int(seed), int(trial)), spawn_key=key)
-
-
 def simulate(code: CodeInstance, delta: float, D: Mapping, trials: int,
              seed: int, rule: str = "crng") -> SimReport:
     """Monte Carlo estimate of the exact-oracle quantities.
 
     The trials run as batches of at most ``_ROW_CAP`` oracle states, drawn
-    instead of enumerated.  Trial t's source block, cell draws and decoder
-    draws are seeded by the children of SeedSequence((seed, t)), so the
-    report is deterministic in `seed`.  An encoder abort counts as an error
-    for the mismatch and for every exceedance, with distortion `bound`.  A
-    decoder's class holds the true blocks, which have positive weight, so
-    decoders never abort.
+    instead of enumerated.  Trial t's source block, cell c's draw and decoder
+    d's draw take the uniforms of the children of SeedSequence((seed, t)) at
+    spawn keys (0,), (1, c) and (2, d), so the report is deterministic in
+    `seed`.  An encoder abort counts as an error for the mismatch and for
+    every exceedance, with distortion `bound`.  A decoder's class holds the
+    true blocks, which have positive weight, so decoders never abort.
     """
     _check_rule(rule)
     ks = code.config.reproduction_ids
@@ -999,8 +992,11 @@ def _run_batch(code: CodeInstance, bounds: dict, seed, trials: range, rule: str,
     """The trials `trials`, counted into `report`; bounds[k] = D_k + delta."""
     cfg, n = code.config, code.n
     source = _Source(code)
-    digits = np.array([sample(code.source, n, _trial_seed(seed, t, 0))[0] for t in trials],
-                      dtype=np.intp)
+    uniforms = trial_uniforms(seed, trials, {
+        (0,): n, **{(1, c): 1 for c in range(len(cfg.sharing))},
+        **{(2, d): 1 for d in range(len(cfg.decoders))}})
+    # popped: the n source uniforms per trial are freed before the cells and decoders run
+    digits = support_table(code.source).searchsorted(uniforms.pop((0,)), side="right")
     # each cell's drawn index row per trial, -1 where its law is empty
     drawn = []
     for c, cell in enumerate(cfg.sharing):
@@ -1009,13 +1005,13 @@ def _run_batch(code: CodeInstance, bounds: dict, seed, trials: range, rule: str,
         laws = [(rows, choice_table(weights, total)) if len(rows) else None
                 for rows, weights, total in _split(*_cell_draws(
                     code, cell, symbols[_digits(blocks, len(symbols), n)]))]
-        drawn.append(np.array([laws[u][0][draw(laws[u][1], _trial_seed(seed, t, 1, c))]
-                               if laws[u] else -1 for t, u in zip(trials, law_of.tolist())]))
+        drawn.append(np.array([laws[u][0][laws[u][1].searchsorted(x, side="right")]
+                               if laws[u] else -1
+                               for x, u in zip(uniforms[1, c][:, 0], law_of.tolist())]))
     aborted = np.any([rows < 0 for rows in drawn], axis=0)
     live = np.flatnonzero(~aborted)
     digits = digits[live]
     cell_letters = [code._index(cell).rows[rows[live]] for cell, rows in zip(cfg.sharing, drawn)]
-    live_trials = [trials[e] for e in live.tolist()]
 
     mismatched = aborted.copy()
     distortion = {k: np.full(len(trials), cfg.distortions[k].bound) for k in bounds}
@@ -1031,8 +1027,8 @@ def _run_batch(code: CodeInstance, bounds: dict, seed, trials: range, rule: str,
             (rows, choice_table(weights, total)) for rows, weights, total in laws]))
         laws = [decoder.drawn[rule, key] for key in keys]
         if rule == "crng":
-            laws = [rows[draw(cdf, _trial_seed(seed, t, 2, pos))]
-                    for (rows, cdf), t in zip(laws, live_trials)]
+            laws = [rows[cdf.searchsorted(x, side="right")]
+                    for (rows, cdf), x in zip(laws, uniforms[2, pos][live, 0])]
         picked = np.array(laws, dtype=np.int64)
         mismatched[live] |= picked != row
         observed = decoder.y_ids[digits]

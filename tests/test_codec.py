@@ -1057,22 +1057,18 @@ def test_negative_or_non_finite_delta_is_refused(estimate, delta):
         estimate(*args)
 
 
-class _NoChoice:
-    """A generator that offers only `random`: any other draw fails the test."""
-
-    def __init__(self, rng):
-        self.random = rng.random
-
-    def choice(self, *args, **kwargs):
-        raise AssertionError("Generator.choice called")
+def _no_generator(*args, **kwargs):
+    raise AssertionError("a per-trial SeedSequence or Generator was built")
 
 
 @pytest.mark.parametrize("name", SIMULATING)
 def test_simulate_searches_one_table_per_law(name, monkeypatch):
     """`simulate` draws with one uniform per trial child searched in a table,
-    never through ``Generator.choice``, and builds at most one table per
-    distinct law in a call (not one per draw); the source table is built
-    once per pmf.  Its reports stay the reference's."""
+    the uniforms of a batch computed by `trial_uniforms` without building a
+    SeedSequence or a Generator per trial child (both raise while `simulate`
+    runs), and builds at most one table per distinct law in a call (not one
+    per draw); the source table is built once per pmf.  Its reports stay
+    those of the per-trial reference, computed before the stubs."""
     scenario = build_scenario(name)
     code = scenario.make_code(2, seed=4)
     delta = 0.01 * max(d.bound for d in scenario.config.distortions.values())
@@ -1089,8 +1085,8 @@ def test_simulate_searches_one_table_per_law(name, monkeypatch):
             return choice_table(weights, total)
         return table
 
-    default_rng = np.random.default_rng
-    monkeypatch.setattr(np.random, "default_rng", lambda seed: _NoChoice(default_rng(seed)))
+    monkeypatch.setattr(np.random, "default_rng", _no_generator)
+    monkeypatch.setattr(np.random, "SeedSequence", _no_generator)
     monkeypatch.setattr(codec, "choice_table", counted("codec"))
     monkeypatch.setattr(probability, "choice_table", counted("probability"))
     # a source pmf whose table no earlier draw has built, and empty code caches

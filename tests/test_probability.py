@@ -20,7 +20,8 @@ from multiterm.probability import (
     marginalize,
     merge_vars,
     random_pmf,
-    sample,
+    support_table,
+    trial_uniforms,
 )
 
 B = Alphabet((0, 1))
@@ -116,9 +117,10 @@ def test_marginalize_then_condition_commutes_with_direct():
 
 
 def letters(pmf, n, seed, count):
-    """`sample`'s blocks as their letters (symbol tuples)."""
+    """`count` i.i.d. blocks of n letters of `pmf` drawn from its support
+    table, as their letters (symbol tuples)."""
     support = pmf.support()
-    return [tuple(support[i] for i in row) for row in sample(pmf, n, seed, count)]
+    return [tuple(support[i] for i in row) for row in draw(support_table(pmf), seed, (count, n))]
 
 
 def test_sample_point_mass_and_determinism():
@@ -293,3 +295,27 @@ def test_draw_matches_generator_choice(data, top, size, seed, as_array):
     got = draw(table, seed, size)
     assert np.shape(got) == np.shape(expected)
     assert np.array_equal(got, expected)
+
+
+_KEYS = st.sampled_from([(), (0,)]) | st.tuples(st.sampled_from([1, 2]), st.integers(0, 2 ** 33))
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.sampled_from([0, 2 ** 32 - 1, 2 ** 32, 2 ** 64]) | st.integers(0, 2 ** 80),
+       trials=st.lists(st.sampled_from([0, 2 ** 32 - 1, 2 ** 32]) | st.integers(0, 2 ** 40),
+                       max_size=6),
+       sizes=st.dictionaries(_KEYS, st.integers(1, 10), min_size=1, max_size=4))
+@example(seed=0, trials=[0, 2 ** 32 - 1, 2 ** 32], sizes={(0,): 3, (1, 2 ** 33): 1, (): 2})
+@example(seed=2 ** 64, trials=[], sizes={(0,): 10, (2, 1): 1})
+def test_trial_uniforms_match_seeded_generators(seed, trials, sizes):
+    """`trial_uniforms` equals, bit for bit, ``random(size)`` of the generator
+    of each child SeedSequence((seed, t), spawn_key=key): seeds and trials
+    of one and of several 32-bit words, keys with and without words past the
+    pool, and the empty key (its short entropy is not padded)."""
+    got = trial_uniforms(seed, trials, sizes)
+    assert set(got) == set(sizes)
+    for key, size in sizes.items():
+        expected = [np.random.default_rng(np.random.SeedSequence((seed, t), spawn_key=key))
+                    .random(size) for t in trials]
+        assert got[key].shape == (len(trials), size)
+        assert got[key].tobytes() == np.array(expected).reshape(len(trials), size).tobytes()
