@@ -34,9 +34,9 @@ cell laws at the distinct input blocks drawn (:func:`_cell_draws`), reaches
 each decoder's class through its index and the class law or MAP pick
 through :class:`_DecoderClasses`, and scores the reproductions through the
 oracle's tables.  A draw searches its law's cumulative table (built at most
-once per law and call) with one uniform of its trial's child seed; the
-uniforms of every child of a batch come from one call of
-:func:`~multiterm.probability.trial_uniforms`.  The per-call methods of
+once per law and call) with one uniform.  A call has one generator, and its
+trials lie end to end on that stream, a fixed number of uniforms each, so a
+trial can be replayed alone (see :func:`simulate`).  The per-call methods of
 :class:`CodeInstance` (the laws, `encode`, `decode`) are one-trial calls of
 the same functions.
 """
@@ -69,7 +69,7 @@ from .network import (
     w_alphabets,
     w_name,
 )
-from .probability import JointPmf, choice_table, draw, marginalize, support_table, trial_uniforms
+from .probability import JointPmf, choice_table, draw, marginalize, support_table
 from .rational import integer_scaled
 
 _EXACT_BUDGET = 1 << 24
@@ -969,12 +969,16 @@ def simulate(code: CodeInstance, delta: float, D: Mapping, trials: int,
     """Monte Carlo estimate of the exact-oracle quantities.
 
     The trials run as batches of at most ``_ROW_CAP`` oracle states, drawn
-    instead of enumerated.  Trial t's source block, cell c's draw and decoder
-    d's draw take the uniforms of the children of SeedSequence((seed, t)) at
-    spawn keys (0,), (1, c) and (2, d), so the report is deterministic in
-    `seed`.  An encoder abort counts as an error for the mismatch and for
-    every exceedance, with distortion `bound`.  A decoder's class holds the
-    true blocks, which have positive weight, so decoders never abort.
+    instead of enumerated.  The call draws from one generator,
+    ``default_rng(seed)``: trial t reads the doubles at offsets [t*w,
+    (t+1)*w) of its stream, w = n + (cells) + (decoders), first the n
+    source letters, then one per cell and one per decoder (the MAP rule
+    leaves its decoder's unread).  So the report is deterministic in
+    `seed` and does not depend on the batching, and trial t replays alone
+    from ``Generator(PCG64(seed).advance(t * w))``.  An encoder abort
+    counts as an error for the mismatch and for every exceedance, with
+    distortion `bound`.  A decoder's class holds the true blocks, which have
+    positive weight, so decoders never abort.
     """
     _check_rule(rule)
     ks = code.config.reproduction_ids
@@ -982,21 +986,19 @@ def simulate(code: CodeInstance, delta: float, D: Mapping, trials: int,
                        encoder_abort_count=0, decoder_abort_count=0,
                        distortion_sums={k: 0.0 for k in ks}, seed=seed)
     bounds = _bounds(D, delta, ks)
+    rng = np.random.default_rng(seed)
+    width = code.n + len(code.config.sharing) + len(code.config.decoders)
     for lo in range(0, trials, _ROW_CAP):
-        _run_batch(code, bounds, seed, range(lo, min(lo + _ROW_CAP, trials)), rule, report)
+        _run_batch(code, bounds, rng.random((min(_ROW_CAP, trials - lo), width)), rule, report)
     return report
 
 
-def _run_batch(code: CodeInstance, bounds: dict, seed, trials: range, rule: str,
-               report: SimReport):
-    """The trials `trials`, counted into `report`; bounds[k] = D_k + delta."""
+def _run_batch(code: CodeInstance, bounds: dict, uniforms, rule: str, report: SimReport):
+    """The trials of `uniforms` (a row per trial, laid out as :func:`simulate`
+    says), counted into `report`; bounds[k] = D_k + delta."""
     cfg, n = code.config, code.n
     source = _Source(code)
-    uniforms = trial_uniforms(seed, trials, {
-        (0,): n, **{(1, c): 1 for c in range(len(cfg.sharing))},
-        **{(2, d): 1 for d in range(len(cfg.decoders))}})
-    # popped: the n source uniforms per trial are freed before the cells and decoders run
-    digits = support_table(code.source).searchsorted(uniforms.pop((0,)), side="right")
+    digits = support_table(code.source).searchsorted(uniforms[:, :n], side="right")
     # each cell's drawn index row per trial, -1 where its law is empty
     drawn = []
     for c, cell in enumerate(cfg.sharing):
@@ -1007,14 +1009,14 @@ def _run_batch(code: CodeInstance, bounds: dict, seed, trials: range, rule: str,
                     code, cell, symbols[_digits(blocks, len(symbols), n)]))]
         drawn.append(np.array([laws[u][0][laws[u][1].searchsorted(x, side="right")]
                                if laws[u] else -1
-                               for x, u in zip(uniforms[1, c][:, 0], law_of.tolist())]))
+                               for x, u in zip(uniforms[:, n + c], law_of.tolist())]))
     aborted = np.any([rows < 0 for rows in drawn], axis=0)
     live = np.flatnonzero(~aborted)
     digits = digits[live]
     cell_letters = [code._index(cell).rows[rows[live]] for cell, rows in zip(cfg.sharing, drawn)]
 
     mismatched = aborted.copy()
-    distortion = {k: np.full(len(trials), cfg.distortions[k].bound) for k in bounds}
+    distortion = {k: np.full(len(uniforms), cfg.distortions[k].bound) for k in bounds}
     for pos, j in enumerate(cfg.decoders):
         decoder = code._decoder(j)
         _, row = decoder.truth(cell_letters)
@@ -1028,7 +1030,7 @@ def _run_batch(code: CodeInstance, bounds: dict, seed, trials: range, rule: str,
         laws = [decoder.drawn[rule, key] for key in keys]
         if rule == "crng":
             laws = [rows[cdf.searchsorted(x, side="right")]
-                    for (rows, cdf), x in zip(laws, uniforms[2, pos][live, 0])]
+                    for (rows, cdf), x in zip(laws, uniforms[live, n + len(cfg.sharing) + pos])]
         picked = np.array(laws, dtype=np.int64)
         mismatched[live] |= picked != row
         observed = decoder.y_ids[digits]

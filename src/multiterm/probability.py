@@ -6,14 +6,13 @@ are kept (support-set semantics matter for constrained-random draws).  Floats
 appear only where an irrational quantity is evaluated: each pmf converts its
 positive entries to floats once, on first use, for entropies
 (:meth:`JointPmf.float_marginal`), and every seeded draw searches the
-cumulative float table of an integer law (:func:`choice_table`, :func:`draw`).
-:func:`trial_uniforms` computes the uniforms of many seeded generators at
-once, bit for bit those numpy's SeedSequence and PCG64 give.
+cumulative float table of an integer law (:func:`choice_table`) with a
+uniform: one of its own generator (:func:`draw`), or one of the single stream
+of a Monte Carlo call (:func:`multiterm.codec.simulate`).
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -279,168 +278,6 @@ def support_table(pmf: JointPmf) -> np.ndarray:
     if pmf._cdf is None:
         pmf._cdf = choice_table(*integer_scaled([p for _, p in pmf.items() if p > 0]))
     return pmf._cdf
-
-
-# -- seeded uniforms of many SeedSequence children at once -------------------------------
-
-# numpy's SeedSequence (a pool of 4 32-bit words) and PCG64 (XSL-RR 128/64) constants
-_MASK32, _MASK64, _MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_XSHIFT = 16
-_POOL = 4
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_CHILDREN = 1 << 12   # children seeded at once: bounds the 128-bit object-array temporaries
-
-
-def _words(value) -> list:
-    """The 32-bit words SeedSequence reads from a non-negative int, least
-    significant first; 0 is one word."""
-    value = int(value)
-    if value < 0:
-        raise ValueError("expected non-negative integer")
-    words = [value & _MASK32]
-    while value > _MASK32:
-        value >>= 32
-        words.append(value & _MASK32)
-    return words
-
-
-@functools.cache
-def _consts(init: int, mult: int, count: int) -> np.ndarray:
-    """The hash constants init * mult^k mod 2^32, k < count, as uint32: the
-    k-th hashmix of a SeedSequence xors with constant k and multiplies by
-    constant k + 1."""
-    out = [init]
-    for _ in range(count - 1):
-        out.append(out[-1] * mult & _MASK32)
-    return np.array(out, dtype=np.uint32)
-
-
-@functools.cache
-def _pair_consts() -> np.ndarray:
-    """Per pool word `src`, the (xor, product) constants per pool word of the
-    hashmixes of word src that mix into each other word, in numpy's order
-    (src, then each other word): hashmixes 4 to 15 of every pool."""
-    consts = _consts(_INIT_A, _MULT_A, _POOL * _POOL + 1)
-    out = np.zeros((_POOL, 2, _POOL), dtype=np.uint32)
-    at = _POOL
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if dst != src:
-                out[src, :, dst] = consts[at:at + 2]
-                at += 1
-    return out
-
-
-def _hashmix(values, xor, mult):
-    """SeedSequence's hashmix of uint32 words, broadcast (products wrap
-    modulo 2^32)."""
-    values = (values ^ xor) * mult
-    return values ^ values >> _XSHIFT
-
-
-def _mix(x, y):
-    """SeedSequence's mix of uint32 words."""
-    out = _MIX_L * x - _MIX_R * y
-    return out ^ out >> _XSHIFT
-
-
-def _pcg_seeds(seed_words: list, trial_words, keys) -> tuple:
-    """(initstate, inc) of the PCG64 of each child SeedSequence((seed, t),
-    spawn_key=key), as object arrays of Python ints, key by key and trial by
-    trial within a key; `trial_words` holds each trial's 32-bit words, the
-    same number for every trial.  numpy's pool mixing and
-    ``generate_state(4, uint64)`` run on all children at once, one entropy
-    word (column) at a time."""
-    m, run = len(trial_words), len(seed_words) + trial_words.shape[1]
-    # entropy: seed and trial words, then under a spawn key zeros up to the pool and its words
-    key_words = [[w for part in key for w in _words(part)] for key in keys]
-    start = max(run, _POOL)
-    lengths = [start + len(words) if words else run for words in key_words]
-    width = max(_POOL, *lengths)
-    entropy = np.zeros((len(keys), m, width), dtype=np.uint32)
-    entropy[:, :, :len(seed_words)] = seed_words
-    entropy[:, :, len(seed_words):run] = trial_words
-    for q, words in enumerate(key_words):
-        entropy[q, :, start:start + len(words)] = words
-    entropy = entropy.reshape(-1, width)
-    lengths = np.repeat(lengths, m)
-
-    consts = _consts(_INIT_A, _MULT_A, _POOL * width + 1)
-    pool = _hashmix(entropy[:, :_POOL], consts[:_POOL], consts[1:_POOL + 1])
-    for src, (xor, mult) in enumerate(_pair_consts()):
-        mixed = _mix(pool, _hashmix(pool[:, src, None], xor, mult))
-        mixed[:, src] = pool[:, src]
-        pool = mixed
-    at = _POOL * _POOL
-    for column in range(_POOL, width):
-        mixed = _mix(pool, _hashmix(entropy[:, column, None], consts[at:at + _POOL],
-                                    consts[at + 1:at + _POOL + 1]))
-        pool = np.where((lengths > column)[:, None], mixed, pool)
-        at += _POOL
-    consts = _consts(_INIT_B, _MULT_B, 2 * _POOL + 1)
-    words = _hashmix(np.tile(pool, 2), consts[:-1], consts[1:])
-    state = words.astype("<u4", copy=False).view("<u8").astype(object)
-    return state[:, 0] << 64 | state[:, 1], (state[:, 2] << 65 | state[:, 3] << 1 | 1) & _MASK128
-
-
-@functools.cache
-def _jumps(size: int) -> tuple:
-    """(A, B): the PCG64 state of output k (k = 0..size-1) of a generator
-    seeded with (initstate, inc) is A[k] * initstate + B[k] * inc modulo
-    2^128.  Seeding steps the zero state, adds initstate and steps again,
-    and each output steps once more; a step is state * M + inc."""
-    a, b = [_PCG_MULT ** 2 & _MASK128], [(_PCG_MULT ** 2 + _PCG_MULT + 1) & _MASK128]
-    for _ in range(size - 1):
-        a.append(a[-1] * _PCG_MULT & _MASK128)
-        b.append((b[-1] * _PCG_MULT + 1) & _MASK128)
-    return np.array(a, dtype=object), np.array(b, dtype=object)
-
-
-def _doubles(initstate, inc, size: int) -> np.ndarray:
-    """The first `size` ``random()`` doubles of each PCG64 (initstate, inc):
-    the XSL-RR output x of each state, as (x >> 11) * 2^-53."""
-    a, b = _jumps(size)
-    state = (initstate[:, None] * a + inc[:, None] * b) & _MASK128
-    high = (state >> 64).astype(np.uint64)
-    x = high ^ (state & _MASK64).astype(np.uint64)
-    turn = high >> 58
-    x = x >> turn | x << (64 - turn & 63)
-    return (x >> 11).astype(np.float64) * 2.0 ** -53
-
-
-def trial_uniforms(seed, trials, sizes: Mapping) -> dict:
-    """Per spawn key of `sizes` (key -> count), the (len(trials), count)
-    array whose row for trial t equals, bit for bit,
-    ``default_rng(SeedSequence((seed, t), spawn_key=key)).random(count)``.
-
-    `seed` is a non-negative int and `trials` non-negative ints below 2^64.
-    Every child is computed as arrays, ``_CHILDREN`` children at a time, in
-    place of one SeedSequence and one Generator per child.
-    """
-    trials = np.asarray(trials, dtype=np.uint64).reshape(-1)
-    keys = sorted(sizes, key=sizes.get)   # keys of one size are consecutive children
-    out = {key: np.empty((len(trials), sizes[key])) for key in keys}
-    seed_words = _words(seed)
-    words = np.stack([trials & _MASK32, trials >> 32], axis=1).astype(np.uint32)
-    wide = trials > _MASK32
-    step = max(1, _CHILDREN // len(keys))
-    # trials of one 32-bit word, then trials of two: each group has one entropy layout
-    for count, at in enumerate([np.flatnonzero(~wide), np.flatnonzero(wide)], 1):
-        for lo in range(0, len(at), step):
-            chunk = at[lo:lo + step]
-            initstate, inc = _pcg_seeds(seed_words, words[chunk, :count], keys)
-            m, first = len(chunk), 0
-            for size, group in itertools.groupby(keys, key=sizes.get):
-                group = list(group)
-                rows = slice(first * m, (first + len(group)) * m)
-                doubles = _doubles(initstate[rows], inc[rows], size)
-                for key, block in zip(group, doubles.reshape(len(group), m, size)):
-                    out[key][chunk] = block
-                first += len(group)
-    return out
 
 
 # -- convenience constructors ----------------------------------------------------

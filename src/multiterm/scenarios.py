@@ -375,11 +375,19 @@ def _symbols(raw) -> tuple:
     return tuple(tuple(s) if isinstance(s, list) else s for s in raw)
 
 
+def _integer(value) -> int:
+    """`value` (an int, an integral float or an integer string) as an int;
+    a bool or a fractional number is a ValueError, not truncated."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError("%r is not an integer" % (value,))
+    return int(value)
+
+
 def positive_int(value, where) -> int:
     """`value` as a positive int, else a configuration error naming it and `where`."""
     try:
-        if int(value) > 0:
-            return int(value)
+        if _integer(value) > 0:
+            return _integer(value)
     except (TypeError, ValueError):
         pass
     raise ConfigurationError("%s: %r is not a positive integer" % (where, value))
@@ -394,7 +402,7 @@ def _nonnegative(value, what: str):
 
 def seed_value(value) -> int:
     """`value` as a seed: a non-negative int, else a ValueError."""
-    return _nonnegative(int(value), "seed")
+    return _nonnegative(_integer(value), "seed")
 
 
 def _field(section: dict, key: str, where: str):
@@ -511,7 +519,7 @@ def scenario_from_dict(data: dict) -> Scenario:
                          for i, v in code.get("rates", {}).items()}
         default_aux_rates = {_ident(i): _nonnegative(float(v), "auxiliary rate of encoder %s" % i)
                              for i, v in code.get("aux_rates", {}).items()}
-        q = int(code.get("q", 2))
+        q = _integer(code.get("q", 2))
     return Scenario(
         name=data.get("name", "custom"),
         description=data.get("description", ""),

@@ -456,10 +456,16 @@ def _malformed(data, path, value):
     (("run", "D", "1"), float("inf"), "run has a malformed value"),
     (("code", "rates", "1"), float("nan"), "code has a malformed value (rate of encoder 1 is"),
     (("code", "aux_rates"), {"1": float("nan")}, "code has a malformed value (auxiliary rate"),
+    (("run", "seed"), 1.5, "run has a malformed value (1.5 is not an integer)"),
+    (("run", "trials"), 2.7, "run.trials: 2.7 is not a positive integer"),
+    (("run", "n"), [2.5], "run.n: 2.5 is not a positive integer"),
+    (("run", "seed"), True, "run has a malformed value (True is not an integer)"),
+    (("code", "q"), 2.5, "code has a malformed value (2.5 is not an integer)"),
 ], ids=["table-number", "probability-text", "channels-mapping", "row-without-outputs",
         "encoders-number", "seed-text", "negative-seed", "delta-text", "negative-D", "negative-rate",
         "negative-aux-rate", "nan-delta", "negative-delta", "infinite-D", "nan-rate",
-        "nan-aux-rate"])
+        "nan-aux-rate", "fractional-seed", "fractional-trials", "fractional-n", "bool-seed",
+        "fractional-q"])
 def test_scenario_file_malformed_value_is_a_config_error(tmp_path, capsys, path, value, named):
     scenario = tmp_path / "malformed.json"
     scenario.write_text(json.dumps(_malformed(tiny_scenario_data(), path, value)))

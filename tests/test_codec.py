@@ -54,8 +54,10 @@ def identity_linear(q, n):
 
 def choice(law, seed):
     """One item of `law` = (items, total), drawn by ``Generator.choice`` itself
-    on the probabilities float(Fraction(weight, total)): the reference for
-    the table search in `multiterm.probability.draw`."""
+    on the probabilities float(Fraction(weight, total)) from
+    ``default_rng(seed)`` (a seed or a positioned bit generator): the
+    reference for the table searches in `multiterm.probability.draw` and
+    `simulate`."""
     items, total = law
     probs = np.array([float(Fraction(w, total)) for _, w in items])
     return items[np.random.default_rng(seed).choice(len(items), p=probs / probs.sum())][0]
@@ -693,30 +695,35 @@ def test_simulate_deterministic_in_seed():
     assert (a.mismatch_count, a.exceed_counts) == (b.mismatch_count, b.exceed_counts)
 
 
-def _run_trial(code, bounds, trial_seed, rule, report, laws):
-    """One trial from `trial_seed`, counted into `report`, through the
-    one-trial laws `code.cell_constrained_law` and `code.decoder_class_law`,
-    each draw made by ``Generator.choice`` (:func:`choice`); bounds[k] = D_k
-    + delta.  The set `laws` gains a key per law the trial reads: (cell,
-    input block) for every cell and (decoder, class, side information) for
-    every decoder reached."""
+def _run_trial(code, bounds, seed, trial, rule, report, laws):
+    """Trial `trial` of the stream of `seed`, counted into `report`, through
+    the one-trial laws `code.cell_constrained_law` and
+    `code.decoder_class_law`, each draw made by ``Generator.choice``
+    (:func:`choice`) on a PCG64 advanced to the draw's own offset, trial *
+    width + column; bounds[k] = D_k + delta.  The set `laws` gains a key per
+    law the trial reads: (cell, input block) for every cell and (decoder,
+    class, side information) for every decoder reached."""
     cfg = code.config
     exceed, dist_sums = report.exceed_counts, report.distortion_sums
-    src_seed, enc_seed, dec_seed = trial_seed.spawn(3)
+    cells = len(cfg.sharing)
+    width = code.n + cells + len(cfg.decoders)
+
+    def at(column):
+        return np.random.PCG64(seed).advance(trial * width + column)
+
     support = code.source.support()
     probs = np.array([float(code.source.prob(k)) for k in support])
-    letters = [support[i] for i in np.random.default_rng(src_seed).choice(
+    letters = [support[i] for i in np.random.default_rng(at(0)).choice(
         len(support), size=code.n, p=probs / probs.sum())]
     blocks = dict(zip(code.source.names, zip(*letters)))
 
     w_blocks = {}
     m = {}
-    cell_seeds = enc_seed.spawn(len(cfg.sharing))
     laws.update((cell, blocks[code.channels[cell].inputs[0][0]]) for cell in cfg.sharing)
     try:
         for pos, cell in enumerate(cfg.sharing):
             x_var = code.channels[cell].inputs[0][0]
-            cell_blocks = choice(code.cell_constrained_law(cell, blocks[x_var]), cell_seeds[pos])
+            cell_blocks = choice(code.cell_constrained_law(cell, blocks[x_var]), at(code.n + pos))
             w_blocks.update(cell_blocks)
             m.update({i: code.g[i](code.block_to_int(i, cell_blocks[i])) for i in cell})
     except EncoderAbort:
@@ -728,16 +735,15 @@ def _run_trial(code, bounds, trial_seed, rule, report, laws):
         return
 
     mismatched = False
-    decoder_seeds = dec_seed.spawn(len(cfg.decoders))
     for pos, j in enumerate(cfg.decoders):
         y = cfg.side_info.get(j)
         y_block = blocks[y] if y else None
         laws.add((j, tuple(m[i] for i in cfg.codewords_to[j]), y_block))
         try:
             if rule == "map":
-                w_hat, z = code.decode(j, m, y_block, decoder_seeds[pos], rule=rule)
+                w_hat, z = code.decode(j, m, y_block, at(code.n + cells + pos), rule=rule)
             else:
-                w_hat = choice(code.decoder_class_law(j, m, y_block), decoder_seeds[pos])
+                w_hat = choice(code.decoder_class_law(j, m, y_block), at(code.n + cells + pos))
                 z = code.reproduce(j, w_hat, y_block)
         except DecoderAbort:
             report.decoder_abort_count += 1
@@ -758,17 +764,16 @@ def _run_trial(code, bounds, trial_seed, rule, report, laws):
 
 
 def _reference_simulate(code, delta, D, trials, seed, rule, laws=None):
-    """Monte Carlo one trial at a time, each trial seeded by the children of
-    SeedSequence((seed, trial)), as `simulate` seeds it; `laws` gains the
-    keys of the laws read (see :func:`_run_trial`)."""
+    """Monte Carlo one trial at a time, each trial replayed alone from its
+    offset on the stream of `seed`, as `simulate` lays the trials out;
+    `laws` gains the keys of the laws read (see :func:`_run_trial`)."""
     ks = code.config.reproduction_ids
     report = SimReport(trials=trials, mismatch_count=0, exceed_counts={k: 0 for k in ks},
                        encoder_abort_count=0, decoder_abort_count=0,
                        distortion_sums={k: 0.0 for k in ks}, seed=seed)
     bounds = {k: float(D[k]) + delta for k in ks}
     for trial in range(trials):
-        _run_trial(code, bounds, np.random.SeedSequence((seed, trial)), rule, report,
-                   set() if laws is None else laws)
+        _run_trial(code, bounds, seed, trial, rule, report, set() if laws is None else laws)
     return report
 
 
@@ -794,12 +799,12 @@ def test_simulate_matches_per_trial_reference(name, n, code_seed, seeds, trials,
 # (mismatch, exceed, encoder aborts, decoder aborts, distortion sums) of
 # simulate(make_code(3, seed=9), 0.01 * max bound, trials=200, seed=9)
 PINNED_REPORTS = {
-    "wyner-ziv-binary": (45, {1: 104}, 0, 0, {1: 45.66666666666671}),
-    "heegard-berger-two-decoders": (93, {1: 88, 2: 101}, 0, 0,
-                                    {1: 38.66666666666667, 2: 45.00000000000003}),
-    "mdc-two-descriptions": (123, {1: 126, 2: 122, 12: 24}, 0, 0,
-                             {1: 62.66666666666675, 2: 53.333333333333364,
-                              12: 45.33333333333335}),
+    "wyner-ziv-binary": (46, {1: 102}, 0, 0, {1: 50.33333333333336}),
+    "heegard-berger-two-decoders": (90, {1: 78, 2: 102}, 0, 0,
+                                    {1: 35.66666666666668, 2: 43.999999999999986}),
+    "mdc-two-descriptions": (136, {1: 113, 2: 131, 12: 20}, 0, 0,
+                             {1: 62.00000000000005, 2: 56.00000000000004,
+                              12: 42.666666666666664}),
 }
 
 
@@ -1057,18 +1062,18 @@ def test_negative_or_non_finite_delta_is_refused(estimate, delta):
         estimate(*args)
 
 
-def _no_generator(*args, **kwargs):
-    raise AssertionError("a per-trial SeedSequence or Generator was built")
+def _no_seeding(*args, **kwargs):
+    raise AssertionError("a SeedSequence or a PCG64 was built outside default_rng")
 
 
 @pytest.mark.parametrize("name", SIMULATING)
 def test_simulate_searches_one_table_per_law(name, monkeypatch):
-    """`simulate` draws with one uniform per trial child searched in a table,
-    the uniforms of a batch computed by `trial_uniforms` without building a
-    SeedSequence or a Generator per trial child (both raise while `simulate`
-    runs), and builds at most one table per distinct law in a call (not one
-    per draw); the source table is built once per pmf.  Its reports stay
-    those of the per-trial reference, computed before the stubs."""
+    """`simulate` builds exactly one generator per call, not one per trial
+    (``default_rng`` counts its calls, and a SeedSequence or a PCG64 built
+    directly raises), draws with one uniform per draw searched in a table,
+    and builds at most one table per distinct law in a call (not one per
+    draw); the source table is built once per pmf.  Its reports stay those
+    of the per-trial reference, computed before the stubs."""
     scenario = build_scenario(name)
     code = scenario.make_code(2, seed=4)
     delta = 0.01 * max(d.bound for d in scenario.config.distortions.values())
@@ -1078,6 +1083,12 @@ def test_simulate_searches_one_table_per_law(name, monkeypatch):
         runs.append((seed, rule, _reference_simulate(code, delta, scenario.default_D, 150, seed,
                                                      rule, laws), len(laws)))
     built = []
+    generators = []
+    default_rng = np.random.default_rng
+
+    def counted_rng(seed):
+        generators.append(seed)
+        return default_rng(seed)
 
     def counted(module):
         def table(weights, total):
@@ -1085,8 +1096,9 @@ def test_simulate_searches_one_table_per_law(name, monkeypatch):
             return choice_table(weights, total)
         return table
 
-    monkeypatch.setattr(np.random, "default_rng", _no_generator)
-    monkeypatch.setattr(np.random, "SeedSequence", _no_generator)
+    monkeypatch.setattr(np.random, "default_rng", counted_rng)
+    monkeypatch.setattr(np.random, "SeedSequence", _no_seeding)
+    monkeypatch.setattr(np.random, "PCG64", _no_seeding)
     monkeypatch.setattr(codec, "choice_table", counted("codec"))
     monkeypatch.setattr(probability, "choice_table", counted("probability"))
     # a source pmf whose table no earlier draw has built, and empty code caches
@@ -1095,7 +1107,9 @@ def test_simulate_searches_one_table_per_law(name, monkeypatch):
     sources = 0
     for seed, rule, reference, laws in runs:
         assert simulate(fresh, delta, scenario.default_D, 150, seed, rule) == reference
+        assert generators == [seed]
         assert built.count("codec") <= laws
+        del generators[:]
         sources += built.count("probability")
         del built[:]
     assert sources == 1

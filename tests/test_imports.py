@@ -1,8 +1,11 @@
-"""The package needs only numpy at run time: scipy is a test-only dependency."""
+"""Package checks: only numpy is needed at run time (scipy is a test-only
+dependency), and the package version is the project's."""
 
 import os
 import subprocess
 import sys
+
+import pytest
 
 import multiterm
 
@@ -27,3 +30,10 @@ def test_no_multiterm_module_imports_scipy():
                if f.endswith(".py") and f != "__init__.py"]
     assert int(out[0]) == len(modules)
     assert out[1].strip() == "[]"
+
+
+def test_package_version_matches_pyproject():
+    """The manifest records `multiterm.__version__`; it is the project's version."""
+    tomllib = pytest.importorskip("tomllib")
+    with open(os.path.join(os.path.dirname(SRC), "pyproject.toml"), "rb") as handle:
+        assert tomllib.load(handle)["project"]["version"] == multiterm.__version__

@@ -21,7 +21,6 @@ from multiterm.probability import (
     merge_vars,
     random_pmf,
     support_table,
-    trial_uniforms,
 )
 
 B = Alphabet((0, 1))
@@ -262,8 +261,8 @@ def test_sample_matches_reference_formula(data, sizes, n, seed, count):
 
 
 def _seeds():
-    """Integer seeds and SeedSequences with spawn keys, as simulate's trial
-    children are."""
+    """Integer seeds and SeedSequences with spawn keys: seeds that
+    ``default_rng`` takes, as `encode` and `decode` pass them to `draw`."""
     keyed = st.builds(lambda entropy, key: np.random.SeedSequence(entropy, spawn_key=key),
                       st.tuples(st.integers(0, 2 ** 32 - 1), st.integers(0, 2 ** 16)),
                       st.lists(st.integers(0, 3), max_size=2).map(tuple))
@@ -295,27 +294,3 @@ def test_draw_matches_generator_choice(data, top, size, seed, as_array):
     got = draw(table, seed, size)
     assert np.shape(got) == np.shape(expected)
     assert np.array_equal(got, expected)
-
-
-_KEYS = st.sampled_from([(), (0,)]) | st.tuples(st.sampled_from([1, 2]), st.integers(0, 2 ** 33))
-
-
-@settings(max_examples=150, deadline=None)
-@given(seed=st.sampled_from([0, 2 ** 32 - 1, 2 ** 32, 2 ** 64]) | st.integers(0, 2 ** 80),
-       trials=st.lists(st.sampled_from([0, 2 ** 32 - 1, 2 ** 32]) | st.integers(0, 2 ** 40),
-                       max_size=6),
-       sizes=st.dictionaries(_KEYS, st.integers(1, 10), min_size=1, max_size=4))
-@example(seed=0, trials=[0, 2 ** 32 - 1, 2 ** 32], sizes={(0,): 3, (1, 2 ** 33): 1, (): 2})
-@example(seed=2 ** 64, trials=[], sizes={(0,): 10, (2, 1): 1})
-def test_trial_uniforms_match_seeded_generators(seed, trials, sizes):
-    """`trial_uniforms` equals, bit for bit, ``random(size)`` of the generator
-    of each child SeedSequence((seed, t), spawn_key=key): seeds and trials
-    of one and of several 32-bit words, keys with and without words past the
-    pool, and the empty key (its short entropy is not padded)."""
-    got = trial_uniforms(seed, trials, sizes)
-    assert set(got) == set(sizes)
-    for key, size in sizes.items():
-        expected = [np.random.default_rng(np.random.SeedSequence((seed, t), spawn_key=key))
-                    .random(size) for t in trials]
-        assert got[key].shape == (len(trials), size)
-        assert got[key].tobytes() == np.array(expected).reshape(len(trials), size).tobytes()
