@@ -13,13 +13,13 @@ letter ids, one per position, into the positive-mass W_S letters of the model
 joint over (W, source).  Each encoder set has one class index, shared by an
 encoder cell and a decoder with I_j = S: the rows of its f-admissible blocks
 with their g-class ids, each hash evaluated once per W_i-block.  Every
-constrained law is in integers.  Each (observed letter, W_S letter) entry of
-the model joint is scaled once per code to an integer weight (by the lcm of
-that observed letter's denominators, a factor shared by every candidate of a
-law, so it cancels), which gives a dense table T; one kernel,
-:func:`_weights`, weighs candidate rows by the product over positions of
-T[observed letter, W_S letter].  A law is its candidates of positive weight
-with their integer total.
+constrained law is in integers.  The model joint's weights, summed per
+(observed letter, W_S letter) and each observed letter's row divided by its
+gcd with the joint's denominator (a factor shared by every candidate of a
+law, so it cancels), give a dense integer table T, read once per code; one
+kernel, :func:`_weights`, weighs candidate rows by the product over
+positions of T[observed letter, W_S letter].  A law is its candidates of
+positive weight with their integer total.
 
 The exact oracle applies the same kernel to many classes at once.  It works
 on batches of at most ``_ROW_CAP`` rows: source blocks, their encoder draws
@@ -60,7 +60,7 @@ from .errors import (
     EncoderAbort,
     EmptySupportError,
 )
-from .hashing import HashFunction, _int_array
+from .hashing import HashFunction
 from .network import (
     ConditionalPmf,
     NetworkConfig,
@@ -69,8 +69,17 @@ from .network import (
     w_alphabets,
     w_name,
 )
-from .probability import JointPmf, choice_table, draw, marginalize, support_table
-from .rational import integer_scaled
+from .probability import (
+    JointPmf,
+    choice_table,
+    draw,
+    first_cells,
+    marginalize,
+    ragged,
+    row_numbers,
+    support_table,
+)
+from .rational import int_array
 
 _EXACT_BUDGET = 1 << 24
 _INDEX_BUDGET = 1 << 20     # W_S-blocks scanned by one class index (4 letters at n = 10)
@@ -123,16 +132,6 @@ def _digits(ids, base: int, n: int, dtype=np.int64) -> np.ndarray:
     return out
 
 
-def _numbers(digits, base: int, symbol=None) -> np.ndarray:
-    """The inverse of :func:`_digits`: the product-order number of each row
-    of `digits`, read as base-`base` digits, most significant first, after
-    mapping each digit d to symbol[d] when `symbol` is given."""
-    number = np.zeros(len(digits), dtype=np.int64)
-    for column in digits.T:
-        number = number * base + (column if symbol is None else symbol[column])
-    return number
-
-
 def _weights(table, observed, rows):
     """The weighting kernel: for each block of `rows` (W_S letter ids,
     positions on the last axis), the product over positions of
@@ -143,42 +142,32 @@ def _weights(table, observed, rows):
 
 
 def _row_ids(rows) -> tuple:
-    """(ids, first): an id per row of the integer matrix `rows`, equal for
-    equal rows and numbered in sorted row order, and per id the index of its
-    first row."""
-    order = np.lexsort(rows.T[::-1])
-    ordered = rows[order]
-    new = np.ones(len(rows), dtype=bool)
-    new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-    ids = np.empty(len(rows), dtype=np.int64)
-    ids[order] = np.cumsum(new) - 1
-    return ids, order[new]
+    """(ids, first): :func:`first_cells` of the rows of a non-negative
+    integer matrix: an id per row, equal for equal rows, and per id its first row."""
+    return first_cells(rows, rows.max(axis=0, initial=0) + 1)
 
 
-def _object_array(values) -> np.ndarray:
-    """`values` as a 1-D object array (symbols may themselves be tuples)."""
-    out = np.empty(len(values), dtype=object)
-    for k, value in enumerate(values):
-        out[k] = value
-    return out
+def _positive_letters(joint: JointPmf, S) -> np.ndarray:
+    """The W_S letters of positive mass in the model joint, in its order, as
+    rows of alphabet ids (a column per encoder of S)."""
+    marginal = marginalize(joint, [w_name(i) for i in S])
+    return marginal.ids[marginal.weights > 0]
 
 
-def _positive_letters(joint: JointPmf, S) -> list:
-    """The W_S letters of positive mass in the model joint, in its order."""
-    return [w for w, p in marginalize(joint, [w_name(i) for i in S]).items() if p > 0]
-
-
-def check_index_budget(config: NetworkConfig, joint: JointPmf, n: int):
+def check_index_budget(config: NetworkConfig, joint: JointPmf, n: int) -> dict:
     """Refuse a code whose class indexes would be too large, before any hash
     is evaluated: each sharing cell's index, then each decoder's I_j index,
     scans letters^n blocks (letters: the positive-mass W_S letters), and one
-    above ``_INDEX_BUDGET`` raises :class:`BudgetExceededError`."""
-    for S in [*config.sharing, *(tuple(config.codewords_to[j]) for j in config.decoders)]:
-        letters = len(_positive_letters(joint, S))
-        if letters ** n > _INDEX_BUDGET:
+    above ``_INDEX_BUDGET`` raises :class:`BudgetExceededError`.  Returns
+    S -> :func:`_positive_letters` of S."""
+    letters = {S: _positive_letters(joint, S) for S in
+               [*config.sharing, *(tuple(config.codewords_to[j]) for j in config.decoders)]}
+    for S, rows in letters.items():
+        if len(rows) ** n > _INDEX_BUDGET:
             raise BudgetExceededError(
                 "class index of encoders %r needs %d letters ^ n=%d = %d blocks "
-                "(budget %d)" % (S, letters, n, letters ** n, _INDEX_BUDGET))
+                "(budget %d)" % (S, len(rows), n, len(rows) ** n, _INDEX_BUDGET))
+    return letters
 
 
 # -- code instances ------------------------------------------------------------------
@@ -252,6 +241,7 @@ class CodeInstance:
                     "constraint value %r for encoder %r outside the f image" % (c, i))
         self._joint = build_joint(self.config, self.source, self.channels)
         self._reproduction_args = self._resolve_reproducers()
+        self._letter_sets: dict = {}     # S -> its _positive_letters
         self._hashed_blocks: dict = {}   # encoder -> its hash values per W_i-block
         self._class_indexes: dict = {}   # S -> _ClassIndex
         self._tables: dict = {}          # (S, observed) -> (T, bound)
@@ -293,27 +283,34 @@ class CodeInstance:
     def model_joint(self) -> JointPmf:
         return self._joint
 
+    def _letters(self, S) -> np.ndarray:
+        """The :func:`_positive_letters` of encoder set S, read once per code."""
+        if S not in self._letter_sets:
+            self._letter_sets[S] = _positive_letters(self._joint, S)
+        return self._letter_sets[S]
+
     def _hashed(self, i):
         """Encoder i's hash values; each hash runs once per W_i-block.
 
-        Returns (digit, meets, gid, values): `digit` numbers the positive-mass
-        W_i symbols; for each block of them, numbered in product order by
-        those digits, `meets` says whether f_i meets c_i and `gid` is the
-        position of its g_i value in `values`.
+        Returns (digit, meets, gid, values): `digit[a]` numbers the positive-mass
+        W_i symbols by alphabet id (-1 for others); for each block of them,
+        numbered in product order by those digits, `meets` says whether f_i
+        meets c_i and `gid` is the position of its g_i value in `values`.
         """
         hashed = self._hashed_blocks.get(i)
         if hashed is None:
-            letters = [w for (w,) in _positive_letters(self._joint, (i,))]
+            letters = self._letters((i,))[:, 0]
             alph, size = self._w_alph[i], len(letters)
             # each block's hash input: its number in product order of the whole W_i alphabet
-            inputs = _numbers(_digits(np.arange(size ** self.n), size, self.n), alph.size,
-                              np.array([alph.index(w) for w in letters])).tolist()
+            inputs = row_numbers(_digits(np.arange(size ** self.n), size, self.n), alph.size,
+                              letters).tolist()
             f, g, c = self.f[i], self.g[i], self.c[i]
             values: dict = {}
             gid = [values.setdefault(g(v), len(values)) for v in inputs]
+            digit = np.full(alph.size, -1, dtype=np.int64)
+            digit[letters] = np.arange(size)
             hashed = self._hashed_blocks[i] = (
-                {w: d for d, w in enumerate(letters)},
-                np.array([f(v) == c for v in inputs], dtype=bool),
+                digit, np.array([f(v) == c for v in inputs], dtype=bool),
                 np.array(gid, dtype=np.int64), list(values))
         return hashed
 
@@ -323,72 +320,69 @@ class CodeInstance:
         """The class index of encoder set S, built on first use and kept.
 
         The first index built checks the size of every index the code needs
-        (:func:`check_index_budget`).
+        (:func:`check_index_budget`) and keeps their letters.
         """
         index = self._class_indexes.get(S)
         if index is None:
             if not self._class_indexes:
-                check_index_budget(self.config, self._joint, self.n)
+                self._letter_sets.update(check_index_budget(self.config, self._joint, self.n))
             index = self._class_indexes[S] = self._build_index(S)
         return index
 
     def _build_index(self, S) -> _ClassIndex:
-        letters = _positive_letters(self._joint, S)
+        letters = self._letters(S)
         n, size = self.n, len(letters)
         digits = _digits(np.arange(size ** n), size, n, np.min_scalar_type(size - 1))
         admissible = np.ones(size ** n, dtype=bool)
         keys = []
         for e, i in enumerate(S):
             digit, meets, gid, _ = self._hashed(i)
-            number = _numbers(digits, len(digit), np.array([digit[w[e]] for w in letters]))
+            number = row_numbers(digits, len(self._letters((i,))), digit[letters[:, e]])
             admissible &= meets[number]
             keys.append(gid[number])
         kept = np.flatnonzero(admissible)
         classes = np.stack([key[kept] for key in keys], axis=1)
-        ids, first = _row_ids(classes)
-        order = np.argsort(first)
-        rank = np.empty_like(order)
-        rank[order] = np.arange(len(order))
-        cls = rank[ids]
+        cls, first = _row_ids(classes)
         by_class = np.argsort(cls, kind="stable")
         kept, cls = kept[by_class], cls[by_class]
         row_of = np.full(size ** n, -1, dtype=np.int64)
         row_of[kept] = np.arange(len(kept))
+        columns = [[self._w_alph[i].symbols[a] for a in column]
+                   for i, column in zip(S, letters.T.tolist())]
         return _ClassIndex(
-            letters=letters, symbols=[_object_array([w[e] for w in letters]) for e in range(len(S))],
-            rows=digits[kept], cls=cls, bounds=np.searchsorted(cls, np.arange(len(order) + 1)),
-            keys=classes[first[order]], row_of=row_of)
+            letters=list(zip(*columns)),
+            # 1-D object arrays: symbols may themselves be tuples
+            symbols=[np.fromiter(column, dtype=object, count=len(column)) for column in columns],
+            rows=digits[kept], cls=cls, bounds=np.searchsorted(cls, np.arange(len(first) + 1)),
+            keys=classes[first], row_of=row_of)
 
     def _table(self, S, given):
         """The weighting table of encoder set S observing the variable `given`
         (None for no observation): (T, bound).
 
         T[v, l] is the model-joint weight of W_S letter l jointly with the
-        `given` letter of alphabet id v, each observed letter's row scaled to
-        integers by its own lcm (a row of zeros at an observed letter of zero
-        mass); without observation T is the W_S marginal, one row.  `bound`
-        bounds the weight of a block, the product of n entries; T is int64
-        when every sum of block weights over the index fits.
+        `given` letter of alphabet id v, each observed letter's row divided by
+        the gcd of its weights and the denominator (a row of zeros at an
+        observed letter of zero mass); without observation T is the W_S
+        marginal, one row.  `bound` bounds
+        the weight of a block, the product of n entries; T is int64 when
+        every sum of block weights over the index fits.
         """
         table = self._tables.get((S, given))
         if table is None:
-            column = {w: l for l, w in enumerate(self._index(S).letters)}
-            names = [w_name(i) for i in S] + ([given] if given else [])
-            by_letter: dict = {}
-            for key, p in marginalize(self._joint, names).items():
-                w, v = (key[:-1], key[-1]) if given else (key, None)
-                if p:
-                    by_letter.setdefault(v, {})[column[w]] = p
-            rows = []
-            for v in (self._joint.alphabet(given).symbols if given else (None,)):
-                row = [0] * len(column)
-                weights = by_letter.get(v, {})
-                for l, x in zip(weights, integer_scaled(list(weights.values()))[0]):
-                    row[l] = x
-                rows.append(row)
-            bound = max(map(max, rows)) ** self.n
+            letters, names = self._letters(S), [w_name(i) for i in S]
+            marginal = marginalize(self._joint, names + ([given] if given else []))
+            # W_S cells run in the joint's order, so the positive ones are the letters in order
+            cell, _ = marginal.cells(names)
+            kept = marginal.weights > 0
+            T = np.zeros((self._joint.alphabet(given).size if given else 1, len(letters)),
+                         dtype=marginal.weights.dtype)
+            T[marginal.ids[kept, -1] if given else 0,
+              np.unique(cell[kept], return_inverse=True)[1]] = marginal.weights[kept]
+            T //= np.gcd(np.gcd.reduce(T, axis=1), marginal.denominator)[:, None]
+            bound = int(T.max()) ** self.n
             table = self._tables[S, given] = (
-                _int_array(rows, bound * len(column) ** self.n), bound)
+                int_array(T, bound * len(letters) ** self.n), bound)
         return table
 
     def _observed(self, var, block) -> np.ndarray:
@@ -572,14 +566,6 @@ def _runs(lengths):
         a = b
 
 
-def _ragged(lengths) -> tuple:
-    """(owner, offset, starts) for runs of `lengths` laid end to end: each
-    element's run, its place in the run, and where each run starts."""
-    starts = np.cumsum(lengths) - lengths
-    owner = np.repeat(np.arange(len(lengths)), lengths)
-    return owner, np.arange(len(owner)) - starts[owner], starts
-
-
 def _distortion(measure, differ) -> np.ndarray:
     """Per row of `differ` (where a reproduced block differs from its source
     block, letter by letter), the distortion as a float: the fraction of
@@ -592,31 +578,33 @@ def _distortion(measure, differ) -> np.ndarray:
 
 class _Source:
     """The source blocks of a code, numbered in product order of the
-    positive-mass source letters, with their integer weights."""
+    positive-mass source letters (the source pmf's positive rows, as rows
+    of alphabet ids in `letters`), with their integer weights: the rows'
+    weights over their gcd with the denominator, over `scale`."""
 
     def __init__(self, code: CodeInstance):
-        support = [(letter, p) for letter, p in code.source.items() if p > 0]
-        self.pmf, self.n = code.source, code.n
-        self.letters = [letter for letter, _ in support]
-        weights, self.scale = integer_scaled([p for _, p in support])
-        self.bound = max(weights) ** code.n
-        self.weights = _int_array(weights, self.bound)
-        self.count = len(support) ** code.n
+        pmf = self.pmf = code.source
+        positive = np.flatnonzero(pmf.weights > 0)
+        self.n, self.letters = code.n, pmf.ids[positive]
+        common = math.gcd(pmf.denominator, *pmf.weights[positive].tolist())
+        weights, self.scale = pmf.weights[positive] // common, pmf.denominator // common
+        self.bound = int(weights.max()) ** code.n
+        self.weights = int_array(weights, self.bound)
+        self.count = len(positive) ** code.n
 
     def ids(self, var) -> np.ndarray:
         """Per source letter, the alphabet id of its `var` symbol (0 for no
         variable)."""
         if var is None:
             return np.zeros(len(self.letters), dtype=np.intp)
-        pos, alph = self.pmf.names.index(var), self.pmf.alphabet(var)
-        return np.array([alph.index(letter[pos]) for letter in self.letters], dtype=np.intp)
+        return self.letters[:, self.pmf.names.index(var)]
 
     def numbering(self, var) -> tuple:
         """(number, symbols): the alphabet ids `symbols` of the `var` symbols
         that occur, and `number`, which numbers the `var` blocks of source
         blocks (rows of source letter ids) in product order of those."""
         symbols, digit = np.unique(self.ids(var), return_inverse=True)
-        return (lambda digits: _numbers(digits, len(symbols), digit)), symbols
+        return (lambda digits: row_numbers(digits, len(symbols), digit)), symbols
 
 
 def _cell_draws(code: CodeInstance, cell, x_rows) -> tuple:
@@ -733,9 +721,9 @@ class _DecoderClasses:
         measure = code.config.distortions[k]
         letters = self.index.letters
         symbol_id: dict = {}
-        pos = source.pmf.names.index(measure.source)
-        x = np.array([symbol_id.setdefault(letter[pos], len(symbol_id))
-                      for letter in source.letters], dtype=np.int64)
+        symbols = source.pmf.alphabet(measure.source).symbols
+        x = np.array([symbol_id.setdefault(symbols[a], len(symbol_id))
+                      for a in source.ids(measure.source).tolist()], dtype=np.int64)
         y_symbols = code.model_joint().alphabet(self.y).symbols if self.y else (None,)
         z = np.full(self.table.shape, -1, dtype=np.int64)
         for v, l in zip(*np.nonzero(self.table)):
@@ -759,7 +747,7 @@ class _DecoderClasses:
         joined = sum(cell_letters[c].astype(np.int64) * stride
                      for c, stride in zip(self.parts, self.strides))
         letters = self.project[joined]
-        return letters, self.index.row_of[_numbers(letters, len(self.index.letters))]
+        return letters, self.index.row_of[row_numbers(letters, len(self.index.letters))]
 
     def _classes(self, cls, observed):
         """For consecutive ranges [a, b) of (class, observed block) entries,
@@ -769,7 +757,7 @@ class _DecoderClasses:
         index = self.index
         sizes = index.bounds[cls + 1] - index.bounds[cls]
         for a, b in _runs(sizes):
-            owner, offset, starts = _ragged(sizes[a:b])
+            owner, offset, starts = ragged(sizes[a:b])
             row = index.bounds[cls[a:b]][owner] + offset
             obs = observed[a:b][owner]
             yield a, b, owner, starts, row, obs, _weights(self.table, obs, index.rows[row])
@@ -831,9 +819,10 @@ class _DecoderClasses:
             lo, hi = np.searchsorted(sorted_context, [a, b])
             chosen = by_context[lo:hi]
             for k, _, x, z in joins:
-                # sorted join of (context, reproduced block) against (context, source block)
+                # sorted join of (context, reproduced block) against (context, source
+                # block); ids shifted by 1, as z is -1 at zero mass
                 rank, _ = _row_ids(np.concatenate([z[obs, index.rows[crow]],
-                                                   x[pair_digits[chosen]]]))
+                                                   x[pair_digits[chosen]]]) + 1)
                 keys, mass = _sum_by(owner * len(rank) + rank[:len(w)], w, self.bound)
                 query = (pair_context[chosen] - a) * len(rank) + rank[len(w):]
                 at = np.minimum(np.searchsorted(keys, query), len(keys) - 1)
@@ -927,7 +916,7 @@ def _check_budget(code: CodeInstance):
     the model joint raised to n.  It bounds the source blocks times their
     encoder draws, and each decoder's candidate blocks.
     """
-    letters = sum(1 for _, p in code.model_joint().items() if p > 0)
+    letters = int(np.count_nonzero(code.model_joint().weights))
     states = letters ** code.n
     if states > _EXACT_BUDGET:
         raise BudgetExceededError(

@@ -147,29 +147,18 @@ def random_double_markov(rng: np.random.Generator) -> JointPmf:
     bits and X0 has three symbols.
     """
     u_size, v_size, x0_size = 2, 2, 3
-    x0a = Alphabet(tuple(range(x0_size)))
     denom = 120
-    u_w = [int(x) for x in rng.integers(1, denom, size=u_size)]
-    x0_rows = {us: [int(x) for x in rng.integers(1, denom, size=x0_size)]
-               for us in range(u_size)}
-    v1_rows = {us: [int(x) for x in rng.integers(1, denom, size=v_size)]
-               for us in range(u_size)}
-    v2_rows = {us: [int(x) for x in rng.integers(1, denom, size=v_size)]
-               for us in range(u_size)}
-    total = Fraction(0)
-    raw = {}
-    for us in range(u_size):
-        for x0 in range(x0_size):
-            for v1 in range(v_size):
-                for v2 in range(v_size):
-                    w = (Fraction(u_w[us]) * x0_rows[us][x0]
-                         * v1_rows[us][v1] * v2_rows[us][v2])
-                    raw[(x0, (us, v1), (us, v2))] = raw.get(
-                        (x0, (us, v1), (us, v2)), Fraction(0)) + w
-                    total += w
+    u_w = rng.integers(1, denom, size=u_size)
+    x0, v1, v2 = (np.array([rng.integers(1, denom, size=size) for _ in range(u_size)])
+                  for size in (x0_size, v_size, v_size))
+    # rows (u, x0, v1, v2) in product order, weight P(u) P(x0|u) P(v1|u) P(v2|u) unnormalized
+    weights = (u_w[:, None, None, None] * x0[:, :, None, None]
+               * v1[:, None, :, None] * v2[:, None, None, :]).ravel()
+    u, x0_id, v1_id, v2_id = np.indices((u_size, x0_size, v_size, v_size)).reshape(4, -1)
+    ids = np.stack([x0_id, u * v_size + v1_id, u * v_size + v2_id], axis=1)
     pairs = Alphabet(tuple(itertools.product(range(u_size), range(v_size))))
-    table = {k: p / total for k, p in raw.items()}
-    return JointPmf([("X0", x0a), ("X1", pairs), ("X2", pairs)], table, _validated=True)
+    return JointPmf.from_arrays([("X0", Alphabet(tuple(range(x0_size)))), ("X1", pairs),
+                                 ("X2", pairs)], ids, weights, int(weights.sum()))
 
 
 def random_violating(rng: np.random.Generator) -> JointPmf:

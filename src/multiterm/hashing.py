@@ -22,7 +22,7 @@ import numpy as np
 
 from . import gfq
 from .errors import BudgetExceededError, ConfigurationError
-from .rational import integer_scaled
+from .rational import int_array, integer_scaled
 from .reports import Report
 
 _ENUM_BUDGET = 1 << 20
@@ -95,7 +95,7 @@ class HashEnsemble:
             key = tuple(f(w) for w in points)
             folded[key] = folded.get(key, 0) + p
         weights, denominator = integer_scaled(list(folded.values()))
-        return (_label_rows(folded, len(points)), _int_array(weights, denominator),
+        return (_label_rows(folded, len(points)), int_array(weights, denominator),
                 denominator)
 
     def describe(self) -> str:
@@ -158,7 +158,7 @@ class BinningEnsemble(HashEnsemble):
         _check_count(len(bins) ** len(points), "point-law rows")
         nums, scale = integer_scaled([self.weights[c] for c in bins])
         denominator = scale ** len(points)
-        weights, nums = _int_array([1], denominator), _int_array(nums, denominator)
+        weights, nums = int_array([1], denominator), int_array(nums, denominator)
         for _ in points:
             weights = np.multiply.outer(weights, nums).ravel()
         grid = np.indices((len(bins),) * len(points)).reshape(len(points), -1).T
@@ -455,12 +455,6 @@ def measure_beta(ens: HashEnsemble, alpha) -> Fraction:
 # -- joint-ensemble lemmas: balanced coloring and collision resistance -------------------
 
 
-def _int_array(values, bound: int):
-    """`values` as int64 when every magnitude they take part in stays below
-    `bound` < 2^63, otherwise as Python integers (object dtype)."""
-    return np.array(values, dtype=np.int64 if bound < 1 << 63 else object)
-
-
 def _label_rows(rows, width: int):
     """Integer matrix of hash-value rows, one label per distinct value.
 
@@ -489,7 +483,7 @@ def _joint_expectation(ensembles: Sequence[HashEnsemble], points, value, scale: 
     _check_count(math.prod(len(w) for _, w, _ in laws), "joint point-law rows")
     denominator = math.prod(d for _, _, d in laws)
     grid = np.indices([len(w) for _, w, _ in laws]).reshape(len(laws), -1)
-    weights = _int_array([1], denominator)
+    weights = int_array([1], denominator)
     for (_, w, _), rows in zip(laws, grid):
         weights = weights * w.astype(weights.dtype)[rows]
     values = value(_joint_keys(ensembles, [v[rows] for (v, _, _), rows in zip(laws, grid)],
@@ -598,7 +592,7 @@ def verify_mbcp(ensembles: Sequence[HashEnsemble], Q: dict, T: set) -> Report:
 
     q, scale = integer_scaled([Q.get(w, Fraction(0)) for w in T])
     q_total = int(qT * scale)
-    q = _int_array(q, 2 * q_total * image_total)
+    q = int_array(q, 2 * q_total * image_total)
     lhs = _joint_expectation(
         ensembles, T, lambda keys: _bin_deviation(keys, q, q_total, image_total),
         q_total * image_total)

@@ -10,6 +10,7 @@ sweeps and the verification CLI share them.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 
@@ -220,53 +221,42 @@ def _random_channel(rng, in_vars, out_vars) -> ConditionalPmf:
     return ConditionalPmf(in_vars, out_vars, rows)
 
 
+# Each example's Markov class as the variables of its independent base laws,
+# then its channels (input names, outputs), each variable by its alphabet size.
+_CLASSES = {
+    "berger-tung": ([{"T": 2}, {"X1": 3, "X2": 2}],
+                    [("X1 T", {"W1": 2}), ("X2 T", {"W2": 3})]),
+    "el-gamal-cover": ([{"T": 2}, {"X": 3}],
+                       [("X T", {"W1": 2, "W2": 2}), ("W1 T", {"Z1": 2}), ("W2 T", {"Z2": 2}),
+                        ("W1 W2 T", {"Z12": 2})]),
+    "zhang-berger": ([{"X": 3}], [("X", {"W0": 2, "W1": 2, "W2": 2})]),
+    "heegard-berger": ([{"X": 2}],
+                       [("X", {"Y1": 2, "Y2": 2}), ("X", {"W0": 2, "W1": 2, "W2": 2}),
+                        ("W0 W1 Y1", {"Z1": 2}), ("W0 W2 Y2", {"Z2": 2})]),
+}
+
+
+def _variables(sizes: dict) -> list:
+    return [(name, Alphabet(tuple(range(size)))) for name, size in sizes.items()]
+
+
 def random_example_pmf(example: str, rng: np.random.Generator) -> JointPmf:
-    """A random member of the example's Markov class (alphabets <= 3)."""
-    b2 = Alphabet((0, 1))
-    b3 = Alphabet((0, 1, 2))
-    if example == "berger-tung":
-        t = random_pmf(rng, [("T", b2)])
-        x = random_pmf(rng, [("X1", b3), ("X2", b2)])
-        base = _independent_product(t, x)
-        base = apply_conditional(base, _random_channel(
-            rng, [("X1", b3), ("T", b2)], [("W1", b2)]))
-        return apply_conditional(base, _random_channel(
-            rng, [("X2", b2), ("T", b2)], [("W2", b3)]))
-    if example == "el-gamal-cover":
-        t = random_pmf(rng, [("T", b2)])
-        x = random_pmf(rng, [("X", b3)])
-        base = _independent_product(t, x)
-        base = apply_conditional(base, _random_channel(
-            rng, [("X", b3), ("T", b2)], [("W1", b2), ("W2", b2)]))
-        base = apply_conditional(base, _random_channel(
-            rng, [("W1", b2), ("T", b2)], [("Z1", b2)]))
-        base = apply_conditional(base, _random_channel(
-            rng, [("W2", b2), ("T", b2)], [("Z2", b2)]))
-        return apply_conditional(base, _random_channel(
-            rng, [("W1", b2), ("W2", b2), ("T", b2)], [("Z12", b2)]))
-    if example == "zhang-berger":
-        x = random_pmf(rng, [("X", b3)])
-        return apply_conditional(x, _random_channel(
-            rng, [("X", b3)], [("W0", b2), ("W1", b2), ("W2", b2)]))
-    if example == "heegard-berger":
-        x = random_pmf(rng, [("X", b2)])
-        base = apply_conditional(x, _random_channel(
-            rng, [("X", b2)], [("Y1", b2), ("Y2", b2)]))
-        base = apply_conditional(base, _random_channel(
-            rng, [("X", b2)], [("W0", b2), ("W1", b2), ("W2", b2)]))
-        base = apply_conditional(base, _random_channel(
-            rng, [("W0", b2), ("W1", b2), ("Y1", b2)], [("Z1", b2)]))
-        return apply_conditional(base, _random_channel(
-            rng, [("W0", b2), ("W2", b2), ("Y2", b2)], [("Z2", b2)]))
-    raise ConfigurationError("unknown example %r" % (example,))
+    """A random member of the example's Markov class (alphabets <= 3): the
+    product of random base laws, then one random channel after another."""
+    if example not in _CLASSES:
+        raise ConfigurationError("unknown example %r" % (example,))
+    bases, channels = _CLASSES[example]
+    pmf = functools.reduce(_independent_product,
+                           (random_pmf(rng, _variables(base)) for base in bases))
+    for inputs, outputs in channels:
+        pmf = apply_conditional(pmf, _random_channel(
+            rng, [(name, pmf.alphabet(name)) for name in inputs.split()], _variables(outputs)))
+    return pmf
 
 
 def _independent_product(a: JointPmf, b: JointPmf) -> JointPmf:
-    table = {}
-    for ka, pa in a.items():
-        for kb, pb in b.items():
-            table[ka + kb] = pa * pb
-    return JointPmf(list(a.variables) + list(b.variables), table, _validated=True)
+    """a * b: each row of `a` followed by every row of `b`."""
+    return apply_conditional(a, ConditionalPmf([], b.variables, {(): dict(b.items())}))
 
 
 def sweep_examples(seeds: int = 100, seed0: int = 0) -> Report:

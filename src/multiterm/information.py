@@ -4,9 +4,9 @@ All values are in bits (log base 2), matching the 2^(-n*gamma) form of the
 bounds the hash and decoding checks use.  The spectral sup- and inf-entropy
 rates are asymptotic limits and not computable; for a memoryless source they
 collapse to single-letter entropies, and only those identities are checked
-here.  Entropies are irrational, so they are floats summed from
-:meth:`JointPmf.float_marginal` and compared at the fixed tolerance
-:data:`SPECTRAL_TOL`.
+here.  Entropies are irrational, so they are floats summed over the cells of
+:meth:`JointPmf.float_marginal`, in its order, and compared at the fixed
+tolerance :data:`SPECTRAL_TOL`.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ def entropy(pmf: JointPmf, vars: Optional[Iterable[str]] = None) -> float:
     Summed over the pmf's float marginal (:meth:`JointPmf.float_marginal`).
     """
     total = 0.0
-    for p in pmf.float_marginal(pmf.names if vars is None else vars).values():
+    for p in pmf.float_marginal(pmf.names if vars is None else vars).tolist():
         total -= _plog(p)
     return max(total, 0.0)
 

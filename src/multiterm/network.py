@@ -15,8 +15,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import ClassVar, Mapping
 
+import numpy as np
+
 from .errors import ConfigurationError
-from .probability import Alphabet, JointPmf
+from .probability import Alphabet, JointPmf, marginalize, ragged, row_numbers
+from .rational import int_array, integer_scaled
 
 
 def w_name(i) -> str:
@@ -34,7 +37,7 @@ class ConditionalPmf:
         self.inputs = tuple((n, a) for n, a in inputs)
         self.outputs = tuple((n, a) for n, a in outputs)
         self.rows = {}
-        in_keys = set(itertools.product(*(a.symbols for _, a in self.inputs)))
+        in_keys = dict.fromkeys(itertools.product(*(a.symbols for _, a in self.inputs)))
         for key, row in rows.items():
             key = tuple(key)
             if key not in in_keys:
@@ -43,15 +46,24 @@ class ConditionalPmf:
             total = sum(row.values())
             if total != 1:
                 raise ConfigurationError("channel row %r has mass %s" % (key, total))
-            for out in row:
-                for sym, (name, alph) in zip(out, self.outputs):
-                    if sym not in alph.symbols:
-                        raise ConfigurationError(
-                            "symbol %r outside alphabet of output %r" % (sym, name))
             self.rows[key] = row
-        missing = in_keys - set(self.rows)
+        missing = in_keys.keys() - self.rows.keys()
         if missing:
             raise ConfigurationError("channel is missing rows for %r" % (sorted(missing, key=repr),))
+        # (ids, weights, denominator, counts): the rows end to end, inputs in product
+        # order; per entry its output ids and weight over one denominator, per input
+        # row its number of entries
+        entries = [entry for key in in_keys for entry in self.rows[key].items()]
+        codes = [{sym: k for k, sym in enumerate(alph.symbols)} for _, alph in self.outputs]
+        try:
+            ids = [[code[sym] for sym, code in zip(out, codes)] for out, _ in entries]
+        except KeyError as exc:
+            raise ConfigurationError("symbol %r outside the alphabets of outputs %r"
+                                     % (exc.args[0], [name for name, _ in self.outputs])) from None
+        weights, denominator = integer_scaled([p for _, p in entries])
+        counts = np.array([len(self.rows[key]) for key in in_keys])
+        self.arrays = (np.array(ids, dtype=np.int64).reshape(len(ids), -1),
+                       int_array(weights, denominator), denominator, counts)
 
     def row(self, in_key: tuple) -> dict:
         return self.rows[tuple(in_key)]
@@ -175,7 +187,8 @@ class NetworkConfig:
 
 
 def apply_conditional(pmf: JointPmf, cond: ConditionalPmf) -> JointPmf:
-    """Joint of (pmf variables, cond outputs) under pmf * cond.
+    """Joint of (pmf variables, cond outputs) under pmf * cond: each pmf row
+    followed by the entries of its channel row, in their orders.
 
     The conditional's inputs must be variables of `pmf`; output names must be
     fresh.
@@ -190,13 +203,14 @@ def apply_conditional(pmf: JointPmf, cond: ConditionalPmf) -> JointPmf:
     for name, _ in cond.outputs:
         if name in pmf.names:
             raise ConfigurationError("output variable %r already present" % (name,))
-    table: dict = {}
-    for key, p in pmf.items():
-        in_key = tuple(key[pos] for pos in positions)
-        for out_key, q in cond.row(in_key).items():
-            table[key + out_key] = table.get(key + out_key, 0) + p * q
-    variables = list(pmf.variables) + list(cond.outputs)
-    return JointPmf(variables, table, _validated=True)
+    ids, weights, denominator, counts = cond.arrays
+    row = row_numbers(pmf.ids[:, positions], [alph.size for _, alph in cond.inputs])
+    owner, offset, _ = ragged(counts[row])
+    entry = (np.cumsum(counts) - counts)[row][owner] + offset
+    denominator *= pmf.denominator
+    product = int_array(pmf.weights, denominator)[owner] * int_array(weights, denominator)[entry]
+    return JointPmf.from_arrays(list(pmf.variables) + list(cond.outputs),
+                                np.hstack([pmf.ids[owner], ids[entry]]), product, denominator)
 
 
 def w_alphabets(config: NetworkConfig, channels: Mapping[tuple, ConditionalPmf]) -> dict:
@@ -214,8 +228,10 @@ def build_joint(config: NetworkConfig, source: JointPmf,
                 channels: Mapping[tuple, ConditionalPmf]) -> JointPmf:
     """Assemble the single-letter joint law over (W_I, source vars): the
     product of the source law and one channel conditional per sharing cell.
+    Rows run as the source rows, then the entries of each cell's channel
+    row, the first cell slowest; the W columns come first, in encoder order.
     """
-    cell_channels = {}
+    joint = source
     for cell in config.sharing:
         key = tuple(cell)
         if key not in channels:
@@ -229,28 +245,5 @@ def build_joint(config: NetworkConfig, source: JointPmf,
             if name not in source.names:
                 raise ConfigurationError(
                     "channel input %r for cell %r not a source variable" % (name, key))
-        for name, alph in ch.inputs:
-            if source.alphabet(name).symbols != alph.symbols:
-                raise ConfigurationError(
-                    "alphabet mismatch on channel input %r" % (name,))
-        cell_channels[key] = ch
-
-    w_alph = w_alphabets(config, cell_channels)
-    w_vars = [(w_name(i), w_alph[i]) for i in config.encoders]
-    table: dict = {}
-    for src_key, p_src in source.items():
-        assign = dict(zip(source.names, src_key))
-        cell_rows = []
-        for cell in config.sharing:
-            ch = cell_channels[tuple(cell)]
-            in_key = tuple(assign[n] for n, _ in ch.inputs)
-            cell_rows.append((tuple(n for n, _ in ch.outputs), ch.row(in_key)))
-        for combo in itertools.product(*(row.items() for _, row in cell_rows)):
-            p = p_src
-            w_assign = {}
-            for (names, _), (out_key, p_w) in zip(cell_rows, combo):
-                p = p * p_w
-                w_assign.update(zip(names, out_key))
-            key = tuple(w_assign[n] for n, _ in w_vars) + src_key
-            table[key] = table.get(key, 0) + p
-    return JointPmf(w_vars + list(source.variables), table, _validated=True)
+        joint = apply_conditional(joint, ch)
+    return marginalize(joint, [w_name(i) for i in config.encoders] + list(source.names))

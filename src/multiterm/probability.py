@@ -1,14 +1,15 @@
 """Exact finite probability model: joint pmfs over named discrete variables.
 
-A :class:`JointPmf` table holds :class:`fractions.Fraction` entries, so every
-mass, marginal, conditional and Markov check is exact.  Zero-probability rows
-are kept (support-set semantics matter for constrained-random draws).  Floats
-appear only where an irrational quantity is evaluated: each pmf converts its
-positive entries to floats once, on first use, for entropies
-(:meth:`JointPmf.float_marginal`), and every seeded draw searches the
-cumulative float table of an integer law (:func:`choice_table`) with a
-uniform: one of its own generator (:func:`draw`), or one of the single stream
-of a Monte Carlo call (:func:`multiterm.codec.simulate`).
+A :class:`JointPmf` is integer arrays over one denominator D: per table entry
+a row of symbol ids and an integer weight w, its probability exactly w / D
+(int64 when D < 2^63, else Python ints).  Rows keep table order, zero
+probabilities included (support-set semantics matter for constrained-random
+draws), and every operation lists its cells in order of their first row.
+Floats appear only where an irrational quantity is evaluated: each pmf forms
+w / D, correctly rounded, once for its entropies (:meth:`JointPmf.float_marginal`),
+and every seeded draw searches the cumulative float table of an integer law
+(:func:`choice_table`) with a uniform, of its own generator (:func:`draw`) or
+of the single stream of a Monte Carlo call (:func:`multiterm.codec.simulate`).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, UnsupportedConditionError
-from .rational import integer_scaled
+from .rational import int_array, integer_scaled
 
 _ZERO = Fraction(0)
 
@@ -47,61 +48,117 @@ class Alphabet:
         return self.symbols.index(symbol)
 
 
-def binary_alphabet() -> Alphabet:
-    return Alphabet((0, 1))
+def _ratios(weights, total) -> np.ndarray:
+    """weights / total as floats, each correctly rounded, as
+    ``float(Fraction(w, total))``: numpy's float64 division rounds integers
+    from 2^53 on first, so larger totals are divided as Python ints."""
+    weights = np.asarray(weights, dtype=np.int64 if total < 1 << 53 else object)
+    return (weights / int(total)).astype(float)
+
+
+def row_numbers(ids, sizes, symbol=None) -> np.ndarray:
+    """The number of each row of the id matrix `ids` in product order of
+    alphabets of `sizes` (one size per column, or one for all; the first
+    column varies slowest), after mapping each id d to symbol[d] when
+    `symbol` is given."""
+    number = np.zeros(len(ids), dtype=np.int64)
+    for column, size in zip(ids.T, np.broadcast_to(sizes, ids.shape[1:])):
+        number = number * size + (column if symbol is None else symbol[column])
+    return number
+
+
+def _first_seen(number, bound: int) -> tuple:
+    """(cell, first): per entry of `number` (integers below `bound`) its
+    cell, equal for equal numbers and numbered in order of first
+    appearance, and per cell its first entry."""
+    first_at = np.full(bound, len(number))
+    np.minimum.at(first_at, number, np.arange(len(number)))
+    first = np.sort(first_at[first_at < len(number)])
+    cell = np.empty(bound, dtype=np.int64)
+    cell[number[first]] = np.arange(len(first))
+    return cell[number], first
+
+
+def first_cells(ids, sizes) -> tuple:
+    """:func:`_first_seen` of the rows of the id matrix `ids` (columns over
+    alphabets of `sizes`) read as numbers in product order, the prefix read so
+    far renumbered by its cells once its numbers could exceed the row count."""
+    number, bound = np.zeros(len(ids), dtype=np.int64), 1
+    for column, size in zip(ids.T, sizes):
+        if bound > len(ids):
+            number, first = _first_seen(number, bound)
+            bound = len(first)
+        number = number * size + column
+        bound *= size
+    return _first_seen(number, bound)
+
+
+def _sum_at(cell, count: int, weights) -> np.ndarray:
+    """The exact sums of `weights` into `count` cells, weight r into cell[r]."""
+    sums = np.zeros(count, dtype=weights.dtype)
+    np.add.at(sums, cell, weights)
+    return sums
+
+
+def ragged(lengths) -> tuple:
+    """(owner, offset, starts) for runs of `lengths` laid end to end: each
+    element's run, its place in the run, and where each run starts."""
+    starts = np.cumsum(lengths) - lengths
+    owner = np.repeat(np.arange(len(lengths)), lengths)
+    return owner, np.arange(len(owner)) - starts[owner], starts
 
 
 class JointPmf:
     """Joint pmf over an ordered list of named variables.
 
     `variables` is a sequence of ``(name, Alphabet)`` pairs; `table` maps
-    symbol tuples (aligned with the variable order) to probabilities.
+    symbol tuples (aligned with the variable order) to probabilities, and
+    its order is the row order.
     """
 
-    def __init__(self, variables: Sequence[tuple], table: Mapping[tuple, object],
-                 _validated: bool = False):
+    def __init__(self, variables: Sequence[tuple], table: Mapping[tuple, object]):
+        codes = [{sym: k for k, sym in enumerate(alph.symbols)} for _, alph in variables]
+        ids, probs = [], []
+        for key, p in table.items():
+            key = tuple(key)
+            if len(key) != len(codes):
+                raise ConfigurationError(
+                    "tuple arity %d does not match %d variables" % (len(key), len(codes)))
+            for sym, code, (name, _) in zip(key, codes, variables):
+                if sym not in code:
+                    raise ConfigurationError("symbol %r outside alphabet of %r" % (sym, name))
+            if Fraction(p) < 0:
+                raise ConfigurationError("negative probability for %r" % (key,))
+            ids.append([code[sym] for sym, code in zip(key, codes)])
+            probs.append(Fraction(p))
+        weights, denominator = integer_scaled(probs)
+        self._set(variables, np.array(ids, dtype=np.int64).reshape(len(ids), len(codes)),
+                  weights, denominator)
+        total = Fraction(int(self.weights.sum()), denominator)
+        if total != 1:
+            raise ConfigurationError("total mass %s != 1" % (total,))
+
+    @classmethod
+    def from_arrays(cls, variables, ids, weights, denominator) -> "JointPmf":
+        """The pmf of the distinct id rows `ids` with integer `weights` over
+        `denominator`, their sum; the caller guarantees both."""
+        pmf = cls.__new__(cls)
+        pmf._set(variables, ids, weights, denominator)
+        return pmf
+
+    def _set(self, variables, ids, weights, denominator):
         names = [name for name, _ in variables]
         if len(set(names)) != len(names):
             raise ConfigurationError("duplicate variable names: %r" % (names,))
         self.variables = tuple((name, alph) for name, alph in variables)
-        self._names = tuple(names)
+        self.names = tuple(names)
         self._index = {name: k for k, name in enumerate(names)}
-        cleaned = {}
-        for key, p in table.items():
-            key = tuple(key)
-            if len(key) != len(self.variables):
-                raise ConfigurationError(
-                    "tuple arity %d does not match %d variables" % (len(key), len(self.variables)))
-            p = Fraction(p)
-            if p < 0:
-                raise ConfigurationError("negative probability for %r" % (key,))
-            cleaned[key] = p
-        self._table = cleaned
-        self._floats = None   # (key, float) per positive entry, filled on first use
-        self._cdf = None      # choice table of the positive entries, filled by `support_table`
-        if not _validated:
-            self._check_support()
-            self._check_mass()
-
-    # -- construction helpers -------------------------------------------------
-
-    def _check_support(self):
-        for key in self._table:
-            for sym, (name, alph) in zip(key, self.variables):
-                if sym not in alph.symbols:
-                    raise ConfigurationError(
-                        "symbol %r outside alphabet of %r" % (sym, name))
-
-    def _check_mass(self):
-        total = sum(self._table.values())
-        if total != 1:
-            raise ConfigurationError("total mass %s != 1" % (total,))
+        self.ids, self.denominator = ids, int(denominator)
+        self.weights = int_array(weights, denominator)
+        self._floats = None   # (positive rows, their floats), filled on first use
+        self._cdf = None      # choice table of the positive rows, filled by `support_table`
 
     # -- basic accessors -------------------------------------------------------
-
-    @property
-    def names(self) -> tuple:
-        return self._names
 
     def alphabet(self, name: str) -> Alphabet:
         return self.variables[self._var_pos(name)][1]
@@ -112,57 +169,67 @@ class JointPmf:
         except KeyError:
             raise ConfigurationError("unknown variable name %r" % (name,)) from None
 
-    def items(self):
-        return self._table.items()
+    def cells(self, names: Iterable[str], rows=slice(None)) -> tuple:
+        """:func:`first_cells` of `rows` on the variables `names`: per row
+        its cell of their marginal, and per cell its first row."""
+        positions = [self._var_pos(name) for name in names]
+        return first_cells(self.ids[rows][:, positions],
+                           [self.variables[pos][1].size for pos in positions])
+
+    def items(self) -> list:
+        """(symbol tuple, probability) per row, in row order."""
+        columns = [[alph.symbols[k] for k in column]
+                   for (_, alph), column in zip(self.variables, self.ids.T.tolist())]
+        return list(zip(list(zip(*columns)) if columns else [()] * len(self.ids),
+                        [Fraction(w, self.denominator) for w in self.weights.tolist()]))
 
     def prob(self, key: tuple) -> Fraction:
-        return self._table.get(tuple(key), _ZERO)
+        key = tuple(key)
+        known = len(key) == len(self.variables) and all(
+            sym in alph.symbols for sym, (_, alph) in zip(key, self.variables))
+        row = np.flatnonzero((self.ids == [alph.index(sym) for sym, (_, alph) in zip(
+            key, self.variables)]).all(axis=1)) if known else []
+        return Fraction(int(self.weights[row[0]]), self.denominator) if len(row) else _ZERO
 
-    def support(self):
-        return [k for k, p in self._table.items() if p > 0]
-
-    def float_marginal(self, names: Iterable[str]) -> dict:
-        """Float marginal on `names`: symbol tuple -> sum of the float
-        probabilities of the positive entries, added in table order.
-
-        The entries are converted to floats once per pmf, on first use.
-        Callers evaluate irrational quantities (entropies) from this; every
-        exact check uses the Fraction table instead.
+    def float_marginal(self, names: Iterable[str]) -> np.ndarray:
+        """Float masses of the positive cells of the marginal on `names`, in
+        order of first appearance among the positive rows: each the sum of
+        its rows' floats w / D (formed once per pmf, on first use), added in
+        row order.  Entropies are evaluated from these; every exact check
+        uses the integer weights instead.
         """
         if self._floats is None:
-            self._floats = [(k, float(p)) for k, p in self._table.items() if p > 0]
-        positions = [self._var_pos(name) for name in names]
-        table: dict = {}
-        for key, p in self._floats:
-            sub = tuple(key[pos] for pos in positions)
-            table[sub] = table.get(sub, 0.0) + p
-        return table
+            positive = np.flatnonzero(self.weights > 0)
+            self._floats = positive, _ratios(self.weights[positive], self.denominator)
+        positive, floats = self._floats
+        cell, first = self.cells(names, positive)
+        return np.bincount(cell, weights=floats, minlength=len(first))
 
     def __eq__(self, other):
         if not isinstance(other, JointPmf):
             return NotImplemented
-        if self.variables != other.variables:
-            return False
-        keys = set(self._table) | set(other._table)
-        return all(self.prob(k) == other.prob(k) for k in keys)
+        positive = [{key: p for key, p in pmf.items() if p} for pmf in (self, other)]
+        return self.variables == other.variables and positive[0] == positive[1]
 
     def __repr__(self):
-        return "JointPmf(%s; %d rows)" % (",".join(self._names), len(self._table))
+        return "JointPmf(%s; %d rows)" % (",".join(self.names), len(self.ids))
 
 
 # -- core operations -----------------------------------------------------------
 
 
+def _summed(pmf: JointPmf, names, rows, denominator) -> JointPmf:
+    """The law on `names` of `rows` of `pmf`, weights summed per cell, over `denominator`."""
+    positions = [pmf._var_pos(name) for name in names]
+    cell, first = pmf.cells(names, rows)
+    return JointPmf.from_arrays([pmf.variables[pos] for pos in positions],
+                                pmf.ids[rows][first][:, positions],
+                                _sum_at(cell, len(first), pmf.weights[rows]), denominator)
+
+
 def marginalize(pmf: JointPmf, keep: Iterable[str]) -> JointPmf:
     """Sum out all variables not in `keep`; mass is preserved."""
-    keep = list(keep)
-    positions = [pmf._var_pos(name) for name in keep]
-    variables = [pmf.variables[p] for p in positions]
-    table: dict = {}
-    for key, p in pmf.items():
-        sub = tuple(key[pos] for pos in positions)
-        table[sub] = table.get(sub, _ZERO) + p
-    return JointPmf(variables, table, _validated=True)
+    return _summed(pmf, list(keep), slice(None), pmf.denominator)
 
 
 def condition(pmf: JointPmf, target: Iterable[str],
@@ -172,25 +239,15 @@ def condition(pmf: JointPmf, target: Iterable[str],
     Raises :class:`UnsupportedConditionError` when the conditioning event has
     zero probability.
     """
-    target = list(target)
-    for name in given:
-        pmf._var_pos(name)
-    tpos = [pmf._var_pos(name) for name in target]
-    gpos = {pmf._var_pos(name): sym for name, sym in given.items()}
-    table: dict = {}
-    mass = _ZERO
-    for key, p in pmf.items():
-        if any(key[pos] != sym for pos, sym in gpos.items()):
-            continue
-        mass += p
-        sub = tuple(key[pos] for pos in tpos)
-        table[sub] = table.get(sub, _ZERO) + p
+    hit = np.ones(len(pmf.ids), dtype=bool)
+    for name, sym in given.items():
+        symbols = pmf.alphabet(name).symbols
+        hit &= pmf.ids[:, pmf._var_pos(name)] == (symbols.index(sym) if sym in symbols else -1)
+    mass = int(pmf.weights[hit].sum())
     if mass == 0:
         raise UnsupportedConditionError(
             "unsupported condition: event %r has zero probability" % (dict(given),))
-    table = {k: p / mass for k, p in table.items()}
-    variables = [pmf.variables[p] for p in tpos]
-    return JointPmf(variables, table, _validated=True)
+    return _summed(pmf, list(target), np.flatnonzero(hit), mass)
 
 
 def merge_vars(pmf: JointPmf, new_name: str, parts: Sequence[str],
@@ -200,18 +257,16 @@ def merge_vars(pmf: JointPmf, new_name: str, parts: Sequence[str],
     With ``keep=False`` the part variables are removed; with ``keep=True``
     they stay alongside the (functionally determined) composite.  Used to
     realize substitutions such as W -> (W0, Wi) in region-equivalence checks.
+    The composite and the other columns determine a row, so rows stay as
+    they are.
     """
     part_pos = [pmf._var_pos(name) for name in parts]
-    rest = [(k, v) for k, v in enumerate(pmf.variables)
-            if keep or k not in part_pos]
+    rest = [k for k in range(len(pmf.variables)) if keep or k not in part_pos]
     symbols = tuple(itertools.product(*(pmf.variables[p][1].symbols for p in part_pos)))
-    variables = [(new_name, Alphabet(symbols))] + [v for _, v in rest]
-    table: dict = {}
-    for key, p in pmf.items():
-        merged = tuple(key[p] for p in part_pos)
-        newkey = (merged,) + tuple(key[k] for k, _ in rest)
-        table[newkey] = table.get(newkey, _ZERO) + p
-    return JointPmf(variables, table, _validated=True)
+    variables = [(new_name, Alphabet(symbols))] + [pmf.variables[k] for k in rest]
+    merged = row_numbers(pmf.ids[:, part_pos], [pmf.variables[p][1].size for p in part_pos])
+    return JointPmf.from_arrays(variables, np.column_stack([merged, pmf.ids[:, rest]]),
+                                pmf.weights, pmf.denominator)
 
 
 def check_markov(pmf: JointPmf, a: Iterable[str], b: Iterable[str],
@@ -230,25 +285,16 @@ def check_markov(pmf: JointPmf, a: Iterable[str], b: Iterable[str],
 
 
 def _factorizes(pmf: JointPmf, a, b, c) -> bool:
-    """W(abc)*W(b) == W(ab)*W(bc) for every (a, b, c) in the table, where W is
-    the table scaled to integers by the lcm of its denominators: the exact
-    factorization test, with one scaling in place of Fraction products."""
-    items = list(pmf.items())
-    weights = integer_scaled([p for _, p in items])[0]
-    pa, pb, pc = ([pmf._var_pos(name) for name in group] for group in (a, b, c))
-    abc: dict = {}
-    ab: dict = {}
-    bc: dict = {}
-    bm: dict = {}
-    for (key, _), w in zip(items, weights):
-        ka = tuple(key[i] for i in pa)
-        kb = tuple(key[i] for i in pb)
-        kc = tuple(key[i] for i in pc)
-        abc[ka, kb, kc] = abc.get((ka, kb, kc), 0) + w
-        ab[ka, kb] = ab.get((ka, kb), 0) + w
-        bc[kb, kc] = bc.get((kb, kc), 0) + w
-        bm[kb] = bm.get(kb, 0) + w
-    return all(w * bm[kb] == ab[ka, kb] * bc[kb, kc] for (ka, kb, kc), w in abc.items())
+    """W(abc)*W(b) == W(ab)*W(bc) at every row of the table, W the integer
+    weights summed over each marginal's cell: the exact factorization test,
+    without Fraction products (a product is at most D^2)."""
+    weights = int_array(pmf.weights, pmf.denominator ** 2)
+
+    def summed(names):
+        cell, first = pmf.cells(names)
+        return _sum_at(cell, len(first), weights)[cell]
+
+    return bool(np.all(summed(a + b + c) * summed(b) == summed(a + b) * summed(b + c)))
 
 
 # -- blocks of a memoryless source ------------------------------------------------
@@ -257,10 +303,8 @@ def _factorizes(pmf: JointPmf, a, b, c) -> bool:
 def choice_table(weights, total) -> np.ndarray:
     """The cumulative table that ``Generator.choice(len(p), p=p / p.sum())``
     searches, formed as it forms it, for p[k] = weights[k] / total rounded
-    once, as ``float(Fraction(w, total))``: numpy's float64 division rounds
-    integers from 2^53 on first, so larger totals are divided as Python ints."""
-    p = np.asarray(weights, dtype=np.int64 if total < 1 << 53 else object) / int(total)
-    p = p.astype(float)
+    once, as ``float(Fraction(w, total))``."""
+    p = _ratios(weights, total)
     cdf = (p / p.sum()).cumsum()
     cdf /= cdf[-1]
     return cdf
@@ -273,10 +317,10 @@ def draw(cdf, seed, size=None):
 
 
 def support_table(pmf: JointPmf) -> np.ndarray:
-    """The :func:`choice_table` of the positive entries of `pmf`, built once
-    per pmf: a uniform searched in it picks a letter id into ``pmf.support()``."""
+    """The :func:`choice_table` of the positive rows of `pmf`, built once
+    per pmf: a uniform searched in it picks one of the positive rows, in order."""
     if pmf._cdf is None:
-        pmf._cdf = choice_table(*integer_scaled([p for _, p in pmf.items() if p > 0]))
+        pmf._cdf = choice_table(pmf.weights[pmf.weights > 0], pmf.denominator)
     return pmf._cdf
 
 
@@ -285,24 +329,19 @@ def support_table(pmf: JointPmf) -> np.ndarray:
 
 def dsbs(p) -> JointPmf:
     """Doubly symmetric binary source: X1 ~ Bern(1/2), X2 = X1 xor Bern(p)."""
-    b = binary_alphabet()
-    p = Fraction(p)
-    half = Fraction(1, 2)
-    table = {}
-    for x1 in (0, 1):
-        for x2 in (0, 1):
-            table[(x1, x2)] = half * (p if x1 != x2 else (1 - p))
-    return JointPmf([("X1", b), ("X2", b)], table)
+    b, p = Alphabet((0, 1)), Fraction(p)
+    return JointPmf([("X1", b), ("X2", b)], {(x1, x2): (p if x1 != x2 else 1 - p) / 2
+                                             for x1 in (0, 1) for x2 in (0, 1)})
 
 
 def random_pmf(rng: np.random.Generator, variables, denominator: int = 720) -> JointPmf:
-    """Random strictly positive pmf over the given variables.
+    """Random strictly positive pmf over the given variables, its rows in
+    product order.
 
     Draws integer weights in [1, denominator) and divides by their sum, so
     the table is exact.
     """
-    keys = list(itertools.product(*(a.symbols for _, a in variables)))
-    weights = [int(x) for x in rng.integers(1, denominator, size=len(keys))]
-    total = sum(weights)
-    table = {k: Fraction(w, total) for k, w in zip(keys, weights)}
-    return JointPmf(variables, table)
+    sizes = [alph.size for _, alph in variables]
+    ids = np.indices(sizes).reshape(len(sizes), -1).T
+    weights = rng.integers(1, denominator, size=len(ids))
+    return JointPmf.from_arrays(variables, ids, weights, int(weights.sum()))

@@ -115,15 +115,24 @@ def _slepian_wolf() -> Scenario:
         default_rates={1: 1.0, 2: 0.75}, default_aux_rates={1: 0.0, 2: 0.0})
 
 
+def _flip(q, a, b) -> Fraction:
+    """The probability that a binary symmetric channel of crossover q maps b to a."""
+    return q if a != b else 1 - q
+
+
+def _noisy_pair(q1, q2) -> JointPmf:
+    """X1 uniform; Y1, Y2 its copies through independent BSC(q1), BSC(q2)."""
+    b = Alphabet((0, 1))
+    return JointPmf([("X1", b), ("Y1", b), ("Y2", b)],
+                    {(x, y1, y2): Fraction(1, 2) * _flip(q1, y1, x) * _flip(q2, y2, x)
+                     for x in (0, 1) for y1 in (0, 1) for y2 in (0, 1)})
+
+
 def _wyner_ziv() -> Scenario:
     b = Alphabet((0, 1))
     # X uniform; Y = X through BSC(0.2); W = X through BSC(0.1)
-    table = {}
-    for x in (0, 1):
-        for y in (0, 1):
-            p = Fraction(1, 2) * (Fraction(1, 5) if x != y else Fraction(4, 5))
-            table[(x, y)] = p
-    source = JointPmf([("X1", b), ("Y", b)], table)
+    source = JointPmf([("X1", b), ("Y", b)], {(x, y): Fraction(1, 2) * _flip(Fraction(1, 5), x, y)
+                                              for x in (0, 1) for y in (0, 1)})
     config = NetworkConfig(
         encoders=(1,), sharing=((1,),), decoders=(1,),
         codewords_to={1: (1,)}, reproductions={1: (1,)}, side_info={1: "Y"},
@@ -167,15 +176,8 @@ def _mdc_two() -> Scenario:
                      2: hamming_distortion("X12"),
                      12: hamming_distortion("X12")})
     # cell channel: conditionally independent noisy copies given the source
-    rows = {}
-    for x in (0, 1):
-        row = {}
-        for w1 in (0, 1):
-            for w2 in (0, 1):
-                p1 = Fraction(9, 10) if w1 == x else Fraction(1, 10)
-                p2 = Fraction(17, 20) if w2 == x else Fraction(3, 20)
-                row[(w1, w2)] = p1 * p2
-        rows[(x,)] = row
+    rows = {(x,): {(w1, w2): _flip(Fraction(1, 10), w1, x) * _flip(Fraction(3, 20), w2, x)
+                   for w1 in (0, 1) for w2 in (0, 1)} for x in (0, 1)}
     channels = {(1, 2): ConditionalPmf([("X12", b)], [("W1", b), ("W2", b)], rows)}
     and_table = {(w1, w2): w1 & w2 for w1 in (0, 1) for w2 in (0, 1)}
     reproducers = {
@@ -193,15 +195,7 @@ def _mdc_two() -> Scenario:
 
 def _heegard_berger() -> Scenario:
     b = Alphabet((0, 1))
-    # X uniform; Y1, Y2 independent noisy observations of X
-    table = {}
-    for x in (0, 1):
-        for y1 in (0, 1):
-            for y2 in (0, 1):
-                p1 = Fraction(4, 5) if y1 == x else Fraction(1, 5)
-                p2 = Fraction(7, 10) if y2 == x else Fraction(3, 10)
-                table[(x, y1, y2)] = Fraction(1, 2) * p1 * p2
-    source = JointPmf([("X1", b), ("Y1", b), ("Y2", b)], table)
+    source = _noisy_pair(Fraction(1, 5), Fraction(3, 10))
     config = NetworkConfig(
         encoders=(1,), sharing=((1,),), decoders=(1, 2),
         codewords_to={1: (1,), 2: (1,)}, reproductions={1: (1,), 2: (2,)},
@@ -306,15 +300,7 @@ def _example3_mdc2() -> Scenario:
 
 def _example5_dsi2() -> Scenario:
     """Region-algebra fixture: one encoder, two decoders with side info."""
-    b = Alphabet((0, 1))
-    table = {}
-    for x in (0, 1):
-        for y1 in (0, 1):
-            for y2 in (0, 1):
-                p1 = Fraction(4, 5) if y1 == x else Fraction(1, 5)
-                p2 = Fraction(13, 20) if y2 == x else Fraction(7, 20)
-                table[(x, y1, y2)] = Fraction(1, 2) * p1 * p2
-    source = JointPmf([("X1", b), ("Y1", b), ("Y2", b)], table)
+    source = _noisy_pair(Fraction(1, 5), Fraction(7, 20))
     config = NetworkConfig(
         encoders=(1,), sharing=((1,),), decoders=(1, 2),
         codewords_to={1: (1,), 2: (1,)}, reproductions={1: (), 2: ()},
@@ -373,6 +359,18 @@ def _ident(value):
 
 def _symbols(raw) -> tuple:
     return tuple(tuple(s) if isinstance(s, list) else s for s in raw)
+
+
+def _table(pairs) -> dict:
+    """A mapping from (key, value) pairs, keys read by :func:`_symbols`; a
+    repeated key is a ValueError, not an overwrite."""
+    table = {}
+    for key, value in pairs:
+        key = _symbols(key)
+        if key in table:
+            raise ValueError("repeated key %r" % (key,))
+        table[key] = value
+    return table
 
 
 def _integer(value) -> int:
@@ -440,7 +438,7 @@ def scenario_from_dict(data: dict) -> Scenario:
     with _section("source"):
         variables = [(name, Alphabet(_symbols(al)))
                      for name, al in _field(src, "variables", "source")]
-        table = {tuple(_symbols(k)): _frac(v) for k, v in _field(src, "table", "source")}
+        table = {k: _frac(v) for k, v in _table(_field(src, "table", "source")).items()}
         source = JointPmf(variables, table)
 
     distortions = {}
@@ -480,8 +478,8 @@ def scenario_from_dict(data: dict) -> Scenario:
             name = _field(ch, "input", where)
             inputs = [(name, source.alphabet(name))]
             outputs = [(out, Alphabet(_symbols(al))) for out, al in _field(ch, "outputs", where)]
-            rows = {tuple(_symbols(key)): {tuple(_symbols(out)): _frac(p) for out, p in row}
-                    for key, row in _field(ch, "rows", where)}
+            rows = {key: {out: _frac(p) for out, p in _table(row).items()}
+                    for key, row in _table(_field(ch, "rows", where)).items()}
             channels[cell] = ConditionalPmf(inputs, outputs, rows)
 
     reproducers = {}
@@ -496,7 +494,7 @@ def scenario_from_dict(data: dict) -> Scenario:
             if spec.get("identity"):
                 reproducers[k] = identity_reproducer(args[0], alph)
             else:
-                table = {tuple(_symbols(key)): out for key, out in _field(spec, "table", where)}
+                table = _table(_field(spec, "table", where))
                 reproducers[k] = Reproducer(tuple(args), table, alph)
 
     with _section("run"):

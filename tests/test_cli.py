@@ -461,11 +461,24 @@ def _malformed(data, path, value):
     (("run", "n"), [2.5], "run.n: 2.5 is not a positive integer"),
     (("run", "seed"), True, "run has a malformed value (True is not an integer)"),
     (("code", "q"), 2.5, "code has a malformed value (2.5 is not an integer)"),
+    # a repeated key is refused, not overwritten by its last entry
+    (("source", "table"), [[[0], "1/2"], [[0], "1/2"], [[1], "1/2"]],
+     "source has a malformed value (repeated key (0,))"),
+    (("channels", 0, "rows"), [[[0], [[[0], "9/10"], [[1], "1/10"]]],
+                               [[1], [[[0], "1/10"], [[1], "9/10"]]],
+                               [[0], [[[0], "1/2"], [[1], "1/2"]]]],
+     "channels[0] has a malformed value (repeated key (0,))"),
+    (("channels", 0, "rows", 0), [[0], [[[0], "1/2"], [[1], "1/2"], [[0], "1/2"]]],
+     "channels[0] has a malformed value (repeated key (0,))"),
+    (("reproducers", "1"), {"args": ["W1"], "alphabet": [0, 1],
+                            "table": [[[0], 0], [[1], 1], [[0], 1]]},
+     "reproducers[1] has a malformed value (repeated key (0,))"),
 ], ids=["table-number", "probability-text", "channels-mapping", "row-without-outputs",
         "encoders-number", "seed-text", "negative-seed", "delta-text", "negative-D", "negative-rate",
         "negative-aux-rate", "nan-delta", "negative-delta", "infinite-D", "nan-rate",
         "nan-aux-rate", "fractional-seed", "fractional-trials", "fractional-n", "bool-seed",
-        "fractional-q"])
+        "fractional-q", "repeated-source-key", "repeated-channel-row", "repeated-channel-output",
+        "repeated-reproducer-key"])
 def test_scenario_file_malformed_value_is_a_config_error(tmp_path, capsys, path, value, named):
     scenario = tmp_path / "malformed.json"
     scenario.write_text(json.dumps(_malformed(tiny_scenario_data(), path, value)))

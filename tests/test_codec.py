@@ -711,7 +711,7 @@ def _run_trial(code, bounds, seed, trial, rule, report, laws):
     def at(column):
         return np.random.PCG64(seed).advance(trial * width + column)
 
-    support = code.source.support()
+    support = [key for key, p in code.source.items() if p > 0]
     probs = np.array([float(code.source.prob(k)) for k in support])
     letters = [support[i] for i in np.random.default_rng(at(0)).choice(
         len(support), size=code.n, p=probs / probs.sum())]

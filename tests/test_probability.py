@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,14 @@ from hypothesis import strategies as st
 from scipy.stats import chisquare
 
 from multiterm.errors import ConfigurationError, UnsupportedConditionError
+from multiterm.information import entropy
+from multiterm.network import (
+    ConditionalPmf,
+    NetworkConfig,
+    apply_conditional,
+    build_joint,
+    w_name,
+)
 from multiterm.probability import (
     _factorizes,
     Alphabet,
@@ -118,7 +127,7 @@ def test_marginalize_then_condition_commutes_with_direct():
 def letters(pmf, n, seed, count):
     """`count` i.i.d. blocks of n letters of `pmf` drawn from its support
     table, as their letters (symbol tuples)."""
-    support = pmf.support()
+    support = [key for key, p in pmf.items() if p > 0]
     return [tuple(support[i] for i in row) for row in draw(support_table(pmf), seed, (count, n))]
 
 
@@ -236,7 +245,7 @@ def _reference_sample(pmf, n, seed, count):
     """The block sampler as formed from the exact table, kept as the
     reference: the support in table order and float(prob(key)) per key."""
     rng = np.random.default_rng(seed)
-    support = list(pmf.support())
+    support = [key for key, p in pmf.items() if p > 0]
     probs = np.array([float(pmf.prob(k)) for k in support], dtype=float)
     probs = probs / probs.sum()
     idx = rng.choice(len(support), size=(count, n), p=probs)
@@ -294,3 +303,232 @@ def test_draw_matches_generator_choice(data, top, size, seed, as_array):
     got = draw(table, seed, size)
     assert np.shape(got) == np.shape(expected)
     assert np.array_equal(got, expected)
+
+
+# -- the integer-array core against the Fraction-dict reference ---------------------
+#
+# The reference keeps each law as its variables and a dict from symbol tuples
+# to Fractions in table order, and each operation as a loop over that dict:
+# cells in order of first appearance, Fraction sums, floats summed per cell
+# in table order.  The arrays must give the same rows in the same order, the
+# same Fractions and the same float bits.
+
+
+class _Ref:
+    def __init__(self, variables, table):
+        self.variables = list(variables)
+        self.names = [name for name, _ in self.variables]
+        self.table = dict(table)
+
+    def pos(self, names):
+        return [self.names.index(name) for name in names]
+
+
+def _ref_sum(rows, positions):
+    table = {}
+    for key, p in rows:
+        sub = tuple(key[pos] for pos in positions)
+        table[sub] = table.get(sub, Fraction(0)) + p
+    return table
+
+
+def _ref_marginalize(ref, keep):
+    positions = ref.pos(keep)
+    return _Ref([ref.variables[p] for p in positions], _ref_sum(ref.table.items(), positions))
+
+
+def _ref_condition(ref, target, given):
+    hit = [(key, p) for key, p in ref.table.items()
+           if all(key[ref.names.index(name)] == sym for name, sym in given.items())]
+    mass = sum((p for _, p in hit), Fraction(0))
+    if mass == 0:
+        raise UnsupportedConditionError("zero mass")
+    positions = ref.pos(target)
+    return _Ref([ref.variables[p] for p in positions],
+                {k: p / mass for k, p in _ref_sum(hit, positions).items()})
+
+
+def _ref_merge(ref, new_name, parts, keep):
+    part_pos = ref.pos(parts)
+    rest = [k for k in range(len(ref.names)) if keep or k not in part_pos]
+    symbols = tuple(itertools.product(*(ref.variables[p][1].symbols for p in part_pos)))
+    table = {}
+    for key, p in ref.table.items():
+        new = (tuple(key[q] for q in part_pos),) + tuple(key[k] for k in rest)
+        table[new] = table.get(new, Fraction(0)) + p
+    return _Ref([(new_name, Alphabet(symbols))] + [ref.variables[k] for k in rest], table)
+
+
+def _ref_apply(ref, channel):
+    positions = ref.pos([name for name, _ in channel.inputs])
+    table = {}
+    for key, p in ref.table.items():
+        for out, q in channel.row(tuple(key[pos] for pos in positions)).items():
+            table[key + out] = table.get(key + out, Fraction(0)) + p * q
+    return _Ref(ref.variables + list(channel.outputs), table)
+
+
+def _ref_build_joint(config, ref, channels):
+    w_vars = [(w_name(i), dict(o for c in config.sharing for o in channels[c].outputs)[w_name(i)])
+              for i in config.encoders]
+    table = {}
+    for src_key, p_src in ref.table.items():
+        assign = dict(zip(ref.names, src_key))
+        rows = [(channels[cell], channels[cell].row(
+            tuple(assign[name] for name, _ in channels[cell].inputs))) for cell in config.sharing]
+        for combo in itertools.product(*(row.items() for _, row in rows)):
+            p, w = p_src, {}
+            for (channel, _), (out, q) in zip(rows, combo):
+                p *= q
+                w.update(zip((name for name, _ in channel.outputs), out))
+            key = tuple(w[name] for name, _ in w_vars) + src_key
+            table[key] = table.get(key, Fraction(0)) + p
+    return _Ref(w_vars + ref.variables, table)
+
+
+def _ref_factorizes(ref, a, b, c):
+    rows = list(ref.table.items())
+    abc, ab, bc, bm = (_ref_sum(rows, ref.pos(g)) for g in (a + b + c, a + b, b + c, b))
+    la, lb = len(a), len(b)
+    return all(p * bm[k[la:la + lb]] == ab[k[:la + lb]] * bc[k[la:]] for k, p in abc.items())
+
+
+def _ref_float_marginal(ref, names):
+    floats = [(key, float(p)) for key, p in ref.table.items() if p > 0]
+    positions = ref.pos(names)
+    table = {}
+    for key, p in floats:
+        sub = tuple(key[pos] for pos in positions)
+        table[sub] = table.get(sub, 0.0) + p
+    return list(table.values())
+
+
+def _ref_entropy(ref, names):
+    total = 0.0
+    for p in _ref_float_marginal(ref, names):
+        total -= p * math.log2(p)
+    return max(total, 0.0)
+
+
+def _alphabet(draw, size):
+    """Integer symbols in either order, or tuple symbols."""
+    return Alphabet(draw(st.sampled_from([tuple(range(size)), tuple(range(size))[::-1],
+                                          tuple((k, "t") for k in range(size))])))
+
+
+def _weights_over(draw, count):
+    """`count` integer weights, zeros allowed and not all zero, up to a top
+    that puts the denominator below 2^53, in [2^53, 2^63) or above 2^63."""
+    top = draw(st.sampled_from([9, 2 ** 40, 2 ** 58, 2 ** 80]))
+    weights = draw(st.lists(st.integers(0, top), min_size=count, max_size=count))
+    if not any(weights):
+        weights[0] = top
+    return weights
+
+
+def _table(draw, keys):
+    """A law over some of `keys`, inserted in a drawn order."""
+    keys = draw(st.permutations(keys))
+    keys = keys[:draw(st.integers(1, len(keys)))]
+    weights = _weights_over(draw, len(keys))
+    return {key: Fraction(w, sum(weights)) for key, w in zip(keys, weights)}
+
+
+@st.composite
+def _laws(draw, names="ABC"):
+    variables = [(name, _alphabet(draw, draw(st.integers(1, 3))))
+                 for name in names[:draw(st.integers(1, len(names)))]]
+    table = _table(draw, list(itertools.product(*(a.symbols for _, a in variables))))
+    return JointPmf(variables, table), _Ref(variables, table)
+
+
+@st.composite
+def _channels(draw, inputs, outputs):
+    """A channel whose rows list their outputs in drawn orders (a binary
+    symmetric row of x = 1 may list (1,) before (0,)), zero entries allowed."""
+    out_keys = list(itertools.product(*(a.symbols for _, a in outputs)))
+    rows = {key: _table(draw, out_keys)
+            for key in itertools.product(*(a.symbols for _, a in inputs))}
+    return ConditionalPmf(inputs, outputs, rows)
+
+
+def _same(pmf, ref):
+    """Same variables, rows in the same order, the same Fractions."""
+    assert pmf.variables == tuple(ref.variables)
+    assert pmf.items() == list(ref.table.items())
+    for names in itertools.chain.from_iterable(
+            itertools.permutations(ref.names, r) for r in range(len(ref.names) + 1)):
+        assert pmf.float_marginal(names).tolist() == _ref_float_marginal(ref, names)
+        assert entropy(pmf, list(names)) == _ref_entropy(ref, names)
+
+
+def _blocks(draw, names):
+    """Disjoint blocks a, b, c of `names` (some names in none)."""
+    where = draw(st.lists(st.sampled_from("abcx"), min_size=len(names), max_size=len(names)))
+    return [[name for name, w in zip(names, where) if w == g] for g in "abc"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), law=_laws())
+def test_array_core_matches_dict_reference(data, law):
+    """marginalize, condition, merge_vars, check_markov, float_marginal and
+    entropy on laws in table order other than product order, with zero-mass
+    rows, tuple symbols and denominators below 2^53, up to 2^63 and beyond."""
+    pmf, ref = law
+    _same(pmf, ref)
+    keep = data.draw(st.permutations(ref.names))[:data.draw(st.integers(0, len(ref.names)))]
+    _same(marginalize(pmf, keep), _ref_marginalize(ref, keep))
+    given_names = keep[:data.draw(st.integers(0, len(keep)))]
+    assignment = {name: data.draw(st.sampled_from(pmf.alphabet(name).symbols))
+                  for name in given_names}
+    target = [name for name in ref.names if name not in assignment]
+    try:
+        expected = _ref_condition(ref, target, assignment)
+    except UnsupportedConditionError:
+        with pytest.raises(UnsupportedConditionError):
+            condition(pmf, target, assignment)
+    else:
+        _same(condition(pmf, target, assignment), expected)
+    parts = data.draw(st.permutations(ref.names))[:data.draw(st.integers(1, len(ref.names)))]
+    keep_parts = data.draw(st.booleans())
+    _same(merge_vars(pmf, "M", parts, keep=keep_parts), _ref_merge(ref, "M", parts, keep_parts))
+    a, b, c = _blocks(data.draw, ref.names)
+    assert check_markov(pmf, a, b, c) == _ref_factorizes(ref, a, b, c)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), law=_laws("AB"))
+def test_apply_conditional_matches_dict_reference(data, law):
+    """A channel from some of the law's variables to one or two fresh ones;
+    the outputs then depend on the rest only through the inputs."""
+    pmf, ref = law
+    inputs = data.draw(st.permutations(ref.names))[:data.draw(st.integers(0, len(ref.names)))]
+    outputs = [(name, _alphabet(data.draw, data.draw(st.integers(1, 3))))
+               for name in ("Y", "Z")[:data.draw(st.integers(1, 2))]]
+    channel = data.draw(_channels([(name, pmf.alphabet(name)) for name in inputs], outputs))
+    joint, expected = apply_conditional(pmf, channel), _ref_apply(ref, channel)
+    _same(joint, expected)
+    rest = [name for name in ref.names if name not in inputs]
+    out = [name for name, _ in outputs]
+    assert check_markov(joint, rest, inputs, out)
+    a, b, c = _blocks(data.draw, expected.names)
+    assert check_markov(joint, a, b, c) == _ref_factorizes(expected, a, b, c)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), law=_laws("XY"), cells=st.sampled_from([((1,),), ((1, 2),), ((1,), (2,)),
+                                                                ((1, 2), (3,))]))
+def test_build_joint_matches_dict_reference(data, law, cells):
+    """One channel per sharing cell, from a drawn source variable to the
+    cell's W variables; the first cell varies slowest."""
+    source, ref = law
+    encoders = tuple(i for cell in cells for i in cell)
+    config = NetworkConfig(encoders=encoders, sharing=cells, decoders=(1,),
+                           codewords_to={1: encoders}, reproductions={1: ()},
+                           side_info={1: None})
+    channels = {}
+    for cell in cells:
+        name = data.draw(st.sampled_from(ref.names))
+        outputs = [(w_name(i), _alphabet(data.draw, data.draw(st.integers(1, 2)))) for i in cell]
+        channels[cell] = data.draw(_channels([(name, source.alphabet(name))], outputs))
+    _same(build_joint(config, source, channels), _ref_build_joint(config, ref, channels))

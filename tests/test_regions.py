@@ -233,6 +233,42 @@ def test_five_encoder_real_entropy_elimination_keeps_every_row():
     assert polyhedra_equal(reduced, it)
 
 
+def _dsc_k4_joint(seed):
+    """A dsc-k4 joint as the benchmark draws one: four binary sources
+    through binary symmetric channels, 8 binary variables and 256 rows."""
+    rng = np.random.default_rng(seed)
+    enc = (1, 2, 3, 4)
+    cfg = NetworkConfig(encoders=enc, sharing=tuple((i,) for i in enc), decoders=(1,),
+                        codewords_to={1: enc}, reproductions={1: ()}, side_info={1: None})
+    keys = list(itertools.product((0, 1), repeat=len(enc)))
+    weights = [int(w) for w in rng.integers(1, 20, size=len(keys))]
+    src = JointPmf([("X%d" % i, B2) for i in enc],
+                   {key: Fraction(w, sum(weights)) for key, w in zip(keys, weights)})
+    channels = {(i,): bsc_channel("X%d" % i, "W%d" % i, Fraction(int(rng.integers(1, 20)), 50))
+                for i in enc}
+    return cfg, lambda: build_joint(cfg, src, channels)
+
+
+def test_binding_never_iterates_pmf_rows(monkeypatch):
+    """`binding_from_pmf` reads a pmf's arrays: on a dsc-k4 joint it never
+    calls `JointPmf.items` or `prob`, and converts no Fraction to a float (a
+    row loop would, once per row), and its values are those computed
+    before the stubs."""
+    cfg, joint = _dsc_k4_joint(3)
+    assert len(joint().items()) == 256
+    expected = {which: binding_from_pmf(which, cfg, joint()).values for which in (DSC_CRNG, DSC_IT)}
+    fresh = joint()   # no floats formed yet
+
+    def no_rows(*args):
+        raise AssertionError("a pmf's rows were read one at a time")
+
+    monkeypatch.setattr(JointPmf, "items", no_rows)
+    monkeypatch.setattr(JointPmf, "prob", no_rows)
+    monkeypatch.setattr(Fraction, "__float__", no_rows)
+    for which, values in expected.items():
+        assert binding_from_pmf(which, cfg, fresh).values == values
+
+
 def test_member_contains_slepian_wolf_numbers():
     h = round_entropy(H_011)
     hsum = round_entropy(1 + H_011)
