@@ -1,11 +1,14 @@
 """Linear inequality systems over named rate variables.
 
-Every inequality has the sense ``sum(coef*var) >= const``.  Coefficients are
-exact rationals; the constant is either a rational or a linear combination of
-named entropy terms (``Hsup(...)`` / ``Hinf(...)``) that can later be bound to
-rational values.  Canonicalization scales each row to integer coefficients
-with gcd 1 and orders rows deterministically, which is what makes golden-file
-equality tests possible.
+Every inequality has the sense ``sum(coef*var) >= const``; the constant is a
+rational plus a rational combination of named entropy terms (``Hsup(...)`` /
+``Hinf(...)``) that can later be bound to rational values.  A system keeps
+each row as integers over one positive denominator, in lowest terms: the
+rate coefficients, the term coefficients and the offset, ``(a, t, o, q)``
+for ``a.x / q >= (t.H + o) / q``.  Canonicalization scales each row so its
+rate coefficients are integers with gcd 1 and orders rows deterministically,
+which is what makes golden-file equality tests possible.  :class:`LinConst` and :class:`LinIneq`
+are the exact-rational forms at the boundary.
 """
 
 from __future__ import annotations
@@ -13,7 +16,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import ConfigurationError
@@ -57,11 +61,26 @@ class EntropyTerm:
 
 
 def _natural_key(name: str):
-    return tuple(int(part) if part.isdigit() else part
-                 for part in re.split(r"(\d+)", str(name)))
+    """Digit runs compare as numbers; the name itself breaks ties ("R_01", "R_1")."""
+    return (tuple(int(part) if part.isdigit() else part
+                  for part in re.split(r"(\d+)", str(name))), str(name))
 
 
-# -- symbolic constants ------------------------------------------------------------
+def _ratio(num: int, den: int) -> str:
+    """``str(Fraction(num, den))``, without the Fraction."""
+    g = gcd(num, den)
+    return str(num // g) if den == g else "%d/%d" % (num // g, den // g)
+
+
+def _signed_sum(parts) -> str:
+    """``a + b - c`` from (positive, magnitude text) pairs."""
+    out = ""
+    for positive, body in parts:
+        out += ((" + " if positive else " - ") if out else ("" if positive else "-")) + body
+    return out
+
+
+# -- the boundary forms --------------------------------------------------------------
 
 
 class LinConst:
@@ -77,10 +96,6 @@ class LinConst:
     def of(cls, term: EntropyTerm, coeff=1) -> "LinConst":
         return cls(0, {term: Fraction(coeff)})
 
-    @property
-    def is_numeric(self) -> bool:
-        return not self.terms
-
     def bind(self, binding: Mapping[EntropyTerm, Fraction]) -> "LinConst":
         value = self.offset
         for term, coeff in self.terms.items():
@@ -90,7 +105,7 @@ class LinConst:
         return LinConst(value)
 
     def value(self) -> Fraction:
-        if not self.is_numeric:
+        if self.terms:
             raise ConfigurationError("constant still contains entropy terms")
         return self.offset
 
@@ -100,73 +115,31 @@ class LinConst:
             terms[t] = terms.get(t, Fraction(0)) + c
         return LinConst(self.offset + other.offset, terms)
 
-    def __mul__(self, scalar) -> "LinConst":
-        scalar = Fraction(scalar)
-        return LinConst(self.offset * scalar,
-                        {t: c * scalar for t, c in self.terms.items()})
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return self * -1
-
-    def __eq__(self, other):
-        return (isinstance(other, LinConst) and self.offset == other.offset
-                and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((self.offset, frozenset(self.terms.items())))
-
-    def sort_key(self):
-        if self.is_numeric:
-            return (0, self.offset, "")
-        return (1, Fraction(0), self.render())
-
     def render(self) -> str:
-        if self.is_numeric:
-            return str(self.offset)
-        parts = []
-        for term in sorted(self.terms, key=lambda t: t.render()):
-            coeff = self.terms[term]
-            parts.append((coeff, term.render()))
-        out = ""
-        for coeff, text in parts:
-            mag = abs(coeff)
-            body = text if mag == 1 else "%s*%s" % (mag, text)
-            if not out:
-                out = body if coeff > 0 else "-" + body
-            else:
-                out += (" + " if coeff > 0 else " - ") + body
-        if self.offset != 0:
-            out += (" + " if self.offset > 0 else " - ") + str(abs(self.offset))
-        return out
+        system = LinIneqSystem(())
+        system.add({}, self)
+        return system._render_const(system.rows[0])
 
     def __repr__(self):
         return "LinConst(%s)" % self.render()
-
-
-# -- inequalities and systems -------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class LinIneq:
     """One inequality ``sum(coeffs[v] * v) >= const``."""
 
-    coeffs: tuple  # tuple of (var, Fraction), sparse, in system var order
+    coeffs: tuple  # tuple of (var, rational), sparse, in system var order
     const: LinConst
 
     def coeff_map(self) -> dict:
         return dict(self.coeffs)
 
-    def scaled(self, factor: Fraction) -> "LinIneq":
-        if factor <= 0:
-            raise ValueError("inequalities only scale by positive factors")
-        return LinIneq(tuple((v, c * factor) for v, c in self.coeffs),
-                       self.const * factor)
+
+# -- systems -----------------------------------------------------------------------
 
 
 class LinIneqSystem:
-    """An ordered variable list plus a list of >= inequalities."""
+    """Rate variables, entropy-term columns in order of first use, and `rows`."""
 
     def __init__(self, vars: Sequence[str], ineqs: Iterable[LinIneq] = (),
                  infeasible: bool = False):
@@ -174,99 +147,125 @@ class LinIneqSystem:
         if len(set(vars)) != len(vars):
             raise ConfigurationError("duplicate variable names in system")
         self.vars = tuple(sorted(vars, key=_natural_key))
-        self._pos = {v: k for k, v in enumerate(self.vars)}
-        self.ineqs: list = []
+        self.terms: tuple = ()
+        self.rows: list = []
         self.infeasible = infeasible
-        for ineq in ineqs:
-            self.add(ineq.coeff_map(), ineq.const)
+        self.extend((ineq.coeff_map(), ineq.const) for ineq in ineqs)
 
-    def add(self, coeffs: Mapping[str, object], const) -> None:
-        if not isinstance(const, LinConst):
-            const = LinConst(const)
-        row = []
-        for var in self.vars:
-            c = Fraction(coeffs.get(var, 0))
-            if c != 0:
-                row.append((var, c))
-        for var in coeffs:
-            if var not in self._pos:
-                raise ConfigurationError("unknown variable %r" % (var,))
-        self.ineqs.append(LinIneq(tuple(row), const))
-
-    # -- shape helpers -----------------------------------------------------------
-
-    def dense_rows(self):
-        """Rows as (coefficient list over self.vars, Fraction const); numeric only."""
-        out = []
-        for ineq in self.ineqs:
-            cm = ineq.coeff_map()
-            out.append(([cm.get(v, Fraction(0)) for v in self.vars],
-                        ineq.const.value()))
+    def with_rows(self, rows: list, infeasible: bool = False, vars: Optional[tuple] = None,
+                  terms: Optional[tuple] = None) -> "LinIneqSystem":
+        """A system holding `rows` over this one's columns, or `vars` and `terms`."""
+        out = LinIneqSystem.__new__(LinIneqSystem)
+        out.vars = self.vars if vars is None else vars
+        out.terms = self.terms if terms is None else terms
+        out.rows, out.infeasible = rows, infeasible
         return out
+
+    def add(self, coeffs: Mapping[str, object], const=0) -> None:
+        """Append ``sum(coeffs[v] * v) >= const``: `const` is a rational, a
+        :class:`LinConst`, or a mapping of entropy terms to rational coefficients."""
+        self.extend([(coeffs, const)])
+
+    def extend(self, rows: Iterable[tuple]) -> None:
+        """:meth:`add` every (coeffs, const) pair of `rows`."""
+        rows = [(coeffs, const.terms, const.offset) if isinstance(const, LinConst) else
+                (coeffs, const, 0) if isinstance(const, Mapping) else (coeffs, {}, const)
+                for coeffs, const in rows]
+        new, known = {}, set(self.terms)
+        for coeffs, terms, _ in rows:
+            for var in coeffs:
+                if var not in self.vars:
+                    raise ConfigurationError("unknown variable %r" % (var,))
+            new.update((t, None) for t, c in terms.items() if c and t not in known)
+        if new:
+            # new term columns go in front of the offset; older rows hold 0 there
+            self.rows = [row[:-2] + (0,) * len(new) + row[-2:] for row in self.rows]
+            self.terms += tuple(new)
+        column = {t: k for k, t in enumerate(self.terms, len(self.vars))}
+        for coeffs, terms, offset in rows:
+            values = [coeffs.get(v, 0) for v in self.vars] + [0] * len(self.terms) + [offset]
+            for term, c in terms.items():
+                if c:
+                    values[column[term]] = c
+            if {type(v) for v in values} <= {int}:
+                self.rows.append((*values, 1))
+            else:
+                ints, den = integer_scaled([Fraction(v) for v in values])
+                self.rows.append((*ints, den))
+
+    @property
+    def ineqs(self) -> tuple:
+        """The rows as exact :class:`LinIneq` values, built on each access."""
+        values = [[Fraction(v, row[-1]) for v in row[:-1]] for row in self.rows]
+        return tuple(LinIneq(tuple((v, c) for v, c in zip(self.vars, row) if c), LinConst(
+            row[-1], dict(zip(self.terms, row[len(self.vars):-1])))) for row in values)
+
+    @property
+    def denominator(self) -> int:
+        """The lcm of the rows' constant denominators once rows are canonical."""
+        return lcm(*(_canonical(row, len(self.vars))[-1] for row in self.rows))
+
+    def dense_rows(self, scale: Optional[int] = None) -> list:
+        """Canonical rows of a numeric system as (gcd-1 integer coefficients over
+        self.vars, integer constant times `scale`, a multiple of :attr:`denominator`
+        and by default that).  They bound the polyhedron stretched by `scale`."""
+        n, scale = len(self.vars), scale or self.denominator
+        return [(tuple(v // row[-1] for v in row[:n]), row[-2] * (scale // row[-1]))
+                for row in (_canonical(row, n) for row in self.rows)]
 
     @property
     def is_numeric(self) -> bool:
-        return all(ineq.const.is_numeric for ineq in self.ineqs)
+        return not any(any(row[len(self.vars):-2]) for row in self.rows)
 
     def bind(self, binding: Mapping[EntropyTerm, Fraction]) -> "LinIneqSystem":
-        out = LinIneqSystem(self.vars, infeasible=self.infeasible)
-        for ineq in self.ineqs:
-            out.ineqs.append(LinIneq(ineq.coeffs, ineq.const.bind(binding)))
-        return out
-
-    def entropy_terms(self) -> set:
-        terms: set = set()
-        for ineq in self.ineqs:
-            terms.update(ineq.const.terms)
-        return terms
+        """The numeric system under `binding`: one integer product of each row's
+        term coefficients and the values over the lcm of their denominators."""
+        n = len(self.vars)
+        values = [0] * len(self.terms)
+        for j, term in enumerate(self.terms):
+            if any(row[n + j] for row in self.rows):
+                if term not in binding:
+                    raise ConfigurationError("missing entropy term %s" % term)
+                values[j] = Fraction(binding[term])
+        values, scale = integer_scaled(values)
+        rows = [(*(v * scale for v in row[:n]), sum(map(mul, row[n:-2], values))
+                 + row[-2] * scale, row[-1] * scale) for row in self.rows]
+        return self.with_rows(rows, self.infeasible, terms=())
 
     # -- canonical form ------------------------------------------------------------
-
-    @staticmethod
-    def _canonical_row(ineq: LinIneq) -> LinIneq:
-        coeffs = [c for _, c in ineq.coeffs]
-        if not coeffs:
-            return ineq
-        nums, denom_lcm = integer_scaled(coeffs)
-        return ineq.scaled(Fraction(denom_lcm, gcd(*nums)))
 
     def canonicalize(self) -> "LinIneqSystem":
         """Integer gcd-1 coefficients, duplicate collapse, deterministic order.
 
-        For numeric systems, rows sharing a coefficient vector keep only the
+        For numeric rows, rows sharing a coefficient vector keep only the
         largest constant (dominance), and tautologies ``0 >= c`` with c <= 0
         are dropped; an unsatisfiable ``0 >= c`` row marks the system
-        infeasible and is kept.
+        infeasible and is kept.  Rows with symbolic constants collapse only
+        when equal.
         """
-        rows = [self._canonical_row(iq) for iq in self.ineqs]
-        infeasible = self.infeasible
-        best: dict = {}
-        kept_sym = set()
-        out_rows = []
-        for iq in rows:
-            if iq.const.is_numeric:
-                if not iq.coeffs:
-                    if iq.const.value() > 0:
-                        infeasible = True
-                        out_rows.append(iq)
-                    continue  # 0 >= nonpositive is a tautology
-                key = iq.coeffs
-                if key not in best or iq.const.value() > best[key].const.value():
-                    best[key] = iq
-            else:
-                # symbolic constants compare only by exact equality
-                marker = (iq.coeffs, iq.const.render())
-                if marker not in kept_sym:
-                    kept_sym.add(marker)
-                    out_rows.append(iq)
-        out_rows.extend(best.values())
-        out = LinIneqSystem(self.vars, infeasible=infeasible)
-        out.ineqs = sorted(out_rows, key=self._row_sort_key)
-        return out
+        n, infeasible = len(self.vars), self.infeasible
+        best, symbolic, unsatisfied = {}, set(), []
+        for row in self.rows:
+            row = _canonical(row, n)
+            rate = tuple(v // row[-1] for v in row[:n])
+            if any(row[n:-2]):
+                symbolic.add(row)
+            elif not any(rate):
+                if row[-2] > 0:   # else 0 >= nonpositive, a tautology
+                    infeasible = True
+                    unsatisfied.append(row)
+            elif rate not in best or row[-2] * best[rate][-1] > best[rate][-2] * row[-1]:
+                best[rate] = row
+        rows = sorted([*symbolic, *unsatisfied, *best.values()], key=self._row_sort_key)
+        return self.with_rows(rows, infeasible)
 
-    def _row_sort_key(self, ineq: LinIneq):
-        dense = tuple(ineq.coeff_map().get(v, Fraction(0)) for v in self.vars)
-        return (dense, ineq.const.sort_key())
+    def _row_sort_key(self, row: tuple):
+        # numeric rows first; only 0 >= c rows share coefficients among numeric rows
+        n = len(self.vars)
+        rate = tuple(v // row[-1] for v in row[:n])
+        if any(row[n:-2]):
+            return (rate, 1, self._render_const(row))
+        return (rate, 0) if any(rate) else (rate, 0, Fraction(row[-2], row[-1]))
 
     # -- text form -------------------------------------------------------------------
 
@@ -274,68 +273,80 @@ class LinIneqSystem:
         lines = ["# vars: %s" % " ".join(self.vars)]
         if self.infeasible:
             lines.append("# infeasible")
-        for ineq in self.ineqs:
-            lines.append(self._render_row(ineq))
+        lines.extend(map(self.line, self.rows))
         return "\n".join(lines) + "\n"
 
+    def line(self, row: tuple) -> str:
+        """The text of one stored row."""
+        lhs = _signed_sum((c > 0, var if abs(c) == row[-1] else "%s*%s" % (
+            _ratio(abs(c), row[-1]), var)) for var, c in zip(self.vars, row) if c)
+        return "%s >= %s" % (lhs or "0", self._render_const(row))
+
     def _render_row(self, ineq: LinIneq) -> str:
-        if not ineq.coeffs:
-            lhs = "0"
-        else:
-            lhs = ""
-            for var, c in ineq.coeffs:
-                mag = abs(c)
-                body = var if mag == 1 else "%s*%s" % (mag, var)
-                if not lhs:
-                    lhs = body if c > 0 else "-" + body
-                else:
-                    lhs += (" + " if c > 0 else " - ") + body
-        return "%s >= %s" % (lhs, ineq.const.render())
+        probe = self.with_rows([])
+        probe.add(ineq.coeff_map(), ineq.const)
+        return probe.line(probe.rows[0])
+
+    def _render_const(self, row: tuple) -> str:
+        n, den = len(self.vars), row[-1]
+        terms = sorted((t.render(), c) for t, c in zip(self.terms, row[n:-2]) if c)
+        parts = [(c > 0, text if abs(c) == den else "%s*%s" % (_ratio(abs(c), den), text))
+                 for text, c in terms]
+        if not parts:
+            return _ratio(row[-2], den)
+        if row[-2]:
+            parts.append((row[-2] > 0, _ratio(abs(row[-2]), den)))
+        return _signed_sum(parts)
 
     @classmethod
     def parse(cls, text: str) -> "LinIneqSystem":
-        """Inverse of :meth:`render` for numeric systems."""
-        vars: list = []
-        rows = []
-        infeasible = False
+        """Inverse of :meth:`render` for numeric systems; a malformed row
+        raises a :class:`ConfigurationError` naming its line."""
+        vars, rows, infeasible = [], [], False
         for lineno, raw in enumerate(text.splitlines(), 1):
             line = raw.strip()
-            if not line:
+            if line.startswith("# vars:"):
+                vars = line[len("# vars:"):].split()
+            infeasible = infeasible or line.startswith("# infeasible")
+            if not line or line.startswith("#"):
                 continue
-            if line.startswith("#"):
-                if line.startswith("# vars:"):
-                    vars = line[len("# vars:"):].split()
-                if line.startswith("# infeasible"):
-                    infeasible = True
-                continue
-            if ">=" not in line:
-                raise ConfigurationError("line %d: missing >= in %r" % (lineno, raw))
-            lhs_text, rhs_text = line.split(">=")
-            coeffs: dict = {}
-            for sign, chunk in _split_terms(lhs_text.strip()):
-                if chunk == "0":
-                    continue
-                if "*" in chunk:
-                    mag, var = chunk.split("*", 1)
-                    coeffs[var.strip()] = sign * Fraction(mag)
-                else:
-                    coeffs[chunk.strip()] = sign * Fraction(1)
-            rows.append((coeffs, Fraction(rhs_text.strip())))
+            try:
+                rows.append(_parse_row(line))
+            except (ValueError, ZeroDivisionError) as exc:
+                raise ConfigurationError("line %d: %s in %r" % (lineno, exc, raw)) from None
         system = cls(vars, infeasible=infeasible)
-        for coeffs, const in rows:
-            system.add(coeffs, const)
+        system.extend(rows)
         return system
 
 
-def _split_terms(text: str):
-    sign = 1
-    if text.startswith("-"):
-        sign = -1
-        text = text[1:]
-    parts = re.split(r"\s+([+-])\s+", text)
-    yield sign, parts[0].strip()
-    for op, chunk in zip(parts[1::2], parts[2::2]):
-        yield (1 if op == "+" else -1), chunk.strip()
+def _parse_row(line: str):
+    """(coefficients, constant) of one rendered row; ValueError when malformed."""
+    sides = line.split(">=")
+    if len(sides) != 2:
+        raise ValueError("missing >=" if len(sides) == 1 else "more than one >=")
+    coeffs: dict = {}
+    text = sides[0].strip()
+    parts = re.split(r"\s+([+-])\s+", text[1:] if text.startswith("-") else text)
+    signs = [-1 if text.startswith("-") else 1] + [1 if op == "+" else -1 for op in parts[1::2]]
+    for sign, chunk in zip(signs, parts[0::2]):
+        if chunk == "0":
+            continue
+        mag, var = chunk.split("*", 1) if "*" in chunk else ("1", chunk)
+        var = var.strip()
+        if var in coeffs:
+            raise ValueError("repeated variable %s" % var)
+        coeffs[var] = sign * Fraction(mag)
+    return coeffs, Fraction(sides[1].strip())
+
+
+def _canonical(row: tuple, n: int) -> tuple:
+    """`row` times the positive factor that makes its rate part integers with gcd
+    1, in lowest terms; a row without rate coefficients keeps its values."""
+    g = gcd(*row[:n])
+    if g and g != row[-1]:
+        row = (*row[:-1], g)   # the values times denominator / g
+    h = gcd(*row)
+    return row if h == 1 else tuple(v // h for v in row)
 
 
 # -- Fourier-Motzkin elimination -------------------------------------------------------
@@ -346,43 +357,33 @@ def fme_eliminate(system: LinIneqSystem, drop: Iterable[str]) -> LinIneqSystem:
 
     Elimination order follows the smallest-product heuristic (the variable
     with the fewest positive*negative row pairs goes first), with ties broken
-    by the canonical variable order.  A point over the remaining variables
+    by the canonical variable order.  Each pair of rows combines into an
+    integer row divided by its gcd.  A point over the remaining variables
     satisfies the output iff it has a completion satisfying the input.
     """
     drop = set(drop)
     for var in drop:
         if var not in system.vars:
             raise ConfigurationError("unknown variable %r" % (var,))
-    rows = [(iq.coeff_map(), iq.const) for iq in system.ineqs]
-    remaining = set(drop)
+    n = len(system.vars)
+    rows = system.rows
+    remaining = {system.vars.index(v) for v in drop}
     while remaining:
-        var = min(remaining,
-                  key=lambda v: (_pair_count(rows, v), system.vars.index(v)))
-        remaining.discard(var)
-        pos = [(cm, ct) for cm, ct in rows if cm.get(var, 0) > 0]
-        neg = [(cm, ct) for cm, ct in rows if cm.get(var, 0) < 0]
-        zero = [(cm, ct) for cm, ct in rows if cm.get(var, 0) == 0]
-        combos = []
-        for pcm, pct in pos:
-            for ncm, nct in neg:
-                a, b = pcm[var], -ncm[var]
-                cm: dict = {}
-                for v, c in pcm.items():
-                    cm[v] = cm.get(v, Fraction(0)) + b * c
-                for v, c in ncm.items():
-                    cm[v] = cm.get(v, Fraction(0)) + a * c
-                cm.pop(var, None)
-                cm = {v: c for v, c in cm.items() if c != 0}
-                combos.append((cm, pct * b + nct * a))
-        rows = zero + combos
-    keep = [v for v in system.vars if v not in drop]
-    out = LinIneqSystem(keep)
-    for cm, ct in rows:
-        out.add(cm, ct)
-    return out.canonicalize()
+        k = min(remaining, key=lambda k: (   # fewest positive * negative pairs first
+            sum(r[k] > 0 for r in rows) * sum(r[k] < 0 for r in rows), k))
+        remaining.discard(k)
+        pos = [row for row in rows if row[k] > 0]
+        neg = [row for row in rows if row[k] < 0]
+        rows = [row for row in rows if row[k] == 0]
+        rows += [_combine(p, q, k) for p in pos for q in neg]
+    keep = [k for k, v in enumerate(system.vars) if v not in drop]
+    rows = [(*(row[k] for k in keep), *row[n:]) for row in rows]
+    return system.with_rows(rows, vars=tuple(system.vars[k] for k in keep)).canonicalize()
 
 
-def _pair_count(rows, var) -> int:
-    pos = sum(1 for cm, _ in rows if cm.get(var, 0) > 0)
-    neg = sum(1 for cm, _ in rows if cm.get(var, 0) < 0)
-    return pos * neg
+def _combine(p: tuple, q: tuple, k: int) -> tuple:
+    """(-q[k] / q[-1]) p + (p[k] / p[-1]) q, which is 0 in column k, in lowest terms."""
+    a, b = p[k], -q[k]
+    row = (*(b * x + a * y for x, y in zip(p[:-1], q[:-1])), p[-1] * q[-1])
+    h = gcd(*row)
+    return tuple(v // h for v in row)

@@ -14,13 +14,15 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 from typing import Mapping
 
 from .errors import ConfigurationError
 from .information import cond_entropy
-from .linineq import INF, SUP, EntropyTerm, LinConst, LinIneqSystem
+from .linineq import INF, SUP, EntropyTerm, LinIneqSystem
 from .network import NetworkConfig, w_name
 from .probability import JointPmf
+from .rational import integer_scaled
 # solve_lp stays bound here: perfbench/tracing.py wraps regions.solve_lp.
 from .simplex import feasible_point, implied, solve_lp
 
@@ -86,7 +88,7 @@ def _cell_x_name(config: NetworkConfig, cell) -> str:
 
 def required_terms(which: str, config: NetworkConfig) -> set:
     """Entropy terms the chosen definition needs, as a set."""
-    return _raw_system(which, config).entropy_terms()
+    return set(_raw_system(which, config).terms)
 
 
 def _require_jb_shape(config: NetworkConfig):
@@ -103,7 +105,7 @@ def build_system(spec: RegionSpec) -> LinIneqSystem:
     ``spec.entropies``; a missing term raises a configuration error naming it.
     """
     system = _raw_system(spec.which, spec.config)
-    missing = sorted(system.entropy_terms() - set(spec.entropies), key=lambda t: t.render())
+    missing = sorted(set(system.terms) - set(spec.entropies), key=lambda t: t.render())
     if missing:
         raise ConfigurationError(
             "missing entropy terms: %s" % ", ".join(t.render() for t in missing))
@@ -113,46 +115,49 @@ def build_system(spec: RegionSpec) -> LinIneqSystem:
 def _raw_system(which: str, config: NetworkConfig) -> LinIneqSystem:
     """The definition's inequality family as emitted: unbound, not canonicalized."""
     x_of = {tuple(cell): _cell_x_name(config, cell) for cell in config.sharing}
-    if which in (DSC_IT, DSC_CRNG, MDC_CRNG):
-        return _build_unified(which, config, x_of)
-    return _build_jb(which, config, x_of)
+    build = _build_unified if which in (DSC_IT, DSC_CRNG, MDC_CRNG) else _build_jb
+    vars, rows = build(which, config, x_of)
+    system = LinIneqSystem(vars)
+    system.extend(rows)
+    return system
 
 
-def _build_unified(which, config, x_of) -> LinIneqSystem:
+def _build_unified(which, config, x_of):
+    """(variables, (coefficients, constant) rows) of the unified definitions."""
     aux = [aux_var(i) for i in config.encoders] if which != DSC_IT else []
     vars = [rate_var(i) for i in config.encoders] + aux
-    system = LinIneqSystem(vars)
+    rows = []
     if which == DSC_IT:
         for j, sub, term in _decoder_terms(config):
-            const = LinConst.of(term)
+            const = {term: 1}
             for i in sub:
                 x = x_of[tuple(config.cell_of(i))]
-                const = const + LinConst.of(EntropyTerm(INF, (w_name(i),), (x,)), -1)
-            system.add({rate_var(i): 1 for i in sub}, const)
-        return system
+                const[EntropyTerm(INF, (w_name(i),), (x,))] = -1
+            rows.append(({rate_var(i): 1 for i in sub}, const))
+        return vars, rows
     # constrained-generator families share the sum-rate rows
     for i in config.encoders:
-        system.add({aux_var(i): 1}, LinConst(0))
+        rows.append(({aux_var(i): 1}, 0))
     if which == DSC_CRNG:
         for i in config.encoders:
             x = x_of[tuple(config.cell_of(i))]
-            system.add({aux_var(i): -1},
-                       LinConst.of(EntropyTerm(INF, (w_name(i),), (x,)), -1))
+            rows.append(({aux_var(i): -1}, {EntropyTerm(INF, (w_name(i),), (x,)): -1}))
     else:
         for cell in config.sharing:
             x = x_of[tuple(cell)]
             for size in range(1, len(cell) + 1):
                 for sub in itertools.combinations(cell, size):
                     term = EntropyTerm(INF, tuple(w_name(i) for i in sub), (x,))
-                    system.add({aux_var(i): -1 for i in sub}, LinConst.of(term, -1))
+                    rows.append(({aux_var(i): -1 for i in sub}, {term: -1}))
     for j, sub, term in _decoder_terms(config):
         coeffs = {rate_var(i): 1 for i in sub}
         coeffs.update({aux_var(i): 1 for i in sub})
-        system.add(coeffs, LinConst.of(term))
-    return system
+        rows.append((coeffs, {term: 1}))
+    return vars, rows
 
 
-def _build_jb(which, config, x_of) -> LinIneqSystem:
+def _build_jb(which, config, x_of):
+    """(variables, (coefficients, constant) rows) of the Jana-Blahut definitions."""
     _require_jb_shape(config)
     j = config.decoders[0]
     y = config.side_info.get(j)
@@ -161,7 +166,8 @@ def _build_jb(which, config, x_of) -> LinIneqSystem:
     others = tuple(i for i in config.encoders if i not in i0)
     x_single = {i: x_of[tuple(config.cell_of(i))] for i in config.encoders}
     aux = [aux_var(i) for i in others] if which == JB_CRNG else []
-    system = LinIneqSystem([rate_var(i) for i in config.encoders] + aux)
+    vars = [rate_var(i) for i in config.encoders] + aux
+    rows = []
 
     if which == JB_IT:
         for size in range(1, len(i0) + 1):
@@ -169,22 +175,19 @@ def _build_jb(which, config, x_of) -> LinIneqSystem:
                 rest = tuple(x_single[i] for i in i0 if i not in a)
                 term = EntropyTerm(SUP, tuple(x_single[i] for i in a),
                                    tuple(w_name(i) for i in others) + rest + given_y)
-                system.add({rate_var(i): 1 for i in a}, LinConst.of(term))
+                rows.append(({rate_var(i): 1 for i in a}, {term: 1}))
         for size in range(1, len(others) + 1):
             for b in itertools.combinations(others, size):
                 rest = tuple(w_name(i) for i in others if i not in b)
-                const = LinConst.of(EntropyTerm(SUP, tuple(w_name(i) for i in b),
-                                                rest + given_y))
+                const = {EntropyTerm(SUP, tuple(w_name(i) for i in b), rest + given_y): 1}
                 for i in b:
-                    const = const + LinConst.of(
-                        EntropyTerm(INF, (w_name(i),), (x_single[i],)), -1)
-                system.add({rate_var(i): 1 for i in b}, const)
-        return system
+                    const[EntropyTerm(INF, (w_name(i),), (x_single[i],))] = -1
+                rows.append(({rate_var(i): 1 for i in b}, const))
+        return vars, rows
 
     for i in others:
-        system.add({aux_var(i): 1}, LinConst(0))
-        system.add({aux_var(i): -1},
-                   LinConst.of(EntropyTerm(INF, (w_name(i),), (x_single[i],)), -1))
+        rows.append(({aux_var(i): 1}, 0))
+        rows.append(({aux_var(i): -1}, {EntropyTerm(INF, (w_name(i),), (x_single[i],)): -1}))
     for size in range(1, len(config.encoders) + 1):
         for sub in itertools.combinations(config.encoders, size):
             a = tuple(i for i in sub if i in i0)
@@ -194,8 +197,8 @@ def _build_jb(which, config, x_of) -> LinIneqSystem:
                      + tuple(x_single[i] for i in i0 if i not in a) + given_y)
             coeffs = {rate_var(i): 1 for i in sub}
             coeffs.update({aux_var(i): 1 for i in b})
-            system.add(coeffs, LinConst.of(EntropyTerm(SUP, left, given)))
-    return system
+            rows.append((coeffs, {EntropyTerm(SUP, left, given): 1}))
+    return vars, rows
 
 
 # -- binding entropies from a memoryless joint -----------------------------------------
@@ -267,8 +270,8 @@ def remove_redundant(system: LinIneqSystem) -> LinIneqSystem:
     Every dropped inequality is certified implied by the remaining ones, and
     the system certified nonempty first, by :func:`simplex.implied` on the
     dual LP: exact rationals, so which rows are kept is a mathematical fact
-    and not a tolerance.  An infeasible system is returned canonicalized with
-    its infeasibility marker set.
+    and not a tolerance; they stay canonical and in order.  An infeasible
+    system is returned canonicalized with its infeasibility marker set.
     """
     _require_numeric(system)
     system = system.canonicalize()
@@ -277,17 +280,14 @@ def remove_redundant(system: LinIneqSystem) -> LinIneqSystem:
     rows = system.dense_rows()
     dim = len(system.vars)
     if _empty(rows, dim):
-        return LinIneqSystem(system.vars, system.ineqs, infeasible=True)
+        return system.with_rows(system.rows, infeasible=True)
     keep = list(range(len(rows)))
     for idx in list(keep):
         others = [rows[k] for k in keep if k != idx]
         coeffs, const = rows[idx]
         if implied(coeffs, const, others, dim):
             keep.remove(idx)
-    out = LinIneqSystem(system.vars)
-    for k in keep:
-        out.ineqs.append(system.ineqs[k])
-    return out.canonicalize()
+    return system.with_rows([system.rows[k] for k in keep])
 
 
 def _empty(rows, dim) -> bool:
@@ -303,35 +303,32 @@ def member(system: LinIneqSystem, point: Mapping[str, object]) -> bool:
         raise ConfigurationError("point is missing variables %r" % (missing,))
     if system.infeasible:
         return False
-    values = {v: Fraction(point[v]) for v in system.vars}
-    for ineq in system.ineqs:
-        lhs = sum((c * values[v] for v, c in ineq.coeffs), Fraction(0))
-        if lhs < ineq.const.value():
-            return False
-    return True
+    x, scale = integer_scaled([Fraction(point[v]) for v in system.vars])
+    # a.(x / scale) / q >= o / q  iff  a.x >= o scale
+    return all(sum(map(mul, row, x)) >= row[-2] * scale for row in system.rows)
 
 
 def contains(outer: LinIneqSystem, inner: LinIneqSystem) -> bool:
     """True iff every point of `inner` satisfies `outer`.
 
-    Decided exactly on the dual (:func:`simplex.implied`): `inner` is first
-    certified nonempty, then each row of `outer` implied by its rows.
+    Decided exactly on the dual (:func:`simplex.implied`), all constants over
+    one denominator: `inner` is first certified nonempty, then each row of
+    `outer` implied by its rows.
     """
     _require_numeric(outer)
     _require_numeric(inner)
-    if set(outer.vars) != set(inner.vars):
+    if outer.vars != inner.vars:   # both in natural order
         raise ConfigurationError(
             "systems are over different variables: %r vs %r" % (outer.vars, inner.vars))
-    inner_rows_raw = inner.dense_rows()
-    # reorder inner columns to outer's variable order
-    perm = [inner.vars.index(v) for v in outer.vars]
-    inner_rows = [([co[p] for p in perm], ct) for co, ct in inner_rows_raw]
+    scale = math.lcm(outer.denominator, inner.denominator)
+    inner_rows = inner.dense_rows(scale)
     dim = len(outer.vars)
     if inner.infeasible or _empty(inner_rows, dim):
         return True
     if outer.infeasible:
         return False
-    return all(implied(coeffs, const, inner_rows, dim) for coeffs, const in outer.dense_rows())
+    return all(implied(coeffs, const, inner_rows, dim)
+               for coeffs, const in outer.dense_rows(scale))
 
 
 def polyhedra_equal(a: LinIneqSystem, b: LinIneqSystem) -> bool:
@@ -361,31 +358,29 @@ def find_aux_rates(spec: RegionSpec, rates: Mapping[object, object]):
     """
     system = build_system(spec)
     r_values = {rate_var(i): Fraction(rates[i]) for i in spec.config.encoders}
-    for i, v in r_values.items():
-        if v < 0:
-            raise ConfigurationError("rates must be nonnegative")
-    aux_vars = [v for v in system.vars if v.startswith("r_")]
-    rows = []
-    renders = []
-    for ineq in system.ineqs:
-        cm = ineq.coeff_map()
-        const = ineq.const.value() - sum(
-            (c * r_values[v] for v, c in cm.items() if v in r_values), Fraction(0))
-        rows.append(([cm.get(v, Fraction(0)) for v in aux_vars], const))
-        renders.append(system._render_row(ineq))
-    point = feasible_point(rows, len(aux_vars))
+    if any(v < 0 for v in r_values.values()):
+        raise ConfigurationError("rates must be nonnegative")
+    aux = [k for k, v in enumerate(system.vars) if v.startswith("r_")]
+    fixed = [k for k, v in enumerate(system.vars) if v in r_values]
+    r_ints, r_scale = integer_scaled([r_values[system.vars[k]] for k in fixed])
+    # (o - a_R.r_ints / r_scale) / q, over the common denominator r_scale * den
+    den = system.denominator
+    rows = [(tuple(row[k] // row[-1] for k in aux),
+             (row[-2] * r_scale - sum(row[k] * r for k, r in zip(fixed, r_ints)))
+             * (den // row[-1])) for row in system.rows]
+    point = feasible_point(rows, len(aux))
     if point is None:
-        return Infeasible(_iis(rows, renders, len(aux_vars)))
-    return {i: point[aux_vars.index(aux_var(i))]
-            for i in spec.config.encoders if aux_var(i) in aux_vars}
+        return Infeasible(_iis(system, rows, len(aux)))
+    names = [system.vars[k] for k in aux]
+    return {i: point[names.index(aux_var(i))] / (r_scale * den)
+            for i in spec.config.encoders if aux_var(i) in names}
 
 
-def _iis(rows, renders, dim):
-    """Deletion-filter irreducible infeasible subset."""
+def _iis(system, rows, dim):
+    """Deletion-filter irreducible infeasible subset, as rendered rows."""
     active = list(range(len(rows)))
     for idx in list(active):
         trial = [k for k in active if k != idx]
         if _empty([rows[k] for k in trial], dim):
             active = trial
-    return [renders[k] for k in active]
-
+    return [system.line(system.rows[k]) for k in active]

@@ -16,19 +16,21 @@ recovers the primal point: the optimal dual basis names one tight row per
 kept coordinate, and x solves those rows, A_B x = b_B, with the coordinates
 whose dual rows were dropped as redundant fixed to 0.
 
-The tableau holds Python integers.  Each equality row and the cost are
-scaled to integers once, by the lcm of their denominators; the tableau is
-then an integer matrix T over one positive common denominator D, the true
+The tableau holds Python integers.  Region systems come in as integer rows
+(gcd-1 coefficients, constants over one common denominator) and become
+equality rows as they are; rational rows are scaled per equality row by the
+lcm of its denominators, and the cost once by the lcm of its.  The tableau
+is an integer matrix T over one positive common denominator D, the true
 tableau being T / D.  A pivot on T[r][c] replaces every other row by
 (T[r][c] T[i] - T[i][c] T[r]) / D, a division that is always exact, and
 sets D = T[r][c] (E. H. Bareiss, "Sylvester's identity and multistep
 integer-preserving Gaussian elimination", Math. Comp., 1968): D stays the
 absolute determinant of the basis and every entry is a minor of the scaled
-matrix, so entries stay small.  The entering column has the most negative reduced cost (Dantzig's
-rule); after a run of degenerate pivots the first negative column enters
-instead (Bland's rule) until a pivot moves the objective, so the method
-cannot cycle (R. G. Bland, "New finite pivoting rules for the simplex
-method", Math. Oper. Res., 1977).
+matrix, so entries stay small.  The entering column has the most negative
+reduced cost (Dantzig's rule); after a run of degenerate pivots the first
+negative column enters instead (Bland's rule) until a pivot moves the
+objective, so the method cannot cycle (R. G. Bland, "New finite pivoting
+rules for the simplex method", Math. Oper. Res., 1977).
 """
 
 from __future__ import annotations
@@ -110,19 +112,17 @@ def _minimize(rows, basis, d):
         basis[best] = enter
 
 
-def _standard_form_solve(A, b, c):
-    """min c.z  s.t.  A z = b, z >= 0 (entries ints or Fractions).
+def _standard_form_solve(rows, c):
+    """min c.z  s.t.  A z = b, z >= 0: `rows` are the integer rows [*A_i, b_i],
+    and `c` holds ints or Fractions.
 
     Returns (status, value, z, basis, kept): on OPTIMAL, `kept` lists the
     rows of A left after dropping redundant ones and `basis[r]` is the
     column basic in row `kept[r]`; otherwise only the status is set.
     """
-    m = len(A)
+    m = len(rows)
     n = len(c)
-    rows = []
-    for i in range(m):
-        row = integer_scaled([*A[i], b[i]])[0]
-        rows.append([-v for v in row] if row[-1] < 0 else row)
+    rows = [[-v for v in row] if row[-1] < 0 else row for row in rows]
     # artificial columns are not stored: one that leaves the basis never re-enters
     basis = [n + i for i in range(m)]
 
@@ -168,8 +168,11 @@ def _dual_solve(coeffs: Sequence, ge_rows: Sequence[tuple], dim: int):
     """
     if len(coeffs) != dim or any(len(co) != dim for co, _ in ge_rows):
         raise ValueError("row arity differs from dimension %d" % dim)
-    columns = [[co[i] for co, _ in ge_rows] for i in range(dim)]
-    return _standard_form_solve(columns, coeffs, [-ct for _, ct in ge_rows])
+    columns = zip(*(co for co, _ in ge_rows)) if ge_rows else [()] * dim
+    rows = [[*col, b] for col, b in zip(columns, coeffs)]
+    if not {type(v) for row in rows for v in row} <= {int}:
+        rows = [integer_scaled(row)[0] for row in rows]
+    return _standard_form_solve(rows, [-ct for _, ct in ge_rows])
 
 
 def solve_lp(objective: Sequence, ge_rows: Sequence[tuple]) -> LpResult:

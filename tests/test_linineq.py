@@ -1,6 +1,10 @@
+import math
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from multiterm.errors import ConfigurationError
 from multiterm.linineq import (
@@ -11,6 +15,8 @@ from multiterm.linineq import (
     LinIneqSystem,
     fme_eliminate,
 )
+from multiterm.regions import remove_redundant
+from multiterm.simplex import implied
 
 
 def test_entropy_term_sorting_and_render():
@@ -109,3 +115,179 @@ def test_fme_symbolic_constants_combine():
     assert len(out.ineqs) == 1
     got = out.ineqs[0].const
     assert got.terms == {h1: Fraction(1), h2: Fraction(-1)}
+
+
+@pytest.mark.parametrize("row, reason", [
+    ("2*R_1 + 3*R_1 >= 1", "repeated variable R_1"),
+    ("R_1 >= 1 >= 0", "more than one >="),
+    ("R_1 + R_2 >= one", "Invalid literal for Fraction: 'one'"),
+])
+def test_parse_refuses_a_malformed_row_naming_its_line(row, reason):
+    text = "# vars: R_1 R_2\nR_2 >= 0\n%s\n" % row
+    with pytest.raises(ConfigurationError, match=r"^line 3: %s in " % re.escape(reason)):
+        LinIneqSystem.parse(text)
+
+
+# -- the rational reference: rows as (sparse Fraction coefficients, LinConst), the
+# -- algebra the integer rows replace, checked render for render
+
+def _ref_scaled(const, factor):
+    return LinConst(const.offset * factor, {t: c * factor for t, c in const.terms.items()})
+
+
+def _ref_const_text(const):
+    if not const.terms:
+        return str(const.offset)
+    out = ""
+    for term in sorted(const.terms, key=lambda t: t.render()):
+        coeff = const.terms[term]
+        body = term.render() if abs(coeff) == 1 else "%s*%s" % (abs(coeff), term.render())
+        out += ((" + " if coeff > 0 else " - ") if out else ("" if coeff > 0 else "-")) + body
+    if const.offset != 0:
+        out += (" + " if const.offset > 0 else " - ") + str(abs(const.offset))
+    return out
+
+
+def _ref_render(vars, rows, infeasible):
+    lines = ["# vars: %s" % " ".join(vars)] + (["# infeasible"] if infeasible else [])
+    for coeffs, const in rows:
+        lhs = ""
+        for var, c in coeffs:
+            body = var if abs(c) == 1 else "%s*%s" % (abs(c), var)
+            lhs += ((" + " if c > 0 else " - ") if lhs else ("" if c > 0 else "-")) + body
+        lines.append("%s >= %s" % (lhs or "0", _ref_const_text(const)))
+    return "\n".join(lines) + "\n"
+
+
+def _ref_canonicalize(vars, rows, infeasible=False):
+    best, seen, out = {}, set(), []
+    for coeffs, const in rows:
+        coeffs = tuple((v, Fraction(dict(coeffs)[v])) for v in vars
+                       if dict(coeffs).get(v, 0) != 0)
+        if coeffs:
+            scale = math.lcm(*(c.denominator for _, c in coeffs))
+            factor = Fraction(scale, math.gcd(*(int(c * scale) for _, c in coeffs)))
+            coeffs, const = tuple((v, c * factor) for v, c in coeffs), _ref_scaled(const, factor)
+        if const.terms:
+            if (coeffs, _ref_const_text(const)) not in seen:
+                seen.add((coeffs, _ref_const_text(const)))
+                out.append((coeffs, const))
+        elif not coeffs:
+            if const.offset > 0:
+                infeasible = True
+                out.append((coeffs, const))
+        elif coeffs not in best or const.offset > best[coeffs][1].offset:
+            best[coeffs] = (coeffs, const)
+
+    def key(row):
+        dense = tuple(dict(row[0]).get(v, Fraction(0)) for v in vars)
+        const = row[1]
+        return dense, (1, 0, _ref_const_text(const)) if const.terms else (0, const.offset, "")
+    return sorted(out + list(best.values()), key=key), infeasible
+
+
+def _ref_bind(rows, binding):
+    return [(coeffs, LinConst(const.offset + sum((c * binding[t] for t, c in const.terms.items()),
+                                                 Fraction(0))))
+            for coeffs, const in rows]
+
+
+def _ref_fme(vars, rows, drop):
+    rows = [(dict(coeffs), const) for coeffs, const in rows]
+    remaining = set(drop)
+    while remaining:
+        var = min(remaining, key=lambda v: (sum(cm.get(v, 0) > 0 for cm, _ in rows)
+                                            * sum(cm.get(v, 0) < 0 for cm, _ in rows),
+                                            vars.index(v)))
+        remaining.discard(var)
+        pos = [(cm, ct) for cm, ct in rows if cm.get(var, 0) > 0]
+        neg = [(cm, ct) for cm, ct in rows if cm.get(var, 0) < 0]
+        rows = [(cm, ct) for cm, ct in rows if cm.get(var, 0) == 0]
+        for pcm, pct in pos:
+            for ncm, nct in neg:
+                a, b = pcm[var], -ncm[var]
+                cm = {v: b * pcm.get(v, 0) + a * ncm.get(v, 0) for v in set(pcm) | set(ncm)}
+                rows.append(({v: c for v, c in cm.items() if v != var and c != 0},
+                             _ref_scaled(pct, b) + _ref_scaled(nct, a)))
+    keep = [v for v in vars if v not in drop]
+    return keep, _ref_canonicalize(keep, [(tuple(cm.items()), ct) for cm, ct in rows])
+
+
+def _ref_remove_redundant(vars, rows):
+    rows, infeasible = _ref_canonicalize(vars, rows)
+    if infeasible:
+        return rows, True
+    dense = [([dict(co).get(v, Fraction(0)) for v in vars], ct.offset) for co, ct in rows]
+    dim = len(vars)
+    if implied([0] * dim, 1, dense, dim):
+        return rows, True
+    keep = list(range(len(rows)))
+    for idx in list(keep):
+        if implied(*dense[idx], [dense[k] for k in keep if k != idx], dim):
+            keep.remove(idx)
+    return _ref_canonicalize(vars, [rows[k] for k in keep])
+
+
+NAMES = ("R_1", "R_2", "r_1")
+TERMS = (EntropyTerm(SUP, ("W1",)), EntropyTerm(INF, ("W1",), ("X1",)),
+         EntropyTerm(SUP, ("W1", "W2"), ("Y1",)))
+_SMALL = st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 1, 2, 3]))
+
+
+@st.composite
+def raw_systems(draw):
+    """(vars, rows) with fractional coefficients, duplicate rows scaled by a
+    positive factor, dominated rows, rows without coefficients (tautologies
+    and 0 >= c) and, when drawn, symbolic constants."""
+    vars = NAMES[:draw(st.integers(1, 3))]
+    symbolic = draw(st.booleans())
+
+    def row():
+        coeffs = {v: draw(_SMALL) for v in vars if draw(st.booleans())}
+        terms = {t: draw(_SMALL) for t in TERMS if symbolic and draw(st.booleans())}
+        return coeffs, LinConst(draw(_SMALL), terms)
+
+    rows = [row() for _ in range(draw(st.integers(0, 6)))]
+    for coeffs, const in draw(st.lists(st.sampled_from(rows), max_size=3)) if rows else []:
+        factor = draw(st.sampled_from([Fraction(1), Fraction(2), Fraction(1, 3)]))
+        const = LinConst(const.offset - draw(st.integers(0, 2)), const.terms)
+        rows.append(({v: c * factor for v, c in coeffs.items()}, _ref_scaled(const, factor)))
+    return vars, rows
+
+
+_BINDING = {TERMS[0]: Fraction(3, 4), TERMS[1]: Fraction(-5, 2 ** 40), TERMS[2]: Fraction(7, 3)}
+_GCD_AND_DOMINANCE = (("R_1",), [({"R_1": 2}, LinConst(1)), ({"R_1": 4}, LinConst(3)),
+                                 ({"R_1": 2}, LinConst(0))])
+
+
+def _system(vars, rows):
+    system = LinIneqSystem(vars)
+    for coeffs, const in rows:
+        system.add(coeffs, const)
+    return system
+
+
+def _ref_rows(vars, rows):
+    return [(tuple((v, Fraction(coeffs[v])) for v in vars if coeffs.get(v, 0) != 0), const)
+            for coeffs, const in rows]
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=raw_systems())
+@example(case=_GCD_AND_DOMINANCE)
+def test_integer_rows_match_the_rational_reference(case):
+    """canonicalize, bind, fme_eliminate and remove_redundant render exactly
+    as the Fraction/LinConst algebra they replace."""
+    vars, rows = case
+    system, ref = _system(vars, rows), _ref_rows(vars, rows)
+    assert system.canonicalize().render() == _ref_render(vars, *_ref_canonicalize(vars, ref))
+    bound, ref_bound = system.bind(_BINDING), _ref_bind(ref, _BINDING)
+    assert bound.canonicalize().render() == _ref_render(
+        vars, *_ref_canonicalize(vars, ref_bound))
+    drop = list(vars[1:] if len(rows) % 2 and len(vars) > 1 else vars[-1:])
+    keep, (ref_rows, ref_infeasible) = _ref_fme(vars, ref, drop)
+    assert fme_eliminate(system, drop).render() == _ref_render(keep, ref_rows, ref_infeasible)
+    reduced = remove_redundant(bound)
+    assert reduced.render() == _ref_render(vars, *_ref_remove_redundant(vars, ref_bound))
+    # the kept rows of a canonical system are canonical and in order already
+    assert reduced.render() == reduced.canonicalize().render()
