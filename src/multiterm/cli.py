@@ -119,7 +119,7 @@ def cmd_region(args) -> int:
     joint = build_joint(scenario.config, scenario.source, scenario.channels)
     binding = binding_from_pmf(args.definition, scenario.config, joint,
                                precision_bits=args.precision_bits)
-    spec = RegionSpec(args.definition, scenario.config, dict(binding.items()))
+    spec = RegionSpec(args.definition, scenario.config, binding.values)
     system = build_system(spec)
     if args.eliminate_aux:
         aux = [v for v in system.vars if v.startswith("r_")]
@@ -133,7 +133,7 @@ def cmd_region(args) -> int:
             "definition": args.definition,
             "precision_bits": args.precision_bits,
             "rounding": "floor",
-            "entropies": {term.render(): str(value) for term, value in binding.items()},
+            "entropies": {term.render(): str(value) for term, value in binding.values.items()},
         }
         with open(args.out + ".binding.json", "a") as handle:
             handle.write(json.dumps(sidecar, sort_keys=True) + "\n")

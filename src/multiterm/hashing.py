@@ -26,7 +26,6 @@ from .rational import int_array, integer_scaled
 from .reports import Report
 
 _ENUM_BUDGET = 1 << 20
-_PAIRWISE_BUDGET = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -61,11 +60,6 @@ class HashEnsemble:
     image_size: int
     alpha: Fraction
     beta: Fraction
-
-    # pair_constant: collision probability identical for every w != w'
-    pair_constant = False
-    # shift_invariant: collision probability depends only on the difference
-    shift_invariant = False
 
     def collision_prob(self, w: int, w2: int) -> Fraction:
         raise NotImplementedError
@@ -106,7 +100,6 @@ class BinningEnsemble(HashEnsemble):
     """Each domain element gets an independent bin; uniform unless skewed."""
 
     kind = "binning"
-    pair_constant = True
 
     def __init__(self, domain_size: int, bins: int, weights=None):
         if domain_size < 1 or bins < 1:
@@ -169,7 +162,6 @@ class LinearEnsemble(HashEnsemble):
     """All m x n matrices over GF(q), uniformly distributed."""
 
     kind = "linear"
-    shift_invariant = True
 
     def __init__(self, q: int, n: int, m: int):
         gfq.require_prime(q)
@@ -216,7 +208,6 @@ class SparseLinearEnsemble(HashEnsemble):
     """
 
     kind = "sparse-linear"
-    shift_invariant = True
 
     def __init__(self, q: int, n: int, m: int, column_weight: Optional[int] = None):
         gfq.require_prime(q)
@@ -341,8 +332,6 @@ class ComposedEnsemble(HashEnsemble):
             self.image_size *= p.image_size
             self.alpha *= p.alpha
             self.beta += p.beta
-        self.pair_constant = all(p.pair_constant for p in parts)
-        self.shift_invariant = all(p.pair_constant or p.shift_invariant for p in parts)
 
     def collision_prob(self, w, w2):
         out = Fraction(1)
@@ -351,7 +340,14 @@ class ComposedEnsemble(HashEnsemble):
         return out
 
     def sample_function(self, seed) -> HashFunction:
-        seq = np.random.SeedSequence(_seed_entropy(seed)).spawn(len(self.parts))
+        """One function per part, each drawn from its own child of `seed`.  A
+        :class:`numpy.random.SeedSequence` is copied, with its entropy and
+        spawn key, before spawning: distinct children give distinct draws and
+        one child gives the same draw each time."""
+        if not isinstance(seed, np.random.SeedSequence):
+            seed = np.random.SeedSequence(seed)
+        seq = np.random.SeedSequence(seed.entropy, spawn_key=seed.spawn_key,
+                                     pool_size=seed.pool_size).spawn(len(self.parts))
         funcs = tuple(p.sample_function(s) for p, s in zip(self.parts, seq))
         return HashFunction("compose", self.domain_size, self.image_size, parts=funcs)
 
@@ -380,12 +376,6 @@ def _check_count(count: int, what: str):
     if count > _ENUM_BUDGET:
         text = str(count) if count.bit_length() <= 64 else "at least 2^%d" % (count.bit_length() - 1)
         raise BudgetExceededError("too large to exhaust: %s %s" % (text, what))
-
-
-def _seed_entropy(seed):
-    if isinstance(seed, np.random.SeedSequence):
-        return seed.entropy
-    return seed
 
 
 def compose(*parts: HashEnsemble) -> ComposedEnsemble:
@@ -439,17 +429,12 @@ def verify_hash_property(ens: HashEnsemble, alpha, beta) -> bool:
 def measure_beta(ens: HashEnsemble, alpha) -> Fraction:
     """Smallest beta for which the ensemble satisfies the bound at alpha.
 
-    Shift-invariant and pair-constant ensembles need only one anchor; the
-    generic quadratic sweep is limited by a pair budget and raises
-    :class:`BudgetExceededError` beyond it.
+    Every ensemble here needs only one anchor, 0: a binning or uniform
+    linear ensemble's collision probability is the same for every pair, a
+    sparse one's depends only on the pair's difference over GF(q)^n, and so
+    does a composition's (parts sharing the domain q^n share the prime q).
     """
-    alpha = Fraction(alpha)
-    if ens.pair_constant or ens.shift_invariant:
-        return collision_mass(ens, 0, alpha)
-    if ens.domain_size ** 2 > _PAIRWISE_BUDGET:
-        raise BudgetExceededError(
-            "too large to exhaust: %d^2 collision pairs" % ens.domain_size)
-    return max(collision_mass(ens, w, alpha) for w in range(ens.domain_size))
+    return collision_mass(ens, 0, Fraction(alpha))
 
 
 # -- joint-ensemble lemmas: balanced coloring and collision resistance -------------------

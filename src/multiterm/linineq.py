@@ -5,16 +5,20 @@ rational plus a rational combination of named entropy terms (``Hsup(...)`` /
 ``Hinf(...)``) that can later be bound to rational values.  A system keeps
 each row as integers over one positive denominator, in lowest terms: the
 rate coefficients, the term coefficients and the offset, ``(a, t, o, q)``
-for ``a.x / q >= (t.H + o) / q``.  Canonicalization scales each row so its
-rate coefficients are integers with gcd 1 and orders rows deterministically,
-which is what makes golden-file equality tests possible.  :class:`LinConst` and :class:`LinIneq`
-are the exact-rational forms at the boundary.
+for ``a.x / q >= (t.H + o) / q``.  These integer rows are the only exact
+form of an inequality: canonicalization, binding, text and Fourier-Motzkin
+elimination all work on them.  Canonicalization scales each row so its rate
+coefficients are integers with gcd 1 and orders rows deterministically,
+which is what makes golden-file equality tests possible.  Rows go in and
+come out as (coefficients, constant) pairs: :meth:`LinIneqSystem.extend`
+takes them and :attr:`LinIneqSystem.ineqs` yields them, the constant a
+:class:`LinConst`.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
@@ -80,68 +84,26 @@ def _signed_sum(parts) -> str:
     return out
 
 
-# -- the boundary forms --------------------------------------------------------------
-
-
-class LinConst:
-    """Rational offset plus a rational combination of entropy terms."""
-
-    __slots__ = ("offset", "terms")
-
-    def __init__(self, offset=0, terms: Optional[Mapping[EntropyTerm, Fraction]] = None):
-        self.offset = Fraction(offset)
-        self.terms = {t: Fraction(c) for t, c in (terms or {}).items() if c != 0}
-
-    @classmethod
-    def of(cls, term: EntropyTerm, coeff=1) -> "LinConst":
-        return cls(0, {term: Fraction(coeff)})
-
-    def bind(self, binding: Mapping[EntropyTerm, Fraction]) -> "LinConst":
-        value = self.offset
-        for term, coeff in self.terms.items():
-            if term not in binding:
-                raise ConfigurationError("missing entropy term %s" % term)
-            value += coeff * Fraction(binding[term])
-        return LinConst(value)
-
-    def value(self) -> Fraction:
-        if self.terms:
-            raise ConfigurationError("constant still contains entropy terms")
-        return self.offset
-
-    def __add__(self, other: "LinConst") -> "LinConst":
-        terms = dict(self.terms)
-        for t, c in other.terms.items():
-            terms[t] = terms.get(t, Fraction(0)) + c
-        return LinConst(self.offset + other.offset, terms)
-
-    def render(self) -> str:
-        system = LinIneqSystem(())
-        system.add({}, self)
-        return system._render_const(system.rows[0])
-
-    def __repr__(self):
-        return "LinConst(%s)" % self.render()
+# -- systems -----------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class LinIneq:
-    """One inequality ``sum(coeffs[v] * v) >= const``."""
+class LinConst:
+    """A row's constant as data: a rational `offset` plus the rational
+    coefficients of entropy terms, `terms` holding only the nonzero ones."""
 
-    coeffs: tuple  # tuple of (var, rational), sparse, in system var order
-    const: LinConst
+    offset: Fraction = Fraction(0)
+    terms: dict = field(default_factory=dict)
 
-    def coeff_map(self) -> dict:
-        return dict(self.coeffs)
-
-
-# -- systems -----------------------------------------------------------------------
+    def __post_init__(self):
+        object.__setattr__(self, "offset", Fraction(self.offset))
+        object.__setattr__(self, "terms", {t: Fraction(c) for t, c in self.terms.items() if c})
 
 
 class LinIneqSystem:
     """Rate variables, entropy-term columns in order of first use, and `rows`."""
 
-    def __init__(self, vars: Sequence[str], ineqs: Iterable[LinIneq] = (),
+    def __init__(self, vars: Sequence[str], ineqs: Iterable[tuple] = (),
                  infeasible: bool = False):
         vars = list(vars)
         if len(set(vars)) != len(vars):
@@ -150,7 +112,7 @@ class LinIneqSystem:
         self.terms: tuple = ()
         self.rows: list = []
         self.infeasible = infeasible
-        self.extend((ineq.coeff_map(), ineq.const) for ineq in ineqs)
+        self.extend(ineqs)
 
     def with_rows(self, rows: list, infeasible: bool = False, vars: Optional[tuple] = None,
                   terms: Optional[tuple] = None) -> "LinIneqSystem":
@@ -167,7 +129,8 @@ class LinIneqSystem:
         self.extend([(coeffs, const)])
 
     def extend(self, rows: Iterable[tuple]) -> None:
-        """:meth:`add` every (coeffs, const) pair of `rows`."""
+        """:meth:`add` every (coeffs, const) pair of `rows`, the form that
+        :attr:`ineqs` yields."""
         rows = [(coeffs, const.terms, const.offset) if isinstance(const, LinConst) else
                 (coeffs, const, 0) if isinstance(const, Mapping) else (coeffs, {}, const)
                 for coeffs, const in rows]
@@ -195,10 +158,13 @@ class LinIneqSystem:
 
     @property
     def ineqs(self) -> tuple:
-        """The rows as exact :class:`LinIneq` values, built on each access."""
-        values = [[Fraction(v, row[-1]) for v in row[:-1]] for row in self.rows]
-        return tuple(LinIneq(tuple((v, c) for v, c in zip(self.vars, row) if c), LinConst(
-            row[-1], dict(zip(self.terms, row[len(self.vars):-1])))) for row in values)
+        """The rows as exact (coefficients, :class:`LinConst`) pairs, the form
+        :meth:`extend` takes, built on each access."""
+        n = len(self.vars)
+        return tuple(({v: Fraction(c, row[-1]) for v, c in zip(self.vars, row) if c},
+                      LinConst(Fraction(row[-2], row[-1]), {
+                          t: Fraction(c, row[-1]) for t, c in zip(self.terms, row[n:-2])}))
+                     for row in self.rows)
 
     @property
     def denominator(self) -> int:
@@ -219,15 +185,17 @@ class LinIneqSystem:
 
     def bind(self, binding: Mapping[EntropyTerm, Fraction]) -> "LinIneqSystem":
         """The numeric system under `binding`: one integer product of each row's
-        term coefficients and the values over the lcm of their denominators."""
+        term coefficients and the values over the lcm of their denominators.
+        Every term that a row uses must be bound; one error names each missing
+        term, sorted by its text."""
         n = len(self.vars)
-        values = [0] * len(self.terms)
-        for j, term in enumerate(self.terms):
-            if any(row[n + j] for row in self.rows):
-                if term not in binding:
-                    raise ConfigurationError("missing entropy term %s" % term)
-                values[j] = Fraction(binding[term])
-        values, scale = integer_scaled(values)
+        used = {t for j, t in enumerate(self.terms) if any(row[n + j] for row in self.rows)}
+        missing = sorted((t for t in used if t not in binding), key=EntropyTerm.render)
+        if missing:
+            raise ConfigurationError(
+                "missing entropy terms: %s" % ", ".join(t.render() for t in missing))
+        values, scale = integer_scaled([Fraction(binding[t]) if t in used else Fraction(0)
+                                        for t in self.terms])
         rows = [(*(v * scale for v in row[:n]), sum(map(mul, row[n:-2], values))
                  + row[-2] * scale, row[-1] * scale) for row in self.rows]
         return self.with_rows(rows, self.infeasible, terms=())
@@ -281,11 +249,6 @@ class LinIneqSystem:
         lhs = _signed_sum((c > 0, var if abs(c) == row[-1] else "%s*%s" % (
             _ratio(abs(c), row[-1]), var)) for var, c in zip(self.vars, row) if c)
         return "%s >= %s" % (lhs or "0", self._render_const(row))
-
-    def _render_row(self, ineq: LinIneq) -> str:
-        probe = self.with_rows([])
-        probe.add(ineq.coeff_map(), ineq.const)
-        return probe.line(probe.rows[0])
 
     def _render_const(self, row: tuple) -> str:
         n, den = len(self.vars), row[-1]

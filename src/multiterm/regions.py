@@ -102,14 +102,10 @@ def build_system(spec: RegionSpec) -> LinIneqSystem:
     """Emit the inequality family of the chosen definition.
 
     The entropy terms are substituted by their rational values from
-    ``spec.entropies``; a missing term raises a configuration error naming it.
+    ``spec.entropies``; missing terms raise one configuration error naming
+    each (:meth:`LinIneqSystem.bind`).
     """
-    system = _raw_system(spec.which, spec.config)
-    missing = sorted(set(system.terms) - set(spec.entropies), key=lambda t: t.render())
-    if missing:
-        raise ConfigurationError(
-            "missing entropy terms: %s" % ", ".join(t.render() for t in missing))
-    return system.bind(spec.entropies).canonicalize()
+    return _raw_system(spec.which, spec.config).bind(spec.entropies).canonicalize()
 
 
 def _raw_system(which: str, config: NetworkConfig) -> LinIneqSystem:
@@ -210,21 +206,6 @@ class Binding:
 
     values: dict
     precision_bits: int
-
-    def __getitem__(self, term):
-        return self.values[term]
-
-    def items(self):
-        return self.values.items()
-
-    def keys(self):
-        return self.values.keys()
-
-    def __contains__(self, term):
-        return term in self.values
-
-    def __iter__(self):
-        return iter(self.values)
 
 
 def round_entropy(bits: float, precision_bits: int = PRECISION_BITS) -> Fraction:

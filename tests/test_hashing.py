@@ -158,13 +158,15 @@ def test_make_ensemble_validation():
         make_ensemble("nonsense", 8, 2)
 
 
-def test_budget_error_on_huge_nonuniform_sweep():
-    class Weird(BinningEnsemble):
-        pair_constant = False
-        shift_invariant = False
-    ens = Weird(1 << 12, 7)
-    with pytest.raises(BudgetExceededError, match="too large to exhaust"):
-        verify_hash_property(ens, 1, 0)
+def test_composed_sample_reads_the_whole_seed_sequence():
+    """Children of one SeedSequence give distinct composed functions, one
+    child used twice gives equal ones, and an int seed draws as its root
+    sequence does."""
+    ens = compose(BinningEnsemble(16, 4), LinearEnsemble(2, 4, 2))
+    a, b = np.random.SeedSequence(5).spawn(2)
+    assert ens.sample_function(a) != ens.sample_function(b)
+    assert ens.sample_function(a) == ens.sample_function(a)
+    assert ens.sample_function(5) == ens.sample_function(np.random.SeedSequence(5))
 
 
 # -- joint-ensemble lemma checks -------------------------------------------------------

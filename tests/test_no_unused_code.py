@@ -1,4 +1,5 @@
-"""Every top-level function and class of `multiterm` has a caller.
+"""Every top-level function and class of `multiterm`, and every method of
+its classes, has a caller.
 
 A definition counts as used when its name appears in some module of
 `src/multiterm` or `perfbench` other than as its own definition: as a name,
@@ -6,8 +7,10 @@ as an attribute of a name bound to a `multiterm` module (``codec.simulate``,
 ``multiterm.cli.main``), or as a string (the benchmark tracer patches methods
 and functions by their names).  An attribute of any other receiver does not
 count: ``rng.uniform`` is no use of a `multiterm` function ``uniform``.
-Tests do not count; the allow-list holds the region queries that tests use
-to certify results.
+A method counts as used when its name appears in those modules as an
+attribute of any receiver, as a name or as a string; dunder methods are
+called by the language.  Tests do not count; the allow-list holds the region
+queries that tests use to certify results, and no method.
 """
 
 import ast
@@ -76,3 +79,22 @@ def test_every_top_level_definition_is_referenced():
     unused = [(module, name) for module, name in defined
               if name not in used and name not in ALLOWED]
     assert unused == []
+
+
+def test_every_method_is_referenced():
+    defined = []
+    used = set()
+    for path, tree in _modules():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                used.add(node.value)
+        if os.path.dirname(path) == PACKAGE:
+            defined += [(os.path.basename(path), cls.name, node.name)
+                        for cls in tree.body if isinstance(cls, ast.ClassDef)
+                        for node in cls.body if isinstance(node, ast.FunctionDef)
+                        and not (node.name.startswith("__") and node.name.endswith("__"))]
+    assert [method for method in defined if method[2] not in used] == []

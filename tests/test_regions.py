@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from multiterm.errors import ConfigurationError
-from multiterm.linineq import INF, SUP, EntropyTerm, LinIneqSystem, fme_eliminate
+from multiterm.linineq import INF, SUP, EntropyTerm, LinConst, LinIneqSystem, fme_eliminate
 from multiterm.network import NetworkConfig, bsc_channel, build_joint
 from multiterm.probability import Alphabet, JointPmf
 from multiterm.regions import (
@@ -16,6 +16,7 @@ from multiterm.regions import (
     MDC_CRNG,
     Infeasible,
     RegionSpec,
+    _raw_system,
     aux_var,
     binding_from_pmf,
     build_system,
@@ -80,9 +81,7 @@ def test_degenerate_aux_bound_forces_zero():
     sys = build_system(RegionSpec(DSC_CRNG, cfg, {
         EntropyTerm(INF, ("W1",), ("X1",)): Fraction(0),
         EntropyTerm(SUP, ("W1",), ("Y",)): Fraction(1, 2)}))
-    rows = [([dict(iq.coeffs).get(v, Fraction(0)) for v in sys.vars],
-             iq.const.value()) for iq in sys.ineqs]
-    point = feasible_point(rows, len(sys.vars))
+    point = feasible_point(sys.dense_rows(), len(sys.vars))
     r_pos = sys.vars.index("r_1")
     assert point is not None and point[r_pos] == 0
 
@@ -92,6 +91,19 @@ def test_missing_entropy_term_is_named():
     with pytest.raises(ConfigurationError, match=r"Hsup\(W1\|Y\)"):
         build_system(RegionSpec(DSC_CRNG, cfg, {
             EntropyTerm(INF, ("W1",), ("X1",)): Fraction(1, 3)}))
+
+
+def test_every_missing_entropy_term_is_named_once():
+    """Binding the raw system and building the spec give one error naming
+    both missing terms, sorted by their text."""
+    cfg = two_encoder_config()
+    binding = {t: Fraction(1) for t in required_terms(DSC_CRNG, cfg)}
+    del binding[EntropyTerm(SUP, ("W1", "W2"))], binding[EntropyTerm(INF, ("W2",), ("X2",))]
+    message = r"^missing entropy terms: Hinf\(W2\|X2\), Hsup\(W1,W2\)$"
+    with pytest.raises(ConfigurationError, match=message):
+        _raw_system(DSC_CRNG, cfg).bind(binding)
+    with pytest.raises(ConfigurationError, match=message):
+        build_system(RegionSpec(DSC_CRNG, cfg, binding))
 
 
 def test_thm1_equivalence_random_assignments():
@@ -160,11 +172,9 @@ def test_fme_projection_against_completion_oracle():
             inside = member(proj, point) if not proj.infeasible else False
             # oracle: LP feasibility of a completion over the dropped vars
             rows = []
-            for iq in sys.ineqs:
-                cm = iq.coeff_map()
-                const = iq.const.value() - sum(
-                    (cm.get(v, Fraction(0)) * point[v] for v in keep), Fraction(0))
-                rows.append(([cm.get(v, Fraction(0)) for v in drop], const))
+            for cm, const in sys.ineqs:
+                offset = const.offset - sum(cm.get(v, 0) * point[v] for v in keep)
+                rows.append(([cm.get(v, 0) for v in drop], offset))
             completion = feasible_point(rows, len(drop))
             assert inside == (completion is not None)
 
@@ -174,7 +184,7 @@ def test_remove_redundant_examples():
     sys.add({"R": 1}, 1)
     sys.add({"R": 1}, 0)
     out = remove_redundant(sys)
-    assert len(out.ineqs) == 1 and out.ineqs[0].const.value() == 1
+    assert out.ineqs == (({"R": 1}, LinConst(1)),)
 
     # an inequality implied by two others is certified and removed
     sys2 = LinIneqSystem(["R_1", "R_2"])
@@ -352,10 +362,10 @@ def test_find_aux_rates_infeasible_subset_is_irreducible(which):
     system = build_system(spec)
     aux = [v for v in system.vars if v.startswith("r_")]
     fixed = {rate_var(i): v for i, v in rates.items()}
-    rows = {system._render_row(iq): (
-        [iq.coeff_map().get(v, Fraction(0)) for v in aux],
-        iq.const.value() - sum(c * fixed[v] for v, c in iq.coeffs if v in fixed))
-        for iq in system.ineqs}
+    rows = {system.line(row): (
+        [coeffs.get(v, 0) for v in aux],
+        const.offset - sum(c * fixed[v] for v, c in coeffs.items() if v in fixed))
+        for row, (coeffs, const) in zip(system.rows, system.ineqs)}
     assert sum(ct > 0 for _, ct in rows.values()) >= 2
     subset = [rows[r] for r in got.violated]
     assert feasible_point(subset, len(aux)) is None
