@@ -25,6 +25,7 @@ from .linineq import fme_eliminate
 from .network import build_joint
 from .regions import (
     DEFINITIONS,
+    PRECISION_BITS,
     RegionSpec,
     binding_from_pmf,
     build_system,
@@ -248,7 +249,7 @@ def make_parser() -> argparse.ArgumentParser:
     region.add_argument("--definition", choices=DEFINITIONS, default="dsc-crng")
     region.add_argument("--eliminate-aux", action="store_true",
                         help="project out auxiliary rates and drop redundancy")
-    region.add_argument("--precision-bits", type=int, default=40)
+    region.add_argument("--precision-bits", type=int, default=PRECISION_BITS)
     region.add_argument("--out", default=None)
     region.set_defaults(func=cmd_region)
 

@@ -126,14 +126,6 @@ class DistortionMeasure:
             raise ConfigurationError("unknown distortion kind %r" % (self.kind,))
 
 
-def hamming_distortion(source_var: str) -> DistortionMeasure:
-    return DistortionMeasure(source_var, "hamming")
-
-
-def block_mismatch_distortion(source_var: str) -> DistortionMeasure:
-    return DistortionMeasure(source_var, "block-mismatch")
-
-
 @dataclass
 class NetworkConfig:
     """Topology of the coding network.

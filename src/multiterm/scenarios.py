@@ -27,9 +27,7 @@ from .network import (
     DistortionMeasure,
     NetworkConfig,
     Reproducer,
-    block_mismatch_distortion,
     bsc_channel,
-    hamming_distortion,
     identity_channel,
     identity_reproducer,
     w_alphabets,
@@ -56,9 +54,11 @@ class Scenario:
                   aux_rates: Optional[Mapping] = None, seed: int = 0) -> CodeInstance:
         """Realize one code: sample hash functions and constraint values.
 
-        Image sizes realize the target rates as round(2^(rate*n)); linear
-        kinds additionally require power-of-q sizes and fall back to binning
-        otherwise.
+        Image sizes realize the target rates as round(2^(rate*n)).  Each
+        encoder's hashes are of the kind `code_kinds` names (binning when it
+        names none); a linear or sparse-linear kind needs domain and image
+        sizes that are powers of q, and any other size is a configuration
+        error naming it and q.
         """
         rates = {**self.default_rates, **(rates or {})}
         aux_rates = {**self.default_aux_rates, **(aux_rates or {})}
@@ -72,24 +72,14 @@ class Scenario:
             f_size = realized_size(float(aux_rates.get(i, 0.0)), n)
             kind = self.code_kinds.get(i, "binning")
             f_seed, g_seed, c_seed = enc_seed.spawn(3)
-            f_ens = self._ensemble(kind, dom, f_size)
-            g_ens = self._ensemble(kind, dom, g_size)
+            f_ens = make_ensemble(kind, dom, f_size, q=self.q)
+            g_ens = make_ensemble(kind, dom, g_size, q=self.q)
             f[i] = f_ens.sample_function(f_seed)
             g[i] = g_ens.sample_function(g_seed)
             c[i] = int(np.random.default_rng(c_seed).integers(0, f_ens.image_size))
         return CodeInstance(
             n=n, config=self.config, source=self.source, channels=self.channels,
             reproducers=self.reproducers, f=f, g=g, c=c)
-
-    def _ensemble(self, kind: str, dom: int, size: int):
-        if kind in ("linear", "sparse-linear"):
-            def is_power(v):
-                while v % self.q == 0:
-                    v //= self.q
-                return v == 1
-            if not (is_power(dom) and is_power(size)):
-                kind = "binning"
-        return make_ensemble(kind, dom, size, q=self.q)
 
 
 # -- built-in scenarios ------------------------------------------------------------------
@@ -101,8 +91,8 @@ def _slepian_wolf() -> Scenario:
     config = NetworkConfig(
         encoders=(1, 2), sharing=((1,), (2,)), decoders=(1,),
         codewords_to={1: (1, 2)}, reproductions={1: (1, 2)}, side_info={1: None},
-        distortions={1: block_mismatch_distortion("X1"),
-                     2: block_mismatch_distortion("X2")},
+        distortions={1: DistortionMeasure("X1", "block-mismatch"),
+                     2: DistortionMeasure("X2", "block-mismatch")},
         lossless=(1, 2))
     channels = {(1,): identity_channel("X1", "W1", b),
                 (2,): identity_channel("X2", "W2", b)}
@@ -136,7 +126,7 @@ def _wyner_ziv() -> Scenario:
     config = NetworkConfig(
         encoders=(1,), sharing=((1,),), decoders=(1,),
         codewords_to={1: (1,)}, reproductions={1: (1,)}, side_info={1: "Y"},
-        distortions={1: hamming_distortion("X1")})
+        distortions={1: DistortionMeasure("X1")})
     channels = {(1,): bsc_channel("X1", "W1", Fraction(1, 10))}
     reproducers = {1: identity_reproducer("W1", b)}
     return Scenario(
@@ -152,7 +142,7 @@ def _berger_tung() -> Scenario:
     config = NetworkConfig(
         encoders=(1, 2), sharing=((1,), (2,)), decoders=(1,),
         codewords_to={1: (1, 2)}, reproductions={1: (1, 2)}, side_info={1: None},
-        distortions={1: hamming_distortion("X1"), 2: hamming_distortion("X2")})
+        distortions={1: DistortionMeasure("X1"), 2: DistortionMeasure("X2")})
     channels = {(1,): bsc_channel("X1", "W1", Fraction(1, 10)),
                 (2,): bsc_channel("X2", "W2", Fraction(1, 10))}
     reproducers = {1: identity_reproducer("W1", b), 2: identity_reproducer("W2", b)}
@@ -172,9 +162,7 @@ def _mdc_two() -> Scenario:
         codewords_to={1: (1,), 2: (2,), 12: (1, 2)},
         reproductions={1: (1,), 2: (2,), 12: (12,)},
         side_info={1: None, 2: None, 12: None},
-        distortions={1: hamming_distortion("X12"),
-                     2: hamming_distortion("X12"),
-                     12: hamming_distortion("X12")})
+        distortions={j: DistortionMeasure("X12") for j in (1, 2, 12)})
     # cell channel: conditionally independent noisy copies given the source
     rows = {(x,): {(w1, w2): _flip(Fraction(1, 10), w1, x) * _flip(Fraction(3, 20), w2, x)
                    for w1 in (0, 1) for w2 in (0, 1)} for x in (0, 1)}
@@ -200,7 +188,7 @@ def _heegard_berger() -> Scenario:
         encoders=(1,), sharing=((1,),), decoders=(1, 2),
         codewords_to={1: (1,), 2: (1,)}, reproductions={1: (1,), 2: (2,)},
         side_info={1: "Y1", 2: "Y2"},
-        distortions={1: hamming_distortion("X1"), 2: hamming_distortion("X1")})
+        distortions={1: DistortionMeasure("X1"), 2: DistortionMeasure("X1")})
     channels = {(1,): bsc_channel("X1", "W1", Fraction(1, 10))}
     reproducers = {1: identity_reproducer("W1", b), 2: identity_reproducer("W1", b)}
     return Scenario(
@@ -217,8 +205,8 @@ def _jb_mixed() -> Scenario:
     config = NetworkConfig(
         encoders=(1, 2), sharing=((1,), (2,)), decoders=(1,),
         codewords_to={1: (1, 2)}, reproductions={1: (1, 2)}, side_info={1: None},
-        distortions={1: block_mismatch_distortion("X1"),
-                     2: hamming_distortion("X2")},
+        distortions={1: DistortionMeasure("X1", "block-mismatch"),
+                     2: DistortionMeasure("X2")},
         lossless=(1,))
     channels = {(1,): identity_channel("X1", "W1", b),
                 (2,): bsc_channel("X2", "W2", Fraction(1, 10))}

@@ -35,63 +35,54 @@ from .hashing import (
     verify_mbcp,
     verify_mcrp,
 )
-from .identities import sweep_examples
-from .information import kl_divergence, verify_spectral_lemmas
+from .identities import EXAMPLES, random_example_pmf, verify_example_identities
+from .information import cond_entropy, kl_divergence, verify_spectral_lemmas
 from .probability import Alphabet, JointPmf, random_pmf
 from .reports import Report
 from .scenarios import build_scenario
 
-SUITES = ("spectral", "hash", "mbcp", "mcrp", "examples", "common", "decision")
 # suites of fixed instances (any draw uses a built-in seed): no sweep size or seed
 UNSEEDED = ("hash", "decision")
 
 
-def run_suite(name: str, seeds: int = 50, seed0: int = 0) -> Report:
-    if name == "spectral":
-        return suite_spectral(seeds, seed0)
-    if name == "hash":
-        return suite_hash()
-    if name == "mbcp":
-        return suite_mbcp(seeds, seed0)
-    if name == "mcrp":
-        return suite_mcrp(seeds, seed0)
-    if name == "examples":
-        return suite_examples(seeds, seed0)
-    if name == "common":
-        return suite_common(seeds, seed0)
-    if name == "decision":
-        return suite_decision()
-    raise ConfigurationError("unknown suite %r (known: %s)" % (name, ", ".join(SUITES)))
+def _sweep(report: Report, name: str, count: int, seed_of, instance, margin=None) -> None:
+    """Add the line `name` to `report`: how many of `count` seeded instances fail.
+
+    Instance s is `instance(s, np.random.default_rng(seed_of(s)))`, which
+    returns whether it passed.  With `margin`, a pair (form, value), it
+    returns its lemma-bound check instead, and the line's detail names the
+    smallest `value(check)`, a margin of the given form.
+    """
+    results = [instance(s, np.random.default_rng(seed_of(s))) for s in range(count)]
+    detail = ""
+    if margin is not None:
+        form, value = margin
+        detail = "smallest %s margin: %s" % (form, min(map(value, results), default=None))
+        results = [check.passed for check in results]
+    failures = sum(not passed for passed in results)
+    report.add(name, failures == 0, lhs=failures, rhs=0, detail=detail)
 
 
 def suite_spectral(seeds: int = 50, seed0: int = 0) -> Report:
     report = Report("spectral")
     b2, b3 = Alphabet((0, 1)), Alphabet((0, 1, 2))
-    failures = 0
-    for s in range(seeds):
-        rng = np.random.default_rng((seed0, s))
-        pmf = random_pmf(rng, [("U", b2), ("V", b3), ("V2", b2)])
-        if not verify_spectral_lemmas(pmf).all_passed:
-            failures += 1
-    report.add("single-letter identities on %d random laws" % seeds,
-               failures == 0, lhs=failures, rhs=0)
+    _sweep(report, "single-letter identities on %d random laws" % seeds, seeds,
+           lambda s: (seed0, s), lambda s, rng: verify_spectral_lemmas(
+               random_pmf(rng, [("U", b2), ("V", b3), ("V2", b2)])).all_passed)
 
     # deterministic U = g(V) has H(U|V) = 0
     det = JointPmf([("U", b2), ("V", b3)],
                    {(0, 0): Fraction(1, 3), (1, 1): Fraction(1, 3), (0, 2): Fraction(1, 3)})
-    from .information import cond_entropy
     h = cond_entropy(det, ["U"], ["V"])
     report.add("H(U|V)=0 for deterministic U", abs(h) <= 1e-12, lhs=h, rhs=0.0)
 
     # divergence surrogate nonnegative on same-support pairs
-    bad = 0
-    for s in range(seeds):
-        rng = np.random.default_rng((seed0, 1000 + s))
+    def nonnegative(s, rng):
         mu = random_pmf(rng, [("U", b3)])
         nu = random_pmf(rng, [("U", b3)])
-        if kl_divergence(mu, nu) < -1e-12:
-            bad += 1
-    report.add("E[log mu/nu] >= 0 on %d pairs" % seeds, bad == 0, lhs=bad, rhs=0)
+        return not kl_divergence(mu, nu) < -1e-12
+    _sweep(report, "E[log mu/nu] >= 0 on %d pairs" % seeds, seeds,
+           lambda s: (seed0, 1000 + s), nonnegative)
     return report
 
 
@@ -143,37 +134,22 @@ def _random_subset(rng, universe, size):
 
 
 def suite_mbcp(instances: int = 50, seed0: int = 0) -> Report:
-    report = Report("mbcp")
-    failures = 0
-    worst = None
-    for s in range(instances):
-        rng = np.random.default_rng((seed0, 17, s))
-        if s % 2 == 0:
-            ensembles = [BinningEnsemble(4, 2), BinningEnsemble(4, 2)]
-        else:
-            ensembles = [LinearEnsemble(2, 2, 1), BinningEnsemble(4, 2)]
-        universe = list(itertools.product(range(4), range(4)))
+    universe = list(itertools.product(range(4), range(4)))
+
+    def instance(s, rng):
+        first = BinningEnsemble(4, 2) if s % 2 == 0 else LinearEnsemble(2, 2, 1)
         T = _random_subset(rng, universe, int(rng.integers(4, 13)))
         Q = {w: Fraction(int(rng.integers(1, 9)), 8) for w in T}
-        rep = verify_mbcp(ensembles, Q, T)
-        check = rep.checks[0]
-        if not check.passed:
-            failures += 1
-        margin = check.rhs - check.lhs * check.lhs
-        if worst is None or margin < worst:
-            worst = margin
-    report.add("balanced-coloring bound on %d instances" % instances,
-               failures == 0, lhs=failures, rhs=0,
-               detail="smallest rhs^2 - lhs^2 margin: %s" % worst)
+        return verify_mbcp([first, BinningEnsemble(4, 2)], Q, T).checks[0]
+    report = Report("mbcp")
+    _sweep(report, "balanced-coloring bound on %d instances" % instances, instances,
+           lambda s: (seed0, 17, s), instance,
+           margin=("rhs^2 - lhs^2", lambda c: c.rhs - c.lhs * c.lhs))
     return report
 
 
 def suite_mcrp(instances: int = 50, seed0: int = 0) -> Report:
-    report = Report("mcrp")
-    failures = 0
-    worst = None
-    for s in range(instances):
-        rng = np.random.default_rng((seed0, 23, s))
+    def instance(s, rng):
         if s % 2 == 0:
             ensembles = [BinningEnsemble(8, 4)]
             universe = [(w,) for w in range(8)]
@@ -182,52 +158,43 @@ def suite_mcrp(instances: int = 50, seed0: int = 0) -> Report:
             universe = list(itertools.product(range(4), range(4)))
         T = _random_subset(rng, universe, int(rng.integers(2, 9)))
         anchor = sorted(T)[int(rng.integers(0, len(T)))]
-        rep = verify_mcrp(ensembles, T, anchor)
-        check = rep.checks[0]
-        if not check.passed:
-            failures += 1
-        margin = check.rhs - check.lhs
-        if worst is None or margin < worst:
-            worst = margin
-    report.add("collision-resistance bound on %d instances" % instances,
-               failures == 0, lhs=failures, rhs=0,
-               detail="smallest rhs - lhs margin: %s" % worst)
+        return verify_mcrp(ensembles, T, anchor).checks[0]
+    report = Report("mcrp")
+    _sweep(report, "collision-resistance bound on %d instances" % instances, instances,
+           lambda s: (seed0, 23, s), instance, margin=("rhs - lhs", lambda c: c.rhs - c.lhs))
     return report
 
 
-def suite_examples(seeds: int = 100, seed0: int = 0) -> Report:
-    return sweep_examples(seeds=seeds, seed0=seed0)
+def suite_examples(seeds: int = 50, seed0: int = 0) -> Report:
+    """Identity sweep across all four examples with fresh random laws."""
+    report = Report("example-identities")
+    for idx, example in enumerate(EXAMPLES):
+        _sweep(report, "%s sweep (%d laws)" % (example, seeds), seeds,
+               lambda s: (seed0, idx, s), lambda s, rng: verify_example_identities(
+                   example, random_example_pmf(example, rng)).all_passed)
+    return report
 
 
 def suite_common(instances: int = 50, seed0: int = 0) -> Report:
     report = Report("common-randomness")
-    build_failures = 0
-    for s in range(instances):
-        rng = np.random.default_rng((seed0, 31, s))
+
+    def built(s, rng):
         pmf = random_double_markov(rng)
-        built = construct_common(pmf)
-        if not verify_construction(pmf, built).all_passed:
-            build_failures += 1
-    report.add("construction exact on %d double-Markov laws" % instances,
-               build_failures == 0, lhs=build_failures, rhs=0)
-    detect_failures = 0
-    for s in range(instances):
-        rng = np.random.default_rng((seed0, 37, s))
-        pmf = random_violating(rng)
-        if check_double_markov(pmf):
-            detect_failures += 1
-    report.add("violations detected on %d generic laws" % instances,
-               detect_failures == 0, lhs=detect_failures, rhs=0)
+        return verify_construction(pmf, construct_common(pmf)).all_passed
+    _sweep(report, "construction exact on %d double-Markov laws" % instances, instances,
+           lambda s: (seed0, 31, s), built)
+    _sweep(report, "violations detected on %d generic laws" % instances, instances,
+           lambda s: (seed0, 37, s), lambda s, rng: not check_double_markov(random_violating(rng)))
     return report
 
 
-def suite_decision(n: int = 2) -> Report:
+def suite_decision() -> Report:
     """Exact draw-from-posterior error vs the best deterministic rule."""
     report = Report("stochastic-decision")
     for name, seed in (("slepian-wolf", 3), ("wyner-ziv-binary", 5),
                        ("mdc-two-descriptions", 5)):
         scenario = build_scenario(name)
-        code = scenario.make_code(n, seed=seed)
+        code = scenario.make_code(2, seed=seed)
         delta = 0.01
         crng = exact_error(code, delta, scenario.default_D, rule="crng")
         mapped = exact_error(code, delta, scenario.default_D, rule="map")
@@ -237,3 +204,15 @@ def suite_decision(n: int = 2) -> Report:
                    detail="ratio %.4f" % (float(crng.mismatch / mapped.mismatch)
                                           if mapped.mismatch else float("nan")))
     return report
+
+
+# every suite by name, in the order `verify --suite` lists them
+SUITES = {"spectral": suite_spectral, "hash": suite_hash, "mbcp": suite_mbcp,
+          "mcrp": suite_mcrp, "examples": suite_examples, "common": suite_common,
+          "decision": suite_decision}
+
+
+def run_suite(name: str, seeds: int = 50, seed0: int = 0) -> Report:
+    if name not in SUITES:
+        raise ConfigurationError("unknown suite %r (known: %s)" % (name, ", ".join(SUITES)))
+    return SUITES[name]() if name in UNSEEDED else SUITES[name](seeds, seed0)

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from multiterm.cli import _decimal_string, main
+from multiterm.errors import ConfigurationError
 from multiterm.scenarios import build_scenario, load_scenario, scenario_names
 
 
@@ -330,6 +331,44 @@ def tiny_scenario_data():
         "code": {"rates": {"1": 1.0}},
         "run": {"n": [1], "trials": 5, "D": {"1": "0.2"}},
     }
+
+
+@pytest.mark.parametrize("kind", ["linear", "sparse-linear"])
+def test_scenario_code_kinds_build_hashes_of_that_kind(tmp_path, kind):
+    """At power-of-two sizes every hash of the code is of the kind `code.kinds`
+    names, and `simulate --exact` runs on it."""
+    data = tiny_scenario_data()
+    data["code"] = {"kinds": {"1": kind}, "rates": {"1": 0.5}, "aux_rates": {"1": 0.5}}
+    path = tmp_path / "kinds.json"
+    path.write_text(json.dumps(data))
+    code = load_scenario(str(path)).make_code(4, seed=1)
+    assert code.f[1].kind == code.g[1].kind == kind
+    assert (code.f[1].image_size, code.g[1].image_size) == (4, 4)
+    assert run(["simulate", str(path), "--n", "4", "--exact",
+                "--out", str(tmp_path / "kinds.csv")]) == 0
+
+
+@pytest.mark.parametrize("code, named", [
+    ({"kinds": {"1": "linear"}, "rates": {"1": 0.75}}, "image size 3 is not a power of q=2"),
+    ({"kinds": {"1": "sparse-linear"}, "q": 3}, "domain size 4 is not a power of q=3"),
+])
+def test_scenario_code_kinds_refuse_sizes_outside_their_family(tmp_path, capsys, code, named):
+    """A linear kind at a size that is not a power of q exits 2 naming the
+    size; it is never realized by another hash family."""
+    data = tiny_scenario_data()
+    data["code"] = code
+    path = tmp_path / "refused.json"
+    path.write_text(json.dumps(data))
+    assert run(["simulate", str(path), "--n", "2", "--exact"]) == 2
+    assert named in capsys.readouterr().err
+
+
+def test_builtin_scenario_with_linear_kinds_refuses_a_non_power_rate():
+    scenario = build_scenario("slepian-wolf")
+    scenario.code_kinds = {1: "linear", 2: "linear"}
+    assert scenario.make_code(4).g[2].kind == "linear"   # 2^(0.75*4) = 8
+    with pytest.raises(ConfigurationError, match="image size 23 is not a power of q=2"):
+        scenario.make_code(6)                             # round(2^4.5) = 23
 
 
 @pytest.mark.parametrize("exact", [False, True])

@@ -29,8 +29,8 @@ from multiterm.errors import (
 )
 from multiterm.hashing import BinningEnsemble, HashFunction, make_ensemble
 from multiterm.network import (
+    DistortionMeasure,
     NetworkConfig,
-    hamming_distortion,
     identity_channel,
     identity_reproducer,
     w_name,
@@ -657,7 +657,7 @@ def test_simulate_agrees_with_exact_within_3_sigma():
 def test_simulate_zero_distortion_never_exceeds():
     """A Hamming distortion is at most 1, so D = 1 is never exceeded."""
     scenario = build_scenario("wyner-ziv-binary")
-    scenario.config.distortions[1] = hamming_distortion("X1")
+    scenario.config.distortions[1] = DistortionMeasure("X1")
     code = scenario.make_code(2, seed=1)
     report = simulate(code, delta=0.01, D={1: 1.0}, trials=500, seed=3)
     assert report.exceed_counts[1] == 0
@@ -1020,7 +1020,7 @@ def _aborting_code():
     cfg = NetworkConfig(
         encoders=(1,), sharing=((1,),), decoders=(1,),
         codewords_to={1: (1,)}, reproductions={1: (1,)}, side_info={1: None},
-        distortions={1: hamming_distortion("X1")})
+        distortions={1: DistortionMeasure("X1")})
     src = JointPmf([("X1", B)], {(0,): Fraction(1, 2), (1,): Fraction(1, 2)})
     f = HashFunction("binning", 4, 2, table=(0, 0, 0, 0))
     return CodeInstance(n=2, config=cfg, source=src,

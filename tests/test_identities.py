@@ -1,17 +1,18 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from multiterm import identities
-from multiterm.errors import ConfigurationError, PreconditionError
+from multiterm.errors import ConfigurationError, PreconditionError, UnsupportedConditionError
 from multiterm.identities import (
     EXAMPLES,
     random_example_pmf,
     reconstruct_heegard_berger,
     verify_example_identities,
 )
-from multiterm.probability import check_markov, marginalize
+from multiterm.probability import Alphabet, JointPmf, check_markov, condition, marginalize
 
 
 def test_unknown_example_rejected():
@@ -35,7 +36,6 @@ def test_degenerate_constant_auxiliary():
     rng = np.random.default_rng(4)
     pmf = random_example_pmf("berger-tung", rng)
     # collapse W1 onto symbol 0 by conditioning-like reweighting: rebuild
-    from multiterm.probability import JointPmf
     table = {}
     for key, p in pmf.items():
         newkey = list(key)
@@ -53,7 +53,6 @@ def test_precondition_error_names_chain():
     pmf = random_example_pmf("berger-tung", rng)
     # breaking the time-sharing independence must name the chain;
     # build a correlated T by copying X2's value
-    from multiterm.probability import JointPmf
     table = {}
     for key, p in pmf.items():
         newkey = list(key)
@@ -77,17 +76,25 @@ def test_heegard_berger_reconstruction_properties():
         assert marginalize(pmf, margin) == marginalize(rebuilt, margin)
 
 
-def test_heegard_berger_reconstruction_propagates_configuration_errors(monkeypatch):
-    """Only a zero-probability condition becomes a point-mass row; any other
-    error from `condition` reaches the caller."""
-    pmf = random_example_pmf("heegard-berger", np.random.default_rng(11))
-
-    def broken(*args, **kwargs):
-        raise ConfigurationError("broken condition")
-
-    monkeypatch.setattr(identities, "condition", broken)
-    with pytest.raises(ConfigurationError, match="broken condition"):
-        reconstruct_heegard_berger(pmf)
+def test_conditional_rows_are_condition_laws_and_zero_mass_keys_point_masses():
+    """Each row of the extracted channel is `condition`'s law on that key, in
+    its order and with its zero-probability outcomes; only a key of zero mass
+    (no row, or rows of probability zero) gets the point mass on the first symbol."""
+    b, t = Alphabet((0, 1)), Alphabet((0, 1, 2))
+    pmf = JointPmf([("A", t), ("B", b), ("Z", b)],
+                   {(0, 0, 1): Fraction(1, 4), (0, 0, 0): 0, (0, 1, 1): Fraction(1, 4),
+                    (1, 0, 0): Fraction(1, 2), (1, 1, 0): 0})
+    channel = identities._conditional_from(pmf, ["Z"], ["A", "B"])
+    zero_mass = []
+    for key in itertools.product(t.symbols, b.symbols):
+        try:
+            expected = condition(pmf, ["Z"], {"A": key[0], "B": key[1]}).items()
+        except UnsupportedConditionError:
+            zero_mass.append(key)
+            expected = [((0,), Fraction(1))]
+        assert list(channel.rows[key].items()) == expected
+    assert zero_mass == [(1, 1), (2, 0), (2, 1)]
+    assert channel.rows[(0, 0)] == {(1,): 1, (0,): 0}
 
 
 def test_heegard_berger_report_checks_both_bound_expressions():

@@ -14,10 +14,8 @@ from multiterm.network import (
     NetworkConfig,
     Reproducer,
     apply_conditional,
-    block_mismatch_distortion,
     bsc_channel,
     build_joint,
-    hamming_distortion,
 )
 from multiterm.probability import Alphabet, JointPmf, check_markov
 
@@ -124,9 +122,9 @@ def scored(measure, x_blocks, z_block) -> float:
 
 
 def test_distortion_measures():
-    d = hamming_distortion("X1")
+    d = DistortionMeasure("X1")
     assert scored(d, {"X1": (0, 1, 1)}, (0, 1, 0)) == pytest.approx(1 / 3)
-    blk = block_mismatch_distortion("X1")
+    blk = DistortionMeasure("X1", "block-mismatch")
     assert scored(blk, {"X1": (0, 1)}, (0, 1)) == 0.0
     assert scored(blk, {"X1": (0, 1)}, (1, 1)) == 1.0
     assert d.bound == blk.bound == 1.0
