@@ -204,7 +204,9 @@ class SparseLinearEnsemble(HashEnsemble):
     and the nonzero values are uniform; columns are independent.  beta is
     measured exactly at alpha=1 during construction (the collision
     probability depends only on how many difference coordinates are active,
-    so the profile is a short convolution).
+    so the profile is a short convolution).  The default weight is
+    max(2, ceil(log2 n)) clamped to m; at m = 0 the one matrix is the
+    constant function, with beta 0.
     """
 
     kind = "sparse-linear"
@@ -212,9 +214,12 @@ class SparseLinearEnsemble(HashEnsemble):
     def __init__(self, q: int, n: int, m: int, column_weight: Optional[int] = None):
         gfq.require_prime(q)
         if column_weight is None:
-            column_weight = max(2, math.ceil(math.log2(max(n, 2))))
-        if not (1 <= column_weight <= m):
-            raise ConfigurationError("column weight must lie in [1, m]")
+            column_weight = min(m, max(2, math.ceil(math.log2(max(n, 2)))))
+        # m = 0 leaves one matrix, the constant function, at weight 0
+        if not (min(m, 1) <= column_weight <= m):
+            raise ConfigurationError(
+                "column weight %r must lie in [%d, m] for the %s ensemble with m = %d"
+                % (column_weight, min(m, 1), self.kind, m))
         self.q, self.n, self.m = q, n, m
         self.column_weight = column_weight
         self.domain_size = q ** n

@@ -24,7 +24,7 @@ from .network import NetworkConfig, w_name
 from .probability import JointPmf
 from .rational import integer_scaled
 # solve_lp stays bound here: perfbench/tracing.py wraps regions.solve_lp.
-from .simplex import feasible_point, implied, solve_lp
+from .simplex import UNBOUNDED, DualTableau, feasible_point, implied, solve_lp
 
 DSC_IT = "dsc-it"
 DSC_CRNG = "dsc-crng"
@@ -251,8 +251,11 @@ def remove_redundant(system: LinIneqSystem) -> LinIneqSystem:
     Every dropped inequality is certified implied by the remaining ones, and
     the system certified nonempty first, by :func:`simplex.implied` on the
     dual LP: exact rationals, so which rows are kept is a mathematical fact
-    and not a tolerance; they stay canonical and in order.  An infeasible
-    system is returned canonicalized with its infeasibility marker set.
+    and not a tolerance; they stay canonical and in order.  Each test is its
+    own dual build, since every test drops another row and so changes the
+    tableau's columns; only :func:`contains` re-queries one tableau.  An
+    infeasible system is returned canonicalized with its infeasibility
+    marker set.
     """
     _require_numeric(system)
     system = system.canonicalize()
@@ -292,24 +295,25 @@ def member(system: LinIneqSystem, point: Mapping[str, object]) -> bool:
 def contains(outer: LinIneqSystem, inner: LinIneqSystem) -> bool:
     """True iff every point of `inner` satisfies `outer`.
 
-    Decided exactly on the dual (:func:`simplex.implied`), all constants over
-    one denominator: `inner` is first certified nonempty, then each row of
-    `outer` implied by its rows.
+    Decided exactly on the dual, all constants over one denominator: one
+    :class:`simplex.DualTableau` of `inner` is built, which certifies it
+    nonempty, and each row of `outer` is then certified implied by
+    re-optimizing that tableau (:meth:`simplex.DualTableau.implies`).
     """
     _require_numeric(outer)
     _require_numeric(inner)
     if outer.vars != inner.vars:   # both in natural order
         raise ConfigurationError(
             "systems are over different variables: %r vs %r" % (outer.vars, inner.vars))
+    if inner.infeasible:
+        return True
     scale = math.lcm(outer.denominator, inner.denominator)
-    inner_rows = inner.dense_rows(scale)
-    dim = len(outer.vars)
-    if inner.infeasible or _empty(inner_rows, dim):
+    tableau = DualTableau(inner.dense_rows(scale), len(outer.vars))
+    if tableau.status == UNBOUNDED:   # inner is empty
         return True
     if outer.infeasible:
         return False
-    return all(implied(coeffs, const, inner_rows, dim)
-               for coeffs, const in outer.dense_rows(scale))
+    return all(tableau.implies(coeffs, const) for coeffs, const in outer.dense_rows(scale))
 
 
 def polyhedra_equal(a: LinIneqSystem, b: LinIneqSystem) -> bool:

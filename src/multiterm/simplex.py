@@ -1,6 +1,6 @@
 """Exact linear programming over the rationals.
 
-A small dense two-phase simplex, used to certify redundancy removal,
+A small dense simplex, used to certify redundancy removal,
 membership/containment queries, and auxiliary-rate feasibility.
 Floating-point LP is unsound for those certificates, so every pivot here is
 exact.  Problem sizes in this package are tiny (tens of rows), so a full
@@ -10,33 +10,53 @@ Every LP min c.x s.t. A x >= b over free x is solved on its dual,
 max b.y s.t. A^T y = c, y >= 0: one equality row per variable and one
 column per inequality, so a system of d variables and m rows pivots a
 d x (m + d) tableau.  By Farkas' lemma and strong duality the answers agree,
-and both are exact.  Yes/no questions ("does A x >= b imply a.x >= c?",
-"is A x >= b empty?") are decided by :func:`implied`.  :func:`solve_lp` also
-recovers the primal point: the optimal dual basis names one tight row per
-kept coordinate, and x solves those rows, A_B x = b_B, with the coordinates
-whose dual rows were dropped as redundant fixed to 0.
+and both are exact.  Only the right-hand side c changes between questions
+about one system, so a :class:`DualTableau` is built once per system and
+answers many.  The build is a two-phase simplex on its first c (zero by
+default: the emptiness test).  Phase 1 starts from one artificial column
+per equality row; those columns are kept and every pivot updates them, but
+they are never priced for entry.  Kept, they hold D B^-1 for the current
+basis B, so the tableau is always that matrix times [S A^T | I | S c], S
+being the sign flips and per-row scaling fixed at build.  A new c then
+costs one integer matrix-vector product: the right-hand side column becomes
+D B^-1 (S c), the objective entry the cost row's artificial part times S c,
+and each equality row phase 1 dropped as redundant keeps its artificial
+part, whose product with S c must be 0 or the new dual is infeasible.  The
+cost never changes, so the last optimal basis stays dual feasible and
+:meth:`DualTableau.query` re-optimizes it by dual simplex pivots
+(C. E. Lemke, "The dual method of solving the linear programming problem",
+Naval Res. Logist. Q., 1954): a row with a negative right-hand side leaves,
+the column with the least ratio cost_j / |T_rj| over T_rj < 0 enters, and
+the query is OPTIMAL once every row is feasible, or its dual INFEASIBLE
+(the rows do not bound c.x below) when a negative row has no negative
+entry.  The cost row's artificial part is minus D times the simplex
+multipliers of the equality rows, which are the primal point: x = S times
+it, over D, with the coordinates of dropped rows at 0.
 
 The tableau holds Python integers.  Region systems come in as integer rows
 (gcd-1 coefficients, constants over one common denominator) and become
 equality rows as they are; rational rows are scaled per equality row by the
-lcm of its denominators, and the cost once by the lcm of its.  The tableau
-is an integer matrix T over one positive common denominator D, the true
-tableau being T / D.  A pivot on T[r][c] replaces every other row by
-(T[r][c] T[i] - T[i][c] T[r]) / D, a division that is always exact, and
-sets D = T[r][c] (E. H. Bareiss, "Sylvester's identity and multistep
-integer-preserving Gaussian elimination", Math. Comp., 1968): D stays the
-absolute determinant of the basis and every entry is a minor of the scaled
-matrix, so entries stay small.  The entering column has the most negative
-reduced cost (Dantzig's rule); after a run of degenerate pivots the first
-negative column enters instead (Bland's rule) until a pivot moves the
-objective, so the method cannot cycle (R. G. Bland, "New finite pivoting
-rules for the simplex method", Math. Oper. Res., 1977).
+lcm of its denominators, the right-hand side once per question by the lcm of
+its, and the cost once by the lcm of its.  The tableau is an integer matrix
+T over one positive common denominator D, the true tableau being T / D.  A
+pivot on T[r][c] replaces every other row by
+(|T[r][c]| T[i] - sgn(T[r][c]) T[i][c] T[r]) / D, a division that is always
+exact, and sets D = |T[r][c]| (E. H. Bareiss, "Sylvester's identity and
+multistep integer-preserving Gaussian elimination", Math. Comp., 1968): D
+stays the absolute determinant of the basis and every entry is a minor of
+the scaled matrix, so entries stay small.  Primal pivots enter the column
+with the most negative reduced cost (Dantzig's rule), dual pivots leave the
+row with the most negative right-hand side; after a run of degenerate
+pivots either switches to the smallest index (Bland's rule) until a pivot
+moves the objective, so neither can cycle (R. G. Bland, "New finite
+pivoting rules for the simplex method", Math. Oper. Res., 1977).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Optional, Sequence
 
 from .rational import integer_scaled
@@ -60,14 +80,14 @@ def _pivot(rows, d, r, c):
     """Integer-preserving pivot of `rows` on rows[r][c] at denominator d > 0.
 
     Every row is an integer list whose true values are its entries over d.
-    Returns the new denominator, positive: a negative pivot first negates
-    every row and d.
+    Returns the new denominator |rows[r][c]|: a negative pivot row is
+    negated first.
     """
-    p = rows[r][c]
-    if p < 0:
-        rows[:] = [[-v for v in row] for row in rows]
-        p, d = -p, -d
     prow = rows[r]
+    p = prow[c]
+    if p < 0:
+        p = -p
+        prow = rows[r] = [-v for v in prow]
     for i, row in enumerate(rows):
         if i == r:
             continue
@@ -79,14 +99,14 @@ def _pivot(rows, d, r, c):
     return p
 
 
-def _minimize(rows, basis, d):
+def _minimize(rows, basis, d, ncols):
     """Minimize over the tableau `rows`: constraint rows with their right-hand
     side last, then the reduced-cost row, whose last entry is minus the
-    objective; `basis[r]` is the column basic in row r.
+    objective; `basis[r]` is the column basic in row r, and only the first
+    `ncols` columns are priced.
 
     Returns (bounded, d): False when the objective is unbounded below.
     """
-    ncols = len(rows[-1]) - 1
     degenerate = 0
     while True:
         cost = rows[-1]
@@ -112,114 +132,195 @@ def _minimize(rows, basis, d):
         basis[best] = enter
 
 
-def _standard_form_solve(rows, c):
-    """min c.z  s.t.  A z = b, z >= 0: `rows` are the integer rows [*A_i, b_i],
-    and `c` holds ints or Fractions.
+def _reoptimize(rows, basis, d, ncols):
+    """Dual simplex on the tableau `rows` (laid out as for :func:`_minimize`),
+    whose first `ncols` reduced costs are >= 0.
 
-    Returns (status, value, z, basis, kept): on OPTIMAL, `kept` lists the
-    rows of A left after dropping redundant ones and `basis[r]` is the
-    column basic in row `kept[r]`; otherwise only the status is set.
+    Returns (feasible, d): False when a row with a negative right-hand side
+    has no negative entry among those columns, so no right-hand side makes
+    it feasible.
     """
-    m = len(rows)
-    n = len(c)
-    rows = [[-v for v in row] if row[-1] < 0 else row for row in rows]
-    # artificial columns are not stored: one that leaves the basis never re-enters
-    basis = [n + i for i in range(m)]
-
-    # phase 1: minimize the artificial sum, priced out against the basis
-    rows.append([-sum(col) for col in zip(*rows)] if rows else [0] * (n + 1))
-    _, d = _minimize(rows, basis, 1)
-    if rows.pop()[-1] < 0:   # a positive artificial sum at the optimum
-        return INFEASIBLE, None, None, None, None
-
-    # drive leftover artificials out of the basis; drop redundant rows
-    keep_rows = []
-    for r in range(m):
-        if basis[r] >= n:
-            col = next((j for j in range(n) if rows[r][j] != 0), None)
-            if col is None:
-                continue
-            d = _pivot(rows, d, r, col)
-            basis[r] = col
-        keep_rows.append(r)
-    rows = [rows[r] for r in keep_rows]
-    basis = [basis[r] for r in keep_rows]
-
-    # phase 2: the scaled cost priced out against the basis, over d
-    c_int, scale = integer_scaled(c)
-    cost = [d * v for v in c_int] + [0]
-    for row, bvar in zip(rows, basis):
-        if c_int[bvar]:
-            cost = [a - c_int[bvar] * v for a, v in zip(cost, row)]
-    rows.append(cost)
-    bounded, d = _minimize(rows, basis, d)
-    if not bounded:
-        return UNBOUNDED, None, None, None, None
-    z = [Fraction(0)] * n
-    for r, bvar in enumerate(basis):
-        z[bvar] = Fraction(rows[r][-1], d)
-    return OPTIMAL, Fraction(-rows[-1][-1], d * scale), z, basis, keep_rows
+    degenerate = 0
+    while True:
+        negative = [r for r in range(len(rows) - 1) if rows[r][-1] < 0]
+        if not negative:
+            return True, d
+        if degenerate < _DEGENERATE_RUN:
+            leave = min(negative, key=lambda r: rows[r][-1])
+        else:
+            leave = min(negative, key=basis.__getitem__)
+        # ratio test: least cost_j / |a| over a < 0 by cross-multiplication,
+        # ties to the lowest column
+        row, cost = rows[leave], rows[-1]
+        best = None
+        for j in range(ncols):
+            a = row[j]
+            if a < 0 and (best is None or cost[j] * best_a > best_cost * a):
+                best, best_cost, best_a = j, cost[j], a
+        if best is None:
+            return False, d
+        degenerate = degenerate + 1 if best_cost == 0 else 0
+        d = _pivot(rows, d, leave, best)
+        basis[leave] = best
 
 
-def _dual_solve(coeffs: Sequence, ge_rows: Sequence[tuple], dim: int):
-    """:func:`_standard_form_solve` of min -b.y s.t. A^T y = coeffs, y >= 0.
+class DualTableau:
+    """The dual of min c.x s.t. A x >= b for one system and many objectives c.
 
-    Its dual rows are the coordinates of x and its columns the rows of A.
+    `ge_rows` is a sequence of (coefficient list, constant) pairs over `dim`
+    variables.  The build solves max b.y s.t. A^T y = coeffs, y >= 0 by two
+    phases, coeffs zero by default; :meth:`query` moves to other coeffs by
+    dual pivots.  `status` answers the last coeffs: OPTIMAL with `value`
+    = max b.y = min coeffs.x over the rows; UNBOUNDED when the rows are
+    empty; INFEASIBLE when coeffs.x is unbounded below on them (or, at the
+    build, when they are empty).  Only a build that ends OPTIMAL can be
+    queried again.
     """
-    if len(coeffs) != dim or any(len(co) != dim for co, _ in ge_rows):
-        raise ValueError("row arity differs from dimension %d" % dim)
-    columns = zip(*(co for co, _ in ge_rows)) if ge_rows else [()] * dim
-    rows = [[*col, b] for col, b in zip(columns, coeffs)]
-    if not {type(v) for row in rows for v in row} <= {int}:
-        rows = [integer_scaled(row)[0] for row in rows]
-    return _standard_form_solve(rows, [-ct for _, ct in ge_rows])
+
+    def __init__(self, ge_rows: Sequence[tuple], dim: int, coeffs: Optional[Sequence] = None):
+        coeffs = [0] * dim if coeffs is None else coeffs
+        if len(coeffs) != dim or any(len(co) != dim for co, _ in ge_rows):
+            raise ValueError("row arity differs from dimension %d" % dim)
+        n = self._ncols = len(ge_rows)
+        self._rows = None   # until the build ends OPTIMAL
+        columns = [list(col) for col in zip(*(co for co, _ in ge_rows))] if ge_rows \
+            else [[] for _ in range(dim)]
+        self._signs = [1] * dim
+        if not {type(v) for col in columns for v in col} <= {int}:
+            columns, self._signs = map(list, zip(*map(integer_scaled, columns)))
+        rhs = self._rhs(coeffs)
+        for i, v in enumerate(rhs):
+            if v < 0:
+                self._signs[i], columns[i], rhs[i] = -self._signs[i], [-a for a in columns[i]], -v
+        rows = [col + [0] * dim + [v] for col, v in zip(columns, rhs)]
+        for i, row in enumerate(rows):
+            row[n + i] = 1
+        basis = [n + i for i in range(dim)]
+
+        # phase 1: minimize the artificial sum, priced out against the basis;
+        # the artificial columns' own reduced costs start at 0 and never price
+        phase1 = [-sum(col) for col in zip(*rows)] if rows else [0] * (n + 1)
+        phase1[n:n + dim] = [0] * dim
+        rows.append(phase1)
+        _, d = _minimize(rows, basis, 1, n)
+        if rows.pop()[-1] < 0:   # a positive artificial sum at the optimum
+            self.status = INFEASIBLE
+            return
+
+        # drive leftover artificials out of the basis; a row with no
+        # structural entry left is redundant, and only its artificial part
+        # is kept, to check later right-hand sides against
+        self._dropped = []
+        kept = []
+        for r in range(dim):
+            if basis[r] >= n:
+                col = next((j for j in range(n) if rows[r][j] != 0), None)
+                if col is None:
+                    self._dropped.append(rows[r][n:-1])
+                    continue
+                d = _pivot(rows, d, r, col)
+                basis[r] = col
+            kept.append(r)
+        rows = [rows[r] for r in kept]
+        basis = [basis[r] for r in kept]
+
+        # phase 2: minimize -b.y, the scaled cost priced out against the basis, over d
+        c_int, self._cost_scale = integer_scaled([-ct for _, ct in ge_rows])
+        cost = [d * v for v in c_int] + [0] * (dim + 1)
+        for row, bvar in zip(rows, basis):
+            if c_int[bvar]:
+                cost = [a - c_int[bvar] * v for a, v in zip(cost, row)]
+        rows.append(cost)
+        bounded, d = _minimize(rows, basis, d, n)
+        if not bounded:
+            self.status = UNBOUNDED
+            return
+        self._rows, self._basis, self._d = rows, basis, d
+        self.status = OPTIMAL
+
+    def _rhs(self, coeffs):
+        """S coeffs as integers, setting the scale of the right-hand side."""
+        rhs, self._rhs_scale = integer_scaled([s * c for s, c in zip(self._signs, coeffs)])
+        return rhs
+
+    def _value_denominator(self):
+        return self._d * self._cost_scale * self._rhs_scale
+
+    @property
+    def value(self) -> Optional[Fraction]:
+        """max b.y = min coeffs.x for the last coeffs, when OPTIMAL."""
+        if self.status != OPTIMAL:
+            return None
+        return Fraction(self._rows[-1][-1], self._value_denominator())
+
+    def query(self, coeffs: Sequence) -> str:
+        """Re-optimize for new coeffs from the last basis; returns `status`."""
+        if self._rows is None:
+            raise ValueError("the build ended %s: no basis to re-optimize" % self.status)
+        if len(coeffs) != len(self._signs):
+            raise ValueError("row arity differs from dimension %d" % len(self._signs))
+        rhs = self._rhs(coeffs)
+        if any(sum(map(mul, art, rhs)) for art in self._dropped):
+            self.status = INFEASIBLE
+            return self.status
+        n = self._ncols
+        for row in self._rows:
+            row[-1] = sum(map(mul, row[n:-1], rhs))
+        feasible, self._d = _reoptimize(self._rows, self._basis, self._d, n)
+        self.status = OPTIMAL if feasible else INFEASIBLE
+        return self.status
+
+    def holds(self, const) -> bool:
+        """True iff the rows imply coeffs.x >= const for the last coeffs.
+
+        An empty system implies everything; an INFEASIBLE answer is False,
+        which callers only ask of nonempty rows.
+        """
+        return self.status == UNBOUNDED or (
+            self.status == OPTIMAL and self._rows[-1][-1] >= const * self._value_denominator())
+
+    def implies(self, coeffs: Sequence, const) -> bool:
+        """:meth:`query` coeffs, then :meth:`holds` const."""
+        self.query(coeffs)
+        return self.holds(const)
+
+    def point(self) -> list:
+        """An x attaining min coeffs.x for the last query: S times the cost
+        row's artificial part, over D."""
+        if self.status != OPTIMAL:
+            raise ValueError("no optimum: the last query is %s" % self.status)
+        den = self._d * self._cost_scale
+        return [Fraction(s * v, den) for s, v in zip(self._signs, self._rows[-1][self._ncols:-1])]
 
 
 def solve_lp(objective: Sequence, ge_rows: Sequence[tuple]) -> LpResult:
     """Minimize objective . x over free x subject to coeffs . x >= const.
 
-    `ge_rows` is a sequence of (coefficient list, constant) pairs.  Solved
-    on the dual: an optimal dual gives the optimum, with x from the tight
-    rows of its basis; an unbounded dual means the rows are empty; an
-    infeasible dual means the rows are empty or the objective is unbounded
-    below, told apart by the emptiness test of :func:`implied`.
+    `ge_rows` is a sequence of (coefficient list, constant) pairs.  One
+    :class:`DualTableau` build decides emptiness (an unbounded dual), and
+    one query the objective: an infeasible dual means it is unbounded
+    below, an optimal one gives the optimum and x from the cost row.
     """
-    d = len(objective)
-    status, value, _, basis, kept = _dual_solve(objective, ge_rows, d)
-    if status == UNBOUNDED:
+    tableau = DualTableau(ge_rows, len(objective))
+    if tableau.status == UNBOUNDED:
         return LpResult(INFEASIBLE)
-    if status == INFEASIBLE:
-        return LpResult(INFEASIBLE if implied([0] * d, 1, ge_rows, d) else UNBOUNDED)
-    # A_B x = b_B on the kept coordinates by Gauss-Jordan pivots: A_B is the
-    # transposed dual basis matrix, so it is invertible
-    tight = [integer_scaled([ge_rows[k][0][i] for i in kept] + [ge_rows[k][1]])[0]
-             for k in basis]
-    den = 1
-    cols = [None] * len(kept)
-    for col in range(len(kept)):
-        row = next(r for r in range(len(kept)) if cols[r] is None and tight[r][col] != 0)
-        den = _pivot(tight, den, row, col)
-        cols[row] = col
-    x = [Fraction(0)] * d
-    for r, col in enumerate(cols):
-        x[kept[col]] = Fraction(tight[r][-1], den)
-    return LpResult(OPTIMAL, -value, x)
+    if tableau.query(objective) == INFEASIBLE:
+        return LpResult(UNBOUNDED)
+    return LpResult(OPTIMAL, tableau.value, tableau.point())
 
 
 def implied(coeffs: Sequence, const, ge_rows: Sequence[tuple], dim: int) -> bool:
     """True iff every x with coeffs_k . x >= const_k for all rows has coeffs . x >= const.
 
-    Decided on the dual max b.y s.t. A^T y = coeffs, y >= 0.  An unbounded
-    dual means the rows are empty (the implication holds vacuously); an
-    optimal one attains max b.y = min coeffs . x over the rows.  An
-    infeasible dual means coeffs . x is unbounded below, which answers False
-    only when the rows are nonempty: callers guarantee that.  Emptiness is
+    Decided on the dual max b.y s.t. A^T y = coeffs, y >= 0, built for
+    coeffs (:meth:`DualTableau.holds`).  An unbounded dual means the rows
+    are empty (the implication holds vacuously); an optimal one attains
+    max b.y = min coeffs . x over the rows.  An infeasible dual means
+    coeffs . x is unbounded below, which answers False only when the rows
+    are nonempty: callers guarantee that.  Emptiness is
     ``implied([0] * dim, 1, ge_rows, dim)``, whose dual is feasible at y = 0.
     """
-    status, value = _dual_solve(coeffs, ge_rows, dim)[:2]
-    if status == UNBOUNDED:
-        return True
-    return status == OPTIMAL and -value >= const
+    return DualTableau(ge_rows, dim, coeffs).holds(const)
 
 
 def feasible_point(ge_rows: Sequence[tuple], dim: int) -> Optional[list]:

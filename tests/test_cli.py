@@ -348,6 +348,20 @@ def test_scenario_code_kinds_build_hashes_of_that_kind(tmp_path, kind):
                 "--out", str(tmp_path / "kinds.csv")]) == 0
 
 
+def test_sparse_linear_encoder_at_aux_rate_zero(tmp_path):
+    """A sparse-linear `f` at aux rate 0 is the constant function, and
+    `simulate --exact` runs on it."""
+    data = tiny_scenario_data()
+    data["code"] = {"kinds": {"1": "sparse-linear"}, "rates": {"1": 0.5},
+                    "aux_rates": {"1": 0.0}}
+    path = tmp_path / "aux0.json"
+    path.write_text(json.dumps(data))
+    code = load_scenario(str(path)).make_code(4, seed=1)
+    assert code.f[1].kind == "sparse-linear" and code.f[1].image_size == 1
+    assert run(["simulate", str(path), "--n", "4", "--exact",
+                "--out", str(tmp_path / "aux0.csv")]) == 0
+
+
 @pytest.mark.parametrize("code, named", [
     ({"kinds": {"1": "linear"}, "rates": {"1": 0.75}}, "image size 3 is not a power of q=2"),
     ({"kinds": {"1": "sparse-linear"}, "q": 3}, "domain size 4 is not a power of q=3"),

@@ -151,6 +151,26 @@ def test_sparse_measured_parameters_hold():
     assert measure_beta(ens, ens.alpha) == ens.beta
 
 
+@pytest.mark.parametrize("image_size", [1, 2])
+def test_sparse_default_weight_fits_small_images(image_size):
+    """The default column weight is clamped to m, and m = 0 is the constant
+    function: beta 0, every point hashed to 0."""
+    ens = make_ensemble("sparse-linear", 16, image_size, q=2)
+    assert ens.column_weight == ens.m == image_size.bit_length() - 1
+    assert verify_hash_property(ens, ens.alpha, ens.beta)
+    if image_size == 1:
+        assert ens.beta == 0
+        assert {ens.sample_function(s)(w) for s in range(3) for w in range(16)} == {0}
+
+
+def test_sparse_refused_weight_names_the_sizes():
+    with pytest.raises(ConfigurationError,
+                       match=r"column weight 2 .* sparse-linear ensemble with m = 1"):
+        SparseLinearEnsemble(2, 4, 1, column_weight=2)
+    with pytest.raises(ConfigurationError, match=r"column weight 1 .* m = 0"):
+        SparseLinearEnsemble(2, 4, 0, column_weight=1)
+
+
 def test_make_ensemble_validation():
     with pytest.raises(ConfigurationError):
         make_ensemble("linear", 12, 4, q=2)  # 12 is not a power of 2

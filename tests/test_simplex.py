@@ -12,8 +12,8 @@ from multiterm.simplex import (
     INFEASIBLE,
     OPTIMAL,
     UNBOUNDED,
+    DualTableau,
     LpResult,
-    _dual_solve,
     feasible_point,
     implied,
     solve_lp,
@@ -131,6 +131,16 @@ def reference_implied(coeffs, const, ge_rows, dim):
     if status == UNBOUNDED:
         return True
     return status == OPTIMAL and -value >= const
+
+
+def multipliers(tableau):
+    """The optimal y >= 0 of a tableau's last query, one per row of its
+    system, read off its basic columns (the library has no use for them)."""
+    assert tableau.status == OPTIMAL
+    y = [Fraction(0)] * tableau._ncols
+    for row, bvar in zip(tableau._rows, tableau._basis):
+        y[bvar] = Fraction(row[-1], tableau._d * tableau._rhs_scale)
+    return y
 
 
 def primal_solve_lp(objective, ge_rows):
@@ -266,7 +276,8 @@ def test_implied_agrees_with_primal(case):
     expected = primal.status == OPTIMAL and primal.value >= const
     assert implied(coeffs, const, rows, dim) == expected
     if expected:
-        status, _, y = _dual_solve(coeffs, rows, dim)[:3]
+        tableau = DualTableau(rows, dim, coeffs)
+        status, y = tableau.status, multipliers(tableau)
         assert status == OPTIMAL and len(y) == len(rows)
         assert all(v >= 0 for v in y)
         for i in range(dim):
@@ -330,8 +341,9 @@ def test_integer_engine_matches_reference_dual(case):
     """The integer tableau gives the reference's dual status and optimum, so
     `implied` and the emptiness test answer as the reference does."""
     dim, rows, coeffs, const = case
-    status, value = _dual_solve(coeffs, rows, dim)[:2]
-    assert (status, value) == reference_dual_solve(coeffs, rows, dim)[:2]
+    tableau = DualTableau(rows, dim, coeffs)
+    status, value = reference_dual_solve(coeffs, rows, dim)[:2]
+    assert (tableau.status, tableau.value) == (status, None if value is None else -value)
     assert implied(coeffs, const, rows, dim) == reference_implied(coeffs, const, rows, dim)
     assert implied([0] * dim, 1, rows, dim) == reference_implied([0] * dim, 1, rows, dim)
 
@@ -359,7 +371,7 @@ def test_bland_fallback_ends_beales_cycle(monkeypatch):
         return pivot(*args)
 
     monkeypatch.setattr(simplex, "_pivot", capped)
-    bounded, d = simplex._minimize(rows, basis, 8)
+    bounded, d = simplex._minimize(rows, basis, 8, 7)
     assert bounded
     assert Fraction(-rows[-1][-1], 4 * d) == Fraction(-5, 4)
     x = [Fraction(0)] * 7
@@ -395,21 +407,167 @@ def region_systems(draw):
 @given(pair=region_systems())
 def test_region_queries_match_reference_engine(pair):
     """`remove_redundant` keeps the same rows, and `contains` gives the same
-    verdicts, with the reference engine patched in: every `implied` call
-    answers as the reference's."""
+    verdicts, with the reference engine patched in: every `implied` call,
+    every emptiness test of a `contains` tableau and every row it is asked
+    about answers as the reference's."""
     a, b = pair
 
-    def run(decide):
+    def run(reference):
         calls = []
 
-        def recording(*args):
-            calls.append(decide(*args))
-            return calls[-1]
+        def record(verdict):
+            calls.append(verdict)
+            return verdict
+
+        def recording_implied(*args):
+            return record((reference_implied if reference else implied)(*args))
+
+        class RecordingTableau(DualTableau):
+            def __init__(self, rows, dim):
+                super().__init__(rows, dim)
+                self.rows, self.dim = rows, dim
+                if reference:
+                    empty = reference_implied([0] * dim, 1, rows, dim)
+                    self.status = UNBOUNDED if empty else OPTIMAL
+                record(self.status == UNBOUNDED)
+
+            def implies(self, coeffs, const):
+                if reference:
+                    return record(reference_implied(coeffs, const, self.rows, self.dim))
+                return record(super().implies(coeffs, const))
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(regions, "implied", recording)
+            patch.setattr(regions, "implied", recording_implied)
+            patch.setattr(regions, "DualTableau", RecordingTableau)
             out = (regions.remove_redundant(a).render(), regions.contains(a, b),
                    regions.contains(b, a))
         return out, calls
 
-    assert run(implied) == run(reference_implied)
+    assert run(False) == run(True)
+
+
+@st.composite
+def requery_cases(draw):
+    """(dim, rows, build, queries): a nonempty system, the coeffs its tableau
+    is built for, and (coeffs, const) questions to re-ask of it in order.
+
+    The rows pass through a point x0 with nonnegative slacks, so they are
+    nonempty; coefficients may be small rationals, constants are dyadic down
+    to 2**-40, and rows are repeated and scaled.  A rank-deficient system
+    keeps every row in a proper subspace, so phase 1 drops equality rows.
+    Questions are nonnegative combinations of rows (inside the row cone,
+    some tight), arbitrary vectors (often outside it, so unbounded below),
+    the zero vector, and repeats."""
+    dim = draw(st.integers(1, 4))
+    small = st.one_of(st.integers(-3, 3),
+                      st.builds(Fraction, st.integers(-7, 7), st.sampled_from([2, 4])))
+    dyadic = st.builds(lambda n, k: Fraction(n, 1 << k), st.integers(-(3 << 12), 3 << 12),
+                       st.integers(0, 40))
+    vec = st.lists(small, min_size=dim, max_size=dim)
+    coeff_rows = draw(st.lists(vec, min_size=1, max_size=7))
+    if dim > 1 and draw(st.booleans()):
+        # rank deficient: the last coordinate is a fixed combination of the first
+        ratio = draw(st.sampled_from([0, 1, -2, Fraction(1, 2)]))
+        coeff_rows = [co[:-1] + [ratio * co[0]] for co in coeff_rows]
+    coeff_rows += [[2 * v for v in co] for co in draw(st.lists(st.sampled_from(coeff_rows),
+                                                               max_size=2))]
+    coeff_rows += draw(st.lists(st.sampled_from(coeff_rows), max_size=2))
+    x0 = draw(st.lists(dyadic, min_size=dim, max_size=dim))
+    rows = []
+    for co in coeff_rows:
+        slack = draw(st.one_of(st.just(0), dyadic.map(abs)))
+        rows.append((co, sum(a * v for a, v in zip(co, x0)) - slack))
+    rows = draw(st.permutations(rows))
+
+    def cone():
+        """A nonnegative combination of the rows and its tight constant."""
+        weights = draw(st.lists(st.integers(0, 2), min_size=len(rows), max_size=len(rows)))
+        return ([sum(w * co[i] for w, (co, _) in zip(weights, rows)) for i in range(dim)],
+                sum(w * ct for w, (_, ct) in zip(weights, rows)))
+
+    def question():
+        coeffs, tight = cone()
+        coeffs = draw(st.sampled_from([coeffs, [0] * dim, draw(vec)]))
+        return coeffs, draw(st.sampled_from([tight, tight + draw(dyadic), draw(dyadic)]))
+
+    queries = [question() for _ in range(draw(st.integers(1, 6)))]
+    queries += draw(st.lists(st.sampled_from(queries), max_size=3))
+    build = draw(st.sampled_from([None, cone()[0]]))
+    return dim, rows, build, draw(st.permutations(queries))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=requery_cases())
+@example(case=(3, [([1, 2, 0], 1), ([2, 4, 0], 2), ([-1, -2, 0], -5)], None,
+               [([1, 2, 1], 0), ([1, 2, 0], 1), ([0, 0, 0], 0), ([1, 2, 0], 2),
+                ([-1, -2, 0], -5), ([0, 0, 1], -1)]))       # rank 1, dropped rows
+@example(case=(1, [([1], Fraction(1, 2 ** 40))], [1],
+               [([1], Fraction(1, 2 ** 40)), ([-1], 0), ([2], Fraction(1, 2 ** 39)),
+                ([1], Fraction(1, 2 ** 39))]))              # gaps at binding precision
+def test_requeries_match_fresh_reference(case):
+    """Every question re-asked of one tableau, in any order, answers as a
+    fresh reference solve: the same status and optimum, and the same
+    verdict as `reference_implied`.  A True verdict carries multipliers
+    y >= 0 with A^T y = coeffs and b.y >= const, and an optimum carries a
+    point x of the rows with coeffs.x equal to it."""
+    dim, rows, build, queries = case
+    tableau = DualTableau(rows, dim, build)
+    assert tableau.status == OPTIMAL
+    for coeffs, const in queries:
+        verdict = tableau.implies(coeffs, const)
+        assert verdict == reference_implied(coeffs, const, rows, dim)
+        status, value = reference_dual_solve(coeffs, rows, dim)[:2]
+        assert (tableau.status, tableau.value) == (status, None if value is None else -value)
+        if verdict:
+            y = multipliers(tableau)
+            assert all(v >= 0 for v in y)
+            for i in range(dim):
+                assert sum(v * co[i] for v, (co, _) in zip(y, rows)) == coeffs[i]
+            assert sum(v * ct for v, (_, ct) in zip(y, rows)) >= const
+        if tableau.status == OPTIMAL:
+            x = tableau.point()
+            assert all(sum(a * v for a, v in zip(co, x)) >= ct for co, ct in rows)
+            assert sum(a * v for a, v in zip(coeffs, x)) == tableau.value
+
+
+def test_bland_fallback_ends_the_dual_of_beales_cycle(monkeypatch):
+    """Dual pivots on the dual of Beale's example (see the test above): one
+    row per x_j with its reduced cost c_j as right-hand side, one column per
+    x_j (unit) and per constraint row i (-A_i), whose reduced cost is b_i.
+    Over the denominator 256, the determinant of the integer basis (each
+    row scaled by 4), it is a valid integer tableau.  Leaving on the most
+    negative row alone, it cycles through 12 dual-degenerate pivots, the
+    primal cycle transposed; the fallback to Bland's rule reaches the
+    optimum within a few pivots: min b.y = 5/4, all of it on the multiplier
+    of the third row, x6 <= 1."""
+    def run():
+        rows = [[256, 0, 0, 0, -64, -128, 0, -192],
+                [0, 256, 0, 0, 2048, 3072, 0, 5120],
+                [0, 0, 256, 0, 256, 128, -256, -128],
+                [0, 0, 0, 256, -2304, -768, 0, 1536],
+                [0, 0, 0, 0, 0, 0, 256, 0]]
+        basis = [0, 1, 2, 3]
+        return simplex._reoptimize(rows, basis, 256, 7), rows, basis
+
+    pivots = []
+    pivot = simplex._pivot
+
+    def capped(*args):
+        pivots.append(args[2:])
+        if len(pivots) > 100:
+            raise AssertionError("no optimum within 100 pivots")
+        return pivot(*args)
+
+    monkeypatch.setattr(simplex, "_pivot", capped)
+    with monkeypatch.context() as patch:
+        patch.setattr(simplex, "_DEGENERATE_RUN", 10 ** 9)
+        with pytest.raises(AssertionError, match="within 100 pivots"):
+            run()
+        assert pivots[:12] == pivots[12:24]
+    pivots.clear()
+    (feasible, d), rows, basis = run()
+    assert feasible and len(pivots) < 20
+    assert all(row[-1] >= 0 for row in rows[:-1])
+    # the cost row ends in minus min b.y = 5/4, minus Beale's optimum
+    assert Fraction(rows[-1][-1], d) == Fraction(-5, 4)
+    assert Fraction(rows[basis.index(6)][-1], d) == Fraction(5, 4)
