@@ -25,8 +25,9 @@ The exact oracle applies the same kernel to many classes at once.  It works
 on batches of at most ``_ROW_CAP`` rows: source blocks, their encoder draws
 (a ragged product of each cell's positive draws), the decoder classes those
 reach, and the class candidates.  Numbers are int64 where a bound proves they
-fit and Python ints in object arrays otherwise; one Fraction is formed per
-distinct denominator.
+fit and Python ints in object arrays otherwise.  Each value's sums over its
+distinct denominators are added as integer pairs in one balanced tree
+(:func:`_fraction_sum`), and one Fraction is formed per value.
 
 Monte Carlo samples the states that the oracle enumerates.  :func:`simulate`
 draws each trial's source block as a row of source letter ids, evaluates the
@@ -47,9 +48,9 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, Optional
 
 import numpy as np
 
@@ -212,6 +213,8 @@ class CodeInstance:
     `f[i]`/`g[i]` map encoded W_i-blocks (base-|W_i| integers) to the shared
     constraint alphabet C_i and the codeword alphabet M_i; `c[i]` fixes the
     constraint value shared by encoder i and every decoder seeing codeword i.
+    `checked_letters`, when given, is what :func:`check_index_budget`
+    returned for this code, so that its first index build checks no budget.
     """
 
     n: int
@@ -222,8 +225,9 @@ class CodeInstance:
     f: Mapping[object, HashFunction]
     g: Mapping[object, HashFunction]
     c: Mapping[object, object]
+    checked_letters: InitVar[Optional[Mapping]] = None
 
-    def __post_init__(self):
+    def __post_init__(self, checked_letters):
         self._w_alph = w_alphabets(self.config, self.channels)
         for i in self.config.encoders:
             dom = self._w_alph[i].size ** self.n
@@ -241,7 +245,8 @@ class CodeInstance:
                     "constraint value %r for encoder %r outside the f image" % (c, i))
         self._joint = build_joint(self.config, self.source, self.channels)
         self._reproduction_args = self._resolve_reproducers()
-        self._letter_sets: dict = {}     # S -> its _positive_letters
+        self._letter_sets: dict = dict(checked_letters or {})   # S -> its _positive_letters
+        self._budget_checked = checked_letters is not None
         self._hashed_blocks: dict = {}   # encoder -> its hash values per W_i-block
         self._class_indexes: dict = {}   # S -> _ClassIndex
         self._tables: dict = {}          # (S, observed) -> (T, bound)
@@ -320,12 +325,14 @@ class CodeInstance:
         """The class index of encoder set S, built on first use and kept.
 
         The first index built checks the size of every index the code needs
-        (:func:`check_index_budget`) and keeps their letters.
+        (:func:`check_index_budget`), unless the code was handed its checked
+        letters, and keeps their letters.
         """
         index = self._class_indexes.get(S)
         if index is None:
-            if not self._class_indexes:
+            if not self._budget_checked:
                 self._letter_sets.update(check_index_budget(self.config, self._joint, self.n))
+                self._budget_checked = True
             index = self._class_indexes[S] = self._build_index(S)
         return index
 
@@ -544,14 +551,24 @@ def _fraction_sum(numerators: dict, scale: int) -> Fraction:
 
     The terms have unrelated denominators, so a running total's denominator
     grows with each term and a left-to-right sum takes time quadratic in the
-    number of terms.  Here terms are added in pairs, level by level: a
-    balanced binary tree.
+    number of terms.  Here (denominator, numerator) integer pairs are added
+    in pairs, level by level: a balanced binary tree.  A merge over
+    g = gcd(b, d) puts a/b + c/d over b/g * d, so each node's denominator is
+    the lcm of its leaves', and one Fraction is formed at the root.
     """
-    terms = [Fraction(numerator, denominator * scale)
-             for denominator, numerator in numerators.items()] or [Fraction(0)]
+    terms = list(numerators.items()) or [(1, 0)]
     while len(terms) > 1:
-        terms = [a + b for a, b in zip(terms[::2], terms[1::2])] + terms[len(terms) & ~1:]
-    return terms[0]
+        terms = [_merge(left, right) for left, right in zip(terms[::2], terms[1::2])] \
+            + terms[len(terms) & ~1:]
+    denominator, numerator = terms[0]
+    return Fraction(numerator, denominator * scale)
+
+
+def _merge(left: tuple, right: tuple) -> tuple:
+    """a/b + c/d as (lcm(b, d), numerator) from (b, a) and (d, c)."""
+    (b, a), (d, c) = left, right
+    g = math.gcd(b, d)
+    return b // g * d, a * (d // g) + c * (b // g)
 
 
 def _runs(lengths):
@@ -876,7 +893,9 @@ def exact_error(code: CodeInstance, delta: float, D: Mapping,
     the summed state weights times the class weight of the reproductions
     that exceed D_k + delta, over the cell totals times the class total;
     the MAP rule outputs its pick with weight 1 out of 1.  Numerators are
-    summed per distinct denominator, and one Fraction is formed for each.
+    summed per distinct denominator, and those sums are added in one
+    balanced tree of integer pairs (:func:`_fraction_sum`): one Fraction
+    per value.
     """
     _check_rule(rule)
     _check_budget(code)

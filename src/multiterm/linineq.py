@@ -17,6 +17,7 @@ takes them and :attr:`LinIneqSystem.ineqs` yields them, the constant a
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -64,8 +65,10 @@ class EntropyTerm:
         return self.render()
 
 
+@functools.lru_cache(maxsize=4096)
 def _natural_key(name: str):
-    """Digit runs compare as numbers; the name itself breaks ties ("R_01", "R_1")."""
+    """Digit runs compare as numbers; the name itself breaks ties ("R_01", "R_1").
+    Cached: every term and system sorts its names with it."""
     return (tuple(int(part) if part.isdigit() else part
                   for part in re.split(r"(\d+)", str(name))), str(name))
 
@@ -130,7 +133,8 @@ class LinIneqSystem:
 
     def extend(self, rows: Iterable[tuple]) -> None:
         """:meth:`add` every (coeffs, const) pair of `rows`, the form that
-        :attr:`ineqs` yields."""
+        :attr:`ineqs` yields.  A row ``0 >= c`` with c > 0 marks the system
+        infeasible, as :meth:`canonicalize` does."""
         rows = [(coeffs, const.terms, const.offset) if isinstance(const, LinConst) else
                 (coeffs, const, 0) if isinstance(const, Mapping) else (coeffs, {}, const)
                 for coeffs, const in rows]
@@ -150,6 +154,8 @@ class LinIneqSystem:
             for term, c in terms.items():
                 if c:
                     values[column[term]] = c
+            if offset > 0 and not any(values[:-1]):
+                self.infeasible = True
             if {type(v) for v in values} <= {int}:
                 self.rows.append((*values, 1))
             else:
@@ -159,7 +165,9 @@ class LinIneqSystem:
     @property
     def ineqs(self) -> tuple:
         """The rows as exact (coefficients, :class:`LinConst`) pairs, the form
-        :meth:`extend` takes, built on each access."""
+        :meth:`extend` takes, built on each access.  They carry the infeasible
+        flag only through a ``0 >= c`` row: a system found empty by the LP,
+        which has no such row, needs the flag passed beside them."""
         n = len(self.vars)
         return tuple(({v: Fraction(c, row[-1]) for v, c in zip(self.vars, row) if c},
                       LinConst(Fraction(row[-2], row[-1]), {

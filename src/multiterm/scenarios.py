@@ -19,7 +19,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .codec import CodeInstance, realized_size
+from .codec import CodeInstance, check_index_budget, realized_size
 from .errors import ConfigurationError
 from .hashing import make_ensemble
 from .network import (
@@ -28,6 +28,7 @@ from .network import (
     NetworkConfig,
     Reproducer,
     bsc_channel,
+    build_joint,
     identity_channel,
     identity_reproducer,
     w_alphabets,
@@ -54,12 +55,16 @@ class Scenario:
                   aux_rates: Optional[Mapping] = None, seed: int = 0) -> CodeInstance:
         """Realize one code: sample hash functions and constraint values.
 
-        Image sizes realize the target rates as round(2^(rate*n)).  Each
+        A code whose class indexes would exceed the budget is refused
+        (:func:`codec.check_index_budget`) before any hash is sampled.  Image
+        sizes realize the target rates as round(2^(rate*n)).  Each
         encoder's hashes are of the kind `code_kinds` names (binning when it
         names none); a linear or sparse-linear kind needs domain and image
         sizes that are powers of q, and any other size is a configuration
         error naming it and q.
         """
+        letters = check_index_budget(
+            self.config, build_joint(self.config, self.source, self.channels), n)
         rates = {**self.default_rates, **(rates or {})}
         aux_rates = {**self.default_aux_rates, **(aux_rates or {})}
         w_alph = w_alphabets(self.config, self.channels)
@@ -79,7 +84,7 @@ class Scenario:
             c[i] = int(np.random.default_rng(c_seed).integers(0, f_ens.image_size))
         return CodeInstance(
             n=n, config=self.config, source=self.source, channels=self.channels,
-            reproducers=self.reproducers, f=f, g=g, c=c)
+            reproducers=self.reproducers, f=f, g=g, c=c, checked_letters=letters)
 
 
 # -- built-in scenarios ------------------------------------------------------------------

@@ -2,15 +2,16 @@ import dataclasses
 import itertools
 import math
 import operator
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import chisquare
 
-from multiterm import codec, probability
+from multiterm import codec, hashing, probability
 from multiterm.codec import (
     CodeInstance,
     SimReport,
@@ -614,7 +615,7 @@ def _lossless_class_sums(code, rule):
 def test_exact_error_matches_lossless_class_sums():
     """The general oracle on a lossless code equals the closed-form class sums."""
     scenario = build_scenario("slepian-wolf")
-    for n in (2, 3, 4):
+    for n in (2, 3, 4, 5, 6):
         code = scenario.make_code(n, seed=3)
         for rule in ("crng", "map"):
             result = exact_error(code, delta=0.5, D=scenario.default_D, rule=rule)
@@ -622,6 +623,28 @@ def test_exact_error_matches_lossless_class_sums():
             assert result.mismatch == mismatch
             assert result.exceed == exceed
             assert result.encoder_abort == 0
+
+
+# denominators built from a few primes, so that pairs share factors or are
+# coprime, times an optional large prime
+_DENOMINATORS = st.builds(
+    lambda exponents, large: math.prod(p ** e for p, e in zip((2, 3, 5, 7), exponents)) * large,
+    st.lists(st.integers(0, 4), min_size=4, max_size=4),
+    st.sampled_from([1, 1, 2 ** 61 - 1, 2 ** 127 - 1]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(numerators=st.dictionaries(_DENOMINATORS, st.integers(-2 ** 200, 2 ** 200), max_size=40),
+       scale=st.integers(1, 3 ** 40))
+@example(numerators={}, scale=1)
+@example(numerators={12: 5}, scale=7)
+@example(numerators={3: 1, 5: 1, 7: 1}, scale=1)                    # coprime, odd count
+@example(numerators={6: 1, 10: -1, 15: 2, 12: 2 ** 200, 9: 1}, scale=4)   # shared factors
+def test_fraction_sum_matches_fraction_reference(numerators, scale):
+    """The oracle's integer-pair tree sum equals a plain Fraction sum."""
+    expected = sum((Fraction(numerator, denominator * scale)
+                    for denominator, numerator in numerators.items()), Fraction(0))
+    assert codec._fraction_sum(numerators, scale) == expected
 
 
 def test_exact_error_monotone_in_codeword_count():
@@ -981,11 +1004,12 @@ def _sw_expected_mismatch_vectorized(code) -> float:
 
 
 def test_sw_mismatch_trend_larger_blocks():
-    """Expected mismatch strictly decreasing over n in {4, 8, 12} at rates
-    (1.0, 0.75) inside the region."""
+    """Expected mismatch strictly decreasing over n in {4, 8, 10} at rates
+    (1.0, 0.75) inside the region; n = 10 is the largest block length whose
+    decoder index (4^n blocks) `make_code` accepts."""
     scenario = build_scenario("slepian-wolf")
     values = []
-    for n in (4, 8, 12):
+    for n in (4, 8, 10):
         code = scenario.make_code(n, rates={1: 1.0, 2: 0.75}, seed=17)
         values.append(_sw_expected_mismatch_vectorized(code))
     assert values[1] < values[0] and values[2] < values[1]
@@ -1000,11 +1024,25 @@ def test_sw_vectorized_helper_agrees_with_exact_oracle():
 
 
 def test_exact_error_budget_guard():
-    # 4 source letters, each through two binary symmetric channels: 16 states
+    # 4 source letters, each through two binary symmetric channels: 16 states;
+    # at n = 7 the class indexes (4^7 blocks) fit and the 16^7 states do not
     scenario = build_scenario("berger-tung-binary")
-    code = scenario.make_code(13, seed=0)
-    with pytest.raises(BudgetExceededError, match=str(16 ** 13)):
+    code = scenario.make_code(7, seed=0)
+    with pytest.raises(BudgetExceededError, match=str(16 ** 7)):
         exact_error(code, 0.01, scenario.default_D)
+
+
+def test_make_code_refuses_the_index_budget_before_sampling(monkeypatch):
+    def sample_function(self, seed):
+        raise AssertionError("a hash was sampled before the budget check")
+
+    for ensemble in (hashing.HashEnsemble, *hashing.HashEnsemble.__subclasses__()):
+        monkeypatch.setattr(ensemble, "sample_function", sample_function)
+    t0 = time.perf_counter()
+    with pytest.raises(BudgetExceededError, match=r"encoders \(1, 2\) needs 4 letters \^ n=20 = %d "
+                       r"blocks \(budget %d\)" % (4 ** 20, 2 ** 20)):
+        build_scenario("slepian-wolf").make_code(20)
+    assert time.perf_counter() - t0 < 0.5
 
 
 def test_budget_counts_positive_probability_states():

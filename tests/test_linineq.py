@@ -248,6 +248,8 @@ def raw_systems(draw):
 _BINDING = {TERMS[0]: Fraction(3, 4), TERMS[1]: Fraction(-5, 2 ** 40), TERMS[2]: Fraction(7, 3)}
 _GCD_AND_DOMINANCE = (("R_1",), [({"R_1": 2}, LinConst(1)), ({"R_1": 4}, LinConst(3)),
                                  ({"R_1": 2}, LinConst(0))])
+_UNSATISFIED = (("R_1", "R_2"), [({"R_1": 1}, LinConst(0)), ({}, LinConst(Fraction(1, 3))),
+                                  ({"R_2": 0}, LinConst(-1))])
 
 
 def _system(vars, rows):
@@ -286,10 +288,12 @@ def test_integer_rows_match_the_rational_reference(case):
 @settings(max_examples=200, deadline=None)
 @given(case=raw_systems())
 @example(case=_GCD_AND_DOMINANCE)
+@example(case=_UNSATISFIED)
 def test_ineqs_round_trip_through_extend(case):
     """`ineqs` yields the (coefficients, LinConst) pairs that `extend` takes: a
     system built from them renders as the one they came from, raw, canonical
-    and eliminated, and they equal the reference rows exactly."""
+    and eliminated, with or without its infeasible flag passed (a ``0 >= c``
+    row with c > 0 sets it), and they equal the reference rows exactly."""
     vars, rows = case
     system, ref = _system(vars, rows), _ref_rows(vars, rows)
     ref_canonical, _ = _ref_canonicalize(vars, ref)
@@ -297,4 +301,5 @@ def test_ineqs_round_trip_through_extend(case):
     for s, ref_rows in ((system, ref), (system.canonicalize(), ref_canonical),
                         (fme_eliminate(system, vars[-1:]), ref_eliminated)):
         assert LinIneqSystem(s.vars, s.ineqs, s.infeasible).render() == s.render()
+        assert LinIneqSystem(s.vars, s.ineqs).render() == s.render()
         assert list(s.ineqs) == [(dict(coeffs), const) for coeffs, const in ref_rows]
