@@ -48,9 +48,9 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional
+from typing import Mapping
 
 import numpy as np
 
@@ -155,20 +155,22 @@ def _positive_letters(joint: JointPmf, S) -> np.ndarray:
     return marginal.ids[marginal.weights > 0]
 
 
-def check_index_budget(config: NetworkConfig, joint: JointPmf, n: int) -> dict:
+def check_index_budget(config: NetworkConfig, joint: JointPmf, n: int):
     """Refuse a code whose class indexes would be too large, before any hash
     is evaluated: each sharing cell's index, then each decoder's I_j index,
     scans letters^n blocks (letters: the positive-mass W_S letters), and one
-    above ``_INDEX_BUDGET`` raises :class:`BudgetExceededError`.  Returns
-    S -> :func:`_positive_letters` of S."""
-    letters = {S: _positive_letters(joint, S) for S in
-               [*config.sharing, *(tuple(config.codewords_to[j]) for j in config.decoders)]}
-    for S, rows in letters.items():
-        if len(rows) ** n > _INDEX_BUDGET:
-            raise BudgetExceededError(
-                "class index of encoders %r needs %d letters ^ n=%d = %d blocks "
-                "(budget %d)" % (S, len(rows), n, len(rows) ** n, _INDEX_BUDGET))
-    return letters
+    above ``_INDEX_BUDGET`` raises :class:`BudgetExceededError`."""
+    for S in [*config.sharing, *(tuple(config.codewords_to[j]) for j in config.decoders)]:
+        _check_index_size(S, len(_positive_letters(joint, S)), n)
+
+
+def _check_index_size(S, letters: int, n: int):
+    """Refuse the class index of S when it would scan letters^n blocks above
+    ``_INDEX_BUDGET``."""
+    if letters ** n > _INDEX_BUDGET:
+        raise BudgetExceededError(
+            "class index of encoders %r needs %d letters ^ n=%d = %d blocks "
+            "(budget %d)" % (S, letters, n, letters ** n, _INDEX_BUDGET))
 
 
 # -- code instances ------------------------------------------------------------------
@@ -213,8 +215,6 @@ class CodeInstance:
     `f[i]`/`g[i]` map encoded W_i-blocks (base-|W_i| integers) to the shared
     constraint alphabet C_i and the codeword alphabet M_i; `c[i]` fixes the
     constraint value shared by encoder i and every decoder seeing codeword i.
-    `checked_letters`, when given, is what :func:`check_index_budget`
-    returned for this code, so that its first index build checks no budget.
     """
 
     n: int
@@ -225,9 +225,8 @@ class CodeInstance:
     f: Mapping[object, HashFunction]
     g: Mapping[object, HashFunction]
     c: Mapping[object, object]
-    checked_letters: InitVar[Optional[Mapping]] = None
 
-    def __post_init__(self, checked_letters):
+    def __post_init__(self):
         self._w_alph = w_alphabets(self.config, self.channels)
         for i in self.config.encoders:
             dom = self._w_alph[i].size ** self.n
@@ -245,8 +244,7 @@ class CodeInstance:
                     "constraint value %r for encoder %r outside the f image" % (c, i))
         self._joint = build_joint(self.config, self.source, self.channels)
         self._reproduction_args = self._resolve_reproducers()
-        self._letter_sets: dict = dict(checked_letters or {})   # S -> its _positive_letters
-        self._budget_checked = checked_letters is not None
+        self._letter_sets: dict = {}     # S -> its _positive_letters
         self._hashed_blocks: dict = {}   # encoder -> its hash values per W_i-block
         self._class_indexes: dict = {}   # S -> _ClassIndex
         self._tables: dict = {}          # (S, observed) -> (T, bound)
@@ -322,23 +320,18 @@ class CodeInstance:
     # -- the constrained draw shared by encoders and decoders ----------------------------
 
     def _index(self, S) -> _ClassIndex:
-        """The class index of encoder set S, built on first use and kept.
-
-        The first index built checks the size of every index the code needs
-        (:func:`check_index_budget`), unless the code was handed its checked
-        letters, and keeps their letters.
-        """
+        """The class index of encoder set S, built on first use and kept."""
         index = self._class_indexes.get(S)
         if index is None:
-            if not self._budget_checked:
-                self._letter_sets.update(check_index_budget(self.config, self._joint, self.n))
-                self._budget_checked = True
             index = self._class_indexes[S] = self._build_index(S)
         return index
 
     def _build_index(self, S) -> _ClassIndex:
+        """Build the class index of S; one over the budget is refused
+        (:func:`_check_index_size`) before any block is scanned."""
         letters = self._letters(S)
         n, size = self.n, len(letters)
+        _check_index_size(S, size, n)
         digits = _digits(np.arange(size ** n), size, n, np.min_scalar_type(size - 1))
         admissible = np.ones(size ** n, dtype=bool)
         keys = []

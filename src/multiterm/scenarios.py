@@ -56,15 +56,23 @@ class Scenario:
         """Realize one code: sample hash functions and constraint values.
 
         A code whose class indexes would exceed the budget is refused
-        (:func:`codec.check_index_budget`) before any hash is sampled.  Image
-        sizes realize the target rates as round(2^(rate*n)).  Each
+        (:func:`codec.check_index_budget`) before any hash is sampled.
+        """
+        check_index_budget(self.config, build_joint(self.config, self.source, self.channels), n)
+        return self._sample_code(n, rates, aux_rates, seed)
+
+    def _sample_code(self, n: int, rates: Optional[Mapping] = None,
+                     aux_rates: Optional[Mapping] = None, seed: int = 0) -> CodeInstance:
+        """The code :meth:`make_code` realizes, without its early budget
+        refusal; the code still refuses each class index over the budget at
+        its first build.
+
+        Image sizes realize the target rates as round(2^(rate*n)).  Each
         encoder's hashes are of the kind `code_kinds` names (binning when it
         names none); a linear or sparse-linear kind needs domain and image
         sizes that are powers of q, and any other size is a configuration
         error naming it and q.
         """
-        letters = check_index_budget(
-            self.config, build_joint(self.config, self.source, self.channels), n)
         rates = {**self.default_rates, **(rates or {})}
         aux_rates = {**self.default_aux_rates, **(aux_rates or {})}
         w_alph = w_alphabets(self.config, self.channels)
@@ -84,7 +92,7 @@ class Scenario:
             c[i] = int(np.random.default_rng(c_seed).integers(0, f_ens.image_size))
         return CodeInstance(
             n=n, config=self.config, source=self.source, channels=self.channels,
-            reproducers=self.reproducers, f=f, g=g, c=c, checked_letters=letters)
+            reproducers=self.reproducers, f=f, g=g, c=c)
 
 
 # -- built-in scenarios ------------------------------------------------------------------

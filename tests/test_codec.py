@@ -1004,13 +1004,14 @@ def _sw_expected_mismatch_vectorized(code) -> float:
 
 
 def test_sw_mismatch_trend_larger_blocks():
-    """Expected mismatch strictly decreasing over n in {4, 8, 10} at rates
-    (1.0, 0.75) inside the region; n = 10 is the largest block length whose
-    decoder index (4^n blocks) `make_code` accepts."""
+    """Expected mismatch strictly decreasing over n in {4, 8, 12} at rates
+    (1.0, 0.75) inside the region.  The helper reads only the g hashes, so
+    the n = 12 code, whose decoder index (4^12 blocks) `make_code` refuses,
+    is sampled past that refusal and never builds an index."""
     scenario = build_scenario("slepian-wolf")
     values = []
-    for n in (4, 8, 10):
-        code = scenario.make_code(n, rates={1: 1.0, 2: 0.75}, seed=17)
+    for n in (4, 8, 12):
+        code = scenario._sample_code(n, rates={1: 1.0, 2: 0.75}, seed=17)
         values.append(_sw_expected_mismatch_vectorized(code))
     assert values[1] < values[0] and values[2] < values[1]
 
@@ -1025,10 +1026,11 @@ def test_sw_vectorized_helper_agrees_with_exact_oracle():
 
 def test_exact_error_budget_guard():
     # 4 source letters, each through two binary symmetric channels: 16 states;
-    # at n = 7 the class indexes (4^7 blocks) fit and the 16^7 states do not
+    # the state guard fires before any class index is built, so the code is
+    # sampled past make_code's index refusal (4^13 blocks)
     scenario = build_scenario("berger-tung-binary")
-    code = scenario.make_code(7, seed=0)
-    with pytest.raises(BudgetExceededError, match=str(16 ** 7)):
+    code = scenario._sample_code(13, seed=0)
+    with pytest.raises(BudgetExceededError, match=str(16 ** 13)):
         exact_error(code, 0.01, scenario.default_D)
 
 
@@ -1043,6 +1045,16 @@ def test_make_code_refuses_the_index_budget_before_sampling(monkeypatch):
                        r"blocks \(budget %d\)" % (4 ** 20, 2 ** 20)):
         build_scenario("slepian-wolf").make_code(20)
     assert time.perf_counter() - t0 < 0.5
+
+
+def test_code_refuses_an_index_over_the_budget_at_its_build():
+    # built past make_code's refusal: the 2^11-block cell indexes fit, the
+    # decoder's 4^11-block index does not
+    scenario = build_scenario("slepian-wolf")
+    code = scenario._sample_code(11, seed=0)
+    with pytest.raises(BudgetExceededError, match=r"encoders \(1, 2\) needs 4 letters \^ n=11"):
+        simulate(code, 0.01, scenario.default_D, trials=1, seed=0)
+    assert (1, 2) not in code._class_indexes
 
 
 def test_budget_counts_positive_probability_states():
