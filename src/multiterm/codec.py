@@ -32,14 +32,14 @@ distinct denominators are added as integer pairs in one balanced tree
 Monte Carlo samples the states that the oracle enumerates.  :func:`simulate`
 draws each trial's source block as a row of source letter ids, evaluates the
 cell laws at the distinct input blocks drawn (:func:`_cell_draws`), reaches
-each decoder's class through its index and the class law or MAP pick
-through :class:`_DecoderClasses`, and scores the reproductions through the
-oracle's tables.  A draw searches its law's cumulative table (built at most
-once per law and call) with one uniform.  A call has one generator, and its
-trials lie end to end on that stream, a fixed number of uniforms each, so a
-trial can be replayed alone (see :func:`simulate`).  The per-call methods of
-:class:`CodeInstance` (the laws, `encode`, `decode`) are one-trial calls of
-the same functions.
+each decoder's class through its index and its law (the MAP pick as a
+one-point law) through :class:`_DecoderClasses`, and scores the reproductions
+through the oracle's tables.  A draw searches its law's cumulative table
+(built at most once per law and call) with one uniform.  A call has one
+generator, and its trials lie end to end on that stream, a fixed number of
+uniforms each, so a trial can be replayed alone (see :func:`simulate`).  The
+per-call methods of :class:`CodeInstance` (the laws, `encode`, `decode`) are
+one-trial calls of the same functions.
 """
 
 from __future__ import annotations
@@ -78,6 +78,7 @@ from .probability import (
     marginalize,
     ragged,
     row_numbers,
+    sum_at,
     support_table,
 )
 from .rational import int_array
@@ -193,14 +194,13 @@ class _ClassIndex:
     `rows[r]` holds the letter ids (into `letters`) of admissible block r.
     Rows run class by class, the classes in the order of their first block
     in product order, and in product order within a class.  `cls[r]` is the
-    class of row r; class c holds rows bounds[c]:bounds[c + 1]; `lookup`
-    maps the g values on S to their class; `row_of` maps a block's
-    product-order number to its row, or -1 when it is not admissible; and
-    `symbols[e][l]` is encoder S[e]'s symbol in letter l.
+    class of row r; class c holds rows bounds[c]:bounds[c + 1]; `keys[c]`
+    holds the ids of class c's g values, one per encoder of S; `row_of` maps
+    a block's product-order number to its row, or -1 when it is not
+    admissible; and `letters[l]` holds letter l's symbol per encoder of S.
     """
 
     letters: list
-    symbols: list
     rows: np.ndarray
     cls: np.ndarray
     bounds: np.ndarray
@@ -347,12 +347,9 @@ class CodeInstance:
         kept, cls = kept[by_class], cls[by_class]
         row_of = np.full(size ** n, -1, dtype=np.int64)
         row_of[kept] = np.arange(len(kept))
-        columns = [[self._w_alph[i].symbols[a] for a in column]
-                   for i, column in zip(S, letters.T.tolist())]
+        symbols = [self._w_alph[i].symbols for i in S]
         return _ClassIndex(
-            letters=list(zip(*columns)),
-            # 1-D object arrays: symbols may themselves be tuples
-            symbols=[np.fromiter(column, dtype=object, count=len(column)) for column in columns],
+            letters=[tuple(s[a] for s, a in zip(symbols, row)) for row in letters.tolist()],
             rows=digits[kept], cls=cls, bounds=np.searchsorted(cls, np.arange(len(first) + 1)),
             keys=classes[first], row_of=row_of)
 
@@ -397,9 +394,9 @@ class CodeInstance:
         ({encoder: block}, weight) per (row, weight)."""
         items = list(items)
         index = self._index(S)
-        rows = index.rows[[r for r, _ in items]]
-        columns = [map(tuple, symbols[rows].tolist()) for symbols in index.symbols]
-        return [(dict(zip(S, blocks)), w) for blocks, (_, w) in zip(zip(*columns), items)]
+        rows = index.rows[[r for r, _ in items]].tolist()
+        return [(dict(zip(S, zip(*map(index.letters.__getitem__, row)))), w)
+                for row, (_, w) in zip(rows, items)]
 
     # -- encoder -------------------------------------------------------------------------
 
@@ -478,8 +475,8 @@ class CodeInstance:
         lexicographically smallest blocks (encoder order, then letter order).
         """
         _check_rule(rule)
-        law = self._decoder_at(j, m, y_block, rule)
-        row = law[0][draw(choice_table(*law[1:]), seed)] if rule == "crng" else law
+        rows, weights, total = self._decoder_at(j, m, y_block, rule)
+        row = rows[draw(choice_table(weights, total), seed)]
         w_hat = self._named(self._decoder(j).ij, [(row, None)])[0][0]
         return w_hat, self.reproduce(j, w_hat, y_block)
 
@@ -506,19 +503,10 @@ def _product(factors) -> tuple:
     return out, bound
 
 
-def _sum_at(where, count: int, values, bound) -> np.ndarray:
-    """The sums of `values` (each at most `bound`) into `count` groups, value
-    v into group where[v]: int64 when len(values) such terms fit."""
-    dtype = np.int64 if bound * len(values) < _INT64 else object
-    sums = np.zeros(count, dtype=dtype)
-    np.add.at(sums, where, values.astype(dtype, copy=False))
-    return sums
-
-
 def _sum_by(keys, values, bound) -> tuple:
     """(distinct keys in sorted order, the sum of `values` over each)."""
     distinct, where = np.unique(keys, return_inverse=True)
-    return distinct, _sum_at(where, len(distinct), values, bound)
+    return distinct, sum_at(where, len(distinct), int_array(values, bound * len(values)))
 
 
 def _accumulate(numerators: dict, keys: list, denominators: list, values):
@@ -527,7 +515,7 @@ def _accumulate(numerators: dict, keys: list, denominators: list, values):
     the denominator, the product of the (integers, bound) `denominators` at
     that row, so that values are grouped without sorting large integers."""
     where, first = _row_ids(np.stack(keys, axis=1))
-    sums = _sum_at(where, len(first), *values)
+    sums = sum_at(where, len(first), int_array(values[0], values[1] * len(values[0])))
     totals, _ = _product([(factor[first], bound) for factor, bound in denominators])
     for denominator, total in zip(totals.tolist(), sums.tolist()):
         if total:
@@ -694,7 +682,8 @@ class _DecoderClasses:
     state's true W_{I_j}-blocks, that class's law given the state's side
     information, and the reproductions of the class's candidates.  `drawn`
     keeps, per (rule, class and side-information block) that Monte Carlo has
-    drawn from, the class law as (index rows, choice table) or the MAP pick."""
+    drawn from, its law under the rule (:meth:`laws`) as (index rows, choice
+    table)."""
 
     def __init__(self, code: CodeInstance, j, source: _Source):
         cfg = code.config
@@ -780,13 +769,14 @@ class _DecoderClasses:
         return row[np.lexsort([*digits.T[::-1], ~best, owner])[starts]]
 
     def laws(self, cls, observed, rule: str) -> list:
-        """Per entry (a class and an observed block of ids): under "crng" its
-        law over index rows, (rows, weights, total) with the rows of positive
-        weight; under "map" its MAP pick."""
+        """Per entry (a class and an observed block of ids) its law over index
+        rows, (rows, weights, total): under "crng" the class law, the rows of
+        positive weight; under "map" its MAP pick, weight 1 of total 1."""
         out = []
         for a, b, owner, starts, row, _, weight in self._classes(cls, observed):
             if rule == "map":
-                out += self._pick(owner, starts, row, weight).tolist()
+                pick = self._pick(owner, starts, row, weight)
+                out += _split(pick, *[np.ones_like(pick)] * 3)
             else:
                 keep = np.flatnonzero(weight)
                 out += _split(row[keep], weight[keep], np.bincount(owner[keep], minlength=b - a),
@@ -973,20 +963,23 @@ def simulate(code: CodeInstance, delta: float, D: Mapping, trials: int,
     instead of enumerated.  The call draws from one generator,
     ``default_rng(seed)``: trial t reads the doubles at offsets [t*w,
     (t+1)*w) of its stream, w = n + (cells) + (decoders), first the n
-    source letters, then one per cell and one per decoder (the MAP rule
-    leaves its decoder's unread).  So the report is deterministic in
-    `seed` and does not depend on the batching, and trial t replays alone
-    from ``Generator(PCG64(seed).advance(t * w))``.  An encoder abort
-    counts as an error for the mismatch and for every exceedance, with
-    distortion `bound`.  A decoder's class holds the true blocks, which have
-    positive weight, so decoders never abort.
+    source letters, then one per cell and one per decoder (the MAP rule's
+    one-point law reads it and ignores its value, so both rules lay out the
+    stream alike).  So the report is deterministic in `seed` and does not
+    depend on the batching, and trial t replays alone from
+    ``Generator(PCG64(seed).advance(t * w))``.  An encoder abort counts as
+    an error for the mismatch and for every exceedance, with distortion
+    `bound`.  A decoder's class holds the true blocks, which have positive
+    weight, so decoders never abort.  `trials` must be a positive int.
     """
     _check_rule(rule)
     ks = code.config.reproduction_ids
+    bounds = _bounds(D, delta, ks)
+    if not (isinstance(trials, (int, np.integer)) and trials > 0):
+        raise ConfigurationError("trials must be a positive integer, got %r" % (trials,))
     report = SimReport(trials=trials, mismatch_count=0, exceed_counts={k: 0 for k in ks},
                        encoder_abort_count=0, decoder_abort_count=0,
                        distortion_sums={k: 0.0 for k in ks}, seed=seed)
-    bounds = _bounds(D, delta, ks)
     rng = np.random.default_rng(seed)
     width = code.n + len(code.config.sharing) + len(code.config.decoders)
     for lo in range(0, trials, _ROW_CAP):
@@ -1025,14 +1018,12 @@ def _run_batch(code: CodeInstance, bounds: dict, uniforms, rule: str, report: Si
         keys = (cls * decoder.y_count + decoder.y_number(digits)).tolist()
         new = {key: e for e, key in enumerate(keys) if (rule, key) not in decoder.drawn}
         at = np.array(list(new.values()), dtype=np.intp)
-        laws = decoder.laws(cls[at], decoder.y_ids[digits[at]], rule)
-        decoder.drawn.update(zip([(rule, key) for key in new], laws if rule == "map" else [
-            (rows, choice_table(weights, total)) for rows, weights, total in laws]))
+        decoder.drawn.update(zip([(rule, key) for key in new], [
+            (rows, choice_table(weights, total))
+            for rows, weights, total in decoder.laws(cls[at], decoder.y_ids[digits[at]], rule)]))
         laws = [decoder.drawn[rule, key] for key in keys]
-        if rule == "crng":
-            laws = [rows[cdf.searchsorted(x, side="right")]
-                    for (rows, cdf), x in zip(laws, uniforms[live, n + len(cfg.sharing) + pos])]
-        picked = np.array(laws, dtype=np.int64)
+        picked = np.array([rows[cdf.searchsorted(x, side="right")] for (rows, cdf), x in zip(
+            laws, uniforms[live, n + len(cfg.sharing) + pos])], dtype=np.int64)
         mismatched[live] |= picked != row
         observed = decoder.y_ids[digits]
         for k, measure, x, z in decoder.reproductions:

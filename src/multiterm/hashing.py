@@ -241,31 +241,20 @@ class SparseLinearEnsemble(HashEnsemble):
                 options.append(tuple(col))
         return options
 
-    def _column_distribution(self):
-        """Pmf of one column's contribution for an active difference digit."""
-        options = self._column_options()
-        p = Fraction(1, len(options))
-        dist = {}
-        for col in options:
-            key = gfq.encode(col, self.q)
-            dist[key] = dist.get(key, Fraction(0)) + p
-        return dist
-
     def _collision_profile(self):
-        """profile[k] = P(A d = 0) when the difference has k active digits."""
-        column = self._column_distribution()
-        profile = [Fraction(1)]
-        current = {0: Fraction(1)}
+        """profile[k] = P(A d = 0) when the difference has k active digits: the
+        mass at 0 of a sum of k columns, each uniform over the column options."""
+        options = self._column_options()
+        p, zero = Fraction(1, len(options)), (0,) * self.m
+        profile, current = [Fraction(1)], {zero: Fraction(1)}
         for _ in range(self.n):
             nxt: dict = {}
-            for state, p in current.items():
-                svec = gfq.decode(state, self.q, self.m)
-                for delta, pd in column.items():
-                    dvec = gfq.decode(delta, self.q, self.m)
-                    key = gfq.encode(gfq.add(svec, dvec, self.q), self.q)
-                    nxt[key] = nxt.get(key, Fraction(0)) + p * pd
+            for state, mass in current.items():
+                for column in options:
+                    key = gfq.add(state, column, self.q)
+                    nxt[key] = nxt.get(key, Fraction(0)) + mass * p
             current = nxt
-            profile.append(current.get(0, Fraction(0)))
+            profile.append(current.get(zero, Fraction(0)))
         return profile
 
     def _measure_beta(self, alpha: Fraction) -> Fraction:
@@ -410,19 +399,6 @@ def make_ensemble(kind: str, domain_size: int, image_size: int,
 # -- collision property verification ----------------------------------------------------
 
 
-def collision_mass(ens: HashEnsemble, anchor: int, alpha) -> Fraction:
-    """Sum of collision probabilities above alpha/|Im| for one anchor."""
-    threshold = Fraction(alpha) / ens.image_size
-    total = Fraction(0)
-    for w2 in range(ens.domain_size):
-        if w2 == anchor:
-            continue
-        p = ens.collision_prob(anchor, w2)
-        if p > threshold:
-            total += p
-    return total
-
-
 def verify_hash_property(ens: HashEnsemble, alpha, beta) -> bool:
     """Exhaustively check the collision-mass bound at (alpha, beta).
 
@@ -432,14 +408,17 @@ def verify_hash_property(ens: HashEnsemble, alpha, beta) -> bool:
 
 
 def measure_beta(ens: HashEnsemble, alpha) -> Fraction:
-    """Smallest beta for which the ensemble satisfies the bound at alpha.
+    """Smallest beta for which the ensemble satisfies the bound at alpha:
+    the sum of the collision probabilities with 0 that exceed alpha/|Im|.
 
     Every ensemble here needs only one anchor, 0: a binning or uniform
     linear ensemble's collision probability is the same for every pair, a
     sparse one's depends only on the pair's difference over GF(q)^n, and so
     does a composition's (parts sharing the domain q^n share the prime q).
     """
-    return collision_mass(ens, 0, Fraction(alpha))
+    threshold = Fraction(alpha) / ens.image_size
+    masses = (ens.collision_prob(0, w2) for w2 in range(1, ens.domain_size))
+    return sum((p for p in masses if p > threshold), Fraction(0))
 
 
 # -- joint-ensemble lemmas: balanced coloring and collision resistance -------------------

@@ -29,8 +29,6 @@ from .probability import (
 )
 from .reports import Report
 
-EXAMPLES = ("berger-tung", "el-gamal-cover", "zhang-berger", "heegard-berger")
-
 # slack of the float entropy identities; every Markov precondition is exact
 IDENTITY_TOL = 1e-9
 
@@ -41,11 +39,14 @@ def verify_example_identities(example: str, pmf: JointPmf) -> Report:
     The pmf must satisfy the example's Markov class exactly; a violated chain
     raises :class:`PreconditionError` naming it.
     """
-    verifier = {"berger-tung": _berger_tung, "el-gamal-cover": _el_gamal_cover,
-                "zhang-berger": _zhang_berger, "heegard-berger": _heegard_berger}.get(example)
-    if verifier is None:
+    return _example(example)[0](pmf)
+
+
+def _example(example: str) -> tuple:
+    """The ``_EXAMPLES`` entry of `example`; an unknown name is refused."""
+    if example not in _EXAMPLES:
         raise ConfigurationError("unknown example %r (known: %s)" % (example, ", ".join(EXAMPLES)))
-    return verifier(pmf)
+    return _EXAMPLES[example]
 
 
 def _require_markov(pmf, a, b, c, label):
@@ -213,30 +214,29 @@ def _conditional_from(pmf: JointPmf, out: list, given: list) -> ConditionalPmf:
 # -- random law generators for the sweeps ---------------------------------------------
 
 
-def _random_channel(rng, in_vars, out_vars) -> ConditionalPmf:
-    """Random strictly positive rows: integer weights in [1, 720) over their sum."""
-    rows = {}
-    out_keys = list(itertools.product(*(a.symbols for _, a in out_vars)))
-    for key in itertools.product(*(a.symbols for _, a in in_vars)):
-        weights = [int(v) for v in rng.integers(1, 720, size=len(out_keys))]
-        total = sum(weights)
-        rows[key] = {k: Fraction(v, total) for k, v in zip(out_keys, weights)}
-    return ConditionalPmf(in_vars, out_vars, rows)
-
-
-# Each example's Markov class as the variables of its independent base laws,
-# then its channels (input names, outputs), each variable by its alphabet size.
-_CLASSES = {
-    "berger-tung": ([{"T": 2}, {"X1": 3, "X2": 2}],
+# Each example's verifier and Markov class: the variables of its independent
+# base laws, then its channels (input names, outputs), each variable by its
+# alphabet size.
+_EXAMPLES = {
+    "berger-tung": (_berger_tung, [{"T": 2}, {"X1": 3, "X2": 2}],
                     [("X1 T", {"W1": 2}), ("X2 T", {"W2": 3})]),
-    "el-gamal-cover": ([{"T": 2}, {"X": 3}],
+    "el-gamal-cover": (_el_gamal_cover, [{"T": 2}, {"X": 3}],
                        [("X T", {"W1": 2, "W2": 2}), ("W1 T", {"Z1": 2}), ("W2 T", {"Z2": 2}),
                         ("W1 W2 T", {"Z12": 2})]),
-    "zhang-berger": ([{"X": 3}], [("X", {"W0": 2, "W1": 2, "W2": 2})]),
-    "heegard-berger": ([{"X": 2}],
+    "zhang-berger": (_zhang_berger, [{"X": 3}], [("X", {"W0": 2, "W1": 2, "W2": 2})]),
+    "heegard-berger": (_heegard_berger, [{"X": 2}],
                        [("X", {"Y1": 2, "Y2": 2}), ("X", {"W0": 2, "W1": 2, "W2": 2}),
                         ("W0 W1 Y1", {"Z1": 2}), ("W0 W2 Y2", {"Z2": 2})]),
 }
+EXAMPLES = tuple(_EXAMPLES)
+
+
+def _random_channel(rng, in_vars, out_vars) -> ConditionalPmf:
+    """Random strictly positive rows, one :func:`random_pmf` over the outputs
+    per input key."""
+    return ConditionalPmf(in_vars, out_vars, {
+        key: dict(random_pmf(rng, out_vars).items())
+        for key in itertools.product(*(a.symbols for _, a in in_vars))})
 
 
 def _variables(sizes: dict) -> list:
@@ -246,9 +246,7 @@ def _variables(sizes: dict) -> list:
 def random_example_pmf(example: str, rng: np.random.Generator) -> JointPmf:
     """A random member of the example's Markov class (alphabets <= 3): the
     product of random base laws, then one random channel after another."""
-    if example not in _CLASSES:
-        raise ConfigurationError("unknown example %r" % (example,))
-    bases, channels = _CLASSES[example]
+    _, bases, channels = _example(example)
     pmf = functools.reduce(_independent_product,
                            (random_pmf(rng, _variables(base)) for base in bases))
     for inputs, outputs in channels:

@@ -65,12 +65,6 @@ class ConditionalPmf:
         self.arrays = (np.array(ids, dtype=np.int64).reshape(len(ids), -1),
                        int_array(weights, denominator), denominator, counts)
 
-    def row(self, in_key: tuple) -> dict:
-        return self.rows[tuple(in_key)]
-
-    def prob(self, out_key: tuple, in_key: tuple) -> Fraction:
-        return self.rows[tuple(in_key)].get(tuple(out_key), Fraction(0))
-
 
 def identity_channel(in_name: str, out_name_: str, alphabet: Alphabet) -> ConditionalPmf:
     rows = {(s,): {(s,): Fraction(1)} for s in alphabet.symbols}

@@ -93,7 +93,7 @@ def first_cells(ids, sizes) -> tuple:
     return _first_seen(number, bound)
 
 
-def _sum_at(cell, count: int, weights) -> np.ndarray:
+def sum_at(cell, count: int, weights) -> np.ndarray:
     """The exact sums of `weights` into `count` cells, weight r into cell[r]."""
     sums = np.zeros(count, dtype=weights.dtype)
     np.add.at(sums, cell, weights)
@@ -224,7 +224,7 @@ def _summed(pmf: JointPmf, names, rows, denominator) -> JointPmf:
     cell, first = pmf.cells(names, rows)
     return JointPmf.from_arrays([pmf.variables[pos] for pos in positions],
                                 pmf.ids[rows][first][:, positions],
-                                _sum_at(cell, len(first), pmf.weights[rows]), denominator)
+                                sum_at(cell, len(first), pmf.weights[rows]), denominator)
 
 
 def marginalize(pmf: JointPmf, keep: Iterable[str]) -> JointPmf:
@@ -292,7 +292,7 @@ def _factorizes(pmf: JointPmf, a, b, c) -> bool:
 
     def summed(names):
         cell, first = pmf.cells(names)
-        return _sum_at(cell, len(first), weights)[cell]
+        return sum_at(cell, len(first), weights)[cell]
 
     return bool(np.all(summed(a + b + c) * summed(b) == summed(a + b) * summed(b + c)))
 

@@ -341,6 +341,9 @@ def find_aux_rates(spec: RegionSpec, rates: Mapping[object, object]):
     :class:`Infeasible` carrying an irreducible infeasible subset: dropping
     any one of its rows leaves rows that some auxiliary rates satisfy.
     """
+    missing = [i for i in spec.config.encoders if i not in rates]
+    if missing:
+        raise ConfigurationError("rates are missing encoders %r" % (missing,))
     system = build_system(spec)
     r_values = {rate_var(i): Fraction(rates[i]) for i in spec.config.encoders}
     if any(v < 0 for v in r_values.values()):

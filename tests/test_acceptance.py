@@ -196,7 +196,7 @@ def test_criterion_6_crng_sampler_law():
     for bits in itertools.product((0, 1), repeat=12):
         p = Fraction(1)
         for b, x in zip(bits, x_block):
-            p *= ch.prob((b,), (x,))
+            p *= ch.rows[(x,)][(b,)]
         if code.f[1](code.block_to_int(1, bits)) == code.c[1]:
             direct[bits] = p
     total = sum(direct.values())
@@ -240,7 +240,7 @@ def test_criterion_6_crng_sampler_law():
         for w2 in itertools.product((0, 1), repeat=6):
             p = Fraction(1)
             for a, b, x in zip(w1, w2, x_block):
-                p *= ch.prob((a, b), (x,))
+                p *= ch.rows[(x,)][(a, b)]
             if (mdc_code.f[1](mdc_code.block_to_int(1, w1)) == mdc_code.c[1]
                     and mdc_code.f[2](mdc_code.block_to_int(2, w2)) == mdc_code.c[2]):
                 direct[(w1, w2)] = p

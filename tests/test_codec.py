@@ -176,7 +176,7 @@ def test_unconstrained_when_f_image_is_one():
     expect = {}
     for w1 in (0, 1):
         for w2 in (0, 1):
-            expect[(w1, w2)] = ch.prob((w1,), (0,)) * ch.prob((w2,), (1,))
+            expect[(w1, w2)] = ch.rows[(0,)][(w1,)] * ch.rows[(1,)][(w2,)]
     for blocks, p in law:
         assert p == expect[blocks[1]]
 
@@ -191,7 +191,7 @@ def test_encoder_constrained_law_matches_direct_formula():
     for bits in itertools.product((0, 1), repeat=3):
         p = Fraction(1)
         for b, x in zip(bits, x_block):
-            p *= ch.prob((b,), (x,))
+            p *= ch.rows[(x,)][(b,)]
         w_int = code.block_to_int(1, bits)
         if code.f[1](w_int) == code.c[1]:
             numer[bits] = p
@@ -312,7 +312,7 @@ def _channel_product_law(code, cell, x_block):
     of the x letters, filtered by the f constraints; None when empty."""
     ch = code.channels[cell]
     items = []
-    for combo in itertools.product(*(ch.row((x,)).items() for x in x_block)):
+    for combo in itertools.product(*(ch.rows[(x,)].items() for x in x_block)):
         p = Fraction(1)
         for _, pl in combo:
             p *= pl
@@ -936,7 +936,7 @@ def test_end_to_end_law_matches_monolithic_enumeration():
     def chan_prob(w, x):
         p = Fraction(1)
         for wl, xl in zip(w, x):
-            p *= ch.prob((wl,), (xl,))
+            p *= ch.rows[(xl,)][(wl,)]
         return p
 
     # model posterior of W given Y under the unconstrained law
@@ -1110,6 +1110,17 @@ def test_negative_or_non_finite_delta_is_refused(estimate, delta):
     args = (code, delta, scenario.default_D) + ((5, 0) if estimate is simulate else ())
     with pytest.raises(ConfigurationError, match="delta must be finite and non-negative"):
         estimate(*args)
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+def test_simulate_refuses_trials_below_one(trials):
+    """No trial gives no frequency (trials = 0 divided by zero) and a
+    negative count gave a report of -3 trials."""
+    scenario = build_scenario("slepian-wolf")
+    code = scenario.make_code(2, seed=1)
+    with pytest.raises(ConfigurationError, match="trials must be a positive integer, got %d"
+                       % trials):
+        simulate(code, 0.01, scenario.default_D, trials=trials, seed=1)
 
 
 def _no_seeding(*args, **kwargs):

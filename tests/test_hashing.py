@@ -136,13 +136,16 @@ def test_sparse_column_weight_contract():
 
 
 def test_sparse_profile_matches_brute_force():
-    ens = SparseLinearEnsemble(2, 3, 3, column_weight=2)
-    for d in range(1, 8):
-        total = Fraction(0)
-        for f, p in ens.enumerate_functions():
-            if f(d) == f(0):
-                total += p
-        assert total == ens.collision_prob(d, 0)
+    """The profile's convolution adds column digits mod q: at q = 3 as at
+    q = 2, each collision probability is the enumerated ensemble's."""
+    for q, n, m, weight in [(2, 3, 3, 2), (3, 2, 2, 1), (3, 2, 3, 2), (2, 4, 3, 1)]:
+        ens = SparseLinearEnsemble(q, n, m, column_weight=weight)
+        for d in range(1, q ** n):
+            total = Fraction(0)
+            for f, p in ens.enumerate_functions():
+                if f(d) == f(0):
+                    total += p
+            assert total == ens.collision_prob(d, 0), (q, n, m, weight, d)
 
 
 def test_sparse_measured_parameters_hold():

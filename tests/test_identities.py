@@ -12,6 +12,7 @@ from multiterm.identities import (
     reconstruct_heegard_berger,
     verify_example_identities,
 )
+from multiterm.network import ConditionalPmf
 from multiterm.probability import Alphabet, JointPmf, check_markov, condition, marginalize
 
 
@@ -20,6 +21,35 @@ def test_unknown_example_rejected():
     pmf = random_example_pmf("berger-tung", rng)
     with pytest.raises(ConfigurationError):
         verify_example_identities("nonsense", pmf)
+
+
+def test_random_example_refuses_unknown_names_naming_the_known():
+    with pytest.raises(ConfigurationError, match="unknown example 'nonsense' \\(known: %s\\)"
+                       % ", ".join(EXAMPLES)):
+        random_example_pmf("nonsense", np.random.default_rng(0))
+
+
+def _reference_channel(rng, in_vars, out_vars) -> ConditionalPmf:
+    """Per input key, integer weights in [1, 720) over their sum, drawn by
+    one ``rng.integers`` call per key: the draw the example laws keep."""
+    rows = {}
+    out_keys = list(itertools.product(*(a.symbols for _, a in out_vars)))
+    for key in itertools.product(*(a.symbols for _, a in in_vars)):
+        weights = [int(v) for v in rng.integers(1, 720, size=len(out_keys))]
+        total = sum(weights)
+        rows[key] = {k: Fraction(v, total) for k, v in zip(out_keys, weights)}
+    return ConditionalPmf(in_vars, out_vars, rows)
+
+
+@pytest.mark.parametrize("example", EXAMPLES)
+def test_random_example_laws_keep_their_draws(example, monkeypatch):
+    """The golden example reports record only failure counts, so the laws
+    themselves are pinned: equal, row for row, to the laws drawn with the
+    reference channel rows, for seeds 0-4."""
+    laws = [random_example_pmf(example, np.random.default_rng(s)).items() for s in range(5)]
+    monkeypatch.setattr(identities, "_random_channel", _reference_channel)
+    assert laws == [random_example_pmf(example, np.random.default_rng(s)).items()
+                    for s in range(5)]
 
 
 @pytest.mark.parametrize("example", EXAMPLES)

@@ -363,7 +363,7 @@ def _ref_apply(ref, channel):
     positions = ref.pos([name for name, _ in channel.inputs])
     table = {}
     for key, p in ref.table.items():
-        for out, q in channel.row(tuple(key[pos] for pos in positions)).items():
+        for out, q in channel.rows[tuple(key[pos] for pos in positions)].items():
             table[key + out] = table.get(key + out, Fraction(0)) + p * q
     return _Ref(ref.variables + list(channel.outputs), table)
 
@@ -374,8 +374,8 @@ def _ref_build_joint(config, ref, channels):
     table = {}
     for src_key, p_src in ref.table.items():
         assign = dict(zip(ref.names, src_key))
-        rows = [(channels[cell], channels[cell].row(
-            tuple(assign[name] for name, _ in channels[cell].inputs))) for cell in config.sharing]
+        rows = [(channels[cell], channels[cell].rows[
+            tuple(assign[name] for name, _ in channels[cell].inputs)]) for cell in config.sharing]
         for combo in itertools.product(*(row.items() for _, row in rows)):
             p, w = p_src, {}
             for (channel, _), (out, q) in zip(rows, combo):

@@ -348,6 +348,18 @@ def test_find_aux_rates_slepian_wolf_specialization():
                       Infeasible)
 
 
+def test_find_aux_rates_names_missing_encoders():
+    """Rates without an encoder are refused by a configuration error that
+    names it, not a bare KeyError."""
+    sc = build_scenario("slepian-wolf")
+    joint = build_joint(sc.config, sc.source, sc.channels)
+    spec = RegionSpec(DSC_IT, sc.config, binding_from_pmf(DSC_IT, sc.config, joint).values)
+    with pytest.raises(ConfigurationError, match=r"rates are missing encoders \[2\]"):
+        find_aux_rates(spec, {1: 1})
+    with pytest.raises(ConfigurationError, match=r"rates are missing encoders \[1, 2\]"):
+        find_aux_rates(spec, {})
+
+
 @pytest.mark.parametrize("which", [DSC_IT, JB_IT, DSC_CRNG])
 def test_find_aux_rates_infeasible_subset_is_irreducible(which):
     """Slepian-Wolf rates (1/8, 1/8) violate several rows at zero auxiliary
