@@ -440,13 +440,15 @@ class CodeInstance:
         :meth:`_DecoderClasses.laws`); DecoderAbort when the class has no
         candidate of positive weight."""
         decoder = self._decoder(j)
-        lookup = {tuple(self._hashed(i)[3][g] for i, g in zip(decoder.ij, key)): c
-                  for c, key in enumerate(decoder.index.keys.tolist())}
-        c = lookup.get(tuple(m[i] for i in decoder.ij))
+        if not decoder.lookup:
+            decoder.lookup.update({tuple(self._hashed(i)[3][g] for i, g in zip(decoder.ij, key)): c
+                                   for c, key in enumerate(decoder.index.keys.tolist())})
+        c = decoder.lookup.get(tuple(m[i] for i in decoder.ij))
         entry = (np.array([c]), self._observed(decoder.y, y_block)[None])
-        if c is None or not len(decoder.laws(*entry, "crng")[0][0]):
+        law = ((),) if c is None else decoder.laws(*entry, "crng")[0]
+        if not len(law[0]):
             raise DecoderAbort("decoder %r: empty posterior class" % (j,))
-        return decoder.laws(*entry, rule)[0]
+        return law if rule == "crng" else decoder.laws(*entry, rule)[0]
 
     def decoder_class_law(self, j, m: Mapping, y_block):
         """Posterior over W_{I_j}-blocks restricted to the (f, g) classes, as
@@ -711,6 +713,7 @@ class _DecoderClasses:
         self.reproductions = [self._reproduction(code, k, table, sources, source)
                               for k, table, sources in code._reproduction_args[j]]
         self.drawn: dict = {}
+        self.lookup: dict = {}   # g-values -> class, filled by the first one-trial decode
 
     def _reproduction(self, code, k, table, sources, source: _Source):
         """(k, measure, x, z) of one reproduction: its distortion measure;

@@ -248,29 +248,35 @@ def _require_numeric(system: LinIneqSystem):
 def remove_redundant(system: LinIneqSystem) -> LinIneqSystem:
     """Minimal subsystem defining the same polyhedron.
 
-    Every dropped inequality is certified implied by the remaining ones, and
-    the system certified nonempty first, by :func:`simplex.implied` on the
-    dual LP: exact rationals, so which rows are kept is a mathematical fact
-    and not a tolerance; they stay canonical and in order.  Each test is its
-    own dual build, since every test drops another row and so changes the
-    tableau's columns; only :func:`contains` re-queries one tableau.  An
-    infeasible system is returned canonicalized with its infeasibility
-    marker set.
+    A deletion filter in row order, decided exactly on one
+    :class:`simplex.DualTableau`, whose build certifies the system nonempty:
+    which rows are kept is a mathematical fact, not a tolerance, and they
+    stay canonical and in order.  Row k is tested with its constant lowered
+    by 1 (:meth:`simplex.DualTableau.relax`; K. L. Clarkson, "More
+    output-sensitive geometric algorithms", FOCS 1994): it is dropped, and
+    stays relaxed, when the rows still imply it at its true constant, and is
+    restored otherwise.  This decides as deleting it would: the kept rows
+    still define the polyhedron P, so if they do not imply row k, a point of
+    P on row k's face, moved a small step toward a point that violates row
+    k, satisfies every relaxed row.  `_iis` keeps one build per deletion: its
+    systems are empty, so there is no such point, and a row relaxed by 1 can
+    keep a system empty that deleting it would make nonempty.  An infeasible
+    system is returned canonicalized with its infeasibility marker set.
     """
     _require_numeric(system)
     system = system.canonicalize()
     if system.infeasible:
         return system
     rows = system.dense_rows()
-    dim = len(system.vars)
-    if _empty(rows, dim):
+    tableau = DualTableau(rows, len(system.vars))
+    if tableau.status == UNBOUNDED:
         return system.with_rows(system.rows, infeasible=True)
-    keep = list(range(len(rows)))
-    for idx in list(keep):
-        others = [rows[k] for k in keep if k != idx]
-        coeffs, const = rows[idx]
-        if implied(coeffs, const, others, dim):
-            keep.remove(idx)
+    keep = []
+    for k, (coeffs, const) in enumerate(rows):
+        tableau.relax(k, 1)
+        if not tableau.implies(coeffs, const):
+            tableau.relax(k, -1)
+            keep.append(k)
     return system.with_rows([system.rows[k] for k in keep])
 
 

@@ -10,9 +10,10 @@ Every LP min c.x s.t. A x >= b over free x is solved on its dual,
 max b.y s.t. A^T y = c, y >= 0: one equality row per variable and one
 column per inequality, so a system of d variables and m rows pivots a
 d x (m + d) tableau.  By Farkas' lemma and strong duality the answers agree,
-and both are exact.  Only the right-hand side c changes between questions
-about one system, so a :class:`DualTableau` is built once per system and
-answers many.  The build is a two-phase simplex on its first c (zero by
+and both are exact.  Between questions about one system only the
+right-hand side c changes, or one cost entry -b_k when row k's constant is
+relaxed, so a :class:`DualTableau` is built once per system and answers
+many.  The build is a two-phase simplex on its first c (zero by
 default: the emptiness test).  Phase 1 starts from one artificial column
 per equality row; those columns are kept and every pivot updates them, but
 they are never priced for entry.  Kept, they hold D B^-1 for the current
@@ -21,17 +22,19 @@ being the sign flips and per-row scaling fixed at build.  A new c then
 costs one integer matrix-vector product: the right-hand side column becomes
 D B^-1 (S c), the objective entry the cost row's artificial part times S c,
 and each equality row phase 1 dropped as redundant keeps its artificial
-part, whose product with S c must be 0 or the new dual is infeasible.  The
-cost never changes, so the last optimal basis stays dual feasible and
+part, whose product with S c must be 0 or the new dual is infeasible.  A
+new c leaves the last optimal basis dual feasible, and
 :meth:`DualTableau.query` re-optimizes it by dual simplex pivots
 (C. E. Lemke, "The dual method of solving the linear programming problem",
 Naval Res. Logist. Q., 1954): a row with a negative right-hand side leaves,
 the column with the least ratio cost_j / |T_rj| over T_rj < 0 enters, and
 the query is OPTIMAL once every row is feasible, or its dual INFEASIBLE
 (the rows do not bound c.x below) when a negative row has no negative
-entry.  The cost row's artificial part is minus D times the simplex
-multipliers of the equality rows, which are the primal point: x = S times
-it, over D, with the coordinates of dropped rows at 0.
+entry.  A new cost entry is set at c = 0, where every basis is primal
+feasible, and :meth:`DualTableau.relax` re-optimizes by primal pivots.  The
+cost row's artificial part is minus D times the simplex multipliers of the
+equality rows, which are the primal point: x = S times it, over D, with the
+coordinates of dropped rows at 0.
 
 The tableau holds Python integers.  Region systems come in as integer rows
 (gcd-1 coefficients, constants over one common denominator) and become
@@ -170,11 +173,12 @@ class DualTableau:
     `ge_rows` is a sequence of (coefficient list, constant) pairs over `dim`
     variables.  The build solves max b.y s.t. A^T y = coeffs, y >= 0 by two
     phases, coeffs zero by default; :meth:`query` moves to other coeffs by
-    dual pivots.  `status` answers the last coeffs: OPTIMAL with `value`
+    dual pivots, and :meth:`relax` moves one row's constant, b_k, by primal
+    pivots at coeffs 0.  `status` answers the last coeffs: OPTIMAL with `value`
     = max b.y = min coeffs.x over the rows; UNBOUNDED when the rows are
     empty; INFEASIBLE when coeffs.x is unbounded below on them (or, at the
-    build, when they are empty).  Only a build that ends OPTIMAL can be
-    queried again.
+    build, when they are empty).  Only a build or relax that ends OPTIMAL
+    can be queried again.
     """
 
     def __init__(self, ge_rows: Sequence[tuple], dim: int, coeffs: Optional[Sequence] = None):
@@ -256,7 +260,7 @@ class DualTableau:
     def query(self, coeffs: Sequence) -> str:
         """Re-optimize for new coeffs from the last basis; returns `status`."""
         if self._rows is None:
-            raise ValueError("the build ended %s: no basis to re-optimize" % self.status)
+            raise ValueError("the tableau ended %s: no basis to re-optimize" % self.status)
         if len(coeffs) != len(self._signs):
             raise ValueError("row arity differs from dimension %d" % len(self._signs))
         rhs = self._rhs(coeffs)
@@ -268,6 +272,22 @@ class DualTableau:
             row[-1] = sum(map(mul, row[n:-1], rhs))
         feasible, self._d = _reoptimize(self._rows, self._basis, self._d, n)
         self.status = OPTIMAL if feasible else INFEASIBLE
+        return self.status
+
+    def relax(self, k: int, delta: int) -> str:
+        """Lower row k's constant by the integer `delta` (raise it when
+        negative) and re-optimize at coeffs 0; returns `status`, UNBOUNDED
+        when the rows become empty.  At coeffs 0 every basis is feasible:
+        y_k's cost entry rises by delta, priced out against its row when y_k
+        is basic, and primal pivots restore optimality."""
+        self.query([0] * len(self._signs))
+        rows, step = self._rows, delta * self._cost_scale
+        rows[-1][k] += step * self._d
+        if k in self._basis:
+            rows[-1] = [a - step * v for a, v in zip(rows[-1], rows[self._basis.index(k)])]
+        bounded, self._d = _minimize(rows, self._basis, self._d, self._ncols)
+        if not bounded:
+            self._rows, self.status = None, UNBOUNDED
         return self.status
 
     def holds(self, const) -> bool:

@@ -238,6 +238,33 @@ def test_decode_injective_code_recovers_truth():
     assert z == {1: x1, 2: x2}
 
 
+def test_decode_weighs_its_class_once(monkeypatch):
+    """A crng `decode` or `decoder_class_law` weighs its class once (one
+    `_DecoderClasses.laws` call); a MAP `decode` checks the class law for a
+    candidate of positive weight, then picks.  The g-value lookup is filled
+    by the first call and kept."""
+    scenario, code = small_sw_code(n=2, seed=3)
+    _, m1 = code.encode((1,), (0, 0), seed=0)
+    _, m2 = code.encode((2,), (0, 1), seed=0)
+    m = {**m1, **m2}
+    calls = []
+    laws = codec._DecoderClasses.laws
+
+    def counted(self, cls, observed, rule):
+        calls.append(rule)
+        return laws(self, cls, observed, rule)
+
+    monkeypatch.setattr(codec._DecoderClasses, "laws", counted)
+    code.decode(1, m, None, seed=0)
+    assert calls == ["crng"]
+    lookup = dict(code._decoder(1).lookup)
+    assert len(lookup) == len(code._decoder(1).index.keys)
+    code.decoder_class_law(1, m, None)
+    code.decode(1, m, None, seed=0, rule="map")
+    assert calls == ["crng", "crng", "crng", "map"]
+    assert code._decoder(1).lookup == lookup
+
+
 def test_decoder_law_matches_posterior_formula():
     scenario, code = small_sw_code(n=2, seed=3)
     x1, x2 = (0, 0), (0, 1)

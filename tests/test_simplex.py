@@ -403,13 +403,31 @@ def region_systems(draw):
     return system(first), system(draw(st.lists(row, max_size=6)))
 
 
+def deletion_filter(system, decide=reference_implied, record=lambda verdict: verdict):
+    """The deletion filter that `remove_redundant` decides, each test a
+    fresh solve by `decide` (the reference engine by default): row k
+    against the rows kept before it and every row after it.  Each verdict,
+    the emptiness test first, goes through `record`."""
+    system = system.canonicalize()
+    if system.infeasible:
+        return system
+    rows, dim = system.dense_rows(), len(system.vars)
+    if record(decide([0] * dim, 1, rows, dim)):
+        return system.with_rows(system.rows, infeasible=True)
+    keep = []
+    for k, (coeffs, const) in enumerate(rows):
+        if not record(decide(coeffs, const, [rows[i] for i in keep] + rows[k + 1:], dim)):
+            keep.append(k)
+    return system.with_rows([system.rows[k] for k in keep])
+
+
 @settings(max_examples=200, deadline=None)
 @given(pair=region_systems())
 def test_region_queries_match_reference_engine(pair):
-    """`remove_redundant` keeps the same rows, and `contains` gives the same
-    verdicts, with the reference engine patched in: every `implied` call,
-    every emptiness test of a `contains` tableau and every row it is asked
-    about answers as the reference's."""
+    """`remove_redundant` keeps the same rows as the reference engine's
+    deletion filter, and `contains` gives the same verdicts with the
+    reference engine patched in: every emptiness test of a tableau and
+    every row it is asked about answers as the reference's."""
     a, b = pair
 
     def run(reference):
@@ -418,9 +436,6 @@ def test_region_queries_match_reference_engine(pair):
         def record(verdict):
             calls.append(verdict)
             return verdict
-
-        def recording_implied(*args):
-            return record((reference_implied if reference else implied)(*args))
 
         class RecordingTableau(DualTableau):
             def __init__(self, rows, dim):
@@ -437,10 +452,10 @@ def test_region_queries_match_reference_engine(pair):
                 return record(super().implies(coeffs, const))
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(regions, "implied", recording_implied)
             patch.setattr(regions, "DualTableau", RecordingTableau)
-            out = (regions.remove_redundant(a).render(), regions.contains(a, b),
-                   regions.contains(b, a))
+            reduced = deletion_filter(a, record=record) if reference \
+                else regions.remove_redundant(a)
+            out = (reduced.render(), regions.contains(a, b), regions.contains(b, a))
         return out, calls
 
     assert run(False) == run(True)
@@ -571,3 +586,175 @@ def test_bland_fallback_ends_the_dual_of_beales_cycle(monkeypatch):
     # the cost row ends in minus min b.y = 5/4, minus Beale's optimum
     assert Fraction(rows[-1][-1], d) == Fraction(-5, 4)
     assert Fraction(rows[basis.index(6)][-1], d) == Fraction(5, 4)
+
+
+def relax_steps():
+    """(basic, pick, delta) steps: relax the pick-th row (cyclically) among
+    those whose column is basic in the tableau, or among the others, by
+    delta; a negative delta tightens the row."""
+    return st.lists(st.tuples(st.booleans(), st.integers(0, 8), st.integers(-2, 3)),
+                    min_size=1, max_size=6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=requery_cases(), steps=relax_steps())
+@example(case=(3, [([1, 2, 0], 1), ([2, 4, 0], 2), ([-1, -2, 0], -5)], None,
+               [([1, 2, 0], 1), ([0, 0, 1], -1), ([-1, -2, 0], -5)]),
+         steps=[(True, 0, 1), (False, 0, 1), (True, 1, -1)])    # rank 1, dropped rows
+@example(case=(2, [([1, 0], 0), ([0, 1], 0), ([1, 1], Fraction(1, 2 ** 40))], [1, 1],
+               [([1, 1], 0), ([-1, 0], 0)]),
+         steps=[(True, 0, 1), (False, 0, 2), (True, 1, -1), (False, 0, -3)])  # tightened empty
+def test_relax_matches_fresh_build(case, steps):
+    """Each `relax(k, delta)` answers coeffs 0 as a fresh build of the rows
+    with row k's constant lowered by delta does, UNBOUNDED when they are
+    empty, and a later query answers as a fresh build for its coeffs: the
+    same status and value, and an optimum carries a point of those rows.
+    The steps alternate with the case's questions, so a relax may follow a
+    build at nonzero coeffs or a query that ended INFEASIBLE."""
+    dim, rows, build, queries = case
+    tableau = DualTableau(rows, dim, build)
+    current = list(rows)
+    for (basic, pick, delta), (coeffs, _) in zip(steps, queries * len(steps)):
+        columns = [j for j in range(len(rows)) if (j in tableau._basis) == basic]
+        k = (columns or range(len(rows)))[pick % len(columns or rows)]
+        current[k] = (current[k][0], current[k][1] - delta)
+        zero = DualTableau(current, dim)
+        assert (tableau.relax(k, delta), tableau.value) == (zero.status, zero.value)
+        if zero.status == UNBOUNDED:
+            return
+        fresh = DualTableau(current, dim, coeffs)
+        assert tableau.query(coeffs) == fresh.status
+        assert tableau.value == fresh.value
+        if tableau.status == OPTIMAL:
+            x = tableau.point()
+            assert all(sum(a * v for a, v in zip(co, x)) >= ct for co, ct in current)
+            assert sum(a * v for a, v in zip(coeffs, x)) == tableau.value
+
+
+@st.composite
+def redundant_systems(draw):
+    """A numeric system over 1-4 variables whose rows are drawn rows, rows
+    implied by two of them (their sum, its constant lowered by a slack that
+    may be 0) and rows scaled from them; sometimes rank deficient, and
+    sometimes empty."""
+    names = ["a", "b", "c", "d"][:draw(st.integers(1, 4))]
+    n = len(names)
+    const = st.one_of(st.integers(-3, 3),
+                      st.builds(lambda v, k: Fraction(v, 1 << k),
+                                st.integers(-(1 << 41), 1 << 41), st.integers(0, 40)))
+    vec = st.lists(st.integers(-2, 2), min_size=n, max_size=n)
+    rows = draw(st.lists(st.tuples(vec, const), min_size=1, max_size=6))
+    if n > 1 and draw(st.booleans()):
+        rows = [(co[:-1] + [-co[0]], ct) for co, ct in rows]
+    for _ in range(draw(st.integers(0, 4))):
+        (a, b), (c, e) = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+        slack = draw(st.sampled_from([0, 0, 1, Fraction(1, 2 ** 40)]))
+        rows.append(([u + v for u, v in zip(a, c)], b + e - slack))
+    rows += [([3 * v for v in co], 3 * ct + draw(st.integers(-1, 1)))
+             for co, ct in draw(st.lists(st.sampled_from(rows), max_size=2))]
+    system = LinIneqSystem(names)
+    for co, ct in draw(st.permutations(rows)):
+        system.add(dict(zip(names, co)), ct)
+    return system
+
+
+@settings(max_examples=1000, deadline=None)
+@given(system=redundant_systems())
+def test_remove_redundant_is_the_fresh_build_filter(system):
+    """`remove_redundant` keeps the rows that the deletion filter keeps with
+    a fresh build per test, from one tableau build per call (counted on
+    both the `regions` and the `simplex` name, so per-row builds through
+    `implied` count too).  Each dropped row carries multipliers of the
+    relaxed tableau, y >= 0 with A^T y = a_k and b'.y >= c_k, b' the
+    constants with row k and every row dropped before it lowered by 1; so
+    b.y >= c_k under the true constants too, since relaxing only lowers b.
+    The output is irredundant: the kept rows imply every dropped row and no
+    kept row follows from the others."""
+    builds, certificates = [], []
+
+    class Watched(DualTableau):
+        def __init__(self, *args):
+            super().__init__(*args)
+            builds.append(args)
+
+        def implies(self, coeffs, const):
+            verdict = super().implies(coeffs, const)
+            if verdict:
+                certificates.append(multipliers(self))
+            return verdict
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(regions, "DualTableau", Watched)
+        patch.setattr(simplex, "DualTableau", Watched)
+        out = regions.remove_redundant(system)
+    canonical = system.canonicalize()
+    assert len(builds) == (0 if canonical.infeasible else 1)
+    assert out.render() == deletion_filter(system, implied).render()
+    if out.infeasible:
+        return
+    rows, dim = canonical.dense_rows(), len(system.vars)
+    kept = [rows[k] for k, row in enumerate(canonical.rows) if row in out.rows]
+    dropped = [rows[k] for k, row in enumerate(canonical.rows) if row not in out.rows]
+    assert len(certificates) == len(dropped)
+    relaxed = list(rows)
+    for (coeffs, const), y in zip(dropped, certificates):
+        k = rows.index((coeffs, const))
+        relaxed[k] = (coeffs, const - 1)
+        assert all(v >= 0 for v in y)
+        assert all(sum(v * co[i] for v, (co, _) in zip(y, rows)) == coeffs[i] for i in range(dim))
+        assert sum(v * ct for v, (_, ct) in zip(y, relaxed)) >= const
+        assert sum(v * ct for v, (_, ct) in zip(y, rows)) >= const
+        assert implied(coeffs, const, kept, dim)
+    for k, (coeffs, const) in enumerate(kept):
+        assert not implied(coeffs, const, kept[:k] + kept[k + 1:], dim)
+
+
+def test_bland_fallback_ends_beales_cycle_inside_relax(monkeypatch):
+    """Beale's example (see `test_bland_fallback_ends_beales_cycle`) met by
+    `relax`.  The dual of the rows a_j.x >= 0 over four variables, a_j the
+    columns of Beale's constraint matrix (x4..x7, three slacks) and of one
+    more equality row (3, -80, 2, -24, 0, 0, 0, 1), is set by hand to the
+    slack basis, with the eighth column basic in the new row.  At cost 0
+    that basis is optimal, and D B^-1 = diag(2, 4, 8, 8) at D = 8.
+    `relax(7, 1)` raises that basic column's cost to 1, which prices out to
+    8 times Beale's reduced costs; at coeffs 0 every right-hand side is 0,
+    so the minimization is Beale's cycle with no third-row bound.  Without
+    the fallback to Bland's rule it cycles; with it, it ends at cost 0."""
+    columns = [(Fraction(1, 4), Fraction(1, 2), 0, 3), (-8, -12, 0, -80),
+               (-1, Fraction(-1, 2), 1, 2), (9, 3, 0, -24),
+               (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
+    rows = [(list(co), 0) for co in columns]
+
+    def run():
+        pivots.clear()
+        tableau = DualTableau(rows, 4)
+        tableau._rows = [[2, -64, -8, 72, 8, 0, 0, 0, 2, 0, 0, 0, 0],
+                         [4, -96, -4, 24, 0, 8, 0, 0, 0, 4, 0, 0, 0],
+                         [0, 0, 8, 0, 0, 0, 8, 0, 0, 0, 8, 0, 0],
+                         [24, -640, 16, -192, 0, 0, 0, 8, 0, 0, 0, 8, 0],
+                         [0] * 13]
+        tableau._basis, tableau._d = [4, 5, 6, 7], 8
+        pivots.clear()
+        return tableau, tableau.relax(7, 1)
+
+    pivots = []
+    pivot = simplex._pivot
+
+    def capped(*args):
+        pivots.append(args[2:])
+        if len(pivots) > 100:
+            raise AssertionError("no optimum within 100 pivots")
+        return pivot(*args)
+
+    monkeypatch.setattr(simplex, "_pivot", capped)
+    with monkeypatch.context() as patch:
+        patch.setattr(simplex, "_DEGENERATE_RUN", 10 ** 9)
+        with pytest.raises(AssertionError, match="within 100 pivots"):
+            run()
+        assert pivots[:6] == pivots[6:12]
+    tableau, status = run()
+    assert status == OPTIMAL and tableau.value == 0 and len(pivots) < 20
+    relaxed = rows[:7] + [(rows[7][0], -1)]
+    for coeffs in ([0, 0, 1, 0], [1, 0, 0, 0], [1, 1, 1, 1]):
+        fresh = DualTableau(relaxed, 4, coeffs)
+        assert (tableau.query(coeffs), tableau.value) == (fresh.status, fresh.value)
