@@ -27,7 +27,9 @@ on batches of at most ``_ROW_CAP`` rows: source blocks, their encoder draws
 reach, and the class candidates.  Numbers are int64 where a bound proves they
 fit and Python ints in object arrays otherwise.  Each value's sums over its
 distinct denominators are added as integer pairs in one balanced tree
-(:func:`_fraction_sum`), and one Fraction is formed per value.
+(:func:`_fraction_sum`), and one Fraction is formed per value.  A MAP pick
+is the first best-weight candidate in one tie-break order per decoder,
+fixed over its index rows (:attr:`_DecoderClasses.order`).
 
 Monte Carlo samples the states that the oracle enumerates.  :func:`simulate`
 draws each trial's source block as a row of source letter ids, evaluates the
@@ -40,6 +42,19 @@ generator, and its trials lie end to end on that stream, a fixed number of
 uniforms each, so a trial can be replayed alone (see :func:`simulate`).  The
 per-call methods of :class:`CodeInstance` (the laws, `encode`, `decode`) are
 one-trial calls of the same functions.
+
+A code keeps what it builds, on first use: the model joint and its W_S
+letters, each encoder's hash values per W_i-block, each class index and
+weighting table, each decoder's classes (with its tie-break order and the
+laws Monte Carlo has drawn from), the source blocks (:class:`_Source`), and,
+once the exact oracle has run, each sharing cell's encoder laws at every
+block of its input (:class:`_CellDraws`), so that a second rule reuses them.
+A cell table holds one entry (an index row and a weight) per pair of input
+block and W-block of positive joint weight: at most the joint's positive
+letters to the n, the count that :func:`_check_budget` holds to 2^24.
+:func:`simulate` reads the cell laws only at the input blocks it draws and
+keeps none: a Monte Carlo run draws few of them, and a table kept on the
+code would hold all of them for as long as the code lives.
 """
 
 from __future__ import annotations
@@ -48,9 +63,9 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, Optional
 
 import numpy as np
 
@@ -156,13 +171,18 @@ def _positive_letters(joint: JointPmf, S) -> np.ndarray:
     return marginal.ids[marginal.weights > 0]
 
 
-def check_index_budget(config: NetworkConfig, joint: JointPmf, n: int):
+def check_index_budget(config: NetworkConfig, joint: JointPmf, n: int) -> dict:
     """Refuse a code whose class indexes would be too large, before any hash
     is evaluated: each sharing cell's index, then each decoder's I_j index,
     scans letters^n blocks (letters: the positive-mass W_S letters), and one
-    above ``_INDEX_BUDGET`` raises :class:`BudgetExceededError`."""
+    above ``_INDEX_BUDGET`` raises :class:`BudgetExceededError`.  Returns
+    the letters read, S -> its :func:`_positive_letters`."""
+    letters = {}
     for S in [*config.sharing, *(tuple(config.codewords_to[j]) for j in config.decoders)]:
-        _check_index_size(S, len(_positive_letters(joint, S)), n)
+        if S not in letters:
+            letters[S] = _positive_letters(joint, S)
+            _check_index_size(S, len(letters[S]), n)
+    return letters
 
 
 def _check_index_size(S, letters: int, n: int):
@@ -215,6 +235,8 @@ class CodeInstance:
     `f[i]`/`g[i]` map encoded W_i-blocks (base-|W_i| integers) to the shared
     constraint alphabet C_i and the codeword alphabet M_i; `c[i]` fixes the
     constraint value shared by encoder i and every decoder seeing codeword i.
+    `_model`, when given, is the model joint and the letters that
+    :func:`check_index_budget` read from it, so that they are not built again.
     """
 
     n: int
@@ -225,8 +247,9 @@ class CodeInstance:
     f: Mapping[object, HashFunction]
     g: Mapping[object, HashFunction]
     c: Mapping[object, object]
+    _model: InitVar[Optional[tuple]] = None
 
-    def __post_init__(self):
+    def __post_init__(self, _model):
         self._w_alph = w_alphabets(self.config, self.channels)
         for i in self.config.encoders:
             dom = self._w_alph[i].size ** self.n
@@ -242,13 +265,14 @@ class CodeInstance:
             if not (isinstance(c, (int, np.integer)) and 0 <= c < self.f[i].image_size):
                 raise ConfigurationError(
                     "constraint value %r for encoder %r outside the f image" % (c, i))
-        self._joint = build_joint(self.config, self.source, self.channels)
+        self._joint, letters = _model or (build_joint(self.config, self.source, self.channels), {})
         self._reproduction_args = self._resolve_reproducers()
-        self._letter_sets: dict = {}     # S -> its _positive_letters
+        self._letter_sets: dict = letters   # S -> its _positive_letters
         self._hashed_blocks: dict = {}   # encoder -> its hash values per W_i-block
         self._class_indexes: dict = {}   # S -> _ClassIndex
         self._tables: dict = {}          # (S, observed) -> (T, bound)
         self._decoders: dict = {}        # j -> _DecoderClasses
+        self._cell_tables: dict = {}     # cell -> _CellDraws
 
     def _resolve_reproducers(self) -> dict:
         """Decoder j -> [(k, table of reproducer k, per argument the encoder
@@ -432,8 +456,22 @@ class CodeInstance:
         first use and kept."""
         decoder = self._decoders.get(j)
         if decoder is None:
-            decoder = self._decoders[j] = _DecoderClasses(self, j, _Source(self))
+            decoder = self._decoders[j] = _DecoderClasses(self, j)
         return decoder
+
+    @functools.cached_property
+    def _blocks(self) -> "_Source":
+        """The code's source blocks (:class:`_Source`), built on first use and kept."""
+        return _Source(self)
+
+    def _cell_table(self, cell) -> "_CellDraws":
+        """A sharing cell's encoder laws at every block of its input
+        (:class:`_CellDraws`), built on first use and kept; only the exact
+        oracle reads them."""
+        table = self._cell_tables.get(cell)
+        if table is None:
+            table = self._cell_tables[cell] = _CellDraws(self, cell, self._blocks)
+        return table
 
     def _decoder_at(self, j, m: Mapping, y_block, rule: str):
         """Decoder j at the class that `m` names, given y_block (see
@@ -591,6 +629,7 @@ class _Source:
         self.bound = int(weights.max()) ** code.n
         self.weights = int_array(weights, self.bound)
         self.count = len(positive) ** code.n
+        self._numberings: dict = {}
 
     def ids(self, var) -> np.ndarray:
         """Per source letter, the alphabet id of its `var` symbol (0 for no
@@ -603,8 +642,12 @@ class _Source:
         """(number, symbols): the alphabet ids `symbols` of the `var` symbols
         that occur, and `number`, which numbers the `var` blocks of source
         blocks (rows of source letter ids) in product order of those."""
-        symbols, digit = np.unique(self.ids(var), return_inverse=True)
-        return (lambda digits: row_numbers(digits, len(symbols), digit)), symbols
+        numbering = self._numberings.get(var)
+        if numbering is None:
+            symbols, digit = np.unique(self.ids(var), return_inverse=True)
+            numbering = self._numberings[var] = (
+                (lambda digits: row_numbers(digits, len(symbols), digit)), symbols)
+        return numbering
 
 
 def _cell_draws(code: CodeInstance, cell, x_rows) -> tuple:
@@ -682,13 +725,14 @@ def _batches(source: _Source, cells: list, lo: int, hi: int):
 class _DecoderClasses:
     """One decoder as the oracle and Monte Carlo read it: the class of each
     state's true W_{I_j}-blocks, that class's law given the state's side
-    information, and the reproductions of the class's candidates.  `drawn`
-    keeps, per (rule, class and side-information block) that Monte Carlo has
-    drawn from, its law under the rule (:meth:`laws`) as (index rows, choice
+    information, the reproductions of the class's candidates, and the MAP
+    tie-break :attr:`order` over the index rows, built once.  `drawn` keeps,
+    per (rule, class and side-information block) that Monte Carlo has drawn
+    from, its law under the rule (:meth:`laws`) as (index rows, choice
     table)."""
 
-    def __init__(self, code: CodeInstance, j, source: _Source):
-        cfg = code.config
+    def __init__(self, code: CodeInstance, j):
+        cfg, source = code.config, code._blocks
         self.ij = ij = tuple(cfg.codewords_to[j])
         self.index = index = code._index(ij)
         self.y = y = cfg.side_info.get(j)
@@ -735,12 +779,23 @@ class _DecoderClasses:
         return k, measure, x, z
 
     @functools.cached_property
-    def rank(self) -> np.ndarray:
-        """Per I_j letter and encoder, the rank of its symbol among that
-        encoder's symbols: the MAP tie-break order."""
+    def order(self) -> np.ndarray:
+        """The MAP tie-break order of the index rows, an int64 per row.  A
+        row's digits are its symbols' ranks (a symbol's rank among its
+        encoder's symbols), encoder-major: encoder by encoder, position by
+        position.  They are read as one mixed-radix integer (radix: the
+        number of its encoder's symbols), or, where the radix product
+        reaches 2^63, replaced by the row's place in one lexsort of them."""
+        rows = self.index.rows
         columns = list(zip(*self.index.letters))
-        rank = [[sorted(set(column)).index(w) for w in column] for column in columns]
-        return np.array(rank, dtype=np.int64).T
+        digits = np.concatenate([np.array([sorted(set(column)).index(w) for w in column],
+                                          dtype=np.int64)[rows] for column in columns], axis=1)
+        radix = np.repeat([len(set(column)) for column in columns], rows.shape[1])
+        if math.prod(radix.tolist()) < _INT64:
+            return row_numbers(digits, radix)
+        order = np.empty(len(rows), dtype=np.int64)
+        order[np.lexsort(digits.T[::-1])] = np.arange(len(rows))
+        return order
 
     def truth(self, cell_letters) -> tuple:
         """(letters, row) of each state's true W_{I_j}-block, given each
@@ -765,11 +820,12 @@ class _DecoderClasses:
             yield a, b, owner, starts, row, obs, _weights(self.table, obs, index.rows[row])
 
     def _pick(self, owner, starts, row, weight):
-        """Each entry's MAP pick: its largest weight, ties broken toward the
-        smallest symbol ranks (encoder order, then position order)."""
+        """Each entry's MAP pick: of its candidates of largest weight, the
+        one first in the tie-break :attr:`order` (the smallest symbol ranks,
+        encoder order, then position order)."""
         best = weight == np.maximum.reduceat(weight, starts)[owner]
-        digits = self.rank[self.index.rows[row]].transpose(0, 2, 1).reshape(len(row), -1)
-        return row[np.lexsort([*digits.T[::-1], ~best, owner])[starts]]
+        key = np.where(best, self.order[row], _INT64 - 1)
+        return row[key == np.minimum.reduceat(key, starts)[owner]]
 
     def laws(self, cls, observed, rule: str) -> list:
         """Per entry (a class and an observed block of ids) its law over index
@@ -887,8 +943,8 @@ def exact_error(code: CodeInstance, delta: float, D: Mapping,
     _check_budget(code)
     cfg = code.config
     bounds = _bounds(D, delta, cfg.reproduction_ids)
-    source = _Source(code)
-    cells = [_CellDraws(code, cell, source) for cell in cfg.sharing]
+    source = code._blocks
+    cells = [code._cell_table(cell) for cell in cfg.sharing]
     decoders = [code._decoder(j) for j in cfg.decoders]
     matched: dict = {}    # denominator -> numerator of P(every decoder is right)
     exceed: dict = {k: {} for k in cfg.reproduction_ids}
@@ -994,7 +1050,7 @@ def _run_batch(code: CodeInstance, bounds: dict, uniforms, rule: str, report: Si
     """The trials of `uniforms` (a row per trial, laid out as :func:`simulate`
     says), counted into `report`; bounds[k] = D_k + delta."""
     cfg, n = code.config, code.n
-    source = _Source(code)
+    source = code._blocks
     digits = support_table(code.source).searchsorted(uniforms[:, :n], side="right")
     # each cell's drawn index row per trial, -1 where its law is empty
     drawn = []

@@ -58,14 +58,16 @@ class Scenario:
         A code whose class indexes would exceed the budget is refused
         (:func:`codec.check_index_budget`) before any hash is sampled.
         """
-        check_index_budget(self.config, build_joint(self.config, self.source, self.channels), n)
-        return self._sample_code(n, rates, aux_rates, seed)
+        joint = build_joint(self.config, self.source, self.channels)
+        letters = check_index_budget(self.config, joint, n)
+        return self._sample_code(n, rates, aux_rates, seed, (joint, letters))
 
     def _sample_code(self, n: int, rates: Optional[Mapping] = None,
-                     aux_rates: Optional[Mapping] = None, seed: int = 0) -> CodeInstance:
+                     aux_rates: Optional[Mapping] = None, seed: int = 0,
+                     model: Optional[tuple] = None) -> CodeInstance:
         """The code :meth:`make_code` realizes, without its early budget
         refusal; the code still refuses each class index over the budget at
-        its first build.
+        its first build.  `model` is handed to the code as its `_model`.
 
         Image sizes realize the target rates as round(2^(rate*n)).  Each
         encoder's hashes are of the kind `code_kinds` names (binning when it
@@ -92,7 +94,7 @@ class Scenario:
             c[i] = int(np.random.default_rng(c_seed).integers(0, f_ens.image_size))
         return CodeInstance(
             n=n, config=self.config, source=self.source, channels=self.channels,
-            reproducers=self.reproducers, f=f, g=g, c=c)
+            reproducers=self.reproducers, f=f, g=g, c=c, _model=model)
 
 
 # -- built-in scenarios ------------------------------------------------------------------

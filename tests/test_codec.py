@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import operator
+import os
 import time
 from fractions import Fraction
 
@@ -40,6 +41,8 @@ from multiterm.probability import Alphabet, JointPmf, choice_table, dsbs, margin
 from multiterm.scenarios import build_scenario, scenario_names
 
 B = Alphabet((0, 1))
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "perfbench")
 
 
 def with_g(code, g):
@@ -431,6 +434,81 @@ def test_map_agrees_with_most_probable():
     assert map_estimate(law, (1,)) == {1: (1, 0)}
 
 
+def _decoder_over(letters, rows):
+    """A `_DecoderClasses` that holds only a class index over `letters` (a
+    symbol tuple per letter, one symbol per encoder) and `rows` (letter ids):
+    all that `_pick` and its tie-break order read."""
+    decoder = object.__new__(codec._DecoderClasses)
+    decoder.index = codec._ClassIndex(letters=letters, rows=np.array(rows, dtype=np.uint8),
+                                      cls=None, bounds=None, keys=None, row_of=None)
+    return decoder
+
+
+def _lexsort_pick(decoder, owner, starts, row, weight):
+    """The MAP pick as one lexsort per batch: per entry, of its candidates of
+    largest weight, the one with the smallest symbol ranks, encoder-major."""
+    columns = list(zip(*decoder.index.letters))
+    rank = np.array([[sorted(set(column)).index(w) for w in column] for column in columns],
+                    dtype=np.int64).T
+    best = weight == np.maximum.reduceat(weight, starts)[owner]
+    digits = rank[decoder.index.rows[row]].transpose(0, 2, 1).reshape(len(row), -1)
+    return row[np.lexsort([*digits.T[::-1], ~best, owner])[starts]]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), encoders=st.integers(1, 2), wide=st.booleans())
+def test_pick_matches_lexsort_reference(data, encoders, wide):
+    """`_pick` equals the lexsort reference on random classes with many tied
+    weights, on one- and two-encoder indexes.  The rows run over a few
+    letters that share symbols, so tied rows often agree on a prefix.  A
+    wide index has letters with 40 symbols per encoder as well: at n = 6 its
+    radix product, 40^12, passes 2^63, and it orders its rows by one lexsort."""
+    if wide:
+        encoders, n, size = 2, 6, 40
+    else:
+        n, size = data.draw(st.integers(1, 4)), 3
+    # each encoder's symbols in a drawn order, so that ranks are not symbol ids
+    symbols = [data.draw(st.permutations(["s%02d" % a for a in range(size)]))
+               for _ in range(encoders)]
+    grid = list(itertools.product(*[column[:3 if size == 3 else 2] for column in symbols]))
+    letters = data.draw(st.lists(st.sampled_from(grid), min_size=1, max_size=6, unique=True))
+    rows = data.draw(st.lists(st.tuples(*[st.integers(0, len(letters) - 1)] * n),
+                              min_size=1, max_size=30, unique=True))
+    if wide:
+        letters += list(zip(*symbols))[2:]
+    decoder = _decoder_over(letters, rows)
+    assert (math.prod(len(set(c)) for c in zip(*letters)) ** n >= 2 ** 63) == wide
+    if wide:
+        assert sorted(decoder.order.tolist()) == list(range(len(rows)))
+    entries = data.draw(st.lists(st.lists(st.integers(0, len(rows) - 1), min_size=1,
+                                          unique=True), min_size=1, max_size=8))
+    # then every pair of rows, tied, so that the picks compare the whole order
+    pairs = [list(pair) for pair in itertools.combinations(range(len(rows)), 2)]
+    for entries, draw_weights in ((entries, True), (pairs, False)):
+        row = np.array([r for e in entries for r in e], dtype=np.int64)
+        if not len(row):
+            continue
+        owner = np.repeat(np.arange(len(entries)), [len(e) for e in entries])
+        starts = np.cumsum([0] + [len(e) for e in entries[:-1]])
+        weight = np.array(data.draw(st.lists(st.integers(0, 1), min_size=len(row),
+                                             max_size=len(row))) if draw_weights
+                          else [1] * len(row), dtype=np.int64)
+        expected = _lexsort_pick(decoder, owner, starts, row, weight).tolist()
+        assert decoder._pick(owner, starts, row, weight).tolist() == expected
+        assert decoder._pick(owner, starts, row, weight.astype(object)).tolist() == expected
+
+
+def test_pick_breaks_ties_encoder_major():
+    """Of two tied candidates, the one whose first encoder's block comes
+    first wins: ranks (0, 0 | 1, 0) before (0, 1 | 0, 0), though position by
+    position (0, 1 | 0, 0) would come first."""
+    letters = [(0, 0), (0, 1), (1, 0), (1, 1)]     # letter id = 2 * W1 + W2
+    decoder = _decoder_over(letters, [(0, 2), (1, 0)])
+    owner, starts, row = np.zeros(2, dtype=np.int64), np.array([0]), np.array([0, 1])
+    assert decoder._pick(owner, starts, row, np.array([5, 5])).tolist() == [1]
+    assert decoder._pick(owner, starts, row, np.array([5, 4])).tolist() == [0]
+
+
 # -- exact oracle and simulation -------------------------------------------------------
 
 
@@ -579,6 +657,76 @@ def test_exact_error_injective_code_is_zero():
     result = exact_error(code, delta=0.5, D=scenario.default_D)
     assert result.mismatch == 0
     assert all(v == 0 for v in result.exceed.values())
+
+
+def test_exact_oracle_reuse_is_invisible(monkeypatch):
+    """Each exact-oracle code of the benchmark, at its n, keeps one source
+    table and one table of encoder draws per cell across both rules: either
+    rule order on one code gives the values of fresh codes, as Fractions,
+    and `simulate` after them reports as on a fresh code."""
+    monkeypatch.syspath_prepend(PERFBENCH)
+    from workloads import EXACT_CODES, default_delta
+
+    made = []
+    source, cell_draws = codec._Source, codec._CellDraws
+
+    class CountedSource(source):
+        def __init__(self, code):
+            made.append(("source", code))
+            super().__init__(code)
+
+    class CountedCellDraws(cell_draws):
+        def __init__(self, code, cell, blocks):
+            made.append((cell, code))
+            super().__init__(code, cell, blocks)
+
+    monkeypatch.setattr(codec, "_Source", CountedSource)
+    monkeypatch.setattr(codec, "_CellDraws", CountedCellDraws)
+    for name, n, _ in EXACT_CODES:
+        scenario = build_scenario(name)
+        delta, D = default_delta(scenario), scenario.default_D
+        fresh = {rule: exact_error(scenario.make_code(n, seed=n), delta, D, rule)
+                 for rule in ("crng", "map")}
+        for rules in (("crng", "map"), ("map", "crng")):
+            code = scenario.make_code(n, seed=n)
+            for rule in rules:
+                assert exact_error(code, delta, D, rule) == fresh[rule]
+            assert simulate(code, delta, D, trials=200, seed=5) == \
+                simulate(scenario.make_code(n, seed=n), delta, D, trials=200, seed=5)
+            assert sorted(map(str, (key for key, at in made if at is code))) == \
+                sorted(map(str, [*scenario.config.sharing, "source"]))
+            blocks = code._blocks
+            assert all(blocks.numbering(var) is blocks.numbering(var)
+                       for var in (None, *blocks.pmf.names))
+
+
+def test_make_code_builds_the_joint_once(monkeypatch):
+    """`make_code` builds the model joint once and hands it, with the
+    letters its budget check read, to the code: no W_S letter set is read
+    twice, through `exact_error` as well."""
+    from multiterm import scenarios
+
+    joints, letters = [], []
+    build_joint, positive_letters = scenarios.build_joint, codec._positive_letters
+
+    def counted_joint(*args):
+        joints.append(args)
+        return build_joint(*args)
+
+    def counted_letters(joint, S):
+        letters.append(S)
+        return positive_letters(joint, S)
+
+    monkeypatch.setattr(scenarios, "build_joint", counted_joint)
+    monkeypatch.setattr(codec, "build_joint", counted_joint)
+    monkeypatch.setattr(codec, "_positive_letters", counted_letters)
+    for name in SIMULATING:
+        scenario = build_scenario(name)
+        del joints[:], letters[:]
+        code = scenario.make_code(2, seed=1)
+        assert len(joints) == 1
+        exact_error(code, 0.01, scenario.default_D)
+        assert len(letters) == len(set(letters))
 
 
 def test_exact_error_matches_hand_computation_n1():
