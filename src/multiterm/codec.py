@@ -235,8 +235,11 @@ class CodeInstance:
     `f[i]`/`g[i]` map encoded W_i-blocks (base-|W_i| integers) to the shared
     constraint alphabet C_i and the codeword alphabet M_i; `c[i]` fixes the
     constraint value shared by encoder i and every decoder seeing codeword i.
-    `_model`, when given, is the model joint and the letters that
-    :func:`check_index_budget` read from it, so that they are not built again.
+    `_model` is for :meth:`Scenario.make_code` only: the joint that
+    :func:`build_joint` gives on this config, source and channels, and the
+    letters that :func:`check_index_budget` read from it, handed over so that
+    they are not built again.  The code trusts them unchecked; any other pair
+    gives wrong exact values or lets an index skip its size guard.
     """
 
     n: int
@@ -780,21 +783,20 @@ class _DecoderClasses:
 
     @functools.cached_property
     def order(self) -> np.ndarray:
-        """The MAP tie-break order of the index rows, an int64 per row.  A
-        row's digits are its symbols' ranks (a symbol's rank among its
+        """The MAP tie-break order of the index rows: each row's place among
+        them sorted by its symbols' ranks (a symbol's rank among its
         encoder's symbols), encoder-major: encoder by encoder, position by
-        position.  They are read as one mixed-radix integer (radix: the
-        number of its encoder's symbols), or, where the radix product
-        reaches 2^63, replaced by the row's place in one lexsort of them."""
-        rows = self.index.rows
-        columns = list(zip(*self.index.letters))
-        digits = np.concatenate([np.array([sorted(set(column)).index(w) for w in column],
-                                          dtype=np.int64)[rows] for column in columns], axis=1)
-        radix = np.repeat([len(set(column)) for column in columns], rows.shape[1])
-        if math.prod(radix.tolist()) < _INT64:
-            return row_numbers(digits, radix)
+        position.  Each encoder's block is read as one number in product
+        order of its ranks, below letters^n and so within the index budget,
+        and one lexsort over the encoders orders the rows."""
+        rows = self.index.rows.astype(np.intp)
+        blocks = []
+        for column in zip(*self.index.letters):
+            symbols = sorted(set(column))
+            blocks.append(row_numbers(rows, len(symbols),
+                                      np.array([symbols.index(w) for w in column])))
         order = np.empty(len(rows), dtype=np.int64)
-        order[np.lexsort(digits.T[::-1])] = np.arange(len(rows))
+        order[np.lexsort(blocks[::-1])] = np.arange(len(rows))
         return order
 
     def truth(self, cell_letters) -> tuple:

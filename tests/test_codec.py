@@ -462,7 +462,8 @@ def test_pick_matches_lexsort_reference(data, encoders, wide):
     weights, on one- and two-encoder indexes.  The rows run over a few
     letters that share symbols, so tied rows often agree on a prefix.  A
     wide index has letters with 40 symbols per encoder as well: at n = 6 its
-    radix product, 40^12, passes 2^63, and it orders its rows by one lexsort."""
+    digits, read as one mixed-radix number, would pass 2^63 (40^12), and the
+    order still places each row once."""
     if wide:
         encoders, n, size = 2, 6, 40
     else:
@@ -478,8 +479,7 @@ def test_pick_matches_lexsort_reference(data, encoders, wide):
         letters += list(zip(*symbols))[2:]
     decoder = _decoder_over(letters, rows)
     assert (math.prod(len(set(c)) for c in zip(*letters)) ** n >= 2 ** 63) == wide
-    if wide:
-        assert sorted(decoder.order.tolist()) == list(range(len(rows)))
+    assert sorted(decoder.order.tolist()) == list(range(len(rows)))
     entries = data.draw(st.lists(st.lists(st.integers(0, len(rows) - 1), min_size=1,
                                           unique=True), min_size=1, max_size=8))
     # then every pair of rows, tied, so that the picks compare the whole order
