@@ -29,7 +29,16 @@ fit and Python ints in object arrays otherwise.  Each value's sums over its
 distinct denominators are added as integer pairs in one balanced tree
 (:func:`_fraction_sum`), and one Fraction is formed per value.  A MAP pick
 is the first best-weight candidate in one tie-break order per decoder,
-fixed over its index rows (:attr:`_DecoderClasses.order`).
+fixed over its index rows (:attr:`_DecoderClasses.order`).  A decoder's
+exceedance terms read a state only through its pair
+(:meth:`_DecoderClasses.pairs`): the source block's cell totals, its seen
+block (its blocks of the decoder's side information and of the variables
+its reproductions measure), and the decoder class.  The states of one pair
+have equal terms over one denominator, so each pair is weighed once, by its
+summed state weight, and the sums do not change.  A decoder that sees the
+whole source has a pair per (source block, class); one that sees less
+merges the source blocks it cannot tell apart.  The mismatch reads all
+decoders jointly, so it stays per state.
 
 Monte Carlo samples the states that the oracle enumerates.  :func:`simulate`
 draws each trial's source block as a row of source letter ids, evaluates the
@@ -134,9 +143,14 @@ def _check_rule(rule: str):
 
 
 def _bounds(D: Mapping, delta: float, ks) -> dict:
-    """bounds[k] = D_k + delta; a ConfigurationError unless 0 <= delta < inf."""
+    """bounds[k] = D_k + delta; a ConfigurationError unless 0 <= delta < inf
+    and D holds a bound for every reproduction k of `ks`."""
     if not 0 <= delta < math.inf:
         raise ConfigurationError("delta must be finite and non-negative, got %r" % (delta,))
+    missing = [k for k in ks if k not in D]
+    if missing:
+        raise ConfigurationError("no distortion bound D for reproduction %s"
+                                 % ", ".join(map(repr, missing)))
     return {k: float(D[k]) + delta for k in ks}
 
 
@@ -641,14 +655,20 @@ class _Source:
             return np.zeros(len(self.letters), dtype=np.intp)
         return self.letters[:, self.pmf.names.index(var)]
 
-    def numbering(self, var) -> tuple:
-        """(number, symbols): the alphabet ids `symbols` of the `var` symbols
-        that occur, and `number`, which numbers the `var` blocks of source
-        blocks (rows of source letter ids) in product order of those."""
-        numbering = self._numberings.get(var)
+    def numbering(self, names: tuple) -> tuple:
+        """(number, symbols): `symbols`, the distinct symbols that the source
+        letters take on the variables `names`, each the tuple of its alphabet
+        ids read as one number in product order of their alphabets (for one
+        variable its alphabet id; 0 for none), and `number`, which numbers
+        the `names` blocks of source blocks (rows of source letter ids) in
+        product order of those."""
+        numbering = self._numberings.get(names)
         if numbering is None:
-            symbols, digit = np.unique(self.ids(var), return_inverse=True)
-            numbering = self._numberings[var] = (
+            number = self.ids(None)
+            for v in names:
+                number = number * self.pmf.alphabet(v).size + self.ids(v)
+            symbols, digit = np.unique(number, return_inverse=True)
+            numbering = self._numberings[names] = (
                 (lambda digits: row_numbers(digits, len(symbols), digit)), symbols)
         return numbering
 
@@ -677,7 +697,7 @@ class _CellDraws:
         x_var = code.channels[cell].inputs[0][0]
         _, self.bound = code._table(cell, x_var)
         self.rows = code._index(cell).rows
-        self.number, symbols = source.numbering(x_var)
+        self.number, symbols = source.numbering((x_var,))
         x_rows = symbols[_digits(np.arange(len(symbols) ** code.n), len(symbols), code.n)]
         self.row, self.weight, self.count, self.total = _cell_draws(code, cell, x_rows)
         self.start = np.cumsum(self.count) - self.count
@@ -729,7 +749,8 @@ class _DecoderClasses:
     """One decoder as the oracle and Monte Carlo read it: the class of each
     state's true W_{I_j}-blocks, that class's law given the state's side
     information, the reproductions of the class's candidates, and the MAP
-    tie-break :attr:`order` over the index rows, built once.  `drawn` keeps,
+    tie-break :attr:`order` over the index rows, built once.  The oracle
+    weighs its exceedance terms once per :meth:`pairs`.  `drawn` keeps,
     per (rule, class and side-information block) that Monte Carlo has drawn
     from, its law under the rule (:meth:`laws`) as (index rows, choice
     table)."""
@@ -741,8 +762,9 @@ class _DecoderClasses:
         self.y = y = cfg.side_info.get(j)
         self.table, self.bound = code._table(ij, y)
         self.total_bound = self.bound * max(1, len(index.rows))
+        self.source = source
         self.y_ids = source.ids(y)
-        self.y_number, symbols = source.numbering(y)
+        self.y_number, symbols = source.numbering((y,) if y else ())
         self.y_count = len(symbols) ** code.n
         # the I_j letter of each combination of letters of the cells that hold I_j
         letter_id = {w: l for l, w in enumerate(index.letters)}
@@ -780,6 +802,15 @@ class _DecoderClasses:
                          for i in sources)
             z[v, l] = symbol_id.setdefault(table[args], len(symbol_id))
         return k, measure, x, z
+
+    @functools.cached_property
+    def seen(self) -> tuple:
+        """(number, count) of the seen blocks: a source block's block of the
+        side information and of each reproduction's measured variable.
+        Built on first use, as only the exact oracle reads it."""
+        names = [self.y, *(measure.source for _, measure, _, _ in self.reproductions)]
+        number, symbols = self.source.numbering(tuple(v for v in names if v))
+        return number, len(symbols) ** self.source.n
 
     @functools.cached_property
     def order(self) -> np.ndarray:
@@ -844,24 +875,37 @@ class _DecoderClasses:
                               np.add.reduceat(weight, starts))
         return out
 
+    def pairs(self, batch: _Batch, cls) -> tuple:
+        """(pair, block, cls, weight): per state of `batch` (its class in
+        `cls`) its pair, a distinct (cell totals, :attr:`seen` block, class),
+        and per pair one of its source blocks, its class and its summed state
+        weight as (integers, bound).  The states of a pair have equal
+        exceedance terms over one denominator, so the pair's weight sums
+        them exactly."""
+        seen_number, seen_count = self.seen
+        # below 2^60: at most 2^15 scale ids per chunk, 2^24 seen blocks, 2^20 + 1 classes
+        keys = (batch.scale_id * seen_count + seen_number(batch.digits))[batch.block] \
+            * len(self.index.bounds) + cls
+        _, first, pair = np.unique(keys, return_index=True, return_inverse=True)
+        bound = batch.weight[1] * len(keys)
+        weight = sum_at(pair, len(first), int_array(batch.weight[0], bound))
+        return pair, batch.block[first], cls[first], (weight, bound)
+
     def states(self, batch: _Batch, exceed: dict, rule: str, bounds: dict) -> tuple:
         """Per state of `batch`: the decoder's weight of its true blocks and
         its class total, as (integers, bound) each, and an id per distinct
         class total; the distortion hits (above bounds[k] = D_k + delta) of
-        the states' classes are added to `exceed`."""
+        the states' classes are added to `exceed`, once per :meth:`pairs`."""
         index = self.index
         letters, row = self.truth(batch.letters)
         cls = index.cls[row]
         observed = self.y_ids[batch.digits]
-        y_block = self.y_number(batch.digits)
-        contexts, first, context = np.unique(cls * self.y_count + y_block[batch.block],
-                                             return_index=True, return_inverse=True)
-        # (source block, class) pairs: their summed state weights and context
-        width = len(index.bounds)
-        pairs, weight = _sum_by(batch.block * width + cls, *batch.weight)
-        weight = (weight, batch.weight[1] * len(batch.block))
-        pair_block, pair_cls = pairs // width, pairs % width
-        pair_context = np.searchsorted(contexts, pair_cls * self.y_count + y_block[pair_block])
+        pair, pair_block, pair_cls, weight = self.pairs(batch, cls)
+        # a context is a (class, side-information block): one class law
+        contexts, first, pair_context = np.unique(
+            pair_cls * self.y_count + self.y_number(batch.digits)[pair_block],
+            return_index=True, return_inverse=True)
+        context = pair_context[pair]
         pair_obs, pair_digits = observed[pair_block], batch.digits[pair_block]
         scale = (batch.scale[0][pair_block], batch.scale[1])
         scale_id = batch.scale_id[pair_block]
@@ -869,11 +913,11 @@ class _DecoderClasses:
         total = np.zeros(len(contexts), dtype=self.table.dtype)
         pick = np.zeros(len(contexts), dtype=np.int64)
         joins = [r for r in self.reproductions if rule == "crng" and r[1].kind == "block-mismatch"]
-        equal = {r[0]: np.zeros(len(pairs), dtype=self.table.dtype) for r in joins}
+        equal = {r[0]: np.zeros(len(pair_cls), dtype=self.table.dtype) for r in joins}
         by_context = np.argsort(pair_context, kind="stable")
         sorted_context = pair_context[by_context]
-        for a, b, owner, starts, crow, obs, w in self._classes(cls[first],
-                                                                observed[batch.block[first]]):
+        for a, b, owner, starts, crow, obs, w in self._classes(pair_cls[first],
+                                                                pair_obs[first]):
             total[a:b] = np.add.reduceat(w, starts)
             if rule == "map":
                 pick[a:b] = self._pick(owner, starts, crow, w)
@@ -902,7 +946,7 @@ class _DecoderClasses:
                 for k, same in equal.items()}
         counted = [r for r in self.reproductions if r[0] not in hits]
         for k, *_ in counted:
-            hits[k] = np.zeros(len(pairs), dtype=self.table.dtype)
+            hits[k] = np.zeros(len(pair_cls), dtype=self.table.dtype)
         if counted:
             for a, b, owner, starts, crow, obs, w in self._classes(pair_cls, pair_obs):
                 candidates = index.rows[crow]
@@ -933,9 +977,10 @@ def exact_error(code: CodeInstance, delta: float, D: Mapping,
     the cells' law totals.  The mismatch is 1 minus the probability that
     every decoder outputs its true blocks: each state's weight times each
     decoder's weight of the true blocks, over the cell totals times the
-    class totals.  An exceedance adds, per source block and decoder class,
-    the summed state weights times the class weight of the reproductions
-    that exceed D_k + delta, over the cell totals times the class total;
+    class totals.  An exceedance adds, per decoder pair (cell totals, seen
+    block, class; :meth:`_DecoderClasses.pairs`), the summed state weights
+    times the class weight of the reproductions that exceed D_k + delta,
+    over the cell totals times the class total;
     the MAP rule outputs its pick with weight 1 out of 1.  Numerators are
     summed per distinct denominator, and those sums are added in one
     balanced tree of integer pairs (:func:`_fraction_sum`): one Fraction
@@ -1057,7 +1102,7 @@ def _run_batch(code: CodeInstance, bounds: dict, uniforms, rule: str, report: Si
     # each cell's drawn index row per trial, -1 where its law is empty
     drawn = []
     for c, cell in enumerate(cfg.sharing):
-        number, symbols = source.numbering(code.channels[cell].inputs[0][0])
+        number, symbols = source.numbering((code.channels[cell].inputs[0][0],))
         blocks, law_of = np.unique(number(digits), return_inverse=True)
         laws = [(rows, choice_table(weights, total)) if len(rows) else None
                 for rows, weights, total in _split(*_cell_draws(

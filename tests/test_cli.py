@@ -64,8 +64,10 @@ def test_simulate_sweep_emits_one_row_per_block_length(tmp_path):
     assert [r.split(",")[1] for r in rows[1:]] == ["1", "2", "3"]
 
 
-def test_scenario_run_section_supplies_defaults(tmp_path):
-    data = {
+def _one_cell_scenario(run_section) -> dict:
+    """A scenario file with one rate-1 encoder, one hamming
+    reproduction of X1, and the given run section."""
+    return {
         "name": "defaults",
         "topology": {
             "encoders": [1], "sharing": [[1]], "decoders": [1],
@@ -80,8 +82,12 @@ def test_scenario_run_section_supplies_defaults(tmp_path):
         "reproducers": {"1": {"args": ["W1"], "identity": True,
                               "alphabet": [0, 1]}},
         "code": {"rates": {"1": 1.0}},
-        "run": {"n": [1, 2], "trials": 40, "seed": 9, "D": {"1": "0.1"}},
+        "run": run_section,
     }
+
+
+def test_scenario_run_section_supplies_defaults(tmp_path):
+    data = _one_cell_scenario({"n": [1, 2], "trials": 40, "seed": 9, "D": {"1": "0.1"}})
     path = tmp_path / "defaults.json"
     path.write_text(json.dumps(data))
     out = str(tmp_path / "defaults.csv")
@@ -92,6 +98,18 @@ def test_scenario_run_section_supplies_defaults(tmp_path):
     fields = rows[1].split(",")
     assert fields[header.index("trials")] == "40"  # from the run section
     assert fields[header.index("seed")] == "9"     # from the run section
+
+
+@pytest.mark.parametrize("flags", [[], ["--exact"]], ids=["simulate", "exact"])
+def test_scenario_without_a_distortion_bound_is_a_config_error(tmp_path, capsys, flags):
+    """A scenario with distortions but no run.D bound for one of them exits
+    2 and names the reproduction, for both estimators."""
+    path = tmp_path / "no-bound.json"
+    path.write_text(json.dumps(_one_cell_scenario({"n": [1], "trials": 10, "seed": 9})))
+    assert run(["simulate", str(path)] + flags) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "no distortion bound D for reproduction 1" in err
+    assert "Traceback" not in err
 
 
 def test_region_to_file_and_sidecar(tmp_path):

@@ -580,13 +580,31 @@ def _reference_exact_error(code, delta, D, rule):
     return mismatch + abort, {k: v + abort for k, v in exceed.items()}, abort
 
 
+def _separate_decoders():
+    """Berger-Tung's two BSC cells, decoded apart: decoder j decodes only
+    codeword j and reproduces X_j, with no side information.  So neither
+    decoder sees the other cell's input, and with aux rates > 0 that cell's
+    law totals still vary with the block it does not see."""
+    scenario = build_scenario("berger-tung-binary")
+    config = dataclasses.replace(scenario.config, decoders=(1, 2),
+                                 codewords_to={1: (1,), 2: (2,)},
+                                 reproductions={1: (1,), 2: (2,)}, side_info={1: None, 2: None})
+    return dataclasses.replace(scenario, name="separate-decoders", config=config)
+
+
 @settings(max_examples=60, deadline=None)
-@given(name=st.sampled_from(SIMULATING), n=st.integers(1, 3), seed=st.integers(0, 2 ** 16),
-       rule=st.sampled_from(["crng", "map"]), aux=st.sampled_from([None, 0.5, 1.0]))
+@given(name=st.sampled_from([*SIMULATING, "separate-decoders"]), n=st.integers(1, 3),
+       seed=st.integers(0, 2 ** 16), rule=st.sampled_from(["crng", "map"]),
+       aux=st.sampled_from([None, 0.5, 1.0]))
+@example(name="separate-decoders", n=3, seed=1, rule="crng", aux=0.5)
+@example(name="separate-decoders", n=3, seed=2, rule="map", aux=0.5)
 def test_integer_oracle_matches_fraction_reference(name, n, seed, rule, aux):
     """The integer oracle equals the Fraction reference as Fractions; larger
-    auxiliary rates make encoder aborts common."""
-    scenario = build_scenario(name)
+    auxiliary rates make encoder aborts common.  The test-local
+    :func:`_separate_decoders` has decoders that do not see every cell's
+    input, so a decoder's pairs must keep apart source blocks with
+    different cell totals."""
+    scenario = _separate_decoders() if name == "separate-decoders" else build_scenario(name)
     aux_rates = None if aux is None else {i: aux for i in scenario.config.encoders}
     code = scenario.make_code(n, aux_rates=aux_rates, seed=seed)
     delta = 0.01 * max(d.bound for d in scenario.config.distortions.values())
@@ -595,6 +613,39 @@ def test_integer_oracle_matches_fraction_reference(name, n, seed, rule, aux):
     assert all(type(v) is Fraction for v in values)
     assert (result.mismatch, result.exceed, result.encoder_abort) == \
         _reference_exact_error(code, delta, scenario.default_D, rule)
+
+
+def test_pairs_merge_the_source_blocks_a_decoder_cannot_tell_apart(monkeypatch):
+    """On the benchmark's seed-0 exact-oracle codes, each heegard-berger
+    decoder sees Y_j and X1 of (X1, Y1, Y2), so its (source block, class)
+    pairs merge over the Y blocks it does not see: 2,560 -> 320 at n = 3,
+    192 -> 48 at n = 2, per decoder and batch.  A slepian-wolf decoder
+    sees the whole source, and its 4,096 pairs stay."""
+    monkeypatch.syspath_prepend(PERFBENCH)
+    from workloads import EXACT_CODES, default_delta, subseed
+
+    counts = []
+    pairs = codec._DecoderClasses.pairs
+
+    def counted(self, batch, cls):
+        out = pairs(self, batch, cls)
+        block_pairs = np.unique(batch.block * len(self.index.bounds) + cls)
+        counts.append((len(block_pairs), len(out[1])))
+        return out
+
+    monkeypatch.setattr(codec._DecoderClasses, "pairs", counted)
+    expected = {("heegard-berger-two-decoders", 3): [(2560, 320)] * 2,
+                ("heegard-berger-two-decoders", 2): [(192, 48)] * 2,
+                ("slepian-wolf", 6): [(4096, 4096)]}
+    for idx, (name, n, _) in enumerate(EXACT_CODES):
+        if (name, n) not in expected:
+            continue
+        scenario = build_scenario(name)
+        code = scenario.make_code(n, seed=subseed(0, 4, idx, 0))
+        for rule in ("crng", "map"):
+            counts.clear()
+            exact_error(code, default_delta(scenario), scenario.default_D, rule)
+            assert counts == expected[name, n]
 
 
 def _simulating_codes(max_n):
@@ -696,8 +747,9 @@ def test_exact_oracle_reuse_is_invisible(monkeypatch):
             assert sorted(map(str, (key for key, at in made if at is code))) == \
                 sorted(map(str, [*scenario.config.sharing, "source"]))
             blocks = code._blocks
-            assert all(blocks.numbering(var) is blocks.numbering(var)
-                       for var in (None, *blocks.pmf.names))
+            assert all(blocks.numbering(names) is blocks.numbering(names)
+                       for names in ((), *((v,) for v in blocks.pmf.names),
+                                     tuple(blocks.pmf.names)))
 
 
 def test_make_code_builds_the_joint_once(monkeypatch):
@@ -1284,6 +1336,19 @@ def test_negative_or_non_finite_delta_is_refused(estimate, delta):
     code = scenario.make_code(2, seed=1)
     args = (code, delta, scenario.default_D) + ((5, 0) if estimate is simulate else ())
     with pytest.raises(ConfigurationError, match="delta must be finite and non-negative"):
+        estimate(*args)
+
+
+@pytest.mark.parametrize("estimate", [exact_error, simulate], ids=["exact_error", "simulate"])
+def test_missing_distortion_bound_is_refused(estimate):
+    """A reproduction without its bound D_k is refused by name, not met
+    with a KeyError."""
+    scenario = build_scenario("mdc-two-descriptions")
+    code = scenario.make_code(1, seed=1)
+    D = {1: scenario.default_D[1]}
+    args = (code, 0.01, D) + ((5, 0) if estimate is simulate else ())
+    with pytest.raises(ConfigurationError,
+                       match="no distortion bound D for reproduction 2, 12$"):
         estimate(*args)
 
 
