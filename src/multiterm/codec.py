@@ -1076,12 +1076,12 @@ def simulate(code: CodeInstance, delta: float, D: Mapping, trials: int,
     ``Generator(PCG64(seed).advance(t * w))``.  An encoder abort counts as
     an error for the mismatch and for every exceedance, with distortion
     `bound`.  A decoder's class holds the true blocks, which have positive
-    weight, so decoders never abort.  `trials` must be a positive int.
+    weight, so decoders never abort.  `trials` must be a positive int, not a bool.
     """
     _check_rule(rule)
     ks = code.config.reproduction_ids
     bounds = _bounds(D, delta, ks)
-    if not (isinstance(trials, (int, np.integer)) and trials > 0):
+    if isinstance(trials, bool) or not (isinstance(trials, (int, np.integer)) and trials > 0):
         raise ConfigurationError("trials must be a positive integer, got %r" % (trials,))
     report = SimReport(trials=trials, mismatch_count=0, exceed_counts={k: 0 for k in ks},
                        encoder_abort_count=0, decoder_abort_count=0,

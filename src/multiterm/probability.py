@@ -62,7 +62,7 @@ def row_numbers(ids, sizes, symbol=None) -> np.ndarray:
     column varies slowest), after mapping each id d to symbol[d] when
     `symbol` is given."""
     number = np.zeros(len(ids), dtype=np.int64)
-    for column, size in zip(ids.T, np.broadcast_to(sizes, ids.shape[1:])):
+    for column, size in zip(ids.T, [sizes] * ids.shape[1] if np.isscalar(sizes) else sizes):
         number = number * size + (column if symbol is None else symbol[column])
     return number
 
@@ -310,10 +310,10 @@ def choice_table(weights, total) -> np.ndarray:
     return cdf
 
 
-def draw(cdf, seed, size=None):
-    """The indices ``default_rng(seed).choice(len(cdf), size, p=...)`` draws
-    from the :func:`choice_table` `cdf`: its uniforms, searched in `cdf`."""
-    return cdf.searchsorted(np.random.default_rng(seed).random(size), side="right")
+def draw(cdf, seed):
+    """The index ``default_rng(seed).choice(len(cdf), p=...)`` draws from the
+    :func:`choice_table` `cdf`: its uniform, searched in `cdf`."""
+    return cdf.searchsorted(np.random.default_rng(seed).random(), side="right")
 
 
 def support_table(pmf: JointPmf) -> np.ndarray:

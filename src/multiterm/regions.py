@@ -24,7 +24,7 @@ from .network import NetworkConfig, w_name
 from .probability import JointPmf
 from .rational import integer_scaled
 # solve_lp stays bound here: perfbench/tracing.py wraps regions.solve_lp.
-from .simplex import UNBOUNDED, DualTableau, feasible_point, implied, solve_lp
+from .simplex import UNBOUNDED, DualTableau, feasible_point, solve_lp
 
 DSC_IT = "dsc-it"
 DSC_CRNG = "dsc-crng"
@@ -209,9 +209,12 @@ class Binding:
 
 
 def round_entropy(bits: float, precision_bits: int = PRECISION_BITS) -> Fraction:
-    """`bits` rounded down to a multiple of 2**-precision_bits, at least 0."""
-    scale = 1 << precision_bits
-    return max(Fraction(math.floor(bits * scale), scale), Fraction(0))
+    """`bits` rounded down, exactly, to a multiple of 2**-precision_bits, at
+    least 0; at most 1074 bits, where every double is already such a multiple."""
+    if not 0 <= precision_bits <= 1074:
+        raise ConfigurationError("precision bits must be in 0..1074, got %r" % (precision_bits,))
+    n, d = bits.as_integer_ratio()
+    return max(Fraction((n << precision_bits) // d, 1 << precision_bits), Fraction(0))
 
 
 def binding_from_pmf(which: str, config: NetworkConfig, joint: JointPmf,
@@ -280,11 +283,6 @@ def remove_redundant(system: LinIneqSystem) -> LinIneqSystem:
     return system.with_rows([system.rows[k] for k in keep])
 
 
-def _empty(rows, dim) -> bool:
-    """True iff no point satisfies every row (exact, on the dual)."""
-    return implied([0] * dim, 1, rows, dim)
-
-
 def member(system: LinIneqSystem, point: Mapping[str, object]) -> bool:
     """True iff the (fully specified) point satisfies every inequality."""
     _require_numeric(system)
@@ -302,8 +300,8 @@ def contains(outer: LinIneqSystem, inner: LinIneqSystem) -> bool:
     """True iff every point of `inner` satisfies `outer`.
 
     Decided exactly on the dual, all constants over one denominator: one
-    :class:`simplex.DualTableau` of `inner` is built, which certifies it
-    nonempty, and each row of `outer` is then certified implied by
+    :class:`simplex.DualTableau` of `inner` is built, which decides whether
+    it is empty, and each row of `outer` is then certified implied by
     re-optimizing that tableau (:meth:`simplex.DualTableau.implies`).
     """
     _require_numeric(outer)
@@ -375,6 +373,6 @@ def _iis(system, rows, dim):
     active = list(range(len(rows)))
     for idx in list(active):
         trial = [k for k in active if k != idx]
-        if _empty([rows[k] for k in trial], dim):
+        if DualTableau([rows[k] for k in trial], dim).status == UNBOUNDED:
             active = trial
     return [system.line(system.rows[k]) for k in active]

@@ -12,29 +12,30 @@ column per inequality, so a system of d variables and m rows pivots a
 d x (m + d) tableau.  By Farkas' lemma and strong duality the answers agree,
 and both are exact.  Between questions about one system only the
 right-hand side c changes, or one cost entry -b_k when row k's constant is
-relaxed, so a :class:`DualTableau` is built once per system and answers
-many.  The build is a two-phase simplex on its first c (zero by
-default: the emptiness test).  Phase 1 starts from one artificial column
-per equality row; those columns are kept and every pivot updates them, but
-they are never priced for entry.  Kept, they hold D B^-1 for the current
-basis B, so the tableau is always that matrix times [S A^T | I | S c], S
-being the sign flips and per-row scaling fixed at build.  A new c then
-costs one integer matrix-vector product: the right-hand side column becomes
-D B^-1 (S c), the objective entry the cost row's artificial part times S c,
-and each equality row phase 1 dropped as redundant keeps its artificial
-part, whose product with S c must be 0 or the new dual is infeasible.  A
-new c leaves the last optimal basis dual feasible, and
+relaxed, so a :class:`DualTableau` is built once per system, at c = 0, and
+answers many.  At c = 0, y = 0 is dual feasible and every basis is primal
+feasible, so the build ends optimal, or unbounded when the rows are empty.
+Its phase 1 starts from one artificial column per equality row and keeps
+an objective of 0 throughout, but its pivots choose the structural basis
+that phase 2 starts from.  The artificial columns are kept and every pivot
+updates them, but they are never priced for entry.  Kept, they hold D B^-1
+for the current basis B, so the tableau is always that matrix times
+[S A^T | I | S c], S being the per-row scaling fixed at build.  A new c
+then costs one integer matrix-vector product: the right-hand side column
+becomes D B^-1 (S c), the objective entry the cost row's artificial part
+times S c, and each equality row phase 1 dropped as redundant keeps its
+artificial part, whose product with S c must be 0 or the new dual is
+infeasible.  A new c leaves the last optimal basis dual feasible, and
 :meth:`DualTableau.query` re-optimizes it by dual simplex pivots
 (C. E. Lemke, "The dual method of solving the linear programming problem",
 Naval Res. Logist. Q., 1954): a row with a negative right-hand side leaves,
 the column with the least ratio cost_j / |T_rj| over T_rj < 0 enters, and
 the query is OPTIMAL once every row is feasible, or its dual INFEASIBLE
 (the rows do not bound c.x below) when a negative row has no negative
-entry.  A new cost entry is set at c = 0, where every basis is primal
-feasible, and :meth:`DualTableau.relax` re-optimizes by primal pivots.  The
-cost row's artificial part is minus D times the simplex multipliers of the
-equality rows, which are the primal point: x = S times it, over D, with the
-coordinates of dropped rows at 0.
+entry.  A new cost entry is set at c = 0, and :meth:`DualTableau.relax`
+re-optimizes by primal pivots.  The cost row's artificial part is minus D
+times the simplex multipliers of the equality rows, which are the primal
+point: x = S times it, over D, with the coordinates of dropped rows at 0.
 
 The tableau holds Python integers.  Region systems come in as integer rows
 (gcd-1 coefficients, constants over one common denominator) and become
@@ -171,45 +172,38 @@ class DualTableau:
     """The dual of min c.x s.t. A x >= b for one system and many objectives c.
 
     `ge_rows` is a sequence of (coefficient list, constant) pairs over `dim`
-    variables.  The build solves max b.y s.t. A^T y = coeffs, y >= 0 by two
-    phases, coeffs zero by default; :meth:`query` moves to other coeffs by
-    dual pivots, and :meth:`relax` moves one row's constant, b_k, by primal
-    pivots at coeffs 0.  `status` answers the last coeffs: OPTIMAL with `value`
-    = max b.y = min coeffs.x over the rows; UNBOUNDED when the rows are
-    empty; INFEASIBLE when coeffs.x is unbounded below on them (or, at the
-    build, when they are empty).  Only a build or relax that ends OPTIMAL
-    can be queried again.
+    variables.  The build solves max b.y s.t. A^T y = 0, y >= 0 by two
+    phases; :meth:`query` moves to other coeffs c by dual pivots, and
+    :meth:`relax` moves one row's constant, b_k, by primal pivots at c = 0.
+    `status` answers the last c: OPTIMAL with `value` = max b.y = min c.x
+    over the rows; UNBOUNDED when the rows are empty; INFEASIBLE when c.x is
+    unbounded below on them.  A build ends OPTIMAL or UNBOUNDED, and only an
+    OPTIMAL tableau can be queried again.
     """
 
-    def __init__(self, ge_rows: Sequence[tuple], dim: int, coeffs: Optional[Sequence] = None):
-        coeffs = [0] * dim if coeffs is None else coeffs
-        if len(coeffs) != dim or any(len(co) != dim for co, _ in ge_rows):
+    def __init__(self, ge_rows: Sequence[tuple], dim: int):
+        if any(len(co) != dim for co, _ in ge_rows):
             raise ValueError("row arity differs from dimension %d" % dim)
         n = self._ncols = len(ge_rows)
-        self._rows = None   # until the build ends OPTIMAL
+        self._rows, self._rhs_scale = None, 1   # no basis until the build ends OPTIMAL
         columns = [list(col) for col in zip(*(co for co, _ in ge_rows))] if ge_rows \
             else [[] for _ in range(dim)]
-        self._signs = [1] * dim
+        self._scales = [1] * dim
         if not {type(v) for col in columns for v in col} <= {int}:
-            columns, self._signs = map(list, zip(*map(integer_scaled, columns)))
-        rhs = self._rhs(coeffs)
-        for i, v in enumerate(rhs):
-            if v < 0:
-                self._signs[i], columns[i], rhs[i] = -self._signs[i], [-a for a in columns[i]], -v
-        rows = [col + [0] * dim + [v] for col, v in zip(columns, rhs)]
+            columns, self._scales = map(list, zip(*map(integer_scaled, columns)))
+        rows = [col + [0] * (dim + 1) for col in columns]
         for i, row in enumerate(rows):
             row[n + i] = 1
         basis = [n + i for i in range(dim)]
 
         # phase 1: minimize the artificial sum, priced out against the basis;
+        # it stays 0, but its pivots pick the basis phase 2 starts from, and
         # the artificial columns' own reduced costs start at 0 and never price
         phase1 = [-sum(col) for col in zip(*rows)] if rows else [0] * (n + 1)
         phase1[n:n + dim] = [0] * dim
         rows.append(phase1)
         _, d = _minimize(rows, basis, 1, n)
-        if rows.pop()[-1] < 0:   # a positive artificial sum at the optimum
-            self.status = INFEASIBLE
-            return
+        rows.pop()
 
         # drive leftover artificials out of the basis; a row with no
         # structural entry left is redundant, and only its artificial part
@@ -236,16 +230,9 @@ class DualTableau:
                 cost = [a - c_int[bvar] * v for a, v in zip(cost, row)]
         rows.append(cost)
         bounded, d = _minimize(rows, basis, d, n)
-        if not bounded:
-            self.status = UNBOUNDED
-            return
-        self._rows, self._basis, self._d = rows, basis, d
-        self.status = OPTIMAL
-
-    def _rhs(self, coeffs):
-        """S coeffs as integers, setting the scale of the right-hand side."""
-        rhs, self._rhs_scale = integer_scaled([s * c for s, c in zip(self._signs, coeffs)])
-        return rhs
+        self.status = OPTIMAL if bounded else UNBOUNDED
+        if bounded:
+            self._rows, self._basis, self._d = rows, basis, d
 
     def _value_denominator(self):
         return self._d * self._cost_scale * self._rhs_scale
@@ -261,9 +248,9 @@ class DualTableau:
         """Re-optimize for new coeffs from the last basis; returns `status`."""
         if self._rows is None:
             raise ValueError("the tableau ended %s: no basis to re-optimize" % self.status)
-        if len(coeffs) != len(self._signs):
-            raise ValueError("row arity differs from dimension %d" % len(self._signs))
-        rhs = self._rhs(coeffs)
+        if len(coeffs) != len(self._scales):
+            raise ValueError("row arity differs from dimension %d" % len(self._scales))
+        rhs, self._rhs_scale = integer_scaled([s * c for s, c in zip(self._scales, coeffs)])
         if any(sum(map(mul, art, rhs)) for art in self._dropped):
             self.status = INFEASIBLE
             return self.status
@@ -280,7 +267,7 @@ class DualTableau:
         when the rows become empty.  At coeffs 0 every basis is feasible:
         y_k's cost entry rises by delta, priced out against its row when y_k
         is basic, and primal pivots restore optimality."""
-        self.query([0] * len(self._signs))
+        self.query([0] * len(self._scales))
         rows, step = self._rows, delta * self._cost_scale
         rows[-1][k] += step * self._d
         if k in self._basis:
@@ -290,19 +277,12 @@ class DualTableau:
             self._rows, self.status = None, UNBOUNDED
         return self.status
 
-    def holds(self, const) -> bool:
-        """True iff the rows imply coeffs.x >= const for the last coeffs.
-
-        An empty system implies everything; an INFEASIBLE answer is False,
-        which callers only ask of nonempty rows.
-        """
-        return self.status == UNBOUNDED or (
-            self.status == OPTIMAL and self._rows[-1][-1] >= const * self._value_denominator())
-
     def implies(self, coeffs: Sequence, const) -> bool:
-        """:meth:`query` coeffs, then :meth:`holds` const."""
-        self.query(coeffs)
-        return self.holds(const)
+        """True iff the rows imply coeffs.x >= const: vacuously when they
+        are empty (UNBOUNDED), else when :meth:`query` coeffs finds
+        min coeffs.x >= const."""
+        return self.status == UNBOUNDED or (self.query(coeffs) == OPTIMAL and (
+            self._rows[-1][-1] >= const * self._value_denominator()))
 
     def point(self) -> list:
         """An x attaining min coeffs.x for the last query: S times the cost
@@ -310,7 +290,7 @@ class DualTableau:
         if self.status != OPTIMAL:
             raise ValueError("no optimum: the last query is %s" % self.status)
         den = self._d * self._cost_scale
-        return [Fraction(s * v, den) for s, v in zip(self._signs, self._rows[-1][self._ncols:-1])]
+        return [Fraction(s * v, den) for s, v in zip(self._scales, self._rows[-1][self._ncols:-1])]
 
 
 def solve_lp(objective: Sequence, ge_rows: Sequence[tuple]) -> LpResult:
@@ -327,20 +307,6 @@ def solve_lp(objective: Sequence, ge_rows: Sequence[tuple]) -> LpResult:
     if tableau.query(objective) == INFEASIBLE:
         return LpResult(UNBOUNDED)
     return LpResult(OPTIMAL, tableau.value, tableau.point())
-
-
-def implied(coeffs: Sequence, const, ge_rows: Sequence[tuple], dim: int) -> bool:
-    """True iff every x with coeffs_k . x >= const_k for all rows has coeffs . x >= const.
-
-    Decided on the dual max b.y s.t. A^T y = coeffs, y >= 0, built for
-    coeffs (:meth:`DualTableau.holds`).  An unbounded dual means the rows
-    are empty (the implication holds vacuously); an optimal one attains
-    max b.y = min coeffs . x over the rows.  An infeasible dual means
-    coeffs . x is unbounded below, which answers False only when the rows
-    are nonempty: callers guarantee that.  Emptiness is
-    ``implied([0] * dim, 1, ge_rows, dim)``, whose dual is feasible at y = 0.
-    """
-    return DualTableau(ge_rows, dim, coeffs).holds(const)
 
 
 def feasible_point(ge_rows: Sequence[tuple], dim: int) -> Optional[list]:

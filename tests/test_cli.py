@@ -129,6 +129,27 @@ def test_region_to_file_and_sidecar(tmp_path):
         (40, True), (20, False)]
 
 
+@pytest.mark.parametrize("bits", ["-1", "1075"])
+def test_region_refuses_precision_bits_out_of_range(capsys, bits):
+    """A negative precision raised a negative shift count, and one past
+    about 1020 overflowed a float product; both now exit 2 by name."""
+    assert run(["region", "slepian-wolf", "--precision-bits", bits]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "got %s" % bits in err
+    assert "Traceback" not in err
+
+
+def test_region_at_1074_precision_bits_is_exact(capsys):
+    """Every double is a multiple of 2^-1074, so binding at 1074 bits keeps
+    each entropy exactly, as 200 bits already do for these."""
+    outputs = []
+    for bits in ("200", "1074"):
+        assert run(["region", "slepian-wolf", "--definition", "dsc-crng",
+                    "--eliminate-aux", "--precision-bits", bits]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] and "R_1 + R_2 >=" in outputs[0]
+
+
 def test_region_golden_example1(tmp_path):
     out = str(tmp_path / "ex1.txt")
     assert run(["region", "example1-dsc2", "--definition", "dsc-crng",

@@ -1363,6 +1363,14 @@ def test_simulate_refuses_trials_below_one(trials):
         simulate(code, 0.01, scenario.default_D, trials=trials, seed=1)
 
 
+def test_simulate_refuses_a_bool_trial_count():
+    """trials=True ran one trial and reported `trials=True`."""
+    scenario = build_scenario("slepian-wolf")
+    code = scenario.make_code(2, seed=1)
+    with pytest.raises(ConfigurationError, match="trials must be a positive integer, got True"):
+        simulate(code, 0.01, scenario.default_D, trials=True, seed=1)
+
+
 def _no_seeding(*args, **kwargs):
     raise AssertionError("a SeedSequence or a PCG64 was built outside default_rng")
 

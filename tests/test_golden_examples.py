@@ -5,13 +5,18 @@ import os
 
 import pytest
 
+from multiterm import simplex
 from multiterm.cli import main as cli_main
 from multiterm.linineq import INF, SUP, EntropyTerm, LinIneqSystem
 from multiterm.network import build_joint
 from multiterm.regions import (
     DSC_CRNG,
+    DSC_IT,
     MDC_CRNG,
+    RegionSpec,
     binding_from_pmf,
+    build_system,
+    polyhedra_equal,
     remove_redundant,
 )
 from multiterm.scenarios import build_scenario
@@ -99,3 +104,33 @@ def test_golden_three_way_equality(tmp_path, name, flag, which, golden, closed):
     committed = open(os.path.join(GOLDEN, golden)).read()
     assert produced == committed
     assert closed(_binding(name, which)).render() == committed
+
+
+def test_golden_pivot_counts(tmp_path, monkeypatch):
+    """Pins the exact simplex's work: the `simplex._pivot` calls of each
+    golden `region --eliminate-aux` run, and of each dsc-crng golden
+    system's equality with its scenario's dsc-it system (Theorem 1).  A
+    change to pricing or to the build moves these counts and has to update
+    them."""
+    count = [0]
+    pivot = simplex._pivot
+
+    def counted(*args):
+        count[0] += 1
+        return pivot(*args)
+
+    monkeypatch.setattr(simplex, "_pivot", counted)
+    runs, checks = [], []
+    for name, flag, which, golden, _ in CASES:
+        count[0] = 0
+        assert cli_main(["region", name, "--definition", flag, "--eliminate-aux",
+                         "--out", str(tmp_path / golden)]) == 0
+        runs.append(count[0])
+        if which == DSC_CRNG:
+            it = build_system(RegionSpec(DSC_IT, build_scenario(name).config,
+                                         _binding(name, DSC_IT)))
+            committed = LinIneqSystem.parse(open(os.path.join(GOLDEN, golden)).read())
+            count[0] = 0
+            assert polyhedra_equal(it, committed)
+            checks.append(count[0])
+    assert (runs, checks) == ([3, 8, 6, 1], [6, 16, 2])

@@ -16,7 +16,7 @@ from multiterm.linineq import (
     fme_eliminate,
 )
 from multiterm.regions import remove_redundant
-from multiterm.simplex import implied
+from multiterm.simplex import UNBOUNDED, DualTableau
 
 
 def test_entropy_term_sorting_and_render():
@@ -209,11 +209,11 @@ def _ref_remove_redundant(vars, rows):
         return rows, True
     dense = [([dict(co).get(v, Fraction(0)) for v in vars], ct.offset) for co, ct in rows]
     dim = len(vars)
-    if implied([0] * dim, 1, dense, dim):
+    if DualTableau(dense, dim).status == UNBOUNDED:
         return rows, True
     keep = list(range(len(rows)))
     for idx in list(keep):
-        if implied(*dense[idx], [dense[k] for k in keep if k != idx], dim):
+        if DualTableau([dense[k] for k in keep if k != idx], dim).implies(*dense[idx]):
             keep.remove(idx)
     return _ref_canonicalize(vars, [rows[k] for k in keep])
 

@@ -125,10 +125,13 @@ def test_marginalize_then_condition_commutes_with_direct():
 
 
 def letters(pmf, n, seed, count):
-    """`count` i.i.d. blocks of n letters of `pmf` drawn from its support
-    table, as their letters (symbol tuples)."""
+    """`count` i.i.d. blocks of n letters of `pmf`, the uniforms of
+    ``default_rng(seed)`` searched in its support table, as their letters
+    (symbol tuples)."""
     support = [key for key, p in pmf.items() if p > 0]
-    return [tuple(support[i] for i in row) for row in draw(support_table(pmf), seed, (count, n))]
+    uniforms = np.random.default_rng(seed).random((count, n))
+    return [tuple(support[i] for i in row)
+            for row in support_table(pmf).searchsorted(uniforms, side="right")]
 
 
 def test_sample_point_mass_and_determinism():
@@ -285,11 +288,12 @@ def _seeds():
 @example(data=None, top=5, size=(2, 3), seed=np.random.SeedSequence((9, 4), spawn_key=(1, 0)),
          as_array=True)
 def test_draw_matches_generator_choice(data, top, size, seed, as_array):
-    """`choice_table` is the table ``Generator.choice`` forms, and `draw` on
-    it returns the indices ``default_rng(seed).choice(len(p), size, p=p /
-    p.sum())`` returns, for p = float(Fraction(w, total)) of integer weights
-    up to 2^80 (numpy divides exactly only below 2^53), given as a list or
-    as an integer array."""
+    """`choice_table` is the table ``Generator.choice`` forms: its uniforms
+    searched in it are the indices ``default_rng(seed).choice(len(p), size,
+    p=p / p.sum())`` returns, and `draw` returns the single one, for
+    p = float(Fraction(w, total)) of integer weights up to 2^80 (numpy
+    divides exactly only below 2^53), given as a list or as an integer
+    array."""
     weights = [top] if data is None else data.draw(
         st.lists(st.integers(0, top), min_size=1, max_size=12).filter(any))
     total = sum(weights)
@@ -300,7 +304,8 @@ def test_draw_matches_generator_choice(data, top, size, seed, as_array):
     table = choice_table(weights, total)
     cdf = (probs / probs.sum()).cumsum()   # as choice forms it from p = probs / probs.sum()
     assert table.tolist() == (cdf / cdf[-1]).tolist()
-    got = draw(table, seed, size)
+    got = draw(table, seed) if size is None else \
+        table.searchsorted(np.random.default_rng(seed).random(size), side="right")
     assert np.shape(got) == np.shape(expected)
     assert np.array_equal(got, expected)
 

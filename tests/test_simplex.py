@@ -15,7 +15,6 @@ from multiterm.simplex import (
     DualTableau,
     LpResult,
     feasible_point,
-    implied,
     solve_lp,
 )
 
@@ -126,11 +125,20 @@ def reference_dual_solve(coeffs, ge_rows, dim):
 
 
 def reference_implied(coeffs, const, ge_rows, dim):
-    """`implied` decided by the reference engine."""
+    """Whether the rows imply coeffs.x >= const, decided by the reference
+    engine on the dual at coeffs, as the library once built it: True when
+    that dual is unbounded (the rows are empty) or its optimum reaches
+    const, False when it is infeasible, which on empty rows is not the
+    vacuous answer."""
     status, value = reference_dual_solve(coeffs, ge_rows, dim)[:2]
     if status == UNBOUNDED:
         return True
     return status == OPTIMAL and -value >= const
+
+
+def fresh_implied(coeffs, const, ge_rows, dim):
+    """:meth:`DualTableau.implies` asked of a fresh build of `ge_rows`."""
+    return DualTableau(ge_rows, dim).implies(coeffs, const)
 
 
 def multipliers(tableau):
@@ -263,20 +271,22 @@ def implication_cases(draw):
 @example(case=(2, [], [0, 0], -1))                               # no rows
 @example(case=(1, [([1], 0)], [1], Fraction(1, 2 ** 40)))        # gap at binding precision
 def test_implied_agrees_with_primal(case):
-    """The dual emptiness test equals the primal one; on a nonempty system
-    the dual implication equals the primal one, and a True answer comes with
+    """The build's emptiness verdict (UNBOUNDED) equals the primal one, and
+    an empty system implies every row; on a nonempty system the queried
+    implication equals the primal one, and a True answer comes with
     multipliers y >= 0, A^T y = coeffs, b.y >= const."""
     dim, raw, coeffs, const = case
     rows = [([F(v) for v in co], F(ct)) for co, ct in raw]
     empty = primal_solve_lp([F(0)] * dim, rows).status == INFEASIBLE
-    assert implied([0] * dim, 1, rows, dim) == empty
+    tableau = DualTableau(rows, dim)
+    assert (tableau.status == UNBOUNDED) == empty
     if empty:
-        return  # callers test emptiness first: then both LPs may be infeasible
+        assert tableau.implies(coeffs, const)
+        return
     primal = primal_solve_lp([F(v) for v in coeffs], rows)
     expected = primal.status == OPTIMAL and primal.value >= const
-    assert implied(coeffs, const, rows, dim) == expected
+    assert tableau.implies(coeffs, const) == expected
     if expected:
-        tableau = DualTableau(rows, dim, coeffs)
         status, y = tableau.status, multipliers(tableau)
         assert status == OPTIMAL and len(y) == len(rows)
         assert all(v >= 0 for v in y)
@@ -338,14 +348,24 @@ def dyadic_cases(draw):
 @example(case=(2, [([1, 0], Fraction(3, 2 ** 40)), ([0, 1], Fraction(-1, 2 ** 39)),
                    ([-1, -1], Fraction(-5, 2 ** 40))], [1, 1], Fraction(1, 2 ** 40)))
 def test_integer_engine_matches_reference_dual(case):
-    """The integer tableau gives the reference's dual status and optimum, so
-    `implied` and the emptiness test answer as the reference does."""
+    """The integer tableau's build gives the reference's dual status and
+    optimum at coeffs 0, so its emptiness verdict is the reference's.  On a
+    nonempty system a query of coeffs gives the reference's status and
+    optimum at coeffs, and `implies` answers as the reference does; on an
+    empty one the reference's dual at coeffs has no optimum either, and
+    `implies` holds vacuously."""
     dim, rows, coeffs, const = case
-    tableau = DualTableau(rows, dim, coeffs)
-    status, value = reference_dual_solve(coeffs, rows, dim)[:2]
+    tableau = DualTableau(rows, dim)
+    status, value = reference_dual_solve([0] * dim, rows, dim)[:2]
     assert (tableau.status, tableau.value) == (status, None if value is None else -value)
-    assert implied(coeffs, const, rows, dim) == reference_implied(coeffs, const, rows, dim)
-    assert implied([0] * dim, 1, rows, dim) == reference_implied([0] * dim, 1, rows, dim)
+    assert (tableau.status == UNBOUNDED) == reference_implied([0] * dim, 1, rows, dim)
+    status, value = reference_dual_solve(coeffs, rows, dim)[:2]
+    if tableau.status == UNBOUNDED:
+        assert status != OPTIMAL and tableau.implies(coeffs, const)
+        return
+    assert tableau.query(coeffs) == status
+    assert tableau.value == (None if value is None else -value)
+    assert tableau.implies(coeffs, const) == reference_implied(coeffs, const, rows, dim)
 
 
 def test_bland_fallback_ends_beales_cycle(monkeypatch):
@@ -463,8 +483,9 @@ def test_region_queries_match_reference_engine(pair):
 
 @st.composite
 def requery_cases(draw):
-    """(dim, rows, build, queries): a nonempty system, the coeffs its tableau
-    is built for, and (coeffs, const) questions to re-ask of it in order.
+    """(dim, rows, build, queries): a nonempty system, None or the coeffs
+    its tableau is first queried at, and (coeffs, const) questions to re-ask
+    of it in order.
 
     The rows pass through a point x0 with nonnegative slacks, so they are
     nonempty; coefficients may be small rationals, constants are dyadic down
@@ -526,8 +547,10 @@ def test_requeries_match_fresh_reference(case):
     y >= 0 with A^T y = coeffs and b.y >= const, and an optimum carries a
     point x of the rows with coeffs.x equal to it."""
     dim, rows, build, queries = case
-    tableau = DualTableau(rows, dim, build)
+    tableau = DualTableau(rows, dim)
     assert tableau.status == OPTIMAL
+    if build is not None:
+        assert tableau.query(build) == OPTIMAL
     for coeffs, const in queries:
         verdict = tableau.implies(coeffs, const)
         assert verdict == reference_implied(coeffs, const, rows, dim)
@@ -607,12 +630,15 @@ def relax_steps():
 def test_relax_matches_fresh_build(case, steps):
     """Each `relax(k, delta)` answers coeffs 0 as a fresh build of the rows
     with row k's constant lowered by delta does, UNBOUNDED when they are
-    empty, and a later query answers as a fresh build for its coeffs: the
-    same status and value, and an optimum carries a point of those rows.
-    The steps alternate with the case's questions, so a relax may follow a
-    build at nonzero coeffs or a query that ended INFEASIBLE."""
+    empty, and a later query answers as that fresh build and the
+    reference's dual do for its coeffs: the same status and value, and an
+    optimum carries a point of those rows.  The steps alternate with the case's questions,
+    so a relax may follow a query at nonzero coeffs or one that ended
+    INFEASIBLE."""
     dim, rows, build, queries = case
-    tableau = DualTableau(rows, dim, build)
+    tableau = DualTableau(rows, dim)
+    if build is not None:
+        tableau.query(build)
     current = list(rows)
     for (basic, pick, delta), (coeffs, _) in zip(steps, queries * len(steps)):
         columns = [j for j in range(len(rows)) if (j in tableau._basis) == basic]
@@ -622,9 +648,9 @@ def test_relax_matches_fresh_build(case, steps):
         assert (tableau.relax(k, delta), tableau.value) == (zero.status, zero.value)
         if zero.status == UNBOUNDED:
             return
-        fresh = DualTableau(current, dim, coeffs)
-        assert tableau.query(coeffs) == fresh.status
-        assert tableau.value == fresh.value
+        status, value = reference_dual_solve(coeffs, current, dim)[:2]
+        assert tableau.query(coeffs) == zero.query(coeffs) == status
+        assert tableau.value == zero.value == (None if value is None else -value)
         if tableau.status == OPTIMAL:
             x = tableau.point()
             assert all(sum(a * v for a, v in zip(co, x)) >= ct for co, ct in current)
@@ -663,8 +689,8 @@ def redundant_systems(draw):
 def test_remove_redundant_is_the_fresh_build_filter(system):
     """`remove_redundant` keeps the rows that the deletion filter keeps with
     a fresh build per test, from one tableau build per call (counted on
-    both the `regions` and the `simplex` name, so per-row builds through
-    `implied` count too).  Each dropped row carries multipliers of the
+    both the `regions` and the `simplex` name, so builds through `solve_lp`
+    count too).  Each dropped row carries multipliers of the
     relaxed tableau, y >= 0 with A^T y = a_k and b'.y >= c_k, b' the
     constants with row k and every row dropped before it lowered by 1; so
     b.y >= c_k under the true constants too, since relaxing only lowers b.
@@ -689,7 +715,7 @@ def test_remove_redundant_is_the_fresh_build_filter(system):
         out = regions.remove_redundant(system)
     canonical = system.canonicalize()
     assert len(builds) == (0 if canonical.infeasible else 1)
-    assert out.render() == deletion_filter(system, implied).render()
+    assert out.render() == deletion_filter(system, fresh_implied).render()
     if out.infeasible:
         return
     rows, dim = canonical.dense_rows(), len(system.vars)
@@ -704,9 +730,9 @@ def test_remove_redundant_is_the_fresh_build_filter(system):
         assert all(sum(v * co[i] for v, (co, _) in zip(y, rows)) == coeffs[i] for i in range(dim))
         assert sum(v * ct for v, (_, ct) in zip(y, relaxed)) >= const
         assert sum(v * ct for v, (_, ct) in zip(y, rows)) >= const
-        assert implied(coeffs, const, kept, dim)
+        assert fresh_implied(coeffs, const, kept, dim)
     for k, (coeffs, const) in enumerate(kept):
-        assert not implied(coeffs, const, kept[:k] + kept[k + 1:], dim)
+        assert not fresh_implied(coeffs, const, kept[:k] + kept[k + 1:], dim)
 
 
 def test_bland_fallback_ends_beales_cycle_inside_relax(monkeypatch):
@@ -756,5 +782,5 @@ def test_bland_fallback_ends_beales_cycle_inside_relax(monkeypatch):
     assert status == OPTIMAL and tableau.value == 0 and len(pivots) < 20
     relaxed = rows[:7] + [(rows[7][0], -1)]
     for coeffs in ([0, 0, 1, 0], [1, 0, 0, 0], [1, 1, 1, 1]):
-        fresh = DualTableau(relaxed, 4, coeffs)
-        assert (tableau.query(coeffs), tableau.value) == (fresh.status, fresh.value)
+        fresh = DualTableau(relaxed, 4)
+        assert (tableau.query(coeffs), tableau.value) == (fresh.query(coeffs), fresh.value)
