@@ -16,7 +16,7 @@ with their g-class ids, each hash evaluated once per W_i-block.  Every
 constrained law is in integers.  The model joint's weights, summed per
 (observed letter, W_S letter) and each observed letter's row divided by its
 gcd with the joint's denominator (a factor shared by every candidate of a
-law, so it cancels), give a dense integer table T, read once per code; one
+law, so it cancels), give a dense integer table T, built once per model; one
 kernel, :func:`_weights`, weighs candidate rows by the product over
 positions of T[observed letter, W_S letter].  A law is its candidates of
 positive weight with their integer total.
@@ -52,12 +52,14 @@ uniforms each, so a trial can be replayed alone (see :func:`simulate`).  The
 per-call methods of :class:`CodeInstance` (the laws, `encode`, `decode`) are
 one-trial calls of the same functions.
 
-A code keeps what it builds, on first use: the model joint and its W_S
-letters, each encoder's hash values per W_i-block, each class index and
-weighting table, each decoder's classes (with its tie-break order and the
-laws Monte Carlo has drawn from), the source blocks (:class:`_Source`), and,
-once the exact oracle has run, each sharing cell's encoder laws at every
-block of its input (:class:`_CellDraws`), so that a second rule reuses them.
+The codes of one scenario share one :class:`Model`, which keeps what does
+not depend on their hashes: the model joint, its W_S letters, the weighting
+tables, each decoder's letter maps and the source blocks per n
+(:class:`_Source`).  A code keeps what its hashes decide, on first use:
+each encoder's hash values per W_i-block, each class index, each decoder's
+classes (with its tie-break order and the laws Monte Carlo has drawn from)
+and, once the exact oracle has run, each sharing cell's encoder laws at
+every block of its input (:class:`_CellDraws`), so a second rule reuses them.
 A cell table holds one entry (an index row and a weight) per pair of input
 block and W-block of positive joint weight: at most the joint's positive
 letters to the n, the count that :func:`_check_budget` holds to 2^24.
@@ -172,6 +174,14 @@ def _weights(table, observed, rows):
     return np.multiply.reduce(table[observed, rows], axis=-1)
 
 
+def _unique(keys) -> tuple:
+    """np.unique's (distinct, first index, inverse) without its stable sort."""
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    first = np.full(len(distinct), len(keys))
+    np.minimum.at(first, inverse, np.arange(len(keys)))
+    return distinct, first, inverse
+
+
 def _row_ids(rows) -> tuple:
     """(ids, first): :func:`first_cells` of the rows of a non-negative
     integer matrix: an id per row, equal for equal rows, and per id its first row."""
@@ -185,18 +195,14 @@ def _positive_letters(joint: JointPmf, S) -> np.ndarray:
     return marginal.ids[marginal.weights > 0]
 
 
-def check_index_budget(config: NetworkConfig, joint: JointPmf, n: int) -> dict:
+def check_index_budget(model: "Model", n: int):
     """Refuse a code whose class indexes would be too large, before any hash
     is evaluated: each sharing cell's index, then each decoder's I_j index,
-    scans letters^n blocks (letters: the positive-mass W_S letters), and one
-    above ``_INDEX_BUDGET`` raises :class:`BudgetExceededError`.  Returns
-    the letters read, S -> its :func:`_positive_letters`."""
-    letters = {}
-    for S in [*config.sharing, *(tuple(config.codewords_to[j]) for j in config.decoders)]:
-        if S not in letters:
-            letters[S] = _positive_letters(joint, S)
-            _check_index_size(S, len(letters[S]), n)
-    return letters
+    scans letters^n blocks (letters: the model's positive-mass W_S letters),
+    and one above ``_INDEX_BUDGET`` raises :class:`BudgetExceededError`."""
+    cfg = model.config
+    for S in dict.fromkeys([*cfg.sharing, *(tuple(cfg.codewords_to[j]) for j in cfg.decoders)]):
+        _check_index_size(S, len(model.letters(S)[0]), n)
 
 
 def _check_index_size(S, letters: int, n: int):
@@ -242,6 +248,140 @@ class _ClassIndex:
     row_of: np.ndarray
 
 
+def _kept(cache: dict, key, build):
+    """cache[key], built by build() on first use and kept."""
+    if key not in cache:
+        cache[key] = build()
+    return cache[key]
+
+
+class Model:
+    """What codes read that depends on their model and n but not on their
+    hashes, shared by the codes of one scenario: the joint over (W, source),
+    the W alphabets and the resolved reproducers, and, built on first use,
+    the W_S letters, weighting tables and decoder letter maps (all
+    letter-level) and the source blocks per n.  `built_from` holds the
+    (config, source, channels, reproducers) it was built from."""
+
+    FIELDS = ("config", "source", "channels", "reproducers")
+
+    def __init__(self, config: NetworkConfig, source: JointPmf, channels, reproducers):
+        self.built_from = (config, source, channels, reproducers)
+        self.config, self.source = config, source
+        self.joint = build_joint(config, source, channels)
+        self.w_alph = w_alphabets(config, channels)
+        self.reproduction_args = self._resolve_reproducers(reproducers)
+        self._letters: dict = {}    # S -> (ids, symbols)
+        self._tables: dict = {}     # (S, observed) -> T
+        self._sources: dict = {}    # n -> _Source
+        self._decoders: dict = {}   # j -> (parts, strides, project, reproductions)
+
+    def stale(self, owner) -> list:
+        """The :attr:`FIELDS` of `owner` (a scenario or a code) that hold
+        other objects than those the model was built from."""
+        return [name for name, built in zip(self.FIELDS, self.built_from)
+                if getattr(owner, name) is not built]
+
+    def _resolve_reproducers(self, reproducers) -> dict:
+        """Decoder j -> [(k, table of reproducer k, per argument the encoder
+        whose block it reads, or None for the side information)]."""
+        encoder_of = {w_name(i): i for i in self.config.encoders}
+        resolved = {j: [] for j in self.config.decoders}
+        for j in self.config.decoders:
+            for k in self.config.reproductions.get(j, ()):
+                rep = reproducers.get(k)
+                if rep is None:
+                    raise ConfigurationError("missing reproducer for reproduction %r" % (k,))
+                for arg in rep.args:
+                    if arg.startswith("W") and arg not in encoder_of:
+                        raise ConfigurationError("unknown codeword variable %r" % (arg,))
+                resolved[j].append((k, rep.table, [encoder_of.get(a) for a in rep.args]))
+        return resolved
+
+    def letters(self, S) -> tuple:
+        """(ids, symbols) of encoder set S: its :func:`_positive_letters`,
+        read once per model, and per letter its symbol per encoder of S."""
+        def build():
+            ids = _positive_letters(self.joint, S)
+            alphabets = [self.w_alph[i].symbols for i in S]
+            return ids, [tuple(s[a] for s, a in zip(alphabets, row)) for row in ids.tolist()]
+        return _kept(self._letters, S, build)
+
+    def table(self, S, given, n: int) -> tuple:
+        """The weighting table of encoder set S observing the variable
+        `given` (None for no observation) at block length n: (T, bound).
+
+        T[v, l] is the model-joint weight of W_S letter l jointly with the
+        `given` letter of alphabet id v, each observed letter's row divided by
+        the gcd of its weights and the denominator (a row of zeros at an
+        observed letter of zero mass); without observation T is the W_S
+        marginal, one row.  T is built once and kept; each call derives
+        `bound`, which bounds the weight of a block, the product of n
+        entries, and makes T int64 when every sum of block weights over the
+        index fits.
+        """
+        def build():
+            names = [w_name(i) for i in S]
+            marginal = marginalize(self.joint, names + ([given] if given else []))
+            # W_S cells run in the joint's order, so the positive ones are the letters in order
+            cell, _ = marginal.cells(names)
+            kept = marginal.weights > 0
+            T = np.zeros((self.joint.alphabet(given).size if given else 1, len(self.letters(S)[0])),
+                         dtype=marginal.weights.dtype)
+            T[marginal.ids[kept, -1] if given else 0,
+              np.unique(cell[kept], return_inverse=True)[1]] = marginal.weights[kept]
+            return T // np.gcd(np.gcd.reduce(T, axis=1), marginal.denominator)[:, None]
+        T = _kept(self._tables, (S, given), build)
+        bound = int(T.max()) ** n
+        return int_array(T, bound * T.shape[1] ** n), bound
+
+    def blocks(self, n: int) -> "_Source":
+        """The source blocks at block length n (:class:`_Source`), built once per n."""
+        return _kept(self._sources, n, lambda: _Source(self.source, n))
+
+    def decoder(self, j, source: "_Source") -> tuple:
+        """Decoder j's letter maps: (parts, strides, project, reproductions),
+        `project` the I_j letter of each combination of letters of the cells
+        `parts` that hold I_j, numbered with `strides` (-1 for none); `source`
+        is the model's :class:`_Source` at any n, as only its letters are read."""
+        def build():
+            cfg, ij = self.config, tuple(self.config.codewords_to[j])
+            letter_id = {w: l for l, w in enumerate(self.letters(ij)[1])}
+            parts = [c for c, cell in enumerate(cfg.sharing) if set(cell) & set(ij)]
+            cell_letters = [self.letters(cfg.sharing[c])[1] for c in parts]
+            sizes = [len(letters) for letters in cell_letters]
+            joined = []
+            for combo in itertools.product(*cell_letters):
+                symbol = {}
+                for c, letter in zip(parts, combo):
+                    symbol.update(zip(cfg.sharing[c], letter))
+                joined.append(letter_id.get(tuple(symbol[i] for i in ij), -1))
+            return (parts, [math.prod(sizes[k + 1:]) for k in range(len(sizes))],
+                    np.array(joined, dtype=np.intp),
+                    [self._reproduction(ij, cfg.side_info.get(j), rep, source)
+                     for rep in self.reproduction_args[j]])
+        return _kept(self._decoders, j, build)
+
+    def _reproduction(self, ij, y, reproduction, source: "_Source"):
+        """(k, measure, x, z) of a reproduction (k, table, sources) of a decoder
+        of I_j letters and side information y: x[s], the symbol id of the
+        measured variable in source letter s; z[v, l], that of the reproduction
+        of I_j letter l at side-information letter v (-1 at zero mass)."""
+        k, table, sources = reproduction
+        measure, letters = self.config.distortions[k], self.letters(ij)[1]
+        T, _ = self.table(ij, y, 1)
+        symbol_id: dict = {}
+        symbols = self.source.alphabet(measure.source).symbols
+        x = np.array([symbol_id.setdefault(symbols[a], len(symbol_id))
+                      for a in source.ids(measure.source).tolist()], dtype=np.int64)
+        y_symbols = self.joint.alphabet(y).symbols if y else (None,)
+        z = np.full(T.shape, -1, dtype=np.int64)
+        for v, l in zip(*np.nonzero(T)):
+            args = tuple(y_symbols[v] if i is None else letters[l][ij.index(i)] for i in sources)
+            z[v, l] = symbol_id.setdefault(table[args], len(symbol_id))
+        return k, measure, x, z
+
+
 @dataclass
 class CodeInstance:
     """One concrete code: block length, hash functions, constraint vectors.
@@ -249,11 +389,11 @@ class CodeInstance:
     `f[i]`/`g[i]` map encoded W_i-blocks (base-|W_i| integers) to the shared
     constraint alphabet C_i and the codeword alphabet M_i; `c[i]` fixes the
     constraint value shared by encoder i and every decoder seeing codeword i.
-    `_model` is for :meth:`Scenario.make_code` only: the joint that
-    :func:`build_joint` gives on this config, source and channels, and the
-    letters that :func:`check_index_budget` read from it, handed over so that
-    they are not built again.  The code trusts them unchecked; any other pair
-    gives wrong exact values or lets an index skip its size guard.
+    `_model` is the :class:`Model` the code reads, shared with the other
+    codes of its scenario; a code given none builds its own, and one built
+    from other objects than the code's config, source, channels and
+    reproducers is refused, naming the field.  The code itself keeps only
+    what its hashes decide.
     """
 
     n: int
@@ -264,12 +404,14 @@ class CodeInstance:
     f: Mapping[object, HashFunction]
     g: Mapping[object, HashFunction]
     c: Mapping[object, object]
-    _model: InitVar[Optional[tuple]] = None
+    _model: InitVar[Optional[Model]] = None
 
     def __post_init__(self, _model):
-        self._w_alph = w_alphabets(self.config, self.channels)
+        self.model = _model or Model(self.config, self.source, self.channels, self.reproducers)
+        for name in self.model.stale(self):
+            raise ConfigurationError("the model was built from another %s than the code's" % name)
         for i in self.config.encoders:
-            dom = self._w_alph[i].size ** self.n
+            dom = self.model.w_alph[i].size ** self.n
             for fam, label in ((self.f, "f"), (self.g, "g")):
                 if i not in fam:
                     raise ConfigurationError("missing %s function for encoder %r" % (label, i))
@@ -282,30 +424,10 @@ class CodeInstance:
             if not (isinstance(c, (int, np.integer)) and 0 <= c < self.f[i].image_size):
                 raise ConfigurationError(
                     "constraint value %r for encoder %r outside the f image" % (c, i))
-        self._joint, letters = _model or (build_joint(self.config, self.source, self.channels), {})
-        self._reproduction_args = self._resolve_reproducers()
-        self._letter_sets: dict = letters   # S -> its _positive_letters
         self._hashed_blocks: dict = {}   # encoder -> its hash values per W_i-block
         self._class_indexes: dict = {}   # S -> _ClassIndex
-        self._tables: dict = {}          # (S, observed) -> (T, bound)
         self._decoders: dict = {}        # j -> _DecoderClasses
         self._cell_tables: dict = {}     # cell -> _CellDraws
-
-    def _resolve_reproducers(self) -> dict:
-        """Decoder j -> [(k, table of reproducer k, per argument the encoder
-        whose block it reads, or None for the side information)]."""
-        encoder_of = {w_name(i): i for i in self.config.encoders}
-        resolved = {j: [] for j in self.config.decoders}
-        for j in self.config.decoders:
-            for k in self.config.reproductions.get(j, ()):
-                rep = self.reproducers.get(k)
-                if rep is None:
-                    raise ConfigurationError("missing reproducer for reproduction %r" % (k,))
-                for arg in rep.args:
-                    if arg.startswith("W") and arg not in encoder_of:
-                        raise ConfigurationError("unknown codeword variable %r" % (arg,))
-                resolved[j].append((k, rep.table, [encoder_of.get(a) for a in rep.args]))
-        return resolved
 
     # -- rates ------------------------------------------------------------------------
 
@@ -318,20 +440,11 @@ class CodeInstance:
     # -- block encoding helpers ---------------------------------------------------------
 
     def block_to_int(self, i, block) -> int:
-        alph = self._w_alph[i]
+        alph = self.model.w_alph[i]
         value = 0
         for sym in block:
             value = value * alph.size + alph.index(sym)
         return value
-
-    def model_joint(self) -> JointPmf:
-        return self._joint
-
-    def _letters(self, S) -> np.ndarray:
-        """The :func:`_positive_letters` of encoder set S, read once per code."""
-        if S not in self._letter_sets:
-            self._letter_sets[S] = _positive_letters(self._joint, S)
-        return self._letter_sets[S]
 
     def _hashed(self, i):
         """Encoder i's hash values; each hash runs once per W_i-block.
@@ -341,10 +454,9 @@ class CodeInstance:
         numbered in product order by those digits, `meets` says whether f_i
         meets c_i and `gid` is the position of its g_i value in `values`.
         """
-        hashed = self._hashed_blocks.get(i)
-        if hashed is None:
-            letters = self._letters((i,))[:, 0]
-            alph, size = self._w_alph[i], len(letters)
+        def build():
+            letters = self.model.letters((i,))[0][:, 0]
+            alph, size = self.model.w_alph[i], len(letters)
             # each block's hash input: its number in product order of the whole W_i alphabet
             inputs = row_numbers(_digits(np.arange(size ** self.n), size, self.n), alph.size,
                               letters).tolist()
@@ -353,24 +465,20 @@ class CodeInstance:
             gid = [values.setdefault(g(v), len(values)) for v in inputs]
             digit = np.full(alph.size, -1, dtype=np.int64)
             digit[letters] = np.arange(size)
-            hashed = self._hashed_blocks[i] = (
-                digit, np.array([f(v) == c for v in inputs], dtype=bool),
-                np.array(gid, dtype=np.int64), list(values))
-        return hashed
+            return (digit, np.array([f(v) == c for v in inputs], dtype=bool),
+                    np.array(gid, dtype=np.int64), list(values))
+        return _kept(self._hashed_blocks, i, build)
 
     # -- the constrained draw shared by encoders and decoders ----------------------------
 
     def _index(self, S) -> _ClassIndex:
         """The class index of encoder set S, built on first use and kept."""
-        index = self._class_indexes.get(S)
-        if index is None:
-            index = self._class_indexes[S] = self._build_index(S)
-        return index
+        return _kept(self._class_indexes, S, lambda: self._build_index(S))
 
     def _build_index(self, S) -> _ClassIndex:
         """Build the class index of S; one over the budget is refused
         (:func:`_check_index_size`) before any block is scanned."""
-        letters = self._letters(S)
+        letters, symbols = self.model.letters(S)
         n, size = self.n, len(letters)
         _check_index_size(S, size, n)
         digits = _digits(np.arange(size ** n), size, n, np.min_scalar_type(size - 1))
@@ -378,7 +486,7 @@ class CodeInstance:
         keys = []
         for e, i in enumerate(S):
             digit, meets, gid, _ = self._hashed(i)
-            number = row_numbers(digits, len(self._letters((i,))), digit[letters[:, e]])
+            number = row_numbers(digits, len(self.model.letters((i,))[0]), digit[letters[:, e]])
             admissible &= meets[number]
             keys.append(gid[number])
         kept = np.flatnonzero(admissible)
@@ -388,46 +496,16 @@ class CodeInstance:
         kept, cls = kept[by_class], cls[by_class]
         row_of = np.full(size ** n, -1, dtype=np.int64)
         row_of[kept] = np.arange(len(kept))
-        symbols = [self._w_alph[i].symbols for i in S]
         return _ClassIndex(
-            letters=[tuple(s[a] for s, a in zip(symbols, row)) for row in letters.tolist()],
-            rows=digits[kept], cls=cls, bounds=np.searchsorted(cls, np.arange(len(first) + 1)),
-            keys=classes[first], row_of=row_of)
-
-    def _table(self, S, given):
-        """The weighting table of encoder set S observing the variable `given`
-        (None for no observation): (T, bound).
-
-        T[v, l] is the model-joint weight of W_S letter l jointly with the
-        `given` letter of alphabet id v, each observed letter's row divided by
-        the gcd of its weights and the denominator (a row of zeros at an
-        observed letter of zero mass); without observation T is the W_S
-        marginal, one row.  `bound` bounds
-        the weight of a block, the product of n entries; T is int64 when
-        every sum of block weights over the index fits.
-        """
-        table = self._tables.get((S, given))
-        if table is None:
-            letters, names = self._letters(S), [w_name(i) for i in S]
-            marginal = marginalize(self._joint, names + ([given] if given else []))
-            # W_S cells run in the joint's order, so the positive ones are the letters in order
-            cell, _ = marginal.cells(names)
-            kept = marginal.weights > 0
-            T = np.zeros((self._joint.alphabet(given).size if given else 1, len(letters)),
-                         dtype=marginal.weights.dtype)
-            T[marginal.ids[kept, -1] if given else 0,
-              np.unique(cell[kept], return_inverse=True)[1]] = marginal.weights[kept]
-            T //= np.gcd(np.gcd.reduce(T, axis=1), marginal.denominator)[:, None]
-            bound = int(T.max()) ** self.n
-            table = self._tables[S, given] = (
-                int_array(T, bound * len(letters) ** self.n), bound)
-        return table
+            letters=symbols, rows=digits[kept], cls=cls,
+            bounds=np.searchsorted(cls, np.arange(len(first) + 1)), keys=classes[first],
+            row_of=row_of)
 
     def _observed(self, var, block) -> np.ndarray:
         """The alphabet ids of an observed block (all 0 without observation)."""
         if var is None:
             return np.zeros(self.n, dtype=np.intp)
-        alph = self._joint.alphabet(var)
+        alph = self.model.joint.alphabet(var)
         return np.array([alph.index(v) for v in block], dtype=np.intp)
 
     def _named(self, S, items) -> list:
@@ -471,24 +549,13 @@ class CodeInstance:
     def _decoder(self, j) -> "_DecoderClasses":
         """Decoder j's classes, reproductions and drawn class laws, built on
         first use and kept."""
-        decoder = self._decoders.get(j)
-        if decoder is None:
-            decoder = self._decoders[j] = _DecoderClasses(self, j)
-        return decoder
-
-    @functools.cached_property
-    def _blocks(self) -> "_Source":
-        """The code's source blocks (:class:`_Source`), built on first use and kept."""
-        return _Source(self)
+        return _kept(self._decoders, j, lambda: _DecoderClasses(self, j))
 
     def _cell_table(self, cell) -> "_CellDraws":
         """A sharing cell's encoder laws at every block of its input
         (:class:`_CellDraws`), built on first use and kept; only the exact
         oracle reads them."""
-        table = self._cell_tables.get(cell)
-        if table is None:
-            table = self._cell_tables[cell] = _CellDraws(self, cell, self._blocks)
-        return table
+        return _kept(self._cell_tables, cell, lambda: _CellDraws(self, cell, self.model.blocks(self.n)))
 
     def _decoder_at(self, j, m: Mapping, y_block, rule: str):
         """Decoder j at the class that `m` names, given y_block (see
@@ -520,7 +587,7 @@ class CodeInstance:
     def reproduce(self, j, w_blocks: Mapping, y_block):
         """Apply the decoder's reproducers per letter."""
         out = {}
-        for k, table, sources in self._reproduction_args[j]:
+        for k, table, sources in self.model.reproduction_args[j]:
             arg_blocks = [y_block if i is None else w_blocks[i] for i in sources]
             out[k] = tuple(map(table.__getitem__, zip(*arg_blocks)))
         return out
@@ -632,20 +699,20 @@ def _distortion(measure, differ) -> np.ndarray:
 
 
 class _Source:
-    """The source blocks of a code, numbered in product order of the
-    positive-mass source letters (the source pmf's positive rows, as rows
-    of alphabet ids in `letters`), with their integer weights: the rows'
-    weights over their gcd with the denominator, over `scale`."""
+    """The source blocks of the source pmf at block length n, numbered in
+    product order of the positive-mass source letters (the pmf's positive
+    rows, as rows of alphabet ids in `letters`), with their integer weights:
+    the rows' weights over their gcd with the denominator, over `scale`."""
 
-    def __init__(self, code: CodeInstance):
-        pmf = self.pmf = code.source
+    def __init__(self, pmf: JointPmf, n: int):
+        self.pmf = pmf
         positive = np.flatnonzero(pmf.weights > 0)
-        self.n, self.letters = code.n, pmf.ids[positive]
+        self.n, self.letters = n, pmf.ids[positive]
         common = math.gcd(pmf.denominator, *pmf.weights[positive].tolist())
         weights, self.scale = pmf.weights[positive] // common, pmf.denominator // common
-        self.bound = int(weights.max()) ** code.n
+        self.bound = int(weights.max()) ** n
         self.weights = int_array(weights, self.bound)
-        self.count = len(positive) ** code.n
+        self.count = len(positive) ** n
         self._numberings: dict = {}
 
     def ids(self, var) -> np.ndarray:
@@ -662,15 +729,13 @@ class _Source:
         variable its alphabet id; 0 for none), and `number`, which numbers
         the `names` blocks of source blocks (rows of source letter ids) in
         product order of those."""
-        numbering = self._numberings.get(names)
-        if numbering is None:
+        def build():
             number = self.ids(None)
             for v in names:
                 number = number * self.pmf.alphabet(v).size + self.ids(v)
             symbols, digit = np.unique(number, return_inverse=True)
-            numbering = self._numberings[names] = (
-                (lambda digits: row_numbers(digits, len(symbols), digit)), symbols)
-        return numbering
+            return (lambda digits: row_numbers(digits, len(symbols), digit)), symbols
+        return _kept(self._numberings, names, build)
 
 
 def _cell_draws(code: CodeInstance, cell, x_rows) -> tuple:
@@ -678,7 +743,7 @@ def _cell_draws(code: CodeInstance, cell, x_rows) -> tuple:
     variable (rows of alphabet ids), as ragged arrays of their positive
     draws: (row, weight, count, total), per draw its index row and weight,
     per block its number of draws and its total weight."""
-    table, _ = code._table(cell, code.channels[cell].inputs[0][0])
+    table, _ = code.model.table(cell, code.channels[cell].inputs[0][0], code.n)
     rows = code._index(cell).rows
     step = max(1, _ROW_CAP // max(1, len(rows)))
     parts = []
@@ -695,7 +760,7 @@ class _CellDraws:
 
     def __init__(self, code: CodeInstance, cell, source: _Source):
         x_var = code.channels[cell].inputs[0][0]
-        _, self.bound = code._table(cell, x_var)
+        _, self.bound = code.model.table(cell, x_var, code.n)
         self.rows = code._index(cell).rows
         self.number, symbols = source.numbering((x_var,))
         x_rows = symbols[_digits(np.arange(len(symbols) ** code.n), len(symbols), code.n)]
@@ -748,60 +813,27 @@ def _batches(source: _Source, cells: list, lo: int, hi: int):
 class _DecoderClasses:
     """One decoder as the oracle and Monte Carlo read it: the class of each
     state's true W_{I_j}-blocks, that class's law given the state's side
-    information, the reproductions of the class's candidates, and the MAP
-    tie-break :attr:`order` over the index rows, built once.  The oracle
-    weighs its exceedance terms once per :meth:`pairs`.  `drawn` keeps,
-    per (rule, class and side-information block) that Monte Carlo has drawn
-    from, its law under the rule (:meth:`laws`) as (index rows, choice
-    table)."""
+    information, the reproductions of the class's candidates (the model's
+    letter maps, :meth:`Model.decoder`), and the MAP tie-break :attr:`order`
+    over the index rows, built once.  The oracle weighs its exceedance terms
+    once per :meth:`pairs`.  `drawn` keeps, per (rule, class and
+    side-information block) that Monte Carlo has drawn from, its law under
+    the rule (:meth:`laws`) as (index rows, choice table)."""
 
     def __init__(self, code: CodeInstance, j):
-        cfg, source = code.config, code._blocks
+        cfg, source = code.config, code.model.blocks(code.n)
         self.ij = ij = tuple(cfg.codewords_to[j])
         self.index = index = code._index(ij)
         self.y = y = cfg.side_info.get(j)
-        self.table, self.bound = code._table(ij, y)
+        self.table, self.bound = code.model.table(ij, y, code.n)
         self.total_bound = self.bound * max(1, len(index.rows))
         self.source = source
         self.y_ids = source.ids(y)
         self.y_number, symbols = source.numbering((y,) if y else ())
         self.y_count = len(symbols) ** code.n
-        # the I_j letter of each combination of letters of the cells that hold I_j
-        letter_id = {w: l for l, w in enumerate(index.letters)}
-        self.parts = [c for c, cell in enumerate(cfg.sharing) if set(cell) & set(ij)]
-        cell_letters = [code._index(cfg.sharing[c]).letters for c in self.parts]
-        sizes = [len(letters) for letters in cell_letters]
-        self.strides = [math.prod(sizes[k + 1:]) for k in range(len(sizes))]
-        joined = []
-        for combo in itertools.product(*cell_letters):
-            symbol = {}
-            for c, letter in zip(self.parts, combo):
-                symbol.update(zip(cfg.sharing[c], letter))
-            joined.append(letter_id.get(tuple(symbol[i] for i in ij), -1))
-        self.project = np.array(joined, dtype=np.intp)
-        self.reproductions = [self._reproduction(code, k, table, sources, source)
-                              for k, table, sources in code._reproduction_args[j]]
+        self.parts, self.strides, self.project, self.reproductions = code.model.decoder(j, source)
         self.drawn: dict = {}
         self.lookup: dict = {}   # g-values -> class, filled by the first one-trial decode
-
-    def _reproduction(self, code, k, table, sources, source: _Source):
-        """(k, measure, x, z) of one reproduction: its distortion measure;
-        x[s], the symbol id of the measured variable in source letter s; z[v, l],
-        the symbol id of the reproduction of I_j letter l at side-information
-        letter v (-1 at zero mass)."""
-        measure = code.config.distortions[k]
-        letters = self.index.letters
-        symbol_id: dict = {}
-        symbols = source.pmf.alphabet(measure.source).symbols
-        x = np.array([symbol_id.setdefault(symbols[a], len(symbol_id))
-                      for a in source.ids(measure.source).tolist()], dtype=np.int64)
-        y_symbols = code.model_joint().alphabet(self.y).symbols if self.y else (None,)
-        z = np.full(self.table.shape, -1, dtype=np.int64)
-        for v, l in zip(*np.nonzero(self.table)):
-            args = tuple(y_symbols[v] if i is None else letters[l][self.ij.index(i)]
-                         for i in sources)
-            z[v, l] = symbol_id.setdefault(table[args], len(symbol_id))
-        return k, measure, x, z
 
     @functools.cached_property
     def seen(self) -> tuple:
@@ -886,7 +918,7 @@ class _DecoderClasses:
         # below 2^60: at most 2^15 scale ids per chunk, 2^24 seen blocks, 2^20 + 1 classes
         keys = (batch.scale_id * seen_count + seen_number(batch.digits))[batch.block] \
             * len(self.index.bounds) + cls
-        _, first, pair = np.unique(keys, return_index=True, return_inverse=True)
+        _, first, pair = _unique(keys)
         bound = batch.weight[1] * len(keys)
         weight = sum_at(pair, len(first), int_array(batch.weight[0], bound))
         return pair, batch.block[first], cls[first], (weight, bound)
@@ -902,9 +934,8 @@ class _DecoderClasses:
         observed = self.y_ids[batch.digits]
         pair, pair_block, pair_cls, weight = self.pairs(batch, cls)
         # a context is a (class, side-information block): one class law
-        contexts, first, pair_context = np.unique(
-            pair_cls * self.y_count + self.y_number(batch.digits)[pair_block],
-            return_index=True, return_inverse=True)
+        contexts, first, pair_context = _unique(
+            pair_cls * self.y_count + self.y_number(batch.digits)[pair_block])
         context = pair_context[pair]
         pair_obs, pair_digits = observed[pair_block], batch.digits[pair_block]
         scale = (batch.scale[0][pair_block], batch.scale[1])
@@ -914,7 +945,7 @@ class _DecoderClasses:
         pick = np.zeros(len(contexts), dtype=np.int64)
         joins = [r for r in self.reproductions if rule == "crng" and r[1].kind == "block-mismatch"]
         equal = {r[0]: np.zeros(len(pair_cls), dtype=self.table.dtype) for r in joins}
-        by_context = np.argsort(pair_context, kind="stable")
+        by_context = np.argsort(pair_context)
         sorted_context = pair_context[by_context]
         for a, b, owner, starts, crow, obs, w in self._classes(pair_cls[first],
                                                                 pair_obs[first]):
@@ -990,7 +1021,7 @@ def exact_error(code: CodeInstance, delta: float, D: Mapping,
     _check_budget(code)
     cfg = code.config
     bounds = _bounds(D, delta, cfg.reproduction_ids)
-    source = code._blocks
+    source = code.model.blocks(code.n)
     cells = [code._cell_table(cell) for cell in cfg.sharing]
     decoders = [code._decoder(j) for j in cfg.decoders]
     matched: dict = {}    # denominator -> numerator of P(every decoder is right)
@@ -1024,7 +1055,7 @@ def _check_budget(code: CodeInstance):
     the model joint raised to n.  It bounds the source blocks times their
     encoder draws, and each decoder's candidate blocks.
     """
-    letters = int(np.count_nonzero(code.model_joint().weights))
+    letters = int(np.count_nonzero(code.model.joint.weights))
     states = letters ** code.n
     if states > _EXACT_BUDGET:
         raise BudgetExceededError(
@@ -1097,7 +1128,7 @@ def _run_batch(code: CodeInstance, bounds: dict, uniforms, rule: str, report: Si
     """The trials of `uniforms` (a row per trial, laid out as :func:`simulate`
     says), counted into `report`; bounds[k] = D_k + delta."""
     cfg, n = code.config, code.n
-    source = code._blocks
+    source = code.model.blocks(code.n)
     digits = support_table(code.source).searchsorted(uniforms[:, :n], side="right")
     # each cell's drawn index row per trial, -1 where its law is empty
     drawn = []

@@ -19,7 +19,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .codec import CodeInstance, check_index_budget, realized_size
+from .codec import CodeInstance, Model, check_index_budget, realized_size
 from .errors import ConfigurationError
 from .hashing import make_ensemble
 from .network import (
@@ -28,10 +28,8 @@ from .network import (
     NetworkConfig,
     Reproducer,
     bsc_channel,
-    build_joint,
     identity_channel,
     identity_reproducer,
-    w_alphabets,
 )
 from .probability import Alphabet, JointPmf, dsbs
 
@@ -55,19 +53,26 @@ class Scenario:
                   aux_rates: Optional[Mapping] = None, seed: int = 0) -> CodeInstance:
         """Realize one code: sample hash functions and constraint values.
 
-        A code whose class indexes would exceed the budget is refused
+        `n` must be a positive integer (:func:`positive_int`).  The
+        scenario's codes share one :class:`codec.Model`, rebuilt when
+        `config`, `source`, `channels` or `reproducers` is reassigned.  A
+        code whose class indexes would exceed the budget is refused
         (:func:`codec.check_index_budget`) before any hash is sampled.
         """
-        joint = build_joint(self.config, self.source, self.channels)
-        letters = check_index_budget(self.config, joint, n)
-        return self._sample_code(n, rates, aux_rates, seed, (joint, letters))
+        n = positive_int(n, "block length n")
+        model = getattr(self, "_model", None)
+        if model is None or model.stale(self):
+            model = self._model = Model(self.config, self.source, self.channels, self.reproducers)
+        check_index_budget(model, n)
+        return self._sample_code(n, rates, aux_rates, seed, model)
 
     def _sample_code(self, n: int, rates: Optional[Mapping] = None,
                      aux_rates: Optional[Mapping] = None, seed: int = 0,
-                     model: Optional[tuple] = None) -> CodeInstance:
+                     model: Optional[Model] = None) -> CodeInstance:
         """The code :meth:`make_code` realizes, without its early budget
         refusal; the code still refuses each class index over the budget at
-        its first build.  `model` is handed to the code as its `_model`.
+        its first build.  `model` (built when not given) is the code's `_model`.
+        A rate for a key that is not an encoder is a configuration error.
 
         Image sizes realize the target rates as round(2^(rate*n)).  Each
         encoder's hashes are of the kind `code_kinds` names (binning when it
@@ -77,12 +82,16 @@ class Scenario:
         """
         rates = {**self.default_rates, **(rates or {})}
         aux_rates = {**self.default_aux_rates, **(aux_rates or {})}
-        w_alph = w_alphabets(self.config, self.channels)
+        for key in [*rates, *aux_rates]:
+            if key not in self.config.encoders:
+                raise ConfigurationError("rate for %r, which is not an encoder (encoders: %s)"
+                                         % (key, ", ".join(map(repr, self.config.encoders))))
+        model = model or Model(self.config, self.source, self.channels, self.reproducers)
         root = np.random.SeedSequence(seed)
         f, g, c = {}, {}, {}
         per_encoder = root.spawn(len(self.config.encoders))
         for enc_seed, i in zip(per_encoder, self.config.encoders):
-            dom = w_alph[i].size ** n
+            dom = model.w_alph[i].size ** n
             g_size = realized_size(float(rates.get(i, 0.0)), n)
             f_size = realized_size(float(aux_rates.get(i, 0.0)), n)
             kind = self.code_kinds.get(i, "binning")

@@ -3,6 +3,7 @@ import itertools
 import math
 import operator
 import os
+import re
 import time
 from fractions import Fraction
 
@@ -314,7 +315,7 @@ def _product_and_filter_law(code, j, m, y_block):
     constraints; None for an empty class."""
     ij = tuple(code.config.codewords_to[j])
     y = code.config.side_info.get(j)
-    letter = marginalize(code.model_joint(), [w_name(i) for i in ij] + ([y] if y else []))
+    letter = marginalize(code.model.joint, [w_name(i) for i in ij] + ([y] if y else []))
     if y is not None:
         rows = {}
         for k, p in letter.items():
@@ -694,7 +695,7 @@ def test_oracle_switches_to_python_ints_past_int64(name, n, rule):
     scenario = build_scenario(name)
     scenario = dataclasses.replace(scenario, source=_large_denominator_source(scenario.source, n))
     code = scenario.make_code(n, aux_rates={i: 0.5 for i in scenario.config.encoders}, seed=n)
-    assert codec._Source(code).weights.dtype == object
+    assert codec._Source(code.source, n).weights.dtype == object
     delta = 0.01 * max(d.bound for d in scenario.config.distortions.values())
     result = exact_error(code, delta, scenario.default_D, rule=rule)
     assert (result.mismatch, result.exceed, result.encoder_abort) == \
@@ -711,20 +712,21 @@ def test_exact_error_injective_code_is_zero():
 
 
 def test_exact_oracle_reuse_is_invisible(monkeypatch):
-    """Each exact-oracle code of the benchmark, at its n, keeps one source
-    table and one table of encoder draws per cell across both rules: either
-    rule order on one code gives the values of fresh codes, as Fractions,
-    and `simulate` after them reports as on a fresh code."""
+    """Each exact-oracle code of the benchmark, at its n, keeps one table of
+    encoder draws per cell across both rules, and reads the one source table
+    of its scenario at that n: either rule order on one code gives the
+    values of fresh codes, as Fractions, and `simulate` after them reports
+    as on a fresh code."""
     monkeypatch.syspath_prepend(PERFBENCH)
     from workloads import EXACT_CODES, default_delta
 
-    made = []
+    made, sources = [], []
     source, cell_draws = codec._Source, codec._CellDraws
 
     class CountedSource(source):
-        def __init__(self, code):
-            made.append(("source", code))
-            super().__init__(code)
+        def __init__(self, pmf, n):
+            sources.append((pmf, n))
+            super().__init__(pmf, n)
 
     class CountedCellDraws(cell_draws):
         def __init__(self, code, cell, blocks):
@@ -735,6 +737,7 @@ def test_exact_oracle_reuse_is_invisible(monkeypatch):
     monkeypatch.setattr(codec, "_CellDraws", CountedCellDraws)
     for name, n, _ in EXACT_CODES:
         scenario = build_scenario(name)
+        del sources[:]
         delta, D = default_delta(scenario), scenario.default_D
         fresh = {rule: exact_error(scenario.make_code(n, seed=n), delta, D, rule)
                  for rule in ("crng", "map")}
@@ -744,41 +747,125 @@ def test_exact_oracle_reuse_is_invisible(monkeypatch):
                 assert exact_error(code, delta, D, rule) == fresh[rule]
             assert simulate(code, delta, D, trials=200, seed=5) == \
                 simulate(scenario.make_code(n, seed=n), delta, D, trials=200, seed=5)
-            assert sorted(map(str, (key for key, at in made if at is code))) == \
-                sorted(map(str, [*scenario.config.sharing, "source"]))
-            blocks = code._blocks
+            assert sorted(map(str, (cell for cell, at in made if at is code))) == \
+                sorted(map(str, scenario.config.sharing))
+            blocks = code.model.blocks(n)
             assert all(blocks.numbering(names) is blocks.numbering(names)
                        for names in ((), *((v,) for v in blocks.pmf.names),
                                      tuple(blocks.pmf.names)))
+        assert [(pmf is scenario.source, at) for pmf, at in sources] == [(True, n)]
 
 
 def test_make_code_builds_the_joint_once(monkeypatch):
-    """`make_code` builds the model joint once and hands it, with the
-    letters its budget check read, to the code: no W_S letter set is read
-    twice, through `exact_error` as well."""
-    from multiterm import scenarios
-
-    joints, letters = [], []
-    build_joint, positive_letters = scenarios.build_joint, codec._positive_letters
+    """The codes that `make_code` makes of one scenario, at two n, share one
+    model: one joint, each W_S letter set read once (the budget check
+    included), one weighting table per (S, observed) and one source table
+    per n, through `exact_error` and `simulate` as well."""
+    joints, marginals, sources = [], [], []
+    build_joint, marginalize, source = codec.build_joint, codec.marginalize, codec._Source
 
     def counted_joint(*args):
         joints.append(args)
         return build_joint(*args)
 
-    def counted_letters(joint, S):
-        letters.append(S)
-        return positive_letters(joint, S)
+    def counted_marginalize(joint, names):
+        marginals.append(tuple(names))
+        return marginalize(joint, names)
 
-    monkeypatch.setattr(scenarios, "build_joint", counted_joint)
+    class CountedSource(source):
+        def __init__(self, pmf, n):
+            sources.append(n)
+            super().__init__(pmf, n)
+
     monkeypatch.setattr(codec, "build_joint", counted_joint)
-    monkeypatch.setattr(codec, "_positive_letters", counted_letters)
+    monkeypatch.setattr(codec, "marginalize", counted_marginalize)
+    monkeypatch.setattr(codec, "_Source", CountedSource)
     for name in SIMULATING:
         scenario = build_scenario(name)
-        del joints[:], letters[:]
-        code = scenario.make_code(2, seed=1)
+        del joints[:], marginals[:], sources[:]
+        for n in (2, 1):
+            for seed in range(3):
+                code = scenario.make_code(n, seed=seed)
+                exact_error(code, 0.01, scenario.default_D)
+                simulate(code, 0.01, scenario.default_D, trials=20, seed=seed)
         assert len(joints) == 1
-        exact_error(code, 0.01, scenario.default_D)
-        assert len(letters) == len(set(letters))
+        assert sorted(sources) == [1, 2]
+        model = code.model
+        letter_sets = [tuple(w_name(i) for i in S) for S in model._letters]
+        tables = [tuple(w_name(i) for i in S) + ((y,) if y else ()) for S, y in model._tables]
+        assert sorted(marginals) == sorted(letter_sets + tables)
+
+
+@settings(max_examples=25, deadline=None)
+@given(name=st.sampled_from(SIMULATING), n=st.integers(1, 3), seeds=st.lists(
+    st.integers(0, 2 ** 16), min_size=3, max_size=3), sim_seed=st.integers(0, 2 ** 16))
+def test_codes_sharing_a_model_match_the_reference(name, n, seeds, sim_seed):
+    """Three codes of one scenario share its model; under both rules each
+    one's exact values equal the Fraction reference and those of the same
+    code built with its own model, as Fractions, and so do their Monte
+    Carlo reports."""
+    scenario = build_scenario(name)
+    delta = 0.01 * max(d.bound for d in scenario.config.distortions.values())
+    D = scenario.default_D
+    codes = [scenario.make_code(n, aux_rates={i: 0.5 for i in scenario.config.encoders},
+                                seed=seed) for seed in seeds]
+    assert all(code.model is codes[0].model for code in codes)
+    for code in codes:
+        alone = dataclasses.replace(code)
+        assert alone.model is not code.model
+        for rule in ("crng", "map"):
+            result = exact_error(code, delta, D, rule)
+            assert result == exact_error(alone, delta, D, rule)
+            assert (result.mismatch, result.exceed, result.encoder_abort) == \
+                _reference_exact_error(code, delta, D, rule)
+            assert simulate(code, delta, D, 50, sim_seed, rule) == \
+                simulate(alone, delta, D, 50, sim_seed, rule)
+
+
+def test_code_refuses_a_model_built_from_other_objects():
+    scenario, other = build_scenario("wyner-ziv-binary"), build_scenario("wyner-ziv-binary")
+    code = scenario.make_code(2, seed=3)
+    other.make_code(2, seed=3)
+    fields = {name: getattr(code, name)
+              for name in ("n", "config", "source", "channels", "reproducers", "f", "g", "c")}
+    assert CodeInstance(**fields, _model=code.model).model is code.model
+    for name in codec.Model.FIELDS:
+        foreign = codec.Model(*(getattr(other if field == name else scenario, field)
+                                for field in codec.Model.FIELDS))
+        with pytest.raises(ConfigurationError, match="another %s " % name):
+            CodeInstance(**fields, _model=foreign)
+    with pytest.raises(ConfigurationError, match="another config "):
+        CodeInstance(**fields, _model=other._model)
+
+
+def test_make_code_rebuilds_the_model_after_a_field_is_reassigned():
+    scenario = build_scenario("heegard-berger-two-decoders")
+    before = scenario.make_code(2, seed=4)
+    source = _large_denominator_source(scenario.source, 4)
+    scenario.source = source
+    code, fresh = scenario.make_code(2, seed=4), dataclasses.replace(
+        build_scenario("heegard-berger-two-decoders"), source=source).make_code(2, seed=4)
+    assert code.model is not before.model and code.model.source is source
+    delta = 0.01
+    for rule in ("crng", "map"):
+        assert exact_error(code, delta, scenario.default_D, rule) == \
+            exact_error(fresh, delta, scenario.default_D, rule)
+    assert simulate(code, delta, scenario.default_D, 100, 7) == \
+        simulate(fresh, delta, scenario.default_D, 100, 7)
+
+
+@pytest.mark.parametrize("n", [0, -1, True, 2.5, None])
+def test_make_code_refuses_a_block_length_that_is_not_a_positive_int(n):
+    with pytest.raises(ConfigurationError, match="block length n: %s is not a positive integer"
+                       % re.escape(repr(n))):
+        build_scenario("slepian-wolf").make_code(n)
+
+
+@pytest.mark.parametrize("rates", ["rates", "aux_rates"])
+def test_make_code_refuses_a_rate_for_an_unknown_encoder(rates):
+    with pytest.raises(ConfigurationError, match=r"rate for 3, which is not an encoder "
+                       r"\(encoders: 1, 2\)"):
+        build_scenario("slepian-wolf").make_code(2, **{rates: {3: 1.0}})
 
 
 def test_exact_error_matches_hand_computation_n1():
