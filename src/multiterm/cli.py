@@ -120,7 +120,7 @@ def cmd_region(args) -> int:
     joint = build_joint(scenario.config, scenario.source, scenario.channels)
     binding = binding_from_pmf(args.definition, scenario.config, joint,
                                precision_bits=args.precision_bits)
-    spec = RegionSpec(args.definition, scenario.config, binding.values)
+    spec = RegionSpec(args.definition, scenario.config, binding.values, raw=binding.raw)
     system = build_system(spec)
     if args.eliminate_aux:
         aux = [v for v in system.vars if v.startswith("r_")]

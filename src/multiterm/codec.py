@@ -188,13 +188,6 @@ def _row_ids(rows) -> tuple:
     return first_cells(rows, rows.max(axis=0, initial=0) + 1)
 
 
-def _positive_letters(joint: JointPmf, S) -> np.ndarray:
-    """The W_S letters of positive mass in the model joint, in its order, as
-    rows of alphabet ids (a column per encoder of S)."""
-    marginal = marginalize(joint, [w_name(i) for i in S])
-    return marginal.ids[marginal.weights > 0]
-
-
 def check_index_budget(model: "Model", n: int):
     """Refuse a code whose class indexes would be too large, before any hash
     is evaluated: each sharing cell's index, then each decoder's I_j index,
@@ -259,9 +252,10 @@ class Model:
     """What codes read that depends on their model and n but not on their
     hashes, shared by the codes of one scenario: the joint over (W, source),
     the W alphabets and the resolved reproducers, and, built on first use,
-    the W_S letters, weighting tables and decoder letter maps (all
-    letter-level) and the source blocks per n.  `built_from` holds the
-    (config, source, channels, reproducers) it was built from."""
+    one marginal of the joint per variable set, the W_S letters, weighting
+    tables and decoder letter maps (all letter-level) and the source blocks
+    per n.  `built_from` holds the (config, source, channels, reproducers)
+    it was built from."""
 
     FIELDS = ("config", "source", "channels", "reproducers")
 
@@ -271,6 +265,7 @@ class Model:
         self.joint = build_joint(config, source, channels)
         self.w_alph = w_alphabets(config, channels)
         self.reproduction_args = self._resolve_reproducers(reproducers)
+        self._marginals: dict = {}  # variable names -> marginal of the joint
         self._letters: dict = {}    # S -> (ids, symbols)
         self._tables: dict = {}     # (S, observed) -> T
         self._sources: dict = {}    # n -> _Source
@@ -298,11 +293,18 @@ class Model:
                 resolved[j].append((k, rep.table, [encoder_of.get(a) for a in rep.args]))
         return resolved
 
+    def _marginal(self, names: tuple) -> JointPmf:
+        """The joint's marginal on `names`, taken once per model: the W_S
+        letters and the weighting table of S with no observation read one."""
+        return _kept(self._marginals, names, lambda: marginalize(self.joint, names))
+
     def letters(self, S) -> tuple:
-        """(ids, symbols) of encoder set S: its :func:`_positive_letters`,
-        read once per model, and per letter its symbol per encoder of S."""
+        """(ids, symbols) of encoder set S: the W_S letters of positive mass
+        in the joint, in its order, as rows of alphabet ids (a column per
+        encoder of S), and per letter its symbol per encoder of S."""
         def build():
-            ids = _positive_letters(self.joint, S)
+            marginal = self._marginal(tuple(w_name(i) for i in S))
+            ids = marginal.ids[marginal.weights > 0]
             alphabets = [self.w_alph[i].symbols for i in S]
             return ids, [tuple(s[a] for s, a in zip(alphabets, row)) for row in ids.tolist()]
         return _kept(self._letters, S, build)
@@ -321,8 +323,8 @@ class Model:
         index fits.
         """
         def build():
-            names = [w_name(i) for i in S]
-            marginal = marginalize(self.joint, names + ([given] if given else []))
+            names = tuple(w_name(i) for i in S)
+            marginal = self._marginal(names + ((given,) if given else ()))
             # W_S cells run in the joint's order, so the positive ones are the letters in order
             cell, _ = marginal.cells(names)
             kept = marginal.weights > 0

@@ -12,7 +12,8 @@ coefficients are integers with gcd 1 and orders rows deterministically,
 which is what makes golden-file equality tests possible.  Rows go in and
 come out as (coefficients, constant) pairs: :meth:`LinIneqSystem.extend`
 takes them and :attr:`LinIneqSystem.ineqs` yields them, the constant a
-:class:`LinConst`.
+:class:`LinConst`; the region builders and :meth:`LinIneqSystem.parse`
+make integer rows directly.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul
+from operator import itemgetter, mul
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import ConfigurationError
@@ -40,12 +41,17 @@ class EntropyTerm:
     """A named spectral entropy quantity, e.g. Hsup(W1,W2|Y1).
 
     `kind` distinguishes sup- from inf-entropy rates; for stationary
-    memoryless sources both bind to the same Shannon value.
+    memoryless sources both bind to the same Shannon value.  The names of
+    `left` and `given` are kept in natural order, so terms built from
+    reordered names are equal.  The hash of (kind, left, given) is taken
+    once, at construction, since terms key every column and binding lookup;
+    it takes no part in equality, order or repr.
     """
 
     kind: str
     left: tuple
     given: tuple = ()
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in (SUP, INF):
@@ -54,6 +60,14 @@ class EntropyTerm:
         object.__setattr__(self, "given", tuple(sorted(self.given, key=_natural_key)))
         if not self.left:
             raise ConfigurationError("entropy term needs at least one left variable")
+        object.__setattr__(self, "_hash", hash((self.kind, self.left, self.given)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        # rebuilt, not copied: a string hash differs between processes
+        return EntropyTerm, (self.kind, self.left, self.given)
 
     def render(self) -> str:
         head = "Hsup" if self.kind == SUP else "Hinf"
@@ -71,6 +85,11 @@ def _natural_key(name: str):
     Cached: every term and system sorts its names with it."""
     return (tuple(int(part) if part.isdigit() else part
                   for part in re.split(r"(\d+)", str(name))), str(name))
+
+
+def _exact(value):
+    """`value` as an int or a Fraction: as it is when it is one already."""
+    return value if type(value) in (int, Fraction) else Fraction(value)
 
 
 def _ratio(num: int, den: int) -> str:
@@ -104,7 +123,19 @@ class LinConst:
 
 
 class LinIneqSystem:
-    """Rate variables, entropy-term columns in order of first use, and `rows`."""
+    """Rate variables, entropy-term columns in order of first use, and `rows`.
+
+    Each row is one tuple of integers, ``(*a, *t, o, q)``, and stays in that
+    form from the moment it is built to the moment the simplex reads it:
+    the region builders emit such rows directly (:meth:`with_rows`),
+    :meth:`parse` reads its text into them, and only :meth:`extend` and
+    :meth:`add` convert (coefficients, constant) pairs.  `canonical` marks a
+    system whose rows are already in canonical form and order: the result
+    of :meth:`canonicalize` and a subset of its rows kept in order (as
+    :func:`regions.remove_redundant` keeps them).  A marked system is not
+    canonicalized again, and :meth:`dense_rows` and :attr:`denominator`
+    read its rows as they are; :meth:`extend` and :meth:`add` clear the mark.
+    """
 
     def __init__(self, vars: Sequence[str], ineqs: Iterable[tuple] = (),
                  infeasible: bool = False):
@@ -115,15 +146,17 @@ class LinIneqSystem:
         self.terms: tuple = ()
         self.rows: list = []
         self.infeasible = infeasible
+        self.canonical = False
         self.extend(ineqs)
 
     def with_rows(self, rows: list, infeasible: bool = False, vars: Optional[tuple] = None,
-                  terms: Optional[tuple] = None) -> "LinIneqSystem":
-        """A system holding `rows` over this one's columns, or `vars` and `terms`."""
+                  terms: Optional[tuple] = None, canonical: bool = False) -> "LinIneqSystem":
+        """A system holding `rows` over this one's columns, or `vars` and `terms`;
+        `canonical` marks rows that are canonical and in canonical order."""
         out = LinIneqSystem.__new__(LinIneqSystem)
         out.vars = self.vars if vars is None else vars
         out.terms = self.terms if terms is None else terms
-        out.rows, out.infeasible = rows, infeasible
+        out.rows, out.infeasible, out.canonical = rows, infeasible, canonical
         return out
 
     def add(self, coeffs: Mapping[str, object], const=0) -> None:
@@ -135,6 +168,7 @@ class LinIneqSystem:
         """:meth:`add` every (coeffs, const) pair of `rows`, the form that
         :attr:`ineqs` yields.  A row ``0 >= c`` with c > 0 marks the system
         infeasible, as :meth:`canonicalize` does."""
+        self.canonical = False
         rows = [(coeffs, const.terms, const.offset) if isinstance(const, LinConst) else
                 (coeffs, const, 0) if isinstance(const, Mapping) else (coeffs, {}, const)
                 for coeffs, const in rows]
@@ -174,18 +208,26 @@ class LinIneqSystem:
                           t: Fraction(c, row[-1]) for t, c in zip(self.terms, row[n:-2])}))
                      for row in self.rows)
 
+    def _canonical_rows(self):
+        """The rows, each in canonical form (not deduplicated or ordered)."""
+        if self.canonical:
+            return self.rows
+        n = len(self.vars)
+        return [_canonical(row, n) for row in self.rows]
+
     @property
     def denominator(self) -> int:
         """The lcm of the rows' constant denominators once rows are canonical."""
-        return lcm(*(_canonical(row, len(self.vars))[-1] for row in self.rows))
+        return lcm(*(row[-1] for row in self._canonical_rows()))
 
     def dense_rows(self, scale: Optional[int] = None) -> list:
         """Canonical rows of a numeric system as (gcd-1 integer coefficients over
         self.vars, integer constant times `scale`, a multiple of :attr:`denominator`
         and by default that).  They bound the polyhedron stretched by `scale`."""
-        n, scale = len(self.vars), scale or self.denominator
+        n, rows = len(self.vars), self._canonical_rows()
+        scale = scale or lcm(*(row[-1] for row in rows))
         return [(tuple(v // row[-1] for v in row[:n]), row[-2] * (scale // row[-1]))
-                for row in (_canonical(row, n) for row in self.rows)]
+                for row in rows]
 
     @property
     def is_numeric(self) -> bool:
@@ -197,12 +239,12 @@ class LinIneqSystem:
         Every term that a row uses must be bound; one error names each missing
         term, sorted by its text."""
         n = len(self.vars)
-        used = {t for j, t in enumerate(self.terms) if any(row[n + j] for row in self.rows)}
+        used = {t for t, column in zip(self.terms, list(zip(*self.rows))[n:-2]) if any(column)}
         missing = sorted((t for t in used if t not in binding), key=EntropyTerm.render)
         if missing:
             raise ConfigurationError(
                 "missing entropy terms: %s" % ", ".join(t.render() for t in missing))
-        values, scale = integer_scaled([Fraction(binding[t]) if t in used else Fraction(0)
+        values, scale = integer_scaled([_exact(binding[t]) if t in used else 0
                                         for t in self.terms])
         rows = [(*(v * scale for v in row[:n]), sum(map(mul, row[n:-2], values))
                  + row[-2] * scale, row[-1] * scale) for row in self.rows]
@@ -217,31 +259,28 @@ class LinIneqSystem:
         largest constant (dominance), and tautologies ``0 >= c`` with c <= 0
         are dropped; an unsatisfiable ``0 >= c`` row marks the system
         infeasible and is kept.  Rows with symbolic constants collapse only
-        when equal.
+        when equal.  A system marked `canonical` comes back as a copy.
         """
+        if self.canonical:
+            return self.with_rows(list(self.rows), self.infeasible, canonical=True)
         n, infeasible = len(self.vars), self.infeasible
-        best, symbolic, unsatisfied = {}, set(), []
-        for row in self.rows:
-            row = _canonical(row, n)
-            rate = tuple(v // row[-1] for v in row[:n])
+        best, seen, keyed = {}, set(), []   # keyed: (sort key, row) pairs
+        for row in self._canonical_rows():
+            rate = tuple([v // row[-1] for v in row[:n]])
+            # numeric rows first; only 0 >= c rows share coefficients among numeric rows
             if any(row[n:-2]):
-                symbolic.add(row)
+                if row not in seen:
+                    seen.add(row)
+                    keyed.append(((rate, 1, self._render_const(row)), row))
             elif not any(rate):
                 if row[-2] > 0:   # else 0 >= nonpositive, a tautology
                     infeasible = True
-                    unsatisfied.append(row)
+                    keyed.append(((rate, 0, Fraction(row[-2], row[-1])), row))
             elif rate not in best or row[-2] * best[rate][-1] > best[rate][-2] * row[-1]:
                 best[rate] = row
-        rows = sorted([*symbolic, *unsatisfied, *best.values()], key=self._row_sort_key)
-        return self.with_rows(rows, infeasible)
-
-    def _row_sort_key(self, row: tuple):
-        # numeric rows first; only 0 >= c rows share coefficients among numeric rows
-        n = len(self.vars)
-        rate = tuple(v // row[-1] for v in row[:n])
-        if any(row[n:-2]):
-            return (rate, 1, self._render_const(row))
-        return (rate, 0) if any(rate) else (rate, 0, Fraction(row[-2], row[-1]))
+        keyed += (((rate, 0), row) for rate, row in best.items())
+        keyed.sort(key=itemgetter(0))
+        return self.with_rows([row for _, row in keyed], infeasible, canonical=True)
 
     # -- text form -------------------------------------------------------------------
 
@@ -271,34 +310,56 @@ class LinIneqSystem:
 
     @classmethod
     def parse(cls, text: str) -> "LinIneqSystem":
-        """Inverse of :meth:`render` for numeric systems; a malformed row
-        raises a :class:`ConfigurationError` naming its line."""
-        vars, rows, infeasible = [], [], False
+        """Inverse of :meth:`render` for numeric systems, read straight into
+        integer rows; a malformed row, or one naming a variable outside the
+        ``# vars:`` line, raises a :class:`ConfigurationError` naming its line."""
+        vars, lines, infeasible = [], [], False
         for lineno, raw in enumerate(text.splitlines(), 1):
             line = raw.strip()
             if line.startswith("# vars:"):
                 vars = line[len("# vars:"):].split()
             infeasible = infeasible or line.startswith("# infeasible")
-            if not line or line.startswith("#"):
-                continue
+            if line and not line.startswith("#"):
+                lines.append((lineno, raw, line))
+        system = cls(vars, infeasible=infeasible)
+        column = {v: k for k, v in enumerate(system.vars)}
+        for lineno, raw, line in lines:
             try:
-                rows.append(_parse_row(line))
+                row = _parse_row(line, column)
             except (ValueError, ZeroDivisionError) as exc:
                 raise ConfigurationError("line %d: %s in %r" % (lineno, exc, raw)) from None
-        system = cls(vars, infeasible=infeasible)
-        system.extend(rows)
+            system.infeasible = system.infeasible or (row[-2] > 0 and not any(row[:-2]))
+            system.rows.append(row)
         return system
 
 
-def _parse_row(line: str):
-    """(coefficients, constant) of one rendered row; ValueError when malformed."""
+# an integer or p/q in ASCII digits; every other literal is read by Fraction
+_INT_RATIO = re.compile(r"\s*([-+]?\d+)(?:/(\d+))?\s*", re.ASCII)
+
+
+def _rational(text: str) -> tuple:
+    """(numerator, positive denominator) of the literal `text`, as
+    ``Fraction(text)`` reads it (a decimal such as 0.5 or 1e3 included), and
+    refused with its error; not reduced."""
+    match = _INT_RATIO.fullmatch(text)
+    if match and int(match[2] or 1):
+        return int(match[1]), int(match[2] or 1)
+    value = Fraction(text)   # a decimal, or a refusal in Fraction's words
+    return value.numerator, value.denominator
+
+
+def _parse_row(line: str, column: Mapping[str, int]) -> tuple:
+    """The integer row of one rendered row over the variables `column`
+    numbers; ValueError when malformed."""
     sides = line.split(">=")
     if len(sides) != 2:
         raise ValueError("missing >=" if len(sides) == 1 else "more than one >=")
-    coeffs: dict = {}
     text = sides[0].strip()
+    if not text:
+        raise ValueError("empty left side")
     parts = re.split(r"\s+([+-])\s+", text[1:] if text.startswith("-") else text)
     signs = [-1 if text.startswith("-") else 1] + [1 if op == "+" else -1 for op in parts[1::2]]
+    coeffs: dict = {}
     for sign, chunk in zip(signs, parts[0::2]):
         if chunk == "0":
             continue
@@ -306,8 +367,18 @@ def _parse_row(line: str):
         var = var.strip()
         if var in coeffs:
             raise ValueError("repeated variable %s" % var)
-        coeffs[var] = sign * Fraction(mag)
-    return coeffs, Fraction(sides[1].strip())
+        num, den = _rational(mag)
+        coeffs[var] = sign * num, den
+    offset = _rational(sides[1].strip())
+    values = [(0, 1)] * len(column) + [offset]
+    for var, value in coeffs.items():
+        if var not in column:
+            raise ValueError("unknown variable %r" % (var,))
+        values[column[var]] = value
+    scale = lcm(*(den for _, den in values))
+    row = [num * (scale // den) for num, den in values]
+    h = gcd(*row, scale)
+    return (*(v // h for v in row), scale // h)
 
 
 def _canonical(row: tuple, n: int) -> tuple:

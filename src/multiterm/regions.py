@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
-from typing import Mapping
+from typing import Mapping, Optional
 
 from .errors import ConfigurationError
 from .information import cond_entropy
@@ -52,11 +52,15 @@ class RegionSpec:
 
     `entropies` maps every required :class:`EntropyTerm` to an exact rational
     value (typically a rounded Shannon entropy of a memoryless joint).
+    `raw`, when given, is the definition's system as emitted for `which`
+    over `config`, unbound (:attr:`Binding.raw`); :func:`build_system` then
+    binds it instead of emitting it again.
     """
 
     which: str
     config: NetworkConfig
     entropies: dict = field(default_factory=dict)
+    raw: Optional[LinIneqSystem] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.which not in DEFINITIONS:
@@ -103,57 +107,91 @@ def build_system(spec: RegionSpec) -> LinIneqSystem:
 
     The entropy terms are substituted by their rational values from
     ``spec.entropies``; missing terms raise one configuration error naming
-    each (:meth:`LinIneqSystem.bind`).
+    each (:meth:`LinIneqSystem.bind`).  The emitted system is
+    ``spec.raw`` when the spec carries one.
     """
-    return _raw_system(spec.which, spec.config).bind(spec.entropies).canonicalize()
+    raw = spec.raw if spec.raw is not None else _raw_system(spec.which, spec.config)
+    return raw.bind(spec.entropies).canonicalize()
 
 
 def _raw_system(which: str, config: NetworkConfig) -> LinIneqSystem:
     """The definition's inequality family as emitted: unbound, not canonicalized."""
     x_of = {tuple(cell): _cell_x_name(config, cell) for cell in config.sharing}
     build = _build_unified if which in (DSC_IT, DSC_CRNG, MDC_CRNG) else _build_jb
-    vars, rows = build(which, config, x_of)
-    system = LinIneqSystem(vars)
-    system.extend(rows)
-    return system
+    return build(which, config, x_of)
 
 
-def _build_unified(which, config, x_of):
-    """(variables, (coefficients, constant) rows) of the unified definitions."""
+class _Rows:
+    """The integer rows of one emitted system, ``(*a, *t, 0, 1)``: the rate
+    coefficients in the system's variable order, the entropy-term
+    coefficients in order of first use, offset 0 and denominator 1, as
+    :meth:`LinIneqSystem.extend` would store the same (coefficients, terms)
+    pairs, without converting them."""
+
+    def __init__(self, vars):
+        self._system = LinIneqSystem(vars)
+        self._column = {v: k for k, v in enumerate(self._system.vars)}
+        self._terms: dict = {}   # term -> its place among the term columns
+        self._rows = []          # (rate coefficients, [(term place, coefficient)])
+
+    def add(self, coeffs: Mapping[str, int], terms: Mapping[EntropyTerm, int]):
+        """Emit ``sum(coeffs[v] * v) >= sum(terms[t] * t)``."""
+        rates = [0] * len(self._column)
+        for var, c in coeffs.items():
+            rates[self._column[var]] = c
+        self._rows.append((rates, [(self._terms.setdefault(t, len(self._terms)), c)
+                                   for t, c in terms.items()]))
+
+    def system(self) -> LinIneqSystem:
+        rows = []
+        for rates, used in self._rows:
+            values = [0] * len(self._terms)
+            for k, c in used:
+                values[k] = c
+            rows.append((*rates, *values, 0, 1))
+        return self._system.with_rows(rows, terms=tuple(self._terms))
+
+
+def _w_given_x(config, x_of) -> dict:
+    """Encoder i -> Hinf(W_i | X of its cell)."""
+    return {i: EntropyTerm(INF, (w_name(i),), (x_of[tuple(config.cell_of(i))],))
+            for i in config.encoders}
+
+
+def _build_unified(which, config, x_of) -> LinIneqSystem:
+    """The emitted system of the unified definitions."""
     aux = [aux_var(i) for i in config.encoders] if which != DSC_IT else []
-    vars = [rate_var(i) for i in config.encoders] + aux
-    rows = []
+    out = _Rows([rate_var(i) for i in config.encoders] + aux)
+    w_given_x = _w_given_x(config, x_of)
     if which == DSC_IT:
         for j, sub, term in _decoder_terms(config):
             const = {term: 1}
             for i in sub:
-                x = x_of[tuple(config.cell_of(i))]
-                const[EntropyTerm(INF, (w_name(i),), (x,))] = -1
-            rows.append(({rate_var(i): 1 for i in sub}, const))
-        return vars, rows
+                const[w_given_x[i]] = -1
+            out.add({rate_var(i): 1 for i in sub}, const)
+        return out.system()
     # constrained-generator families share the sum-rate rows
     for i in config.encoders:
-        rows.append(({aux_var(i): 1}, 0))
+        out.add({aux_var(i): 1}, {})
     if which == DSC_CRNG:
         for i in config.encoders:
-            x = x_of[tuple(config.cell_of(i))]
-            rows.append(({aux_var(i): -1}, {EntropyTerm(INF, (w_name(i),), (x,)): -1}))
+            out.add({aux_var(i): -1}, {w_given_x[i]: -1})
     else:
         for cell in config.sharing:
             x = x_of[tuple(cell)]
             for size in range(1, len(cell) + 1):
                 for sub in itertools.combinations(cell, size):
                     term = EntropyTerm(INF, tuple(w_name(i) for i in sub), (x,))
-                    rows.append(({aux_var(i): -1 for i in sub}, {term: -1}))
+                    out.add({aux_var(i): -1 for i in sub}, {term: -1})
     for j, sub, term in _decoder_terms(config):
         coeffs = {rate_var(i): 1 for i in sub}
         coeffs.update({aux_var(i): 1 for i in sub})
-        rows.append((coeffs, {term: 1}))
-    return vars, rows
+        out.add(coeffs, {term: 1})
+    return out.system()
 
 
-def _build_jb(which, config, x_of):
-    """(variables, (coefficients, constant) rows) of the Jana-Blahut definitions."""
+def _build_jb(which, config, x_of) -> LinIneqSystem:
+    """The emitted system of the Jana-Blahut definitions."""
     _require_jb_shape(config)
     j = config.decoders[0]
     y = config.side_info.get(j)
@@ -161,9 +199,9 @@ def _build_jb(which, config, x_of):
     i0 = tuple(config.lossless)
     others = tuple(i for i in config.encoders if i not in i0)
     x_single = {i: x_of[tuple(config.cell_of(i))] for i in config.encoders}
+    w_given_x = _w_given_x(config, x_of)
     aux = [aux_var(i) for i in others] if which == JB_CRNG else []
-    vars = [rate_var(i) for i in config.encoders] + aux
-    rows = []
+    out = _Rows([rate_var(i) for i in config.encoders] + aux)
 
     if which == JB_IT:
         for size in range(1, len(i0) + 1):
@@ -171,19 +209,19 @@ def _build_jb(which, config, x_of):
                 rest = tuple(x_single[i] for i in i0 if i not in a)
                 term = EntropyTerm(SUP, tuple(x_single[i] for i in a),
                                    tuple(w_name(i) for i in others) + rest + given_y)
-                rows.append(({rate_var(i): 1 for i in a}, {term: 1}))
+                out.add({rate_var(i): 1 for i in a}, {term: 1})
         for size in range(1, len(others) + 1):
             for b in itertools.combinations(others, size):
                 rest = tuple(w_name(i) for i in others if i not in b)
                 const = {EntropyTerm(SUP, tuple(w_name(i) for i in b), rest + given_y): 1}
                 for i in b:
-                    const[EntropyTerm(INF, (w_name(i),), (x_single[i],))] = -1
-                rows.append(({rate_var(i): 1 for i in b}, const))
-        return vars, rows
+                    const[w_given_x[i]] = -1
+                out.add({rate_var(i): 1 for i in b}, const)
+        return out.system()
 
     for i in others:
-        rows.append(({aux_var(i): 1}, 0))
-        rows.append(({aux_var(i): -1}, {EntropyTerm(INF, (w_name(i),), (x_single[i],)): -1}))
+        out.add({aux_var(i): 1}, {})
+        out.add({aux_var(i): -1}, {w_given_x[i]: -1})
     for size in range(1, len(config.encoders) + 1):
         for sub in itertools.combinations(config.encoders, size):
             a = tuple(i for i in sub if i in i0)
@@ -193,8 +231,8 @@ def _build_jb(which, config, x_of):
                      + tuple(x_single[i] for i in i0 if i not in a) + given_y)
             coeffs = {rate_var(i): 1 for i in sub}
             coeffs.update({aux_var(i): 1 for i in b})
-            rows.append((coeffs, {EntropyTerm(SUP, left, given): 1}))
-    return vars, rows
+            out.add(coeffs, {EntropyTerm(SUP, left, given): 1})
+    return out.system()
 
 
 # -- binding entropies from a memoryless joint -----------------------------------------
@@ -202,10 +240,12 @@ def _build_jb(which, config, x_of):
 
 @dataclass
 class Binding:
-    """Entropy values rounded down to denominator 2**precision_bits."""
+    """Entropy values rounded down to denominator 2**precision_bits, and
+    `raw`, the emitted system whose terms they bind."""
 
     values: dict
     precision_bits: int
+    raw: Optional[LinIneqSystem] = field(default=None, repr=False, compare=False)
 
 
 def round_entropy(bits: float, precision_bits: int = PRECISION_BITS) -> Fraction:
@@ -233,11 +273,12 @@ def binding_from_pmf(which: str, config: NetworkConfig, joint: JointPmf,
             entropies[key] = cond_entropy(joint, list(names), [])
         return entropies[key]
 
+    raw = _raw_system(which, config)
     values = {}
-    for term in required_terms(which, config):
+    for term in raw.terms:
         bits = max(h(term.left + term.given) - h(term.given), 0.0) if term.given else h(term.left)
         values[term] = round_entropy(bits, precision_bits)
-    return Binding(values, precision_bits)
+    return Binding(values, precision_bits, raw)
 
 
 # -- polyhedral queries -----------------------------------------------------------------
@@ -273,14 +314,14 @@ def remove_redundant(system: LinIneqSystem) -> LinIneqSystem:
     rows = system.dense_rows()
     tableau = DualTableau(rows, len(system.vars))
     if tableau.status == UNBOUNDED:
-        return system.with_rows(system.rows, infeasible=True)
+        return system.with_rows(system.rows, infeasible=True, canonical=True)
     keep = []
     for k, (coeffs, const) in enumerate(rows):
         tableau.relax(k, 1)
         if not tableau.implies(coeffs, const):
             tableau.relax(k, -1)
             keep.append(k)
-    return system.with_rows([system.rows[k] for k in keep])
+    return system.with_rows([system.rows[k] for k in keep], canonical=True)
 
 
 def member(system: LinIneqSystem, point: Mapping[str, object]) -> bool:

@@ -33,17 +33,20 @@ the column with the least ratio cost_j / |T_rj| over T_rj < 0 enters, and
 the query is OPTIMAL once every row is feasible, or its dual INFEASIBLE
 (the rows do not bound c.x below) when a negative row has no negative
 entry.  A new cost entry is set at c = 0, and :meth:`DualTableau.relax`
-re-optimizes by primal pivots.  The cost row's artificial part is minus D
-times the simplex multipliers of the equality rows, which are the primal
-point: x = S times it, over D, with the coordinates of dropped rows at 0.
+re-optimizes by primal pivots.  At c = 0 every right-hand side is 0, so
+relax sets that column to 0 directly, with no product and no dual pivot.
+The cost row's artificial part is minus D times the simplex multipliers of
+the equality rows, which are the primal point: x = S times it, over D, with
+the coordinates of dropped rows at 0.
 
 The tableau holds Python integers.  Region systems come in as integer rows
 (gcd-1 coefficients, constants over one common denominator) and become
 equality rows as they are; rational rows are scaled per equality row by the
 lcm of its denominators, the right-hand side once per question by the lcm of
-its, and the cost once by the lcm of its.  The tableau is an integer matrix
-T over one positive common denominator D, the true tableau being T / D.  A
-pivot on T[r][c] replaces every other row by
+its, and the cost once by the lcm of its; integers pass through each of
+these as they are, with scale 1 (:func:`rational.integer_scaled`).  The
+tableau is an integer matrix T over one positive common denominator D, the
+true tableau being T / D.  A pivot on T[r][c] replaces every other row by
 (|T[r][c]| T[i] - sgn(T[r][c]) T[i][c] T[r]) / D, a division that is always
 exact, and sets D = |T[r][c]| (E. H. Bareiss, "Sylvester's identity and
 multistep integer-preserving Gaussian elimination", Math. Comp., 1968): D
@@ -244,10 +247,23 @@ class DualTableau:
             return None
         return Fraction(self._rows[-1][-1], self._value_denominator())
 
-    def query(self, coeffs: Sequence) -> str:
-        """Re-optimize for new coeffs from the last basis; returns `status`."""
+    def _require_basis(self):
         if self._rows is None:
             raise ValueError("the tableau ended %s: no basis to re-optimize" % self.status)
+
+    def _at_zero(self):
+        """What :meth:`query` at coeffs 0 does, without its products: every
+        right-hand side, the objective's included, is 0, so the basis is
+        primal feasible and optimal as it is, and no pivot is made."""
+        self._require_basis()
+        for row in self._rows:
+            row[-1] = 0
+        self._rhs_scale, self.status = 1, OPTIMAL
+
+    def query(self, coeffs: Sequence) -> str:
+        """Re-optimize for new coeffs from the last basis; returns `status`.
+        Integer coeffs enter the right-hand side as they are."""
+        self._require_basis()
         if len(coeffs) != len(self._scales):
             raise ValueError("row arity differs from dimension %d" % len(self._scales))
         rhs, self._rhs_scale = integer_scaled([s * c for s, c in zip(self._scales, coeffs)])
@@ -267,7 +283,7 @@ class DualTableau:
         when the rows become empty.  At coeffs 0 every basis is feasible:
         y_k's cost entry rises by delta, priced out against its row when y_k
         is basic, and primal pivots restore optimality."""
-        self.query([0] * len(self._scales))
+        self._at_zero()
         rows, step = self._rows, delta * self._cost_scale
         rows[-1][k] += step * self._d
         if k in self._basis:

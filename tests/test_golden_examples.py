@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from multiterm import simplex
+from multiterm import regions, simplex
 from multiterm.cli import main as cli_main
 from multiterm.linineq import INF, SUP, EntropyTerm, LinIneqSystem
 from multiterm.network import build_joint
@@ -134,3 +134,33 @@ def test_golden_pivot_counts(tmp_path, monkeypatch):
             assert polyhedra_equal(it, committed)
             checks.append(count[0])
     assert (runs, checks) == ([3, 8, 6, 1], [6, 16, 2])
+
+
+def test_golden_conversion_counts(tmp_path, monkeypatch):
+    """Pins the row conversions of each golden `region --eliminate-aux` run:
+    the raw system is emitted once (`binding_from_pmf` reads its terms and
+    `build_system` binds it), and `canonicalize` works twice, on the bound
+    system and on the eliminated one, while the call in `remove_redundant`
+    finds its input marked canonical.  A change that converts rows again
+    moves these counts and has to update them."""
+    raw, worked = [0], [0]
+    raw_system, canonicalize = regions._raw_system, LinIneqSystem.canonicalize
+
+    def counted_raw(*args):
+        raw[0] += 1
+        return raw_system(*args)
+
+    def counted_canonicalize(system):
+        worked[0] += not system.canonical
+        return canonicalize(system)
+
+    monkeypatch.setattr(regions, "_raw_system", counted_raw)
+    monkeypatch.setattr(LinIneqSystem, "canonicalize", counted_canonicalize)
+    counts = []
+    for name, flag, _, golden, _ in CASES:
+        raw[0] = worked[0] = 0
+        assert cli_main(["region", name, "--definition", flag, "--eliminate-aux",
+                         "--out", str(tmp_path / golden)]) == 0
+        assert open(tmp_path / golden).read() == open(os.path.join(GOLDEN, golden)).read()
+        counts.append((raw[0], worked[0]))
+    assert counts == [(1, 2)] * 4

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import re
 from fractions import Fraction
 
@@ -104,6 +106,8 @@ def test_fme_symbolic_constants_combine():
     ("2*R_1 + 3*R_1 >= 1", "repeated variable R_1"),
     ("R_1 >= 1 >= 0", "more than one >="),
     ("R_1 + R_2 >= one", "Invalid literal for Fraction: 'one'"),
+    ("R_1 + R_3 >= 1", "unknown variable 'R_3'"),
+    (" >= 1", "empty left side"),
 ])
 def test_parse_refuses_a_malformed_row_naming_its_line(row, reason):
     text = "# vars: R_1 R_2\nR_2 >= 0\n%s\n" % row
@@ -303,3 +307,106 @@ def test_ineqs_round_trip_through_extend(case):
         assert LinIneqSystem(s.vars, s.ineqs, s.infeasible).render() == s.render()
         assert LinIneqSystem(s.vars, s.ineqs).render() == s.render()
         assert list(s.ineqs) == [(dict(coeffs), const) for coeffs, const in ref_rows]
+
+
+_NAMES = ("W1", "W2", "W10", "X12", "Y1")
+
+
+@settings(max_examples=200, deadline=None)
+@given(kind=st.sampled_from([SUP, INF]), left=st.lists(st.sampled_from(_NAMES), min_size=1,
+                                                        max_size=3, unique=True),
+       given_=st.lists(st.sampled_from(_NAMES), max_size=3, unique=True), data=st.data())
+def test_entropy_terms_from_reordered_names_are_equal_and_hash_equal(kind, left, given_, data):
+    """Terms built from reordered names are equal and hash equal, to each
+    other and to a copy or a pickled term; they sort and render as the
+    (kind, left, given) fields in natural order say."""
+    a = EntropyTerm(kind, tuple(left), tuple(given_))
+    b = EntropyTerm(kind, tuple(data.draw(st.permutations(left))),
+                    tuple(data.draw(st.permutations(given_))))
+    for other in (b, copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+        assert other == a and hash(other) == hash(a) and repr(other) == repr(a)
+    assert hash(a) == hash((a.kind, a.left, a.given))
+    assert len({a, b}) == 1
+    natural = sorted(left, key=lambda n: (n[0], int(n[1:])))   # one letter, then digits
+    assert list(a.left) == natural
+    head = "Hsup" if kind == SUP else "Hinf"
+    assert a.render() == ("%s(%s|%s)" % (head, ",".join(a.left), ",".join(a.given))
+                          if a.given else "%s(%s)" % (head, ",".join(a.left)))
+    terms = [a, EntropyTerm(SUP, ("W2",)), EntropyTerm(INF, ("W1",), ("X12",))]
+    assert sorted(terms) == sorted(terms, key=lambda t: (t.kind, t.left, t.given))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=raw_systems(), bound=st.booleans())
+@example(case=_UNSATISFIED, bound=True)
+def test_the_canonical_mark_skips_only_repeated_work(case, bound):
+    """A system that `canonicalize` returns is marked canonical, and so is
+    what `remove_redundant` keeps of it; canonicalizing, `dense_rows` and
+    `denominator` give on a marked system what they give on an unmarked
+    copy of its rows.  `extend` and `add` clear the mark, and the rows they
+    add are canonicalized with the rest."""
+    vars, rows = case
+    system = _system(vars, rows)
+    if bound:
+        system = system.bind(_BINDING)
+    marked = system.canonicalize()
+    assert marked.canonical and not system.canonical
+    unmarked = marked.with_rows(list(marked.rows), marked.infeasible)
+    assert not unmarked.canonical
+    again, fresh = marked.canonicalize(), unmarked.canonicalize()
+    assert again.canonical and fresh.canonical and again.rows is not marked.rows
+    assert (again.rows, again.infeasible) == (fresh.rows, fresh.infeasible) == (
+        marked.rows, marked.infeasible)
+    if marked.is_numeric:
+        assert marked.denominator == unmarked.denominator
+        for scale in (None, 6 * marked.denominator):
+            assert marked.dense_rows(scale) == unmarked.dense_rows(scale)
+        kept = remove_redundant(marked)
+        assert kept.canonical
+        assert kept.rows == kept.with_rows(list(kept.rows), kept.infeasible).canonicalize().rows
+    marked.add({vars[0]: 2}, Fraction(1, 3))
+    assert not marked.canonical
+    assert marked.canonicalize().render() == _ref_render(
+        vars, *_ref_canonicalize(vars, _ref_rows(vars, [
+            *((co, ct) for co, ct in marked.ineqs)])))
+    again.extend([])
+    assert not again.canonical
+
+
+_DECIMALS = st.one_of(
+    st.integers(-50, 50).map(str),
+    st.builds("{}/{}".format, st.integers(-50, 50), st.integers(1, 12)),
+    st.builds("{}.{}".format, st.integers(-9, 9), st.integers(0, 999)),
+    st.builds("{}e{}".format, st.integers(-9, 9), st.integers(-3, 3)),
+    st.builds("{}.{}E+{}".format, st.integers(0, 9), st.integers(0, 99), st.integers(0, 2)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=raw_systems())
+@example(case=_UNSATISFIED)
+@example(case=_GCD_AND_DOMINANCE)
+def test_parse_inverts_render_on_rational_systems(case):
+    """`parse(render(s))` is `s` on numeric systems: the same variables,
+    integer rows and infeasible flag, raw or canonical."""
+    vars, rows = case
+    system = _system(vars, [(co, LinConst(ct.offset)) for co, ct in rows])
+    for s in (system, system.canonicalize()):
+        back = LinIneqSystem.parse(s.render())
+        assert (back.vars, back.terms, back.rows, back.infeasible) == (
+            s.vars, s.terms, s.rows, s.infeasible)
+
+
+@settings(max_examples=200, deadline=None)
+@given(coeffs=st.lists(st.one_of(st.none(), _DECIMALS), min_size=2, max_size=2),
+       const=_DECIMALS)
+@example(coeffs=["0.5", None], const="1e3")
+@example(coeffs=["2/4", "-3"], const="-0.125")
+def test_parse_reads_decimal_and_ratio_literals_as_fraction_does(coeffs, const):
+    """Every literal that `Fraction` reads, decimals and exponents included,
+    parses to the row that its `Fraction` value makes through `add`."""
+    terms = [(mag, var) for mag, var in zip(coeffs, ("R_1", "R_2")) if mag is not None]
+    lhs = " + ".join("%s*%s" % (mag, var) for mag, var in terms) or "0"
+    parsed = LinIneqSystem.parse("# vars: R_1 R_2\n%s >= %s\n" % (lhs, const))
+    ref = LinIneqSystem(["R_1", "R_2"])
+    ref.add({var: Fraction(mag) for mag, var in terms}, Fraction(const))
+    assert (parsed.rows, parsed.infeasible) == (ref.rows, ref.infeasible)

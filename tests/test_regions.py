@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 from fractions import Fraction
 
@@ -428,3 +429,137 @@ def test_dsc_feasibility_transfers_to_mdc():
     point = {rate_var(i): rates[i] for i in (1, 2)}
     point.update({aux_var(i): r[i] for i in (1, 2)})
     assert member(mdc_sys, point)
+
+
+# -- the emission reference: (coefficients, constant) dict rows through `extend`,
+# -- the form the builders emitted before they made integer rows directly
+
+def _ref_build_unified(which, config, x_of):
+    aux = [aux_var(i) for i in config.encoders] if which != DSC_IT else []
+    vars = [rate_var(i) for i in config.encoders] + aux
+    rows = []
+    decoder_terms = []
+    for j in config.decoders:
+        ij = tuple(config.codewords_to[j])
+        y = config.side_info.get(j)
+        for size in range(1, len(ij) + 1):
+            for sub in itertools.combinations(ij, size):
+                rest = tuple(i for i in ij if i not in sub)
+                decoder_terms.append((sub, EntropyTerm(SUP, tuple("W%s" % i for i in sub),
+                                                       tuple("W%s" % i for i in rest)
+                                                       + ((y,) if y else ()))))
+    if which == DSC_IT:
+        for sub, term in decoder_terms:
+            const = {term: 1}
+            for i in sub:
+                const[EntropyTerm(INF, ("W%s" % i,), (x_of[tuple(config.cell_of(i))],))] = -1
+            rows.append(({rate_var(i): 1 for i in sub}, const))
+        return vars, rows
+    for i in config.encoders:
+        rows.append(({aux_var(i): 1}, 0))
+    if which == DSC_CRNG:
+        for i in config.encoders:
+            x = x_of[tuple(config.cell_of(i))]
+            rows.append(({aux_var(i): -1}, {EntropyTerm(INF, ("W%s" % i,), (x,)): -1}))
+    else:
+        for cell in config.sharing:
+            for size in range(1, len(cell) + 1):
+                for sub in itertools.combinations(cell, size):
+                    term = EntropyTerm(INF, tuple("W%s" % i for i in sub), (x_of[tuple(cell)],))
+                    rows.append(({aux_var(i): -1 for i in sub}, {term: -1}))
+    for sub, term in decoder_terms:
+        coeffs = {rate_var(i): 1 for i in sub}
+        coeffs.update({aux_var(i): 1 for i in sub})
+        rows.append((coeffs, {term: 1}))
+    return vars, rows
+
+
+def _ref_build_jb(which, config, x_of):
+    if len(config.decoders) != 1 or any(len(cell) != 1 for cell in config.sharing):
+        return None
+    y = config.side_info.get(config.decoders[0])
+    given_y = (y,) if y else ()
+    i0 = tuple(config.lossless)
+    others = tuple(i for i in config.encoders if i not in i0)
+    x_single = {i: x_of[tuple(config.cell_of(i))] for i in config.encoders}
+    aux = [aux_var(i) for i in others] if which == JB_CRNG else []
+    vars = [rate_var(i) for i in config.encoders] + aux
+    rows = []
+    if which == JB_IT:
+        for size in range(1, len(i0) + 1):
+            for a in itertools.combinations(i0, size):
+                rest = tuple(x_single[i] for i in i0 if i not in a)
+                term = EntropyTerm(SUP, tuple(x_single[i] for i in a),
+                                   tuple("W%s" % i for i in others) + rest + given_y)
+                rows.append(({rate_var(i): 1 for i in a}, {term: 1}))
+        for size in range(1, len(others) + 1):
+            for b in itertools.combinations(others, size):
+                rest = tuple("W%s" % i for i in others if i not in b)
+                const = {EntropyTerm(SUP, tuple("W%s" % i for i in b), rest + given_y): 1}
+                for i in b:
+                    const[EntropyTerm(INF, ("W%s" % i,), (x_single[i],))] = -1
+                rows.append(({rate_var(i): 1 for i in b}, const))
+        return vars, rows
+    for i in others:
+        rows.append(({aux_var(i): 1}, 0))
+        rows.append(({aux_var(i): -1}, {EntropyTerm(INF, ("W%s" % i,), (x_single[i],)): -1}))
+    for size in range(1, len(config.encoders) + 1):
+        for sub in itertools.combinations(config.encoders, size):
+            a = tuple(i for i in sub if i in i0)
+            b = tuple(i for i in sub if i not in i0)
+            left = tuple("W%s" % i for i in b) + tuple(x_single[i] for i in a)
+            given = (tuple("W%s" % i for i in others if i not in b)
+                     + tuple(x_single[i] for i in i0 if i not in a) + given_y)
+            coeffs = {rate_var(i): 1 for i in sub}
+            coeffs.update({aux_var(i): 1 for i in b})
+            rows.append((coeffs, {EntropyTerm(SUP, left, given): 1}))
+    return vars, rows
+
+
+def _ref_raw_system(which, config):
+    """The emitted system as dict rows through `extend`, or None for a
+    Jana-Blahut definition over a topology it does not fit."""
+    x_of = {tuple(cell): "X" + "".join(str(i) for i in cell) for cell in config.sharing}
+    build = _ref_build_unified if which in (DSC_IT, DSC_CRNG, MDC_CRNG) else _ref_build_jb
+    emitted = build(which, config, x_of)
+    if emitted is None:
+        return None
+    system = LinIneqSystem(emitted[0])
+    system.extend(emitted[1])
+    return system
+
+
+def _emission_configs():
+    """The acceptance suite's random topologies, the built-in scenarios, and
+    each single-decoder one with its first and with all encoders lossless."""
+    from test_acceptance import _random_topologies
+    from multiterm.scenarios import scenario_names
+    configs = list(_random_topologies()) + [build_scenario(n).config for n in scenario_names()]
+    for config in list(configs):
+        if len(config.decoders) == 1 and not config.lossless:
+            configs += [dataclasses.replace(config, lossless=config.encoders[:1]),
+                        dataclasses.replace(config, lossless=config.encoders)]
+    return configs
+
+
+@pytest.mark.parametrize("which", [DSC_IT, DSC_CRNG, MDC_CRNG, JB_IT, JB_CRNG])
+def test_integer_emission_matches_the_dict_rows_reference(which):
+    """The builders' integer rows are the rows that the old dict rows make
+    through `extend`: the same variables, term columns in order of first
+    use, and rows, for every definition on every topology; a Jana-Blahut
+    definition refuses a topology it does not fit.  Binding both gives one
+    canonical system."""
+    rng = np.random.default_rng(7)
+    for config in _emission_configs():
+        ref = _ref_raw_system(which, config)
+        if ref is None:
+            with pytest.raises(ConfigurationError, match="Jana-Blahut"):
+                _raw_system(which, config)
+            continue
+        raw = _raw_system(which, config)
+        assert (raw.vars, raw.terms, raw.rows, raw.infeasible, raw.canonical) == (
+            ref.vars, ref.terms, ref.rows, False, False)
+        assert required_terms(which, config) == set(ref.terms)
+        binding = {t: Fraction(int(rng.integers(0, 300)), 210) for t in ref.terms}
+        built = build_system(RegionSpec(which, config, binding))
+        assert built.render() == ref.bind(binding).canonicalize().render()

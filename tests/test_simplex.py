@@ -1,3 +1,4 @@
+import copy
 from fractions import Fraction
 
 import numpy as np
@@ -655,6 +656,28 @@ def test_relax_matches_fresh_build(case, steps):
             x = tableau.point()
             assert all(sum(a * v for a, v in zip(co, x)) >= ct for co, ct in current)
             assert sum(a * v for a, v in zip(coeffs, x)) == tableau.value
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=requery_cases())
+@example(case=(3, [([1, 2, 0], 1), ([2, 4, 0], 2), ([-1, -2, 0], -5)], None,
+               [([1, 2, 1], 0), ([1, 2, 0], 1)]))                   # rank 1, dropped rows
+def test_zero_right_hand_side_is_a_query_at_coeffs_zero(case):
+    """Setting the right-hand side to 0, as `relax` does, leaves the tableau
+    exactly as `query` at coeffs 0 does, after the build and after each
+    question, INFEASIBLE ones included: the same status, value, basis,
+    denominator and rows, and no pivot."""
+    dim, rows, build, queries = case
+    tableau = DualTableau(rows, dim)
+    for coeffs in [build or [0] * dim] + [coeffs for coeffs, _ in queries]:
+        tableau.query(coeffs)
+        queried, direct = copy.deepcopy(tableau), copy.deepcopy(tableau)
+        assert queried.query([0] * dim) == OPTIMAL
+        direct._at_zero()
+        assert (direct.status, direct.value, direct._basis, direct._d, direct._rows,
+                direct._rhs_scale) == (queried.status, queried.value, queried._basis,
+                                       queried._d, queried._rows, queried._rhs_scale)
+        assert direct._basis == tableau._basis and direct._d == tableau._d
 
 
 @st.composite
