@@ -45,21 +45,23 @@ draws each trial's source block as a row of source letter ids, evaluates the
 cell laws at the distinct input blocks drawn (:func:`_cell_draws`), reaches
 each decoder's class through its index and its law (the MAP pick as a
 one-point law) through :class:`_DecoderClasses`, and scores the reproductions
-through the oracle's tables.  A draw searches its law's cumulative table
-(built at most once per law and call) with one uniform.  A call has one
-generator, and its trials lie end to end on that stream, a fixed number of
-uniforms each, so a trial can be replayed alone (see :func:`simulate`).  The
-per-call methods of :class:`CodeInstance` (the laws, `encode`, `decode`) are
-one-trial calls of the same functions.
+through the oracle's tables.  Every draw is the exact inverse CDF of its
+integer law at one uniform (:func:`probability.inverse_cdf`), and the laws of
+a batch lie end to end: one prefix sum and one search per batch draw the
+source letters, one each cell and one each decoder, and no law is kept
+between calls.  A call has one generator, and its trials lie end to end on
+that stream, a fixed number of uniforms each, so a trial can be replayed
+alone (see :func:`simulate`).  The per-call methods of :class:`CodeInstance`
+(the laws, `encode`, `decode`) are one-trial calls of the same functions.
 
 The codes of one scenario share one :class:`Model`, which keeps what does
 not depend on their hashes: the model joint, its W_S letters, the weighting
 tables, each decoder's letter maps and the source blocks per n
 (:class:`_Source`).  A code keeps what its hashes decide, on first use:
 each encoder's hash values per W_i-block, each class index, each decoder's
-classes (with its tie-break order and the laws Monte Carlo has drawn from)
-and, once the exact oracle has run, each sharing cell's encoder laws at
-every block of its input (:class:`_CellDraws`), so a second rule reuses them.
+classes (with its tie-break order) and, once the exact oracle has run, each
+sharing cell's encoder laws at every block of its input (:class:`_CellDraws`),
+so a second rule reuses them.
 A cell table holds one entry (an index row and a weight) per pair of input
 block and W-block of positive joint weight: at most the joint's positive
 letters to the n, the count that :func:`_check_budget` holds to 2^24.
@@ -98,14 +100,12 @@ from .network import (
 )
 from .probability import (
     JointPmf,
-    choice_table,
-    draw,
     first_cells,
+    inverse_cdf,
     marginalize,
     ragged,
     row_numbers,
     sum_at,
-    support_table,
 )
 from .rational import int_array
 
@@ -132,11 +132,10 @@ def crng_law(base, constraint):
     return [(item, p / total) for item, p in kept]
 
 
-def _split(row, weight, count, total) -> list:
-    """Ragged laws as (rows, weights, total) each: law u holds the next
-    count[u] entries of `row` and `weight`, of total weight total[u]."""
-    ends = np.cumsum(count).tolist()
-    return [(row[a:b], weight[a:b], t) for a, b, t in zip([0, *ends], ends, total.tolist())]
+def _draw_one(weights, seed) -> np.ndarray:
+    """The place in the one integer law `weights` that :func:`inverse_cdf`
+    draws at the first double of ``default_rng(seed)``."""
+    return inverse_cdf(weights, [len(weights)], 0, np.random.default_rng(seed).random())
 
 
 def _check_rule(rule: str):
@@ -542,15 +541,15 @@ class CodeInstance:
 
     def encode(self, cell, x_block, seed):
         """Joint draw for one sharing cell: (blocks by encoder, codewords)."""
-        items, total = self.cell_constrained_law(cell, x_block)
-        blocks = items[draw(choice_table([w for _, w in items], total), seed)][0]
+        items, _ = self.cell_constrained_law(cell, x_block)
+        weights = np.array([w for _, w in items], dtype=object)
+        blocks = items[int(_draw_one(weights, seed))][0]
         return blocks, {i: self.g[i](self.block_to_int(i, blocks[i])) for i in cell}
 
     # -- decoder -------------------------------------------------------------------------
 
     def _decoder(self, j) -> "_DecoderClasses":
-        """Decoder j's classes, reproductions and drawn class laws, built on
-        first use and kept."""
+        """Decoder j's classes and reproductions, built on first use and kept."""
         return _kept(self._decoders, j, lambda: _DecoderClasses(self, j))
 
     def _cell_table(self, cell) -> "_CellDraws":
@@ -569,10 +568,11 @@ class CodeInstance:
                                    for c, key in enumerate(decoder.index.keys.tolist())})
         c = decoder.lookup.get(tuple(m[i] for i in decoder.ij))
         entry = (np.array([c]), self._observed(decoder.y, y_block)[None])
-        law = ((),) if c is None else decoder.laws(*entry, "crng")[0]
-        if not len(law[0]):
+        law = None if c is None else decoder.laws(*entry, "crng")
+        if law is None or not law[2][0]:
             raise DecoderAbort("decoder %r: empty posterior class" % (j,))
-        return law if rule == "crng" else decoder.laws(*entry, rule)[0]
+        rows, weights, _, total = law if rule == "crng" else decoder.laws(*entry, rule)
+        return rows, weights, int(total[0])
 
     def decoder_class_law(self, j, m: Mapping, y_block):
         """Posterior over W_{I_j}-blocks restricted to the (f, g) classes, as
@@ -601,8 +601,8 @@ class CodeInstance:
         lexicographically smallest blocks (encoder order, then letter order).
         """
         _check_rule(rule)
-        rows, weights, total = self._decoder_at(j, m, y_block, rule)
-        row = rows[draw(choice_table(weights, total), seed)]
+        rows, weights, _ = self._decoder_at(j, m, y_block, rule)
+        row = rows[_draw_one(weights, seed)]
         w_hat = self._named(self._decoder(j).ij, [(row, None)])[0][0]
         return w_hat, self.reproduce(j, w_hat, y_block)
 
@@ -818,9 +818,9 @@ class _DecoderClasses:
     information, the reproductions of the class's candidates (the model's
     letter maps, :meth:`Model.decoder`), and the MAP tie-break :attr:`order`
     over the index rows, built once.  The oracle weighs its exceedance terms
-    once per :meth:`pairs`.  `drawn` keeps, per (rule, class and
-    side-information block) that Monte Carlo has drawn from, its law under
-    the rule (:meth:`laws`) as (index rows, choice table)."""
+    once per :meth:`pairs`; Monte Carlo evaluates the laws (:meth:`laws`) of
+    the classes a batch reaches and keeps none, so repeated calls hold no
+    more than the first."""
 
     def __init__(self, code: CodeInstance, j):
         cfg, source = code.config, code.model.blocks(code.n)
@@ -834,7 +834,6 @@ class _DecoderClasses:
         self.y_number, symbols = source.numbering((y,) if y else ())
         self.y_count = len(symbols) ** code.n
         self.parts, self.strides, self.project, self.reproductions = code.model.decoder(j, source)
-        self.drawn: dict = {}
         self.lookup: dict = {}   # g-values -> class, filled by the first one-trial decode
 
     @functools.cached_property
@@ -894,20 +893,23 @@ class _DecoderClasses:
         key = np.where(best, self.order[row], _INT64 - 1)
         return row[key == np.minimum.reduceat(key, starts)[owner]]
 
-    def laws(self, cls, observed, rule: str) -> list:
-        """Per entry (a class and an observed block of ids) its law over index
-        rows, (rows, weights, total): under "crng" the class law, the rows of
-        positive weight; under "map" its MAP pick, weight 1 of total 1."""
-        out = []
+    def laws(self, cls, observed, rule: str) -> tuple:
+        """The laws over index rows of the entries (a class and an observed
+        block of ids each), as the ragged arrays (row, weight, count, total):
+        per law entry its index row and weight, per entry its number of law
+        entries and its total weight.  Under "crng" an entry's law is its
+        class law, the rows of positive weight; under "map" its MAP pick,
+        weight 1 of total 1."""
+        parts = [(np.zeros(0, dtype=np.int64),) * 4]   # no entries give empty arrays
         for a, b, owner, starts, row, _, weight in self._classes(cls, observed):
             if rule == "map":
                 pick = self._pick(owner, starts, row, weight)
-                out += _split(pick, *[np.ones_like(pick)] * 3)
+                parts.append((pick, *[np.ones_like(pick)] * 3))
             else:
                 keep = np.flatnonzero(weight)
-                out += _split(row[keep], weight[keep], np.bincount(owner[keep], minlength=b - a),
-                              np.add.reduceat(weight, starts))
-        return out
+                parts.append((row[keep], weight[keep], np.bincount(owner[keep], minlength=b - a),
+                              np.add.reduceat(weight, starts)))
+        return tuple(np.concatenate(part) for part in zip(*parts))
 
     def pairs(self, batch: _Batch, cls) -> tuple:
         """(pair, block, cls, weight): per state of `batch` (its class in
@@ -1131,18 +1133,14 @@ def _run_batch(code: CodeInstance, bounds: dict, uniforms, rule: str, report: Si
     says), counted into `report`; bounds[k] = D_k + delta."""
     cfg, n = code.config, code.n
     source = code.model.blocks(code.n)
-    digits = support_table(code.source).searchsorted(uniforms[:, :n], side="right")
+    digits = inverse_cdf(source.weights, [len(source.weights)], 0, uniforms[:, :n])
     # each cell's drawn index row per trial, -1 where its law is empty
     drawn = []
     for c, cell in enumerate(cfg.sharing):
         number, symbols = source.numbering((code.channels[cell].inputs[0][0],))
-        blocks, law_of = np.unique(number(digits), return_inverse=True)
-        laws = [(rows, choice_table(weights, total)) if len(rows) else None
-                for rows, weights, total in _split(*_cell_draws(
-                    code, cell, symbols[_digits(blocks, len(symbols), n)]))]
-        drawn.append(np.array([laws[u][0][laws[u][1].searchsorted(x, side="right")]
-                               if laws[u] else -1
-                               for x, u in zip(uniforms[:, n + c], law_of.tolist())]))
+        blocks, law = np.unique(number(digits), return_inverse=True)
+        row, weight, count, _ = _cell_draws(code, cell, symbols[_digits(blocks, len(symbols), n)])
+        drawn.append(np.append(row, -1)[inverse_cdf(weight, count, law, uniforms[:, n + c])])
     aborted = np.any([rows < 0 for rows in drawn], axis=0)
     live = np.flatnonzero(~aborted)
     digits = digits[live]
@@ -1154,15 +1152,10 @@ def _run_batch(code: CodeInstance, bounds: dict, uniforms, rule: str, report: Si
         decoder = code._decoder(j)
         _, row = decoder.truth(cell_letters)
         cls = decoder.index.cls[row]
-        keys = (cls * decoder.y_count + decoder.y_number(digits)).tolist()
-        new = {key: e for e, key in enumerate(keys) if (rule, key) not in decoder.drawn}
-        at = np.array(list(new.values()), dtype=np.intp)
-        decoder.drawn.update(zip([(rule, key) for key in new], [
-            (rows, choice_table(weights, total))
-            for rows, weights, total in decoder.laws(cls[at], decoder.y_ids[digits[at]], rule)]))
-        laws = [decoder.drawn[rule, key] for key in keys]
-        picked = np.array([rows[cdf.searchsorted(x, side="right")] for (rows, cdf), x in zip(
-            laws, uniforms[live, n + len(cfg.sharing) + pos])], dtype=np.int64)
+        # one law per distinct (class, side-information block)
+        _, first, law = _unique(cls * decoder.y_count + decoder.y_number(digits))
+        rows, weight, count, _ = decoder.laws(cls[first], decoder.y_ids[digits[first]], rule)
+        picked = rows[inverse_cdf(weight, count, law, uniforms[live, n + len(cfg.sharing) + pos])]
         mismatched[live] |= picked != row
         observed = decoder.y_ids[digits]
         for k, measure, x, z in decoder.reproductions:

@@ -6,10 +6,11 @@ a row of symbol ids and an integer weight w, its probability exactly w / D
 probabilities included (support-set semantics matter for constrained-random
 draws), and every operation lists its cells in order of their first row.
 Floats appear only where an irrational quantity is evaluated: each pmf forms
-w / D, correctly rounded, once for its entropies (:meth:`JointPmf.float_marginal`),
-and every seeded draw searches the cumulative float table of an integer law
-(:func:`choice_table`) with a uniform, of its own generator (:func:`draw`) or
-of the single stream of a Monte Carlo call (:func:`multiterm.codec.simulate`).
+w / D, correctly rounded, once for its entropies (:meth:`JointPmf.float_marginal`).
+No float decides a draw: every seeded draw is the exact inverse CDF of an
+integer law at one double of a ``Generator.random`` stream, decided in
+integers (:func:`inverse_cdf`), whether the stream is a draw's own generator
+or the single stream of a Monte Carlo call (:func:`multiterm.codec.simulate`).
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .errors import ConfigurationError, UnsupportedConditionError
 from .rational import int_array, integer_scaled
 
 _ZERO = Fraction(0)
+_UNIT = 1 << 53   # a double of Generator.random is m / 2^53, m an integer below this
 
 
 @dataclass(frozen=True)
@@ -156,7 +158,6 @@ class JointPmf:
         self.ids, self.denominator = ids, int(denominator)
         self.weights = int_array(weights, denominator)
         self._floats = None   # (positive rows, their floats), filled on first use
-        self._cdf = None      # choice table of the positive rows, filled by `support_table`
 
     # -- basic accessors -------------------------------------------------------
 
@@ -297,31 +298,36 @@ def _factorizes(pmf: JointPmf, a, b, c) -> bool:
     return bool(np.all(summed(a + b + c) * summed(b) == summed(a + b) * summed(b + c)))
 
 
-# -- blocks of a memoryless source ------------------------------------------------
+# -- exact draws ---------------------------------------------------------------------
 
 
-def choice_table(weights, total) -> np.ndarray:
-    """The cumulative table that ``Generator.choice(len(p), p=p / p.sum())``
-    searches, formed as it forms it, for p[k] = weights[k] / total rounded
-    once, as ``float(Fraction(w, total))``."""
-    p = _ratios(weights, total)
-    cdf = (p / p.sum()).cumsum()
-    cdf /= cdf[-1]
-    return cdf
+def inverse_cdf(weights, count, law, uniforms) -> np.ndarray:
+    """Exact inverse-CDF draws from integer laws laid end to end.
 
-
-def draw(cdf, seed):
-    """The index ``default_rng(seed).choice(len(cdf), p=...)`` draws from the
-    :func:`choice_table` `cdf`: its uniform, searched in `cdf`."""
-    return cdf.searchsorted(np.random.default_rng(seed).random(), side="right")
-
-
-def support_table(pmf: JointPmf) -> np.ndarray:
-    """The :func:`choice_table` of the positive rows of `pmf`, built once
-    per pmf: a uniform searched in it picks one of the positive rows, in order."""
-    if pmf._cdf is None:
-        pmf._cdf = choice_table(pmf.weights[pmf.weights > 0], pmf.denominator)
-    return pmf._cdf
+    Law u holds the next count[u] entries of `weights`, a non-negative
+    integer array.  Draw t reads law law[t] (one law for all draws, or one
+    per draw) at the double u = uniforms[t] of a ``Generator.random``
+    stream, which is m / 2^53 for an integer m, and gives the place in
+    `weights` of the law's first entry whose prefix sum within the law
+    exceeds floor(m * total / 2^53), total the law's sum: the entry k with
+    prefix[k - 1] <= u * total < prefix[k].  An empty law (total 0) gives -1.
+    The result has the shape of `uniforms`.
+    Prefix sums of integers are exact in any grouping, so one cumsum and one
+    searchsorted serve every law and every draw.  Numbers are int64 where a
+    bound proves they fit and Python ints in object arrays otherwise.  The
+    draw differs from ``Generator.choice`` on the law's float probabilities
+    only where u lies within float rounding of a law boundary.
+    """
+    weights = int_array(weights, int(weights.max(initial=0)) * len(weights))
+    prefix = np.zeros(len(weights) + 1, dtype=weights.dtype)
+    np.cumsum(weights, out=prefix[1:])
+    law, ends = np.ravel(law), np.cumsum(count)
+    base = prefix[ends - count][law]
+    total = prefix[ends][law] - base
+    m = int_array((np.ravel(uniforms) * _UNIT).astype(np.int64), int(prefix[-1]) * _UNIT)
+    target = (base + (m * total.astype(m.dtype) >> 53)).astype(prefix.dtype)
+    place = prefix.searchsorted(target, side="right") - 1
+    return np.where(total > 0, place, -1).reshape(np.shape(uniforms))
 
 
 # -- convenience constructors ----------------------------------------------------

@@ -343,7 +343,8 @@ def contains(outer: LinIneqSystem, inner: LinIneqSystem) -> bool:
     Decided exactly on the dual, all constants over one denominator: one
     :class:`simplex.DualTableau` of `inner` is built, which decides whether
     it is empty, and each row of `outer` is then certified implied by
-    re-optimizing that tableau (:meth:`simplex.DualTableau.implies`).
+    re-optimizing that tableau (:meth:`simplex.DualTableau.implies`).  Each
+    side is canonicalized once, which a system marked canonical skips.
     """
     _require_numeric(outer)
     _require_numeric(inner)
@@ -352,6 +353,7 @@ def contains(outer: LinIneqSystem, inner: LinIneqSystem) -> bool:
             "systems are over different variables: %r vs %r" % (outer.vars, inner.vars))
     if inner.infeasible:
         return True
+    outer, inner = outer.canonicalize(), inner.canonicalize()
     scale = math.lcm(outer.denominator, inner.denominator)
     tableau = DualTableau(inner.dense_rows(scale), len(outer.vars))
     if tableau.status == UNBOUNDED:   # inner is empty
@@ -362,6 +364,9 @@ def contains(outer: LinIneqSystem, inner: LinIneqSystem) -> bool:
 
 
 def polyhedra_equal(a: LinIneqSystem, b: LinIneqSystem) -> bool:
+    """True iff `a` and `b` hold the same points: :func:`contains` both
+    ways, each side canonicalized once for both calls."""
+    a, b = a.canonicalize(), b.canonicalize()
     return contains(a, b) and contains(b, a)
 
 

@@ -1,3 +1,4 @@
+import bisect
 import dataclasses
 import itertools
 import math
@@ -13,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import chisquare
 
-from multiterm import codec, hashing, probability
+from multiterm import codec, hashing
 from multiterm.codec import (
     CodeInstance,
     SimReport,
@@ -38,7 +39,7 @@ from multiterm.network import (
     identity_reproducer,
     w_name,
 )
-from multiterm.probability import Alphabet, JointPmf, choice_table, dsbs, marginalize
+from multiterm.probability import Alphabet, JointPmf, dsbs, inverse_cdf, marginalize
 from multiterm.scenarios import build_scenario, scenario_names
 
 B = Alphabet((0, 1))
@@ -57,15 +58,22 @@ def identity_linear(q, n):
     return HashFunction("linear", q ** n, q ** n, matrix=rows, q=q, n=n)
 
 
+def exact_places(weights, uniforms) -> list:
+    """The exact inverse CDF of the law of non-negative rational `weights` at
+    each double u of `uniforms`, in Fractions: the entry k with
+    prefix[k - 1] <= u * total < prefix[k]."""
+    prefix = list(itertools.accumulate(weights, initial=0))
+    return [bisect.bisect_right(prefix, Fraction(u) * prefix[-1]) - 1 for u in uniforms]
+
+
 def choice(law, seed):
-    """One item of `law` = (items, total), drawn by ``Generator.choice`` itself
-    on the probabilities float(Fraction(weight, total)) from
-    ``default_rng(seed)`` (a seed or a positioned bit generator): the
-    reference for the table searches in `multiterm.probability.draw` and
-    `simulate`."""
-    items, total = law
-    probs = np.array([float(Fraction(w, total)) for _, w in items])
-    return items[np.random.default_rng(seed).choice(len(items), p=probs / probs.sum())][0]
+    """One item of `law` = (items, weights' total), the exact inverse CDF
+    (:func:`exact_places`) at the first double of ``default_rng(seed)`` (a
+    seed or a positioned bit generator): the reference for the draws of
+    `encode`, `decode` and `simulate`."""
+    items, _ = law
+    u = np.random.default_rng(seed).random()
+    return items[exact_places([w for _, w in items], [u])[0]][0]
 
 
 def crng_sample(base, constraint, seed):
@@ -129,23 +137,25 @@ def test_crng_sample_matches_restricted_law_chi_square():
     assert chisquare(observed, expected).pvalue > 0.001
 
 
-def test_choice_table_rounds_integer_weights_correctly():
-    """Large integer weights, as a list or an int64 array, are divided as
-    ints: the table is formed from float(Fraction(w, total)), and numpy's
-    float division of the int64 weights (rounding each operand first) gives
-    another table."""
+def test_inverse_cdf_decides_large_integer_weights_exactly():
+    """Large integer weights, as an int64 array or as Python ints, are drawn
+    in integers: at 0, at the largest double below 1 and at the doubles just
+    below and at each boundary, the draw is the Fraction rule's entry, where
+    the float table that ``Generator.choice`` forms from
+    float(Fraction(w, total)) misplaces a boundary double."""
     weights = [1312494765889401333, 1849897281939139295, 145514431571737540]
     total = sum(weights)
-
-    def table(probs):
-        p = np.array(probs, dtype=float)
-        cdf = (p / p.sum()).cumsum()
-        return cdf / cdf[-1]
-
-    expected = table([float(Fraction(w, total)) for w in weights])
-    for given in (weights, np.array(weights, dtype=np.int64)):
-        assert list(choice_table(given, total)) == list(expected)
-    assert list(table(np.array(weights, dtype=np.int64) / total)) != list(expected)
+    uniforms = [0.0, 1 - 2.0 ** -53]
+    for p in itertools.accumulate(weights[:-1]):
+        at = -(-p * 2 ** 53 // total)
+        uniforms += [(at - 1) * 2.0 ** -53, at * 2.0 ** -53]
+    expected = exact_places(weights, uniforms)
+    assert expected == [0, 2, 0, 1, 1, 2]
+    for given in (np.array(weights, dtype=np.int64), np.array(weights, dtype=object)):
+        assert inverse_cdf(given, [3], 0, np.array(uniforms)).tolist() == expected
+    p = np.array([float(Fraction(w, total)) for w in weights])
+    cdf = (p / p.sum()).cumsum()
+    assert (cdf / cdf[-1]).searchsorted(uniforms, side="right").tolist() != expected
 
 
 def test_crng_sample_deterministic_in_seed():
@@ -1036,9 +1046,9 @@ def test_simulate_deterministic_in_seed():
 def _run_trial(code, bounds, seed, trial, rule, report, laws):
     """Trial `trial` of the stream of `seed`, counted into `report`, through
     the one-trial laws `code.cell_constrained_law` and
-    `code.decoder_class_law`, each draw made by ``Generator.choice``
-    (:func:`choice`) on a PCG64 advanced to the draw's own offset, trial *
-    width + column; bounds[k] = D_k + delta.  The set `laws` gains a key per
+    `code.decoder_class_law`, each draw the exact inverse CDF at the doubles
+    of a PCG64 advanced to the draw's own offset, trial * width + column
+    (:func:`exact_places`, :func:`choice`); bounds[k] = D_k + delta.  The set `laws` gains a key per
     law the trial reads: (cell, input block) for every cell and (decoder,
     class, side information) for every decoder reached."""
     cfg = code.config
@@ -1049,10 +1059,9 @@ def _run_trial(code, bounds, seed, trial, rule, report, laws):
     def at(column):
         return np.random.PCG64(seed).advance(trial * width + column)
 
-    support = [key for key, p in code.source.items() if p > 0]
-    probs = np.array([float(code.source.prob(k)) for k in support])
-    letters = [support[i] for i in np.random.default_rng(at(0)).choice(
-        len(support), size=code.n, p=probs / probs.sum())]
+    support = [(key, p) for key, p in code.source.items() if p > 0]
+    letters = [support[k][0] for k in exact_places(
+        [p for _, p in support], np.random.default_rng(at(0)).random(code.n).tolist())]
     blocks = dict(zip(code.source.names, zip(*letters)))
 
     w_blocks = {}
@@ -1467,19 +1476,20 @@ def _no_seeding(*args, **kwargs):
 def test_simulate_searches_one_table_per_law(name, monkeypatch):
     """`simulate` builds exactly one generator per call, not one per trial
     (``default_rng`` counts its calls, and a SeedSequence or a PCG64 built
-    directly raises), draws with one uniform per draw searched in a table,
-    and builds at most one table per distinct law in a call (not one per
-    draw); the source table is built once per pmf.  Its reports stay those
-    of the per-trial reference, computed before the stubs."""
+    directly raises), and draws through one prefix table and one search per
+    batch for the source letters, per cell and per decoder: one
+    :func:`inverse_cdf` call each, whatever the trial count and the number
+    of distinct laws.  Its reports stay those of the per-trial reference,
+    computed before the stubs, also when the trials run as several batches."""
     scenario = build_scenario(name)
     code = scenario.make_code(2, seed=4)
     delta = 0.01 * max(d.bound for d in scenario.config.distortions.values())
     runs = []
-    for seed, rule in ((2, "crng"), (3, "crng"), (2, "map")):
+    for seed, rule, trials in ((2, "crng", 150), (3, "crng", 7), (2, "map", 150)):
         laws: set = set()
-        runs.append((seed, rule, _reference_simulate(code, delta, scenario.default_D, 150, seed,
-                                                     rule, laws), len(laws)))
-    built = []
+        runs.append((seed, rule, trials, _reference_simulate(
+            code, delta, scenario.default_D, trials, seed, rule, laws), len(laws)))
+    searches = []
     generators = []
     default_rng = np.random.default_rng
 
@@ -1487,26 +1497,54 @@ def test_simulate_searches_one_table_per_law(name, monkeypatch):
         generators.append(seed)
         return default_rng(seed)
 
-    def counted(module):
-        def table(weights, total):
-            built.append(module)
-            return choice_table(weights, total)
-        return table
+    def counted(*args):
+        searches.append(np.size(args[-1]))
+        return inverse_cdf(*args)
 
     monkeypatch.setattr(np.random, "default_rng", counted_rng)
     monkeypatch.setattr(np.random, "SeedSequence", _no_seeding)
     monkeypatch.setattr(np.random, "PCG64", _no_seeding)
-    monkeypatch.setattr(codec, "choice_table", counted("codec"))
-    monkeypatch.setattr(probability, "choice_table", counted("probability"))
-    # a source pmf whose table no earlier draw has built, and empty code caches
-    fresh = dataclasses.replace(code, source=JointPmf(code.source.variables,
-                                                      dict(code.source.items())))
-    sources = 0
-    for seed, rule, reference, laws in runs:
-        assert simulate(fresh, delta, scenario.default_D, 150, seed, rule) == reference
-        assert generators == [seed]
-        assert built.count("codec") <= laws
-        del generators[:]
-        sources += built.count("probability")
-        del built[:]
-    assert sources == 1
+    monkeypatch.setattr(codec, "inverse_cdf", counted)
+    per_batch = 1 + len(code.config.sharing) + len(code.config.decoders)
+    fresh = dataclasses.replace(code)   # empty code caches
+    for cap in (codec._ROW_CAP, 64):
+        monkeypatch.setattr(codec, "_ROW_CAP", cap)
+        for seed, rule, trials, reference, laws in runs:
+            assert simulate(fresh, delta, scenario.default_D, trials, seed, rule) == reference
+            assert generators == [seed]
+            # the trials read many laws, yet each batch searches once per draw kind
+            assert laws > per_batch or trials < 150
+            assert len(searches) == per_batch * -(-trials // cap)
+            assert sum(searches) <= trials * (code.n + per_batch - 1)
+            del generators[:], searches[:]
+
+
+def _held(obj) -> dict:
+    """What `obj` keeps, attribute by attribute: the length of each dict,
+    list, tuple and set, the bytes of each array, and None for the rest."""
+    return {name: value.nbytes if isinstance(value, np.ndarray) else
+            len(value) if isinstance(value, (dict, list, tuple, set)) else None
+            for name, value in vars(obj).items()}
+
+
+@pytest.mark.parametrize("name", SIMULATING)
+def test_repeated_simulate_holds_no_more_than_the_first_call(name):
+    """Memory stays bounded across Monte Carlo calls: once `simulate` has run
+    under each rule, further calls with other seeds (so other source blocks,
+    classes and side information) leave the code and each of its decoders
+    (:class:`codec._DecoderClasses`) holding the same attributes with the
+    same sizes."""
+    scenario = build_scenario(name)
+    code = scenario.make_code(3, seed=6)
+    delta = 0.01 * max(d.bound for d in scenario.config.distortions.values())
+
+    def state():
+        return [_held(code)] + [_held(decoder) for decoder in code._decoders.values()]
+
+    for rule in ("crng", "map"):
+        simulate(code, delta, scenario.default_D, 200, 0, rule)
+    first = state()
+    for seed in range(1, 6):
+        for rule in ("crng", "map"):
+            simulate(code, delta, scenario.default_D, 200, seed, rule)
+    assert state() == first

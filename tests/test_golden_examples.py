@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from multiterm import regions, simplex
+from multiterm import linineq, regions, simplex
 from multiterm.cli import main as cli_main
 from multiterm.linineq import INF, SUP, EntropyTerm, LinIneqSystem
 from multiterm.network import build_joint
@@ -164,3 +164,30 @@ def test_golden_conversion_counts(tmp_path, monkeypatch):
         assert open(tmp_path / golden).read() == open(os.path.join(GOLDEN, golden)).read()
         counts.append((raw[0], worked[0]))
     assert counts == [(1, 2)] * 4
+
+
+def test_polyhedra_equal_canonicalizes_each_side_once(monkeypatch):
+    """Pins the row conversions of each dsc-crng golden system's equality
+    with its dsc-it system: `polyhedra_equal` puts each side's rows in
+    canonical form at most once for both of its `contains` calls, so the
+    parsed golden text (not marked canonical) costs one `_canonical` per
+    row, and the built dsc-it system (marked) none; each side once per
+    accessor and call was four per parsed row."""
+    calls = [0]
+    canonical = linineq._canonical
+
+    def counted(*args):
+        calls[0] += 1
+        return canonical(*args)
+
+    monkeypatch.setattr(linineq, "_canonical", counted)
+    counts = []
+    for name, _, which, golden, _ in CASES:
+        if which == DSC_CRNG:
+            it = build_system(RegionSpec(DSC_IT, build_scenario(name).config,
+                                         _binding(name, DSC_IT)))
+            committed = LinIneqSystem.parse(open(os.path.join(GOLDEN, golden)).read())
+            calls[0] = 0
+            assert polyhedra_equal(it, committed)
+            counts.append((calls[0], len(committed.rows)))
+    assert counts == [(3, 3), (7, 7), (1, 1)]

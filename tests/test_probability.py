@@ -1,3 +1,4 @@
+import bisect
 import itertools
 import math
 from fractions import Fraction
@@ -22,14 +23,12 @@ from multiterm.probability import (
     Alphabet,
     JointPmf,
     check_markov,
-    choice_table,
     condition,
-    draw,
     dsbs,
+    inverse_cdf,
     marginalize,
     merge_vars,
     random_pmf,
-    support_table,
 )
 
 B = Alphabet((0, 1))
@@ -124,14 +123,30 @@ def test_marginalize_then_condition_commutes_with_direct():
         assert c1.prob((a,)) == c2.prob((a,))
 
 
+def exact_place(weights, u) -> int:
+    """The exact inverse CDF of the integer law `weights` at the double u,
+    in Fractions: the entry k with prefix[k - 1] <= u * total < prefix[k],
+    or -1 for a law of total 0."""
+    prefix = list(itertools.accumulate(weights, initial=0))
+    return bisect.bisect_right(prefix, Fraction(u) * prefix[-1]) - 1 if prefix[-1] else -1
+
+
+def near_boundary(weights, u) -> bool:
+    """Whether the double u lies within 2^-50 of a boundary prefix[k] / total
+    of the integer law `weights`."""
+    total = sum(weights)
+    return any(abs(Fraction(u) - Fraction(p, total)) <= Fraction(1, 2 ** 50)
+               for p in itertools.accumulate(weights))
+
+
 def letters(pmf, n, seed, count):
-    """`count` i.i.d. blocks of n letters of `pmf`, the uniforms of
-    ``default_rng(seed)`` searched in its support table, as their letters
-    (symbol tuples)."""
-    support = [key for key, p in pmf.items() if p > 0]
+    """`count` i.i.d. blocks of n letters of `pmf`, each the exact inverse CDF
+    (:func:`exact_place`) of its positive weights at a uniform of
+    ``default_rng(seed)``, as their letters (symbol tuples)."""
+    support = [(key, p) for key, p in pmf.items() if p > 0]
+    weights = [int(p * pmf.denominator) for _, p in support]
     uniforms = np.random.default_rng(seed).random((count, n))
-    return [tuple(support[i] for i in row)
-            for row in support_table(pmf).searchsorted(uniforms, side="right")]
+    return [tuple(support[exact_place(weights, u)][0] for u in row) for row in uniforms.tolist()]
 
 
 def test_sample_point_mass_and_determinism():
@@ -259,7 +274,11 @@ def _reference_sample(pmf, n, seed, count):
 @given(data=st.data(), sizes=st.lists(st.integers(1, 3), min_size=1, max_size=3),
        n=st.integers(1, 5), seed=st.integers(0, 2 ** 32 - 1), count=st.integers(1, 4))
 def test_sample_matches_reference_formula(data, sizes, n, seed, count):
-    """Random exact pmfs with zero entries, their table in shuffled order."""
+    """Random exact pmfs with zero entries, their table in shuffled order:
+    :func:`inverse_cdf` on the positive weights draws the letters of the
+    Fraction rule (:func:`letters`), and those are the letters
+    ``Generator.choice`` draws on the float probabilities, except where a
+    uniform lies within 2^-50 of a boundary."""
     keys = list(itertools.product(*(range(size) for size in sizes)))
     weights = data.draw(st.lists(st.integers(0, 1000), min_size=len(keys),
                                  max_size=len(keys)))
@@ -269,16 +288,34 @@ def test_sample_matches_reference_formula(data, sizes, n, seed, count):
     total = sum(weights)
     pmf = JointPmf([(name, Alphabet(tuple(range(size)))) for name, size in zip("ABC", sizes)],
                    {keys[k]: Fraction(weights[k], total) for k in order})
-    assert letters(pmf, n, seed, count) == _reference_sample(pmf, n, seed, count)
+    exact = letters(pmf, n, seed, count)
+    support = [key for key, p in pmf.items() if p > 0]
+    positive = pmf.weights[pmf.weights > 0]
+    uniforms = np.random.default_rng(seed).random((count, n))
+    drawn = inverse_cdf(positive, [len(positive)], 0, uniforms)
+    assert [tuple(support[i] for i in row) for row in drawn] == exact
+    for row, reference, us in zip(exact, _reference_sample(pmf, n, seed, count),
+                                  uniforms.tolist()):
+        for letter, other, u in zip(row, reference, us):
+            assert letter == other or near_boundary(positive.tolist(), u)
 
 
 def _seeds():
     """Integer seeds and SeedSequences with spawn keys: seeds that
-    ``default_rng`` takes, as `encode` and `decode` pass them to `draw`."""
+    ``default_rng`` takes, as `encode` and `decode` take them."""
     keyed = st.builds(lambda entropy, key: np.random.SeedSequence(entropy, spawn_key=key),
                       st.tuples(st.integers(0, 2 ** 32 - 1), st.integers(0, 2 ** 16)),
                       st.lists(st.integers(0, 3), max_size=2).map(tuple))
     return st.integers(0, 2 ** 64 - 1) | keyed
+
+
+def _choice_table(weights):
+    """The cumulative float table that ``Generator.choice(len(p), p=p / p.sum())``
+    searches for p = float(Fraction(w, total)), formed as it forms it."""
+    total = sum(weights)
+    p = np.array([float(Fraction(w, total)) for w in weights])
+    cdf = (p / p.sum()).cumsum()
+    return cdf / cdf[-1]
 
 
 @settings(max_examples=300, deadline=None)
@@ -288,26 +325,99 @@ def _seeds():
 @example(data=None, top=5, size=(2, 3), seed=np.random.SeedSequence((9, 4), spawn_key=(1, 0)),
          as_array=True)
 def test_draw_matches_generator_choice(data, top, size, seed, as_array):
-    """`choice_table` is the table ``Generator.choice`` forms: its uniforms
-    searched in it are the indices ``default_rng(seed).choice(len(p), size,
-    p=p / p.sum())`` returns, and `draw` returns the single one, for
-    p = float(Fraction(w, total)) of integer weights up to 2^80 (numpy
-    divides exactly only below 2^53), given as a list or as an integer
-    array."""
+    """:func:`inverse_cdf` at the uniforms of ``default_rng(seed)`` draws the
+    indices that ``default_rng(seed).choice(len(p), size, p=p / p.sum())``
+    returns for p = float(Fraction(w, total)) of integer weights up to 2^80
+    (given as an int64 array where they fit, else as Python ints), except
+    where a uniform lies within 2^-50 of a law boundary; and it draws the
+    Fraction rule's index (:func:`exact_place`) everywhere."""
     weights = [top] if data is None else data.draw(
         st.lists(st.integers(0, top), min_size=1, max_size=12).filter(any))
     total = sum(weights)
-    if as_array:
-        weights = np.array(weights, dtype=np.int64 if total < 1 << 63 else object)
-    probs = np.array([float(Fraction(int(w), total)) for w in weights])
+    array = np.array(weights, dtype=np.int64 if as_array and total < 1 << 63 else object)
+    probs = np.array([float(Fraction(w, total)) for w in weights])
     expected = np.random.default_rng(seed).choice(len(probs), size, p=probs / probs.sum())
-    table = choice_table(weights, total)
-    cdf = (probs / probs.sum()).cumsum()   # as choice forms it from p = probs / probs.sum()
-    assert table.tolist() == (cdf / cdf[-1]).tolist()
-    got = draw(table, seed) if size is None else \
-        table.searchsorted(np.random.default_rng(seed).random(size), side="right")
+    uniforms = np.random.default_rng(seed).random(size)
+    got = inverse_cdf(array, [len(weights)], 0, uniforms)
     assert np.shape(got) == np.shape(expected)
-    assert np.array_equal(got, expected)
+    for place, other, u in zip(np.ravel(got).tolist(), np.ravel(expected).tolist(),
+                               np.ravel(uniforms).tolist()):
+        assert place == exact_place(weights, u)
+        assert place == other or near_boundary(weights, u)
+
+
+_ULP = 2.0 ** -53
+
+
+def _boundary_doubles(weights) -> list:
+    """0, the largest double below 1, and for each boundary prefix[k] / total
+    of the law the double just below it and the first at or above it."""
+    total, out = sum(weights), [0.0, 1 - _ULP]
+    for p in itertools.accumulate(weights):
+        if total:
+            at = -(-p * 2 ** 53 // total)   # the least m with m / 2^53 >= p / total
+            out += [m * _ULP for m in (at - 1, at) if 0 <= m < 2 ** 53]
+    return out
+
+
+@st.composite
+def _ragged_laws(draw):
+    """1 to 4 laws of 0 to 5 integer weights each: empty, one-point,
+    single-entry and all-zero laws, and weights up to 2^80, so that a
+    law's total can pass 2^63."""
+    top = draw(st.sampled_from([1, 9, 2 ** 40, 2 ** 62, 2 ** 80]))
+    entry = st.integers(0, top) | st.just(0) | st.just(top)
+    return draw(st.lists(st.lists(entry, max_size=5), min_size=1, max_size=4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), laws=_ragged_laws(), as_array=st.booleans())
+@example(data=None, laws=[[2 ** 62, 2 ** 62, 2 ** 62], [], [0, 0], [7]], as_array=True)
+@example(data=None, laws=[[2 ** 80, 1], [5]], as_array=False)
+def test_inverse_cdf_matches_the_fraction_reference(data, laws, as_array):
+    """Ragged laws laid end to end, every law read at 0, at the largest
+    double below 1 and at the doubles just below and at each of its
+    boundaries (plus drawn doubles): each draw is the entry k with
+    prefix[k - 1] <= Fraction(u) * total < prefix[k] (its place in the
+    concatenated weights), -1 for a law of total 0.  Weights come as an
+    int64 array where their sum fits and as Python ints otherwise.  Where
+    the float table that ``Generator.choice`` searches decides otherwise, u
+    lies within 2^-50 of a boundary."""
+    flat = [w for law in laws for w in law]
+    fits = sum(flat) < 1 << 63
+    weights = np.array(flat, dtype=np.int64 if as_array and fits else object)
+    starts = list(itertools.accumulate((len(law) for law in laws), initial=0))
+    draws = [(u, k) for k, law in enumerate(laws) for u in _boundary_doubles(law)]
+    if data is not None:
+        draws += data.draw(st.lists(st.tuples(st.integers(0, 2 ** 53 - 1).map(lambda m: m * _ULP),
+                                              st.integers(0, len(laws) - 1)), max_size=6))
+    uniforms = np.array([u for u, _ in draws])
+    got = inverse_cdf(weights, [len(law) for law in laws], np.array([k for _, k in draws]),
+                      uniforms).tolist()
+    for place, (u, k) in zip(got, draws):
+        law, exact = laws[k], exact_place(laws[k], u)
+        assert place == (exact if exact < 0 else starts[k] + exact)
+        if exact >= 0:
+            other = int(_choice_table(law).searchsorted(u, side="right"))
+            assert other == exact or near_boundary(law, u)
+    # one law for every draw, the uniforms in any shape
+    law = max(laws, key=sum)
+    block = np.array(_boundary_doubles(law)[:6] * 2).reshape(2, -1)
+    got = inverse_cdf(np.array(law, dtype=object), [len(law)], 0, block)
+    assert got.shape == block.shape
+    assert got.tolist() == [[exact_place(law, u) for u in row] for row in block.tolist()]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2 ** 63 + 5])
+def test_generator_doubles_are_multiples_of_2_to_the_minus_53(seed):
+    """The premise of :func:`inverse_cdf`: every double that
+    ``Generator.random`` returns is m / 2^53 for an integer 0 <= m < 2^53,
+    the top 53 bits of one raw 64-bit word of its PCG64 stream."""
+    uniforms = np.random.default_rng(seed).random(100_000)
+    raw = np.random.PCG64(seed).random_raw(100_000)
+    m = uniforms * 2.0 ** 53
+    assert np.array_equal(m, np.floor(m)) and m.min() >= 0 and m.max() < 2.0 ** 53
+    assert np.array_equal(m.astype(np.uint64), raw >> np.uint64(11))
 
 
 # -- the integer-array core against the Fraction-dict reference ---------------------
