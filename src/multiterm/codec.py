@@ -21,36 +21,37 @@ kernel, :func:`_weights`, weighs candidate rows by the product over
 positions of T[observed letter, W_S letter].  A law is its candidates of
 positive weight with their integer total.
 
-The exact oracle applies the same kernel to many classes at once.  It works
-on batches of at most ``_ROW_CAP`` rows: source blocks, their encoder draws
-(a ragged product of each cell's positive draws), the decoder classes those
-reach, and the class candidates.  Numbers are int64 where a bound proves they
-fit and Python ints in object arrays otherwise.  Each value's sums over its
-distinct denominators are added as integer pairs in one balanced tree
-(:func:`_fraction_sum`), and one Fraction is formed per value.  A MAP pick
-is the first best-weight candidate in one tie-break order per decoder,
-fixed over its index rows (:attr:`_DecoderClasses.order`).  A decoder's
-exceedance terms read a state only through its pair
-(:meth:`_DecoderClasses.pairs`): the source block's cell totals, its seen
-block (its blocks of the decoder's side information and of the variables
-its reproductions measure), and the decoder class.  The states of one pair
-have equal terms over one denominator, so each pair is weighed once, by its
-summed state weight, and the sums do not change.  A decoder that sees the
-whole source has a pair per (source block, class); one that sees less
-merges the source blocks it cannot tell apart.  The mismatch reads all
+The exact oracle and Monte Carlo read a decoder's laws from one function
+under either rule, :meth:`_DecoderClasses.laws`: a class's candidates of
+positive weight (crng), or the one-point law at its first best-weight
+candidate in one tie-break order per decoder, fixed over its index rows
+(MAP, :attr:`_DecoderClasses.order`).
+
+The exact oracle works on batches of at most ``_ROW_CAP`` rows: source
+blocks, their encoder draws (a ragged product of each cell's positive
+draws), the decoder classes those reach, and the law entries.  Numbers are
+int64 where a bound proves they fit and Python ints in object arrays
+otherwise.  Each value's sums over its distinct denominators are added as
+integer pairs in one balanced tree (:func:`_fraction_sum`), and one Fraction
+is formed per value.  A decoder's exceedance terms read a state only through
+its pair (:meth:`_DecoderClasses.pairs`): the source block's cell totals, its
+seen block (its blocks of the decoder's side information and of the
+variables its reproductions measure), and the decoder class.  The states of
+one pair have equal terms over one denominator, so each pair is weighed
+once, by its summed state weight, against the law of its class at its
+side-information block, and the sums do not change.  The mismatch reads all
 decoders jointly, so it stays per state.
 
 Monte Carlo samples the states that the oracle enumerates.  :func:`simulate`
 draws each trial's source block as a row of source letter ids, evaluates the
 cell laws at the distinct input blocks drawn (:func:`_cell_draws`), reaches
-each decoder's class through its index and its law (the MAP pick as a
-one-point law) through :class:`_DecoderClasses`, and scores the reproductions
-through the oracle's tables.  Every draw is the exact inverse CDF of its
-integer law at one uniform (:func:`probability.inverse_cdf`), and the laws of
-a batch lie end to end: one prefix sum and one search per batch draw the
-source letters, one each cell and one each decoder, and no law is kept
-between calls.  A call has one generator, and its trials lie end to end on
-that stream, a fixed number of uniforms each, so a trial can be replayed
+each decoder's class through its index, draws from its law, and scores the
+reproductions through the oracle's tables.  Every draw is the exact inverse
+CDF of its integer law at one uniform (:func:`probability.inverse_cdf`), and
+the laws of a batch lie end to end: one prefix sum and one search per batch
+draw the source letters, one each cell and one each decoder, and no law is
+kept between calls.  A call has one generator, and its trials lie end to end
+on that stream, a fixed number of uniforms each, so a trial can be replayed
 alone (see :func:`simulate`).  The per-call methods of :class:`CodeInstance`
 (the laws, `encode`, `decode`) are one-trial calls of the same functions.
 
@@ -184,7 +185,7 @@ def _unique(keys) -> tuple:
 def _row_ids(rows) -> tuple:
     """(ids, first): :func:`first_cells` of the rows of a non-negative
     integer matrix: an id per row, equal for equal rows, and per id its first row."""
-    return first_cells(rows, rows.max(axis=0, initial=0) + 1)
+    return first_cells(rows, [column.max(initial=0) + 1 for column in rows.T])
 
 
 def check_index_budget(model: "Model", n: int):
@@ -278,18 +279,23 @@ class Model:
 
     def _resolve_reproducers(self, reproducers) -> dict:
         """Decoder j -> [(k, table of reproducer k, per argument the encoder
-        whose block it reads, or None for the side information)]."""
-        encoder_of = {w_name(i): i for i in self.config.encoders}
-        resolved = {j: [] for j in self.config.decoders}
-        for j in self.config.decoders:
-            for k in self.config.reproductions.get(j, ()):
+        whose block it reads, or None for the side information)].  Each
+        argument must be W_i for an i of I_j or decoder j's side information."""
+        cfg = self.config
+        resolved = {j: [] for j in cfg.decoders}
+        for j in cfg.decoders:
+            reads = {w_name(i): i for i in cfg.codewords_to[j]}
+            if cfg.side_info.get(j):
+                reads[cfg.side_info[j]] = None
+            for k in cfg.reproductions.get(j, ()):
                 rep = reproducers.get(k)
                 if rep is None:
                     raise ConfigurationError("missing reproducer for reproduction %r" % (k,))
                 for arg in rep.args:
-                    if arg.startswith("W") and arg not in encoder_of:
-                        raise ConfigurationError("unknown codeword variable %r" % (arg,))
-                resolved[j].append((k, rep.table, [encoder_of.get(a) for a in rep.args]))
+                    if arg not in reads:
+                        raise ConfigurationError("reproducer %r reads %r; decoder %r reads only %s"
+                                                 % (k, arg, j, ", ".join(map(repr, reads))))
+                resolved[j].append((k, rep.table, [reads[a] for a in rep.args]))
         return resolved
 
     def _marginal(self, names: tuple) -> JointPmf:
@@ -367,7 +373,8 @@ class Model:
         """(k, measure, x, z) of a reproduction (k, table, sources) of a decoder
         of I_j letters and side information y: x[s], the symbol id of the
         measured variable in source letter s; z[v, l], that of the reproduction
-        of I_j letter l at side-information letter v (-1 at zero mass)."""
+        of I_j letter l at side-information letter v (-1 at zero mass).  The
+        table must hold every argument tuple of positive mass."""
         k, table, sources = reproduction
         measure, letters = self.config.distortions[k], self.letters(ij)[1]
         T, _ = self.table(ij, y, 1)
@@ -379,6 +386,8 @@ class Model:
         z = np.full(T.shape, -1, dtype=np.int64)
         for v, l in zip(*np.nonzero(T)):
             args = tuple(y_symbols[v] if i is None else letters[l][ij.index(i)] for i in sources)
+            if args not in table:
+                raise ConfigurationError("reproducer %r has no output for %r" % (k, args))
             z[v, l] = symbol_id.setdefault(table[args], len(symbol_id))
         return k, measure, x, z
 
@@ -629,23 +638,19 @@ def _product(factors) -> tuple:
     return out, bound
 
 
-def _sum_by(keys, values, bound) -> tuple:
-    """(distinct keys in sorted order, the sum of `values` over each)."""
-    distinct, where = np.unique(keys, return_inverse=True)
-    return distinct, sum_at(where, len(distinct), int_array(values, bound * len(values)))
-
-
-def _accumulate(numerators: dict, keys: list, denominators: list, values):
-    """Add each of `values` = (integers, bound) to the numerator of its
-    denominator.  The columns `keys` (small ints, one row per value) name
-    the denominator, the product of the (integers, bound) `denominators` at
-    that row, so that values are grouped without sorting large integers."""
+def _accumulate(keys: list, denominators: list, terms):
+    """Add each values = (integers, bound) of the (numerators, values) pairs
+    `terms` to the numerator of its denominator.  The columns `keys` (small
+    ints, one row per value) name the denominator, the product of the
+    (integers, bound) `denominators` at that row, so that values are grouped
+    without sorting large integers."""
     where, first = _row_ids(np.stack(keys, axis=1))
-    sums = sum_at(where, len(first), int_array(values[0], values[1] * len(values[0])))
-    totals, _ = _product([(factor[first], bound) for factor, bound in denominators])
-    for denominator, total in zip(totals.tolist(), sums.tolist()):
-        if total:
-            _add(numerators, denominator, total)
+    totals = _product([(factor[first], bound) for factor, bound in denominators])[0].tolist()
+    for numerators, (values, bound) in terms:
+        sums = sum_at(where, len(first), int_array(values, bound * len(values)))
+        for denominator, total in zip(totals, sums.tolist()):
+            if total:
+                _add(numerators, denominator, total)
 
 
 def _add(numerators: dict, denominator: int, numerator: int):
@@ -814,13 +819,11 @@ def _batches(source: _Source, cells: list, lo: int, hi: int):
 
 class _DecoderClasses:
     """One decoder as the oracle and Monte Carlo read it: the class of each
-    state's true W_{I_j}-blocks, that class's law given the state's side
-    information, the reproductions of the class's candidates (the model's
-    letter maps, :meth:`Model.decoder`), and the MAP tie-break :attr:`order`
-    over the index rows, built once.  The oracle weighs its exceedance terms
-    once per :meth:`pairs`; Monte Carlo evaluates the laws (:meth:`laws`) of
-    the classes a batch reaches and keeps none, so repeated calls hold no
-    more than the first."""
+    state's true W_{I_j}-blocks, the laws of classes at side-information
+    blocks under either rule (:meth:`laws`; the MAP tie-break :attr:`order`
+    is built once), and the reproductions of their entries (the model's
+    letter maps, :meth:`Model.decoder`).  No law is kept: the oracle makes
+    one :meth:`laws` call per batch, Monte Carlo one per batch of trials."""
 
     def __init__(self, code: CodeInstance, j):
         cfg, source = code.config, code.model.blocks(code.n)
@@ -828,7 +831,6 @@ class _DecoderClasses:
         self.index = index = code._index(ij)
         self.y = y = cfg.side_info.get(j)
         self.table, self.bound = code.model.table(ij, y, code.n)
-        self.total_bound = self.bound * max(1, len(index.rows))
         self.source = source
         self.y_ids = source.ids(y)
         self.y_number, symbols = source.numbering((y,) if y else ())
@@ -863,27 +865,24 @@ class _DecoderClasses:
         order[np.lexsort(blocks[::-1])] = np.arange(len(rows))
         return order
 
-    def truth(self, cell_letters) -> tuple:
-        """(letters, row) of each state's true W_{I_j}-block, given each
-        cell's drawn blocks (`cell_letters[c]`, rows of its letter ids): the
-        block's letter ids and its index row."""
+    def truth(self, cell_letters) -> np.ndarray:
+        """The index row of each state's true W_{I_j}-block, given each
+        cell's drawn blocks (`cell_letters[c]`, rows of its letter ids)."""
         joined = sum(cell_letters[c].astype(np.int64) * stride
                      for c, stride in zip(self.parts, self.strides))
-        letters = self.project[joined]
-        return letters, self.index.row_of[row_numbers(letters, len(self.index.letters))]
+        return self.index.row_of[row_numbers(self.project[joined], len(self.index.letters))]
 
     def _classes(self, cls, observed):
-        """For consecutive ranges [a, b) of (class, observed block) entries,
-        their class candidates laid end to end: (a, b, owner, starts, row,
-        obs, weight), per candidate its entry (owner, from a), its row and
-        observed block and its weight, and where each entry's run starts."""
+        """For consecutive ranges of (class, observed block) entries, their
+        class candidates laid end to end: (owner, starts, row, weight), per
+        candidate its entry (counted from the range's first), its row and its
+        weight, and where each entry's run starts."""
         index = self.index
         sizes = index.bounds[cls + 1] - index.bounds[cls]
         for a, b in _runs(sizes):
             owner, offset, starts = ragged(sizes[a:b])
             row = index.bounds[cls[a:b]][owner] + offset
-            obs = observed[a:b][owner]
-            yield a, b, owner, starts, row, obs, _weights(self.table, obs, index.rows[row])
+            yield owner, starts, row, _weights(self.table, observed[a:b][owner], index.rows[row])
 
     def _pick(self, owner, starts, row, weight):
         """Each entry's MAP pick: of its candidates of largest weight, the
@@ -896,19 +895,19 @@ class _DecoderClasses:
     def laws(self, cls, observed, rule: str) -> tuple:
         """The laws over index rows of the entries (a class and an observed
         block of ids each), as the ragged arrays (row, weight, count, total):
-        per law entry its index row and weight, per entry its number of law
-        entries and its total weight.  Under "crng" an entry's law is its
-        class law, the rows of positive weight; under "map" its MAP pick,
-        weight 1 of total 1."""
+        per law entry its index row and weight, in index order, per entry its
+        number of law entries and its total weight.  Under "crng" an entry's
+        law is its class law, the rows of positive weight; under "map" its
+        MAP pick, weight 1 of total 1."""
         parts = [(np.zeros(0, dtype=np.int64),) * 4]   # no entries give empty arrays
-        for a, b, owner, starts, row, _, weight in self._classes(cls, observed):
+        for owner, starts, row, weight in self._classes(cls, observed):
             if rule == "map":
                 pick = self._pick(owner, starts, row, weight)
                 parts.append((pick, *[np.ones_like(pick)] * 3))
             else:
                 keep = np.flatnonzero(weight)
-                parts.append((row[keep], weight[keep], np.bincount(owner[keep], minlength=b - a),
-                              np.add.reduceat(weight, starts)))
+                parts.append((row[keep], weight[keep], np.bincount(owner[keep],
+                              minlength=len(starts)), np.add.reduceat(weight, starts)))
         return tuple(np.concatenate(part) for part in zip(*parts))
 
     def pairs(self, batch: _Batch, cls) -> tuple:
@@ -928,74 +927,61 @@ class _DecoderClasses:
         return pair, batch.block[first], cls[first], (weight, bound)
 
     def states(self, batch: _Batch, exceed: dict, rule: str, bounds: dict) -> tuple:
-        """Per state of `batch`: the decoder's weight of its true blocks and
-        its class total, as (integers, bound) each, and an id per distinct
-        class total; the distortion hits (above bounds[k] = D_k + delta) of
-        the states' classes are added to `exceed`, once per :meth:`pairs`."""
+        """Per state of `batch`: the weight of its true blocks in its law and
+        the law's total, as (integers, bound) each, and an id per distinct
+        total.  Each pair's hits (above bounds[k] = D_k + delta) in the law of
+        its context, a (class, side-information block), from one :meth:`laws`
+        call under either rule, are added to `exceed`: a block-mismatch by a
+        sorted join, a Hamming distortion by expanding pairs times entries."""
         index = self.index
-        letters, row = self.truth(batch.letters)
-        cls = index.cls[row]
-        observed = self.y_ids[batch.digits]
-        pair, pair_block, pair_cls, weight = self.pairs(batch, cls)
-        # a context is a (class, side-information block): one class law
-        contexts, first, pair_context = _unique(
+        row = self.truth(batch.letters)
+        pair, pair_block, pair_cls, weight = self.pairs(batch, index.cls[row])
+        _, first, pair_context = _unique(
             pair_cls * self.y_count + self.y_number(batch.digits)[pair_block])
         context = pair_context[pair]
-        pair_obs, pair_digits = observed[pair_block], batch.digits[pair_block]
-        scale = (batch.scale[0][pair_block], batch.scale[1])
-        scale_id = batch.scale_id[pair_block]
+        pair_digits = batch.digits[pair_block]
+        pair_obs = self.y_ids[pair_digits]
+        law_row, law_weight, count, total = self.laws(pair_cls[first], pair_obs[first], rule)
+        owner, _, start = ragged(count)
+        bound = int(law_weight.max(initial=1))        # bounds every law weight
+        total_bound = bound * int(count.max(initial=1))
+        pair_total = total[pair_context]
+        # each state's true blocks in its context's law (sorted by context, then row)
+        keys, query = owner * len(index.rows) + law_row, context * len(index.rows) + row
+        at = np.minimum(np.searchsorted(keys, query), len(keys) - 1)
+        match = np.where(keys[at] == query, law_weight[at], 0)
 
-        total = np.zeros(len(contexts), dtype=self.table.dtype)
-        pick = np.zeros(len(contexts), dtype=np.int64)
-        joins = [r for r in self.reproductions if rule == "crng" and r[1].kind == "block-mismatch"]
-        equal = {r[0]: np.zeros(len(pair_cls), dtype=self.table.dtype) for r in joins}
-        by_context = np.argsort(pair_context)
-        sorted_context = pair_context[by_context]
-        for a, b, owner, starts, crow, obs, w in self._classes(pair_cls[first],
-                                                                pair_obs[first]):
-            total[a:b] = np.add.reduceat(w, starts)
-            if rule == "map":
-                pick[a:b] = self._pick(owner, starts, crow, w)
-            lo, hi = np.searchsorted(sorted_context, [a, b])
-            chosen = by_context[lo:hi]
+        hits = {k: np.zeros(len(pair_cls), dtype=law_weight.dtype) for k, *_ in self.reproductions}
+        joins = [r for r in self.reproductions if r[1].kind == "block-mismatch"]
+        expanded = [r for r in self.reproductions if r[1].kind != "block-mismatch"]
+        for a, b in _runs(count) if joins else ():
+            lo, hi = int(start[a]), int(start[b - 1] + count[b - 1])
+            chosen = np.flatnonzero((a <= pair_context) & (pair_context < b))
+            obs, candidates = pair_obs[first][owner[lo:hi]], index.rows[law_row[lo:hi]]
             for k, _, x, z in joins:
-                # sorted join of (context, reproduced block) against (context, source
-                # block); ids shifted by 1, as z is -1 at zero mass
-                rank, _ = _row_ids(np.concatenate([z[obs, index.rows[crow]],
-                                                   x[pair_digits[chosen]]]) + 1)
-                keys, mass = _sum_by(owner * len(rank) + rank[:len(w)], w, self.bound)
-                query = (pair_context[chosen] - a) * len(rank) + rank[len(w):]
-                at = np.minimum(np.searchsorted(keys, query), len(keys) - 1)
-                equal[k][chosen] = np.where(keys[at] == query, mass[at], 0)
-
-        if rule == "map":
-            rows = index.rows[pick[pair_context]]
-            for k, measure, x, z in self.reproductions:
-                hit = _distortion(measure, x[pair_digits] != z[pair_obs, rows]) > bounds[k]
-                _accumulate(exceed[k], [scale_id], [scale], _product([weight, (hit, 1)]))
-            ones = np.ones(len(row), dtype=np.int64)
-            return (row == pick[context], 1), (ones, 1), ones
-
-        class_total = total[pair_context]
-        hits = {k: (class_total - same) * (1.0 > bounds[k]) + same * (0.0 > bounds[k])
-                for k, same in equal.items()}
-        counted = [r for r in self.reproductions if r[0] not in hits]
-        for k, *_ in counted:
-            hits[k] = np.zeros(len(pair_cls), dtype=self.table.dtype)
-        if counted:
-            for a, b, owner, starts, crow, obs, w in self._classes(pair_cls, pair_obs):
-                candidates = index.rows[crow]
-                for k, measure, x, z in counted:
-                    differ = x[pair_digits[a:b][owner]] != z[obs, candidates]
-                    hit = _distortion(measure, differ) > bounds[k]
-                    hits[k][a:b] = np.add.reduceat(np.where(hit, w, 0), starts)
+                # sorted join of (context, reproduced block) with (context, source block);
+                # law entries have positive weight, so no reproduction id is -1
+                rank, _ = _row_ids(np.concatenate([z[obs, candidates], x[pair_digits[chosen]]]))
+                _, join = np.unique((np.concatenate([owner[lo:hi], pair_context[chosen]]) - a)
+                                    * len(rank) + rank, return_inverse=True)
+                same = sum_at(join[:hi - lo], len(rank), int_array(
+                    law_weight[lo:hi], bound * (hi - lo)))[join[hi - lo:]]
+                hits[k][chosen] = (pair_total[chosen] - same) * (1.0 > bounds[k]) \
+                    + same * (0.0 > bounds[k])
+        sizes = count[pair_context]
+        for a, b in _runs(sizes) if expanded else ():
+            pair_of, offset, starts = ragged(sizes[a:b])
+            entry = start[pair_context[a:b]][pair_of] + offset
+            obs, candidates = pair_obs[a:b][pair_of], index.rows[law_row[entry]]
+            for k, measure, x, z in expanded:
+                differ = x[pair_digits[a:b]][pair_of] != z[obs, candidates]
+                far = _distortion(measure, differ) > bounds[k]
+                hits[k][a:b] = np.add.reduceat(np.where(far, law_weight[entry], 0), starts)
         total_id = np.unique(total, return_inverse=True)[1]
-        for k, *_ in self.reproductions:
-            _accumulate(exceed[k], [scale_id, total_id[pair_context]],
-                        [scale, (class_total, self.total_bound)],
-                        _product([weight, (hits[k], self.total_bound)]))
-        return ((_weights(self.table, observed[batch.block], letters), self.bound),
-                (total[context], self.total_bound), total_id[context])
+        _accumulate([batch.scale_id[pair_block], total_id[pair_context]],
+                    [(batch.scale[0][pair_block], batch.scale[1]), (pair_total, total_bound)],
+                    [(exceed[k], _product([weight, (hit, total_bound)])) for k, hit in hits.items()])
+        return (match, bound), (total[context], total_bound), total_id[context]
 
 
 def exact_error(code: CodeInstance, delta: float, D: Mapping,
@@ -1011,15 +997,14 @@ def exact_error(code: CodeInstance, delta: float, D: Mapping,
     cell; its weight is the source block weight times its draw weights, over
     the cells' law totals.  The mismatch is 1 minus the probability that
     every decoder outputs its true blocks: each state's weight times each
-    decoder's weight of the true blocks, over the cell totals times the
-    class totals.  An exceedance adds, per decoder pair (cell totals, seen
-    block, class; :meth:`_DecoderClasses.pairs`), the summed state weights
-    times the class weight of the reproductions that exceed D_k + delta,
-    over the cell totals times the class total;
-    the MAP rule outputs its pick with weight 1 out of 1.  Numerators are
-    summed per distinct denominator, and those sums are added in one
-    balanced tree of integer pairs (:func:`_fraction_sum`): one Fraction
-    per value.
+    decoder's weight of the true blocks in its law (a MAP law: the pick,
+    weight 1 of total 1), over the cell totals times the law totals.  An
+    exceedance adds, per decoder pair (:meth:`_DecoderClasses.pairs`), the
+    summed state weights times the law weight of the reproductions that
+    exceed D_k + delta, over the cell totals times the law total.  Numerators
+    are summed per distinct denominator, and those sums are added in one
+    balanced tree of integer pairs (:func:`_fraction_sum`): one Fraction per
+    value.
     """
     _check_rule(rule)
     _check_budget(code)
@@ -1043,7 +1028,7 @@ def exact_error(code: CodeInstance, delta: float, D: Mapping,
                 numerators.append(match)
                 denominators.append(total)
                 keys.append(total_id)
-            _accumulate(matched, keys, denominators, _product(numerators))
+            _accumulate(keys, denominators, [(matched, _product(numerators))])
     scale = source.scale ** code.n
     for numerators in exceed.values():
         _add(numerators, 1, aborted)
@@ -1150,7 +1135,7 @@ def _run_batch(code: CodeInstance, bounds: dict, uniforms, rule: str, report: Si
     distortion = {k: np.full(len(uniforms), cfg.distortions[k].bound) for k in bounds}
     for pos, j in enumerate(cfg.decoders):
         decoder = code._decoder(j)
-        _, row = decoder.truth(cell_letters)
+        row = decoder.truth(cell_letters)
         cls = decoder.index.cls[row]
         # one law per distinct (class, side-information block)
         _, first, law = _unique(cls * decoder.y_count + decoder.y_number(digits))

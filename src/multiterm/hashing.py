@@ -112,6 +112,9 @@ class BinningEnsemble(HashEnsemble):
             self.weights = tuple(Fraction(w) for w in weights)
             if len(self.weights) != bins or sum(self.weights) != 1:
                 raise ConfigurationError("bin weights must be a pmf over the bins")
+            for c, w in enumerate(self.weights):
+                if w < 0:
+                    raise ConfigurationError("bin %d has negative weight %s" % (c, w))
         nums, scale = integer_scaled(self.weights)
         self._pair = Fraction(sum(v * v for v in nums), scale * scale)
         self.alpha = Fraction(1)

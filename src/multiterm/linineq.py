@@ -11,20 +11,21 @@ elimination all work on them.  Canonicalization scales each row so its rate
 coefficients are integers with gcd 1 and orders rows deterministically,
 which is what makes golden-file equality tests possible.  Rows go in and
 come out as (coefficients, constant) pairs: :meth:`LinIneqSystem.extend`
-takes them and :attr:`LinIneqSystem.ineqs` yields them, the constant a
-:class:`LinConst`; the region builders and :meth:`LinIneqSystem.parse`
-make integer rows directly.
+takes them, the region builders' among them, and
+:attr:`LinIneqSystem.ineqs` yields them, the constant a :class:`LinConst`;
+:meth:`LinIneqSystem.parse` makes integer rows directly.
 """
 
 from __future__ import annotations
 
 import functools
 import re
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from operator import itemgetter, mul
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Optional
 
 from .errors import ConfigurationError
 from .rational import integer_scaled
@@ -127,14 +128,14 @@ class LinIneqSystem:
 
     Each row is one tuple of integers, ``(*a, *t, o, q)``, and stays in that
     form from the moment it is built to the moment the simplex reads it:
-    the region builders emit such rows directly (:meth:`with_rows`),
-    :meth:`parse` reads its text into them, and only :meth:`extend` and
-    :meth:`add` convert (coefficients, constant) pairs.  `canonical` marks a
-    system whose rows are already in canonical form and order: the result
-    of :meth:`canonicalize` and a subset of its rows kept in order (as
-    :func:`regions.remove_redundant` keeps them).  A marked system is not
-    canonicalized again, and :meth:`dense_rows` and :attr:`denominator`
-    read its rows as they are; :meth:`extend` and :meth:`add` clear the mark.
+    :meth:`extend` and :meth:`add` convert (coefficients, constant) pairs,
+    the region builders' among them, once, and :meth:`parse` reads its text
+    into rows.  `canonical` marks a system whose rows are already in
+    canonical form and order: the result of :meth:`canonicalize` and a
+    subset of its rows kept in order (as :func:`regions.remove_redundant`
+    keeps them).  A marked system is not canonicalized again, and
+    :meth:`dense_rows` and :attr:`denominator` read its rows as they are;
+    :meth:`extend` and :meth:`add` clear the mark.
     """
 
     def __init__(self, vars: Sequence[str], ineqs: Iterable[tuple] = (),
@@ -172,25 +173,31 @@ class LinIneqSystem:
         rows = [(coeffs, const.terms, const.offset) if isinstance(const, LinConst) else
                 (coeffs, const, 0) if isinstance(const, Mapping) else (coeffs, {}, const)
                 for coeffs, const in rows]
-        new, known = {}, set(self.terms)
-        for coeffs, terms, _ in rows:
-            for var in coeffs:
-                if var not in self.vars:
-                    raise ConfigurationError("unknown variable %r" % (var,))
-            new.update((t, None) for t, c in terms.items() if c and t not in known)
-        if new:
+        column = {v: k for k, v in enumerate(self.vars)}
+        for coeffs, _, _ in rows:
+            if not coeffs.keys() <= column.keys():
+                raise ConfigurationError("unknown variable %r"
+                                         % next(v for v in coeffs if v not in column))
+        column.update((t, k) for k, t in enumerate(self.terms, len(column)))
+        known = len(column)
+        for _, terms, _ in rows:
+            for t, c in terms.items():
+                if c and t not in column:
+                    column[t] = len(column)
+        if len(column) > known:
             # new term columns go in front of the offset; older rows hold 0 there
-            self.rows = [row[:-2] + (0,) * len(new) + row[-2:] for row in self.rows]
-            self.terms += tuple(new)
-        column = {t: k for k, t in enumerate(self.terms, len(self.vars))}
+            self.rows = [row[:-2] + (0,) * (len(column) - known) + row[-2:] for row in self.rows]
+            self.terms = tuple(column)[len(self.vars):]
         for coeffs, terms, offset in rows:
-            values = [coeffs.get(v, 0) for v in self.vars] + [0] * len(self.terms) + [offset]
-            for term, c in terms.items():
+            values = [0] * len(column) + [offset]
+            for key, c in coeffs.items():
+                values[column[key]] = c
+            for key, c in terms.items():
                 if c:
-                    values[column[term]] = c
+                    values[column[key]] = c
             if offset > 0 and not any(values[:-1]):
                 self.infeasible = True
-            if {type(v) for v in values} <= {int}:
+            if {*map(type, coeffs.values()), *map(type, terms.values()), type(offset)} <= {int}:
                 self.rows.append((*values, 1))
             else:
                 ints, den = integer_scaled([Fraction(v) for v in values])

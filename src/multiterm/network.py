@@ -30,7 +30,7 @@ class ConditionalPmf:
     """Conditional distribution of output variables given input variables.
 
     `rows` maps every input symbol tuple to a pmf over output symbol tuples;
-    each row must have total mass exactly one.
+    each row must have non-negative entries of total mass exactly one.
     """
 
     def __init__(self, inputs, outputs, rows):
@@ -43,6 +43,10 @@ class ConditionalPmf:
             if key not in in_keys:
                 raise ConfigurationError("channel row key %r outside input alphabet" % (key,))
             row = {tuple(o): Fraction(p) for o, p in row.items()}
+            for out, p in row.items():
+                if p < 0:
+                    raise ConfigurationError("channel row %r has negative probability %s at %r"
+                                             % (key, p, out))
             total = sum(row.values())
             if total != 1:
                 raise ConfigurationError("channel row %r has mass %s" % (key, total))

@@ -121,37 +121,6 @@ def _raw_system(which: str, config: NetworkConfig) -> LinIneqSystem:
     return build(which, config, x_of)
 
 
-class _Rows:
-    """The integer rows of one emitted system, ``(*a, *t, 0, 1)``: the rate
-    coefficients in the system's variable order, the entropy-term
-    coefficients in order of first use, offset 0 and denominator 1, as
-    :meth:`LinIneqSystem.extend` would store the same (coefficients, terms)
-    pairs, without converting them."""
-
-    def __init__(self, vars):
-        self._system = LinIneqSystem(vars)
-        self._column = {v: k for k, v in enumerate(self._system.vars)}
-        self._terms: dict = {}   # term -> its place among the term columns
-        self._rows = []          # (rate coefficients, [(term place, coefficient)])
-
-    def add(self, coeffs: Mapping[str, int], terms: Mapping[EntropyTerm, int]):
-        """Emit ``sum(coeffs[v] * v) >= sum(terms[t] * t)``."""
-        rates = [0] * len(self._column)
-        for var, c in coeffs.items():
-            rates[self._column[var]] = c
-        self._rows.append((rates, [(self._terms.setdefault(t, len(self._terms)), c)
-                                   for t, c in terms.items()]))
-
-    def system(self) -> LinIneqSystem:
-        rows = []
-        for rates, used in self._rows:
-            values = [0] * len(self._terms)
-            for k, c in used:
-                values[k] = c
-            rows.append((*rates, *values, 0, 1))
-        return self._system.with_rows(rows, terms=tuple(self._terms))
-
-
 def _w_given_x(config, x_of) -> dict:
     """Encoder i -> Hinf(W_i | X of its cell)."""
     return {i: EntropyTerm(INF, (w_name(i),), (x_of[tuple(config.cell_of(i))],))
@@ -160,34 +129,35 @@ def _w_given_x(config, x_of) -> dict:
 
 def _build_unified(which, config, x_of) -> LinIneqSystem:
     """The emitted system of the unified definitions."""
+    rates = [rate_var(i) for i in config.encoders]
     aux = [aux_var(i) for i in config.encoders] if which != DSC_IT else []
-    out = _Rows([rate_var(i) for i in config.encoders] + aux)
+    out = []   # (coefficients, entropy terms) of each row
     w_given_x = _w_given_x(config, x_of)
     if which == DSC_IT:
         for j, sub, term in _decoder_terms(config):
             const = {term: 1}
             for i in sub:
                 const[w_given_x[i]] = -1
-            out.add({rate_var(i): 1 for i in sub}, const)
-        return out.system()
+            out.append(({rate_var(i): 1 for i in sub}, const))
+        return LinIneqSystem(rates + aux, out)
     # constrained-generator families share the sum-rate rows
     for i in config.encoders:
-        out.add({aux_var(i): 1}, {})
+        out.append(({aux_var(i): 1}, {}))
     if which == DSC_CRNG:
         for i in config.encoders:
-            out.add({aux_var(i): -1}, {w_given_x[i]: -1})
+            out.append(({aux_var(i): -1}, {w_given_x[i]: -1}))
     else:
         for cell in config.sharing:
             x = x_of[tuple(cell)]
             for size in range(1, len(cell) + 1):
                 for sub in itertools.combinations(cell, size):
                     term = EntropyTerm(INF, tuple(w_name(i) for i in sub), (x,))
-                    out.add({aux_var(i): -1 for i in sub}, {term: -1})
+                    out.append(({aux_var(i): -1 for i in sub}, {term: -1}))
     for j, sub, term in _decoder_terms(config):
         coeffs = {rate_var(i): 1 for i in sub}
         coeffs.update({aux_var(i): 1 for i in sub})
-        out.add(coeffs, {term: 1})
-    return out.system()
+        out.append((coeffs, {term: 1}))
+    return LinIneqSystem(rates + aux, out)
 
 
 def _build_jb(which, config, x_of) -> LinIneqSystem:
@@ -200,8 +170,9 @@ def _build_jb(which, config, x_of) -> LinIneqSystem:
     others = tuple(i for i in config.encoders if i not in i0)
     x_single = {i: x_of[tuple(config.cell_of(i))] for i in config.encoders}
     w_given_x = _w_given_x(config, x_of)
+    rates = [rate_var(i) for i in config.encoders]
     aux = [aux_var(i) for i in others] if which == JB_CRNG else []
-    out = _Rows([rate_var(i) for i in config.encoders] + aux)
+    out = []   # (coefficients, entropy terms) of each row
 
     if which == JB_IT:
         for size in range(1, len(i0) + 1):
@@ -209,19 +180,19 @@ def _build_jb(which, config, x_of) -> LinIneqSystem:
                 rest = tuple(x_single[i] for i in i0 if i not in a)
                 term = EntropyTerm(SUP, tuple(x_single[i] for i in a),
                                    tuple(w_name(i) for i in others) + rest + given_y)
-                out.add({rate_var(i): 1 for i in a}, {term: 1})
+                out.append(({rate_var(i): 1 for i in a}, {term: 1}))
         for size in range(1, len(others) + 1):
             for b in itertools.combinations(others, size):
                 rest = tuple(w_name(i) for i in others if i not in b)
                 const = {EntropyTerm(SUP, tuple(w_name(i) for i in b), rest + given_y): 1}
                 for i in b:
                     const[w_given_x[i]] = -1
-                out.add({rate_var(i): 1 for i in b}, const)
-        return out.system()
+                out.append(({rate_var(i): 1 for i in b}, const))
+        return LinIneqSystem(rates + aux, out)
 
     for i in others:
-        out.add({aux_var(i): 1}, {})
-        out.add({aux_var(i): -1}, {w_given_x[i]: -1})
+        out.append(({aux_var(i): 1}, {}))
+        out.append(({aux_var(i): -1}, {w_given_x[i]: -1}))
     for size in range(1, len(config.encoders) + 1):
         for sub in itertools.combinations(config.encoders, size):
             a = tuple(i for i in sub if i in i0)
@@ -231,8 +202,8 @@ def _build_jb(which, config, x_of) -> LinIneqSystem:
                      + tuple(x_single[i] for i in i0 if i not in a) + given_y)
             coeffs = {rate_var(i): 1 for i in sub}
             coeffs.update({aux_var(i): 1 for i in b})
-            out.add(coeffs, {EntropyTerm(SUP, left, given): 1})
-    return out.system()
+            out.append((coeffs, {EntropyTerm(SUP, left, given): 1}))
+    return LinIneqSystem(rates + aux, out)
 
 
 # -- binding entropies from a memoryless joint -----------------------------------------
@@ -333,8 +304,9 @@ def member(system: LinIneqSystem, point: Mapping[str, object]) -> bool:
     if system.infeasible:
         return False
     x, scale = integer_scaled([Fraction(point[v]) for v in system.vars])
-    # a.(x / scale) / q >= o / q  iff  a.x >= o scale
-    return all(sum(map(mul, row, x)) >= row[-2] * scale for row in system.rows)
+    den = system.denominator
+    # a.(x / scale) >= o / den  iff  a.x den >= o scale
+    return all(sum(map(mul, a, x)) * den >= o * scale for a, o in system.dense_rows(den))
 
 
 def contains(outer: LinIneqSystem, inner: LinIneqSystem) -> bool:
@@ -401,11 +373,11 @@ def find_aux_rates(spec: RegionSpec, rates: Mapping[object, object]):
     aux = [k for k, v in enumerate(system.vars) if v.startswith("r_")]
     fixed = [k for k, v in enumerate(system.vars) if v in r_values]
     r_ints, r_scale = integer_scaled([r_values[system.vars[k]] for k in fixed])
-    # (o - a_R.r_ints / r_scale) / q, over the common denominator r_scale * den
+    # o / den - a_R.r_ints / r_scale, over the common denominator r_scale * den
     den = system.denominator
-    rows = [(tuple(row[k] // row[-1] for k in aux),
-             (row[-2] * r_scale - sum(row[k] * r for k, r in zip(fixed, r_ints)))
-             * (den // row[-1])) for row in system.rows]
+    rows = [(tuple(a[k] for k in aux),
+             o * r_scale - den * sum(a[k] * r for k, r in zip(fixed, r_ints)))
+            for a, o in system.dense_rows(den)]
     point = feasible_point(rows, len(aux))
     if point is None:
         return Infeasible(_iis(system, rows, len(aux)))

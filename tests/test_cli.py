@@ -372,6 +372,68 @@ def tiny_scenario_data():
     }
 
 
+def test_scenario_channel_row_with_a_negative_entry_exits_2(tmp_path, capsys):
+    """A channel row of mass one with a negative entry is not a pmf: `region`
+    and `simulate` both refuse it, naming the row."""
+    data = tiny_scenario_data()
+    path = tmp_path / "negative.json"
+    path.write_text(json.dumps(data))
+    assert run(["region", str(path)]) == 0
+    capsys.readouterr()
+    data["channels"][0]["rows"][0] = [[0], [[[0], "3/2"], [[1], "-1/2"]]]
+    path.write_text(json.dumps(data))
+    for command in ("region", "simulate"):
+        assert run([command, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "channel row (0,) has negative probability -1/2" in err
+        assert "Traceback" not in err
+
+
+def _side_info_scenario(side_info, args, table) -> dict:
+    """The tiny scenario over a source (X1, Y1, Y2), Y1 and Y2 copies of X1
+    through BSC(1/10) each, with decoder side information `side_info` and
+    a reproducer reading `args` through `table`."""
+    data = tiny_scenario_data()
+    data["topology"]["side_info"] = {"1": side_info}
+    flip = {0: 9, 1: 1}
+    data["source"] = {
+        "variables": [["X1", [0, 1]], ["Y1", [0, 1]], ["Y2", [0, 1]]],
+        "table": [[[x, y1, y2], "%d/200" % (flip[x ^ y1] * flip[x ^ y2])]
+                  for x in (0, 1) for y1 in (0, 1) for y2 in (0, 1)]}
+    data["reproducers"] = {"1": {"args": args, "alphabet": [0, 1], "table": table}}
+    return data
+
+
+_EVERY_PAIR = [[[w, y], w] for w in (0, 1) for y in (0, 1)]
+
+
+@pytest.mark.parametrize("side_info, args, table, message", [
+    (None, ["W1"], [[[0], 0]], "reproducer 1 has no output for (1,)"),
+    (None, ["W1", "Y1"], _EVERY_PAIR, "reproducer 1 reads 'Y1'; decoder 1 reads only 'W1'"),
+    ("Y1", ["W1", "Y2"], _EVERY_PAIR, "reproducer 1 reads 'Y2'; decoder 1 reads only 'W1', 'Y1'"),
+], ids=["missing-tuple", "no-side-info", "other-side-info"])
+def test_reproducer_outside_its_decoder_exits_2(tmp_path, capsys, side_info, args, table,
+                                                 message):
+    """A reproducer must read only its decoder's codewords and side
+    information, and its table must hold every tuple of positive mass;
+    `simulate` refuses one that does not, naming it, under both estimators."""
+    path = tmp_path / "reproducer.json"
+    path.write_text(json.dumps(_side_info_scenario(side_info, args, table)))
+    for flags in ([], ["--exact"]):
+        assert run(["simulate", str(path), "--n", "2"] + flags) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+
+
+def test_reproducer_reading_its_side_information_runs(tmp_path):
+    """The valid neighbour of the refused reproducers: W1 and the decoder's
+    own side information Y1, every pair in the table."""
+    path = tmp_path / "reproducer.json"
+    path.write_text(json.dumps(_side_info_scenario("Y1", ["W1", "Y1"], _EVERY_PAIR)))
+    assert run(["simulate", str(path), "--n", "2"]) == 0
+    assert run(["simulate", str(path), "--n", "2", "--exact"]) == 0
+
+
 @pytest.mark.parametrize("kind", ["linear", "sparse-linear"])
 def test_scenario_code_kinds_build_hashes_of_that_kind(tmp_path, kind):
     """At power-of-two sizes every hash of the code is of the kind `code.kinds`

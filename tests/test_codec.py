@@ -680,6 +680,51 @@ def test_batch_boundaries_neither_drop_nor_repeat_rows(monkeypatch):
         assert exact_error(fresh, delta, scenario.default_D, rule) == expected
 
 
+@pytest.mark.parametrize("rule", ["crng", "map"])
+def test_exact_oracle_reads_decoder_laws_only_through_laws(monkeypatch, rule):
+    """`exact_error` asks each decoder's laws through
+    `_DecoderClasses.laws`, one call per decoder per batch, under either
+    rule; the class candidates (`_classes`) are reached only inside it.  A
+    row cap of 64 makes several batches; the values do not change."""
+    cases = [(scenario, delta, code, exact_error(code, delta, scenario.default_D, rule))
+             for scenario, delta, code in _simulating_codes(3)]
+    laws, classes = codec._DecoderClasses.laws, codec._DecoderClasses._classes
+    calls, batches, inside = [], [], []
+
+    def spy_laws(self, cls, observed, law_rule):
+        calls.append((self, law_rule))
+        inside.append(self)
+        try:
+            return laws(self, cls, observed, law_rule)
+        finally:
+            inside.pop()
+
+    def spy_classes(self, cls, observed):
+        assert inside == [self], "_classes reached outside laws"
+        return classes(self, cls, observed)
+
+    original_batch = codec._Batch.__init__
+
+    def spy_batch(self, *args):
+        batches.append(self)
+        original_batch(self, *args)
+
+    monkeypatch.setattr(codec._DecoderClasses, "laws", spy_laws)
+    monkeypatch.setattr(codec._DecoderClasses, "_classes", spy_classes)
+    monkeypatch.setattr(codec._Batch, "__init__", spy_batch)
+    monkeypatch.setattr(codec, "_ROW_CAP", 64)
+    several = 0
+    for scenario, delta, code, expected in cases:
+        fresh = dataclasses.replace(code)
+        del calls[:], batches[:]
+        assert exact_error(fresh, delta, scenario.default_D, rule) == expected
+        decoders = [fresh._decoder(j) for j in scenario.config.decoders]
+        assert sorted(map(id, (d for d, _ in calls))) == sorted(map(id, decoders * len(batches)))
+        assert {r for _, r in calls} == {rule}
+        several += len(batches) > 1
+    assert several
+
+
 def _large_denominator_source(source, seed):
     """A positive law on the variables of `source` whose two halves have the
     coprime denominators 2(2^31 - 1) and 2(2^31 - 19): scaled to integers,

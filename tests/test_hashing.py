@@ -102,6 +102,14 @@ def test_hash_property_skewed_binning():
     assert verify_hash_property(skew, 2, 0)
 
 
+def test_binning_refuses_negative_bin_weights():
+    """Weights that sum to one with a negative entry are not a pmf: the
+    error names the bin, and no alpha or point law is built from them."""
+    with pytest.raises(ConfigurationError, match="bin 1 has negative weight -1/2"):
+        BinningEnsemble(4, 2, weights=[Fraction(3, 2), Fraction(-1, 2)])
+    assert BinningEnsemble(4, 2, weights=[Fraction(1), Fraction(0)]).alpha == 2
+
+
 def test_compose_parameters_and_property():
     a = BinningEnsemble(16, 4)
     b = BinningEnsemble(16, 2)

@@ -50,6 +50,15 @@ def test_channel_row_validation():
         ConditionalPmf([("X", B)], [("W", B)], {(0,): {(0,): Fraction(1)}})
 
 
+def test_channel_row_with_a_negative_entry_is_refused():
+    """A row of mass one with a negative entry is not a pmf: the error names
+    the row and the entry."""
+    rows = {(0,): {(0,): Fraction(3, 2), (1,): Fraction(-1, 2)}, (1,): {(1,): Fraction(1)}}
+    with pytest.raises(ConfigurationError, match=r"channel row \(0,\) has negative probability "
+                                                 r"-1/2 at \(1,\)"):
+        ConditionalPmf([("X", B)], [("W", B)], rows)
+
+
 def wyner_ziv_pieces():
     table = {}
     for x in (0, 1):
