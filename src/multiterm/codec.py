@@ -139,9 +139,23 @@ def _draw_one(weights, seed) -> np.ndarray:
     return inverse_cdf(weights, [len(weights)], 0, np.random.default_rng(seed).random())
 
 
-def _check_rule(rule: str):
+def _check_rule(rule: str, model: "Model"):
+    """Refuse an unknown rule, and MAP when the positive-mass W symbols of an
+    encoder that a decoder reads have no order, which its tie-break needs
+    (:attr:`_DecoderClasses.order`)."""
     if rule not in ("crng", "map"):
         raise ConfigurationError("unknown decode rule %r" % (rule,))
+    if rule == "crng":
+        return
+    cfg = model.config
+    for i in dict.fromkeys(i for j in cfg.decoders for i in cfg.codewords_to[j]):
+        symbols = [s for (s,) in model.letters((i,))[1]]
+        try:
+            sorted(symbols)
+        except TypeError:
+            raise ConfigurationError("the MAP rule breaks ties in symbol order, and the W "
+                                     "symbols of encoder %r cannot be ordered: %s"
+                                     % (i, ", ".join(map(repr, symbols)))) from None
 
 
 def _bounds(D: Mapping, delta: float, ks) -> dict:
@@ -210,13 +224,19 @@ def _check_index_size(S, letters: int, n: int):
 # -- code instances ------------------------------------------------------------------
 
 
-def realized_size(rate: float, n: int) -> int:
+def realized_size(rate: float, n: int, what: str = "rate") -> int:
     """Image size realizing a target rate at block length n: round(2^(rate*n)).
 
     Exact powers of two are hit exactly; other targets use the nearest
     integer (at least 1), so the realized rate log2(size)/n can deviate from
-    the target at small n.
+    the target at small n.  A size above ``_INDEX_BUDGET`` raises
+    :class:`BudgetExceededError` naming `what`, the rate, n and the size,
+    before any table of that size is built; 2^(rate*n) is not evaluated
+    beyond twice the budget.
     """
+    if rate * n > _INDEX_BUDGET.bit_length() or round(2 ** (rate * n)) > _INDEX_BUDGET:
+        raise BudgetExceededError("%s is %g: at n=%d it needs an image of 2^%g elements "
+                                  "(budget %d)" % (what, rate, n, rate * n, _INDEX_BUDGET))
     return max(1, round(2 ** (rate * n)))
 
 
@@ -280,7 +300,8 @@ class Model:
     def _resolve_reproducers(self, reproducers) -> dict:
         """Decoder j -> [(k, table of reproducer k, per argument the encoder
         whose block it reads, or None for the side information)].  Each
-        argument must be W_i for an i of I_j or decoder j's side information."""
+        argument must be W_i for an i of I_j or decoder j's side information,
+        and each reproduction needs a distortion measure."""
         cfg = self.config
         resolved = {j: [] for j in cfg.decoders}
         for j in cfg.decoders:
@@ -291,6 +312,9 @@ class Model:
                 rep = reproducers.get(k)
                 if rep is None:
                     raise ConfigurationError("missing reproducer for reproduction %r" % (k,))
+                if k not in cfg.distortions:
+                    raise ConfigurationError("reproduction %r has no distortion measure "
+                                             "(topology.distortions)" % (k,))
                 for arg in rep.args:
                     if arg not in reads:
                         raise ConfigurationError("reproducer %r reads %r; decoder %r reads only %s"
@@ -609,7 +633,7 @@ class CodeInstance:
         The MAP rule picks the most probable candidate; ties break toward the
         lexicographically smallest blocks (encoder order, then letter order).
         """
-        _check_rule(rule)
+        _check_rule(rule, self.model)
         rows, weights, _ = self._decoder_at(j, m, y_block, rule)
         row = rows[_draw_one(weights, seed)]
         w_hat = self._named(self._decoder(j).ij, [(row, None)])[0][0]
@@ -1006,7 +1030,7 @@ def exact_error(code: CodeInstance, delta: float, D: Mapping,
     balanced tree of integer pairs (:func:`_fraction_sum`): one Fraction per
     value.
     """
-    _check_rule(rule)
+    _check_rule(rule, code.model)
     _check_budget(code)
     cfg = code.config
     bounds = _bounds(D, delta, cfg.reproduction_ids)
@@ -1098,7 +1122,7 @@ def simulate(code: CodeInstance, delta: float, D: Mapping, trials: int,
     `bound`.  A decoder's class holds the true blocks, which have positive
     weight, so decoders never abort.  `trials` must be a positive int, not a bool.
     """
-    _check_rule(rule)
+    _check_rule(rule, code.model)
     ks = code.config.reproduction_ids
     bounds = _bounds(D, delta, ks)
     if isinstance(trials, bool) or not (isinstance(trials, (int, np.integer)) and trials > 0):

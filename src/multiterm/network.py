@@ -151,7 +151,9 @@ class NetworkConfig:
         flat = [i for cell in self.sharing for i in cell]
         if sorted(flat) != sorted(self.encoders) or len(set(flat)) != len(flat):
             raise ConfigurationError("sharing cells must partition the encoder set")
-        for j in self.decoders:
+        for at, j in enumerate(self.decoders):
+            if j in self.decoders[:at]:
+                raise ConfigurationError("decoder %r is listed twice" % (j,))
             if j not in self.codewords_to or not self.codewords_to[j]:
                 raise ConfigurationError("decoder %r needs a nonempty codeword set" % (j,))
             if any(i not in self.encoders for i in self.codewords_to[j]):

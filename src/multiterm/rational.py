@@ -6,10 +6,7 @@ import numpy as np
 
 
 def integer_scaled(values):
-    """(integers, scale): `values` (ints or Fractions) times the lcm of their
-    denominators; a list of ints comes back as it is, with scale 1."""
-    if set(map(type, values)) <= {int}:
-        return values, 1
+    """(integers, scale): `values` (ints or Fractions) times the lcm of their denominators."""
     scale = lcm(*(v.denominator for v in values))
     return [v.numerator * (scale // v.denominator) for v in values], scale
 

@@ -74,7 +74,9 @@ class Scenario:
         its first build.  `model` (built when not given) is the code's `_model`.
         A rate for a key that is not an encoder is a configuration error.
 
-        Image sizes realize the target rates as round(2^(rate*n)).  Each
+        Image sizes realize the target rates as round(2^(rate*n)); a size
+        over the budget is refused (:func:`codec.realized_size`) before any
+        ensemble is built.  Each
         encoder's hashes are of the kind `code_kinds` names (binning when it
         names none); a linear or sparse-linear kind needs domain and image
         sizes that are powers of q, and any other size is a configuration
@@ -86,14 +88,17 @@ class Scenario:
             if key not in self.config.encoders:
                 raise ConfigurationError("rate for %r, which is not an encoder (encoders: %s)"
                                          % (key, ", ".join(map(repr, self.config.encoders))))
+        sizes = {i: (realized_size(float(aux_rates.get(i, 0.0)), n,
+                                   "auxiliary rate of encoder %r" % (i,)),
+                     realized_size(float(rates.get(i, 0.0)), n, "rate of encoder %r" % (i,)))
+                 for i in self.config.encoders}
         model = model or Model(self.config, self.source, self.channels, self.reproducers)
         root = np.random.SeedSequence(seed)
         f, g, c = {}, {}, {}
         per_encoder = root.spawn(len(self.config.encoders))
         for enc_seed, i in zip(per_encoder, self.config.encoders):
             dom = model.w_alph[i].size ** n
-            g_size = realized_size(float(rates.get(i, 0.0)), n)
-            f_size = realized_size(float(aux_rates.get(i, 0.0)), n)
+            f_size, g_size = sizes[i]
             kind = self.code_kinds.get(i, "binning")
             f_seed, g_seed, c_seed = enc_seed.spawn(3)
             f_ens = make_ensemble(kind, dom, f_size, q=self.q)
@@ -514,6 +519,8 @@ def scenario_from_dict(data: dict) -> Scenario:
         run_defaults = {}
         if "n" in run:
             run_defaults["n"] = [positive_int(v, "run.n") for v in run["n"]]
+            if not run_defaults["n"]:
+                raise ConfigurationError("scenario file: run.n is empty; give a block length")
         if "trials" in run:
             run_defaults["trials"] = positive_int(run["trials"], "run.trials")
         if "seed" in run:

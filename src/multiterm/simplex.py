@@ -20,12 +20,11 @@ an objective of 0 throughout, but its pivots choose the structural basis
 that phase 2 starts from.  The artificial columns are kept and every pivot
 updates them, but they are never priced for entry.  Kept, they hold D B^-1
 for the current basis B, so the tableau is always that matrix times
-[S A^T | I | S c], S being the per-row scaling fixed at build.  A new c
-then costs one integer matrix-vector product: the right-hand side column
-becomes D B^-1 (S c), the objective entry the cost row's artificial part
-times S c, and each equality row phase 1 dropped as redundant keeps its
-artificial part, whose product with S c must be 0 or the new dual is
-infeasible.  A new c leaves the last optimal basis dual feasible, and
+[A^T | I | c].  A new c then costs one integer matrix-vector product: the
+right-hand side column becomes D B^-1 c, the objective entry the cost row's
+artificial part times c, and each equality row phase 1 dropped as redundant
+keeps its artificial part, whose product with c must be 0 or the new dual
+is infeasible.  A new c leaves the last optimal basis dual feasible, and
 :meth:`DualTableau.query` re-optimizes it by dual simplex pivots
 (C. E. Lemke, "The dual method of solving the linear programming problem",
 Naval Res. Logist. Q., 1954): a row with a negative right-hand side leaves,
@@ -36,22 +35,21 @@ entry.  A new cost entry is set at c = 0, and :meth:`DualTableau.relax`
 re-optimizes by primal pivots.  At c = 0 every right-hand side is 0, so
 relax sets that column to 0 directly, with no product and no dual pivot.
 The cost row's artificial part is minus D times the simplex multipliers of
-the equality rows, which are the primal point: x = S times it, over D, with
-the coordinates of dropped rows at 0.
+the equality rows, which are the primal point: x is it over D, with the
+coordinates of dropped rows at 0.
 
-The tableau holds Python integers.  Region systems come in as integer rows
-(gcd-1 coefficients, constants over one common denominator) and become
-equality rows as they are; rational rows are scaled per equality row by the
-lcm of its denominators, the right-hand side once per question by the lcm of
-its, and the cost once by the lcm of its; integers pass through each of
-these as they are, with scale 1 (:func:`rational.integer_scaled`).  The
-tableau is an integer matrix T over one positive common denominator D, the
-true tableau being T / D.  A pivot on T[r][c] replaces every other row by
+The tableau holds Python integers.  It takes integer rows and coeffs only,
+as :meth:`linineq.LinIneqSystem.dense_rows` gives them, and refuses any
+other entry with a ValueError, as the division below would floor it: a
+rational row times the lcm of its denominators bounds the same polyhedron.
+The tableau is an integer matrix T over one positive common denominator D,
+the true tableau being T / D, so every value, point and multiplier is an
+integer vector over D.  A pivot on T[r][c] replaces every other row by
 (|T[r][c]| T[i] - sgn(T[r][c]) T[i][c] T[r]) / D, a division that is always
 exact, and sets D = |T[r][c]| (E. H. Bareiss, "Sylvester's identity and
 multistep integer-preserving Gaussian elimination", Math. Comp., 1968): D
 stays the absolute determinant of the basis and every entry is a minor of
-the scaled matrix, so entries stay small.  Primal pivots enter the column
+the input matrix, so entries stay small.  Primal pivots enter the column
 with the most negative reduced cost (Dantzig's rule), dual pivots leave the
 row with the most negative right-hand side; after a run of degenerate
 pivots either switches to the smallest index (Bland's rule) until a pivot
@@ -63,10 +61,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from operator import mul, ne
 from typing import Optional, Sequence
-
-from .rational import integer_scaled
 
 OPTIMAL = "optimal"
 UNBOUNDED = "unbounded"
@@ -81,6 +77,15 @@ class LpResult:
     status: str
     value: Optional[Fraction] = None
     x: Optional[list] = None
+
+
+def _integers(values, size, what):
+    """`values`, `size` of them, as ints (an integral Fraction is one); a
+    non-integral entry or another count raises a ValueError naming `what`."""
+    ints = list(map(int, values))
+    if len(ints) != size or any(map(ne, ints, values)):
+        raise ValueError("%s is not %d integers: %s" % (what, size, ", ".join(map(str, values))))
+    return ints
 
 
 def _pivot(rows, d, r, c):
@@ -174,26 +179,22 @@ def _reoptimize(rows, basis, d, ncols):
 class DualTableau:
     """The dual of min c.x s.t. A x >= b for one system and many objectives c.
 
-    `ge_rows` is a sequence of (coefficient list, constant) pairs over `dim`
-    variables.  The build solves max b.y s.t. A^T y = 0, y >= 0 by two
-    phases; :meth:`query` moves to other coeffs c by dual pivots, and
-    :meth:`relax` moves one row's constant, b_k, by primal pivots at c = 0.
-    `status` answers the last c: OPTIMAL with `value` = max b.y = min c.x
-    over the rows; UNBOUNDED when the rows are empty; INFEASIBLE when c.x is
-    unbounded below on them.  A build ends OPTIMAL or UNBOUNDED, and only an
-    OPTIMAL tableau can be queried again.
+    `ge_rows` is a sequence of integer (coefficient list, constant) pairs
+    over `dim` variables.  The build solves max b.y s.t. A^T y = 0, y >= 0
+    by two phases; :meth:`query` moves to other integer coeffs c by dual
+    pivots, and :meth:`relax` moves one row's constant, b_k, by primal
+    pivots at c = 0.  `status` answers the last c: OPTIMAL with `value` =
+    max b.y = min c.x over the rows; UNBOUNDED when the rows are empty;
+    INFEASIBLE when c.x is unbounded below on them.  A build ends OPTIMAL
+    or UNBOUNDED, and only an OPTIMAL tableau can be queried again.
     """
 
     def __init__(self, ge_rows: Sequence[tuple], dim: int):
-        if any(len(co) != dim for co, _ in ge_rows):
-            raise ValueError("row arity differs from dimension %d" % dim)
         n = self._ncols = len(ge_rows)
-        self._rows, self._rhs_scale = None, 1   # no basis until the build ends OPTIMAL
-        columns = [list(col) for col in zip(*(co for co, _ in ge_rows))] if ge_rows \
-            else [[] for _ in range(dim)]
-        self._scales = [1] * dim
-        if not {type(v) for col in columns for v in col} <= {int}:
-            columns, self._scales = map(list, zip(*map(integer_scaled, columns)))
+        self._dim, self._rows = dim, None   # no basis until the build ends OPTIMAL
+        ge_rows = [_integers([*co, ct], dim + 1, "row %d" % k)
+                   for k, (co, ct) in enumerate(ge_rows)]
+        *columns, constants = [list(col) for col in zip(*ge_rows)] or [[]] * (dim + 1)
         rows = [col + [0] * (dim + 1) for col in columns]
         for i, row in enumerate(rows):
             row[n + i] = 1
@@ -225,27 +226,21 @@ class DualTableau:
         rows = [rows[r] for r in kept]
         basis = [basis[r] for r in kept]
 
-        # phase 2: minimize -b.y, the scaled cost priced out against the basis, over d
-        c_int, self._cost_scale = integer_scaled([-ct for _, ct in ge_rows])
-        cost = [d * v for v in c_int] + [0] * (dim + 1)
+        # phase 2: minimize -b.y, the cost priced out against the basis, over d
+        cost = [-d * v for v in constants] + [0] * (dim + 1)
         for row, bvar in zip(rows, basis):
-            if c_int[bvar]:
-                cost = [a - c_int[bvar] * v for a, v in zip(cost, row)]
+            if constants[bvar]:
+                cost = [a + constants[bvar] * v for a, v in zip(cost, row)]
         rows.append(cost)
         bounded, d = _minimize(rows, basis, d, n)
         self.status = OPTIMAL if bounded else UNBOUNDED
         if bounded:
             self._rows, self._basis, self._d = rows, basis, d
 
-    def _value_denominator(self):
-        return self._d * self._cost_scale * self._rhs_scale
-
     @property
     def value(self) -> Optional[Fraction]:
         """max b.y = min coeffs.x for the last coeffs, when OPTIMAL."""
-        if self.status != OPTIMAL:
-            return None
-        return Fraction(self._rows[-1][-1], self._value_denominator())
+        return Fraction(self._rows[-1][-1], self._d) if self.status == OPTIMAL else None
 
     def _require_basis(self):
         if self._rows is None:
@@ -258,15 +253,13 @@ class DualTableau:
         self._require_basis()
         for row in self._rows:
             row[-1] = 0
-        self._rhs_scale, self.status = 1, OPTIMAL
+        self.status = OPTIMAL
 
     def query(self, coeffs: Sequence) -> str:
-        """Re-optimize for new coeffs from the last basis; returns `status`.
-        Integer coeffs enter the right-hand side as they are."""
+        """Re-optimize for new integer coeffs from the last basis, which enter
+        the right-hand side as they are; returns `status`."""
         self._require_basis()
-        if len(coeffs) != len(self._scales):
-            raise ValueError("row arity differs from dimension %d" % len(self._scales))
-        rhs, self._rhs_scale = integer_scaled([s * c for s, c in zip(self._scales, coeffs)])
+        rhs = _integers(coeffs, self._dim, "the query")
         if any(sum(map(mul, art, rhs)) for art in self._dropped):
             self.status = INFEASIBLE
             return self.status
@@ -284,10 +277,10 @@ class DualTableau:
         y_k's cost entry rises by delta, priced out against its row when y_k
         is basic, and primal pivots restore optimality."""
         self._at_zero()
-        rows, step = self._rows, delta * self._cost_scale
-        rows[-1][k] += step * self._d
+        rows = self._rows
+        rows[-1][k] += delta * self._d
         if k in self._basis:
-            rows[-1] = [a - step * v for a, v in zip(rows[-1], rows[self._basis.index(k)])]
+            rows[-1] = [a - delta * v for a, v in zip(rows[-1], rows[self._basis.index(k)])]
         bounded, self._d = _minimize(rows, self._basis, self._d, self._ncols)
         if not bounded:
             self._rows, self.status = None, UNBOUNDED
@@ -298,24 +291,23 @@ class DualTableau:
         are empty (UNBOUNDED), else when :meth:`query` coeffs finds
         min coeffs.x >= const."""
         return self.status == UNBOUNDED or (self.query(coeffs) == OPTIMAL and (
-            self._rows[-1][-1] >= const * self._value_denominator()))
+            self._rows[-1][-1] >= const * self._d))
 
     def point(self) -> list:
-        """An x attaining min coeffs.x for the last query: S times the cost
-        row's artificial part, over D."""
+        """An x attaining min coeffs.x for the last query: the cost row's
+        artificial part, over D."""
         if self.status != OPTIMAL:
             raise ValueError("no optimum: the last query is %s" % self.status)
-        den = self._d * self._cost_scale
-        return [Fraction(s * v, den) for s, v in zip(self._scales, self._rows[-1][self._ncols:-1])]
+        return [Fraction(v, self._d) for v in self._rows[-1][self._ncols:-1]]
 
 
 def solve_lp(objective: Sequence, ge_rows: Sequence[tuple]) -> LpResult:
     """Minimize objective . x over free x subject to coeffs . x >= const.
 
-    `ge_rows` is a sequence of (coefficient list, constant) pairs.  One
-    :class:`DualTableau` build decides emptiness (an unbounded dual), and
-    one query the objective: an infeasible dual means it is unbounded
-    below, an optimal one gives the optimum and x from the cost row.
+    `ge_rows` is a sequence of integer (coefficient list, constant) pairs.
+    One :class:`DualTableau` build decides emptiness (an unbounded dual),
+    and one query the integer objective: an infeasible dual means it is
+    unbounded below, an optimal one gives the optimum and x from the cost row.
     """
     tableau = DualTableau(ge_rows, len(objective))
     if tableau.status == UNBOUNDED:

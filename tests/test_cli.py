@@ -693,3 +693,71 @@ def test_bad_seed_is_a_config_error(capsys, monkeypatch, argv, env, named):
     assert run(argv) == 2
     err = capsys.readouterr().err
     assert "configuration error" in err and named in err
+
+
+def _w_alphabet(a, b):
+    """An edit that puts W1 over the symbols `a` and `b`: X1 = 0 is sent to
+    `a` and X1 = 1 to `b` with probability 9/10, and `b` is reproduced as 1."""
+    def edit(data):
+        data["channels"][0]["outputs"] = [["W1", [a, b]]]
+        data["channels"][0]["rows"] = [[[0], [[[a], "9/10"], [[b], "1/10"]]],
+                                       [[1], [[[a], "1/10"], [[b], "9/10"]]]]
+        data["reproducers"]["1"] = {"args": ["W1"], "alphabet": [0, 1],
+                                    "table": [[[a], 0], [[b], 1]]}
+    return edit
+
+
+def _set(section, key, value):
+    return lambda data: data[section].update({key: value})
+
+
+@pytest.mark.parametrize("edit, flags, code, named", [
+    (_set("code", "rates", {"1": 7.9}), ["--n", "8"], 3, "rate of encoder 1 is 7.9: at n=8"),
+    (_set("code", "rates", {"1": 200}), ["--n", "8"], 3, "rate of encoder 1 is 200: at n=8"),
+    (_set("topology", "distortions", {}), ["--delta", "0.1"], 2,
+     "reproduction 1 has no distortion measure"),
+    (_w_alphabet(0, "x"), ["--rule", "map"], 2, "W symbols of encoder 1 cannot be ordered"),
+    (_w_alphabet(0, "x"), ["--rule", "map", "--exact"], 2,
+     "W symbols of encoder 1 cannot be ordered"),
+    (_set("topology", "decoders", [1, 1]), [], 2, "decoder 1 is listed twice"),
+    (_set("run", "n", []), [], 2, "run.n is empty"),
+], ids=["rate-7.9", "rate-200", "no-distortion-measure", "map-unordered-symbols",
+        "map-unordered-symbols-exact", "duplicate-decoder", "empty-run-n"])
+def test_scenario_file_probes_exit_without_a_traceback(tmp_path, capsys, edit, flags, code,
+                                                        named):
+    """Scenario files that once crashed `simulate` with an exception, or
+    printed only a CSV header, exit 2 (configuration) or 3 (budget) with one
+    line naming the offending key: an image over the budget is refused
+    before any hash table is built, quickly."""
+    data = tiny_scenario_data()
+    edit(data)
+    path = tmp_path / "probe.json"
+    path.write_text(json.dumps(data))
+    start = time.perf_counter()
+    assert run(["simulate", str(path)] + flags) == code
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert named in err and "Traceback" not in err
+
+
+def test_region_needs_no_distortion_measure(tmp_path):
+    """The region of a scenario file whose reproduction has no distortion
+    measure is still emitted; only `simulate` needs the measure."""
+    data = tiny_scenario_data()
+    data["topology"]["distortions"] = {}
+    path = tmp_path / "region.json"
+    path.write_text(json.dumps(data))
+    assert run(["region", str(path)]) == 0
+
+
+@pytest.mark.parametrize("a, b, rule", [("a", "b", "map"), (0, "x", "crng")])
+def test_w_alphabets_the_rule_can_decode_run(tmp_path, a, b, rule):
+    """The valid neighbours of the unordered alphabet under MAP: W1 over "a"
+    and "b", which sort, runs under MAP, and W1 over 0 and "x" under crng,
+    which needs no order; both estimators."""
+    data = tiny_scenario_data()
+    _w_alphabet(a, b)(data)
+    path = tmp_path / "symbols.json"
+    path.write_text(json.dumps(data))
+    for flags in ([], ["--exact"]):
+        assert run(["simulate", str(path), "--rule", rule, "--n", "2"] + flags) == 0

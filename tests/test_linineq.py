@@ -17,6 +17,7 @@ from multiterm.linineq import (
     LinIneqSystem,
     fme_eliminate,
 )
+from multiterm.rational import integer_scaled
 from multiterm.regions import remove_redundant
 from multiterm.simplex import UNBOUNDED, DualTableau
 
@@ -211,7 +212,10 @@ def _ref_remove_redundant(vars, rows):
     rows, infeasible = _ref_canonicalize(vars, rows)
     if infeasible:
         return rows, True
-    dense = [([dict(co).get(v, Fraction(0)) for v in vars], ct.offset) for co, ct in rows]
+    # each row times the lcm of its denominators: the integer rows the LP takes
+    scaled = [integer_scaled([*(dict(co).get(v, Fraction(0)) for v in vars), ct.offset])[0]
+              for co, ct in rows]
+    dense = [(ints[:-1], ints[-1]) for ints in scaled]
     dim = len(vars)
     if DualTableau(dense, dim).status == UNBOUNDED:
         return rows, True

@@ -30,8 +30,17 @@ from multiterm.regions import (
     required_terms,
     round_entropy,
 )
+from multiterm.rational import integer_scaled
 from multiterm.scenarios import build_scenario
 from multiterm.simplex import feasible_point
+
+
+def integer_row(coeffs, const):
+    """A rational row times the lcm of its denominators, as the exact LP
+    takes it: the same half-space in integers."""
+    ints, _ = integer_scaled([Fraction(v) for v in (*coeffs, const)])
+    return ints[:-1], ints[-1]
+
 
 B2 = Alphabet((0, 1))
 
@@ -175,7 +184,7 @@ def test_fme_projection_against_completion_oracle():
             rows = []
             for cm, const in sys.ineqs:
                 offset = const.offset - sum(cm.get(v, 0) * point[v] for v in keep)
-                rows.append(([cm.get(v, 0) for v in drop], offset))
+                rows.append(integer_row([cm.get(v, 0) for v in drop], offset))
             completion = feasible_point(rows, len(drop))
             assert inside == (completion is not None)
 
@@ -375,7 +384,7 @@ def test_find_aux_rates_infeasible_subset_is_irreducible(which):
     system = build_system(spec)
     aux = [v for v in system.vars if v.startswith("r_")]
     fixed = {rate_var(i): v for i, v in rates.items()}
-    rows = {system.line(row): (
+    rows = {system.line(row): integer_row(
         [coeffs.get(v, 0) for v in aux],
         const.offset - sum(c * fixed[v] for v, c in coeffs.items() if v in fixed))
         for row, (coeffs, const) in zip(system.rows, system.ineqs)}

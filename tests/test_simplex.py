@@ -9,6 +9,7 @@ from scipy.optimize import linprog
 
 from multiterm import regions, simplex
 from multiterm.linineq import LinIneqSystem
+from multiterm.rational import integer_scaled
 from multiterm.simplex import (
     INFEASIBLE,
     OPTIMAL,
@@ -22,6 +23,25 @@ from multiterm.simplex import (
 
 def F(v):
     return Fraction(v)
+
+
+def integer_coeffs(coeffs):
+    """(integers, scale): rational `coeffs` times the lcm of their denominators."""
+    return integer_scaled([F(v) for v in coeffs])
+
+
+def integer_rows(rows):
+    """The engine's input for rational (coeffs, const) rows: each row times
+    the lcm of its denominators, which bounds the same polyhedron; and those
+    lcms, one per row."""
+    scaled = [integer_coeffs([*co, ct]) for co, ct in rows]
+    return [(ints[:-1], ints[-1]) for ints, _ in scaled], [scale for _, scale in scaled]
+
+
+def scaled_value(tableau, scale):
+    """The tableau's last value over `scale`: its optimum at the rational
+    coeffs that the integer ones it was queried at are `scale` times."""
+    return None if tableau.value is None else tableau.value / scale
 
 
 # -- the reference engine: a dense two-phase simplex in Fraction arithmetic with
@@ -148,7 +168,7 @@ def multipliers(tableau):
     assert tableau.status == OPTIMAL
     y = [Fraction(0)] * tableau._ncols
     for row, bvar in zip(tableau._rows, tableau._basis):
-        y[bvar] = Fraction(row[-1], tableau._d * tableau._rhs_scale)
+        y[bvar] = Fraction(row[-1], tableau._d)
     return y
 
 
@@ -246,6 +266,22 @@ def test_against_scipy_randomized():
             assert sp.status in (2, 3, 4)
 
 
+@pytest.mark.parametrize("rows, coeffs, named", [
+    ([([1, 0], 0), ([1, Fraction(1, 2)], 0)], None, "row 1 is not 3 integers: 1, 1/2, 0"),
+    ([([1, 0], Fraction(1, 3))], None, "row 0 is not 3 integers: 1, 0, 1/3"),
+    ([([0, 2.5], 1)], None, "row 0 is not 3 integers"),
+    ([([1, 0], 0), ([1], 0)], None, "row 1 is not 3 integers"),
+    ([([1, 0], 0), ([0, 1], 0)], [Fraction(1, 2), 1], "the query is not 2 integers: 1/2, 1"),
+    ([([1, 0], 0), ([0, 1], 0)], [1], "the query is not 2 integers"),
+], ids=["coefficient", "constant", "float", "short-row", "query", "short-query"])
+def test_non_integral_entries_are_refused(rows, coeffs, named):
+    """The tableau takes integer rows and coeffs only: a build or a query
+    with any other entry (or the wrong count) raises a ValueError naming the
+    row or the query, where the integer pivot would floor a fraction."""
+    with pytest.raises(ValueError, match=named):
+        DualTableau(rows, 2).query(coeffs)
+
+
 @st.composite
 def implication_cases(draw):
     """(dim, rows, coeffs, const): a small integer system and a candidate row,
@@ -275,11 +311,12 @@ def test_implied_agrees_with_primal(case):
     """The build's emptiness verdict (UNBOUNDED) equals the primal one, and
     an empty system implies every row; on a nonempty system the queried
     implication equals the primal one, and a True answer comes with
-    multipliers y >= 0, A^T y = coeffs, b.y >= const."""
+    multipliers y >= 0, A^T y = coeffs, b.y >= const.  The engine takes the
+    integer rows `raw`, the reference their Fraction copies."""
     dim, raw, coeffs, const = case
     rows = [([F(v) for v in co], F(ct)) for co, ct in raw]
     empty = primal_solve_lp([F(0)] * dim, rows).status == INFEASIBLE
-    tableau = DualTableau(rows, dim)
+    tableau = DualTableau(raw, dim)
     assert (tableau.status == UNBOUNDED) == empty
     if empty:
         assert tableau.implies(coeffs, const)
@@ -354,19 +391,22 @@ def test_integer_engine_matches_reference_dual(case):
     nonempty system a query of coeffs gives the reference's status and
     optimum at coeffs, and `implies` answers as the reference does; on an
     empty one the reference's dual at coeffs has no optimum either, and
-    `implies` holds vacuously."""
+    `implies` holds vacuously.  The engine takes the rows and coeffs scaled
+    to integers, the reference the rational ones, and the engine's optimum
+    is compared over the coeffs' scale."""
     dim, rows, coeffs, const = case
-    tableau = DualTableau(rows, dim)
+    tableau = DualTableau(integer_rows(rows)[0], dim)
     status, value = reference_dual_solve([0] * dim, rows, dim)[:2]
     assert (tableau.status, tableau.value) == (status, None if value is None else -value)
     assert (tableau.status == UNBOUNDED) == reference_implied([0] * dim, 1, rows, dim)
     status, value = reference_dual_solve(coeffs, rows, dim)[:2]
+    ints, scale = integer_coeffs(coeffs)
     if tableau.status == UNBOUNDED:
-        assert status != OPTIMAL and tableau.implies(coeffs, const)
+        assert status != OPTIMAL and tableau.implies(ints, const * scale)
         return
-    assert tableau.query(coeffs) == status
-    assert tableau.value == (None if value is None else -value)
-    assert tableau.implies(coeffs, const) == reference_implied(coeffs, const, rows, dim)
+    assert tableau.query(ints) == status
+    assert scaled_value(tableau, scale) == (None if value is None else -value)
+    assert tableau.implies(ints, const * scale) == reference_implied(coeffs, const, rows, dim)
 
 
 def test_bland_fallback_ends_beales_cycle(monkeypatch):
@@ -546,27 +586,33 @@ def test_requeries_match_fresh_reference(case):
     fresh reference solve: the same status and optimum, and the same
     verdict as `reference_implied`.  A True verdict carries multipliers
     y >= 0 with A^T y = coeffs and b.y >= const, and an optimum carries a
-    point x of the rows with coeffs.x equal to it."""
+    point x of the rows with coeffs.x equal to it.  The engine is asked in
+    integers, each row and each coeffs times the lcm of its denominators, so
+    its optimum is compared over the coeffs' scale and its multipliers
+    certify the integer question, against the integer rows."""
     dim, rows, build, queries = case
-    tableau = DualTableau(rows, dim)
+    engine_rows = integer_rows(rows)[0]
+    tableau = DualTableau(engine_rows, dim)
     assert tableau.status == OPTIMAL
     if build is not None:
-        assert tableau.query(build) == OPTIMAL
+        assert tableau.query(integer_coeffs(build)[0]) == OPTIMAL
     for coeffs, const in queries:
-        verdict = tableau.implies(coeffs, const)
+        ints, scale = integer_coeffs(coeffs)
+        verdict = tableau.implies(ints, const * scale)
         assert verdict == reference_implied(coeffs, const, rows, dim)
         status, value = reference_dual_solve(coeffs, rows, dim)[:2]
-        assert (tableau.status, tableau.value) == (status, None if value is None else -value)
+        assert (tableau.status, scaled_value(tableau, scale)) == (
+            status, None if value is None else -value)
         if verdict:
             y = multipliers(tableau)
             assert all(v >= 0 for v in y)
             for i in range(dim):
-                assert sum(v * co[i] for v, (co, _) in zip(y, rows)) == coeffs[i]
-            assert sum(v * ct for v, (_, ct) in zip(y, rows)) >= const
+                assert sum(v * co[i] for v, (co, _) in zip(y, engine_rows)) == ints[i]
+            assert sum(v * ct for v, (_, ct) in zip(y, engine_rows)) >= const * scale
         if tableau.status == OPTIMAL:
             x = tableau.point()
             assert all(sum(a * v for a, v in zip(co, x)) >= ct for co, ct in rows)
-            assert sum(a * v for a, v in zip(coeffs, x)) == tableau.value
+            assert sum(a * v for a, v in zip(coeffs, x)) == scaled_value(tableau, scale)
 
 
 def test_bland_fallback_ends_the_dual_of_beales_cycle(monkeypatch):
@@ -635,27 +681,34 @@ def test_relax_matches_fresh_build(case, steps):
     reference's dual do for its coeffs: the same status and value, and an
     optimum carries a point of those rows.  The steps alternate with the case's questions,
     so a relax may follow a query at nonzero coeffs or one that ended
-    INFEASIBLE."""
+    INFEASIBLE.  The engine holds each row times the lcm of its
+    denominators, so lowering a row's constant by delta relaxes its integer
+    row by delta times that lcm; it is queried at integer coeffs, and its
+    optimum compared over their scale."""
     dim, rows, build, queries = case
-    tableau = DualTableau(rows, dim)
+    engine_rows, scales = integer_rows(rows)
+    tableau = DualTableau(engine_rows, dim)
     if build is not None:
-        tableau.query(build)
-    current = list(rows)
+        tableau.query(integer_coeffs(build)[0])
+    current, engine_current = list(rows), list(engine_rows)
     for (basic, pick, delta), (coeffs, _) in zip(steps, queries * len(steps)):
         columns = [j for j in range(len(rows)) if (j in tableau._basis) == basic]
         k = (columns or range(len(rows)))[pick % len(columns or rows)]
         current[k] = (current[k][0], current[k][1] - delta)
-        zero = DualTableau(current, dim)
-        assert (tableau.relax(k, delta), tableau.value) == (zero.status, zero.value)
+        engine_current[k] = (engine_current[k][0], engine_current[k][1] - delta * scales[k])
+        zero = DualTableau(engine_current, dim)
+        assert (tableau.relax(k, delta * scales[k]), tableau.value) == (zero.status, zero.value)
         if zero.status == UNBOUNDED:
             return
+        ints, scale = integer_coeffs(coeffs)
         status, value = reference_dual_solve(coeffs, current, dim)[:2]
-        assert tableau.query(coeffs) == zero.query(coeffs) == status
-        assert tableau.value == zero.value == (None if value is None else -value)
+        assert tableau.query(ints) == zero.query(ints) == status
+        assert scaled_value(tableau, scale) == scaled_value(zero, scale) == (
+            None if value is None else -value)
         if tableau.status == OPTIMAL:
             x = tableau.point()
             assert all(sum(a * v for a, v in zip(co, x)) >= ct for co, ct in current)
-            assert sum(a * v for a, v in zip(coeffs, x)) == tableau.value
+            assert sum(a * v for a, v in zip(coeffs, x)) == scaled_value(tableau, scale)
 
 
 @settings(max_examples=150, deadline=None)
@@ -666,17 +719,17 @@ def test_zero_right_hand_side_is_a_query_at_coeffs_zero(case):
     """Setting the right-hand side to 0, as `relax` does, leaves the tableau
     exactly as `query` at coeffs 0 does, after the build and after each
     question, INFEASIBLE ones included: the same status, value, basis,
-    denominator and rows, and no pivot."""
+    denominator and rows, and no pivot.  The engine holds the rows and is
+    asked the coeffs, each times the lcm of its denominators."""
     dim, rows, build, queries = case
-    tableau = DualTableau(rows, dim)
+    tableau = DualTableau(integer_rows(rows)[0], dim)
     for coeffs in [build or [0] * dim] + [coeffs for coeffs, _ in queries]:
-        tableau.query(coeffs)
+        tableau.query(integer_coeffs(coeffs)[0])
         queried, direct = copy.deepcopy(tableau), copy.deepcopy(tableau)
         assert queried.query([0] * dim) == OPTIMAL
         direct._at_zero()
-        assert (direct.status, direct.value, direct._basis, direct._d, direct._rows,
-                direct._rhs_scale) == (queried.status, queried.value, queried._basis,
-                                       queried._d, queried._rows, queried._rhs_scale)
+        assert (direct.status, direct.value, direct._basis, direct._d, direct._rows) == (
+            queried.status, queried.value, queried._basis, queried._d, queried._rows)
         assert direct._basis == tableau._basis and direct._d == tableau._d
 
 
@@ -763,15 +816,16 @@ def test_bland_fallback_ends_beales_cycle_inside_relax(monkeypatch):
     `relax`.  The dual of the rows a_j.x >= 0 over four variables, a_j the
     columns of Beale's constraint matrix (x4..x7, three slacks) and of one
     more equality row (3, -80, 2, -24, 0, 0, 0, 1), is set by hand to the
-    slack basis, with the eighth column basic in the new row.  At cost 0
+    slack basis, with the eighth column basic in the new row.  Each a_j has
+    its first coordinate times 4 and its second times 2, so it is integer;
+    that rescales two variables and leaves each pivot as it is.  At cost 0
     that basis is optimal, and D B^-1 = diag(2, 4, 8, 8) at D = 8.
     `relax(7, 1)` raises that basic column's cost to 1, which prices out to
     8 times Beale's reduced costs; at coeffs 0 every right-hand side is 0,
     so the minimization is Beale's cycle with no third-row bound.  Without
     the fallback to Bland's rule it cycles; with it, it ends at cost 0."""
-    columns = [(Fraction(1, 4), Fraction(1, 2), 0, 3), (-8, -12, 0, -80),
-               (-1, Fraction(-1, 2), 1, 2), (9, 3, 0, -24),
-               (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
+    columns = [(1, 1, 0, 3), (-32, -24, 0, -80), (-4, -1, 1, 2), (36, 6, 0, -24),
+               (4, 0, 0, 0), (0, 2, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
     rows = [(list(co), 0) for co in columns]
 
     def run():
